@@ -36,7 +36,7 @@ print("\nSimulate 5 replicates of the window [-1, 1] at depth N(1e-8):")
 batch = simulate(coeffs, INFINITE, model, (-1, 1), 5, seed=7, trunc_eps=1e-8)
 print(f"  effective depth: {batch.truncation_order}")
 for r in range(3):
-    w = batch[r]
+    w = batch.window(r)
     print(f"  replicate {r}: " + ", ".join(f"X_{k} = {v:.3f}" for k, v in w.support()))
 
 print("\nEvery value is recomputable from the audited innovation stream:")

@@ -30,6 +30,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
 from .errors import AssumptionError, ParameterError, UnsupportedError
 from .estimation import convergence_table, hill, theoretical_tail_measure
@@ -130,6 +132,8 @@ def _parse_coefficients(sec) -> tuple[CoefficientSeq, object, float | None]:
         if m < 0:
             raise ConfigError(f"order m must be nonnegative, got {m}")
     trunc_eps = float(sec["trunc_eps"]) if "trunc_eps" in sec else None
+    if trunc_eps is not None and not trunc_eps > 0:
+        raise ConfigError(f"trunc_eps must be positive, got {trunc_eps}")
     return coeffs, m, trunc_eps
 
 
@@ -260,7 +264,7 @@ def _write_output(exp: Experiment, out_path, columns, rows, meta) -> None:
         doc = {
             "meta": meta,
             "columns": list(columns),
-            "rows": [[None if v is None else v for v in row] for row in rows],
+            "rows": list(rows),
         }
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
@@ -285,12 +289,8 @@ def cmd_simulate(exp: Experiment, threads: int) -> int:
     batch = simulate(
         exp.coeffs, exp.m, exp.model, window, exp.n, exp.seed, exp.trunc_eps, threads=threads
     )
-    rows = []
-    for r in range(len(batch)):
-        for w in range(batch.matrix.shape[1]):
-            v = batch.matrix[r, w]
-            if v != 0.0:
-                rows.append((r, batch.lo + w, float(v)))
+    r, w = np.nonzero(batch.matrix)
+    rows = zip(r.tolist(), (batch.lo + w).tolist(), batch.matrix[r, w].tolist())
     meta = _meta(exp, "simulate", {
         "seed": exp.seed,
         "truncation_order": batch.truncation_order,

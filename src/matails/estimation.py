@@ -33,7 +33,7 @@ from .limit_measures import (
     nu_m_j_rect,
     spike_cover_number,
 )
-from .ma_process import INFINITE, CoefficientSeq, SimulationBatch, _resolve_depth, simulate
+from .ma_process import INFINITE, CoefficientSeq, SimulationBatch, simulate
 
 __all__ = [
     "TailMeasureEstimate",
@@ -70,38 +70,30 @@ class TailMeasureEstimate:
 
 
 def empirical_tail_measure(
-    samples, model: TailModel, t: float, scaling_exponent: float, rect: UpperRect
+    samples: SimulationBatch, model: TailModel, t: float, scaling_exponent: float, rect: UpperRect
 ) -> TailMeasureEstimate:
     """Estimate t * P[X / b(t^e) in rect] from replicated windows.
 
-    ``samples`` is a :class:`SimulationBatch` (vectorized path) or any
-    iterable of window sequences.  Membership is coordinatewise strict
-    exceedance of the scaled thresholds.
+    Each row of ``samples.matrix`` is one replicate.  Membership is
+    coordinatewise strict exceedance of the scaled thresholds; a constraint
+    outside the simulated window is never met.
     """
     if t < 1.0:
         raise ParameterError(f"tail level must be >= 1, got {t}")
     if not 0.0 < scaling_exponent <= 1.0:
         raise ParameterError(f"scaling exponent must lie in (0, 1], got {scaling_exponent}")
-    b = model.quantile_b(t**scaling_exponent)
-    if isinstance(samples, SimulationBatch):
-        n = len(samples)
-        mask = np.ones(n, dtype=bool)
-        for k, a in rect.constraints:
-            col = k - samples.lo
-            if not 0 <= col < samples.matrix.shape[1]:
-                mask[:] = False
-                break
-            mask &= samples.matrix[:, col] > b * a
-        count = int(np.count_nonzero(mask))
-    else:
-        n = 0
-        count = 0
-        for x in samples:
-            n += 1
-            if all(x.value_at(k) > b * a for k, a in rect.constraints):
-                count += 1
+    n, width = samples.matrix.shape
     if n < 1:
         raise ParameterError("at least one sample is required")
+    b = model.quantile_b(t**scaling_exponent)
+    mask = np.ones(n, dtype=bool)
+    for k, a in rect.constraints:
+        col = k - samples.lo
+        if not 0 <= col < width:
+            mask[:] = False
+            break
+        mask &= samples.matrix[:, col] > b * a
+    count = int(np.count_nonzero(mask))
     return TailMeasureEstimate(
         value=t * count / n,
         t=t,
@@ -183,8 +175,7 @@ def theoretical_tail_measure(
             raise ParameterError(
                 "hidden orders beyond 0 are not available for the infinite-order process"
             )
-        eps = 1e-8 * coeffs.sum_psi() if trunc_eps is None else trunc_eps
-        return nu_inf_0_rect(coeffs, alpha, rect, eps)
+        return nu_inf_0_rect(coeffs, alpha, rect, trunc_eps)
     if _is_identity(coeffs, m):
         return mu_j_rect(j, alpha, rect)
     if j == 0:
@@ -212,10 +203,10 @@ def hrv_scan(
     """
     if not rows:
         return []
-    depth = _resolve_depth(coeffs, m, trunc_eps)
     lo = min(rect.min_index for _, rect in rows)
     hi = max(rect.max_index for _, rect in rows)
     batch = simulate(coeffs, m, model, (lo, hi), n, seed, trunc_eps, threads=threads)
+    depth = batch.truncation_order
     oracle_seed = _derive_seed(seed, _ORACLE_TAG)
     out = []
     for j, rect in rows:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["ParetoFamily", "TailModel", "sample", "quantile_b", "block_generator"]
+__all__ = ["ParetoFamily", "TailModel", "sample", "quantile_b", "block_generator", "draw"]
 
 
 class ParetoFamily(str, enum.Enum):
@@ -44,9 +44,9 @@ class TailModel:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise ParameterError(f"scale must be positive, got {self.scale}")
 
     @classmethod
@@ -98,8 +98,13 @@ def block_generator(seed: int, block: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _draw(model: TailModel, rng: np.random.Generator, shape) -> np.ndarray:
-    # 1 - random() lies in (0, 1], keeping the inverse transform finite.
+def draw(model: TailModel, rng: np.random.Generator, shape) -> np.ndarray:
+    """Innovations of the given shape from ``rng``, filled in C order.
+
+    This is the one draw rule of the package: uniforms on (0, 1] (as
+    ``1 - random()``, keeping the inverse transform finite), then the
+    inverse survival function.
+    """
     u = 1.0 - rng.random(shape)
     return model.inverse_survival(u)
 
@@ -108,7 +113,7 @@ def sample(model: TailModel, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` i.i.d. innovations from ``model``, deterministically in ``seed``."""
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    return _draw(model, block_generator(seed), count)
+    return draw(model, block_generator(seed), count)
 
 
 def quantile_b(model: TailModel, t: float) -> float:

@@ -305,7 +305,6 @@ def nu_m_j_rect(
     candidates = _candidate_positions(coeffs, m, rect)
     total = 0.0
     var_total = 0.0
-    any_mc = False
     for idx, combo in enumerate(itertools.combinations(candidates, j + 1)):
         positions = tuple(i for i, _ in combo)
         covers = tuple(cov for _, cov in combo)
@@ -317,7 +316,6 @@ def nu_m_j_rect(
         )
         total += value
         var_total += variance
-        any_mc = any_mc or variance > 0.0
     return MeasureValue(total, EvalMethod.MONTE_CARLO, stderr=math.sqrt(var_total))
 
 
@@ -340,12 +338,13 @@ def marginal_tail_constant(coeffs: CoefficientSeq, alpha: float, up_to: int | No
 
 
 def nu_inf_0_rect(
-    coeffs: CoefficientSeq, alpha: float, rect: UpperRect, trunc_eps: float = 1e-8
+    coeffs: CoefficientSeq, alpha: float, rect: UpperRect, trunc_eps: float | None = None
 ) -> MeasureValue:
     """Order-0 MA(infinity) limit measure, enumerated at a truncation depth.
 
     Runs the MA(N) enumeration with N = truncation depth for ``trunc_eps``
-    and reports the one-sided bound
+    (default as in :func:`~matails.ma_process.choose_truncation`) and
+    reports the one-sided bound
 
         missed mass <= (min_k a_k)^-alpha * sum_{l>N} psi_l^alpha
 

@@ -18,7 +18,10 @@ series.  See :func:`check_assumptions`.
 
 Replicates are generated in fixed-size blocks with per-block Philox
 sub-streams (see :mod:`matails.innovations`), so results are reproducible
-and independent of how many workers process the blocks.
+and independent of how many workers process the blocks.  Every block is
+drawn as a (length, rows) array, newest index first, and the lag sum runs
+on that drawn layout; only the audit view :func:`innovation_matrix`
+transposes it to one row per replicate.
 """
 
 from __future__ import annotations
@@ -26,13 +29,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import zeta
 
 from .errors import AssumptionError, ParameterError, UnsupportedError
-from .innovations import TailModel, block_generator
+from .innovations import TailModel, block_generator, draw
 from .sequence_space import ZERO, WindowSeq
 
 __all__ = [
@@ -57,8 +59,10 @@ INFINITE = math.inf
 # Rows per Philox sub-stream; fixed so output never depends on worker count.
 BLOCK_ROWS = 1 << 20
 
-# Relative coefficient-mass tolerance defining the "effectively exact" depth
-# used as the reference in truncation diagnostics.
+# Relative coefficient-mass tolerances: the default truncation of the
+# infinite-order process, and the "effectively exact" depth used as the
+# reference in truncation diagnostics.
+DEFAULT_TRUNC_FACTOR = 1e-8
 DEEP_TAIL_FACTOR = 1e-12
 
 
@@ -107,9 +111,9 @@ class ExplicitFinite(CoefficientSeq):
 
     def __init__(self, values):
         vals = tuple(float(v) for v in values)
-        if not vals or vals[0] <= 0.0:
+        if not vals or not vals[0] > 0.0:
             raise AssumptionError("leading coefficient psi_0 must be positive")
-        if any(v < 0 for v in vals):
+        if not all(v >= 0 for v in vals):
             raise ParameterError("coefficients must be nonnegative")
         while vals and vals[-1] == 0.0:
             vals = vals[:-1]
@@ -170,7 +174,7 @@ class Polynomial(CoefficientSeq):
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 0.0:
+        if not self.beta > 0.0:
             raise ParameterError(f"decay rate must be positive, got {self.beta}")
 
     def psi(self, j: int) -> float:
@@ -202,25 +206,21 @@ class Polynomial(CoefficientSeq):
 class AssumptionReport:
     """Certificates and coefficient sums for one (psi, alpha) pair."""
 
-    a1_holds: bool
     a2_delta: float | None
     sum_psi: float
     sum_psi_alpha: float
-    tail_bound_N: Callable[[float], int]
 
 
 def check_assumptions(coeffs: CoefficientSeq, alpha: float) -> AssumptionReport:
     """Certify the summability assumptions analytically and report the sums."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if coeffs.psi(0) <= 0.0:
         raise AssumptionError("leading coefficient psi_0 must be positive")
     return AssumptionReport(
-        a1_holds=True,
         a2_delta=coeffs.summability_exponent(alpha),
         sum_psi=coeffs.sum_psi(),
         sum_psi_alpha=coeffs.sum_psi_power(alpha),
-        tail_bound_N=lambda eps: choose_truncation(coeffs, eps),
     )
 
 
@@ -234,15 +234,18 @@ def apply_Tm(coeffs: CoefficientSeq, m: int, z: WindowSeq) -> WindowSeq:
     return WindowSeq(z.lo, tuple(out))
 
 
-def choose_truncation(coeffs: CoefficientSeq, eps: float) -> int:
+def choose_truncation(coeffs: CoefficientSeq, eps: float | None = None) -> int:
     """Smallest certifiable N with sum_{j>N} psi_j < eps.
 
-    Finite families return their own order regardless of eps.  For the
-    decaying families the N is the first depth whose analytic tail bound
-    drops below eps, so the guarantee is sound even though the polynomial
-    bound is not tight.
+    ``eps`` defaults to ``1e-8`` times the coefficient mass S, the tolerance
+    every truncated computation uses unless told otherwise.  Finite families
+    return their own order regardless of eps.  For the decaying families
+    the N is the first depth whose analytic tail bound drops below eps, so
+    the guarantee is sound even though the polynomial bound is not tight.
     """
-    if eps <= 0:
+    if eps is None:
+        eps = DEFAULT_TRUNC_FACTOR * coeffs.sum_psi()
+    if not eps > 0:
         raise ParameterError(f"tolerance must be positive, got {eps}")
     if coeffs.order is not None:
         return coeffs.order
@@ -273,47 +276,44 @@ def continuity_modulus(coeffs: CoefficientSeq, m: int, eps: float) -> tuple[floa
     return delta, big_m
 
 
+def _blocks(replicates: int):
+    """(block, start, rows) of each fixed-size replicate block, in order."""
+    for block, start in enumerate(range(0, replicates, BLOCK_ROWS)):
+        yield block, start, min(BLOCK_ROWS, replicates - start)
+
+
 def _innovation_block(model: TailModel, seed: int, block: int, rows: int, length: int) -> np.ndarray:
-    """Innovations for one replicate block, shape (rows, length).
+    """Innovations for one replicate block as drawn, shape (length, rows).
 
-    Column ``length - 1`` holds the newest index and is drawn first, so a
-    deeper lag window (larger ``length``) extends the matrix to the left
-    without disturbing the values already drawn: the two runs share one
-    innovation stream per replicate.
+    Row 0 holds the newest index and is drawn first, so a deeper lag window
+    (larger ``length``) appends rows without disturbing the values already
+    drawn: the two runs share one innovation stream per replicate.
     """
-    rng = block_generator(seed, block)
-    u = 1.0 - rng.random((length, rows))
-    z = model.inverse_survival(u)
-    return np.ascontiguousarray(z[::-1].T)
+    return draw(model, block_generator(seed, block), (length, rows))
 
 
-def innovation_matrix(
-    model: TailModel, seed: int, replicates: int, length: int, *, block_rows: int = BLOCK_ROWS
-) -> np.ndarray:
+def innovation_matrix(model: TailModel, seed: int, replicates: int, length: int) -> np.ndarray:
     """Full innovation matrix a simulation run consumes, for stream audits.
 
     Row r holds the ``length`` innovations of replicate r (drawn from the
-    sub-stream of block ``r // block_rows``), oldest index in column 0.  A
+    sub-stream of block ``r // BLOCK_ROWS``), oldest index in column 0.  A
     window simulation on [k_lo, k_hi] at lag depth N uses length
-    ``k_hi - k_lo + 1 + N`` with column c holding Z_{k_lo - N + c}.
-    :func:`simulate` reads exactly this layout, so any simulated value can
-    be recomputed from here, and matrices of different depths agree on
-    their shared (rightmost) columns.
+    ``k_hi - k_lo + 1 + N`` with column c holding Z_{k_lo - N + c}.  This
+    is the transpose of the drawn blocks reversed in time, so any simulated
+    value can be recomputed from here, and matrices of different depths
+    agree on their shared (rightmost) columns.
     """
     out = np.empty((replicates, length), dtype=float)
-    for block, start in enumerate(range(0, replicates, block_rows)):
-        rows = min(block_rows, replicates - start)
-        out[start:start + rows] = _innovation_block(model, seed, block, rows, length)
+    for block, start, rows in _blocks(replicates):
+        out[start:start + rows] = _innovation_block(model, seed, block, rows, length)[::-1].T
     return out
 
 
 class SimulationBatch:
-    """Replicated process windows, matrix-backed.
+    """Replicated process windows as a dense (replicates x width) array.
 
-    Behaves as a sequence of :class:`WindowSeq` (one per replicate) while
-    keeping the values in a dense (replicates x width) array for vectorized
-    estimation.  Column w of :attr:`matrix` is the process at index
-    ``lo + w``.
+    Column w of :attr:`matrix` is the process at index ``lo + w``; row r is
+    replicate r.
     """
 
     def __init__(self, lo: int, matrix: np.ndarray, truncation_order: int):
@@ -321,36 +321,20 @@ class SimulationBatch:
         self.matrix = matrix
         self.truncation_order = truncation_order
 
-    @property
-    def hi(self) -> int:
-        return self.lo + self.matrix.shape[1] - 1
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    def __getitem__(self, r: int) -> WindowSeq:
-        if isinstance(r, slice):
-            raise TypeError("index replicates one at a time")
+    def window(self, r: int) -> WindowSeq:
+        """Replicate ``r`` as a window sequence."""
         return WindowSeq(self.lo, tuple(self.matrix[r]))
-
-    def __iter__(self):
-        for r in range(len(self)):
-            yield self[r]
 
 
 def _resolve_depth(coeffs: CoefficientSeq, m, trunc_eps: float | None) -> int:
     """Lag depth actually simulated: m itself, capped at the finite order,
     or the truncation depth for the infinite-order process."""
     if m == INFINITE:
-        s = coeffs.sum_psi()
-        if not math.isfinite(s):
+        if not math.isfinite(coeffs.sum_psi()):
             raise UnsupportedError(
                 "infinite-order simulation requires a summable coefficient sequence"
             )
-        eps = 1e-8 * s if trunc_eps is None else trunc_eps
-        if eps <= 0:
-            raise ParameterError(f"trunc_eps must be positive, got {trunc_eps}")
-        return choose_truncation(coeffs, eps)
+        return choose_truncation(coeffs, trunc_eps)
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ParameterError(f"order must be a nonnegative integer or INFINITE, got {m}")
     if coeffs.order is not None:
@@ -373,36 +357,33 @@ def simulate(
     ``window`` is the inclusive index interval [k_lo, k_hi]; ``m`` is the
     moving-average order or :data:`INFINITE`.  Each replicate draws the
     innovations Z_{k_lo - N} .. Z_{k_hi} (N = resolved lag depth) from its
-    block's sub-stream; output is deterministic in ``seed`` and identical
-    for any ``threads``.
+    block's sub-stream.  Blocks run on a pool of ``threads`` workers; the
+    output is deterministic in ``seed`` and identical for any ``threads``.
     """
     k_lo, k_hi = window
     if k_lo > k_hi:
         raise ParameterError(f"window is empty: {window}")
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
+    if not threads > 0:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
     depth = _resolve_depth(coeffs, m, trunc_eps)
     width = k_hi - k_lo + 1
     length = width + depth
     psi = coeffs.psi_array(depth)
     out = np.empty((replicates, width), dtype=float)
 
-    def run_block(block: int, start: int) -> None:
-        rows = min(BLOCK_ROWS, replicates - start)
-        innov = _innovation_block(model, seed, block, rows, length)
-        acc = np.zeros((rows, width), dtype=float)
+    def run_block(block: int, start: int, rows: int) -> None:
+        # Oldest index first: row c holds Z_{k_lo - depth + c} for every replicate.
+        z = _innovation_block(model, seed, block, rows, length)[::-1]
+        acc = np.zeros((width, rows), dtype=float)
         for j in range(depth + 1):
             if psi[j] != 0.0:
-                acc += psi[j] * innov[:, depth - j: depth - j + width]
-        out[start:start + rows] = acc
+                acc += psi[j] * z[depth - j: depth - j + width]
+        out[start:start + rows] = acc.T
 
-    starts = list(enumerate(range(0, replicates, BLOCK_ROWS)))
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda bs: run_block(*bs), starts))
-    else:
-        for block, start in starts:
-            run_block(block, start)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(lambda b: run_block(*b), _blocks(replicates)))
     return SimulationBatch(k_lo, out, depth)
 
 
@@ -434,11 +415,11 @@ def truncation_diagnostic(
         deep = choose_truncation(coeffs, DEEP_TAIL_FACTOR * coeffs.sum_psi())
     if N >= deep:
         return 0.0
-    tail_psi = np.array([coeffs.psi(j) for j in range(N + 1, deep + 1)])
+    # Lag deep pairs with the first-drawn row, lag N+1 with the last.
+    tail_psi = np.array([coeffs.psi(j) for j in range(deep, N, -1)])
     threshold = model.quantile_b(t) * x
     count = 0
-    for block, start in enumerate(range(0, replicates, BLOCK_ROWS)):
-        rows = min(BLOCK_ROWS, replicates - start)
-        innov = _innovation_block(model, seed, block, rows, len(tail_psi))
-        count += int(np.count_nonzero(innov @ tail_psi > threshold))
+    for block, _, rows in _blocks(replicates):
+        z = _innovation_block(model, seed, block, rows, len(tail_psi))
+        count += int(np.count_nonzero(tail_psi @ z > threshold))
     return t * count / replicates

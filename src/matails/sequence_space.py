@@ -28,7 +28,6 @@ __all__ = [
     "exceedance_count",
     "cone_label",
     "scale",
-    "add",
 ]
 
 
@@ -136,7 +135,3 @@ def scale(x: WindowSeq, lam: float) -> WindowSeq:
     if x.is_zero:
         return ZERO
     return WindowSeq(x.lo, tuple(lam * v for v in x.values))
-
-
-def add(x: WindowSeq, y: WindowSeq) -> WindowSeq:
-    return x + y

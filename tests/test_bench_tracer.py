@@ -1,0 +1,69 @@
+"""Smoke test of the benchmark's span tracer against the current package.
+
+``bench/spans.py`` wraps named public functions of each layer; a renamed or
+deleted function would make ``bench/run.py --trace 1`` fail.  The tracer
+module is read from the benchmark directory and executed in memory, so the
+test writes nothing there.
+"""
+
+import sys
+import textwrap
+import types
+from pathlib import Path
+
+import matails.cli
+from matails.cli import main
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+CONFIG = textwrap.dedent(
+    """\
+    [coefficients]
+    family = geometric
+    rho = 0.5
+    m = infinite
+    trunc_eps = 1e-3
+
+    [tail]
+    family = standard_pareto
+    alpha = 1.0
+
+    [rows]
+    row0 = 0; 0:1.0
+
+    [run]
+    n = 1000
+    t = 10
+    seed = 1
+    """
+)
+
+
+def load_spans(monkeypatch):
+    module = types.ModuleType("bench_spans")
+    module.__file__ = str(SPANS)
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), module.__dict__)
+    return module
+
+
+def test_every_wrapped_name_resolves(monkeypatch):
+    spans = load_spans(monkeypatch)
+    for mod_name, names in spans.WRAPPED.items():
+        home = sys.modules[f"matails.{mod_name}"]
+        for name in names:
+            assert callable(getattr(home, name, None)), f"matails.{mod_name}.{name}"
+
+
+def test_traced_verify_records_layer_spans(tmp_path, monkeypatch):
+    spans = load_spans(monkeypatch)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(CONFIG)
+    original = matails.cli.cmd_verify
+    with spans.Tracer() as tracer:
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v.csv")]) == 0
+    assert matails.cli.cmd_verify is original
+    names = {span.name for span in tracer.spans}
+    for name in ("ma_process.simulate", "estimation.empirical_tail_measure", "innovations.draw"):
+        assert name in names
+    assert tracer.counts["ma_process.simulate.replicates"] == 1000

@@ -222,7 +222,40 @@ class TestHillCommand:
         assert main(["hill", "--k", "10"]) == 2
 
 
+GEOMETRIC_INFINITE = [
+    "--set", "coefficients.family=geometric", "--set", "coefficients.rho=0.5",
+    "--set", "coefficients.m=infinite",
+]
+
+# Out-of-range inputs.  NaN compares false with every bound, so a "<= 0"
+# check lets it through.
+INVALID_INPUTS = {
+    "missing-alpha-limits": (True, ["limits"]),
+    "missing-alpha-verify": (True, ["verify"]),
+    "nan-beta": (False, ["limits", "--set", "coefficients.family=polynomial",
+                         "--set", "coefficients.beta=nan"]),
+    "nan-coefficient": (False, ["simulate", "--set", "coefficients.values=1, nan"]),
+    "nan-trunc-eps": (False, ["simulate", *GEOMETRIC_INFINITE,
+                              "--set", "coefficients.trunc_eps=nan"]),
+    "negative-trunc-eps-limits": (False, ["limits", *GEOMETRIC_INFINITE,
+                                          "--set", "coefficients.trunc_eps=-1"]),
+    "negative-trunc-eps-verify": (False, ["verify", *GEOMETRIC_INFINITE,
+                                          "--set", "coefficients.trunc_eps=-1"]),
+    "zero-threads": (False, ["simulate", "--threads", "0"]),
+    "negative-threads": (False, ["verify", "--threads", "-1"]),
+}
+
+
 class TestErrorHandling:
+    @pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+    def test_invalid_input_exits_2_without_file(self, tmp_path, case):
+        drop_alpha, argv = INVALID_INPUTS[case]
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(BASE_CONFIG.replace("alpha = 1.0\n", "") if drop_alpha else BASE_CONFIG)
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_missing_config_file(self, tmp_path):
         assert main(["limits", "--config", str(tmp_path / "nope.ini")]) == 2
 

@@ -9,16 +9,15 @@ from matails import (
     ExplicitFinite,
     Geometric,
     ParameterError,
+    SimulationBatch,
     TailModel,
     UpperRect,
-    ZERO,
     convergence_table,
     empirical_tail_measure,
     hill,
     hrv_scan,
     sample,
     simulate,
-    spike,
     theoretical_tail_measure,
 )
 
@@ -27,28 +26,28 @@ IDENTITY = ExplicitFinite([1.0])
 PSI_HALF = ExplicitFinite([1.0, 0.5])
 
 
+def batch_at_zero(values):
+    """One replicate per value, each a window on the single index 0."""
+    return SimulationBatch(0, np.array(values, dtype=float).reshape(-1, 1), 0)
+
+
 class TestEmpiricalTailMeasure:
     def test_all_zero_samples(self):
-        est = empirical_tail_measure([ZERO] * 10, PARETO1, 100.0, 1.0, UpperRect({0: 1.0}))
+        samples = batch_at_zero([0.0] * 10)
+        est = empirical_tail_measure(samples, PARETO1, 100.0, 1.0, UpperRect({0: 1.0}))
         assert est.value == 0.0 and est.stderr == 0.0
         assert est.degenerate
 
     def test_single_exceedance_scaling(self):
-        samples = [spike(0, 200.0), spike(0, 50.0), spike(0, 99.0), spike(0, 1.0)]
+        samples = batch_at_zero([200.0, 50.0, 99.0, 1.0])
         est = empirical_tail_measure(samples, PARETO1, 100.0, 1.0, UpperRect({0: 1.0}))
         assert est.value == 25.0
         assert est.count == 1 and not est.degenerate
 
     def test_membership_is_strict(self):
-        est = empirical_tail_measure([spike(0, 100.0)], PARETO1, 100.0, 1.0, UpperRect({0: 1.0}))
+        samples = batch_at_zero([100.0])
+        est = empirical_tail_measure(samples, PARETO1, 100.0, 1.0, UpperRect({0: 1.0}))
         assert est.count == 0
-
-    def test_batch_and_generic_paths_agree(self):
-        batch = simulate(PSI_HALF, 1, PARETO1, (-1, 1), 500, seed=13)
-        rect = UpperRect({0: 0.5, 1: 0.25})
-        fast = empirical_tail_measure(batch, PARETO1, 50.0, 0.5, rect)
-        slow = empirical_tail_measure(list(batch), PARETO1, 50.0, 0.5, rect)
-        assert (fast.value, fast.count) == (slow.value, slow.count)
 
     def test_large_sample_matches_exact_theory(self):
         # Standard Pareto marginal at the plain scaling has no bias at all.
@@ -61,8 +60,10 @@ class TestEmpiricalTailMeasure:
         batch = simulate(IDENTITY, 0, PARETO1, (0, 0), 4000, seed=3)
         est = empirical_tail_measure(batch, PARETO1, 200.0, 1.0, rect)
         assert est.value * est.n / est.t == est.count
-        half_a = empirical_tail_measure(list(batch)[:2000], PARETO1, 200.0, 1.0, rect)
-        half_b = empirical_tail_measure(list(batch)[2000:], PARETO1, 200.0, 1.0, rect)
+        half_a, half_b = (
+            empirical_tail_measure(batch_at_zero(part), PARETO1, 200.0, 1.0, rect)
+            for part in (batch.matrix[:2000], batch.matrix[2000:])
+        )
         pooled = (half_a.value * half_a.n + half_b.value * half_b.n) / 4000
         assert pooled == pytest.approx(est.value, rel=1e-12)
 
@@ -111,7 +112,7 @@ class TestEmpiricalTailMeasure:
         with pytest.raises(ParameterError):
             empirical_tail_measure(batch, PARETO1, 10.0, 1.5, UpperRect({0: 1.0}))
         with pytest.raises(ParameterError):
-            empirical_tail_measure([], PARETO1, 10.0, 1.0, UpperRect({0: 1.0}))
+            empirical_tail_measure(batch_at_zero([]), PARETO1, 10.0, 1.0, UpperRect({0: 1.0}))
 
 
 class TestHill:
