@@ -24,10 +24,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +43,7 @@ from .ma_process import (
     ExplicitFinite,
     Geometric,
     Polynomial,
+    SimulationBatch,
     simulate,
 )
 
@@ -223,19 +224,8 @@ def load_experiment(path: str, overrides: list[str]) -> Experiment:
     )
 
 
-def _fmt(value) -> str:
-    """Full round-trip text for a cell."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _rect_text(rect: UpperRect) -> str:
-    return ",".join(f"{k}:{_fmt(a)}" for k, a in rect.constraints)
+    return ",".join(f"{k}:{a!r}" for k, a in rect.constraints)
 
 
 def _meta(exp: Experiment, command: str, extra: dict | None = None) -> dict:
@@ -250,13 +240,11 @@ def _write_output(exp: Experiment, out_path, columns, rows, meta) -> None:
     if out_path is None:
         raise ConfigError("no output path: set [output] path or pass --out")
     if exp.out_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        # csv writes a float as its round-trip repr and None as ""; callers convert other types
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
         with open(f"{out_path}.meta.json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -282,13 +270,18 @@ def _simulation_window(exp: Experiment) -> tuple[int, int]:
     raise ConfigError("no window: set [run] window or provide rows")
 
 
-def cmd_simulate(exp: Experiment, threads: int) -> int:
+def _simulate(exp: Experiment, command: str, window: tuple[int, int],
+              threads: int) -> SimulationBatch:
     if exp.n is None:
-        raise ConfigError("simulate needs [run] n")
-    window = _simulation_window(exp)
-    batch = simulate(
+        raise ConfigError(f"{command} needs [run] n")
+    return simulate(
         exp.coeffs, exp.m, exp.model, window, exp.n, exp.seed, exp.trunc_eps, threads=threads
     )
+
+
+def cmd_simulate(exp: Experiment, threads: int) -> int:
+    window = _simulation_window(exp)
+    batch = _simulate(exp, "simulate", window, threads)
     r, w = np.nonzero(batch.matrix)
     rows = zip(r.tolist(), (batch.lo + w).tolist(), batch.matrix[r, w].tolist())
     meta = _meta(exp, "simulate", {
@@ -335,6 +328,7 @@ def cmd_verify(exp: Experiment, threads: int) -> int:
         exp.coeffs, exp.m, exp.model, exp.rows, exp.n, t_grid, exp.seed,
         exp.trunc_eps, exp.integration_budget, threads,
     )
+    csv_out = exp.out_format == "csv"
     out_rows = []
     for t, row in cells:
         if row.error:
@@ -348,7 +342,7 @@ def cmd_verify(exp: Experiment, threads: int) -> int:
             theo.value, theo.stderr,
             row.abs_error,
             None if z is None or math.isinf(z) else z,
-            emp.degenerate, None,
+            ("true" if emp.degenerate else "false") if csv_out else emp.degenerate, None,
         ))
     columns = (
         "t", "j", "rect", "empirical", "empirical_stderr", "count",
@@ -359,26 +353,35 @@ def cmd_verify(exp: Experiment, threads: int) -> int:
     return EXIT_OK
 
 
-def _values_from_sample_file(path: str, index: int) -> list[float]:
-    """Reconstruct a coordinate's replicate values from a simulate CSV."""
+def _values_from_sample_file(path: str, index: int) -> np.ndarray:
+    """Reconstruct a coordinate's replicate values from a simulate CSV.
+
+    ``n`` is the sidecar's, else the largest id + 1; absent cells read 0.0, ids
+    outside ``[0, n)`` are ignored and a repeated ``(id, index)`` keeps its last row.
+    """
     try:
         with open(f"{path}.meta.json", "r", encoding="utf-8") as fh:
             n = json.load(fh)["n"]
     except (OSError, KeyError, json.JSONDecodeError):
         n = None
-    values: dict[int, float] = {}
-    max_id = -1
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["replicate_id", "index", "value"]:
+        if fh.readline().rstrip("\r\n") != "replicate_id,index,value":
             raise ConfigError(f"{path} is not a simulate output file")
-        for rec in reader:
-            rid = int(rec["replicate_id"])
-            max_id = max(max_id, rid)
-            if int(rec["index"]) == index:
-                values[rid] = float(rec["value"])
-    total = n if n is not None else max_id + 1
-    return [values.get(r, 0.0) for r in range(total)]
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is a valid sample with no nonzero cells
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                ids, idx, vals = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=(0, 1, 2)).T
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    keys = np.concatenate((ids, idx))
+    if not np.all(np.isfinite(keys) & (keys == np.floor(keys))):
+        raise ConfigError(f"{path}: replicate_id and index must be integers")
+    total = n if n is not None else int(ids.max(initial=-1.0)) + 1
+    keep = (idx == index) & (ids >= 0) & (ids < total)
+    values = np.zeros(total)
+    values[ids[keep].astype(np.intp)] = vals[keep]
+    return values
 
 
 def cmd_hill(exp: Experiment | None, sample: str | None, k: int, index: int, threads: int,
@@ -389,17 +392,12 @@ def cmd_hill(exp: Experiment | None, sample: str | None, k: int, index: int, thr
     else:
         if exp is None:
             raise ConfigError("hill needs --sample or --config")
-        if exp.n is None:
-            raise ConfigError("hill from config needs [run] n")
         window = exp.window if exp.window is not None else (index, index)
-        batch = simulate(
-            exp.coeffs, exp.m, exp.model, window, exp.n, exp.seed, exp.trunc_eps,
-            threads=threads,
-        )
+        batch = _simulate(exp, "hill from config", window, threads)
         col = index - batch.lo
         if not 0 <= col < batch.matrix.shape[1]:
             raise ConfigError(f"index {index} lies outside the simulated window")
-        vals = batch.matrix[:, col].tolist()
+        vals = batch.matrix[:, col]
         source = "config"
     alpha_hat = hill(vals, k)
     report = {"alpha_hat": alpha_hat, "k": k, "n": len(vals), "index": index, "source": source}

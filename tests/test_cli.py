@@ -2,10 +2,11 @@ import csv
 import json
 import textwrap
 
+import numpy as np
 import pytest
 
 from matails import ExplicitFinite, TailModel, hill, simulate
-from matails.cli import main
+from matails.cli import _values_from_sample_file, main
 
 BASE_CONFIG = textwrap.dedent(
     """\
@@ -44,6 +45,15 @@ def config_path(tmp_path):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def write_sample(tmp_path, body, n=None):
+    """A simulate-style sample file, with a sidecar when ``n`` is given."""
+    path = tmp_path / "sample.csv"
+    path.write_text("replicate_id,index,value\n" + body)
+    if n is not None:
+        (tmp_path / "sample.csv.meta.json").write_text(json.dumps({"n": n}))
+    return str(path)
 
 
 class TestSimulateCommand:
@@ -220,6 +230,57 @@ class TestHillCommand:
 
     def test_needs_some_source(self):
         assert main(["hill", "--k", "10"]) == 2
+
+    def test_sample_file_is_bitwise_round_trip(self, tmp_path, config_path):
+        out = tmp_path / "s.csv"
+        assert main([
+            "simulate", "--config", config_path, "--out", str(out),
+            "--set", "run.n=3000", "--set", "tail.family=shifted_pareto",
+            "--set", "coefficients.values=1, 0.3, 0.7", "--set", "coefficients.m=2",
+            "--set", "run.window=-2:1",
+        ]) == 0
+        batch = simulate(
+            ExplicitFinite([1.0, 0.3, 0.7]), 2, TailModel.shifted_pareto(1.0), (-2, 1), 3000, 42
+        )
+        for c in range(batch.matrix.shape[1]):
+            assert np.array_equal(_values_from_sample_file(str(out), batch.lo + c),
+                                  batch.matrix[:, c])
+
+    def test_sample_reader_semantics(self, tmp_path):
+        body = "0,0,1.5\n-1,0,9.5\n3,0,7.0\n2,1,4.0\n2,0,2.0\n2,0,2.5\n"
+        path = write_sample(tmp_path, body, n=3)
+        # ids outside [0, n) are ignored, absent cells read 0.0, the last repeat wins
+        assert _values_from_sample_file(path, 0).tolist() == [1.5, 0.0, 2.5]
+        assert _values_from_sample_file(path, 1).tolist() == [0.0, 0.0, 4.0]
+        (tmp_path / "sample.csv.meta.json").unlink()
+        # without a sidecar, n is the largest id over all indices, plus 1
+        assert _values_from_sample_file(path, 1).tolist() == [0.0, 0.0, 4.0, 0.0]
+        path = write_sample(tmp_path, "0,0,1.0\n5,1,2.0\n")
+        assert _values_from_sample_file(path, 0).tolist() == [1.0] + [0.0] * 5
+
+
+# Malformed sample files: (body, whether the error message must name the file).
+# A header-only body is well formed but holds no positive value to estimate on.
+MALFORMED_SAMPLES = {
+    "short-row": ("1,0\n", True),
+    "short-later-row": ("0,0,2.0\n1,0\n", True),
+    "non-integer-id": ("1.5,0,3\n", True),
+    "non-integer-index": ("1,0.5,3\n", True),
+    "non-numeric-value": ("1,0,abc\n", True),
+    "nan-id": ("nan,0,3\n", True),
+    "header-only": ("", False),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(MALFORMED_SAMPLES))
+def test_malformed_sample_file_exits_2(tmp_path, capsys, case):
+    body, names_file = MALFORMED_SAMPLES[case]
+    path = write_sample(tmp_path, body)
+    assert main(["hill", "--sample", path, "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert (path in err) == names_file
 
 
 GEOMETRIC_INFINITE = [
