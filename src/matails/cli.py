@@ -356,14 +356,17 @@ def cmd_verify(exp: Experiment, threads: int) -> int:
 def _values_from_sample_file(path: str, index: int) -> np.ndarray:
     """Reconstruct a coordinate's replicate values from a simulate CSV.
 
-    ``n`` is the sidecar's, else the largest id + 1; absent cells read 0.0, ids
-    outside ``[0, n)`` are ignored and a repeated ``(id, index)`` keeps its last row.
+    ``n`` is the sidecar's (a nonnegative integer, or null for none), else the
+    largest id + 1; absent cells read 0.0, ids outside ``[0, n)`` are ignored
+    and a repeated ``(id, index)`` keeps its last row.
     """
     try:
         with open(f"{path}.meta.json", "r", encoding="utf-8") as fh:
             n = json.load(fh)["n"]
     except (OSError, KeyError, json.JSONDecodeError):
         n = None
+    if n is not None and (type(n) is not int or n < 0):
+        raise ConfigError(f"{path}.meta.json: n must be a nonnegative integer, got {n!r}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if fh.readline().rstrip("\r\n") != "replicate_id,index,value":
             raise ConfigError(f"{path} is not a simulate output file")

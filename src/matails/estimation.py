@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, UnsupportedError
 from .innovations import TailModel
 from .limit_measures import (
     MeasureValue,
@@ -31,7 +31,6 @@ from .limit_measures import (
     nu_inf_0_rect,
     nu_m0_rect,
     nu_m_j_rect,
-    spike_cover_number,
 )
 from .ma_process import INFINITE, CoefficientSeq, SimulationBatch, simulate
 
@@ -164,12 +163,16 @@ def theoretical_tail_measure(
 ) -> MeasureValue:
     """Dispatch to the limit-measure evaluator matching (m, j).
 
-    Identity coefficients reduce to the i.i.d. measure; order 0 is the
-    single-spike enumeration (truncated for the infinite process); higher
-    orders use the tuple integration.  Infeasible rectangles come back as
-    the +inf flag; hidden orders of the infinite-order process raise
-    :class:`ParameterError` (only the order-0 limit is available there).
+    Identity coefficients reduce to the closed-form i.i.d. measure (no
+    spike-cover search); order 0 is the single-spike enumeration (truncated
+    for the infinite process); higher orders use the tuple integration.
+    The evaluators own every verdict: an infeasible rectangle comes back as
+    the +inf flag with a ``note``; a negative order, or a hidden order of
+    the infinite-order process, raises :class:`ParameterError`; a divergent
+    series raises :class:`UnsupportedError`.
     """
+    if j < 0:
+        raise ParameterError(f"order must be nonnegative, got {j}")
     if m == INFINITE:
         if j != 0:
             raise ParameterError(
@@ -197,40 +200,32 @@ def hrv_scan(
 ) -> list[HrvRow]:
     """Simulate once and compare each row against its theoretical limit.
 
-    Row (j, rect) is estimated at scaling exponent 1/(j+1).  Rectangles
-    that fail the cover-number feasibility check (or orders unavailable for
-    the infinite process) become error rows and the scan continues.
+    Row (j, rect) is estimated at scaling exponent 1/(j+1).  A row whose
+    :func:`theoretical_tail_measure` is infinite or raises
+    :class:`ParameterError` or :class:`UnsupportedError` becomes an error
+    row (scaling exponent 0.0, no estimate) carrying the evaluator's note
+    or message, and the scan continues.  This is the per-level body of
+    :func:`convergence_table`.
     """
     if not rows:
         return []
     lo = min(rect.min_index for _, rect in rows)
     hi = max(rect.max_index for _, rect in rows)
     batch = simulate(coeffs, m, model, (lo, hi), n, seed, trunc_eps, threads=threads)
-    depth = batch.truncation_order
     oracle_seed = _derive_seed(seed, _ORACLE_TAG)
     out = []
     for j, rect in rows:
-        if j < 0:
-            out.append(HrvRow(j, 0.0, rect, None, None, error="order must be nonnegative"))
-            continue
-        exponent = 1.0 / (j + 1)
-        cover = spike_cover_number(coeffs, depth, rect)
-        if cover < j + 1:
-            out.append(
-                HrvRow(
-                    j, exponent, rect, None, None,
-                    error=f"rectangle coverable by {cover} spike(s); "
-                    f"not bounded away from the {j}-spike cone image",
-                )
-            )
-            continue
         try:
             theoretical = theoretical_tail_measure(
                 coeffs, m, model.alpha, j, rect, trunc_eps, integration_budget, oracle_seed
             )
-        except ParameterError as exc:
-            out.append(HrvRow(j, exponent, rect, None, None, error=str(exc)))
+        except (ParameterError, UnsupportedError) as exc:
+            out.append(HrvRow(j, 0.0, rect, None, None, error=str(exc)))
             continue
+        if theoretical.is_infinite:
+            out.append(HrvRow(j, 0.0, rect, None, None, error=theoretical.note))
+            continue
+        exponent = 1.0 / (j + 1)
         empirical = empirical_tail_measure(batch, model, t, exponent, rect)
         out.append(HrvRow(j, exponent, rect, empirical, theoretical))
     return out

@@ -43,7 +43,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ParameterError, UnsupportedError
-from .innovations import block_generator
+from .innovations import TailModel, block_generator, draw
 from .ma_process import CoefficientSeq, choose_truncation
 from .sequence_space import WindowSeq
 
@@ -74,7 +74,7 @@ class UpperRect:
             raise ParameterError("a rectangle needs at least one constraint")
         if len({k for k, _ in pairs}) != len(pairs):
             raise ParameterError("duplicate constrained index")
-        if any(a <= 0 for _, a in pairs):
+        if not all(a > 0 for _, a in pairs):
             raise ParameterError("all thresholds must be positive")
         object.__setattr__(self, "constraints", pairs)
 
@@ -252,8 +252,7 @@ def _tuple_contribution(
     mass = float(np.prod(lower**-alpha))
     if not shared:
         return mass, 0.0
-    u = 1.0 - rng.random((budget, d))
-    z = lower * u ** (-1.0 / alpha)
+    z = lower * draw(TailModel.standard_pareto(alpha), rng, (budget, d))
     ok = np.ones(budget, dtype=bool)
     for k, a, holders in shared:
         lhs = np.zeros(budget)
@@ -348,12 +347,12 @@ def nu_inf_0_rect(
 
         missed mass <= (min_k a_k)^-alpha * sum_{l>N} psi_l^alpha
 
-    for spike positions too far left to enter the enumeration.
+    for spike positions too far left to enter the enumeration.  A divergent
+    sum of psi^alpha raises :class:`UnsupportedError` here; a divergent
+    coefficient series raises it from ``choose_truncation``.
     """
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    if not math.isfinite(coeffs.sum_psi()):
-        raise UnsupportedError("coefficient series diverges")
     if not math.isfinite(coeffs.sum_psi_power(alpha)):
         raise UnsupportedError("sum of psi^alpha diverges")
     depth = choose_truncation(coeffs, trunc_eps)

@@ -330,10 +330,6 @@ def _resolve_depth(coeffs: CoefficientSeq, m, trunc_eps: float | None) -> int:
     """Lag depth actually simulated: m itself, capped at the finite order,
     or the truncation depth for the infinite-order process."""
     if m == INFINITE:
-        if not math.isfinite(coeffs.sum_psi()):
-            raise UnsupportedError(
-                "infinite-order simulation requires a summable coefficient sequence"
-            )
         return choose_truncation(coeffs, trunc_eps)
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ParameterError(f"order must be a nonnegative integer or INFINITE, got {m}")
@@ -399,9 +395,10 @@ def truncation_diagnostic(
     """Monte Carlo value of t * P[sum_{j>N} psi_j Z_{-j} > b(t) x].
 
     The tail is represented by the lags N+1 .. N_deep, where N_deep carries
-    all but a 1e-12 relative fraction of the coefficient mass; deeper lags
-    are negligible against Monte Carlo noise.  Decay of this value to 0 as
-    N grows is the certificate that truncated simulation is sound.
+    all but a 1e-12 relative fraction of the coefficient mass (for a finite
+    sequence, its order); deeper lags are negligible against Monte Carlo
+    noise.  Decay of this value to 0 as N grows is the certificate that
+    truncated simulation is sound.
     """
     if N < 0:
         raise ParameterError(f"depth must be nonnegative, got {N}")
@@ -409,10 +406,7 @@ def truncation_diagnostic(
         raise ParameterError(f"level must be positive, got {x}")
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
-    if coeffs.order is not None:
-        deep = coeffs.order
-    else:
-        deep = choose_truncation(coeffs, DEEP_TAIL_FACTOR * coeffs.sum_psi())
+    deep = choose_truncation(coeffs, DEEP_TAIL_FACTOR * coeffs.sum_psi())
     if N >= deep:
         return 0.0
     # Lag deep pairs with the first-drawn row, lag N+1 with the last.

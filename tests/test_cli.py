@@ -259,24 +259,30 @@ class TestHillCommand:
         assert _values_from_sample_file(path, 0).tolist() == [1.0] + [0.0] * 5
 
 
-# Malformed sample files: (body, whether the error message must name the file).
-# A header-only body is well formed but holds no positive value to estimate on.
+# Malformed sample files: (body, sidecar n or None for no sidecar, whether the
+# error message must name the file).  A header-only body is well formed but
+# holds no positive value to estimate on.
+WELL_FORMED_BODY = "0,0,2.0\n1,0,3.0\n2,0,4.0\n"
 MALFORMED_SAMPLES = {
-    "short-row": ("1,0\n", True),
-    "short-later-row": ("0,0,2.0\n1,0\n", True),
-    "non-integer-id": ("1.5,0,3\n", True),
-    "non-integer-index": ("1,0.5,3\n", True),
-    "non-numeric-value": ("1,0,abc\n", True),
-    "nan-id": ("nan,0,3\n", True),
-    "header-only": ("", False),
+    "short-row": ("1,0\n", None, True),
+    "short-later-row": ("0,0,2.0\n1,0\n", None, True),
+    "non-integer-id": ("1.5,0,3\n", None, True),
+    "non-integer-index": ("1,0.5,3\n", None, True),
+    "non-numeric-value": ("1,0,abc\n", None, True),
+    "nan-id": ("nan,0,3\n", None, True),
+    "header-only": ("", None, False),
+    "sidecar-n-string": (WELL_FORMED_BODY, "abc", True),
+    "sidecar-n-float": (WELL_FORMED_BODY, 2.5, True),
+    "sidecar-n-bool": (WELL_FORMED_BODY, True, True),
+    "sidecar-n-negative": (WELL_FORMED_BODY, -3, True),
 }
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(MALFORMED_SAMPLES))
 def test_malformed_sample_file_exits_2(tmp_path, capsys, case):
-    body, names_file = MALFORMED_SAMPLES[case]
-    path = write_sample(tmp_path, body)
+    body, n, names_file = MALFORMED_SAMPLES[case]
+    path = write_sample(tmp_path, body, n)
     assert main(["hill", "--sample", path, "--k", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -304,7 +310,42 @@ INVALID_INPUTS = {
                                           "--set", "coefficients.trunc_eps=-1"]),
     "zero-threads": (False, ["simulate", "--threads", "0"]),
     "negative-threads": (False, ["verify", "--threads", "-1"]),
+    "nan-threshold-limits": (False, ["limits", "--set", "rows.row0=0; 0:nan"]),
+    "nan-threshold-verify": (False, ["verify", "--set", "rows.row1=1; 0:nan, 2:1"]),
 }
+
+
+# Rows whose theory evaluation is infeasible or raises, on configs that verify
+# completes: the MA(inf) psi^alpha series diverges (beta * alpha <= 1), a
+# negative order of the MA(inf), a finite row one spike already covers.
+ROW_ERRORS = {
+    "divergent-psi-alpha": [
+        "--set", "coefficients.family=polynomial", "--set", "coefficients.beta=3",
+        "--set", "coefficients.m=infinite", "--set", "coefficients.trunc_eps=1e-3",
+        "--set", "tail.alpha=0.3",
+    ],
+    "infinite-negative-order": [*GEOMETRIC_INFINITE, "--set", "rows.row1=-1; 0:1.0"],
+    "finite-infeasible": ["--set", "rows.row1=1; 0:1.0, 1:1.0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_ERRORS))
+def test_verify_row_errors_are_the_limits_notes(tmp_path, config_path, case):
+    argv = ["--config", config_path, *ROW_ERRORS[case]]
+    lim, ver = tmp_path / "lim.csv", tmp_path / "ver.csv"
+    assert main(["limits", *argv, "--out", str(lim)]) == 0
+    assert main(["verify", *argv, "--out", str(ver), "--set", "run.n=200"]) == 0
+    lim_rows, ver_rows = read_csv(lim), read_csv(ver)
+    lh, vh = lim_rows[0], ver_rows[0]
+    notes = {
+        (r[lh.index("j")], r[lh.index("rect")]): r[lh.index("note")]
+        for r in lim_rows[1:] if r[lh.index("note")]
+    }
+    errors = {
+        (r[vh.index("j")], r[vh.index("rect")]): r[vh.index("error")]
+        for r in ver_rows[1:] if r[vh.index("error")]
+    }
+    assert notes and errors == notes
 
 
 class TestErrorHandling:

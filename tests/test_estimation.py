@@ -14,8 +14,11 @@ from matails import (
     UpperRect,
     convergence_table,
     empirical_tail_measure,
+    estimation,
     hill,
     hrv_scan,
+    limit_measures,
+    nu_m_j_rect,
     sample,
     simulate,
     theoretical_tail_measure,
@@ -162,6 +165,8 @@ class TestTheoreticalDispatch:
     def test_infinite_hidden_orders_rejected(self):
         with pytest.raises(ParameterError):
             theoretical_tail_measure(Geometric(0.5), INFINITE, 1.0, 1, UpperRect({0: 1.0, 1: 1.0}))
+        with pytest.raises(ParameterError, match="order must be nonnegative, got -1"):
+            theoretical_tail_measure(Geometric(0.5), INFINITE, 1.0, -1, UpperRect({0: 1.0}))
 
 
 class TestHrvScan:
@@ -201,6 +206,20 @@ class TestHrvScan:
     def test_empty_rows(self):
         assert hrv_scan(IDENTITY, 0, PARETO1, [], 100, 10.0, seed=1) == []
 
+    def test_identity_row_uses_closed_form_without_cover_search(self):
+        # 30 constraints: a spike-cover search would enumerate 2^30 subsets
+        rect = UpperRect({k: 1.0 for k in range(30)})
+        scan = hrv_scan(IDENTITY, 0, PARETO1, [(1, rect)], 100, 10.0, seed=17)
+        assert scan[0].error is None
+        assert scan[0].theoretical.method is EvalMethod.CLOSED_FORM
+        assert scan[0].theoretical.value == 0.0
+
+    def test_error_rows_carry_the_evaluator_text(self):
+        rect = UpperRect({0: 1.0, 1: 1.0})
+        scan = hrv_scan(PSI_HALF, 1, PARETO1, [(1, rect), (-1, rect)], 1000, 50.0, seed=18)
+        assert scan[0].error == nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect, 100).note
+        assert scan[1].error == "order must be nonnegative, got -1"
+
     def test_hidden_pair_estimate_matches_oracle(self):
         # hidden-order convergence is slow for alpha = 1 (bias ~ log(s)/s at
         # scale s = sqrt(t)); t must be large before noise dominates
@@ -227,6 +246,27 @@ class TestConvergenceTable:
         assert [t for t, _ in cells] == [10.0, 100.0, 1000.0]
         for _, row in cells:
             assert abs(row.empirical.value - 1.0) <= 3 * max(row.empirical.stderr, 1e-12)
+
+    def test_one_cover_search_per_hidden_row_and_level(self, monkeypatch):
+        # the evaluator is the only caller, so counting at its home counts all
+        assert not hasattr(estimation, "spike_cover_number")
+        calls = []
+        original = limit_measures.spike_cover_number
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(limit_measures, "spike_cover_number", counting)
+        rows = [
+            (0, UpperRect({0: 1.0})),
+            (1, UpperRect({0: 1.0, 2: 1.0})),
+            (1, UpperRect({0: 1.0, 1: 1.0})),  # infeasible
+        ]
+        cells = convergence_table(PSI_HALF, 1, PARETO1, rows, 1000, [10.0, 100.0], 23,
+                                  integration_budget=100)
+        assert len(cells) == 6
+        assert len(calls) == 2 * 2
 
     def test_biased_case_error_decays_in_t(self):
         # shifted Pareto below threshold 1: second-order bias shrinks like 1/t

@@ -32,6 +32,8 @@ class TestUpperRect:
         with pytest.raises(ParameterError):
             UpperRect({0: 0.0})
         with pytest.raises(ParameterError):
+            UpperRect({0: 1.0, 2: math.nan})
+        with pytest.raises(ParameterError):
             UpperRect([(0, 1.0), (0, 2.0)])
 
     def test_sorted_and_scaled(self):
