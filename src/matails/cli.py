@@ -362,9 +362,12 @@ def _values_from_sample_file(path: str, index: int) -> np.ndarray:
     """
     try:
         with open(f"{path}.meta.json", "r", encoding="utf-8") as fh:
-            n = json.load(fh)["n"]
-    except (OSError, KeyError, json.JSONDecodeError):
-        n = None
+            meta = json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        meta = {}
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}.meta.json: not a JSON object ({type(meta).__name__})")
+    n = meta.get("n")
     if n is not None and (type(n) is not int or n < 0):
         raise ConfigError(f"{path}.meta.json: n must be a nonnegative integer, got {n!r}")
     with open(path, "r", encoding="utf-8", newline="") as fh:

@@ -17,10 +17,10 @@ combinatorial question.  The measures supported:
 * ``nu_m0_rect``        -- order-0 limit of the MA(m): single spikes spread
   by the coefficients, value  sum_i (max_k a_k / psi_{k-i})^-alpha  over the
   spike positions that reach every constrained coordinate;
-* ``nu_m_j_rect``       -- order-j limit of the MA(m): an integral over
-  (j+1)-tuples of spike positions, evaluated tuple by tuple with a
-  conditioned-Pareto Monte Carlo proposal (exactly, when the tuple's
-  constraints factor);
+* ``nu_m_j_rect``       -- order-j limit of the MA(m): an integral over the
+  (j+1)-tuples of spike positions that jointly reach K, evaluated tuple by
+  tuple with a conditioned-Pareto Monte Carlo proposal (exactly, when the
+  tuple's constraints factor);
 * ``nu_inf_0_rect``     -- order-0 limit of the MA(infinity), enumerated at a
   truncation depth with a reported bound on the neglected spike mass;
 * ``marginal_tail_constant`` -- sum_l psi_l^alpha, the one-coordinate tail
@@ -29,13 +29,13 @@ combinatorial question.  The measures supported:
 Feasibility is decided by :func:`spike_cover_number`: the minimum number of
 single-innovation spikes whose images can make every constrained coordinate
 positive.  A rectangle is bounded away from the image of the j-spike cone
-exactly when that number exceeds j.
+exactly when that number exceeds j.  A spike at i reaches only i .. i+m, so
+both searches run over positions left to right and prune by that reach.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -96,7 +96,7 @@ class UpperRect:
 
     def scaled(self, lam: float) -> "UpperRect":
         """The rectangle lam * A, i.e. every threshold multiplied by lam."""
-        if lam <= 0:
+        if not lam > 0:
             raise ParameterError(f"scaling factor must be positive, got {lam}")
         return UpperRect([(k, lam * a) for k, a in self.constraints])
 
@@ -132,9 +132,9 @@ class MeasureValue:
 
 def nu_alpha_tail(a: float, alpha: float) -> float:
     """One-dimensional tail measure of (a, inf): a^-alpha."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    if a <= 0:
+    if not a > 0:
         raise ParameterError(
             f"threshold must be positive (the tail measure has infinite mass at 0), got {a}"
         )
@@ -150,7 +150,7 @@ def mu_j_rect(j: int, alpha: float, rect: UpperRect) -> MeasureValue:
     """
     if j < 0:
         raise ParameterError(f"order must be nonnegative, got {j}")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     k = len(rect.constraints)
     if k < j + 1:
@@ -165,20 +165,14 @@ def mu_j_rect(j: int, alpha: float, rect: UpperRect) -> MeasureValue:
     return MeasureValue(value, EvalMethod.CLOSED_FORM)
 
 
-def _coverage(coeffs: CoefficientSeq, m: int, rect: UpperRect, i: int) -> frozenset[int]:
-    """Constrained coordinates a spike at position i can make positive."""
-    return frozenset(
-        k for k in rect.indices if 0 <= k - i <= m and coeffs.psi(k - i) > 0.0
-    )
-
-
 def _candidate_positions(coeffs: CoefficientSeq, m: int, rect: UpperRect):
-    """Spike positions that influence at least one constrained coordinate."""
+    """(i, reach) per spike position influencing K; bit p of reach is rect.indices[p]."""
+    ks = rect.indices
     out = []
     for i in range(rect.min_index - m, rect.max_index + 1):
-        cov = _coverage(coeffs, m, rect, i)
-        if cov:
-            out.append((i, cov))
+        reach = sum(1 << p for p, k in enumerate(ks) if 0 <= k - i <= m and coeffs.psi(k - i) > 0)
+        if reach:
+            out.append((i, reach))
     return out
 
 
@@ -188,36 +182,49 @@ def spike_cover_number(coeffs: CoefficientSeq, m: int, rect: UpperRect) -> int:
     The rectangle is bounded away from the image of the j-spike cone iff
     this number is at least j + 1.  Always at most |K| (a spike placed on a
     constrained coordinate covers it, since psi_0 > 0).
+
+    Exact sweep over the positions, left to right: the fewest spikes per
+    covered set, a set dropped once the sweep passes a constraint it misses.
+    Cost: the positions times at most 2^min(m, |K|) sets live within m.
     """
     if m < 0:
         raise ParameterError(f"order must be nonnegative, got {m}")
-    needed = frozenset(rect.indices)
-    candidates = _candidate_positions(coeffs, m, rect)
-    covers = [cov for _, cov in candidates]
-    for r in range(1, len(rect.constraints) + 1):
-        for combo in itertools.combinations(covers, r):
-            if frozenset().union(*combo) >= needed:
-                return r
-    raise AssertionError("unreachable: each constraint is coverable by its own spike")
+    best = {0: 0}
+    for i, reach in _candidate_positions(coeffs, m, rect):
+        due = sum(1 << p for p, k in enumerate(rect.indices) if k < i)
+        sweep = {}
+        for covered, count in best.items():
+            if covered & due == due:
+                for state, spikes in ((covered, count), (covered | reach, count + 1)):
+                    if spikes < sweep.get(state, spikes + 1):
+                        sweep[state] = spikes
+        best = sweep
+    return best[(1 << len(rect.indices)) - 1]
 
 
 def nu_m0_rect(coeffs: CoefficientSeq, m: int, alpha: float, rect: UpperRect) -> MeasureValue:
     """Order-0 MA(m) limit measure of an upper rectangle.
 
-    Enumerates single-spike positions i reaching all of K and sums
-    (max_k a_k / psi_{k-i})^-alpha; positions with a zero coefficient at
-    some constrained offset drop out (their threshold is infinite).
+    Sums (max_k a_k / psi_{k-i})^-alpha, left to right, over the positions
+    max K - m <= i <= min K; positions with a zero coefficient at some
+    constrained offset drop out (their threshold is infinite).
     """
     if m < 0:
         raise ParameterError(f"order must be nonnegative, got {m}")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    needed = frozenset(rect.indices)
+    # Position w (i = max K - m + w) meets constraint k with back[max K - k + w].
+    back = coeffs.psi_array(m)[::-1]
+    width = max(m + 1 - (rect.max_index - rect.min_index), 0)
+    reaches, z_min = np.ones(width, dtype=bool), np.zeros(width)
+    with np.errstate(divide="ignore", over="ignore"):
+        for k, a in rect.constraints:
+            lags = back[rect.max_index - k: rect.max_index - k + width]
+            reaches &= lags > 0.0
+            np.maximum(z_min, a / lags, out=z_min)
     total = 0.0
-    for i, cov in _candidate_positions(coeffs, m, rect):
-        if cov == needed:
-            z_min = max(a / coeffs.psi(k - i) for k, a in rect.constraints)
-            total += z_min**-alpha
+    for z in z_min[reaches].tolist():
+        total += z**-alpha
     return MeasureValue(total, EvalMethod.ENUMERATION)
 
 
@@ -226,9 +233,10 @@ def _tuple_contribution(
     alpha: float,
     rect: UpperRect,
     positions: tuple[int, ...],
-    covers: tuple[frozenset[int], ...],
+    covers: tuple[int, ...],
     budget: int,
-    rng,
+    seed: int,
+    rank: int,
 ) -> tuple[float, float]:
     """(value, variance) of one spike-position tuple's rectangle integral.
 
@@ -236,13 +244,14 @@ def _tuple_contribution(
     covers K), which pins z_k above a positive threshold L_k; the proposal
     is independent Pareto(alpha) conditioned above L_k, carrying mass
     prod L_k^-alpha.  When no constraint is shared between members the
-    region is exactly the product of rays and the value is exact.
+    region is exactly the product of rays: the value is exact, drawn from
+    no generator (otherwise from sub-stream ``rank``).
     """
     d = len(positions)
     lower = np.zeros(d)
     shared = []
-    for k, a in rect.constraints:
-        holders = [idx for idx in range(d) if k in covers[idx]]
+    for p, (k, a) in enumerate(rect.constraints):
+        holders = [idx for idx in range(d) if covers[idx] >> p & 1]
         if len(holders) == 1:
             idx = holders[0]
             lower[idx] = max(lower[idx], a / coeffs.psi(k - positions[idx]))
@@ -252,7 +261,7 @@ def _tuple_contribution(
     mass = float(np.prod(lower**-alpha))
     if not shared:
         return mass, 0.0
-    z = lower * draw(TailModel.standard_pareto(alpha), rng, (budget, d))
+    z = lower * draw(TailModel.standard_pareto(alpha), block_generator(seed, rank), (budget, d))
     ok = np.ones(budget, dtype=bool)
     for k, a, holders in shared:
         lhs = np.zeros(budget)
@@ -263,6 +272,28 @@ def _tuple_contribution(
     value = mass * float(p_hat)
     variance = mass**2 * float(p_hat) * (1.0 - float(p_hat)) / budget
     return value, variance
+
+
+def _covering_tuples(candidates, size: int, ks: tuple[int, ...], start=0, covered=0, rank=0):
+    """(rank, tuple) per ``size``-combination of candidates that reaches all of K.
+
+    ``rank`` counts all combinations before it in lexicographic order: each
+    branch passed over adds its C(n-1-c, size-1).  A prefix extends only at
+    or left of its first uncovered constraint.
+    """
+    uncovered = ~covered & ((1 << len(ks)) - 1)
+    first = ks[(uncovered & -uncovered).bit_length() - 1]  # max K once all are covered
+    n = len(candidates)
+    for c in range(start, n - size + 1):
+        i, reach = candidates[c]
+        if i > first:
+            return
+        if size > 1:
+            for r, rest in _covering_tuples(candidates, size - 1, ks, c + 1, covered | reach, rank):
+                yield r, (candidates[c],) + rest
+        elif not uncovered & ~reach:
+            yield rank, (candidates[c],)
+        rank += math.comb(n - 1 - c, size - 1)
 
 
 def nu_m_j_rect(
@@ -280,17 +311,17 @@ def nu_m_j_rect(
     jointly reach every constrained coordinate, the product tail integral
     of the rectangle indicator.  Tuples containing a position that cannot
     influence K never cover it (no smaller set does either) and contribute
-    zero, so enumeration over influencing positions is exhaustive.
+    zero, so walking the covering tuples of influencing positions is exhaustive.
 
-    ``integration_budget`` is the Monte Carlo sample count per tuple; each
-    tuple integrates on its own sub-stream, so the result is deterministic
-    in ``seed`` and tuples can be evaluated in parallel.
+    ``integration_budget`` is the Monte Carlo sample count per tuple; the tuple
+    of rank r among the lexicographic (j+1)-combinations of those positions
+    integrates on sub-stream r, so the result is deterministic in ``seed``.
     """
-    if integration_budget <= 0:
+    if not integration_budget > 0:
         raise ParameterError(f"integration budget must be positive, got {integration_budget}")
     if j < 0:
         raise ParameterError(f"order must be nonnegative, got {j}")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     cover = spike_cover_number(coeffs, m, rect)
     if cover < j + 1:
@@ -300,18 +331,12 @@ def nu_m_j_rect(
             note=f"{cover} spike(s) already cover the rectangle; "
             f"it is not bounded away from the {j}-spike cone image",
         )
-    needed = frozenset(rect.indices)
     candidates = _candidate_positions(coeffs, m, rect)
-    total = 0.0
-    var_total = 0.0
-    for idx, combo in enumerate(itertools.combinations(candidates, j + 1)):
-        positions = tuple(i for i, _ in combo)
-        covers = tuple(cov for _, cov in combo)
-        if frozenset().union(*covers) != needed:
-            continue
-        rng = block_generator(seed, idx)
+    total = var_total = 0.0
+    for rank, combo in _covering_tuples(candidates, j + 1, rect.indices):
+        positions, covers = zip(*combo)
         value, variance = _tuple_contribution(
-            coeffs, alpha, rect, positions, covers, integration_budget, rng
+            coeffs, alpha, rect, positions, covers, integration_budget, seed, rank
         )
         total += value
         var_total += variance
@@ -324,7 +349,7 @@ def marginal_tail_constant(coeffs: CoefficientSeq, alpha: float, up_to: int | No
     ``up_to`` requests the partial sum through that lag; the default is the
     full analytic value, which must converge.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if up_to is not None:
         if up_to < 0:
@@ -351,7 +376,7 @@ def nu_inf_0_rect(
     sum of psi^alpha raises :class:`UnsupportedError` here; a divergent
     coefficient series raises it from ``choose_truncation``.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if not math.isfinite(coeffs.sum_psi_power(alpha)):
         raise UnsupportedError("sum of psi^alpha diverges")

@@ -215,7 +215,7 @@ def check_assumptions(coeffs: CoefficientSeq, alpha: float) -> AssumptionReport:
     """Certify the summability assumptions analytically and report the sums."""
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    if coeffs.psi(0) <= 0.0:
+    if not coeffs.psi(0) > 0.0:
         raise AssumptionError("leading coefficient psi_0 must be positive")
     return AssumptionReport(
         a2_delta=coeffs.summability_exponent(alpha),
@@ -266,7 +266,7 @@ def continuity_modulus(coeffs: CoefficientSeq, m: int, eps: float) -> tuple[floa
     S_m * gap * (3/2) < eps/2 gives delta below; whenever d(x, y) < delta,
     d(T^m x, T^m y) < eps.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError(f"eps must be positive, got {eps}")
     s_m = float(np.sum(coeffs.psi_array(m)))
     big_m = 1
@@ -402,7 +402,7 @@ def truncation_diagnostic(
     """
     if N < 0:
         raise ParameterError(f"depth must be nonnegative, got {N}")
-    if x <= 0:
+    if not x > 0:
         raise ParameterError(f"level must be positive, got {x}")
     if replicates < 1:
         raise ParameterError(f"replicates must be >= 1, got {replicates}")

@@ -98,7 +98,7 @@ ZERO = WindowSeq(0, ())
 
 def spike(i: int, lam: float) -> WindowSeq:
     """The sequence with value ``lam`` at index ``i`` and zero elsewhere."""
-    if lam <= 0:
+    if not lam > 0:
         raise ParameterError(f"spike height must be positive, got {lam}")
     return WindowSeq(i, (float(lam),))
 
@@ -130,7 +130,7 @@ def cone_label(x: WindowSeq) -> int:
 
 def scale(x: WindowSeq, lam: float) -> WindowSeq:
     """Coordinatewise ``lam * x`` for ``lam > 0``."""
-    if lam <= 0:
+    if not lam > 0:
         raise ParameterError(f"scaling factor must be positive, got {lam}")
     if x.is_zero:
         return ZERO

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own computational paths:
 the quadrature oracle integrates on a deterministic grid, the convolution
-oracle is a double loop, and the cover oracle is exhaustive search.
+oracle is a double loop, the cover oracle is exhaustive search, and the
+order-0 oracle checks every spike position's coverage one by one.
 """
 
 import itertools
@@ -59,6 +60,16 @@ def cover_oracle(coeffs, m, rect):
             if set().union(*(coverage(coeffs, m, rect, i) for i in combo)) == needed:
                 return r
     return float("inf")
+
+
+def m0_oracle(coeffs, m, alpha, rect):
+    """Order-0 MA(m) value: a per-position coverage loop summed left to right."""
+    needed = set(rect.indices)
+    total = 0.0
+    for i in range(rect.min_index - m, rect.max_index + 1):
+        if coverage(coeffs, m, rect, i) == needed:
+            total += max(a / coeffs.psi(k - i) for k, a in rect.constraints) ** -alpha
+    return total
 
 
 def order1_quadrature(coeffs, m, alpha, rect, grid=1500):

@@ -47,12 +47,12 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def write_sample(tmp_path, body, n=None):
-    """A simulate-style sample file, with a sidecar when ``n`` is given."""
+def write_sample(tmp_path, body, meta=None):
+    """A simulate-style sample file, with the JSON sidecar ``meta`` when given."""
     path = tmp_path / "sample.csv"
     path.write_text("replicate_id,index,value\n" + body)
-    if n is not None:
-        (tmp_path / "sample.csv.meta.json").write_text(json.dumps({"n": n}))
+    if meta is not None:
+        (tmp_path / "sample.csv.meta.json").write_text(json.dumps(meta))
     return str(path)
 
 
@@ -248,7 +248,7 @@ class TestHillCommand:
 
     def test_sample_reader_semantics(self, tmp_path):
         body = "0,0,1.5\n-1,0,9.5\n3,0,7.0\n2,1,4.0\n2,0,2.0\n2,0,2.5\n"
-        path = write_sample(tmp_path, body, n=3)
+        path = write_sample(tmp_path, body, {"n": 3})
         # ids outside [0, n) are ignored, absent cells read 0.0, the last repeat wins
         assert _values_from_sample_file(path, 0).tolist() == [1.5, 0.0, 2.5]
         assert _values_from_sample_file(path, 1).tolist() == [0.0, 0.0, 4.0]
@@ -259,9 +259,9 @@ class TestHillCommand:
         assert _values_from_sample_file(path, 0).tolist() == [1.0] + [0.0] * 5
 
 
-# Malformed sample files: (body, sidecar n or None for no sidecar, whether the
-# error message must name the file).  A header-only body is well formed but
-# holds no positive value to estimate on.
+# Malformed sample files: (body, sidecar document or None for no sidecar,
+# whether the error message must name the file).  A header-only body is well
+# formed but holds no positive value to estimate on.
 WELL_FORMED_BODY = "0,0,2.0\n1,0,3.0\n2,0,4.0\n"
 MALFORMED_SAMPLES = {
     "short-row": ("1,0\n", None, True),
@@ -271,18 +271,20 @@ MALFORMED_SAMPLES = {
     "non-numeric-value": ("1,0,abc\n", None, True),
     "nan-id": ("nan,0,3\n", None, True),
     "header-only": ("", None, False),
-    "sidecar-n-string": (WELL_FORMED_BODY, "abc", True),
-    "sidecar-n-float": (WELL_FORMED_BODY, 2.5, True),
-    "sidecar-n-bool": (WELL_FORMED_BODY, True, True),
-    "sidecar-n-negative": (WELL_FORMED_BODY, -3, True),
+    "sidecar-n-string": (WELL_FORMED_BODY, {"n": "abc"}, True),
+    "sidecar-n-float": (WELL_FORMED_BODY, {"n": 2.5}, True),
+    "sidecar-n-bool": (WELL_FORMED_BODY, {"n": True}, True),
+    "sidecar-n-negative": (WELL_FORMED_BODY, {"n": -3}, True),
+    "sidecar-list": (WELL_FORMED_BODY, [1], True),
+    "sidecar-string": (WELL_FORMED_BODY, "x", True),
 }
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(MALFORMED_SAMPLES))
 def test_malformed_sample_file_exits_2(tmp_path, capsys, case):
-    body, n, names_file = MALFORMED_SAMPLES[case]
-    path = write_sample(tmp_path, body, n)
+    body, meta, names_file = MALFORMED_SAMPLES[case]
+    path = write_sample(tmp_path, body, meta)
     assert main(["hill", "--sample", path, "--k", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")

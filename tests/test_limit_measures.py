@@ -1,28 +1,50 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from matails import (
     ExplicitFinite,
     Geometric,
     ParameterError,
     Polynomial,
+    TailModel,
     UnsupportedError,
     UpperRect,
+    continuity_modulus,
+    limit_measures,
     marginal_tail_constant,
     mu_j_rect,
     nu_alpha_tail,
     nu_inf_0_rect,
     nu_m0_rect,
     nu_m_j_rect,
+    scale,
+    spike,
     spike_cover_number,
+    truncation_diagnostic,
 )
 
-from oracles import cover_oracle, order1_quadrature
+from oracles import coverage, cover_oracle, m0_oracle, order1_quadrature
 
 PSI_HALF = ExplicitFinite([1.0, 0.5])
 IDENTITY = ExplicitFinite([1.0])
+
+
+def gapped(max_lags):
+    """Explicit coefficients with up to ``max_lags`` lags after psi_0, some of them zero."""
+    lag = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+    return st.builds(lambda head, tail: ExplicitFinite([head, *tail]),
+                     st.floats(0.1, 2.0), st.lists(lag, max_size=max_lags))
+
+
+def rects(max_size):
+    thresholds = st.dictionaries(st.integers(-4, 9), st.floats(0.1, 5.0),
+                                 min_size=1, max_size=max_size)
+    return thresholds.map(UpperRect)
 
 
 class TestUpperRect:
@@ -105,6 +127,18 @@ class TestSpikeCover:
             rect = UpperRect({int(k): float(rng.uniform(0.5, 3.0)) for k in ks})
             assert spike_cover_number(coeffs, m, rect) == cover_oracle(coeffs, m, rect)
 
+    @given(gapped(6), st.integers(0, 6), rects(7))
+    def test_sweep_matches_exhaustive_oracle_on_gapped_coefficients(self, coeffs, m, rect):
+        assert spike_cover_number(coeffs, m, rect) == cover_oracle(coeffs, m, rect)
+
+    def test_long_rectangle_in_milliseconds(self):
+        # psi = (1, 0, 1) covers k and k + 2: 40 contiguous constraints need
+        # 20 spikes; exhaustive search would try every subset of 42 positions.
+        rect = UpperRect({k: 1.0 for k in range(40)})
+        start = time.perf_counter()
+        assert spike_cover_number(ExplicitFinite([1.0, 0.0, 1.0]), 2, rect) == 20
+        assert time.perf_counter() - start < 1.0
+
 
 class TestNuM0Rect:
     def test_marginal_sums_coefficient_powers(self):
@@ -132,6 +166,16 @@ class TestNuM0Rect:
         got2 = nu_m0_rect(Geometric(0.5), 6, 2.0, UpperRect({0: 3.0}))
         want = marginal_tail_constant(Geometric(0.5), 2.0, up_to=6) * 3.0**-2
         assert got2.value == pytest.approx(want, rel=1e-12)
+
+    @given(
+        st.one_of(gapped(8), st.builds(Geometric, st.floats(0.05, 0.95)),
+                  st.builds(Polynomial, st.floats(0.3, 3.0))),
+        st.integers(0, 8),
+        st.floats(0.2, 3.0),
+        rects(5),
+    )
+    def test_bitwise_equal_to_per_position_oracle(self, coeffs, m, alpha, rect):
+        assert nu_m0_rect(coeffs, m, alpha, rect).value == m0_oracle(coeffs, m, alpha, rect)
 
 
 class TestNuMJRect:
@@ -195,6 +239,32 @@ class TestNuMJRect:
                 assert got.is_infinite
             else:
                 assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("coeffs, m, j, rect", [
+        (PSI_HALF, 1, 1, UpperRect({0: 1.0, 1: 5.0, 2: 1.0})),
+        (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 1, UpperRect({0: 1.0, 2: 2.0, 5: 1.0})),
+        (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 2, UpperRect({0: 1.0, 3: 2.0, 4: 1.0, 8: 1.0})),
+    ])
+    def test_streams_are_ranks_of_shared_tuples(self, monkeypatch, coeffs, m, j, rect):
+        candidates = [i for i in range(rect.min_index - m, rect.max_index + 1)
+                      if coverage(coeffs, m, rect, i)]
+        exact, shared = [], []
+        for rank, combo in enumerate(itertools.combinations(candidates, j + 1)):
+            covers = [coverage(coeffs, m, rect, i) for i in combo]
+            if set().union(*covers) == set(rect.indices):
+                holders = [sum(k in cov for cov in covers) for k in rect.indices]
+                (shared if max(holders) > 1 else exact).append(rank)
+        assert exact and shared
+        made = []
+        original = limit_measures.block_generator
+
+        def recording(seed, rank):
+            made.append(rank)
+            return original(seed, rank)
+
+        monkeypatch.setattr(limit_measures, "block_generator", recording)
+        assert not nu_m_j_rect(coeffs, m, 1.0, j, rect, 64, seed=7).is_infinite
+        assert made == shared
 
 
 class TestHomogeneity:
@@ -292,3 +362,27 @@ class TestNuInf0Rect:
             nu_inf_0_rect(Polynomial(0.8), 1.0, UpperRect({0: 1.0}), 1e-6)
         with pytest.raises(UnsupportedError):
             nu_inf_0_rect(Polynomial(1.5), 0.5, UpperRect({0: 1.0}), 1e-6)
+
+
+# NaN compares false with every bound, so a "<= 0" check lets it through.
+NAN_ARGUMENTS = {
+    "nu_alpha_tail-alpha": lambda: nu_alpha_tail(1.0, math.nan),
+    "nu_alpha_tail-threshold": lambda: nu_alpha_tail(math.nan, 1.0),
+    "mu_j_rect": lambda: mu_j_rect(0, math.nan, UpperRect({0: 1.0})),
+    "nu_m0_rect": lambda: nu_m0_rect(PSI_HALF, 1, math.nan, UpperRect({0: 1.0})),
+    "nu_m_j_rect": lambda: nu_m_j_rect(PSI_HALF, 1, math.nan, 1, UpperRect({0: 1.0, 2: 1.0}), 10),
+    "marginal_tail_constant": lambda: marginal_tail_constant(PSI_HALF, math.nan),
+    "nu_inf_0_rect": lambda: nu_inf_0_rect(Geometric(0.5), math.nan, UpperRect({0: 1.0})),
+    "truncation_diagnostic": lambda: truncation_diagnostic(
+        PSI_HALF, TailModel.standard_pareto(1.0), 0, 10.0, math.nan, 100, 1),
+    "continuity_modulus": lambda: continuity_modulus(PSI_HALF, 1, math.nan),
+    "UpperRect.scaled": lambda: UpperRect({0: 1.0}).scaled(math.nan),
+    "spike": lambda: spike(0, math.nan),
+    "scale": lambda: scale(spike(0, 1.0), math.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_ARGUMENTS))
+def test_nan_argument_is_rejected(case):
+    with pytest.raises(ParameterError):
+        NAN_ARGUMENTS[case]()
