@@ -36,7 +36,7 @@ from . import __version__
 from .errors import AssumptionError, ParameterError, UnsupportedError
 from .estimation import convergence_table, hill, theoretical_tail_measure
 from .innovations import ParetoFamily, TailModel
-from .limit_measures import UpperRect
+from .limit_measures import DEFAULT_INTEGRATION_BUDGET, UpperRect
 from .ma_process import (
     INFINITE,
     CoefficientSeq,
@@ -203,12 +203,12 @@ def load_experiment(path: str, overrides: list[str]) -> Experiment:
         t_grid = [float(run["t"])]
     else:
         t_grid = []
-    if any(t < 1.0 for t in t_grid):
-        raise ConfigError("tail levels must be >= 1")
+    if any(not 1.0 <= t < math.inf for t in t_grid):
+        raise ConfigError("tail levels must be finite and >= 1")
     window = _parse_window(run["window"]) if "window" in run else None
     if window and window[0] > window[1]:
         raise ConfigError(f"window is empty: {window}")
-    budget = int(run.get("integration_budget", "200000"))
+    budget = int(run.get("integration_budget", DEFAULT_INTEGRATION_BUDGET))
     if budget <= 0:
         raise ConfigError(f"integration_budget must be positive, got {budget}")
 

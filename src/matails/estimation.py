@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ParameterError, UnsupportedError
 from .innovations import TailModel
 from .limit_measures import (
+    DEFAULT_INTEGRATION_BUDGET,
     MeasureValue,
     UpperRect,
     mu_j_rect,
@@ -77,8 +78,8 @@ def empirical_tail_measure(
     coordinatewise strict exceedance of the scaled thresholds; a constraint
     outside the simulated window is never met.
     """
-    if t < 1.0:
-        raise ParameterError(f"tail level must be >= 1, got {t}")
+    if not 1.0 <= t < math.inf:
+        raise ParameterError(f"tail level must be finite and >= 1, got {t}")
     if not 0.0 < scaling_exponent <= 1.0:
         raise ParameterError(f"scaling exponent must lie in (0, 1], got {scaling_exponent}")
     n, width = samples.matrix.shape
@@ -158,7 +159,7 @@ def theoretical_tail_measure(
     j: int,
     rect: UpperRect,
     trunc_eps: float | None = None,
-    integration_budget: int = 200_000,
+    integration_budget: int = DEFAULT_INTEGRATION_BUDGET,
     seed: int = 0,
 ) -> MeasureValue:
     """Dispatch to the limit-measure evaluator matching (m, j).
@@ -195,7 +196,7 @@ def hrv_scan(
     t: float,
     seed: int,
     trunc_eps: float | None = None,
-    integration_budget: int = 200_000,
+    integration_budget: int = DEFAULT_INTEGRATION_BUDGET,
     threads: int = 1,
 ) -> list[HrvRow]:
     """Simulate once and compare each row against its theoretical limit.
@@ -240,7 +241,7 @@ def convergence_table(
     t_grid: Iterable[float],
     seed: int,
     trunc_eps: float | None = None,
-    integration_budget: int = 200_000,
+    integration_budget: int = DEFAULT_INTEGRATION_BUDGET,
     threads: int = 1,
 ) -> list[tuple[float, HrvRow]]:
     """One scan per tail level, on increasing t.

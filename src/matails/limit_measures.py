@@ -60,6 +60,9 @@ __all__ = [
     "nu_inf_0_rect",
 ]
 
+# Monte Carlo samples per shared-constraint tuple unless a caller sets one.
+DEFAULT_INTEGRATION_BUDGET = 200_000
+
 
 @dataclass(frozen=True)
 class UpperRect:
@@ -302,7 +305,7 @@ def nu_m_j_rect(
     alpha: float,
     j: int,
     rect: UpperRect,
-    integration_budget: int = 200_000,
+    integration_budget: int = DEFAULT_INTEGRATION_BUDGET,
     seed: int = 0,
 ) -> MeasureValue:
     """Order-j MA(m) limit measure of an upper rectangle.

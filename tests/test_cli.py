@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +308,7 @@ INVALID_INPUTS = {
     "nan-beta": (False, ["limits", "--set", "coefficients.family=polynomial",
                          "--set", "coefficients.beta=nan"]),
     "nan-coefficient": (False, ["simulate", "--set", "coefficients.values=1, nan"]),
+    "inf-coefficient": (False, ["limits", "--set", "coefficients.values=1, inf"]),
     "nan-trunc-eps": (False, ["simulate", *GEOMETRIC_INFINITE,
                               "--set", "coefficients.trunc_eps=nan"]),
     "negative-trunc-eps-limits": (False, ["limits", *GEOMETRIC_INFINITE,
@@ -314,6 +319,8 @@ INVALID_INPUTS = {
     "negative-threads": (False, ["verify", "--threads", "-1"]),
     "nan-threshold-limits": (False, ["limits", "--set", "rows.row0=0; 0:nan"]),
     "nan-threshold-verify": (False, ["verify", "--set", "rows.row1=1; 0:nan, 2:1"]),
+    "nan-t-grid": (False, ["verify", "--set", "run.t_grid=nan"]),
+    "inf-t": (False, ["verify", "--set", "run.t=inf"]),
 }
 
 
@@ -385,3 +392,15 @@ class TestErrorHandling:
         out = tmp_path / "lim.csv"
         assert main(["limits", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, matails.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -110,8 +110,9 @@ class TestEmpiricalTailMeasure:
 
     def test_validation(self):
         batch = simulate(IDENTITY, 0, PARETO1, (0, 0), 10, seed=1)
-        with pytest.raises(ParameterError):
-            empirical_tail_measure(batch, PARETO1, 0.5, 1.0, UpperRect({0: 1.0}))
+        for t in (0.5, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                empirical_tail_measure(batch, PARETO1, t, 1.0, UpperRect({0: 1.0}))
         with pytest.raises(ParameterError):
             empirical_tail_measure(batch, PARETO1, 10.0, 1.5, UpperRect({0: 1.0}))
         with pytest.raises(ParameterError):

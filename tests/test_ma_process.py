@@ -46,8 +46,9 @@ class TestCoefficientFamilies:
             ExplicitFinite([])
 
     def test_negative_coefficient_rejected(self):
-        with pytest.raises(ParameterError):
-            ExplicitFinite([1.0, -0.1])
+        for values in ([1.0, -0.1], [1.0, math.inf], [math.inf]):
+            with pytest.raises(ParameterError):
+                ExplicitFinite(values)
 
     def test_geometric_ratio_domain(self):
         for rho in (0.0, 1.0, -0.5, 2.0):
@@ -95,6 +96,59 @@ class TestCheckAssumptions:
     def test_alpha_domain(self):
         with pytest.raises(ParameterError):
             check_assumptions(Geometric(0.5), 0.0)
+
+
+# s in (1, 60]: a run down to 1 + 1e-12, where zeta(s) ~ 1/(s-1), then a uniform grid.
+ZETA_GRID = [1.0 + 10.0**-e for e in range(12, 0, -1)] + [
+    float(s) for s in np.linspace(1, 60, 1181)[1:]
+]
+
+
+def _depth_by_bracketing(p: Polynomial, eps: float) -> int:
+    """Smallest n with p.tail_sum_bound(n) < eps, from the bound's closed-form inverse."""
+    d = max(0, math.ceil(((p.beta - 1) * eps) ** (-1 / (p.beta - 1))) - 1)
+    while d > 0 and p.tail_sum_bound(d - 1) < eps:
+        d -= 1
+    while p.tail_sum_bound(d) >= eps:
+        d += 1
+    return d
+
+
+class TestZeta:
+    @pytest.mark.parametrize(
+        "s, exact", [(2.0, math.pi**2 / 6), (4.0, math.pi**4 / 90)], ids=["2", "4"]
+    )
+    def test_even_closed_forms(self, s, exact):
+        assert abs(ma._zeta(s) - exact) <= 2 * math.ulp(exact)
+
+    def test_infinite_decay_rate_sums_to_one(self):
+        assert Polynomial(math.inf).sum_psi_power(1.0) == 1.0
+
+    def test_within_2_ulp_of_exact(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(200):
+            for s in ZETA_GRID:
+                exact = mpmath.zeta(mpmath.mpf(s))
+                assert abs(mpmath.mpf(ma._zeta(s)) - exact) <= 2 * math.ulp(float(exact)), s
+
+    def test_agrees_with_scipy(self):
+        # scipy's own value is up to ~6 ulp from the exact one below s = 2,
+        # so agreement is checked to 8 ulp; accuracy is checked above.
+        special = pytest.importorskip("scipy.special")
+        for s in ZETA_GRID:
+            ref = float(special.zeta(s))
+            assert abs(ma._zeta(s) - ref) <= 8 * math.ulp(ref), s
+
+    def test_default_depth_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        for beta in np.linspace(1.75, 60, 2000):
+            p = Polynomial(float(beta))
+            d = _depth_by_bracketing(p, ma.DEFAULT_TRUNC_FACTOR * float(special.zeta(p.beta)))
+            eps = ma.DEFAULT_TRUNC_FACTOR * p.sum_psi_power(1.0)
+            assert p.tail_sum_bound(d) < eps, p.beta
+            assert d == 0 or eps <= p.tail_sum_bound(d - 1), p.beta
+            if p.beta >= 3.0:
+                assert choose_truncation(p) == d, p.beta
 
 
 class TestApplyTm:
