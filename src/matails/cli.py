@@ -399,11 +399,10 @@ def cmd_hill(exp: Experiment | None, sample: str | None, k: int, index: int, thr
         if exp is None:
             raise ConfigError("hill needs --sample or --config")
         window = exp.window if exp.window is not None else (index, index)
-        batch = _simulate(exp, "hill from config", window, threads)
-        col = index - batch.lo
-        if not 0 <= col < batch.matrix.shape[1]:
+        if not window[0] <= index <= window[1]:
             raise ConfigError(f"index {index} lies outside the simulated window")
-        vals = batch.matrix[:, col]
+        batch = _simulate(exp, "hill from config", window, threads)
+        vals = batch.matrix[:, index - batch.lo]
         source = "config"
     alpha_hat = hill(vals, k)
     report = {"alpha_hat": alpha_hat, "k": k, "n": len(vals), "index": index, "source": source}

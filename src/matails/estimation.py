@@ -69,31 +69,35 @@ class TailMeasureEstimate:
         return self.count == 0
 
 
+def _membership(lo: int, width: int, model: TailModel, t: float, scaling_exponent: float,
+                rect: UpperRect) -> tuple[tuple[int, float], ...] | None:
+    """The ``(column, b(t^e) * a)`` pairs a replicate of window [lo, lo + width)
+    must strictly exceed to lie in ``rect``; None when a constraint falls
+    outside the window, so no replicate can."""
+    if not 1.0 <= t < math.inf:
+        raise ParameterError(f"tail level must be finite and >= 1, got {t}")
+    if not 0.0 < scaling_exponent <= 1.0:
+        raise ParameterError(f"scaling exponent must lie in (0, 1], got {scaling_exponent}")
+    b = model.quantile_b(t**scaling_exponent)
+    pairs = tuple((k - lo, b * a) for k, a in rect.constraints)
+    return pairs if all(0 <= col < width for col, _ in pairs) else None
+
+
 def empirical_tail_measure(
     samples: SimulationBatch, model: TailModel, t: float, scaling_exponent: float, rect: UpperRect
 ) -> TailMeasureEstimate:
     """Estimate t * P[X / b(t^e) in rect] from replicated windows.
 
-    Each row of ``samples.matrix`` is one replicate.  Membership is
+    Each replicate of ``samples`` is one window.  Membership is
     coordinatewise strict exceedance of the scaled thresholds; a constraint
-    outside the simulated window is never met.
+    outside the simulated window is never met.  A counted batch must hold
+    the count of this membership rule's constraint set.
     """
-    if not 1.0 <= t < math.inf:
-        raise ParameterError(f"tail level must be finite and >= 1, got {t}")
-    if not 0.0 < scaling_exponent <= 1.0:
-        raise ParameterError(f"scaling exponent must lie in (0, 1], got {scaling_exponent}")
-    n, width = samples.matrix.shape
+    n, width = samples.shape
+    constraints = _membership(samples.lo, width, model, t, scaling_exponent, rect)
     if n < 1:
         raise ParameterError("at least one sample is required")
-    b = model.quantile_b(t**scaling_exponent)
-    mask = np.ones(n, dtype=bool)
-    for k, a in rect.constraints:
-        col = k - samples.lo
-        if not 0 <= col < width:
-            mask[:] = False
-            break
-        mask &= samples.matrix[:, col] > b * a
-    count = int(np.count_nonzero(mask))
+    count = 0 if constraints is None else samples.count(constraints)
     return TailMeasureEstimate(
         value=t * count / n,
         t=t,
@@ -205,30 +209,42 @@ def hrv_scan(
     :func:`theoretical_tail_measure` is infinite or raises
     :class:`ParameterError` or :class:`UnsupportedError` becomes an error
     row (scaling exponent 0.0, no estimate) carrying the evaluator's note
-    or message, and the scan continues.  This is the per-level body of
+    or message, and the scan continues.  Every row's verdict is settled
+    before the simulation, which then runs in count mode: it counts the
+    exceedances of the accepted rows block by block and stores no
+    ``n x width`` matrix.  This is the per-level body of
     :func:`convergence_table`.
     """
     if not rows:
         return []
     lo = min(rect.min_index for _, rect in rows)
     hi = max(rect.max_index for _, rect in rows)
-    batch = simulate(coeffs, m, model, (lo, hi), n, seed, trunc_eps, threads=threads)
     oracle_seed = _derive_seed(seed, _ORACLE_TAG)
-    out = []
+    verdicts = []
     for j, rect in rows:
         try:
             theoretical = theoretical_tail_measure(
                 coeffs, m, model.alpha, j, rect, trunc_eps, integration_budget, oracle_seed
             )
         except (ParameterError, UnsupportedError) as exc:
-            out.append(HrvRow(j, 0.0, rect, None, None, error=str(exc)))
+            verdicts.append(str(exc))
             continue
-        if theoretical.is_infinite:
-            out.append(HrvRow(j, 0.0, rect, None, None, error=theoretical.note))
+        verdicts.append(theoretical.note if theoretical.is_infinite else theoretical)
+    # Every row lies inside [lo, hi], so each membership is a constraint set.
+    accepted = [
+        _membership(lo, hi - lo + 1, model, t, 1.0 / (j + 1), rect)
+        for (j, rect), verdict in zip(rows, verdicts)
+        if isinstance(verdict, MeasureValue)
+    ]
+    batch = simulate(coeffs, m, model, (lo, hi), n, seed, trunc_eps, threads=threads, count=accepted)
+    out = []
+    for (j, rect), verdict in zip(rows, verdicts):
+        if not isinstance(verdict, MeasureValue):
+            out.append(HrvRow(j, 0.0, rect, None, None, error=verdict))
             continue
         exponent = 1.0 / (j + 1)
         empirical = empirical_tail_measure(batch, model, t, exponent, rect)
-        out.append(HrvRow(j, exponent, rect, empirical, theoretical))
+        out.append(HrvRow(j, exponent, rect, empirical, verdict))
     return out
 
 

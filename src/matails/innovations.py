@@ -66,13 +66,22 @@ class TailModel:
             out = np.where(z >= 0.0, (1.0 + z / self.scale) ** -self.alpha, 1.0)
         return out if out.shape else float(out)
 
-    def inverse_survival(self, u):
-        """Solve P[Z > z] = u for z, vectorized; u must lie in (0, 1]."""
+    def inverse_survival(self, u, out=None):
+        """Solve P[Z > z] = u for z, vectorized; u must lie in (0, 1].
+
+        With ``out`` (an array of u's shape, possibly ``u`` itself) the
+        result is written there by in-place power, shift and scale, which
+        give the same bits as the out-of-place expression.
+        """
         u = np.asarray(u, dtype=float)
-        if self.family is ParetoFamily.STANDARD:
-            out = self.scale * u ** (-1.0 / self.alpha)
-        else:
-            out = self.scale * (u ** (-1.0 / self.alpha) - 1.0)
+        if out is None:
+            out = u.copy()
+        elif out is not u:
+            np.copyto(out, u)
+        out **= -1.0 / self.alpha
+        if self.family is ParetoFamily.SHIFTED:
+            out -= 1.0
+        out *= self.scale
         return out if out.shape else float(out)
 
     def quantile_b(self, t: float) -> float:
@@ -98,15 +107,19 @@ def block_generator(seed: int, block: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def draw(model: TailModel, rng: np.random.Generator, shape) -> np.ndarray:
+def draw(model: TailModel, rng: np.random.Generator, shape, out=None) -> np.ndarray:
     """Innovations of the given shape from ``rng``, filled in C order.
 
     This is the one draw rule of the package: uniforms on (0, 1] (as
     ``1 - random()``, keeping the inverse transform finite), then the
-    inverse survival function.
+    inverse survival function, all in one array.  ``out``, a C-contiguous
+    float array of that shape, is filled and returned instead of a new one;
+    consecutive draws into it continue the stream exactly as one larger
+    draw would.
     """
-    u = 1.0 - rng.random(shape)
-    return model.inverse_survival(u)
+    u = rng.random(shape, out=out)
+    np.subtract(1.0, u, out=u)
+    return model.inverse_survival(u, out=u)
 
 
 def sample(model: TailModel, count: int, seed: int) -> np.ndarray:

@@ -19,10 +19,14 @@ in-package Euler-Maclaurin summation to within about 1 ulp.
 
 Replicates are generated in fixed-size blocks with per-block Philox
 sub-streams (see :mod:`matails.innovations`), so results are reproducible
-and independent of how many workers process the blocks.  Every block is
-drawn as a (length, rows) array, newest index first, and the lag sum runs
-on that drawn layout; only the audit view :func:`innovation_matrix`
-transposes it to one row per replicate.
+and independent of how many workers process the blocks.  A block's
+innovations are drawn newest index first, a slab of a few lag rows at a
+time into one reused buffer; the slabs join into the same stream as one
+(length, rows) draw, and each drawn row is added into the block's sums as
+it arrives, so memory does not grow with the lag depth.  The one block
+kernel either stores the sums or only counts exceedances of given
+constraint sets; the audit view :func:`innovation_matrix` draws whole
+blocks and transposes them to one row per replicate.
 """
 
 from __future__ import annotations
@@ -58,6 +62,10 @@ INFINITE = math.inf
 
 # Rows per Philox sub-stream; fixed so output never depends on worker count.
 BLOCK_ROWS = 1 << 20
+
+# Lag rows drawn per slab: the block's innovations pass through one reused
+# slab buffer, so simulation memory does not grow with the lag depth.
+SLAB_ROWS = 4
 
 # Relative coefficient-mass tolerances: the default truncation of the
 # infinite-order process, and the "effectively exact" depth used as the
@@ -288,16 +296,6 @@ def _blocks(replicates: int):
         yield block, start, min(BLOCK_ROWS, replicates - start)
 
 
-def _innovation_block(model: TailModel, seed: int, block: int, rows: int, length: int) -> np.ndarray:
-    """Innovations for one replicate block as drawn, shape (length, rows).
-
-    Row 0 holds the newest index and is drawn first, so a deeper lag window
-    (larger ``length``) appends rows without disturbing the values already
-    drawn: the two runs share one innovation stream per replicate.
-    """
-    return draw(model, block_generator(seed, block), (length, rows))
-
-
 def innovation_matrix(model: TailModel, seed: int, replicates: int, length: int) -> np.ndarray:
     """Full innovation matrix a simulation run consumes, for stream audits.
 
@@ -311,25 +309,44 @@ def innovation_matrix(model: TailModel, seed: int, replicates: int, length: int)
     """
     out = np.empty((replicates, length), dtype=float)
     for block, start, rows in _blocks(replicates):
-        out[start:start + rows] = _innovation_block(model, seed, block, rows, length)[::-1].T
+        out[start:start + rows] = draw(model, block_generator(seed, block), (length, rows))[::-1].T
     return out
 
 
 class SimulationBatch:
-    """Replicated process windows as a dense (replicates x width) array.
+    """Replicated process windows on [lo, lo + width), ``shape = (replicates, width)``.
 
-    Column w of :attr:`matrix` is the process at index ``lo + w``; row r is
-    replicate r.
+    A stored batch holds the dense :attr:`matrix`: column w is the process
+    at index ``lo + w``, row r is replicate r.  A counted batch (from
+    ``simulate(..., count=...)``) keeps only :attr:`counts`, the number of
+    replicates inside each requested constraint set, and its matrix is None.
     """
 
-    def __init__(self, lo: int, matrix: np.ndarray, truncation_order: int):
+    def __init__(self, lo: int, matrix: np.ndarray | None, truncation_order: int,
+                 counts: dict | None = None, shape: tuple[int, int] | None = None):
         self.lo = lo
         self.matrix = matrix
         self.truncation_order = truncation_order
+        self.counts = counts
+        self.shape = matrix.shape if matrix is not None else shape
+
+    def count(self, constraints) -> int:
+        """Replicates strictly above every ``(column, threshold)`` pair of ``constraints``."""
+        if self.matrix is None:
+            return self.counts[constraints]
+        return _exceedances(self.matrix.T, constraints)
 
     def window(self, r: int) -> WindowSeq:
-        """Replicate ``r`` as a window sequence."""
+        """Replicate ``r`` as a window sequence (stored batches only)."""
         return WindowSeq(self.lo, tuple(self.matrix[r]))
+
+
+def _exceedances(columns: np.ndarray, constraints) -> int:
+    """Rows of a (width, rows) array strictly above every (column, threshold) pair."""
+    mask = np.ones(columns.shape[1], dtype=bool)
+    for col, threshold in constraints:
+        mask &= columns[col] > threshold
+    return int(np.count_nonzero(mask))
 
 
 def _resolve_depth(coeffs: CoefficientSeq, m, trunc_eps: float | None) -> int:
@@ -353,14 +370,26 @@ def simulate(
     seed: int,
     trunc_eps: float | None = None,
     threads: int = 1,
+    count: list | None = None,
 ) -> SimulationBatch:
     """Simulate ``replicates`` independent copies of the process on a window.
 
     ``window`` is the inclusive index interval [k_lo, k_hi]; ``m`` is the
     moving-average order or :data:`INFINITE`.  Each replicate draws the
-    innovations Z_{k_lo - N} .. Z_{k_hi} (N = resolved lag depth) from its
-    block's sub-stream.  Blocks run on a pool of ``threads`` workers; the
-    output is deterministic in ``seed`` and identical for any ``threads``.
+    innovations Z_{k_hi}, Z_{k_hi - 1}, .., Z_{k_lo - N} (N = resolved lag
+    depth) from its block's sub-stream, in slabs of :data:`SLAB_ROWS` lag
+    rows that join into the same stream as one draw; each drawn row is added
+    into the block's ``(width, rows)`` sums as it arrives.  Besides the
+    stored output, a worker thus holds about ``(SLAB_ROWS + 1 + width) *
+    min(replicates, BLOCK_ROWS) * 8`` bytes (the ``width`` rows only when
+    counting), whatever the depth.
+
+    Without ``count`` the batch stores the ``(replicates, width)`` matrix.
+    With ``count``, a sequence of constraint sets (tuples of ``(column,
+    threshold)`` pairs), nothing is stored: each block counts its
+    replicates strictly above every pair of each set, and the batch holds
+    the totals.  Blocks run on a pool of ``threads`` workers; the output is
+    deterministic in ``seed`` and identical for any ``threads``.
     """
     k_lo, k_hi = window
     if k_lo > k_hi:
@@ -373,20 +402,33 @@ def simulate(
     width = k_hi - k_lo + 1
     length = width + depth
     psi = coeffs.psi_array(depth)
-    out = np.empty((replicates, width), dtype=float)
+    out = np.zeros((width, replicates), dtype=float) if count is None else None
 
-    def run_block(block: int, start: int, rows: int) -> None:
-        # Oldest index first: row c holds Z_{k_lo - depth + c} for every replicate.
-        z = _innovation_block(model, seed, block, rows, length)[::-1]
-        acc = np.zeros((width, rows), dtype=float)
-        for j in range(depth + 1):
-            if psi[j] != 0.0:
-                acc += psi[j] * z[depth - j: depth - j + width]
-        out[start:start + rows] = acc.T
+    def run_block(block: int, start: int, rows: int) -> list[int]:
+        acc = np.zeros((width, rows), dtype=float) if out is None else out[:, start:start + rows]
+        slab = np.empty((min(SLAB_ROWS, length), rows), dtype=float)
+        term = np.empty(rows, dtype=float)
+        rng = block_generator(seed, block)
+        for top in range(0, length, SLAB_ROWS):
+            height = min(SLAB_ROWS, length - top)
+            z = draw(model, rng, (height, rows), out=slab[:height])
+            for i, row in enumerate(z, start=top):
+                # Drawn row i holds Z_{k_hi - i}; it feeds column w at lag
+                # j = i - (width - 1 - w), so every column adds its lags in
+                # the order j = 0, 1, .. as the rows arrive.
+                for w in range(max(0, width - 1 - i), min(width, width + depth - i)):
+                    j = i - (width - 1 - w)
+                    if psi[j] != 0.0:
+                        np.multiply(psi[j], row, out=term)
+                        acc[w] += term
+        return [] if count is None else [_exceedances(acc, c) for c in count]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda b: run_block(*b), _blocks(replicates)))
-    return SimulationBatch(k_lo, out, depth)
+        per_block = list(pool.map(lambda b: run_block(*b), _blocks(replicates)))
+    if count is None:
+        return SimulationBatch(k_lo, out.T, depth)
+    totals = [sum(block_counts) for block_counts in zip(*per_block)]
+    return SimulationBatch(k_lo, None, depth, dict(zip(count, totals)), (replicates, width))
 
 
 def truncation_diagnostic(
@@ -420,6 +462,6 @@ def truncation_diagnostic(
     threshold = model.quantile_b(t) * x
     count = 0
     for block, _, rows in _blocks(replicates):
-        z = _innovation_block(model, seed, block, rows, len(tail_psi))
+        z = draw(model, block_generator(seed, block), (len(tail_psi), rows))
         count += int(np.count_nonzero(tail_psi @ z > threshold))
     return t * count / replicates

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own computational paths:
 the quadrature oracle integrates on a deterministic grid, the convolution
-oracle is a double loop, the cover oracle is exhaustive search, and the
-order-0 oracle checks every spike position's coverage one by one.
+oracle is a double loop, the cover oracle is exhaustive search, the
+order-0 oracle checks every spike position's coverage one by one, and the
+simulation oracle draws each replicate block whole before summing its lags.
 """
 
 import itertools
@@ -11,6 +12,7 @@ import itertools
 import numpy as np
 
 from matails import WindowSeq, ZERO
+from matails.innovations import ParetoFamily, block_generator
 
 
 def random_window(rng) -> WindowSeq:
@@ -106,3 +108,27 @@ def order1_quadrature(coeffs, m, alpha, rect, grid=1500):
             ok &= p1 * z1[:, None] + p2 * z2[None, :] > thresholds[k]
         total += ok.sum() * (u_hi[0] / grid) * (u_hi[1] / grid)
     return total
+
+
+def simulate_oracle(coeffs, depth, model, window, replicates, seed, block_rows):
+    """Whole-block simulation: each block's ``(depth + width, rows)`` innovations
+    are drawn in one array (``1 - random()``, then the closed-form inverse
+    survival), reversed to oldest first, and summed lag by lag."""
+    k_lo, k_hi = window
+    width = k_hi - k_lo + 1
+    psi = coeffs.psi_array(depth)
+    out = np.empty((replicates, width))
+    for block, start in enumerate(range(0, replicates, block_rows)):
+        rows = min(block_rows, replicates - start)
+        u = 1.0 - block_generator(seed, block).random((depth + width, rows))
+        if model.family is ParetoFamily.STANDARD:
+            z = model.scale * u ** (-1.0 / model.alpha)
+        else:
+            z = model.scale * (u ** (-1.0 / model.alpha) - 1.0)
+        z = z[::-1]
+        acc = np.zeros((width, rows))
+        for j in range(depth + 1):
+            if psi[j] != 0.0:
+                acc += psi[j] * z[depth - j: depth - j + width]
+        out[start:start + rows] = acc.T
+    return out

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import matails.cli
 from matails import ExplicitFinite, TailModel, hill, simulate
 from matails.cli import _values_from_sample_file, main
 
@@ -234,6 +235,15 @@ class TestHillCommand:
 
     def test_needs_some_source(self):
         assert main(["hill", "--k", "10"]) == 2
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_outside_window_exits_before_simulating(self, config_path, monkeypatch, capsys, index):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate must not run")
+
+        monkeypatch.setattr(matails.cli, "simulate", no_simulation)
+        assert main(["hill", "--config", config_path, "--k", "10", "--index", str(index)]) == 2
+        assert f"index {index} lies outside the simulated window" in capsys.readouterr().err
 
     def test_sample_file_is_bitwise_round_trip(self, tmp_path, config_path):
         out = tmp_path / "s.csv"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import matails.ma_process as ma
 from matails import (
     INFINITE,
     EvalMethod,
@@ -220,6 +221,48 @@ class TestHrvScan:
         scan = hrv_scan(PSI_HALF, 1, PARETO1, [(1, rect), (-1, rect)], 1000, 50.0, seed=18)
         assert scan[0].error == nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect, 100).note
         assert scan[1].error == "order must be nonnegative, got -1"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_counts_equal_the_stored_batch_estimates(self, monkeypatch, threads):
+        # Error rows sit before, between and after the accepted rows; the
+        # counted scan must agree with a stored simulation of the same seed.
+        monkeypatch.setattr(ma, "BLOCK_ROWS", 128)
+        cases = [
+            (PSI_HALF, 1, [
+                (-1, UpperRect({0: 1.0})),  # negative order
+                (0, UpperRect({0: 1.0})),
+                (1, UpperRect({0: 1.0, 1: 1.0})),  # infeasible: one spike covers it
+                (1, UpperRect({-1: 1.0, 2: 1.0})),
+                (0, UpperRect({0: 2.0, 1: 0.5})),
+                (-3, UpperRect({2: 1.0})),
+            ], [False, True, False, True, True, False]),
+            (Geometric(0.5), INFINITE, [
+                (1, UpperRect({0: 1.0, 3: 1.0})),  # hidden order of MA(inf)
+                (0, UpperRect({1: 1.0})),
+                (2, UpperRect({0: 1.0, 1: 1.0, 2: 1.0})),
+                (0, UpperRect({0: 0.5, 3: 2.0})),
+                (1, UpperRect({1: 1.0, 2: 1.0})),
+            ], [False, True, False, True, False]),
+        ]
+        n, t = 1000, 8.0
+        for coeffs, m, rows, ok in cases:
+            scan = hrv_scan(coeffs, m, PARETO1, rows, n, t, seed=31, trunc_eps=1e-3, threads=threads)
+            lo = min(rect.min_index for _, rect in rows)
+            hi = max(rect.max_index for _, rect in rows)
+            stored = simulate(coeffs, m, PARETO1, (lo, hi), n, 31, 1e-3)
+            assert [row.error is None for row in scan] == ok
+            accepted = [row for row in scan if row.error is None]
+            assert all(row.empirical.count > 0 for row in accepted)
+            for row in accepted:
+                assert row.empirical == empirical_tail_measure(
+                    stored, PARETO1, t, row.scaling_exponent, row.rect)
+            assert all(row.empirical is None for row in scan if row.error is not None)
+
+    def test_all_error_rows(self):
+        rows = [(-1, UpperRect({0: 1.0})), (1, UpperRect({0: 1.0, 1: 1.0}))]
+        scan = hrv_scan(PSI_HALF, 1, PARETO1, rows, 100, 8.0, seed=1)
+        assert [row.empirical for row in scan] == [None, None]
+        assert all(row.error for row in scan)
 
     def test_hidden_pair_estimate_matches_oracle(self):
         # hidden-order convergence is slow for alpha = 1 (bias ~ log(s)/s at

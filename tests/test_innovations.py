@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from matails import ParameterError, TailModel, block_generator, quantile_b, sample
+from matails.innovations import draw
 
 
 class TestInverseTransform:
@@ -108,6 +109,22 @@ class TestSampling:
         # two-sided KS distance between the empirical and model cdf
         d = max(np.max(np.abs(1.0 - sf - ranks)), np.max(np.abs(1.0 - sf - (ranks - 1.0 / n))))
         assert d < 0.01
+
+    @pytest.mark.parametrize("model", [TailModel.standard_pareto(0.7, 2.5), TailModel.shifted_pareto(2.0)],
+                             ids=["standard", "shifted"])
+    def test_draw_into_buffer_is_bitwise(self, model):
+        whole = draw(model, block_generator(4, 2), (5, 64))
+        buf = np.empty((5, 64))
+        assert draw(model, block_generator(4, 2), (5, 64), out=buf) is buf
+        assert np.array_equal(buf, whole)
+        # Slabs drawn one after another continue the stream of one draw.
+        rng = block_generator(4, 2)
+        for top in (0, 2, 4):
+            bottom = min(top + 2, 5)
+            draw(model, rng, (bottom - top, 64), out=buf[top:bottom])
+        assert np.array_equal(buf, whole)
+        u = np.array([0.25, 0.5, 1.0])
+        assert np.array_equal(model.inverse_survival(u.copy(), out=np.empty(3)), model.inverse_survival(u))
 
     def test_block_substream_rule_is_fixed(self):
         # Block b must read Philox(SeedSequence(seed, spawn_key=(b,))).

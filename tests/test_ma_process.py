@@ -28,7 +28,7 @@ from matails import (
     truncation_diagnostic,
 )
 from matails.sequence_space import ZERO
-from oracles import dyadic_window, tm_oracle
+from oracles import dyadic_window, simulate_oracle, tm_oracle
 
 PARETO1 = TailModel.standard_pareto(1.0)
 
@@ -320,6 +320,38 @@ class TestSimulate:
         batch = simulate(ExplicitFinite([1.0, 0.5]), 1, PARETO1, (0, 0), 30, seed=21)
         innov = innovation_matrix(PARETO1, 21, 30, 2)
         assert np.array_equal(batch.matrix[:, 0], innov[:, 1] + 0.5 * innov[:, 0])
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("law", [TailModel.standard_pareto, TailModel.shifted_pareto])
+    @pytest.mark.parametrize("scale_", [1.0, 2.5])
+    def test_streamed_kernel_matches_whole_block_oracle(self, monkeypatch, alpha, law, scale_):
+        # Depths straddle the slab height; 30 replicates in blocks of 8 end
+        # on a partial block; psi = (1, 0, 0, 0, 0.5) has skipped lags.
+        monkeypatch.setattr(ma, "BLOCK_ROWS", 8)
+        model = law(alpha, scale_)
+        gapped = ExplicitFinite([1.0, 0.0, 0.0, 0.0, 0.5])
+        for coeffs in (Geometric(0.6), gapped):
+            for depth in (0, 1, 3, 4, 5, 9):
+                for window in ((0, 0), (-2, 3), (1, 9)):
+                    d = depth if coeffs.order is None else min(depth, coeffs.order)
+                    expected = simulate_oracle(coeffs, d, model, window, 30, 19, block_rows=8)
+                    for threads in (1, 3):
+                        batch = simulate(coeffs, depth, model, window, 30, 19, threads=threads)
+                        assert np.array_equal(batch.matrix, expected), (coeffs, depth, window)
+
+    def test_counted_batch_matches_stored_batch(self, monkeypatch):
+        monkeypatch.setattr(ma, "BLOCK_ROWS", 16)
+        args = (Geometric(0.5), 3, PARETO1, (-1, 1), 100, 23)
+        sets = [((0, 4.0),), ((0, 3.0), (2, 3.0)), ((1, 6.0), (2, 2.5)), ((1, 6.0), (2, 2.5))]
+        stored = simulate(*args)
+        for threads in (1, 2):
+            counted = simulate(*args, threads=threads, count=sets)
+            assert counted.matrix is None and counted.shape == stored.shape == (100, 3)
+            for s in sets:
+                assert counted.count(s) == stored.count(s)
+        assert all(0 < stored.count(s) < 100 for s in sets)
+        x = stored.matrix
+        assert stored.count(sets[1]) == np.count_nonzero((x[:, 0] > 3.0) & (x[:, 2] > 3.0))
 
     def test_batch_window(self):
         batch = simulate(ExplicitFinite([1.0, 0.5]), 1, PARETO1, (-1, 1), 7, seed=2)

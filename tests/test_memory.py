@@ -1,0 +1,70 @@
+"""Simulation memory is bounded by the window and the block, not by the lag
+depth or the replicate count; ``verify`` counts exceedances without storing
+the replicate matrix."""
+
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import matails.ma_process as ma
+from matails import INFINITE, ExplicitFinite, Geometric, TailModel, UpperRect, hrv_scan, simulate
+
+ROOT = Path(__file__).resolve().parent.parent
+PARETO1 = TailModel.standard_pareto(1.0)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes allocated while ``fn`` runs, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_peak_does_not_grow_with_depth():
+    args = (Geometric(0.5), INFINITE, PARETO1, (0, 1), 1 << 15, 3)
+    shallow, shallow_peak = traced_peak(simulate, *args, trunc_eps=1e-2)
+    deep, deep_peak = traced_peak(simulate, *args, trunc_eps=1e-14)
+    assert deep.truncation_order >= 5 * shallow.truncation_order
+    assert deep_peak <= 1.2 * shallow_peak
+
+
+def test_hrv_scan_stores_no_replicate_matrix(monkeypatch):
+    monkeypatch.setattr(ma, "BLOCK_ROWS", 1 << 12)
+    n, width = 1 << 16, 3
+    rows = [(0, UpperRect({0: 1.0})), (1, UpperRect({0: 1.0, 2: 1.0}))]
+    scan, peak = traced_peak(hrv_scan, ExplicitFinite([1.0, 0.5]), 1, PARETO1, rows, n, 20.0, seed=4)
+    assert all(row.error is None for row in scan)
+    assert peak < n * width * 8
+
+
+# Runs its arguments as a child and prints the child's exit code and peak RSS
+# (kB).  A child's ru_maxrss starts from the high-water mark of the process
+# that spawned it, so the measured run is spawned by this fresh interpreter,
+# not by the test process.
+RSS_PROBE = """\
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def test_verify_demo_peak_rss(tmp_path):
+    # One million replicates at depth 27: whole-block draws peak near 500 MB.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, sys.executable, "-m", "matails.cli", "verify",
+         "--config", str(ROOT / "demos" / "experiment.ini"), "--out", str(tmp_path / "verify.csv")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    code, maxrss_kb = map(int, probe.stdout.split())
+    assert code == 0, probe.stderr
+    assert maxrss_kb < 200 * 1024
