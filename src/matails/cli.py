@@ -15,8 +15,8 @@ for CSV, inline for JSON), which is sufficient to reproduce the run
 byte for byte: outputs contain no timestamps and floats are written with
 full round-trip precision.
 
-Exit status: 0 success, 2 configuration or validation error, 3 runtime
-error.
+Exit status: 0 success, 2 configuration or validation error (including a
+lag depth beyond :data:`~matails.ma_process.MAX_DEPTH`), 3 runtime error.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import json
 import math
 import sys
@@ -44,6 +45,7 @@ from .ma_process import (
     Geometric,
     Polynomial,
     SimulationBatch,
+    resolve_depth,
     simulate,
 )
 
@@ -51,14 +53,18 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+# ``simulate`` turns this many nonzero cells into Python rows at a time,
+# so it never holds three whole columns of Python objects.
+ROW_SLICE = 1 << 16
+
 EXAMPLE_CONFIG = """\
 [coefficients]
 family = geometric          ; explicit | geometric | polynomial
 rho = 0.5                   ; geometric ratio
 ; values = 1, 0.5, 0.25     ; explicit family
-; beta = 1.5                ; polynomial decay
+; beta = 2                  ; polynomial decay; set trunc_eps = 1e-5 with it
 m = infinite                ; moving-average order, or "infinite"
-; trunc_eps = 2e-8          ; truncation tolerance for m = infinite
+; trunc_eps = 1e-5          ; truncation tolerance for m = infinite
 
 [tail]
 family = standard_pareto    ; standard_pareto | shifted_pareto
@@ -283,7 +289,10 @@ def cmd_simulate(exp: Experiment, threads: int) -> int:
     window = _simulation_window(exp)
     batch = _simulate(exp, "simulate", window, threads)
     r, w = np.nonzero(batch.matrix)
-    rows = zip(r.tolist(), (batch.lo + w).tolist(), batch.matrix[r, w].tolist())
+    cuts = ((r[s:s + ROW_SLICE], w[s:s + ROW_SLICE]) for s in range(0, r.size, ROW_SLICE))
+    rows = itertools.chain.from_iterable(
+        zip(rs.tolist(), (batch.lo + ws).tolist(), batch.matrix[rs, ws].tolist()) for rs, ws in cuts
+    )
     meta = _meta(exp, "simulate", {
         "seed": exp.seed,
         "truncation_order": batch.truncation_order,
@@ -297,6 +306,8 @@ def cmd_simulate(exp: Experiment, threads: int) -> int:
 def cmd_limits(exp: Experiment) -> int:
     if not exp.rows:
         raise ConfigError("limits needs a [rows] section")
+    # Every row shares the lag depth, so a depth over the budget fails the run.
+    resolve_depth(exp.coeffs, exp.m, exp.trunc_eps)
     out_rows = []
     for j, rect in exp.rows:
         try:

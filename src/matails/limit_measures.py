@@ -19,8 +19,9 @@ combinatorial question.  The measures supported:
   spike positions that reach every constrained coordinate;
 * ``nu_m_j_rect``       -- order-j limit of the MA(m): an integral over the
   (j+1)-tuples of spike positions that jointly reach K, evaluated tuple by
-  tuple with a conditioned-Pareto Monte Carlo proposal (exactly, when the
-  tuple's constraints factor);
+  tuple with a conditioned-Pareto Monte Carlo proposal; a tuple is exact,
+  and draws nothing, when no shared constraint survives its members'
+  private floors;
 * ``nu_inf_0_rect``     -- order-0 limit of the MA(infinity), enumerated at a
   truncation depth with a reported bound on the neglected spike mass;
 * ``marginal_tail_constant`` -- sum_l psi_l^alpha, the one-coordinate tail
@@ -244,32 +245,46 @@ def _tuple_contribution(
     """(value, variance) of one spike-position tuple's rectangle integral.
 
     Every member has at least one private constraint (no smaller spike set
-    covers K), which pins z_k above a positive threshold L_k; the proposal
-    is independent Pareto(alpha) conditioned above L_k, carrying mass
-    prod L_k^-alpha.  When no constraint is shared between members the
-    region is exactly the product of rays: the value is exact, drawn from
-    no generator (otherwise from sub-stream ``rank``).
+    covers K), which pins z_k above a positive floor L_k; the proposal is
+    independent Pareto(alpha) conditioned above L_k, carrying mass
+    prod L_k^-alpha.  A shared constraint k is implied when its floor
+    sum_h psi_{k-i_h} L_h already exceeds a_k: every draw is L_h times a
+    Pareto value >= 1, and rounded products and sums are monotone, so it
+    would hold on every sample.  When no shared constraint survives its
+    floor the region is exactly the product of rays: the value is exact,
+    drawn from no generator (otherwise from sub-stream ``rank``, with the
+    surviving constraints tested on the same draws).
     """
     d = len(positions)
-    lower = np.zeros(d)
+    lower = [0.0] * d
     shared = []
     for p, (k, a) in enumerate(rect.constraints):
         holders = [idx for idx in range(d) if covers[idx] >> p & 1]
+        weights = [coeffs.psi(k - positions[idx]) for idx in holders]
         if len(holders) == 1:
-            idx = holders[0]
-            lower[idx] = max(lower[idx], a / coeffs.psi(k - positions[idx]))
+            lower[holders[0]] = max(lower[holders[0]], a / weights[0])
         else:
-            shared.append((k, a, holders))
-    assert np.all(lower > 0), "tuple member without a private constraint"
-    mass = float(np.prod(lower**-alpha))
-    if not shared:
+            shared.append((a, holders, weights))
+    assert all(low > 0 for low in lower), "tuple member without a private constraint"
+    # One numpy power keeps the bits of np.prod(lower ** -alpha); Python's
+    # pow can differ in the last place.
+    floors = np.array(lower)
+    mass = math.prod((floors**-alpha).tolist())
+    drawn = []
+    for a, holders, weights in shared:
+        floor = 0.0
+        for idx, w in zip(holders, weights):
+            floor += w * lower[idx]
+        if not floor > a:
+            drawn.append((a, holders, weights))
+    if not drawn:
         return mass, 0.0
-    z = lower * draw(TailModel.standard_pareto(alpha), block_generator(seed, rank), (budget, d))
+    z = floors * draw(TailModel.standard_pareto(alpha), block_generator(seed, rank), (budget, d))
     ok = np.ones(budget, dtype=bool)
-    for k, a, holders in shared:
+    for a, holders, weights in drawn:
         lhs = np.zeros(budget)
-        for idx in holders:
-            lhs += coeffs.psi(k - positions[idx]) * z[:, idx]
+        for idx, w in zip(holders, weights):
+            lhs += w * z[:, idx]
         ok &= lhs > a
     p_hat = ok.mean()
     value = mass * float(p_hat)

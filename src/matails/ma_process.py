@@ -10,7 +10,9 @@ i.i.d. innovation streams in batch form (:func:`simulate`).  The infinite-
 order process is simulated as an MA(N) with ``N`` chosen so the neglected
 coefficient mass is below a tolerance (:func:`choose_truncation`);
 :func:`truncation_diagnostic` measures the tail probability contributed by
-the lags beyond a given depth, which must vanish as the depth grows.
+the lags beyond a given depth, which must vanish as the depth grows.  No
+computation builds more than :data:`MAX_DEPTH` lags: a deeper psi vector,
+simulation or diagnostic raises :class:`UnsupportedError` before allocating.
 
 Summability requirements on ``psi`` are certified analytically per family,
 never numerically: a finite computation cannot certify convergence of a
@@ -50,7 +52,9 @@ __all__ = [
     "AssumptionReport",
     "check_assumptions",
     "apply_Tm",
+    "MAX_DEPTH",
     "choose_truncation",
+    "resolve_depth",
     "continuity_modulus",
     "SimulationBatch",
     "innovation_matrix",
@@ -72,6 +76,14 @@ SLAB_ROWS = 4
 # reference in truncation diagnostics.
 DEFAULT_TRUNC_FACTOR = 1e-8
 DEEP_TAIL_FACTOR = 1e-12
+
+# Largest lag depth any computation builds: the psi vector, the order-0
+# enumeration's position arrays and the simulated lag sums all grow with it.
+MAX_DEPTH = 1_000_000
+
+# Above 2^53 consecutive depths are no longer distinct floats, so no tail
+# bound can tell them apart.
+_EXACT_DEPTH_LIMIT = 2**53
 
 # Euler-Maclaurin weights B_2k / (2k)!, k = 1 .. 7; at N = 12 the B_16 term is < 4e-18.
 _EM_WEIGHTS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
@@ -105,7 +117,8 @@ class CoefficientSeq:
         raise NotImplementedError
 
     def psi_array(self, m: int) -> np.ndarray:
-        """psi_0 .. psi_m as a vector."""
+        """psi_0 .. psi_m as a vector; ``m`` must be within :data:`MAX_DEPTH`."""
+        _check_depth(m)
         return np.array([self.psi(j) for j in range(m + 1)], dtype=float)
 
     def sum_psi_power(self, p: float) -> float:
@@ -114,6 +127,10 @@ class CoefficientSeq:
 
     def tail_sum_bound(self, n: int, p: float = 1.0) -> float:
         """Upper bound on sum_{j>n} psi_j^p (exact where a closed form exists)."""
+        raise NotImplementedError
+
+    def tail_bound_inverse(self, eps: float) -> float:
+        """The real n at which ``tail_sum_bound(n)`` equals eps (infinite families)."""
         raise NotImplementedError
 
     @property
@@ -180,6 +197,10 @@ class Geometric(CoefficientSeq):
         r = self.rho**p
         return r ** (n + 1) / (1.0 - r)
 
+    def tail_bound_inverse(self, eps: float) -> float:
+        # rho^(n+1) / (1 - rho) = eps, solved by a log.
+        return (math.log(eps) + math.log1p(-self.rho)) / math.log(self.rho) - 1.0
+
     def summability_exponent(self, alpha: float) -> float | None:
         return 0.5 * min(alpha, 1.0)
 
@@ -207,6 +228,12 @@ class Polynomial(CoefficientSeq):
         if bp <= 1.0:
             return math.inf
         return float(n + 1) ** (1.0 - bp) / (bp - 1.0)
+
+    def tail_bound_inverse(self, eps: float) -> float:
+        # (n+1)^(1-beta) / (beta-1) = eps, solved by a power taken in logs so
+        # that it cannot overflow.
+        b = self.beta - 1.0
+        return math.exp(min(-(math.log(b) + math.log(eps)) / b, 709.0)) - 1.0
 
     def summability_exponent(self, alpha: float) -> float | None:
         # sum (j+1)^(-beta*delta) converges iff beta*delta > 1.
@@ -248,6 +275,16 @@ def apply_Tm(coeffs: CoefficientSeq, m: int, z: WindowSeq) -> WindowSeq:
     return WindowSeq(z.lo, tuple(out))
 
 
+def _check_depth(depth: int) -> int:
+    """``depth`` itself, or :class:`UnsupportedError` when it exceeds :data:`MAX_DEPTH`."""
+    if depth > MAX_DEPTH:
+        raise UnsupportedError(
+            f"lag depth {depth} exceeds the depth budget of {MAX_DEPTH} lags"
+            " (a larger trunc_eps or a smaller order gives a shallower depth)"
+        )
+    return depth
+
+
 def choose_truncation(coeffs: CoefficientSeq, eps: float | None = None) -> int:
     """Smallest certifiable N with sum_{j>N} psi_j < eps.
 
@@ -256,6 +293,12 @@ def choose_truncation(coeffs: CoefficientSeq, eps: float | None = None) -> int:
     return their own order regardless of eps.  For the decaying families
     the N is the first depth whose analytic tail bound drops below eps, so
     the guarantee is sound even though the polynomial bound is not tight.
+    The family's closed-form inverse of that bound (a log for the geometric
+    family, a power for the polynomial one) gives a starting depth; steps
+    from there, doubling while the crossing is not yet bracketed and then
+    halving, land on the exact first crossing in a few bound evaluations.
+    The depth is not checked against :data:`MAX_DEPTH` here, only where it
+    is built; a depth beyond 2^53 raises :class:`UnsupportedError`.
     """
     if eps is None:
         eps = DEFAULT_TRUNC_FACTOR * coeffs.sum_psi_power(1.0)
@@ -265,10 +308,26 @@ def choose_truncation(coeffs: CoefficientSeq, eps: float | None = None) -> int:
         return coeffs.order
     if not math.isfinite(coeffs.sum_psi_power(1.0)):
         raise UnsupportedError("coefficient series diverges; no truncation depth exists")
-    n = 0
-    while coeffs.tail_sum_bound(n) >= eps:
-        n += 1
-    return n
+    bound = coeffs.tail_sum_bound
+    guess = coeffs.tail_bound_inverse(eps)
+    hi = math.ceil(min(guess, _EXACT_DEPTH_LIMIT)) if guess > 0 else 0
+    step = 1
+    while bound(hi) >= eps:
+        if hi >= _EXACT_DEPTH_LIMIT:
+            raise UnsupportedError(f"tolerance {eps!r} needs a truncation depth beyond 2^53 lags")
+        hi, step = min(hi + step, _EXACT_DEPTH_LIMIT), 2 * step
+    lo, step = hi - 1, 1
+    while lo >= 0 and bound(lo) < eps:
+        hi, lo, step = lo, lo - step, 2 * step
+    lo = max(lo, -1)
+    # Invariant: bound(hi) < eps, and lo = -1 or bound(lo) >= eps.
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid) < eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def continuity_modulus(coeffs: CoefficientSeq, m: int, eps: float) -> tuple[float, int]:
@@ -349,16 +408,17 @@ def _exceedances(columns: np.ndarray, constraints) -> int:
     return int(np.count_nonzero(mask))
 
 
-def _resolve_depth(coeffs: CoefficientSeq, m, trunc_eps: float | None) -> int:
+def resolve_depth(coeffs: CoefficientSeq, m, trunc_eps: float | None) -> int:
     """Lag depth actually simulated: m itself, capped at the finite order,
-    or the truncation depth for the infinite-order process."""
+    or the truncation depth for the infinite-order process; checked
+    against :data:`MAX_DEPTH`."""
     if m == INFINITE:
-        return choose_truncation(coeffs, trunc_eps)
-    if not isinstance(m, (int, np.integer)) or m < 0:
+        depth = choose_truncation(coeffs, trunc_eps)
+    elif not isinstance(m, (int, np.integer)) or m < 0:
         raise ParameterError(f"order must be a nonnegative integer or INFINITE, got {m}")
-    if coeffs.order is not None:
-        return min(int(m), coeffs.order)
-    return int(m)
+    else:
+        depth = int(m) if coeffs.order is None else min(int(m), coeffs.order)
+    return _check_depth(depth)
 
 
 def simulate(
@@ -398,7 +458,7 @@ def simulate(
         raise ParameterError(f"replicates must be >= 1, got {replicates}")
     if not threads > 0:
         raise ParameterError(f"threads must be >= 1, got {threads}")
-    depth = _resolve_depth(coeffs, m, trunc_eps)
+    depth = resolve_depth(coeffs, m, trunc_eps)
     width = k_hi - k_lo + 1
     length = width + depth
     psi = coeffs.psi_array(depth)
@@ -446,7 +506,8 @@ def truncation_diagnostic(
     all but a 1e-12 relative fraction of the coefficient mass (for a finite
     sequence, its order); deeper lags are negligible against Monte Carlo
     noise.  Decay of this value to 0 as N grows is the certificate that
-    truncated simulation is sound.
+    truncated simulation is sound.  A reference depth beyond
+    :data:`MAX_DEPTH` raises :class:`UnsupportedError` before any draw.
     """
     if N < 0:
         raise ParameterError(f"depth must be nonnegative, got {N}")
@@ -457,6 +518,7 @@ def truncation_diagnostic(
     deep = choose_truncation(coeffs, DEEP_TAIL_FACTOR * coeffs.sum_psi_power(1.0))
     if N >= deep:
         return 0.0
+    _check_depth(deep)
     # Lag deep pairs with the first-drawn row, lag N+1 with the last.
     tail_psi = np.array([coeffs.psi(j) for j in range(deep, N, -1)])
     threshold = model.quantile_b(t) * x

@@ -3,16 +3,19 @@
 Everything here deliberately avoids the library's own computational paths:
 the quadrature oracle integrates on a deterministic grid, the convolution
 oracle is a double loop, the cover oracle is exhaustive search, the
-order-0 oracle checks every spike position's coverage one by one, and the
-simulation oracle draws each replicate block whole before summing its lags.
+order-0 oracle checks every spike position's coverage one by one, the
+simulation oracle draws each replicate block whole before summing its lags,
+the tuple-integral reference draws every tuple with a shared constraint and
+walks all combinations, and the truncation reference scans depths one by one.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from matails import WindowSeq, ZERO
-from matails.innovations import ParetoFamily, block_generator
+from matails.innovations import ParetoFamily, TailModel, block_generator, draw
 
 
 def random_window(rng) -> WindowSeq:
@@ -132,3 +135,66 @@ def simulate_oracle(coeffs, depth, model, window, replicates, seed, block_rows):
                 acc += psi[j] * z[depth - j: depth - j + width]
         out[start:start + rows] = acc.T
     return out
+
+
+def tuple_contribution_reference(coeffs, alpha, rect, positions, covers, budget, seed, rank):
+    """(value, variance) of one tuple's integral with numpy floors and no pruning:
+    every tuple with a shared constraint draws its ``(budget, d)`` Pareto
+    sample from sub-stream ``rank`` and tests each shared constraint."""
+    d = len(positions)
+    lower = np.zeros(d)
+    shared = []
+    for p, (k, a) in enumerate(rect.constraints):
+        holders = [idx for idx in range(d) if covers[idx] >> p & 1]
+        if len(holders) == 1:
+            idx = holders[0]
+            lower[idx] = max(lower[idx], a / coeffs.psi(k - positions[idx]))
+        else:
+            shared.append((k, a, holders))
+    assert np.all(lower > 0), "tuple member without a private constraint"
+    mass = float(np.prod(lower**-alpha))
+    if not shared:
+        return mass, 0.0
+    z = lower * draw(TailModel.standard_pareto(alpha), block_generator(seed, rank), (budget, d))
+    ok = np.ones(budget, dtype=bool)
+    for k, a, holders in shared:
+        lhs = np.zeros(budget)
+        for idx in holders:
+            lhs += coeffs.psi(k - positions[idx]) * z[:, idx]
+        ok &= lhs > a
+    p_hat = ok.mean()
+    value = mass * float(p_hat)
+    variance = mass**2 * float(p_hat) * (1.0 - float(p_hat)) / budget
+    return value, variance
+
+
+def nu_m_j_rect_reference(coeffs, m, alpha, j, rect, budget, seed):
+    """(value, stderr) of the order-j tuple integral: every (j+1)-combination
+    of influencing positions, ranked lexicographically, summed in that order
+    when it covers K."""
+    needed = set(rect.indices)
+    cands = [
+        i
+        for i in range(rect.min_index - m, rect.max_index + 1)
+        if coverage(coeffs, m, rect, i)
+    ]
+    total = var_total = 0.0
+    for rank, combo in enumerate(itertools.combinations(cands, j + 1)):
+        sets = [coverage(coeffs, m, rect, i) for i in combo]
+        if set().union(*sets) != needed:
+            continue
+        covers = [sum(1 << p for p, k in enumerate(rect.indices) if k in cov) for cov in sets]
+        value, variance = tuple_contribution_reference(
+            coeffs, alpha, rect, combo, covers, budget, seed, rank
+        )
+        total += value
+        var_total += variance
+    return total, math.sqrt(var_total)
+
+
+def truncation_scan(coeffs, eps):
+    """First depth whose tail bound drops below ``eps``, scanned one depth at a time."""
+    n = 0
+    while coeffs.tail_sum_bound(n) >= eps:
+        n += 1
+    return n

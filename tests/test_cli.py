@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import matails.cli
 from matails import ExplicitFinite, TailModel, hill, simulate
+from matails.ma_process import MAX_DEPTH
 from matails.cli import _values_from_sample_file, main
 
 BASE_CONFIG = textwrap.dedent(
@@ -116,6 +118,16 @@ class TestSimulateCommand:
         main(["simulate", "--config", config_path, "--out", str(out_a), "--threads", "1"])
         main(["simulate", "--config", config_path, "--out", str(out_b), "--threads", "4"])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_row_slices_do_not_change_bytes(self, tmp_path, config_path, monkeypatch, fmt):
+        # 2000 replicates x 3 indices: one slice by default, 858 slices of 7.
+        whole, sliced = tmp_path / f"whole.{fmt}", tmp_path / f"sliced.{fmt}"
+        assert main(["simulate", "--config", config_path, "--out", str(whole), "--format", fmt]) == 0
+        monkeypatch.setattr(matails.cli, "ROW_SLICE", 7)
+        assert main(["simulate", "--config", config_path, "--out", str(sliced), "--format", fmt]) == 0
+        assert whole.read_bytes() == sliced.read_bytes()
+        assert len(whole.read_text().splitlines()) > 6000
 
 
 class TestLimitsCommand:
@@ -331,7 +343,31 @@ INVALID_INPUTS = {
     "nan-threshold-verify": (False, ["verify", "--set", "rows.row1=1; 0:nan, 2:1"]),
     "nan-t-grid": (False, ["verify", "--set", "run.t_grid=nan"]),
     "inf-t": (False, ["verify", "--set", "run.t=inf"]),
+    "divergent-coefficients-limits": (False, [
+        "limits", "--set", "coefficients.family=polynomial", "--set", "coefficients.beta=0.8",
+        "--set", "coefficients.m=infinite"]),
+    "order-over-depth-budget-limits": (False, [
+        "limits", "--set", "coefficients.family=geometric", "--set", "coefficients.rho=0.5",
+        "--set", f"coefficients.m={MAX_DEPTH + 1}"]),
 }
+
+
+@pytest.mark.parametrize("command", ["limits", "verify"])
+@pytest.mark.parametrize("beta, depth", [("1.5", 5_861_230_993_349_299), ("2", 60_792_710)])
+def test_default_tolerance_polynomial_exits_2_within_a_second(
+        tmp_path, config_path, capsys, command, beta, depth):
+    # The linear depth scan ran 24 s for beta = 2 and never ended for 1.5.
+    out = tmp_path / "out.csv"
+    start = time.perf_counter()
+    code = main([
+        command, "--config", config_path, "--out", str(out),
+        "--set", "coefficients.family=polynomial", "--set", f"coefficients.beta={beta}",
+        "--set", "coefficients.m=infinite",
+    ])
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"lag depth {depth} exceeds the depth budget of {MAX_DEPTH} " in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Rows whose theory evaluation is infeasible or raises, on configs that verify

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matails import (
     ExplicitFinite,
@@ -28,7 +28,7 @@ from matails import (
     truncation_diagnostic,
 )
 
-from oracles import coverage, cover_oracle, m0_oracle, order1_quadrature
+from oracles import coverage, cover_oracle, m0_oracle, nu_m_j_rect_reference, order1_quadrature
 
 PSI_HALF = ExplicitFinite([1.0, 0.5])
 IDENTITY = ExplicitFinite([1.0])
@@ -45,6 +45,46 @@ def rects(max_size):
     thresholds = st.dictionaries(st.integers(-4, 9), st.floats(0.1, 5.0),
                                  min_size=1, max_size=max_size)
     return thresholds.map(UpperRect)
+
+
+def tuple_kinds(coeffs, m, j, rect):
+    """Ranks of the covering (j+1)-tuples: (exact, pruned, drawn).
+
+    A tuple is exact when no constraint is shared between its members.
+    Otherwise each member's floor is the largest a_k / psi_{k-i} over its
+    private constraints, and a shared constraint is implied when
+    sum_h psi_{k-i_h} L_h, added in member order, exceeds a_k.  The tuple
+    is pruned when every shared constraint is implied, else drawn.
+    """
+    thresholds = dict(rect.constraints)
+    candidates = [i for i in range(rect.min_index - m, rect.max_index + 1)
+                  if coverage(coeffs, m, rect, i)]
+    exact, pruned, drawn = [], [], []
+    for rank, combo in enumerate(itertools.combinations(candidates, j + 1)):
+        covers = [coverage(coeffs, m, rect, i) for i in combo]
+        if set().union(*covers) != set(rect.indices):
+            continue
+        holders = {k: sum(k in cov for cov in covers) for k in rect.indices}
+        shared = [k for k in rect.indices if holders[k] > 1]
+        if not shared:
+            exact.append(rank)
+            continue
+        floors = [max(thresholds[k] / coeffs.psi(k - i) for k in cov if holders[k] == 1)
+                  for i, cov in zip(combo, covers)]
+
+        def implied(k):
+            floor = 0.0
+            for i, cov, low in zip(combo, covers, floors):
+                if k in cov:
+                    floor += coeffs.psi(k - i) * low
+            return floor > thresholds[k]
+
+        (pruned if all(implied(k) for k in shared) else drawn).append(rank)
+    return exact, pruned, drawn
+
+
+# Tuples 9 and 10 share constraint 1 with floors that imply it, tuple 12 does not.
+MIXED_RECT = UpperRect({0: 1.0, 1: 3.0, 2: 1.0})
 
 
 class TestUpperRect:
@@ -244,17 +284,14 @@ class TestNuMJRect:
         (PSI_HALF, 1, 1, UpperRect({0: 1.0, 1: 5.0, 2: 1.0})),
         (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 1, UpperRect({0: 1.0, 2: 2.0, 5: 1.0})),
         (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 2, UpperRect({0: 1.0, 3: 2.0, 4: 1.0, 8: 1.0})),
+        (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 1, MIXED_RECT),
     ])
     def test_streams_are_ranks_of_shared_tuples(self, monkeypatch, coeffs, m, j, rect):
-        candidates = [i for i in range(rect.min_index - m, rect.max_index + 1)
-                      if coverage(coeffs, m, rect, i)]
-        exact, shared = [], []
-        for rank, combo in enumerate(itertools.combinations(candidates, j + 1)):
-            covers = [coverage(coeffs, m, rect, i) for i in combo]
-            if set().union(*covers) == set(rect.indices):
-                holders = [sum(k in cov for cov in covers) for k in rect.indices]
-                (shared if max(holders) > 1 else exact).append(rank)
-        assert exact and shared
+        # Only tuples with a shared constraint their floors leave open draw.
+        exact, pruned, drawn = tuple_kinds(coeffs, m, j, rect)
+        assert exact and (pruned or drawn)
+        if rect == MIXED_RECT:
+            assert pruned and drawn
         made = []
         original = limit_measures.block_generator
 
@@ -264,7 +301,39 @@ class TestNuMJRect:
 
         monkeypatch.setattr(limit_measures, "block_generator", recording)
         assert not nu_m_j_rect(coeffs, m, 1.0, j, rect, 64, seed=7).is_infinite
-        assert made == shared
+        assert made == drawn
+
+    # Thresholds either low or high, so that shared constraints are sometimes
+    # implied by the members' floors and sometimes left open.
+    MIXED_THRESHOLDS = st.dictionaries(
+        st.integers(-2, 6), st.one_of(st.floats(0.1, 1.0), st.floats(1.0, 20.0)),
+        min_size=2, max_size=6,
+    ).map(UpperRect)
+
+    @settings(max_examples=80, deadline=None)
+    @example(ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 1, 1.3, MIXED_RECT, 7)
+    @example(PSI_HALF, 1, 1, 0.5, UpperRect({0: 1.0, 1: 5.0, 2: 1.0}), 3)
+    @example(ExplicitFinite([1.0, 0.8, 0.6, 0.4, 0.2]), 4, 2, 2.0,
+             UpperRect({0: 1.0, 2: 5.0, 5: 1.0, 7: 5.0, 10: 1.0}), 11)
+    @given(gapped(4), st.integers(0, 4), st.sampled_from([1, 2, 3]),
+           st.sampled_from([0.5, 1.0, 1.3, 2.0, 3.0]), MIXED_THRESHOLDS, st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_unpruned_reference(self, coeffs, m, j, alpha, rect, seed):
+        got = nu_m_j_rect(coeffs, m, alpha, j, rect, 64, seed=seed)
+        if got.is_infinite:
+            assert cover_oracle(coeffs, m, rect) <= j
+            return
+        assert (got.value, got.stderr) == nu_m_j_rect_reference(coeffs, m, alpha, j, rect, 64, seed)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3, 2.0, 3.0, 60.0])
+    def test_pareto_draws_never_fall_below_one(self, alpha):
+        # Pruning rests on this: a draw of L * Pareto is never below its floor L.
+        u = 1.0 - np.arange(20_001) * 2.0**-53  # 1.0 and the 20,000 doubles below it
+        assert u[-1] == np.nextafter(u[-2], 0.0)
+        model = TailModel.standard_pareto(alpha)
+        assert np.all(model.inverse_survival(u) >= 1.0)
+        assert np.all(model.inverse_survival(u.copy(), out=np.empty_like(u)) >= 1.0)
+        in_place = u.copy()
+        assert np.all(model.inverse_survival(in_place, out=in_place) >= 1.0)
 
 
 class TestHomogeneity:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from matails import (
     truncation_diagnostic,
 )
 from matails.sequence_space import ZERO
-from oracles import dyadic_window, simulate_oracle, tm_oracle
+from oracles import dyadic_window, simulate_oracle, tm_oracle, truncation_scan
 
 PARETO1 = TailModel.standard_pareto(1.0)
 
@@ -147,8 +148,7 @@ class TestZeta:
             eps = ma.DEFAULT_TRUNC_FACTOR * p.sum_psi_power(1.0)
             assert p.tail_sum_bound(d) < eps, p.beta
             assert d == 0 or eps <= p.tail_sum_bound(d - 1), p.beta
-            if p.beta >= 3.0:
-                assert choose_truncation(p) == d, p.beta
+            assert choose_truncation(p) == d, p.beta
 
 
 class TestApplyTm:
@@ -279,6 +279,33 @@ class TestChooseTruncation:
         true_tail = sum((j + 1.0) ** -2 for j in range(n + 1, n + 2_000_000))
         assert true_tail < 1e-3
 
+    def test_geometric_grid_matches_linear_scan(self):
+        rhos = [1e-6, 0.01, 0.1, 0.25, 1 / 3, 0.5, 0.6, 0.75, 0.9, 0.95, 0.99, 0.995]
+        for rho in rhos:
+            g = Geometric(rho)
+            for eps in np.logspace(-14, 0, 29):
+                assert choose_truncation(g, float(eps)) == truncation_scan(g, float(eps)), (rho, eps)
+
+    def test_polynomial_grid_matches_linear_scan(self):
+        for beta in (2.5, 3.0, 4.5, 8.0, 20.0):
+            p = Polynomial(beta)
+            for eps in np.logspace(-9, 0, 19):
+                assert choose_truncation(p, float(eps)) == truncation_scan(p, float(eps)), (beta, eps)
+
+    def test_deep_default_depths_without_a_scan(self):
+        # The linear scan took 24 s for beta = 2 and never ended for 1.5.
+        start = time.perf_counter()
+        assert choose_truncation(Polynomial(2.0)) == 60_792_710
+        assert choose_truncation(Polynomial(1.5)) == 5_861_230_993_349_299
+        assert choose_truncation(Polynomial(math.inf)) == 0
+        assert time.perf_counter() - start < 0.1
+
+    def test_depth_beyond_2_pow_53_unsupported(self):
+        with pytest.raises(UnsupportedError, match="2\\^53"):
+            choose_truncation(Polynomial(1.001))
+        with pytest.raises(UnsupportedError, match="2\\^53"):
+            choose_truncation(Geometric(1 - 2**-53), 1e-14)
+
     def test_divergent_family_unsupported(self):
         with pytest.raises(UnsupportedError):
             choose_truncation(Polynomial(0.8), 1e-3)
@@ -286,6 +313,31 @@ class TestChooseTruncation:
     def test_tolerance_domain(self):
         with pytest.raises(ParameterError):
             choose_truncation(Geometric(0.5), 0.0)
+
+
+class TestDepthBudget:
+    def test_names_depth_and_budget(self):
+        assert ma._check_depth(ma.MAX_DEPTH) == ma.MAX_DEPTH
+        with pytest.raises(UnsupportedError, match=f"{ma.MAX_DEPTH + 1} .* {ma.MAX_DEPTH} "):
+            ma._check_depth(ma.MAX_DEPTH + 1)
+
+    def test_psi_array_refuses_before_building(self, monkeypatch):
+        monkeypatch.setattr(Geometric, "psi", lambda self, j: pytest.fail("psi evaluated"))
+        with pytest.raises(UnsupportedError):
+            Geometric(0.5).psi_array(ma.MAX_DEPTH + 1)
+
+    @pytest.mark.parametrize("m", [INFINITE, ma.MAX_DEPTH + 1])
+    def test_simulate_refuses_before_any_block(self, monkeypatch, m):
+        # MA(inf) at the default tolerance resolves to depth 60,792,710.
+        monkeypatch.setattr(ma, "block_generator", lambda *a: pytest.fail("block drawn"))
+        with pytest.raises(UnsupportedError, match="depth budget"):
+            simulate(Polynomial(2.0), m, PARETO1, (0, 0), 10, seed=1)
+
+    def test_resolve_depth(self):
+        assert ma.resolve_depth(ExplicitFinite([1.0, 0.5]), 10**9, None) == 1
+        assert ma.resolve_depth(Geometric(0.5), INFINITE, 1e-3) == 10
+        with pytest.raises(UnsupportedError, match="depth budget"):
+            ma.resolve_depth(Geometric(0.5), ma.MAX_DEPTH + 1, None)
 
 
 class TestSimulate:
@@ -407,6 +459,23 @@ class TestTruncationDiagnostic:
         v10 = truncation_diagnostic(g, PARETO1, 10, t, 1.0, n, seed=78)
         se = lambda v: t * math.sqrt(max(v * n / t, 1.0)) / n
         assert v10 + 3 * se(v10) < v0 - 3 * se(v0)
+
+    def test_frozen_counts(self):
+        # t * count / n with counts 1075 and 1079; the deep reference of
+        # Polynomial(6) is 181 lags.
+        g = truncation_diagnostic(Geometric(0.7), PARETO1, 3, 10.0, 0.5, 4000, seed=5)
+        p = truncation_diagnostic(Polynomial(6.0), TailModel.shifted_pareto(1.5, 2.0),
+                                  0, 10.0, 0.005, 3000, seed=8)
+        assert (g, p) == (2.6875, 3.5966666666666667)
+
+    def test_deep_reference_over_budget_refuses_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(ma, "block_generator", lambda *a: pytest.fail("block drawn"))
+        # Polynomial(2) reaches a 1e-12 tail at depth 6e11.
+        with pytest.raises(UnsupportedError, match="depth budget"):
+            truncation_diagnostic(Polynomial(2.0), PARETO1, 10, 1e3, 1.0, 1000, seed=1)
+        monkeypatch.setattr(ma, "MAX_DEPTH", 30)  # Geometric(0.5) reaches it at depth 39
+        with pytest.raises(UnsupportedError, match="depth budget of 30 "):
+            truncation_diagnostic(Geometric(0.5), PARETO1, 0, 1e3, 1.0, 1000, seed=1)
 
     def test_parameter_validation(self):
         g = Geometric(0.5)

@@ -1,6 +1,6 @@
 """Simulation memory is bounded by the window and the block, not by the lag
 depth or the replicate count; ``verify`` counts exceedances without storing
-the replicate matrix."""
+the replicate matrix, and ``simulate`` writes its rows a slice at a time."""
 
 import os
 import subprocess
@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import matails.cli
 import matails.ma_process as ma
 from matails import INFINITE, ExplicitFinite, Geometric, TailModel, UpperRect, hrv_scan, simulate
 
@@ -41,6 +42,20 @@ def test_hrv_scan_stores_no_replicate_matrix(monkeypatch):
     scan, peak = traced_peak(hrv_scan, ExplicitFinite([1.0, 0.5]), 1, PARETO1, rows, n, 20.0, seed=4)
     assert all(row.error is None for row in scan)
     assert peak < n * width * 8
+
+
+def test_simulate_command_builds_rows_a_slice_at_a_time(tmp_path, monkeypatch):
+    # Whole Python columns cost about 120 bytes per nonzero cell at this
+    # size; slices leave the matrix and the nonzero index arrays (32 bytes).
+    monkeypatch.setattr(matails.cli, "ROW_SLICE", 1024)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[coefficients]\nfamily = explicit\nvalues = 1, 0.5\nm = 1\n"
+                   "[tail]\nfamily = standard_pareto\nalpha = 1.0\n"
+                   "[run]\nn = 32768\nseed = 4\nwindow = 0:2\n")
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
+    code, peak = traced_peak(matails.cli.main, argv)
+    assert code == 0
+    assert peak < 64 * 32768 * 3
 
 
 # Runs its arguments as a child and prints the child's exit code and peak RSS
