@@ -241,8 +241,12 @@ def _meta(exp: Experiment, command: str, extra: dict | None = None) -> dict:
     return meta
 
 
-def _write_output(exp: Experiment, out_path, columns, rows, meta) -> None:
-    """CSV body plus .meta.json sidecar, or a single JSON document."""
+def _write_output(exp: Experiment, out_path, columns, rows, meta, csv_body=None) -> None:
+    """CSV body plus .meta.json sidecar, or a single JSON document.
+
+    ``csv_body``, when given, is the CSV body already rendered as text chunks
+    of the same ``rows``; only one of the two is consumed.
+    """
     if out_path is None:
         raise ConfigError("no output path: set [output] path or pass --out")
     if exp.out_format == "csv":
@@ -250,7 +254,10 @@ def _write_output(exp: Experiment, out_path, columns, rows, meta) -> None:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            writer.writerows(rows)
+            if csv_body is None:
+                writer.writerows(rows)
+            else:
+                fh.writelines(csv_body)
         with open(f"{out_path}.meta.json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -285,21 +292,33 @@ def _simulate(exp: Experiment, command: str, window: tuple[int, int],
     )
 
 
+def _sample_slices(batch: SimulationBatch):
+    """(replicate ids, indices, values) of the nonzero cells, ``ROW_SLICE`` at a time."""
+    r, w = np.nonzero(batch.matrix)
+    for s in range(0, r.size, ROW_SLICE):
+        rs, ws = r[s:s + ROW_SLICE], w[s:s + ROW_SLICE]
+        yield rs.tolist(), (batch.lo + ws).tolist(), batch.matrix[rs, ws].tolist()
+
+
+def _sample_text(ids, indices, values) -> str:
+    """One slice's CSV lines, the bytes csv.writer writes for the same rows
+    (``%r`` is the round-trip repr it writes for a float)."""
+    return ("%d,%d,%r\n" * len(ids)) % tuple(itertools.chain.from_iterable(zip(ids, indices, values)))
+
+
 def cmd_simulate(exp: Experiment, threads: int) -> int:
     window = _simulation_window(exp)
     batch = _simulate(exp, "simulate", window, threads)
-    r, w = np.nonzero(batch.matrix)
-    cuts = ((r[s:s + ROW_SLICE], w[s:s + ROW_SLICE]) for s in range(0, r.size, ROW_SLICE))
-    rows = itertools.chain.from_iterable(
-        zip(rs.tolist(), (batch.lo + ws).tolist(), batch.matrix[rs, ws].tolist()) for rs, ws in cuts
-    )
+    # Both generators are lazy and _write_output consumes one of them.
+    rows = itertools.chain.from_iterable(zip(*cut) for cut in _sample_slices(batch))
+    body = (_sample_text(*cut) for cut in _sample_slices(batch))
     meta = _meta(exp, "simulate", {
         "seed": exp.seed,
         "truncation_order": batch.truncation_order,
         "window": list(window),
         "n": exp.n,
     })
-    _write_output(exp, exp.out_path, ("replicate_id", "index", "value"), rows, meta)
+    _write_output(exp, exp.out_path, ("replicate_id", "index", "value"), rows, meta, body)
     return EXIT_OK
 
 

@@ -19,9 +19,10 @@ combinatorial question.  The measures supported:
   spike positions that reach every constrained coordinate;
 * ``nu_m_j_rect``       -- order-j limit of the MA(m): an integral over the
   (j+1)-tuples of spike positions that jointly reach K, evaluated tuple by
-  tuple with a conditioned-Pareto Monte Carlo proposal; a tuple is exact,
-  and draws nothing, when no shared constraint survives its members'
-  private floors;
+  tuple by conditional Monte Carlo: one member's Pareto tail is integrated
+  in closed form given the others, which are drawn above their floors; a
+  tuple is exact, and draws nothing, when no shared constraint survives
+  its members' private floors;
 * ``nu_inf_0_rect``     -- order-0 limit of the MA(infinity), enumerated at a
   truncation depth with a reported bound on the neglected spike mass;
 * ``marginal_tail_constant`` -- sum_l psi_l^alpha, the one-coordinate tail
@@ -170,8 +171,12 @@ def mu_j_rect(j: int, alpha: float, rect: UpperRect) -> MeasureValue:
 
 
 def _candidate_positions(coeffs: CoefficientSeq, m: int, rect: UpperRect):
-    """(i, reach) per spike position influencing K; bit p of reach is rect.indices[p]."""
+    """(i, reach) per spike position influencing K; bit p of reach is rect.indices[p].
+
+    A finite family's spikes reach no further than its order, so m is capped there.
+    """
     ks = rect.indices
+    m = coeffs.capped(m)
     out = []
     for i in range(rect.min_index - m, rect.max_index + 1):
         reach = sum(1 << p for p, k in enumerate(ks) if 0 <= k - i <= m and coeffs.psi(k - i) > 0)
@@ -189,7 +194,8 @@ def spike_cover_number(coeffs: CoefficientSeq, m: int, rect: UpperRect) -> int:
 
     Exact sweep over the positions, left to right: the fewest spikes per
     covered set, a set dropped once the sweep passes a constraint it misses.
-    Cost: the positions times at most 2^min(m, |K|) sets live within m.
+    Cost: the positions, at most m + |K| with m capped at a finite family's
+    order, times at most 2^min(m, |K|) sets live within m.
     """
     if m < 0:
         raise ParameterError(f"order must be nonnegative, got {m}")
@@ -211,13 +217,15 @@ def nu_m0_rect(coeffs: CoefficientSeq, m: int, alpha: float, rect: UpperRect) ->
 
     Sums (max_k a_k / psi_{k-i})^-alpha, left to right, over the positions
     max K - m <= i <= min K; positions with a zero coefficient at some
-    constrained offset drop out (their threshold is infinite).
+    constrained offset drop out (their threshold is infinite).  m is capped
+    at a finite family's order, which drops only positions that reach nothing.
     """
     if m < 0:
         raise ParameterError(f"order must be nonnegative, got {m}")
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     # Position w (i = max K - m + w) meets constraint k with back[max K - k + w].
+    m = coeffs.capped(m)
     back = coeffs.psi_array(m)[::-1]
     width = max(m + 1 - (rect.max_index - rect.min_index), 0)
     reaches, z_min = np.ones(width, dtype=bool), np.zeros(width)
@@ -245,15 +253,24 @@ def _tuple_contribution(
     """(value, variance) of one spike-position tuple's rectangle integral.
 
     Every member has at least one private constraint (no smaller spike set
-    covers K), which pins z_k above a positive floor L_k; the proposal is
-    independent Pareto(alpha) conditioned above L_k, carrying mass
-    prod L_k^-alpha.  A shared constraint k is implied when its floor
+    covers K), which pins z_h above a positive floor L_h; the integral is
+    over independent Pareto(alpha) values conditioned above L_h, carrying
+    mass prod L_h^-alpha.  A shared constraint k is implied when its floor
     sum_h psi_{k-i_h} L_h already exceeds a_k: every draw is L_h times a
     Pareto value >= 1, and rounded products and sums are monotone, so it
     would hold on every sample.  When no shared constraint survives its
     floor the region is exactly the product of rays: the value is exact,
-    drawn from no generator (otherwise from sub-stream ``rank``, with the
-    surviving constraints tested on the same draws).
+    drawn from no generator.
+
+    Otherwise one member c is integrated out (conditional Monte Carlo):
+    the one with the largest sum of w_c L_c over the surviving constraints
+    it holds, the lowest index on ties.  The other d-1 members are drawn,
+    in member order, as one (budget, d-1) array from sub-stream ``rank``.
+    Given them, each surviving constraint c holds asks z_c > need_k =
+    (a_k - sum_{h != c} w_h z_h) / w_c, which has conditional probability
+    (max(L_c, need) / L_c)^-alpha; the surviving constraints c does not
+    hold stay indicators.  With g that probability times the indicators,
+    the value is mass mean(g) and the variance mass^2 var(g) / budget.
     """
     d = len(positions)
     lower = [0.0] * d
@@ -268,28 +285,46 @@ def _tuple_contribution(
     assert all(low > 0 for low in lower), "tuple member without a private constraint"
     # One numpy power keeps the bits of np.prod(lower ** -alpha); Python's
     # pow can differ in the last place.
-    floors = np.array(lower)
-    mass = math.prod((floors**-alpha).tolist())
+    mass = math.prod((np.array(lower) ** -alpha).tolist())
     drawn = []
+    pull = [0.0] * d
     for a, holders, weights in shared:
         floor = 0.0
         for idx, w in zip(holders, weights):
             floor += w * lower[idx]
         if not floor > a:
             drawn.append((a, holders, weights))
+            for idx, w in zip(holders, weights):
+                pull[idx] += w * lower[idx]
     if not drawn:
         return mass, 0.0
-    z = floors * draw(TailModel.standard_pareto(alpha), block_generator(seed, rank), (budget, d))
+    c = pull.index(max(pull))
+    others = [idx for idx in range(d) if idx != c]
+    x = draw(TailModel.standard_pareto(alpha), block_generator(seed, rank), (budget, d - 1))
+    columns = dict(zip(others, x.T))
+    # ratio = need / L_c, each constraint c holds read in units of w_c L_c.
+    ratio = np.ones(budget)
     ok = np.ones(budget, dtype=bool)
+    rest, term = np.empty(budget), np.empty(budget)
     for a, holders, weights in drawn:
-        lhs = np.zeros(budget)
-        for idx, w in zip(holders, weights):
-            lhs += w * z[:, idx]
-        ok &= lhs > a
-    p_hat = ok.mean()
-    value = mass * float(p_hat)
-    variance = mass**2 * float(p_hat) * (1.0 - float(p_hat)) / budget
-    return value, variance
+        unit = weights[holders.index(c)] * lower[c] if c in holders else 1.0
+        (coef, col), *more = [(w * lower[idx] / unit, columns[idx])
+                              for idx, w in zip(holders, weights) if idx != c]
+        np.multiply(coef, col, out=rest)
+        for coef, col in more:
+            rest += np.multiply(coef, col, out=term)
+        if c in holders:
+            np.subtract(a / unit, rest, out=rest)
+            np.maximum(ratio, rest, out=ratio)
+        else:
+            ok &= rest > a
+    g = ratio
+    g **= -alpha
+    g *= ok
+    mean = float(g.mean())
+    g -= mean
+    g *= g
+    return mass * mean, mass**2 * float(g.mean()) / budget
 
 
 def _covering_tuples(candidates, size: int, ks: tuple[int, ...], start=0, covered=0, rank=0):

@@ -138,6 +138,10 @@ class CoefficientSeq:
         """Largest lag with a nonzero coefficient, or None for infinite support."""
         return None
 
+    def capped(self, m: int) -> int:
+        """``m`` capped at the order: lags past it have psi = 0 and reach nothing."""
+        return m if self.order is None else min(m, self.order)
+
     def summability_exponent(self, alpha: float) -> float | None:
         """An exponent delta < min(alpha, 1) with sum psi^delta finite, if one exists."""
         raise NotImplementedError
@@ -417,7 +421,7 @@ def resolve_depth(coeffs: CoefficientSeq, m, trunc_eps: float | None) -> int:
     elif not isinstance(m, (int, np.integer)) or m < 0:
         raise ParameterError(f"order must be a nonnegative integer or INFINITE, got {m}")
     else:
-        depth = int(m) if coeffs.order is None else min(int(m), coeffs.order)
+        depth = coeffs.capped(int(m))
     return _check_depth(depth)
 
 

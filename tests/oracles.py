@@ -5,8 +5,10 @@ the quadrature oracle integrates on a deterministic grid, the convolution
 oracle is a double loop, the cover oracle is exhaustive search, the
 order-0 oracle checks every spike position's coverage one by one, the
 simulation oracle draws each replicate block whole before summing its lags,
-the tuple-integral reference draws every tuple with a shared constraint and
-walks all combinations, and the truncation reference scans depths one by one.
+the crude tuple-integral reference draws every tuple with a shared
+constraint, counts hits and walks all combinations, the conditional one
+integrates one member out one sample at a time, and the truncation
+reference scans depths one by one.
 """
 
 import itertools
@@ -168,22 +170,82 @@ def tuple_contribution_reference(coeffs, alpha, rect, positions, covers, budget,
     return value, variance
 
 
-def nu_m_j_rect_reference(coeffs, m, alpha, j, rect, budget, seed):
-    """(value, stderr) of the order-j tuple integral: every (j+1)-combination
-    of influencing positions, ranked lexicographically, summed in that order
-    when it covers K."""
+def conditional_tuple_reference(coeffs, alpha, rect, positions, covers, budget, seed, rank):
+    """(value, variance) of one tuple's integral with one member integrated out,
+    restated one sample at a time.
+
+    Shared constraints whose floor (the members' private floors weighted by
+    psi, added in member order) exceeds the threshold are dropped; with none
+    left the value is the exact mass.  Otherwise the member c with the
+    largest sum of psi L_c over the remaining constraints it holds (lowest
+    index on ties) is integrated out: the others are drawn as one
+    ``(budget, d-1)`` array from sub-stream ``rank``, in member order, and
+    each sample scores (max(L_c, need) / L_c)^-alpha, need being the largest
+    (a_k - rest_k) / psi_k over the remaining constraints c holds, times the
+    indicators of the remaining constraints c does not hold.
+    """
+    d = len(positions)
+    lower = [0.0] * d
+    shared = []
+    for p, (k, a) in enumerate(rect.constraints):
+        holders = [idx for idx in range(d) if covers[idx] >> p & 1]
+        if len(holders) == 1:
+            idx = holders[0]
+            lower[idx] = max(lower[idx], a / coeffs.psi(k - positions[idx]))
+        else:
+            shared.append((k, a, holders))
+    mass = float(np.prod(np.array(lower) ** -alpha))
+
+    def w(k, idx):
+        return coeffs.psi(k - positions[idx])
+
+    open_ = [(k, a, holders) for k, a, holders in shared
+             if not sum(w(k, h) * lower[h] for h in holders) > a]
+    if not open_:
+        return mass, 0.0
+    pull = [sum(w(k, idx) * lower[idx] for k, _, holders in open_ if idx in holders)
+            for idx in range(d)]
+    c = max(range(d), key=lambda idx: (pull[idx], -idx))
+    others = [idx for idx in range(d) if idx != c]
+    sample = draw(TailModel.standard_pareto(alpha), block_generator(seed, rank), (budget, d - 1))
+    scores = []
+    for row in sample.tolist():
+        z = {h: lower[h] * x for h, x in zip(others, row)}
+        need, ok = lower[c], True
+        for k, a, holders in open_:
+            rest = sum(w(k, h) * z[h] for h in holders if h != c)
+            if c in holders:
+                need = max(need, (a - rest) / w(k, c))
+            else:
+                ok = ok and rest > a
+        scores.append((need / lower[c]) ** -alpha if ok else 0.0)
+    scores = np.array(scores)
+    return mass * float(scores.mean()), mass**2 * float(scores.var()) / budget
+
+
+def covering_tuples(coeffs, m, j, rect):
+    """(rank, positions, covers) per (j+1)-combination of influencing positions
+    that covers K; ``rank`` counts every combination, covering or not, in
+    lexicographic order, and bit p of a cover is ``rect.indices[p]``."""
     needed = set(rect.indices)
     cands = [
         i
         for i in range(rect.min_index - m, rect.max_index + 1)
         if coverage(coeffs, m, rect, i)
     ]
-    total = var_total = 0.0
     for rank, combo in enumerate(itertools.combinations(cands, j + 1)):
         sets = [coverage(coeffs, m, rect, i) for i in combo]
         if set().union(*sets) != needed:
             continue
         covers = [sum(1 << p for p, k in enumerate(rect.indices) if k in cov) for cov in sets]
+        yield rank, combo, covers
+
+
+def nu_m_j_rect_reference(coeffs, m, alpha, j, rect, budget, seed):
+    """(value, stderr) of the order-j tuple integral by crude hit counting:
+    every covering tuple, summed in rank order."""
+    total = var_total = 0.0
+    for rank, combo, covers in covering_tuples(coeffs, m, j, rect):
         value, variance = tuple_contribution_reference(
             coeffs, alpha, rect, combo, covers, budget, seed, rank
         )

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -11,9 +12,9 @@ import numpy as np
 import pytest
 
 import matails.cli
-from matails import ExplicitFinite, TailModel, hill, simulate
-from matails.ma_process import MAX_DEPTH
-from matails.cli import _values_from_sample_file, main
+from matails import ExplicitFinite, TailModel, hill, sample, simulate
+from matails.ma_process import MAX_DEPTH, SimulationBatch
+from matails.cli import _sample_slices, _sample_text, _values_from_sample_file, main
 
 BASE_CONFIG = textwrap.dedent(
     """\
@@ -128,6 +129,24 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", config_path, "--out", str(sliced), "--format", fmt]) == 0
         assert whole.read_bytes() == sliced.read_bytes()
         assert len(whole.read_text().splitlines()) > 6000
+
+
+class TestSampleWriter:
+    def test_template_matches_csv_writer_across_slices(self, monkeypatch):
+        # Extreme doubles and negated shifted-Pareto draws, one zero cell
+        # skipped, 15 nonzero cells cut into slices of 4.
+        draws = sample(TailModel.shifted_pareto(0.7), 11, seed=3)
+        values = [1e16, 1e-5, 5e-324, 1.7976931348623157e308, 0.0, *(-draws).tolist()]
+        batch = SimulationBatch(-1, np.array(values).reshape(4, 4), 0)
+        monkeypatch.setattr(matails.cli, "ROW_SLICE", 4)
+        cuts = list(_sample_slices(batch))
+        assert [len(ids) for ids, _, _ in cuts] == [4, 4, 4, 3]
+        rows = [(r, w - 1, values[4 * r + w]) for r in range(4) for w in range(4) if values[4 * r + w]]
+        assert [row for cut in cuts for row in zip(*cut)] == rows
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(rows)
+        assert "".join(_sample_text(*cut) for cut in cuts) == expected.getvalue()
+        assert "5e-324" in expected.getvalue() and "1.7976931348623157e+308" in expected.getvalue()
 
 
 class TestLimitsCommand:

@@ -28,7 +28,16 @@ from matails import (
     truncation_diagnostic,
 )
 
-from oracles import coverage, cover_oracle, m0_oracle, nu_m_j_rect_reference, order1_quadrature
+from oracles import (
+    conditional_tuple_reference,
+    cover_oracle,
+    coverage,
+    covering_tuples,
+    m0_oracle,
+    nu_m_j_rect_reference,
+    order1_quadrature,
+    tuple_contribution_reference,
+)
 
 PSI_HALF = ExplicitFinite([1.0, 0.5])
 IDENTITY = ExplicitFinite([1.0])
@@ -85,6 +94,11 @@ def tuple_kinds(coeffs, m, j, rect):
 
 # Tuples 9 and 10 share constraint 1 with floors that imply it, tuple 12 does not.
 MIXED_RECT = UpperRect({0: 1.0, 1: 3.0, 2: 1.0})
+# Tuple 55, positions (0, 2, 4), keeps shared constraints 2 and 4 open; it
+# integrates position 4 out, which does not reach 2, so 2 stays an indicator
+# (and fails on about half the samples).
+INDICATOR_PSI = ExplicitFinite([1.0, 1.0, 0.5])
+INDICATOR_RECT = UpperRect({0: 2.0, 1: 4.0, 2: 8.0, 3: 1.0, 4: 20.0, 6: 8.0})
 
 
 class TestUpperRect:
@@ -179,6 +193,14 @@ class TestSpikeCover:
         assert spike_cover_number(ExplicitFinite([1.0, 0.0, 1.0]), 2, rect) == 20
         assert time.perf_counter() - start < 1.0
 
+    def test_order_past_a_finite_family_costs_nothing(self):
+        # Lags past the order reach nothing, so m = 10^6 is the m = 1 sweep.
+        rect = UpperRect({0: 1.0, 2: 1.0})
+        start = time.perf_counter()
+        got = spike_cover_number(PSI_HALF, 10**6, rect)
+        assert time.perf_counter() - start < 0.1
+        assert got == spike_cover_number(PSI_HALF, 1, rect) == 2
+
 
 class TestNuM0Rect:
     def test_marginal_sums_coefficient_powers(self):
@@ -216,6 +238,11 @@ class TestNuM0Rect:
     )
     def test_bitwise_equal_to_per_position_oracle(self, coeffs, m, alpha, rect):
         assert nu_m0_rect(coeffs, m, alpha, rect).value == m0_oracle(coeffs, m, alpha, rect)
+
+    def test_order_past_a_finite_family_is_not_a_depth(self):
+        # m over the depth budget is capped at the order before any psi vector is built.
+        for rect in (UpperRect({0: 1.0}), UpperRect({0: 1.0, 1: 2.0}), UpperRect({-3: 2.0, 4: 1.0})):
+            assert nu_m0_rect(PSI_HALF, 10**6 + 1, 1.3, rect) == nu_m0_rect(PSI_HALF, 1, 1.3, rect)
 
 
 class TestNuMJRect:
@@ -263,6 +290,13 @@ class TestNuMJRect:
     def test_budget_validation(self):
         with pytest.raises(ParameterError):
             nu_m_j_rect(PSI_HALF, 1, 1.0, 1, UpperRect({0: 1.0, 2: 1.0}), 0, seed=1)
+
+    def test_order_past_a_finite_family_keeps_the_bytes(self):
+        rect = UpperRect({0: 1.0, 1: 5.0, 2: 1.0})
+        start = time.perf_counter()
+        far = nu_m_j_rect(PSI_HALF, 10**6, 1.0, 1, rect, 1000, seed=9)
+        assert time.perf_counter() - start < 0.5
+        assert far == nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect, 1000, seed=9)
 
     def test_degenerate_coefficients_reduce_to_iid_measure(self):
         rects = [
@@ -315,14 +349,50 @@ class TestNuMJRect:
     @example(PSI_HALF, 1, 1, 0.5, UpperRect({0: 1.0, 1: 5.0, 2: 1.0}), 3)
     @example(ExplicitFinite([1.0, 0.8, 0.6, 0.4, 0.2]), 4, 2, 2.0,
              UpperRect({0: 1.0, 2: 5.0, 5: 1.0, 7: 5.0, 10: 1.0}), 11)
+    @example(INDICATOR_PSI, 2, 2, 1.0, INDICATOR_RECT, 5)
     @given(gapped(4), st.integers(0, 4), st.sampled_from([1, 2, 3]),
            st.sampled_from([0.5, 1.0, 1.3, 2.0, 3.0]), MIXED_THRESHOLDS, st.integers(0, 2**32 - 1))
     def test_bitwise_equal_to_unpruned_reference(self, coeffs, m, j, alpha, rect, seed):
+        # Exact and pruned tuples keep the crude reference's bits; drawn tuples
+        # integrate one member out, restated sample by sample in the
+        # conditional reference (same draws, other rounding in the power).
         got = nu_m_j_rect(coeffs, m, alpha, j, rect, 64, seed=seed)
         if got.is_infinite:
             assert cover_oracle(coeffs, m, rect) <= j
             return
-        assert (got.value, got.stderr) == nu_m_j_rect_reference(coeffs, m, alpha, j, rect, 64, seed)
+        drawn = set(tuple_kinds(coeffs, m, j, rect)[2])
+        total = var_total = 0.0
+        for rank, positions, covers in covering_tuples(coeffs, m, j, rect):
+            args = (coeffs, alpha, rect, positions, covers, 64, seed, rank)
+            value, variance = limit_measures._tuple_contribution(*args)
+            if rank in drawn:
+                want, want_var = conditional_tuple_reference(*args)
+                assert math.isclose(value, want, rel_tol=1e-12, abs_tol=0.0)
+                assert math.isclose(variance, want_var, rel_tol=1e-12, abs_tol=0.0)
+            else:
+                assert (value, variance) == tuple_contribution_reference(*args)
+                assert variance == 0.0
+            total += value
+            var_total += variance
+        assert (got.value, got.stderr) == (total, math.sqrt(var_total))
+
+    @pytest.mark.parametrize("coeffs, m, j, alpha, rect", [
+        (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 1, 1.3, MIXED_RECT),
+        (PSI_HALF, 1, 1, 0.5, UpperRect({0: 1.0, 1: 5.0, 2: 1.0})),
+        (ExplicitFinite([1.0, 0.8, 0.6, 0.4, 0.2]), 4, 2, 2.0,
+         UpperRect({0: 1.0, 2: 5.0, 5: 1.0, 7: 5.0, 10: 1.0})),
+        (INDICATOR_PSI, 2, 2, 1.0, INDICATOR_RECT),
+    ])
+    def test_drawn_tuples_agree_with_crude_counting(self, coeffs, m, j, alpha, rect):
+        # Both estimate the same tuple integral from sub-stream ``rank``.
+        drawn = set(tuple_kinds(coeffs, m, j, rect)[2])
+        assert drawn
+        for rank, positions, covers in covering_tuples(coeffs, m, j, rect):
+            if rank in drawn:
+                args = (coeffs, alpha, rect, positions, covers, 20_000, 13, rank)
+                value, variance = limit_measures._tuple_contribution(*args)
+                crude, crude_var = tuple_contribution_reference(*args)
+                assert abs(value - crude) <= 4 * math.sqrt(variance + crude_var)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3, 2.0, 3.0, 60.0])
     def test_pareto_draws_never_fall_below_one(self, alpha):
@@ -334,6 +404,67 @@ class TestNuMJRect:
         assert np.all(model.inverse_survival(u.copy(), out=np.empty_like(u)) >= 1.0)
         in_place = u.copy()
         assert np.all(model.inverse_survival(in_place, out=in_place) >= 1.0)
+
+
+THEORY_B_PSI = ExplicitFinite([1.0, 0.8, 0.6, 0.4, 0.2])
+
+
+class TestConditionalEfficiency:
+    """Integrating one member out must cut the variance, not move the value."""
+
+    ROWS = [
+        (THEORY_B_PSI, 4, UpperRect({0: 1.0, 2: 6.0, 5: 1.0})),
+        (THEORY_B_PSI, 4, UpperRect({0: 1.0, 3: 4.0, 6: 1.0})),
+        (PSI_HALF, 1, UpperRect({0: 1.0, 1: 5.0, 2: 1.0})),
+    ]
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("coeffs, m, rect", ROWS)
+    def test_quarter_of_crude_variance_on_quadrature(self, coeffs, m, rect, seed):
+        got = nu_m_j_rect(coeffs, m, 1.0, 1, rect, 200_000, seed=seed)
+        _, crude_stderr = nu_m_j_rect_reference(coeffs, m, 1.0, 1, rect, 200_000, seed)
+        assert got.stderr**2 <= crude_stderr**2 / 4
+        assert abs(got.value - order1_quadrature(coeffs, m, 1.0, rect)) <= 3 * got.stderr
+
+    def test_alpha_60_binding_row_against_its_integral(self):
+        # Pairs (-1, 1) and (0, 2) are exact, 10^-60 each.  The drawn pair
+        # (0, 1) has z_0 > 1, z_1 > 2 and 0.5 z_0 + z_1 > 5; integrating z_1
+        # out leaves int_1^inf 60 z^-61 max(2, 5 - z/2)^-60 dz, taken here by
+        # the midpoint rule on [1, 6] plus the closed-form piece past 6.
+        # Crude counting needs a Pareto(60) draw 2.25 times its floor and
+        # sees no hit in 200,000 samples.
+        n = 1_000_000
+        z = 1.0 + (np.arange(n) + 0.5) * (5.0 / n)
+        pair = float(np.sum(60.0 * z**-61 * (5.0 - z / 2) ** -60)) * (5.0 / n) + 12.0**-60
+        truth = pair + 2 * 10.0**-60
+        rect = UpperRect({0: 1.0, 1: 5.0, 2: 1.0})
+        for seed in (42, 7):
+            got = nu_m_j_rect(PSI_HALF, 1, 60.0, 1, rect, 200_000, seed=seed)
+            assert 0.0 < got.stderr < 1e-3 * got.value
+            assert abs(got.value - truth) <= 3 * got.stderr
+            assert nu_m_j_rect_reference(PSI_HALF, 1, 60.0, 1, rect, 200_000, seed) == (2e-60, 0.0)
+
+    def test_alpha_60_power_underflows_to_zero(self):
+        # need / L_c is about 5e5 on every sample and 5e5^-60 is below the
+        # smallest double: the drawn pair and both exact pairs read zero.
+        rect = UpperRect({0: 1.0, 1: 1e6, 2: 1.0})
+        got = nu_m_j_rect(PSI_HALF, 1, 60.0, 1, rect, 1000, seed=42)
+        assert (got.value, got.stderr) == (0.0, 0.0)
+        assert nu_m_j_rect_reference(PSI_HALF, 1, 60.0, 1, rect, 1000, 42) == (0.0, 0.0)
+
+    def test_indicator_tuple_is_not_noisier(self):
+        # Constraint 2 of tuple 55 stays an indicator; constraint 4 is integrated.
+        (positions, covers), = [(pos, cov) for rank, pos, cov
+                                in covering_tuples(INDICATOR_PSI, 2, 2, INDICATOR_RECT) if rank == 55]
+        for seed in (42, 7):
+            args = (INDICATOR_PSI, 1.0, INDICATOR_RECT, positions, covers, 200_000, seed, 55)
+            value, variance = limit_measures._tuple_contribution(*args)
+            crude, crude_var = tuple_contribution_reference(*args)
+            assert 0.0 < variance <= crude_var
+            assert abs(value - crude) <= 4 * math.sqrt(variance + crude_var)
+        args = (INDICATOR_PSI, 1.0, INDICATOR_RECT, positions, covers, 20_000, 42, 55)
+        got, want = limit_measures._tuple_contribution(*args), conditional_tuple_reference(*args)
+        assert all(math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0) for g, w in zip(got, want))
 
 
 class TestHomogeneity:
