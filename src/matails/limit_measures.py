@@ -18,11 +18,13 @@ combinatorial question.  The measures supported:
   by the coefficients, value  sum_i (max_k a_k / psi_{k-i})^-alpha  over the
   spike positions that reach every constrained coordinate;
 * ``nu_m_j_rect``       -- order-j limit of the MA(m): an integral over the
-  (j+1)-tuples of spike positions that jointly reach K, evaluated tuple by
-  tuple by conditional Monte Carlo: one member's Pareto tail is integrated
-  in closed form given the others, which are drawn above their floors; a
-  tuple is exact, and draws nothing, when no shared constraint survives
-  its members' private floors;
+  (j+1)-tuples of spike positions that jointly reach K.  The tuples are
+  counted first (at most :data:`MAX_TUPLES`), then walked and their floors
+  computed in numpy a chunk at a time.  A tuple is exact, and draws
+  nothing, when no shared constraint survives its members' private floors;
+  the others are integrated by conditional Monte Carlo: one member's
+  Pareto tail in closed form given the members that share an open
+  constraint with it, which are drawn above their floors;
 * ``nu_inf_0_rect``     -- order-0 limit of the MA(infinity), enumerated at a
   truncation depth with a reported bound on the neglected spike mass;
 * ``marginal_tail_constant`` -- sum_l psi_l^alpha, the one-coordinate tail
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -64,6 +67,14 @@ __all__ = [
 
 # Monte Carlo samples per shared-constraint tuple unless a caller sets one.
 DEFAULT_INTEGRATION_BUDGET = 200_000
+
+# Most covering spike tuples one order-j rectangle may sum over; a larger
+# count raises UnsupportedError before the walk.
+MAX_TUPLES = 250_000
+
+# Cells per (tuples, j+1, |K|) floor array of one numpy pass over a chunk of
+# tuples: the walk and the floors hold a few such arrays whatever the tuple count.
+CHUNK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -171,18 +182,31 @@ def mu_j_rect(j: int, alpha: float, rect: UpperRect) -> MeasureValue:
 
 
 def _candidate_positions(coeffs: CoefficientSeq, m: int, rect: UpperRect):
-    """(i, reach) per spike position influencing K; bit p of reach is rect.indices[p].
+    """(positions, weights): the spike positions that reach K, ascending, and
+    a (positions, |K|) array of each one's psi_{k-i} on every constraint, 0
+    where it does not reach k.
 
     A finite family's spikes reach no further than its order, so m is capped there.
     """
-    ks = rect.indices
     m = coeffs.capped(m)
-    out = []
-    for i in range(rect.min_index - m, rect.max_index + 1):
-        reach = sum(1 << p for p, k in enumerate(ks) if 0 <= k - i <= m and coeffs.psi(k - i) > 0)
-        if reach:
-            out.append((i, reach))
-    return out
+    psi = coeffs.psi_array(m)
+    ks = np.array(rect.indices)
+    # Each constraint's k - lag over the nonzero lags, sorted and deduplicated
+    # (np.unique would import numpy.ma on its first call).
+    reached = np.sort((ks[:, None] - np.flatnonzero(psi)).ravel())
+    positions = reached[np.diff(reached, prepend=reached[0] - 1) > 0]
+    lags = ks - positions[:, None]
+    return positions, np.where((lags >= 0) & (lags <= m), psi[np.clip(lags, 0, m)], 0.0)
+
+
+def _sweep(coeffs: CoefficientSeq, m: int, rect: UpperRect):
+    """(due, reach) per influencing spike position, left to right: bit p of
+    reach is set when the spike reaches rect.indices[p], of due when that
+    constraint lies left of it, where no later spike reaches it either."""
+    positions, weights = _candidate_positions(coeffs, m, rect)
+    passed = np.searchsorted(rect.indices, positions).tolist()
+    for left, held in zip(passed, weights > 0.0):
+        yield (1 << left) - 1, sum(1 << p for p in np.flatnonzero(held).tolist())
 
 
 def spike_cover_number(coeffs: CoefficientSeq, m: int, rect: UpperRect) -> int:
@@ -194,14 +218,14 @@ def spike_cover_number(coeffs: CoefficientSeq, m: int, rect: UpperRect) -> int:
 
     Exact sweep over the positions, left to right: the fewest spikes per
     covered set, a set dropped once the sweep passes a constraint it misses.
-    Cost: the positions, at most m + |K| with m capped at a finite family's
-    order, times at most 2^min(m, |K|) sets live within m.
+    Cost: the positions within m of a constraint, at most |K| (m + 1) with m
+    capped at a finite family's order, times at most 2^min(m, |K|) sets live
+    within m.
     """
     if m < 0:
         raise ParameterError(f"order must be nonnegative, got {m}")
     best = {0: 0}
-    for i, reach in _candidate_positions(coeffs, m, rect):
-        due = sum(1 << p for p, k in enumerate(rect.indices) if k < i)
+    for due, reach in _sweep(coeffs, m, rect):
         sweep = {}
         for covered, count in best.items():
             if covered & due == due:
@@ -210,6 +234,21 @@ def spike_cover_number(coeffs: CoefficientSeq, m: int, rect: UpperRect) -> int:
                         sweep[state] = spikes
         best = sweep
     return best[(1 << len(rect.indices)) - 1]
+
+
+def _covering_count(coeffs: CoefficientSeq, m: int, rect: UpperRect, size: int) -> int:
+    """Number of ``size``-sets of spike positions that cover every constraint,
+    by the sweep of :func:`spike_cover_number` counting per covered set and size."""
+    counts = Counter({(0, 0): 1})
+    for due, reach in _sweep(coeffs, m, rect):
+        sweep = Counter()
+        for (covered, used), count in counts.items():
+            if covered & due == due:
+                sweep[covered, used] += count
+                if used < size:
+                    sweep[covered | reach, used + 1] += count
+        counts = sweep
+    return counts[(1 << len(rect.indices)) - 1, size]
 
 
 def nu_m0_rect(coeffs: CoefficientSeq, m: int, alpha: float, rect: UpperRect) -> MeasureValue:
@@ -240,80 +279,135 @@ def nu_m0_rect(coeffs: CoefficientSeq, m: int, alpha: float, rect: UpperRect) ->
     return MeasureValue(total, EvalMethod.ENUMERATION)
 
 
-def _tuple_contribution(
-    coeffs: CoefficientSeq,
-    alpha: float,
-    rect: UpperRect,
-    positions: tuple[int, ...],
-    covers: tuple[int, ...],
-    budget: int,
-    seed: int,
-    rank: int,
-) -> tuple[float, float]:
-    """(value, variance) of one spike-position tuple's rectangle integral.
+def _tuple_chunks(positions: np.ndarray, held: np.ndarray, ks: tuple[int, ...], size: int,
+                  chunk: int):
+    """The ``size``-combinations of candidates that reach all of K, as
+    (tuples, size) arrays of candidate indices in lexicographic order, at
+    most ``chunk`` tuples each (or one prefix's extensions, if more).
 
-    Every member has at least one private constraint (no smaller spike set
-    covers K), which pins z_h above a positive floor L_h; the integral is
-    over independent Pareto(alpha) values conditioned above L_h, carrying
-    mass prod L_h^-alpha.  A shared constraint k is implied when its floor
-    sum_h psi_{k-i_h} L_h already exceeds a_k: every draw is L_h times a
-    Pareto value >= 1, and rounded products and sums are monotone, so it
-    would hold on every sample.  When no shared constraint survives its
-    floor the region is exactly the product of rays: the value is exact,
-    drawn from no generator.
-
-    Otherwise one member c is integrated out (conditional Monte Carlo):
-    the one with the largest sum of w_c L_c over the surviving constraints
-    it holds, the lowest index on ties.  The other d-1 members are drawn,
-    in member order, as one (budget, d-1) array from sub-stream ``rank``.
-    Given them, each surviving constraint c holds asks z_c > need_k =
-    (a_k - sum_{h != c} w_h z_h) / w_c, which has conditional probability
-    (max(L_c, need) / L_c)^-alpha; the surviving constraints c does not
-    hold stay indicators.  With g that probability times the indicators,
-    the value is mass mean(g) and the variance mass^2 var(g) / budget.
+    The combinations grow one member per level; a prefix extends only at or
+    left of its first uncovered constraint (max K once all are covered), and
+    only while enough candidates remain and the members still to come, each
+    reaching at most as many constraints as the widest candidate, can cover
+    the rest.  Each level expands at most ``chunk`` extensions at a time,
+    depth first, so memory does not grow with the tuple count.
     """
-    d = len(positions)
-    lower = [0.0] * d
-    shared = []
-    for p, (k, a) in enumerate(rect.constraints):
-        holders = [idx for idx in range(d) if covers[idx] >> p & 1]
-        weights = [coeffs.psi(k - positions[idx]) for idx in holders]
-        if len(holders) == 1:
-            lower[holders[0]] = max(lower[holders[0]], a / weights[0])
-        else:
-            shared.append((a, holders, weights))
-    assert all(low > 0 for low in lower), "tuple member without a private constraint"
-    # One numpy power keeps the bits of np.prod(lower ** -alpha); Python's
-    # pow can differ in the last place.
-    mass = math.prod((np.array(lower) ** -alpha).tolist())
-    drawn = []
-    pull = [0.0] * d
-    for a, holders, weights in shared:
-        floor = 0.0
-        for idx, w in zip(holders, weights):
-            floor += w * lower[idx]
-        if not floor > a:
-            drawn.append((a, holders, weights))
-            for idx, w in zip(holders, weights):
-                pull[idx] += w * lower[idx]
-    if not drawn:
-        return mass, 0.0
-    c = pull.index(max(pull))
-    others = [idx for idx in range(d) if idx != c]
-    x = draw(TailModel.standard_pareto(alpha), block_generator(seed, rank), (budget, d - 1))
-    columns = dict(zip(others, x.T))
+    n, ks, widest = len(positions), np.array(ks), int(held.sum(axis=1).max())
+
+    def extend(prefix, covered):
+        level = prefix.shape[1]
+        # Each member still to come covers at most ``widest`` constraints.
+        alive = (~covered).sum(axis=1) <= (size - level) * widest
+        prefix, covered = prefix[alive], covered[alive]
+        if level == size:
+            if len(prefix):
+                yield prefix
+            return
+        first = np.where(covered.all(axis=1), ks[-1], ks[np.argmin(covered, axis=1)])
+        lo = prefix[:, -1] + 1 if level else np.zeros(len(prefix), dtype=np.intp)
+        hi = np.minimum(np.searchsorted(positions, first, side="right"), n - size + level + 1)
+        counts = np.maximum(hi - lo, 0)
+        ends = np.cumsum(counts)
+        start = 0
+        while start < len(prefix):
+            base = int(ends[start - 1]) if start else 0
+            stop = max(int(np.searchsorted(ends, base + chunk, side="right")), start + 1)
+            rows = np.repeat(np.arange(start, stop), counts[start:stop])
+            if len(rows):
+                cols = lo[rows] + np.arange(len(rows)) - (ends[rows] - counts[rows] - base)
+                yield from extend(np.column_stack([prefix[rows], cols]), covered[rows] | held[cols])
+            start = stop
+
+    yield from extend(np.empty((1, 0), dtype=np.intp), np.zeros((1, len(ks)), dtype=bool))
+
+
+def _rank(combo: list[int], n: int) -> int:
+    """Lexicographic rank of an increasing combination among all C(n, len) of range(n)."""
+    d = len(combo)
+    return math.comb(n, d) - 1 - sum(math.comb(n - 1 - c, d - l) for l, c in enumerate(combo))
+
+
+def _contributions(alpha, thresholds, weights, budget, seed, rank_of):
+    """(values, variances) of a chunk of spike-position tuples' rectangle integrals.
+
+    ``weights`` is (tuples, d, |K|): psi_{k-i_h} of member h on constraint k,
+    0 where it does not reach k.  Every member has at least one private
+    constraint (no smaller spike set covers K), which pins z_h above a
+    positive floor L_h; the integral is over independent Pareto(alpha)
+    values conditioned above L_h, carrying mass prod L_h^-alpha.  A shared
+    constraint k is implied when its floor sum_h psi_{k-i_h} L_h, added in
+    member order, already exceeds a_k: every draw is L_h times a Pareto
+    value >= 1, and rounded products and sums are monotone, so it would hold
+    on every sample.  A tuple with no shared constraint left open is
+    exactly its mass; the others integrate on sub-stream ``rank_of(t)``
+    (see :func:`_conditional`).
+    """
+    d = weights.shape[1]
+    held = weights > 0.0
+    holders = held.sum(axis=1)
+    private = held & (holders == 1)[:, None, :]
+    with np.errstate(divide="ignore"):
+        lower = np.where(private, thresholds / weights, 0.0).max(axis=2)
+    assert lower.all(), "tuple member without a private constraint"
+    # Multiplied member by member, left to right, so a tuple's mass has the
+    # same bits in any chunk.
+    powers = lower**-alpha
+    mass = powers[:, 0].copy()
+    pulls = weights * lower[:, :, None]
+    floor = pulls[:, 0].copy()
+    for h in range(1, d):
+        mass *= powers[:, h]
+        floor += pulls[:, h]
+    open_ = (holders > 1) & ~(floor > thresholds)
+    # A drawn tuple's value replaces its mass.
+    variances = np.zeros(len(mass))
+    for t in np.flatnonzero(open_.any(axis=1)).tolist():
+        mean, var = _conditional(
+            alpha, thresholds.tolist(), held[t], pulls[t], open_[t], budget,
+            block_generator(seed, rank_of(t)),
+        )
+        m = float(mass[t])
+        mass[t], variances[t] = m * mean, m**2 * var / budget
+    return mass, variances
+
+
+def _conditional(alpha, thresholds, held, pulls, open_, budget, rng):
+    """Mean and variance of one drawn tuple's conditional scores.
+
+    ``held`` and ``pulls`` are (d, |K|): whether member h reaches
+    constraint k, and its w_h L_h there.  One member c is integrated out: the one with the largest sum of
+    w_c L_c over the open constraints it holds, the lowest index on ties.
+    The other members that hold an open constraint are drawn, in member
+    order, as one (budget, r) array from ``rng``; the rest are never read
+    (their factor integrates to 1).  Given the draws, each open constraint
+    c holds asks z_c > need_k = (a_k - sum_{h != c} w_h z_h) / w_c, which
+    has conditional probability (max(L_c, need) / L_c)^-alpha; the open
+    constraints c does not hold stay indicators.  The score g is that
+    probability times the indicators.
+    """
+    d = len(held)
+    opened = np.flatnonzero(open_).tolist()
+    pull = np.zeros(d)
+    for p in opened:
+        pull += pulls[:, p]
+    c = int(np.argmax(pull))
+    read = [h for h in range(d) if h != c and held[h, open_].any()]
+    x = draw(TailModel.standard_pareto(alpha), rng, (budget, len(read)))
+    columns = dict(zip(read, x.T))
     # ratio = need / L_c, each constraint c holds read in units of w_c L_c.
     ratio = np.ones(budget)
     ok = np.ones(budget, dtype=bool)
     rest, term = np.empty(budget), np.empty(budget)
-    for a, holders, weights in drawn:
-        unit = weights[holders.index(c)] * lower[c] if c in holders else 1.0
-        (coef, col), *more = [(w * lower[idx] / unit, columns[idx])
-                              for idx, w in zip(holders, weights) if idx != c]
+    wl = pulls.tolist()
+    for p in opened:
+        a = thresholds[p]
+        unit = wl[c][p] if held[c, p] else 1.0
+        (coef, col), *more = [(wl[h][p] / unit, columns[h])
+                              for h in range(d) if h != c and held[h, p]]
         np.multiply(coef, col, out=rest)
         for coef, col in more:
             rest += np.multiply(coef, col, out=term)
-        if c in holders:
+        if held[c, p]:
             np.subtract(a / unit, rest, out=rest)
             np.maximum(ratio, rest, out=ratio)
         else:
@@ -324,29 +418,29 @@ def _tuple_contribution(
     mean = float(g.mean())
     g -= mean
     g *= g
-    return mass * mean, mass**2 * float(g.mean()) / budget
+    return mean, float(g.mean())
 
 
-def _covering_tuples(candidates, size: int, ks: tuple[int, ...], start=0, covered=0, rank=0):
-    """(rank, tuple) per ``size``-combination of candidates that reaches all of K.
-
-    ``rank`` counts all combinations before it in lexicographic order: each
-    branch passed over adds its C(n-1-c, size-1).  A prefix extends only at
-    or left of its first uncovered constraint.
-    """
-    uncovered = ~covered & ((1 << len(ks)) - 1)
-    first = ks[(uncovered & -uncovered).bit_length() - 1]  # max K once all are covered
-    n = len(candidates)
-    for c in range(start, n - size + 1):
-        i, reach = candidates[c]
-        if i > first:
-            return
-        if size > 1:
-            for r, rest in _covering_tuples(candidates, size - 1, ks, c + 1, covered | reach, rank):
-                yield r, (candidates[c],) + rest
-        elif not uncovered & ~reach:
-            yield rank, (candidates[c],)
-        rank += math.comb(n - 1 - c, size - 1)
+def _tuple_contribution(
+    coeffs: CoefficientSeq,
+    alpha: float,
+    rect: UpperRect,
+    positions: tuple[int, ...],
+    covers: tuple[int, ...],
+    budget: int,
+    seed: int,
+    rank: int,
+) -> tuple[float, float]:
+    """(value, variance) of one tuple's integral, the tuple given by its
+    positions and cover bitmasks (bit p: rect.indices[p]) and integrated on
+    sub-stream ``rank``: a one-tuple chunk of :func:`_contributions`."""
+    weights = np.array([[coeffs.psi(k - i) if cover >> p & 1 else 0.0
+                         for p, k in enumerate(rect.indices)]
+                        for i, cover in zip(positions, covers)])
+    values, variances = _contributions(
+        alpha, np.array(rect.thresholds), weights[None], budget, seed, lambda t: rank
+    )
+    return float(values[0]), float(variances[0])
 
 
 def nu_m_j_rect(
@@ -366,9 +460,14 @@ def nu_m_j_rect(
     influence K never cover it (no smaller set does either) and contribute
     zero, so walking the covering tuples of influencing positions is exhaustive.
 
-    ``integration_budget`` is the Monte Carlo sample count per tuple; the tuple
-    of rank r among the lexicographic (j+1)-combinations of those positions
-    integrates on sub-stream r, so the result is deterministic in ``seed``.
+    The covering tuples are counted first; more than :data:`MAX_TUPLES`
+    raise :class:`UnsupportedError` before the walk.  The walk and the
+    tuples' floors run a chunk of tuples at a time in numpy; exact tuples
+    take their mass, and the values are added in lexicographic order.
+    ``integration_budget`` is the Monte Carlo sample count per drawn tuple;
+    the tuple of rank r among the lexicographic (j+1)-combinations of the
+    influencing positions integrates on sub-stream r, so the result is
+    deterministic in ``seed``.
     """
     if not integration_budget > 0:
         raise ParameterError(f"integration budget must be positive, got {integration_budget}")
@@ -384,15 +483,23 @@ def nu_m_j_rect(
             note=f"{cover} spike(s) already cover the rectangle; "
             f"it is not bounded away from the {j}-spike cone image",
         )
-    candidates = _candidate_positions(coeffs, m, rect)
-    total = var_total = 0.0
-    for rank, combo in _covering_tuples(candidates, j + 1, rect.indices):
-        positions, covers = zip(*combo)
-        value, variance = _tuple_contribution(
-            coeffs, alpha, rect, positions, covers, integration_budget, seed, rank
+    count = _covering_count(coeffs, m, rect, j + 1)
+    if count > MAX_TUPLES:
+        raise UnsupportedError(
+            f"{count} covering spike tuples exceed the tuple budget of {MAX_TUPLES}"
         )
-        total += value
-        var_total += variance
+    positions, weights = _candidate_positions(coeffs, m, rect)
+    thresholds = np.array(rect.thresholds)
+    total = var_total = 0.0
+    chunk = max(CHUNK_CELLS // ((j + 1) * len(thresholds)), 1)
+    for tuples in _tuple_chunks(positions, weights > 0.0, rect.indices, j + 1, chunk):
+        values, variances = _contributions(
+            alpha, thresholds, weights[tuples], integration_budget, seed,
+            lambda t: _rank(tuples[t].tolist(), len(positions)),
+        )
+        for value, variance in zip(values.tolist(), variances.tolist()):
+            total += value
+            var_total += variance
     return MeasureValue(total, EvalMethod.MONTE_CARLO, stderr=math.sqrt(var_total))
 
 

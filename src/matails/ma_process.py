@@ -33,9 +33,12 @@ blocks and transposes them to one row per replicate.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -117,9 +120,14 @@ class CoefficientSeq:
         raise NotImplementedError
 
     def psi_array(self, m: int) -> np.ndarray:
-        """psi_0 .. psi_m as a vector; ``m`` must be within :data:`MAX_DEPTH`."""
-        _check_depth(m)
-        return np.array([self.psi(j) for j in range(m + 1)], dtype=float)
+        """psi_0 .. psi_m as a read-only vector, bit for bit ``psi(j)``;
+        ``m`` must be within :data:`MAX_DEPTH`.  The last few vectors are
+        cached by family and depth, so callers share them."""
+        return _psi_vector(self, _check_depth(m))
+
+    def _psi_values(self, m: int) -> Iterable[float]:
+        """psi_0 .. psi_m one by one, the family's own arithmetic."""
+        return map(self.psi, range(m + 1))
 
     def sum_psi_power(self, p: float) -> float:
         """sum_j psi_j^p in closed form (p = 1: the mass S); +inf when divergent."""
@@ -193,6 +201,9 @@ class Geometric(CoefficientSeq):
     def psi(self, j: int) -> float:
         return self.rho**j if j >= 0 else 0.0
 
+    def _psi_values(self, m: int) -> Iterable[float]:
+        return map(pow, itertools.repeat(self.rho), range(m + 1))
+
     def sum_psi_power(self, p: float) -> float:
         return 1.0 / (1.0 - self.rho**p)
 
@@ -221,6 +232,9 @@ class Polynomial(CoefficientSeq):
 
     def psi(self, j: int) -> float:
         return float(j + 1) ** -self.beta if j >= 0 else 0.0
+
+    def _psi_values(self, m: int) -> Iterable[float]:
+        return map(pow, map(float, range(1, m + 2)), itertools.repeat(-self.beta))
 
     def sum_psi_power(self, p: float) -> float:
         bp = self.beta * p
@@ -277,6 +291,15 @@ def apply_Tm(coeffs: CoefficientSeq, m: int, z: WindowSeq) -> WindowSeq:
         return ZERO
     out = np.convolve(np.asarray(z.values, dtype=float), coeffs.psi_array(m))
     return WindowSeq(z.lo, tuple(out))
+
+
+@functools.lru_cache(maxsize=4)
+def _psi_vector(coeffs: CoefficientSeq, m: int) -> np.ndarray:
+    # Python's pow, as psi(j) takes it: numpy's vector power can differ in
+    # the last place.
+    out = np.fromiter(coeffs._psi_values(m), dtype=float, count=m + 1)
+    out.flags.writeable = False
+    return out
 
 
 def _check_depth(depth: int) -> int:

@@ -170,19 +170,17 @@ def tuple_contribution_reference(coeffs, alpha, rect, positions, covers, budget,
     return value, variance
 
 
-def conditional_tuple_reference(coeffs, alpha, rect, positions, covers, budget, seed, rank):
-    """(value, variance) of one tuple's integral with one member integrated out,
-    restated one sample at a time.
+def conditional_plan(coeffs, rect, positions, covers):
+    """(lower, open constraints, c, read) of one tuple under the conditional rule.
 
-    Shared constraints whose floor (the members' private floors weighted by
-    psi, added in member order) exceeds the threshold are dropped; with none
-    left the value is the exact mass.  Otherwise the member c with the
-    largest sum of psi L_c over the remaining constraints it holds (lowest
-    index on ties) is integrated out: the others are drawn as one
-    ``(budget, d-1)`` array from sub-stream ``rank``, in member order, and
-    each sample scores (max(L_c, need) / L_c)^-alpha, need being the largest
-    (a_k - rest_k) / psi_k over the remaining constraints c holds, times the
-    indicators of the remaining constraints c does not hold.
+    Each member's floor is the largest a_k / psi_k over its private
+    constraints.  Shared constraints whose floor (the members' floors
+    weighted by psi, added in member order) exceeds the threshold are
+    dropped; the rest stay open as (k, a, holders).  With some left open,
+    the member c with the largest sum of psi L_c over the open constraints
+    it holds (lowest index on ties) is integrated out, and the other
+    members that hold an open constraint, in member order, are read; with
+    none open, c is None and nothing is read.
     """
     d = len(positions)
     lower = [0.0] * d
@@ -194,23 +192,42 @@ def conditional_tuple_reference(coeffs, alpha, rect, positions, covers, budget, 
             lower[idx] = max(lower[idx], a / coeffs.psi(k - positions[idx]))
         else:
             shared.append((k, a, holders))
+    open_ = [(k, a, holders) for k, a, holders in shared
+             if not sum(coeffs.psi(k - positions[h]) * lower[h] for h in holders) > a]
+    if not open_:
+        return lower, open_, None, []
+    pull = [sum(coeffs.psi(k - positions[idx]) * lower[idx]
+                for k, _, holders in open_ if idx in holders)
+            for idx in range(d)]
+    c = max(range(d), key=lambda idx: (pull[idx], -idx))
+    read = [idx for idx in range(d)
+            if idx != c and any(idx in holders for _, _, holders in open_)]
+    return lower, open_, c, read
+
+
+def conditional_tuple_reference(coeffs, alpha, rect, positions, covers, budget, seed, rank):
+    """(value, variance) of one tuple's integral with one member integrated out,
+    restated one sample at a time.
+
+    With no shared constraint open (see :func:`conditional_plan`) the value
+    is the exact mass.  Otherwise the read members are drawn as one
+    ``(budget, r)`` array from sub-stream ``rank``, and each sample scores
+    (max(L_c, need) / L_c)^-alpha, need being the largest (a_k - rest_k) / psi_k
+    over the open constraints c holds, times the indicators of the open
+    constraints c does not hold.
+    """
+    lower, open_, c, read = conditional_plan(coeffs, rect, positions, covers)
     mass = float(np.prod(np.array(lower) ** -alpha))
+    if not open_:
+        return mass, 0.0
 
     def w(k, idx):
         return coeffs.psi(k - positions[idx])
 
-    open_ = [(k, a, holders) for k, a, holders in shared
-             if not sum(w(k, h) * lower[h] for h in holders) > a]
-    if not open_:
-        return mass, 0.0
-    pull = [sum(w(k, idx) * lower[idx] for k, _, holders in open_ if idx in holders)
-            for idx in range(d)]
-    c = max(range(d), key=lambda idx: (pull[idx], -idx))
-    others = [idx for idx in range(d) if idx != c]
-    sample = draw(TailModel.standard_pareto(alpha), block_generator(seed, rank), (budget, d - 1))
+    sample = draw(TailModel.standard_pareto(alpha), block_generator(seed, rank), (budget, len(read)))
     scores = []
     for row in sample.tolist():
-        z = {h: lower[h] * x for h, x in zip(others, row)}
+        z = {h: lower[h] * x for h, x in zip(read, row)}
         need, ok = lower[c], True
         for k, a, holders in open_:
             rest = sum(w(k, h) * z[h] for h in holders if h != c)
@@ -228,13 +245,10 @@ def covering_tuples(coeffs, m, j, rect):
     that covers K; ``rank`` counts every combination, covering or not, in
     lexicographic order, and bit p of a cover is ``rect.indices[p]``."""
     needed = set(rect.indices)
-    cands = [
-        i
-        for i in range(rect.min_index - m, rect.max_index + 1)
-        if coverage(coeffs, m, rect, i)
-    ]
+    reach = {i: coverage(coeffs, m, rect, i) for i in range(rect.min_index - m, rect.max_index + 1)}
+    cands = [i for i, cov in reach.items() if cov]
     for rank, combo in enumerate(itertools.combinations(cands, j + 1)):
-        sets = [coverage(coeffs, m, rect, i) for i in combo]
+        sets = [reach[i] for i in combo]
         if set().union(*sets) != needed:
             continue
         covers = [sum(1 << p for p, k in enumerate(rect.indices) if k in cov) for cov in sets]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import matails.cli
-from matails import ExplicitFinite, TailModel, hill, sample, simulate
+from matails import ExplicitFinite, TailModel, hill, limit_measures, sample, simulate
 from matails.ma_process import MAX_DEPTH, SimulationBatch
 from matails.cli import _sample_slices, _sample_text, _values_from_sample_file, main
 
@@ -387,6 +387,25 @@ def test_default_tolerance_polynomial_exits_2_within_a_second(
     assert time.perf_counter() - start < 1.0
     assert f"lag depth {depth} exceeds the depth budget of {MAX_DEPTH} " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["limits", "verify"])
+def test_forty_constraint_row_is_an_error_row_within_a_second(tmp_path, config_path, command):
+    # psi = (1, .5) with constraints 3 apart: 2^40 covering 40-tuples; the
+    # tuple walk never returned.
+    rect = ", ".join(f"{3 * i}:1.0" for i in range(40))
+    out = tmp_path / "out.csv"
+    start = time.perf_counter()
+    code = main([command, "--config", config_path, "--out", str(out),
+                 "--set", f"rows.row0=39; {rect}", "--set", "run.n=200"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    rows = read_csv(out)
+    header = rows[0]
+    errors = [r[header.index("error" if command == "verify" else "note")] for r in rows[1:]]
+    assert errors[0] == (f"{2**40} covering spike tuples exceed the tuple budget of "
+                         f"{limit_measures.MAX_TUPLES}")
+    assert not errors[1]
 
 
 # Rows whose theory evaluation is infeasible or raises, on configs that verify

@@ -29,6 +29,7 @@ from matails import (
 )
 
 from oracles import (
+    conditional_plan,
     conditional_tuple_reference,
     cover_oracle,
     coverage,
@@ -192,6 +193,16 @@ class TestSpikeCover:
         start = time.perf_counter()
         assert spike_cover_number(ExplicitFinite([1.0, 0.0, 1.0]), 2, rect) == 20
         assert time.perf_counter() - start < 1.0
+
+    def test_far_apart_constraints_cost_only_their_windows(self):
+        # The candidates are the positions within m of a constraint, not the
+        # billion indices between the two; the four covering pairs factor.
+        rect = UpperRect({0: 1.0, 10**9: 1.0})
+        start = time.perf_counter()
+        assert spike_cover_number(PSI_HALF, 1, rect) == 2
+        got = nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect, 16, seed=1)
+        assert time.perf_counter() - start < 0.5
+        assert (got.value, got.stderr) == (2.25, 0.0)
 
     def test_order_past_a_finite_family_costs_nothing(self):
         # Lags past the order reach nothing, so m = 10^6 is the m = 1 sweep.
@@ -407,6 +418,73 @@ class TestNuMJRect:
 
 
 THEORY_B_PSI = ExplicitFinite([1.0, 0.8, 0.6, 0.4, 0.2])
+THEORY_B_J2_RECT = UpperRect({0: 1.0, 2: 5.0, 5: 1.0, 7: 5.0, 10: 1.0})
+
+
+def walked(coeffs, m, j, rect, chunk):
+    """(rank, positions, covers) of every tuple the chunked walk yields, in order."""
+    positions, weights = limit_measures._candidate_positions(coeffs, m, rect)
+    out = []
+    for tuples in limit_measures._tuple_chunks(positions, weights > 0.0, rect.indices, j + 1, chunk):
+        assert 0 < len(tuples) <= max(chunk, len(positions))
+        for combo in tuples.tolist():
+            covers = [sum(1 << p for p in np.flatnonzero(weights[c]).tolist()) for c in combo]
+            out.append((limit_measures._rank(combo, len(positions)),
+                        tuple(positions[combo].tolist()), covers))
+    return out
+
+
+class TestTupleWalk:
+    MIXED_THRESHOLDS = TestNuMJRect.MIXED_THRESHOLDS
+
+    @settings(max_examples=80, deadline=None)
+    @example(ExplicitFinite([1.0, 0.0, 1.0]), 2, 9, UpperRect({k: 1.0 for k in range(18)}), 4096)
+    @example(THEORY_B_PSI, 4, 5, UpperRect({k: 1.0 for k in range(0, 26, 5)}), 4096)
+    @example(THEORY_B_PSI, 4, 5, UpperRect({k: 1.0 for k in range(0, 26, 5)}), 1000)
+    @given(gapped(4), st.integers(0, 4), st.sampled_from([1, 2, 3]), MIXED_THRESHOLDS,
+           st.sampled_from([1, 3, 4096]))
+    def test_walk_yields_the_oracle_sequence(self, coeffs, m, j, rect, chunk):
+        # Lexicographic order, ranks among all combinations, and the counting
+        # sweep's total, whether or not the rectangle is bounded away.
+        want = [(rank, tuple(combo), covers)
+                for rank, combo, covers in covering_tuples(coeffs, m, j, rect)]
+        assert walked(coeffs, m, j, rect, chunk) == want
+        assert limit_measures._covering_count(coeffs, m, rect, j + 1) == len(want)
+
+    @pytest.mark.parametrize("coeffs, m, j, rect", [
+        (THEORY_B_PSI, 4, 2, THEORY_B_J2_RECT),
+        (INDICATOR_PSI, 2, 2, INDICATOR_RECT),
+    ])
+    def test_members_without_an_open_constraint_draw_no_column(self, monkeypatch, coeffs, m, j, rect):
+        shapes = []
+        original = limit_measures.draw
+
+        def recording(model, rng, shape):
+            shapes.append(shape)
+            return original(model, rng, shape)
+
+        monkeypatch.setattr(limit_measures, "draw", recording)
+        nu_m_j_rect(coeffs, m, 1.0, j, rect, 64, seed=3)
+        want = []
+        for _, positions, covers in covering_tuples(coeffs, m, j, rect):
+            _, open_, _, read = conditional_plan(coeffs, rect, positions, covers)
+            if open_:
+                want.append((64, len(read)))
+        assert shapes == want
+        # Some drawn tuple has a member that holds no open constraint.
+        assert any(cols < j for _, cols in shapes)
+
+    def test_over_the_tuple_budget_raises_before_the_walk(self, monkeypatch):
+        # psi = (1, .5), constraints 3 apart: each one is reached by two
+        # positions and by no other constraint's, so 2^K covering K-tuples.
+        rect = UpperRect({3 * i: 1.0 for i in range(12)})
+        monkeypatch.setattr(limit_measures, "MAX_TUPLES", 4096)
+        assert not nu_m_j_rect(PSI_HALF, 1, 1.0, 11, rect, 16, seed=1).is_infinite
+        monkeypatch.setattr(limit_measures, "MAX_TUPLES", 4095)
+        monkeypatch.setattr(limit_measures, "_tuple_chunks", lambda *a: pytest.fail("walked"))
+        with pytest.raises(UnsupportedError, match="4096 covering spike tuples exceed the tuple budget of 4095"):
+            nu_m_j_rect(PSI_HALF, 1, 1.0, 11, rect, 16, seed=1)
+
 
 
 class TestConditionalEfficiency:

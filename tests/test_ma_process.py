@@ -28,6 +28,7 @@ from matails import (
     spike,
     truncation_diagnostic,
 )
+from matails.cli import main
 from matails.sequence_space import ZERO
 from oracles import dyadic_window, simulate_oracle, tm_oracle, truncation_scan
 
@@ -64,6 +65,55 @@ class TestCoefficientFamilies:
         for coeffs in (ExplicitFinite([1, 0.5, 0.25]), Geometric(0.3), Polynomial(1.7)):
             arr = coeffs.psi_array(9)
             assert np.array_equal(arr, [coeffs.psi(j) for j in range(10)])
+
+
+class TestPsiVector:
+    @pytest.mark.parametrize("coeffs, m", [
+        *[(Polynomial(beta), 10**5) for beta in (1.5, 2, 2.95, 3.3)],
+        *[(Geometric(rho), 10**5) for rho in (0.3, 0.5, 0.9)],
+        (ExplicitFinite([1.0, 0.5, 0.0, 0.25, 0.0, 0.0]), 9),
+        (ExplicitFinite([1.0, 0.5, 0.0, 0.25, 0.0, 0.0]), 2),
+    ])
+    def test_bit_for_bit_the_pointwise_psi(self, coeffs, m):
+        # The same Python pow as psi(j); numpy's vector power differs in the
+        # last place on some lags.
+        arr = coeffs.psi_array(m)
+        want = np.array([coeffs.psi(j) for j in range(m + 1)])
+        assert arr.shape == (m + 1,)
+        assert np.array_equal(arr.view(np.int64), want.view(np.int64))
+
+    def test_read_only_and_shared(self):
+        coeffs = Polynomial(2.0)
+        arr = coeffs.psi_array(1000)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+        assert Polynomial(2.0).psi_array(1000) is arr
+        assert coeffs.psi_array(999) is not arr
+
+    @pytest.mark.parametrize("family", [Geometric(0.5), Polynomial(2.0)])
+    def test_refuses_before_building(self, monkeypatch, family):
+        monkeypatch.setattr(type(family), "_psi_values", lambda self, m: pytest.fail("built"))
+        with pytest.raises(UnsupportedError, match="depth budget"):
+            family.psi_array(ma.MAX_DEPTH + 1)
+
+    def test_limits_builds_the_vector_once_for_its_rows(self, tmp_path, monkeypatch):
+        # The three order-0 rows of an MA(inf) config at depth 10^5 share it.
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[coefficients]\nfamily = polynomial\nbeta = 2\nm = infinite\n"
+                       "trunc_eps = 1e-5\n[tail]\nfamily = standard_pareto\nalpha = 1.0\n"
+                       "[rows]\nrow0 = 0; 0:1\nrow1 = 0; 0:1, 1:1\nrow2 = 0; 0:2, 3:1\n")
+        built = []
+        original = Polynomial._psi_values
+
+        def counting(self, m):
+            built.append(m)
+            return original(self, m)
+
+        ma._psi_vector.cache_clear()
+        monkeypatch.setattr(Polynomial, "_psi_values", counting)
+        assert main(["limits", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 0
+        assert built == [100_000]
 
 
 class TestCheckAssumptions:

@@ -1,6 +1,7 @@
 """Simulation memory is bounded by the window and the block, not by the lag
 depth or the replicate count; ``verify`` counts exceedances without storing
-the replicate matrix, and ``simulate`` writes its rows a slice at a time."""
+the replicate matrix, and ``simulate`` writes its rows a slice at a time.
+The order-j tuple sum walks and integrates its tuples a chunk at a time."""
 
 import os
 import subprocess
@@ -8,9 +9,12 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import matails.cli
 import matails.ma_process as ma
-from matails import INFINITE, ExplicitFinite, Geometric, TailModel, UpperRect, hrv_scan, simulate
+from matails import (INFINITE, ExplicitFinite, Geometric, TailModel, UpperRect, hrv_scan,
+                     nu_m_j_rect, simulate)
 
 ROOT = Path(__file__).resolve().parent.parent
 PARETO1 = TailModel.standard_pareto(1.0)
@@ -56,6 +60,21 @@ def test_simulate_command_builds_rows_a_slice_at_a_time(tmp_path, monkeypatch):
     code, peak = traced_peak(matails.cli.main, argv)
     assert code == 0
     assert peak < 64 * 32768 * 3
+
+
+def test_tuple_sum_peak_does_not_grow_with_the_tuple_count():
+    # K constraints 5 apart under five nonzero lags: 5^K covering K-tuples,
+    # all exact.  One (5^7, 7, 7) float array of them alone is 30 MB.
+    psi = ExplicitFinite([1.0, 0.8, 0.6, 0.4, 0.2])
+    peaks = {}
+    for size in (6, 7):
+        rect = UpperRect({5 * i: 1.0 for i in range(size)})
+        value, peaks[size] = traced_peak(nu_m_j_rect, psi, 4, 1.0, size - 1, rect, 64, seed=1)
+        assert value.value == pytest.approx(3.0**size, rel=1e-12)
+        assert value.stderr == 0.0
+    assert max(peaks.values()) < 8 * 2**20
+    # Five times the tuples, one more member and constraint per tuple.
+    assert peaks[7] < 1.5 * peaks[6]
 
 
 # Runs its arguments as a child and prints the child's exit code and peak RSS
