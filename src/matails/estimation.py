@@ -211,7 +211,7 @@ def hrv_scan(
     row (scaling exponent 0.0, no estimate) carrying the evaluator's note
     or message, and the scan continues.  Every row's verdict is settled
     before the simulation, which then runs in count mode: it counts the
-    exceedances of the accepted rows block by block and stores no
+    exceedances of the accepted rows tile by tile and stores no
     ``n x width`` matrix.  This is the per-level body of
     :func:`convergence_table`.
     """

@@ -15,7 +15,8 @@ Sampling is inverse-transform on a counter-based Philox generator, so
 identical ``(model, count, seed)`` reproduce the stream bit for bit.  The
 sub-stream rule is fixed: block ``b`` of a partitioned run draws from
 ``Philox(SeedSequence(seed, spawn_key=(b,)))``; a plain ``sample`` call is
-block 0 of its own run (no spawn key).  Workers never share a stream.
+block 0 of its own run (no spawn key).  Workers never share a generator;
+each seeks its own to the stream offset it needs (Salmon et al., SC'11).
 """
 
 from __future__ import annotations
@@ -93,18 +94,19 @@ class TailModel:
         return self.scale * (t ** (1.0 / self.alpha) - 1.0)
 
 
-def block_generator(seed: int, block: int | None = None) -> np.random.Generator:
-    """Philox generator for one sub-stream of a seeded run.
+def block_generator(seed: int, block: int | None = None, offset: int = 0) -> np.random.Generator:
+    """Philox generator for one sub-stream of a seeded run, at double ``offset``.
 
     ``block=None`` is the undivided stream; block ``b`` spawns the child
     ``SeedSequence(seed, spawn_key=(b,))``.  This rule is part of the
-    reproducibility contract and must not change.
+    reproducibility contract and must not change.  The one seek rule: four
+    doubles per counter step, so advance ``offset // 4`` steps (which empties
+    the buffer) and discard ``offset % 4`` doubles.
     """
-    if block is None:
-        ss = np.random.SeedSequence(seed)
-    else:
-        ss = np.random.SeedSequence(seed, spawn_key=(block,))
-    return np.random.Generator(np.random.Philox(ss))
+    ss = np.random.SeedSequence(seed, spawn_key=() if block is None else (block,))
+    bits = np.random.Philox(ss).advance(offset // 4)
+    bits.random_raw(offset % 4)
+    return np.random.Generator(bits)
 
 
 def draw(model: TailModel, rng: np.random.Generator, shape, out=None) -> np.ndarray:

@@ -21,14 +21,13 @@ in-package Euler-Maclaurin summation to within about 1 ulp.
 
 Replicates are generated in fixed-size blocks with per-block Philox
 sub-streams (see :mod:`matails.innovations`), so results are reproducible
-and independent of how many workers process the blocks.  A block's
-innovations are drawn newest index first, a slab of a few lag rows at a
-time into one reused buffer; the slabs join into the same stream as one
-(length, rows) draw, and each drawn row is added into the block's sums as
-it arrives, so memory does not grow with the lag depth.  The one block
-kernel either stores the sums or only counts exceedances of given
-constraint sets; the audit view :func:`innovation_matrix` draws whole
-blocks and transposes them to one row per replicate.
+and independent of how many workers run.  A block's innovations form one
+(length, rows) draw, newest index first.  The one block kernel runs tiles
+of at most :data:`TILE_ROWS` replicates, each seeking its lag rows in the
+block's stream, so memory grows with neither the block nor the lag depth;
+a tile stores its sums or only counts exceedances of given constraint
+sets.  The audit view :func:`innovation_matrix` draws whole blocks and
+transposes them to one row per replicate.
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ __all__ = [
     "check_assumptions",
     "apply_Tm",
     "MAX_DEPTH",
+    "MAX_DRAWS",
     "choose_truncation",
     "resolve_depth",
     "continuity_modulus",
@@ -70,9 +70,11 @@ INFINITE = math.inf
 # Rows per Philox sub-stream; fixed so output never depends on worker count.
 BLOCK_ROWS = 1 << 20
 
-# Lag rows drawn per slab: the block's innovations pass through one reused
-# slab buffer, so simulation memory does not grow with the lag depth.
-SLAB_ROWS = 4
+# Replicates per tile task, the unit of work and of worker memory.
+TILE_ROWS = 1 << 16
+
+# Most innovations one simulation draws (replicates times lag rows): hours of work.
+MAX_DRAWS = 10**10
 
 # Relative coefficient-mass tolerances: the default truncation of the
 # infinite-order process, and the "effectively exact" depth used as the
@@ -464,19 +466,21 @@ def simulate(
     ``window`` is the inclusive index interval [k_lo, k_hi]; ``m`` is the
     moving-average order or :data:`INFINITE`.  Each replicate draws the
     innovations Z_{k_hi}, Z_{k_hi - 1}, .., Z_{k_lo - N} (N = resolved lag
-    depth) from its block's sub-stream, in slabs of :data:`SLAB_ROWS` lag
-    rows that join into the same stream as one draw; each drawn row is added
-    into the block's ``(width, rows)`` sums as it arrives.  Besides the
-    stored output, a worker thus holds about ``(SLAB_ROWS + 1 + width) *
-    min(replicates, BLOCK_ROWS) * 8`` bytes (the ``width`` rows only when
-    counting), whatever the depth.
+    depth) from its block's sub-stream: lag row i of block replicate r is
+    the stream's double ``i * rows + r``.  A task takes a tile of at most
+    :data:`TILE_ROWS` replicates of one block, draws its lag rows at those
+    offsets and adds each into the tile's ``(width, n)`` sums, lags in the
+    order j = 0, 1, ...  Besides the stored output, a worker holds about
+    ``(width + 2) * TILE_ROWS * 8`` bytes, whatever the depth or the
+    replicate count.  More than :data:`MAX_DRAWS` innovations raise
+    :class:`UnsupportedError` before anything is allocated.
 
     Without ``count`` the batch stores the ``(replicates, width)`` matrix.
     With ``count``, a sequence of constraint sets (tuples of ``(column,
-    threshold)`` pairs), nothing is stored: each block counts its
-    replicates strictly above every pair of each set, and the batch holds
-    the totals.  Blocks run on a pool of ``threads`` workers; the output is
-    deterministic in ``seed`` and identical for any ``threads``.
+    threshold)`` pairs), nothing is stored: each tile counts its replicates
+    strictly above every pair of each set, and the batch holds the totals,
+    added in tile order.  Tiles run on a pool of ``threads`` workers; the
+    output is deterministic in ``seed`` and identical for any ``threads``.
     """
     k_lo, k_hi = window
     if k_lo > k_hi:
@@ -488,33 +492,36 @@ def simulate(
     depth = resolve_depth(coeffs, m, trunc_eps)
     width = k_hi - k_lo + 1
     length = width + depth
+    if replicates * length > MAX_DRAWS:
+        raise UnsupportedError(f"simulation needs {replicates * length} innovation draws "
+                               f"({replicates} replicates x {length} lag rows), above the limit "
+                               f"of {MAX_DRAWS} (use fewer replicates or a shallower depth)")
     psi = coeffs.psi_array(depth)
     out = np.zeros((width, replicates), dtype=float) if count is None else None
 
-    def run_block(block: int, start: int, rows: int) -> list[int]:
-        acc = np.zeros((width, rows), dtype=float) if out is None else out[:, start:start + rows]
-        slab = np.empty((min(SLAB_ROWS, length), rows), dtype=float)
-        term = np.empty(rows, dtype=float)
-        rng = block_generator(seed, block)
-        for top in range(0, length, SLAB_ROWS):
-            height = min(SLAB_ROWS, length - top)
-            z = draw(model, rng, (height, rows), out=slab[:height])
-            for i, row in enumerate(z, start=top):
-                # Drawn row i holds Z_{k_hi - i}; it feeds column w at lag
-                # j = i - (width - 1 - w), so every column adds its lags in
-                # the order j = 0, 1, .. as the rows arrive.
-                for w in range(max(0, width - 1 - i), min(width, width + depth - i)):
-                    j = i - (width - 1 - w)
-                    if psi[j] != 0.0:
-                        np.multiply(psi[j], row, out=term)
-                        acc[w] += term
+    def run_tile(block: int, start: int, rows: int, c0: int, n: int) -> list[int]:
+        acc = np.zeros((width, n), dtype=float) if out is None else out[:, start + c0:start + c0 + n]
+        row, term = np.empty((2, n), dtype=float)
+        for i in range(length):
+            if i == 0 or n < rows:  # a whole-block tile reads on without seeking
+                rng = block_generator(seed, block, i * rows + c0)
+            draw(model, rng, n, out=row)
+            # Row i holds Z_{k_hi - i}; it feeds column w at lag
+            # j = i - (width - 1 - w), in the order j = 0, 1, ..
+            for w in range(max(0, width - 1 - i), min(width, width + depth - i)):
+                j = i - (width - 1 - w)
+                if psi[j] != 0.0:
+                    np.multiply(psi[j], row, out=term)
+                    acc[w] += term
         return [] if count is None else [_exceedances(acc, c) for c in count]
 
+    tiles = ((block, start, rows, c0, min(TILE_ROWS, rows - c0))
+             for block, start, rows in _blocks(replicates) for c0 in range(0, rows, TILE_ROWS))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        per_block = list(pool.map(lambda b: run_block(*b), _blocks(replicates)))
+        per_tile = list(pool.map(lambda t: run_tile(*t), tiles))
     if count is None:
         return SimulationBatch(k_lo, out.T, depth)
-    totals = [sum(block_counts) for block_counts in zip(*per_block)]
+    totals = [sum(tile_counts) for tile_counts in zip(*per_tile)]
     return SimulationBatch(k_lo, None, depth, dict(zip(count, totals)), (replicates, width))
 
 
@@ -533,8 +540,9 @@ def truncation_diagnostic(
     all but a 1e-12 relative fraction of the coefficient mass (for a finite
     sequence, its order); deeper lags are negligible against Monte Carlo
     noise.  Decay of this value to 0 as N grows is the certificate that
-    truncated simulation is sound.  A reference depth beyond
-    :data:`MAX_DEPTH` raises :class:`UnsupportedError` before any draw.
+    truncated simulation is sound, and :func:`simulate` draws it, so
+    memory does not grow with the reference depth.  A reference depth
+    beyond :data:`MAX_DEPTH` raises :class:`UnsupportedError` before any draw.
     """
     if N < 0:
         raise ParameterError(f"depth must be nonnegative, got {N}")
@@ -547,10 +555,7 @@ def truncation_diagnostic(
         return 0.0
     _check_depth(deep)
     # Lag deep pairs with the first-drawn row, lag N+1 with the last.
-    tail_psi = np.array([coeffs.psi(j) for j in range(deep, N, -1)])
-    threshold = model.quantile_b(t) * x
-    count = 0
-    for block, _, rows in _blocks(replicates):
-        z = draw(model, block_generator(seed, block), (len(tail_psi), rows))
-        count += int(np.count_nonzero(tail_psi @ z > threshold))
-    return t * count / replicates
+    tail = ExplicitFinite(coeffs.psi(j) for j in range(deep, N, -1))
+    exceeds = ((0, model.quantile_b(t) * x),)
+    batch = simulate(tail, deep - N - 1, model, (0, 0), replicates, seed, count=[exceeds])
+    return t * batch.count(exceeds) / replicates

@@ -13,7 +13,7 @@ import pytest
 
 import matails.cli
 from matails import ExplicitFinite, TailModel, hill, limit_measures, sample, simulate
-from matails.ma_process import MAX_DEPTH, SimulationBatch
+from matails.ma_process import MAX_DEPTH, MAX_DRAWS, SimulationBatch
 from matails.cli import _sample_slices, _sample_text, _values_from_sample_file, main
 
 BASE_CONFIG = textwrap.dedent(
@@ -386,6 +386,23 @@ def test_default_tolerance_polynomial_exits_2_within_a_second(
     assert code == 2
     assert time.perf_counter() - start < 1.0
     assert f"lag depth {depth} exceeds the depth budget of {MAX_DEPTH} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulation_over_the_draw_limit_exits_2_within_a_second(tmp_path, config_path, capsys):
+    # 10^6 replicates of 10^6 + 3 lag rows: the lag work ran for hours.
+    out = tmp_path / "out.csv"
+    start = time.perf_counter()
+    code = main([
+        "simulate", "--config", config_path, "--out", str(out),
+        "--set", "coefficients.family=geometric", "--set", "coefficients.rho=0.5",
+        "--set", "coefficients.m=1000000", "--set", "run.n=1000000",
+    ])
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"needs {10**6 * (10**6 + 3)} innovation draws" in err
+    assert f"above the limit of {MAX_DRAWS}" in err
     assert not out.exists()
 
 

@@ -117,6 +117,10 @@ GOLDEN = {
         "out": "cebf50deae9eae02a21099aad8dfb63bc28b6fcbce85f4ac0cae6a400d03f856",
         "out.meta.json": "414891d3d9523b452fdeb580f02ec13724e049f11bb19d2e67a988bb290544c1",
     },
+    "verify-one-block": {
+        "out": "f03b09229e8c9cc8f58efcdede09c2553b95709132ae35084bfdbc1b69304c11",
+        "out.meta.json": "414891d3d9523b452fdeb580f02ec13724e049f11bb19d2e67a988bb290544c1",
+    },
 }
 
 
@@ -152,3 +156,12 @@ def test_verify_hash_over_many_blocks(tmp_path, monkeypatch, threads):
     monkeypatch.setattr(ma, "BLOCK_ROWS", 64)
     got = run_and_hash(tmp_path, VERIFY_CONFIG, ["verify", "--threads", str(threads)])
     assert got == GOLDEN["verify"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_verify_hash_over_tiles_of_one_block(tmp_path, monkeypatch, threads):
+    # 300 replicates in one block, split into tiles of 64 that the thread
+    # pool shares out; the bytes are those of the one-tile run.
+    monkeypatch.setattr(ma, "TILE_ROWS", 64)
+    got = run_and_hash(tmp_path, VERIFY_CONFIG, ["verify", "--threads", str(threads)])
+    assert got == GOLDEN["verify-one-block"]

@@ -117,7 +117,7 @@ class TestSampling:
         buf = np.empty((5, 64))
         assert draw(model, block_generator(4, 2), (5, 64), out=buf) is buf
         assert np.array_equal(buf, whole)
-        # Slabs drawn one after another continue the stream of one draw.
+        # Parts drawn one after another continue the stream of one draw.
         rng = block_generator(4, 2)
         for top in (0, 2, 4):
             bottom = min(top + 2, 5)
@@ -133,3 +133,19 @@ class TestSampling:
         assert np.array_equal(block_generator(7, 3).random(8), expected)
         rng0 = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
         assert np.array_equal(block_generator(7).random(8), rng0.random(8))
+
+
+class TestSeekRule:
+    @pytest.mark.parametrize("block", [0, 3])
+    def test_offset_draws_are_slices_of_the_whole_block_draw(self, block):
+        # rows = 7 is not a multiple of 4, so the row starts i * 7 + c0 take
+        # every offset % 4; each seeked draw runs to the end of its row.
+        model = TailModel.shifted_pareto(1.5, 2.0)
+        rows, length = 7, 6
+        whole = draw(model, block_generator(5, block), (length, rows)).ravel()
+        offsets = range(length * rows)
+        assert {offset % 4 for offset in offsets} == {0, 1, 2, 3}
+        for offset in offsets:
+            n = rows - offset % rows
+            got = draw(model, block_generator(5, block, offset), n)
+            assert np.array_equal(got, whole[offset:offset + n]), offset

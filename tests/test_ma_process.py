@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -411,11 +412,23 @@ class TestSimulate:
         assert not np.array_equal(a.matrix, c.matrix)
 
     def test_thread_count_does_not_change_output(self, monkeypatch):
+        # More workers than cores on 125 tiles, switching threads often:
+        # each tile writes only its own slice and returns its own counts.
         monkeypatch.setattr(ma, "BLOCK_ROWS", 16)
-        args = (Geometric(0.5), 1, PARETO1, (0, 2), 100)
+        monkeypatch.setattr(ma, "TILE_ROWS", 5)
+        args = (Geometric(0.5), 1, PARETO1, (0, 2), 500)
+        sets = [((0, 3.0),), ((1, 2.0), (2, 2.0))]
         serial = simulate(*args, seed=12, threads=1)
-        threaded = simulate(*args, seed=12, threads=4)
+        counted = simulate(*args, seed=12, threads=1, count=sets)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = simulate(*args, seed=12, threads=8)
+            threaded_counts = simulate(*args, seed=12, threads=8, count=sets)
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(serial.matrix, threaded.matrix)
+        assert threaded_counts.counts == counted.counts
 
     def test_blocks_match_innovation_matrix(self, monkeypatch):
         monkeypatch.setattr(ma, "BLOCK_ROWS", 8)
@@ -426,10 +439,13 @@ class TestSimulate:
     @pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("law", [TailModel.standard_pareto, TailModel.shifted_pareto])
     @pytest.mark.parametrize("scale_", [1.0, 2.5])
-    def test_streamed_kernel_matches_whole_block_oracle(self, monkeypatch, alpha, law, scale_):
-        # Depths straddle the slab height; 30 replicates in blocks of 8 end
-        # on a partial block; psi = (1, 0, 0, 0, 0.5) has skipped lags.
+    @pytest.mark.parametrize("tile", [3, 8])
+    def test_streamed_kernel_matches_whole_block_oracle(self, monkeypatch, alpha, law, scale_, tile):
+        # 30 replicates in blocks of 8 end on a partial block; tiles of 3
+        # split each block into seeked partial tiles, tiles of 8 read whole
+        # blocks; psi = (1, 0, 0, 0, 0.5) has skipped lags.
         monkeypatch.setattr(ma, "BLOCK_ROWS", 8)
+        monkeypatch.setattr(ma, "TILE_ROWS", tile)
         model = law(alpha, scale_)
         gapped = ExplicitFinite([1.0, 0.0, 0.0, 0.0, 0.5])
         for coeffs in (Geometric(0.6), gapped):
@@ -441,16 +457,21 @@ class TestSimulate:
                         batch = simulate(coeffs, depth, model, window, 30, 19, threads=threads)
                         assert np.array_equal(batch.matrix, expected), (coeffs, depth, window)
 
-    def test_counted_batch_matches_stored_batch(self, monkeypatch):
-        monkeypatch.setattr(ma, "BLOCK_ROWS", 16)
+    @pytest.mark.parametrize("tile", [3, 8])
+    def test_counted_batch_matches_stored_batch(self, monkeypatch, tile):
+        monkeypatch.setattr(ma, "BLOCK_ROWS", 8)
+        monkeypatch.setattr(ma, "TILE_ROWS", tile)
         args = (Geometric(0.5), 3, PARETO1, (-1, 1), 100, 23)
         sets = [((0, 4.0),), ((0, 3.0), (2, 3.0)), ((1, 6.0), (2, 2.5)), ((1, 6.0), (2, 2.5))]
+        expected = simulate_oracle(*args, block_rows=8)
         stored = simulate(*args)
-        for threads in (1, 2):
+        assert np.array_equal(stored.matrix, expected)
+        for threads in (1, 3):
             counted = simulate(*args, threads=threads, count=sets)
             assert counted.matrix is None and counted.shape == stored.shape == (100, 3)
             for s in sets:
-                assert counted.count(s) == stored.count(s)
+                want = np.count_nonzero(np.all([expected[:, c] > a for c, a in s], axis=0))
+                assert counted.count(s) == stored.count(s) == want
         assert all(0 < stored.count(s) < 100 for s in sets)
         x = stored.matrix
         assert stored.count(sets[1]) == np.count_nonzero((x[:, 0] > 3.0) & (x[:, 2] > 3.0))
