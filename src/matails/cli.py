@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .errors import AssumptionError, ParameterError, UnsupportedError
-from .estimation import convergence_table, hill, theoretical_tail_measure
+from .estimation import convergence_table, hill, theoretical_verdicts
 from .innovations import ParetoFamily, TailModel
 from .limit_measures import DEFAULT_INTEGRATION_BUDGET, UpperRect
 from .ma_process import (
@@ -45,7 +45,6 @@ from .ma_process import (
     Geometric,
     Polynomial,
     SimulationBatch,
-    resolve_depth,
     simulate,
 )
 
@@ -325,23 +324,16 @@ def cmd_simulate(exp: Experiment, threads: int) -> int:
 def cmd_limits(exp: Experiment) -> int:
     if not exp.rows:
         raise ConfigError("limits needs a [rows] section")
-    # Every row shares the lag depth, so a depth over the budget fails the run.
-    resolve_depth(exp.coeffs, exp.m, exp.trunc_eps)
+    verdicts = theoretical_verdicts(exp.coeffs, exp.m, exp.model.alpha, exp.rows,
+                                    exp.trunc_eps, exp.integration_budget, exp.seed)
     out_rows = []
-    for j, rect in exp.rows:
-        try:
-            mv = theoretical_tail_measure(
-                exp.coeffs, exp.m, exp.model.alpha, j, rect,
-                exp.trunc_eps, exp.integration_budget, exp.seed,
-            )
-        except (ParameterError, UnsupportedError) as exc:
-            out_rows.append((j, _rect_text(rect), None, None, None, None, str(exc)))
-            continue
-        value = "+inf (not bounded away)" if mv.is_infinite else mv.value
-        out_rows.append(
-            (j, _rect_text(rect), value, mv.method.value, mv.stderr,
-             mv.truncation_error_bound, mv.note)
-        )
+    for (j, rect), mv in zip(exp.rows, verdicts):
+        if isinstance(mv, str):
+            out_rows.append((j, _rect_text(rect), None, None, None, None, mv))
+        else:
+            value = "+inf (not bounded away)" if mv.is_infinite else mv.value
+            out_rows.append((j, _rect_text(rect), value, mv.method.value, mv.stderr,
+                             mv.truncation_error_bound, mv.note))
     columns = ("j", "rect", "value", "method", "stderr", "truncation_error_bound", "note")
     _write_output(exp, exp.out_path, columns, out_rows, _meta(exp, "limits"))
     return EXIT_OK

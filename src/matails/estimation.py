@@ -6,12 +6,12 @@ Estimates are replicate-based (independent windows), so the exceedance
 count is binomial and the reported standard error (t/n) sqrt(count) is the
 Poisson approximation valid in the rare-event regime.
 
-:func:`hrv_scan` simulates once and pairs each (j, rectangle) row's
-empirical value with the matching theoretical evaluator;
-:func:`convergence_table` repeats the scan along a grid of tail levels t so
-the error decay is visible.  The Monte Carlo integration inside the
-theoretical column runs on a seed derived from the scan seed (spawn tag
-0xFFFFFFFF), never on the simulation stream itself.
+:func:`convergence_table` is the one scan driver: it settles each
+(j, rectangle) row's theory once and reads every tail level t of a grid
+off one simulation, so the error decay along t shows; :func:`hrv_scan` is
+its one-level case.  The Monte Carlo integration inside the theoretical
+column runs on a seed derived from the scan seed (spawn tag 0xFFFFFFFF),
+never on the simulation stream itself.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .limit_measures import (
     nu_m0_rect,
     nu_m_j_rect,
 )
-from .ma_process import INFINITE, CoefficientSeq, SimulationBatch, simulate
+from .ma_process import INFINITE, CoefficientSeq, SimulationBatch, resolve_depth, simulate
 
 __all__ = [
     "TailMeasureEstimate",
@@ -41,6 +41,7 @@ __all__ = [
     "empirical_tail_measure",
     "hill",
     "theoretical_tail_measure",
+    "theoretical_verdicts",
     "hrv_scan",
     "convergence_table",
 ]
@@ -191,61 +192,28 @@ def theoretical_tail_measure(
     return nu_m_j_rect(coeffs, int(m), alpha, j, rect, integration_budget, seed)
 
 
-def hrv_scan(
+def theoretical_verdicts(
     coeffs: CoefficientSeq,
     m,
-    model: TailModel,
+    alpha: float,
     rows: Sequence[tuple[int, UpperRect]],
-    n: int,
-    t: float,
-    seed: int,
     trunc_eps: float | None = None,
     integration_budget: int = DEFAULT_INTEGRATION_BUDGET,
-    threads: int = 1,
-) -> list[HrvRow]:
-    """Simulate once and compare each row against its theoretical limit.
-
-    Row (j, rect) is estimated at scaling exponent 1/(j+1).  A row whose
-    :func:`theoretical_tail_measure` is infinite or raises
-    :class:`ParameterError` or :class:`UnsupportedError` becomes an error
-    row (scaling exponent 0.0, no estimate) carrying the evaluator's note
-    or message, and the scan continues.  Every row's verdict is settled
-    before the simulation, which then runs in count mode: it counts the
-    exceedances of the accepted rows tile by tile and stores no
-    ``n x width`` matrix.  This is the per-level body of
-    :func:`convergence_table`.
-    """
-    if not rows:
-        return []
-    lo = min(rect.min_index for _, rect in rows)
-    hi = max(rect.max_index for _, rect in rows)
-    oracle_seed = _derive_seed(seed, _ORACLE_TAG)
+    seed: int = 0,
+) -> list[MeasureValue | str]:
+    """Each (j, rect) row's :func:`theoretical_tail_measure`, or the message
+    of the :class:`ParameterError` or :class:`UnsupportedError` it raised;
+    the shared lag depth is resolved first, so a depth over
+    :data:`~matails.ma_process.MAX_DEPTH` raises before any evaluator runs."""
+    resolve_depth(coeffs, m, trunc_eps)
     verdicts = []
     for j, rect in rows:
         try:
-            theoretical = theoretical_tail_measure(
-                coeffs, m, model.alpha, j, rect, trunc_eps, integration_budget, oracle_seed
-            )
+            verdicts.append(theoretical_tail_measure(
+                coeffs, m, alpha, j, rect, trunc_eps, integration_budget, seed))
         except (ParameterError, UnsupportedError) as exc:
             verdicts.append(str(exc))
-            continue
-        verdicts.append(theoretical.note if theoretical.is_infinite else theoretical)
-    # Every row lies inside [lo, hi], so each membership is a constraint set.
-    accepted = [
-        _membership(lo, hi - lo + 1, model, t, 1.0 / (j + 1), rect)
-        for (j, rect), verdict in zip(rows, verdicts)
-        if isinstance(verdict, MeasureValue)
-    ]
-    batch = simulate(coeffs, m, model, (lo, hi), n, seed, trunc_eps, threads=threads, count=accepted)
-    out = []
-    for (j, rect), verdict in zip(rows, verdicts):
-        if not isinstance(verdict, MeasureValue):
-            out.append(HrvRow(j, 0.0, rect, None, None, error=verdict))
-            continue
-        exponent = 1.0 / (j + 1)
-        empirical = empirical_tail_measure(batch, model, t, exponent, rect)
-        out.append(HrvRow(j, exponent, rect, empirical, verdict))
-    return out
+    return verdicts
 
 
 def convergence_table(
@@ -260,19 +228,58 @@ def convergence_table(
     integration_budget: int = DEFAULT_INTEGRATION_BUDGET,
     threads: int = 1,
 ) -> list[tuple[float, HrvRow]]:
-    """One scan per tail level, on increasing t.
+    """Compare each row against its theoretical limit at every tail level t.
 
-    Returns (t, row) pairs in grid-major order; each level runs on its own
-    derived seed (spawn tag = level position), so levels are independent.
+    The grid (strictly increasing, each t finite and >= 1) is checked
+    before any work.  Each row's :func:`theoretical_verdicts` entry is
+    settled once; an infinite value or an error message makes it an error
+    row (scaling exponent 0.0, no estimate) at every level.  Then one
+    count-mode simulation on ``seed`` counts every accepted (t, row)
+    constraint set, row (j, rect) scaled at exponent 1/(j+1), and stores
+    no ``n x width`` matrix.  Returns (t, row) pairs in grid-major order.
     """
     grid = [float(t) for t in t_grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ParameterError("tail levels must be strictly increasing")
-    out = []
-    for ti, t in enumerate(grid):
-        scan = hrv_scan(
-            coeffs, m, model, rows, n, t, _derive_seed(seed, ti),
-            trunc_eps, integration_budget, threads,
-        )
-        out.extend((t, row) for row in scan)
-    return out
+    # each level is >= 1 and below the next one, the last one below +inf
+    if not all(1.0 <= a < b for a, b in zip(grid, grid[1:] + [math.inf])):
+        raise ParameterError(f"tail levels must be finite, >= 1 and strictly increasing: {grid}")
+    if not grid or not rows:
+        return []
+    settled = theoretical_verdicts(coeffs, m, model.alpha, rows, trunc_eps, integration_budget,
+                                   _derive_seed(seed, _ORACLE_TAG))
+    verdicts = [v.note if isinstance(v, MeasureValue) and v.is_infinite else v for v in settled]
+    lo = min(rect.min_index for _, rect in rows)
+    hi = max(rect.max_index for _, rect in rows)
+    # Every row lies inside [lo, hi], so each membership is a constraint set.
+    accepted = [
+        _membership(lo, hi - lo + 1, model, t, 1.0 / (j + 1), rect)
+        for t in grid
+        for (j, rect), verdict in zip(rows, verdicts)
+        if isinstance(verdict, MeasureValue)
+    ]
+    batch = simulate(coeffs, m, model, (lo, hi), n, seed, trunc_eps, threads=threads, count=accepted)
+
+    def scan_row(t: float, j: int, rect: UpperRect, verdict) -> HrvRow:
+        if not isinstance(verdict, MeasureValue):
+            return HrvRow(j, 0.0, rect, None, None, error=verdict)
+        exponent = 1.0 / (j + 1)
+        empirical = empirical_tail_measure(batch, model, t, exponent, rect)
+        return HrvRow(j, exponent, rect, empirical, verdict)
+
+    return [(t, scan_row(t, j, rect, v)) for t in grid for (j, rect), v in zip(rows, verdicts)]
+
+
+def hrv_scan(
+    coeffs: CoefficientSeq,
+    m,
+    model: TailModel,
+    rows: Sequence[tuple[int, UpperRect]],
+    n: int,
+    t: float,
+    seed: int,
+    trunc_eps: float | None = None,
+    integration_budget: int = DEFAULT_INTEGRATION_BUDGET,
+    threads: int = 1,
+) -> list[HrvRow]:
+    """The rows of :func:`convergence_table` on the one-level grid [t]."""
+    return [row for _, row in convergence_table(
+        coeffs, m, model, rows, n, [t], seed, trunc_eps, integration_budget, threads)]

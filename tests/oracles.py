@@ -7,8 +7,9 @@ order-0 oracle checks every spike position's coverage one by one, the
 simulation oracle draws each replicate block whole before summing its lags,
 the crude tuple-integral reference draws every tuple with a shared
 constraint, counts hits and walks all combinations, the conditional one
-integrates one member out one sample at a time, and the truncation
-reference scans depths one by one.
+integrates one member out one sample at a time, the truncation
+reference scans depths one by one, and the per-level table runs one
+independent scan, with its own simulation, per tail level.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from matails import WindowSeq, ZERO
+from matails import WindowSeq, ZERO, hrv_scan
 from matails.innovations import ParetoFamily, TailModel, block_generator, draw
 
 
@@ -274,3 +275,16 @@ def truncation_scan(coeffs, eps):
     while coeffs.tail_sum_bound(n) >= eps:
         n += 1
     return n
+
+
+def per_level_table(coeffs, m, model, rows, n, t_grid, seed, **scan_options):
+    """(t, row) pairs from one :func:`hrv_scan` per tail level, level ti on
+    the root seed spawned from ``seed`` with key ti: every level simulates
+    its own windows and evaluates every row's theory again."""
+    out = []
+    for ti, t in enumerate(t_grid):
+        state = np.random.SeedSequence(seed, spawn_key=(ti,)).generate_state(2, np.uint64)
+        level_seed = int(state[0])
+        out.extend((t, row) for row in hrv_scan(coeffs, m, model, rows, n, t, level_seed,
+                                                 **scan_options))
+    return out

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import matails.cli
-from matails import ExplicitFinite, TailModel, hill, limit_measures, sample, simulate
+from matails import ExplicitFinite, TailModel, estimation, hill, limit_measures, sample, simulate
 from matails.ma_process import MAX_DEPTH, MAX_DRAWS, SimulationBatch
 from matails.cli import _sample_slices, _sample_text, _values_from_sample_file, main
 
@@ -368,7 +368,24 @@ INVALID_INPUTS = {
     "order-over-depth-budget-limits": (False, [
         "limits", "--set", "coefficients.family=geometric", "--set", "coefficients.rho=0.5",
         "--set", f"coefficients.m={MAX_DEPTH + 1}"]),
+    "order-over-depth-budget-verify": (False, [
+        "verify", "--set", "coefficients.family=geometric", "--set", "coefficients.rho=0.5",
+        "--set", f"coefficients.m={MAX_DEPTH + 1}"]),
 }
+
+
+@pytest.mark.parametrize("command", ["limits", "verify"])
+def test_order_over_depth_budget_runs_no_evaluator(tmp_path, config_path, monkeypatch, command):
+    # The lag depth is shared by every row, so it is resolved before any row's theory.
+    def forbidden(*args):
+        raise AssertionError("evaluator called before the depth was resolved")
+
+    monkeypatch.setattr(estimation, "theoretical_tail_measure", forbidden)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", config_path, "--out", str(out),
+                 "--set", "coefficients.family=geometric", "--set", "coefficients.rho=0.5",
+                 "--set", f"coefficients.m={MAX_DEPTH + 1}"]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["limits", "verify"])

@@ -24,6 +24,7 @@ from matails import (
     simulate,
     theoretical_tail_measure,
 )
+from oracles import per_level_table
 
 PARETO1 = TailModel.standard_pareto(1.0)
 IDENTITY = ExplicitFinite([1.0])
@@ -292,16 +293,22 @@ class TestConvergenceTable:
             assert abs(row.empirical.value - 1.0) <= 3 * max(row.empirical.stderr, 1e-12)
 
     def test_one_cover_search_per_hidden_row_and_level(self, monkeypatch):
-        # the evaluator is the only caller, so counting at its home counts all
+        # the evaluator is the only caller, so counting at its home counts all;
+        # the theory is settled once for the whole grid, which one simulation serves
         assert not hasattr(estimation, "spike_cover_number")
-        calls = []
+        calls, simulations = [], []
         original = limit_measures.spike_cover_number
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
+        def counting_simulate(*args, **kwargs):
+            simulations.append(args)
+            return simulate(*args, **kwargs)
+
         monkeypatch.setattr(limit_measures, "spike_cover_number", counting)
+        monkeypatch.setattr(estimation, "simulate", counting_simulate)
         rows = [
             (0, UpperRect({0: 1.0})),
             (1, UpperRect({0: 1.0, 2: 1.0})),
@@ -310,7 +317,72 @@ class TestConvergenceTable:
         cells = convergence_table(PSI_HALF, 1, PARETO1, rows, 1000, [10.0, 100.0], 23,
                                   integration_budget=100)
         assert len(cells) == 6
-        assert len(calls) == 2 * 2
+        assert len(calls) == 2
+        assert len(simulations) == 1
+        for grid in ([10.0], [2.0, 10.0, 100.0]):
+            simulations.clear()
+            convergence_table(PSI_HALF, 1, PARETO1, rows, 1000, grid, 23, integration_budget=100)
+            assert len(simulations) == 1
+
+    def test_each_level_is_the_one_level_scan_on_the_same_seed(self):
+        rows = [
+            (0, UpperRect({0: 1.0})),
+            (1, UpperRect({0: 1.0, 2: 1.0})),
+            (1, UpperRect({0: 1.0, 1: 1.0})),  # infeasible
+        ]
+        grid = [4.0, 16.0, 64.0]
+        cells = convergence_table(PSI_HALF, 1, PARETO1, rows, 5000, grid, 29,
+                                  integration_budget=500)
+        assert [t for t, _ in cells] == [t for t in grid for _ in rows]
+        for t in grid:
+            level = [row for s, row in cells if s == t]
+            # same count, value, stderr, theoretical value and error text
+            assert level == hrv_scan(PSI_HALF, 1, PARETO1, rows, 5000, t, 29,
+                                     integration_budget=500)
+            assert level[0].empirical.count > 0 and level[1].empirical.count > 0
+            assert level[2].error is not None
+        hidden = [row.theoretical for _, row in cells if row.j == 1 and row.error is None]
+        assert len(hidden) == 3 and hidden[0] == hidden[1] == hidden[2]
+
+    def test_levels_agree_in_distribution_with_the_per_level_driver(self):
+        # One shared simulation and one simulation per level estimate the
+        # same quantity at each (t, row): pooled over 20 seeds, the two
+        # means agree within 3 combined standard errors.
+        rows = [(0, UpperRect({0: 1.0})), (1, UpperRect({0: 1.0, 2: 1.0}))]
+        grid = [4.0, 16.0, 64.0]
+        n, seeds = 2000, range(20)
+        shared_counts = np.zeros(len(grid) * len(rows))
+        per_level_counts = np.zeros_like(shared_counts)
+        for seed in seeds:
+            shared = convergence_table(PSI_HALF, 1, PARETO1, rows, n, grid, seed,
+                                       integration_budget=100)
+            per_level = per_level_table(PSI_HALF, 1, PARETO1, rows, n, grid, seed,
+                                        integration_budget=100)
+            assert [(t, row.j, row.rect) for t, row in shared] == [
+                (t, row.j, row.rect) for t, row in per_level]
+            shared_counts += [row.empirical.count for _, row in shared]
+            per_level_counts += [row.empirical.count for _, row in per_level]
+        scale = np.repeat(grid, len(rows)) / (n * len(seeds))
+        diff = scale * np.abs(shared_counts - per_level_counts)
+        combined = scale * np.sqrt(shared_counts + per_level_counts)
+        assert np.all(per_level_counts > 0)
+        assert np.all(diff <= 3 * combined), (diff / combined).tolist()
+
+    @pytest.mark.parametrize("grid", [
+        [10.0, 10.0], [10.0, 5.0], [0.5], [math.nan], [math.inf], [10.0, math.inf],
+    ])
+    def test_grid_is_checked_before_any_evaluator_or_draw(self, monkeypatch, grid):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called before the grid was checked")
+
+        monkeypatch.setattr(estimation, "theoretical_tail_measure", forbidden)
+        monkeypatch.setattr(estimation, "simulate", forbidden)
+        rows = [(0, UpperRect({0: 1.0})), (1, UpperRect({0: 1.0, 2: 1.0}))]
+        with pytest.raises(ParameterError, match="tail levels must be"):
+            convergence_table(PSI_HALF, 1, PARETO1, rows, 100, grid, 1)
+        if len(grid) == 1:
+            with pytest.raises(ParameterError, match="tail levels must be"):
+                hrv_scan(PSI_HALF, 1, PARETO1, rows, 100, grid[0], 1)
 
     def test_biased_case_error_decays_in_t(self):
         # shifted Pareto below threshold 1: second-order bias shrinks like 1/t

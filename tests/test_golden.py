@@ -114,11 +114,11 @@ GOLDEN = {
         "out.meta.json": "42e099036c79eb7a2606a7bdf999fd22f7fb3b653759a3c478b15ba021740d8c",
     },
     "verify": {
-        "out": "cebf50deae9eae02a21099aad8dfb63bc28b6fcbce85f4ac0cae6a400d03f856",
+        "out": "cf69c6b56b7b1c34e3acb85084353ab4d473bb6925735eb78653820e9637088e",
         "out.meta.json": "414891d3d9523b452fdeb580f02ec13724e049f11bb19d2e67a988bb290544c1",
     },
     "verify-one-block": {
-        "out": "f03b09229e8c9cc8f58efcdede09c2553b95709132ae35084bfdbc1b69304c11",
+        "out": "1121ce607e2fd4151a86df94c01ae47217a9a033b6d598fee0d8a4342838452e",
         "out.meta.json": "414891d3d9523b452fdeb580f02ec13724e049f11bb19d2e67a988bb290544c1",
     },
 }
