@@ -81,7 +81,7 @@ t = 1000                    ; omit to default to n/1000 (about 1000 exceedances)
 ; t_grid = 10, 100, 1000   ; used by verify instead of t when present
 seed = 42
 ; window = -1:2             ; simulate window; defaults to the rows' span
-; integration_budget = 200000
+; integration_budget = 200000 ; lattice points per drawn tuple, rounded up to a multiple of 16
 
 [output]
 path = out.csv

@@ -21,10 +21,12 @@ combinatorial question.  The measures supported:
   (j+1)-tuples of spike positions that jointly reach K.  The tuples are
   counted first (at most :data:`MAX_TUPLES`), then walked and their floors
   computed in numpy a chunk at a time.  A tuple is exact, and draws
-  nothing, when no shared constraint survives its members' private floors;
-  the others are integrated by conditional Monte Carlo: one member's
-  Pareto tail in closed form given the members that share an open
-  constraint with it, which are drawn above their floors;
+  nothing, when no shared constraint survives its members' private floors.
+  The others integrate one member's Pareto tail in closed form (conditional
+  Monte Carlo) over the members that share an open constraint with it,
+  which run over :data:`SHIFTS` random shifts of one rank-1 lattice
+  (randomized quasi-Monte Carlo; at most :data:`MAX_LATTICE_POINTS` points
+  per row); the spread of the shift means is the standard error;
 * ``nu_inf_0_rect``     -- order-0 limit of the MA(infinity), enumerated at a
   truncation depth with a reported bound on the neglected spike mass;
 * ``marginal_tail_constant`` -- sum_l psi_l^alpha, the one-coordinate tail
@@ -40,6 +42,7 @@ both searches run over positions left to right and prune by that reach.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -48,7 +51,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ParameterError, UnsupportedError
-from .innovations import TailModel, block_generator, draw
+from .innovations import TailModel, block_generator
 from .ma_process import CoefficientSeq, choose_truncation
 from .sequence_space import WindowSeq
 
@@ -65,8 +68,18 @@ __all__ = [
     "nu_inf_0_rect",
 ]
 
-# Monte Carlo samples per shared-constraint tuple unless a caller sets one.
+# Lattice points per drawn tuple unless a caller sets one; a budget is
+# rounded up to a multiple of SHIFTS.
 DEFAULT_INTEGRATION_BUDGET = 200_000
+
+# Independent uniform shifts of each drawn tuple's lattice: the tuple's value
+# is the mean of the shift means, its variance their spread over SHIFTS.
+SHIFTS = 16
+
+# Most lattice points the drawn tuples of one order-j rectangle may
+# evaluate (about 12 s at the 8.6e7 points/s measured on one core of a
+# 2-core machine); a larger count raises UnsupportedError before any draw.
+MAX_LATTICE_POINTS = 10**9
 
 # Most covering spike tuples one order-j rectangle may sum over; a larger
 # count raises UnsupportedError before the walk.
@@ -327,20 +340,20 @@ def _rank(combo: list[int], n: int) -> int:
     return math.comb(n, d) - 1 - sum(math.comb(n - 1 - c, d - l) for l, c in enumerate(combo))
 
 
-def _contributions(alpha, thresholds, weights, budget, seed, rank_of):
-    """(values, variances) of a chunk of spike-position tuples' rectangle integrals.
+def _floors(alpha, thresholds, weights):
+    """(mass, held, pulls, open) of a chunk of spike-position tuples.
 
     ``weights`` is (tuples, d, |K|): psi_{k-i_h} of member h on constraint k,
     0 where it does not reach k.  Every member has at least one private
     constraint (no smaller spike set covers K), which pins z_h above a
     positive floor L_h; the integral is over independent Pareto(alpha)
-    values conditioned above L_h, carrying mass prod L_h^-alpha.  A shared
-    constraint k is implied when its floor sum_h psi_{k-i_h} L_h, added in
-    member order, already exceeds a_k: every draw is L_h times a Pareto
-    value >= 1, and rounded products and sums are monotone, so it would hold
-    on every sample.  A tuple with no shared constraint left open is
-    exactly its mass; the others integrate on sub-stream ``rank_of(t)``
-    (see :func:`_conditional`).
+    values conditioned above L_h, carrying mass prod L_h^-alpha.  ``held``
+    and ``pulls`` are (tuples, d, |K|): whether member h reaches k, and its
+    w_h L_h there.  A shared constraint k is implied when its floor
+    sum_h w_h L_h, added in member order, already exceeds a_k: every draw
+    is L_h times a Pareto value >= 1, and rounded products and sums are
+    monotone, so it would hold at every point.  ``open`` (tuples, |K|)
+    marks the shared constraints left; a tuple with none is exactly its mass.
     """
     d = weights.shape[1]
     held = weights > 0.0
@@ -358,32 +371,56 @@ def _contributions(alpha, thresholds, weights, budget, seed, rank_of):
     for h in range(1, d):
         mass *= powers[:, h]
         floor += pulls[:, h]
-    open_ = (holders > 1) & ~(floor > thresholds)
-    # A drawn tuple's value replaces its mass.
-    variances = np.zeros(len(mass))
+    return mass, held, pulls, (holders > 1) & ~(floor > thresholds)
+
+
+def _contributions(alpha, thresholds, floors, budget, seed, rank_of):
+    """(values, variances) of a chunk of tuples with the given :func:`_floors`:
+    an exact tuple's value is its mass, a drawn one (some shared constraint
+    open) integrates on sub-stream ``rank_of(t)`` (see :func:`_conditional`)."""
+    mass, held, pulls, open_ = floors
+    values, variances = mass.copy(), np.zeros(len(mass))
     for t in np.flatnonzero(open_.any(axis=1)).tolist():
         mean, var = _conditional(
             alpha, thresholds.tolist(), held[t], pulls[t], open_[t], budget,
             block_generator(seed, rank_of(t)),
         )
         m = float(mass[t])
-        mass[t], variances[t] = m * mean, m**2 * var / budget
-    return mass, variances
+        values[t], variances[t] = m * mean, m**2 * var
+    return values, variances
+
+
+@functools.lru_cache(maxsize=16)
+def _korobov(n: int) -> int:
+    """The integer in [1, n) nearest n / phi that is coprime to n, phi the
+    golden ratio (1 for n = 1): in two dimensions its lattice spreads like
+    the Fibonacci lattice.  Cached: one row's drawn tuples share n."""
+    k = np.arange(1, n)
+    distance = np.where(np.gcd(k, n) == 1, np.abs(k - n / ((1.0 + math.sqrt(5.0)) / 2.0)), np.inf)
+    return int(k[np.argmin(distance)]) if n > 1 else 1
 
 
 def _conditional(alpha, thresholds, held, pulls, open_, budget, rng):
-    """Mean and variance of one drawn tuple's conditional scores.
+    """Mean of one drawn tuple's conditional score and the variance of that mean.
 
     ``held`` and ``pulls`` are (d, |K|): whether member h reaches
     constraint k, and its w_h L_h there.  One member c is integrated out: the one with the largest sum of
     w_c L_c over the open constraints it holds, the lowest index on ties.
-    The other members that hold an open constraint are drawn, in member
-    order, as one (budget, r) array from ``rng``; the rest are never read
-    (their factor integrates to 1).  Given the draws, each open constraint
-    c holds asks z_c > need_k = (a_k - sum_{h != c} w_h z_h) / w_c, which
-    has conditional probability (max(L_c, need) / L_c)^-alpha; the open
-    constraints c does not hold stay indicators.  The score g is that
-    probability times the indicators.
+    The r other members that hold an open constraint, in member order, are
+    read; the rest are never read (their factor integrates to 1).  They run
+    over a randomly shifted rank-1 lattice (Cranley & Patterson): ``rng``
+    draws one (SHIFTS, r) array of shifts Delta_s, and each shift moves the
+    n = ceil(budget / SHIFTS) points i z / n mod 1 (Korobov generator
+    z = (1, a, a^2, ..) mod n, a = :func:`_korobov` (n); for r = 1 the
+    points i / n) to u = frac(i z / n + Delta_s); coordinate u is the
+    Pareto value inverse_survival(1 - u) above the member's floor.  Given
+    the read members, each open constraint c holds asks
+    z_c > need_k = (a_k - sum_{h != c} w_h z_h) / w_c, which has conditional
+    probability (max(L_c, need) / L_c)^-alpha; the open constraints c does
+    not hold stay indicators.  The score g is that probability times the
+    indicators.  Each shifted lattice is uniform on [0, 1)^r, so each shift
+    mean is an unbiased estimate; the mean is their average and its
+    variance their sample variance over SHIFTS (SHIFTS - 1 degrees of freedom).
     """
     d = len(held)
     opened = np.flatnonzero(open_).tolist()
@@ -392,33 +429,45 @@ def _conditional(alpha, thresholds, held, pulls, open_, budget, rng):
         pull += pulls[:, p]
     c = int(np.argmax(pull))
     read = [h for h in range(d) if h != c and held[h, open_].any()]
-    x = draw(TailModel.standard_pareto(alpha), rng, (budget, len(read)))
-    columns = dict(zip(read, x.T))
-    # ratio = need / L_c, each constraint c holds read in units of w_c L_c.
-    ratio = np.ones(budget)
-    ok = np.ones(budget, dtype=bool)
-    rest, term = np.empty(budget), np.empty(budget)
+    # Per open constraint: its threshold (over w_c L_c where c holds it), and
+    # the read members' coefficients in the same unit.
     wl = pulls.tolist()
+    checks = []
     for p in opened:
-        a = thresholds[p]
         unit = wl[c][p] if held[c, p] else 1.0
-        (coef, col), *more = [(wl[h][p] / unit, columns[h])
-                              for h in range(d) if h != c and held[h, p]]
-        np.multiply(coef, col, out=rest)
-        for coef, col in more:
-            rest += np.multiply(coef, col, out=term)
-        if held[c, p]:
-            np.subtract(a / unit, rest, out=rest)
-            np.maximum(ratio, rest, out=ratio)
-        else:
-            ok &= rest > a
-    g = ratio
-    g **= -alpha
-    g *= ok
-    mean = float(g.mean())
-    g -= mean
-    g *= g
-    return mean, float(g.mean())
+        checks.append((thresholds[p] / unit, bool(held[c, p]),
+                       [(wl[h][p] / unit, read.index(h)) for h in read if held[h, p]]))
+    n = -(-budget // SHIFTS)
+    a = _korobov(n)
+    lattice = np.array([np.arange(n) * pow(a, p, n) % n for p in range(len(read))]) / n
+    model = TailModel.standard_pareto(alpha)
+    rest, term = np.empty(n), np.empty(n)
+    means = []
+    for shift in rng.random((SHIFTS, len(read))).tolist():
+        columns = []
+        for points, delta in zip(lattice, shift):
+            u = points + delta
+            np.subtract(u, 1.0, out=u, where=u >= 1.0)
+            np.subtract(1.0, u, out=u)
+            columns.append(model.inverse_survival(u, out=u))
+        # ratio = need / L_c, each constraint c holds read in units of w_c L_c.
+        ratio = np.ones(n)
+        ok = np.ones(n, dtype=bool)
+        for bound, integrated, ((coef, col), *more) in checks:
+            np.multiply(coef, columns[col], out=rest)
+            for coef, col in more:
+                rest += np.multiply(coef, columns[col], out=term)
+            if integrated:
+                np.subtract(bound, rest, out=rest)
+                np.maximum(ratio, rest, out=ratio)
+            else:
+                ok &= rest > bound
+        g = ratio
+        g **= -alpha
+        g *= ok
+        means.append(g.mean())
+    means = np.array(means)
+    return float(means.mean()), float(means.var(ddof=1)) / SHIFTS
 
 
 def _tuple_contribution(
@@ -437,8 +486,9 @@ def _tuple_contribution(
     weights = np.array([[coeffs.psi(k - i) if cover >> p & 1 else 0.0
                          for p, k in enumerate(rect.indices)]
                         for i, cover in zip(positions, covers)])
+    thresholds = np.array(rect.thresholds)
     values, variances = _contributions(
-        alpha, np.array(rect.thresholds), weights[None], budget, seed, lambda t: rank
+        alpha, thresholds, _floors(alpha, thresholds, weights[None]), budget, seed, lambda t: rank
     )
     return float(values[0]), float(variances[0])
 
@@ -462,12 +512,15 @@ def nu_m_j_rect(
 
     The covering tuples are counted first; more than :data:`MAX_TUPLES`
     raise :class:`UnsupportedError` before the walk.  The walk and the
-    tuples' floors run a chunk of tuples at a time in numpy; exact tuples
-    take their mass, and the values are added in lexicographic order.
-    ``integration_budget`` is the Monte Carlo sample count per drawn tuple;
-    the tuple of rank r among the lexicographic (j+1)-combinations of the
-    influencing positions integrates on sub-stream r, so the result is
-    deterministic in ``seed``.
+    tuples' floors then run a chunk of tuples at a time in numpy and count
+    the drawn tuples; more than :data:`MAX_LATTICE_POINTS` lattice points
+    in all raise :class:`UnsupportedError` before any draw.  With none
+    drawn, the sum of the masses is the value.  Otherwise a second walk
+    integrates each drawn tuple over SHIFTS * ceil(integration_budget /
+    SHIFTS) lattice points; the tuple of rank r among the lexicographic
+    (j+1)-combinations of the influencing positions draws its shifts from
+    sub-stream r, so the result is deterministic in ``seed``.  Values are
+    added in lexicographic order.
     """
     if not integration_budget > 0:
         raise ParameterError(f"integration budget must be positive, got {integration_budget}")
@@ -490,11 +543,29 @@ def nu_m_j_rect(
         )
     positions, weights = _candidate_positions(coeffs, m, rect)
     thresholds = np.array(rect.thresholds)
-    total = var_total = 0.0
     chunk = max(CHUNK_CELLS // ((j + 1) * len(thresholds)), 1)
-    for tuples in _tuple_chunks(positions, weights > 0.0, rect.indices, j + 1, chunk):
+
+    def floored():
+        for tuples in _tuple_chunks(positions, weights > 0.0, rect.indices, j + 1, chunk):
+            yield tuples, _floors(alpha, thresholds, weights[tuples])
+
+    drawn, total = 0, 0.0
+    for _, (mass, _, _, open_) in floored():
+        drawn += int(open_.any(axis=1).sum())
+        for value in mass.tolist():
+            total += value
+    points = drawn * SHIFTS * -(-integration_budget // SHIFTS)
+    if points > MAX_LATTICE_POINTS:
+        raise UnsupportedError(
+            f"{drawn} drawn spike tuples need {points} lattice points, "
+            f"above the limit of {MAX_LATTICE_POINTS} (use a smaller integration_budget)"
+        )
+    if not drawn:
+        return MeasureValue(total, EvalMethod.MONTE_CARLO, stderr=0.0)
+    total = var_total = 0.0
+    for tuples, floors in floored():
         values, variances = _contributions(
-            alpha, thresholds, weights[tuples], integration_budget, seed,
+            alpha, thresholds, floors, integration_budget, seed,
             lambda t: _rank(tuples[t].tolist(), len(positions)),
         )
         for value, variance in zip(values.tolist(), variances.tolist()):

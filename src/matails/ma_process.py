@@ -479,7 +479,8 @@ def simulate(
     With ``count``, a sequence of constraint sets (tuples of ``(column,
     threshold)`` pairs), nothing is stored: each tile counts its replicates
     strictly above every pair of each set, and the batch holds the totals,
-    added in tile order.  Tiles run on a pool of ``threads`` workers; the
+    added in tile order; an empty ``count`` returns after the draw limit
+    check, running no tile.  Tiles run on a pool of ``threads`` workers; the
     output is deterministic in ``seed`` and identical for any ``threads``.
     """
     k_lo, k_hi = window
@@ -496,6 +497,8 @@ def simulate(
         raise UnsupportedError(f"simulation needs {replicates * length} innovation draws "
                                f"({replicates} replicates x {length} lag rows), above the limit "
                                f"of {MAX_DRAWS} (use fewer replicates or a shallower depth)")
+    if count is not None and not count:
+        return SimulationBatch(k_lo, None, depth, {}, (replicates, width))
     psi = coeffs.psi_array(depth)
     out = np.zeros((width, replicates), dtype=float) if count is None else None
 

@@ -423,6 +423,21 @@ def test_simulation_over_the_draw_limit_exits_2_within_a_second(tmp_path, config
     assert not out.exists()
 
 
+def test_all_error_rows_over_the_draw_limit_exit_2(tmp_path, config_path, capsys):
+    # No row is counted, but the simulation still checks its draw limit.
+    out = tmp_path / "out.csv"
+    code = main([
+        "verify", "--config", config_path, "--out", str(out),
+        "--set", "rows.row0=-1; 0:1.0", "--set", "rows.row1=1; 0:1.0, 1:1.0",
+        "--set", "run.n=10000000000",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"needs {10**10 * 3} innovation draws" in err
+    assert f"above the limit of {MAX_DRAWS}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["limits", "verify"])
 def test_forty_constraint_row_is_an_error_row_within_a_second(tmp_path, config_path, command):
     # psi = (1, .5) with constraints 3 apart: 2^40 covering 40-tuples; the
@@ -440,6 +455,27 @@ def test_forty_constraint_row_is_an_error_row_within_a_second(tmp_path, config_p
     assert errors[0] == (f"{2**40} covering spike tuples exceed the tuple budget of "
                          f"{limit_measures.MAX_TUPLES}")
     assert not errors[1]
+
+
+@pytest.mark.parametrize("command", ["limits", "verify"])
+def test_row_over_the_lattice_point_limit_is_an_error_row_within_a_second(
+        tmp_path, config_path, command):
+    # psi = (1, 1, 1, 1, 1) with 21 constraints 3 apart: 20,480 drawn tuples
+    # integrated for about a minute.
+    rect = ", ".join(f"{3 * i}:{5.0 if i % 2 else 1.0}" for i in range(21))
+    out = tmp_path / "out.csv"
+    start = time.perf_counter()
+    code = main([command, "--config", config_path, "--out", str(out),
+                 "--set", "coefficients.values=1, 1, 1, 1, 1", "--set", "coefficients.m=4",
+                 "--set", f"rows.row1=10; {rect}", "--set", "run.n=200"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    rows = read_csv(out)
+    header = rows[0]
+    errors = [r[header.index("error" if command == "verify" else "note")] for r in rows[1:]]
+    assert not errors[0]
+    assert errors[1] == (f"20480 drawn spike tuples need 4096000000 lattice points, above the "
+                         f"limit of {limit_measures.MAX_LATTICE_POINTS} (use a smaller integration_budget)")
 
 
 # Rows whose theory evaluation is infeasible or raises, on configs that verify

@@ -384,6 +384,14 @@ class TestConvergenceTable:
             with pytest.raises(ParameterError, match="tail levels must be"):
                 hrv_scan(PSI_HALF, 1, PARETO1, rows, 100, grid[0], 1)
 
+    def test_all_error_rows_draw_nothing(self, monkeypatch):
+        # Nothing to count: the simulation stops after its draw limit check.
+        monkeypatch.setattr(ma, "block_generator", lambda *a: pytest.fail("drew"))
+        rows = [(-1, UpperRect({0: 1.0})), (1, UpperRect({0: 1.0, 1: 1.0}))]
+        cells = convergence_table(PSI_HALF, 1, PARETO1, rows, 10**6, [10.0, 100.0], 1)
+        assert len(cells) == 4
+        assert all(row.error and row.empirical is None for _, row in cells)
+
     def test_biased_case_error_decays_in_t(self):
         # shifted Pareto below threshold 1: second-order bias shrinks like 1/t
         model = TailModel.shifted_pareto(1.0)

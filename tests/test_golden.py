@@ -74,6 +74,29 @@ LIMITS_GEOMETRIC_CONFIG = textwrap.dedent(
     """
 )
 
+# Hidden-order rows with drawn tuples: row0's drawn pair reads one member
+# (a one-dimensional lattice), row1's drawn triples read one or two.
+LIMITS_DRAWN_CONFIG = textwrap.dedent(
+    """\
+    [coefficients]
+    family = explicit
+    values = 1, 1, 0.5
+    m = 2
+
+    [tail]
+    family = standard_pareto
+    alpha = 1.0
+
+    [rows]
+    row0 = 1; 0:1.0, 2:6.0, 4:1.0
+    row1 = 2; 0:2.0, 1:4.0, 2:8.0, 3:1.0, 4:20.0, 6:8.0
+
+    [run]
+    seed = 5
+    integration_budget = 1000
+    """
+)
+
 VERIFY_CONFIG = textwrap.dedent(
     """\
     [coefficients]
@@ -113,6 +136,10 @@ GOLDEN = {
         "out": "11eedfd6f3aec88b737c1ec7afa7bfb97ef21f72370730fc76b9f72162b739fa",
         "out.meta.json": "42e099036c79eb7a2606a7bdf999fd22f7fb3b653759a3c478b15ba021740d8c",
     },
+    "limits-drawn": {
+        "out": "1f6888fc08c706ee2633964038ac984c6f869607afa8e1adfed1a335e5048081",
+        "out.meta.json": "4a281b58ed89b949be3ff23611eb77d88af13b70a78b6e268a75741c0ed4b5c3",
+    },
     "verify": {
         "out": "cf69c6b56b7b1c34e3acb85084353ab4d473bb6925735eb78653820e9637088e",
         "out.meta.json": "414891d3d9523b452fdeb580f02ec13724e049f11bb19d2e67a988bb290544c1",
@@ -141,6 +168,7 @@ CASES = {
     "simulate-json": (SIMULATE_CONFIG, ["simulate", "--format", "json"]),
     "limits-finite": (LIMITS_FINITE_CONFIG, ["limits"]),
     "limits-geometric": (LIMITS_GEOMETRIC_CONFIG, ["limits"]),
+    "limits-drawn": (LIMITS_DRAWN_CONFIG, ["limits"]),
 }
 
 

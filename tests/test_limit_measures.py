@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -34,9 +35,11 @@ from oracles import (
     cover_oracle,
     coverage,
     covering_tuples,
+    iid_conditional_reference,
     m0_oracle,
     nu_m_j_rect_reference,
     order1_quadrature,
+    pair_integral,
     tuple_contribution_reference,
 )
 
@@ -365,8 +368,9 @@ class TestNuMJRect:
            st.sampled_from([0.5, 1.0, 1.3, 2.0, 3.0]), MIXED_THRESHOLDS, st.integers(0, 2**32 - 1))
     def test_bitwise_equal_to_unpruned_reference(self, coeffs, m, j, alpha, rect, seed):
         # Exact and pruned tuples keep the crude reference's bits; drawn tuples
-        # integrate one member out, restated sample by sample in the
-        # conditional reference (same draws, other rounding in the power).
+        # integrate one member out on the shifted lattice, restated point by
+        # point in the conditional reference (same shifts, other rounding in
+        # the power and the sums).
         got = nu_m_j_rect(coeffs, m, alpha, j, rect, 64, seed=seed)
         if got.is_infinite:
             assert cover_oracle(coeffs, m, rect) <= j
@@ -456,20 +460,26 @@ class TestTupleWalk:
         (INDICATOR_PSI, 2, 2, INDICATOR_RECT),
     ])
     def test_members_without_an_open_constraint_draw_no_column(self, monkeypatch, coeffs, m, j, rect):
+        # Each drawn tuple reads one (SHIFTS, r) array of lattice shifts.
         shapes = []
-        original = limit_measures.draw
+        original = limit_measures.block_generator
 
-        def recording(model, rng, shape):
-            shapes.append(shape)
-            return original(model, rng, shape)
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
 
-        monkeypatch.setattr(limit_measures, "draw", recording)
+            def random(self, shape):
+                shapes.append(shape)
+                return self.rng.random(shape)
+
+        monkeypatch.setattr(limit_measures, "block_generator",
+                            lambda seed, rank: Recording(original(seed, rank)))
         nu_m_j_rect(coeffs, m, 1.0, j, rect, 64, seed=3)
         want = []
         for _, positions, covers in covering_tuples(coeffs, m, j, rect):
             _, open_, _, read = conditional_plan(coeffs, rect, positions, covers)
             if open_:
-                want.append((64, len(read)))
+                want.append((limit_measures.SHIFTS, len(read)))
         assert shapes == want
         # Some drawn tuple has a member that holds no open constraint.
         assert any(cols < j for _, cols in shapes)
@@ -485,10 +495,34 @@ class TestTupleWalk:
         with pytest.raises(UnsupportedError, match="4096 covering spike tuples exceed the tuple budget of 4095"):
             nu_m_j_rect(PSI_HALF, 1, 1.0, 11, rect, 16, seed=1)
 
+    def test_over_the_lattice_point_limit_raises_before_any_draw(self, monkeypatch):
+        # Every drawn tuple evaluates SHIFTS * ceil(budget / SHIFTS) points:
+        # 16 * 7 = 112 at budget 100.
+        drawn = len(tuple_kinds(THEORY_B_PSI, 4, 2, THEORY_B_J2_RECT)[2])
+        points = drawn * 112
+        monkeypatch.setattr(limit_measures, "MAX_LATTICE_POINTS", points)
+        assert nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT, 100, seed=1).stderr > 0.0
+        monkeypatch.setattr(limit_measures, "MAX_LATTICE_POINTS", points - 1)
+        monkeypatch.setattr(limit_measures, "block_generator", lambda *a: pytest.fail("drew"))
+        with pytest.raises(UnsupportedError, match=f"{drawn} drawn spike tuples need {points} "
+                           f"lattice points, above the limit of {points - 1} "):
+            nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT, 100, seed=1)
+
+    def test_many_drawn_tuples_are_refused_in_milliseconds(self):
+        # psi = (1, 1, 1, 1, 1), 21 constraints 3 apart, thresholds alternating
+        # 1 and 5, at the cover number: 20,480 of 35,840 tuples draw, about a
+        # minute of integration at the default budget.
+        rect = UpperRect({3 * i: 5.0 if i % 2 else 1.0 for i in range(21)})
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedError, match="20480 drawn spike tuples need 4096000000 lattice points"):
+            nu_m_j_rect(ExplicitFinite([1.0] * 5), 4, 1.0, 10, rect, seed=1)
+        assert time.perf_counter() - start < 1.0
+
 
 
 class TestConditionalEfficiency:
-    """Integrating one member out must cut the variance, not move the value."""
+    """Integrating one member out on a shifted lattice must cut the variance,
+    report it honestly, and not move the value."""
 
     ROWS = [
         (THEORY_B_PSI, 4, UpperRect({0: 1.0, 2: 6.0, 5: 1.0})),
@@ -496,13 +530,50 @@ class TestConditionalEfficiency:
         (PSI_HALF, 1, UpperRect({0: 1.0, 1: 5.0, 2: 1.0})),
     ]
 
+    @staticmethod
+    @functools.cache
+    def pair_value(coeffs, m, rect):
+        return pair_integral(coeffs, m, 1.0, rect)
+
     @pytest.mark.parametrize("seed", [42, 7])
     @pytest.mark.parametrize("coeffs, m, rect", ROWS)
-    def test_quarter_of_crude_variance_on_quadrature(self, coeffs, m, rect, seed):
+    def test_quarter_of_crude_variance_on_the_pair_integral(self, coeffs, m, rect, seed):
         got = nu_m_j_rect(coeffs, m, 1.0, 1, rect, 200_000, seed=seed)
         _, crude_stderr = nu_m_j_rect_reference(coeffs, m, 1.0, 1, rect, 200_000, seed)
         assert got.stderr**2 <= crude_stderr**2 / 4
-        assert abs(got.value - order1_quadrature(coeffs, m, 1.0, rect)) <= 3 * got.stderr
+        assert abs(got.value - self.pair_value(coeffs, m, rect)) <= 3 * got.stderr
+
+    def test_pair_integral_oracle(self):
+        # The pencil value of the binding PSI_HALF row, and node doubling on
+        # the theory-b rows: the oracle is good to well under 1e-9, where the
+        # 1500-point tensor grid is off by up to about 2e-6.
+        _, m, rect = self.ROWS[2]
+        pencil = 0.2 + math.log(13.5) / 50.0 + 0.25
+        assert abs(self.pair_value(PSI_HALF, m, rect) - pencil) <= 1e-11
+        for coeffs, m, rect in self.ROWS[:2]:
+            fine = pair_integral(coeffs, m, 1.0, rect, nodes=2 * 10**6)
+            assert abs(self.pair_value(coeffs, m, rect) - fine) <= 1e-11
+
+    def test_stderr_is_honest_over_seeds(self):
+        # The seed-to-seed spread of each drawn theory-b row matches the
+        # stderr it reports (16 shifts: 15 degrees of freedom per seed).
+        rows = [(1, rect) for _, _, rect in self.ROWS[:2]] + [(2, THEORY_B_J2_RECT)]
+        for j, rect in rows:
+            got = [nu_m_j_rect(THEORY_B_PSI, 4, 1.0, j, rect, 2**14, seed=seed) for seed in range(40)]
+            spread = np.std([g.value for g in got], ddof=1)
+            reported = math.sqrt(np.mean([g.stderr**2 for g in got]))
+            assert 0.6 * reported <= spread <= 1.6 * reported
+
+    def test_lattice_beats_iid_conditional_draws(self):
+        # The binding PSI_HALF pair, one read member: the same conditional
+        # score on i.i.d. draws has at least 100 times the variance.
+        _, m, rect = self.ROWS[2]
+        (rank, positions, covers), = [t for t in covering_tuples(PSI_HALF, m, 1, rect)
+                                      if t[0] in tuple_kinds(PSI_HALF, m, 1, rect)[2]]
+        args = (PSI_HALF, 1.0, rect, positions, covers, 20_000, 42, rank)
+        _, variance = limit_measures._tuple_contribution(*args)
+        _, iid_variance = iid_conditional_reference(*args)
+        assert 0.0 < 100 * variance <= iid_variance
 
     def test_alpha_60_binding_row_against_its_integral(self):
         # Pairs (-1, 1) and (0, 2) are exact, 10^-60 each.  The drawn pair
