@@ -27,6 +27,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -52,9 +53,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# ``simulate`` turns this many nonzero cells into Python rows at a time,
-# so it never holds three whole columns of Python objects.
-ROW_SLICE = 1 << 16
+# The sample-file block: ``simulate`` writes ``ROW_SLICE // width`` replicate
+# rows at a time and ``hill --sample`` parses ``ROW_SLICE`` lines at a time, so
+# neither side holds whole-file index, Python-row or parse arrays.
+ROW_SLICE = 1 << 14
 
 EXAMPLE_CONFIG = """\
 [coefficients]
@@ -292,11 +294,12 @@ def _simulate(exp: Experiment, command: str, window: tuple[int, int],
 
 
 def _sample_slices(batch: SimulationBatch):
-    """(replicate ids, indices, values) of the nonzero cells, ``ROW_SLICE`` at a time."""
-    r, w = np.nonzero(batch.matrix)
-    for s in range(0, r.size, ROW_SLICE):
-        rs, ws = r[s:s + ROW_SLICE], w[s:s + ROW_SLICE]
-        yield rs.tolist(), (batch.lo + ws).tolist(), batch.matrix[rs, ws].tolist()
+    """(replicate ids, indices, values) of the nonzero cells, ``ROW_SLICE // width`` rows at a time."""
+    rows = max(1, ROW_SLICE // batch.matrix.shape[1])
+    for start in range(0, batch.matrix.shape[0], rows):
+        block = batch.matrix[start:start + rows]
+        r, w = np.nonzero(block)
+        yield (r + start).tolist(), (batch.lo + w).tolist(), block[r, w].tolist()
 
 
 def _sample_text(ids, indices, values) -> str:
@@ -375,40 +378,66 @@ def cmd_verify(exp: Experiment, threads: int) -> int:
     return EXIT_OK
 
 
+def _sample_rows(path: str, lines: list[str], line: int):
+    """(ids, indices, values) of sample-file data lines, the first on file line ``line``."""
+    try:
+        ids, idx, vals = np.loadtxt(lines, delimiter=",", ndmin=2, usecols=(0, 1, 2)).T
+        keys = np.concatenate((ids, idx))
+        if not np.all(np.isfinite(keys) & (keys == np.floor(keys))):
+            raise ValueError("replicate_id and index must be integers")
+    except ValueError as exc:
+        if len(lines) > 1:
+            # numpy numbers rows within the block: parse it line by line to name the bad one
+            for offset, text in enumerate(lines):
+                _sample_rows(path, [text], line + offset)
+        msg = re.sub(r" at row \d+", "", str(exc))
+        raise ConfigError(f"{path}, line {line}: {msg}") from None
+    return ids, idx, vals
+
+
 def _values_from_sample_file(path: str, index: int) -> np.ndarray:
-    """Reconstruct a coordinate's replicate values from a simulate CSV.
+    """Reconstruct a coordinate's replicate values from a simulate CSV,
+    parsed ``ROW_SLICE`` lines at a time.
 
     ``n`` is the sidecar's (a nonnegative integer, or null for none), else the
     largest id + 1; absent cells read 0.0, ids outside ``[0, n)`` are ignored
     and a repeated ``(id, index)`` keeps its last row.
     """
+    sidecar = f"{path}.meta.json"
     try:
-        with open(f"{path}.meta.json", "r", encoding="utf-8") as fh:
+        with open(sidecar, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except FileNotFoundError:
         meta = {}
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{sidecar}: unreadable sidecar ({exc})") from None
     if not isinstance(meta, dict):
-        raise ConfigError(f"{path}.meta.json: not a JSON object ({type(meta).__name__})")
+        raise ConfigError(f"{sidecar}: not a JSON object ({type(meta).__name__})")
     n = meta.get("n")
     if n is not None and (type(n) is not int or n < 0):
-        raise ConfigError(f"{path}.meta.json: n must be a nonnegative integer, got {n!r}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+        raise ConfigError(f"{sidecar}: n must be a nonnegative integer, got {n!r}")
+    values = None if n is None else np.zeros(n)
+    # without n, the kept cells wait in file order for the largest id over all indices
+    kept, top, line = [], -1.0, 2
+    with open(path, "r", encoding="utf-8", newline="") as fh, warnings.catch_warnings():
         if fh.readline().rstrip("\r\n") != "replicate_id,index,value":
             raise ConfigError(f"{path} is not a simulate output file")
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is a valid sample with no nonzero cells
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                ids, idx, vals = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=(0, 1, 2)).T
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    keys = np.concatenate((ids, idx))
-    if not np.all(np.isfinite(keys) & (keys == np.floor(keys))):
-        raise ConfigError(f"{path}: replicate_id and index must be integers")
-    total = n if n is not None else int(ids.max(initial=-1.0)) + 1
-    keep = (idx == index) & (ids >= 0) & (ids < total)
-    values = np.zeros(total)
-    values[ids[keep].astype(np.intp)] = vals[keep]
+        # a header-only file is a valid sample with no nonzero cells
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        while lines := list(itertools.islice(fh, ROW_SLICE)):
+            ids, idx, vals = _sample_rows(path, lines, line)
+            line += len(lines)
+            keep = (idx == index) & (ids >= 0)
+            if n is None:
+                top = max(top, ids.max(initial=-1.0))
+                kept.append((ids[keep], vals[keep]))
+            else:
+                keep &= ids < n
+                values[ids[keep].astype(np.intp)] = vals[keep]
+    if n is None:
+        values = np.zeros(int(top) + 1)
+        for ids, vals in kept:
+            values[ids.astype(np.intp)] = vals
     return values
 
 

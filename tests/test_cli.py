@@ -55,12 +55,21 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+# ROW_SLICE values for the sample-file tests: 1, 2 and 7 lines per block
+# put block boundaries inside short files; the default holds them whole.
+SAMPLE_BLOCKS = [1, 2, 7, matails.cli.ROW_SLICE]
+
+
 def write_sample(tmp_path, body, meta=None):
-    """A simulate-style sample file, with the JSON sidecar ``meta`` when given."""
+    """A simulate-style sample file, with the JSON sidecar ``meta`` when given
+    (bytes are written as they are)."""
     path = tmp_path / "sample.csv"
     path.write_text("replicate_id,index,value\n" + body)
-    if meta is not None:
-        (tmp_path / "sample.csv.meta.json").write_text(json.dumps(meta))
+    sidecar = tmp_path / "sample.csv.meta.json"
+    if isinstance(meta, bytes):
+        sidecar.write_bytes(meta)
+    elif meta is not None:
+        sidecar.write_text(json.dumps(meta))
     return str(path)
 
 
@@ -122,7 +131,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_row_slices_do_not_change_bytes(self, tmp_path, config_path, monkeypatch, fmt):
-        # 2000 replicates x 3 indices: one slice by default, 858 slices of 7.
+        # 2000 replicates x 3 indices: one block by default, 1000 blocks of 2 rows.
         whole, sliced = tmp_path / f"whole.{fmt}", tmp_path / f"sliced.{fmt}"
         assert main(["simulate", "--config", config_path, "--out", str(whole), "--format", fmt]) == 0
         monkeypatch.setattr(matails.cli, "ROW_SLICE", 7)
@@ -134,13 +143,13 @@ class TestSimulateCommand:
 class TestSampleWriter:
     def test_template_matches_csv_writer_across_slices(self, monkeypatch):
         # Extreme doubles and negated shifted-Pareto draws, one zero cell
-        # skipped, 15 nonzero cells cut into slices of 4.
+        # skipped, 15 nonzero cells cut into blocks of 4 // 4 = 1 replicate row.
         draws = sample(TailModel.shifted_pareto(0.7), 11, seed=3)
         values = [1e16, 1e-5, 5e-324, 1.7976931348623157e308, 0.0, *(-draws).tolist()]
         batch = SimulationBatch(-1, np.array(values).reshape(4, 4), 0)
         monkeypatch.setattr(matails.cli, "ROW_SLICE", 4)
         cuts = list(_sample_slices(batch))
-        assert [len(ids) for ids, _, _ in cuts] == [4, 4, 4, 3]
+        assert [len(ids) for ids, _, _ in cuts] == [4, 3, 4, 4]
         rows = [(r, w - 1, values[4 * r + w]) for r in range(4) for w in range(4) if values[4 * r + w]]
         assert [row for cut in cuts for row in zip(*cut)] == rows
         expected = io.StringIO()
@@ -276,7 +285,9 @@ class TestHillCommand:
         assert main(["hill", "--config", config_path, "--k", "10", "--index", str(index)]) == 2
         assert f"index {index} lies outside the simulated window" in capsys.readouterr().err
 
-    def test_sample_file_is_bitwise_round_trip(self, tmp_path, config_path):
+    @pytest.mark.parametrize("row_slice", SAMPLE_BLOCKS)
+    def test_sample_file_is_bitwise_round_trip(self, tmp_path, config_path, monkeypatch, row_slice):
+        monkeypatch.setattr(matails.cli, "ROW_SLICE", row_slice)
         out = tmp_path / "s.csv"
         assert main([
             "simulate", "--config", config_path, "--out", str(out),
@@ -291,15 +302,22 @@ class TestHillCommand:
             assert np.array_equal(_values_from_sample_file(str(out), batch.lo + c),
                                   batch.matrix[:, c])
 
-    def test_sample_reader_semantics(self, tmp_path):
-        body = "0,0,1.5\n-1,0,9.5\n3,0,7.0\n2,1,4.0\n2,0,2.0\n2,0,2.5\n"
+    @pytest.mark.parametrize("row_slice", SAMPLE_BLOCKS)
+    def test_sample_reader_semantics(self, tmp_path, monkeypatch, row_slice):
+        # Data lines 2-10.  The (1, 1) repeat on lines 7-9 crosses a block
+        # boundary at every block size but the default, and the largest id
+        # (line 4) sits in an earlier block than index 1's last rows.
+        monkeypatch.setattr(matails.cli, "ROW_SLICE", row_slice)
+        body = ("0,0,1.5\n-1,0,9.5\n3,0,7.0\n2,1,4.0\n2,0,2.0\n"
+                "1,1,0.25\n1,1,0.5\n1,1,0.75\n2,0,2.5\n")
         path = write_sample(tmp_path, body, {"n": 3})
         # ids outside [0, n) are ignored, absent cells read 0.0, the last repeat wins
         assert _values_from_sample_file(path, 0).tolist() == [1.5, 0.0, 2.5]
-        assert _values_from_sample_file(path, 1).tolist() == [0.0, 0.0, 4.0]
+        assert _values_from_sample_file(path, 1).tolist() == [0.0, 0.75, 4.0]
+        assert _values_from_sample_file(path, 2).tolist() == [0.0, 0.0, 0.0]
         (tmp_path / "sample.csv.meta.json").unlink()
         # without a sidecar, n is the largest id over all indices, plus 1
-        assert _values_from_sample_file(path, 1).tolist() == [0.0, 0.0, 4.0, 0.0]
+        assert _values_from_sample_file(path, 1).tolist() == [0.0, 0.75, 4.0, 0.0]
         path = write_sample(tmp_path, "0,0,1.0\n5,1,2.0\n")
         assert _values_from_sample_file(path, 0).tolist() == [1.0] + [0.0] * 5
 
@@ -322,6 +340,7 @@ MALFORMED_SAMPLES = {
     "sidecar-n-negative": (WELL_FORMED_BODY, {"n": -3}, True),
     "sidecar-list": (WELL_FORMED_BODY, [1], True),
     "sidecar-string": (WELL_FORMED_BODY, "x", True),
+    "sidecar-not-json": (WELL_FORMED_BODY, b"{", True),
 }
 
 
@@ -334,6 +353,19 @@ def test_malformed_sample_file_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert (path in err) == names_file
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad_row", ["1,0", "1,0,abc", "1.5,0,3"])
+def test_malformed_row_message_names_its_file_line(tmp_path, capsys, monkeypatch, bad_row):
+    # Blocks of two data lines: line 6 is the first line of the third block,
+    # where numpy numbers it row 0 or 1.
+    monkeypatch.setattr(matails.cli, "ROW_SLICE", 2)
+    path = write_sample(tmp_path, WELL_FORMED_BODY + "3,0,5.0\n" + bad_row + "\n4,0,6.0\n")
+    assert main(["hill", "--sample", path, "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}, line 6: ")
+    assert " at row " not in err
 
 
 GEOMETRIC_INFINITE = [

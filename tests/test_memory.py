@@ -1,8 +1,8 @@
 """Simulation memory is bounded by the window and the replicate tile, not by
 the lag depth, the block or the replicate count; ``verify`` counts
-exceedances without storing the replicate matrix, and ``simulate`` writes
-its rows a slice at a time.  The order-j tuple sum walks and integrates its
-tuples a chunk at a time."""
+exceedances without storing the replicate matrix, ``simulate`` writes its
+rows a block at a time and ``hill --sample`` parses them a block at a time.
+The order-j tuple sum walks and integrates its tuples a chunk at a time."""
 
 import os
 import subprocess
@@ -71,17 +71,39 @@ def test_hrv_scan_stores_no_replicate_matrix(monkeypatch):
 
 
 def test_simulate_command_builds_rows_a_slice_at_a_time(tmp_path, monkeypatch):
-    # Whole Python columns cost about 120 bytes per nonzero cell at this
-    # size; slices leave the matrix and the nonzero index arrays (32 bytes).
+    # The command holds the 8 B/cell matrix that simulate returns plus one
+    # block of ROW_SLICE cells as index arrays, Python rows and text (well
+    # under 1 kB a cell).  Whole-matrix nonzero index arrays cost another
+    # 16 B/cell, 6 MB here.
     monkeypatch.setattr(matails.cli, "ROW_SLICE", 1024)
+    n = 1 << 17
     cfg = tmp_path / "c.ini"
     cfg.write_text("[coefficients]\nfamily = explicit\nvalues = 1, 0.5\nm = 1\n"
                    "[tail]\nfamily = standard_pareto\nalpha = 1.0\n"
-                   "[run]\nn = 32768\nseed = 4\nwindow = 0:2\n")
+                   f"[run]\nn = {n}\nseed = 4\nwindow = 0:2\n")
+    args = (ExplicitFinite([1.0, 0.5]), 1, PARETO1, (0, 2), n, 4)
+    traced_peak(simulate, *args)  # one-time allocations (caches, lazy imports)
+    _, simulate_peak = traced_peak(simulate, *args)
     argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
     code, peak = traced_peak(matails.cli.main, argv)
     assert code == 0
-    assert peak < 64 * 32768 * 3
+    assert peak < simulate_peak + 1024 * 1024
+
+
+def test_sample_reader_peak_does_not_grow_with_the_width(tmp_path):
+    # n replicates of index 0, alone or among four indices: either way the
+    # reader holds the length-n vector plus one block of ROW_SLICE lines.
+    # Whole-file parsing held 24 B per line plus a copy of the key columns.
+    n = 1 << 15
+    peaks = {}
+    for width in (1, 4):
+        path = tmp_path / f"w{width}.csv"
+        path.write_text("replicate_id,index,value\n" + "".join(
+            f"{i},{k},{1.0 + i / n!r}\n" for i in range(n) for k in range(width)))
+        (tmp_path / f"w{width}.csv.meta.json").write_text(f'{{"n": {n}}}')
+        values, peaks[width] = traced_peak(matails.cli._values_from_sample_file, str(path), 0)
+        assert values[-1] == 1.0 + (n - 1) / n
+    assert peaks[4] <= 1.05 * peaks[1]
 
 
 def test_tuple_sum_peak_does_not_grow_with_the_tuple_count():
@@ -112,12 +134,11 @@ print(proc.returncode, usage.ru_maxrss)
 """
 
 
-def verify_peak_rss_kb(config: Path, out: Path, *flags: str) -> int:
-    """Peak RSS (kB) of a child ``matails verify`` run, which must exit 0."""
+def cli_peak_rss_kb(*argv: str) -> int:
+    """Peak RSS (kB) of a child ``matails`` run with ``argv``, which must exit 0."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     probe = subprocess.run(
-        [sys.executable, "-c", RSS_PROBE, sys.executable, "-m", "matails.cli", "verify",
-         "--config", str(config), "--out", str(out), *flags],
+        [sys.executable, "-c", RSS_PROBE, sys.executable, "-m", "matails.cli", *argv],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
     )
     assert probe.returncode == 0, probe.stderr
@@ -129,7 +150,8 @@ def verify_peak_rss_kb(config: Path, out: Path, *flags: str) -> int:
 def test_verify_demo_peak_rss(tmp_path):
     # One million replicates at depth 27: whole-block draws peaked near
     # 500 MB, whole-block lag rows near 92 MB.
-    peak = verify_peak_rss_kb(ROOT / "demos" / "experiment.ini", tmp_path / "verify.csv")
+    peak = cli_peak_rss_kb("verify", "--config", str(ROOT / "demos" / "experiment.ini"),
+                           "--out", str(tmp_path / "verify.csv"))
     assert peak < 64 * 1024
 
 
@@ -141,5 +163,19 @@ def test_multi_block_verify_peak_rss(tmp_path):
                    "[tail]\nfamily = standard_pareto\nalpha = 1.0\n"
                    "[rows]\nrow0 = 0; 0:1\nrow1 = 1; 0:1, 2:1\n"
                    f"[run]\nn = {4 << 20}\nt_grid = 1000, 10000\nseed = 42\n")
-    peak = verify_peak_rss_kb(cfg, tmp_path / "verify.csv", "--threads", "2")
+    peak = cli_peak_rss_kb("verify", "--config", str(cfg), "--out", str(tmp_path / "verify.csv"),
+                           "--threads", "2")
     assert peak < 64 * 1024
+
+
+def test_sample_round_trip_peak_rss(tmp_path):
+    # The demo at 200,000 replicates of a width-2 window peaked at 63 MB
+    # (simulate, whole-matrix nonzero index arrays) and 53 MB (hill, the
+    # whole file parsed at once); blocks bring them to about 46 and 36 MB.
+    samples = str(tmp_path / "samples.csv")
+    simulate_peak = cli_peak_rss_kb("simulate", "--config", str(ROOT / "demos" / "experiment.ini"),
+                                    "--set", "run.n=200000", "--out", samples)
+    hill_peak = cli_peak_rss_kb("hill", "--sample", samples, "--k", "1000",
+                                "--out", str(tmp_path / "hill.json"))
+    assert simulate_peak < 52 * 1024
+    assert hill_peak < 44 * 1024
