@@ -13,7 +13,8 @@ overridden on the command line with ``--set section.key=value``.  Every
 output carries a JSON echo of the resolved config (sidecar ``.meta.json``
 for CSV, inline for JSON), which is sufficient to reproduce the run
 byte for byte: outputs contain no timestamps and floats are written with
-full round-trip precision.
+full round-trip precision (the shortest repr digits; ``simulate`` renders
+them in numpy where it can certify them).
 
 Exit status: 0 success, 2 configuration or validation error (including a
 lag depth beyond :data:`~matails.ma_process.MAX_DEPTH`), 3 runtime error.
@@ -44,6 +45,7 @@ from .ma_process import (
     CoefficientSeq,
     ExplicitFinite,
     Geometric,
+    MAX_DRAWS,
     Polynomial,
     SimulationBatch,
     simulate,
@@ -53,10 +55,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# The sample-file block: ``simulate`` writes ``ROW_SLICE // width`` replicate
-# rows at a time and ``hill --sample`` parses ``ROW_SLICE`` lines at a time, so
-# neither side holds whole-file index, Python-row or parse arrays.
+# The sample-file block: ``simulate`` renders ``ROW_SLICE // width`` replicate
+# rows at a time as numpy text columns, and ``hill --sample`` parses
+# ``ROW_SLICE`` lines at a time, so neither side holds whole-file arrays.
 ROW_SLICE = 1 << 14
+
+# Exact powers of ten (5^22 < 2^53) for the sample renderer, and how far from
+# a rounding tie or interval edge a scaled value, computed to within 2^-53,
+# must lie for its digits to count as certified.
+_POW10 = 10.0 ** np.arange(23)
+_MARGIN = 1e-9
 
 EXAMPLE_CONFIG = """\
 [coefficients]
@@ -245,8 +253,8 @@ def _meta(exp: Experiment, command: str, extra: dict | None = None) -> dict:
 def _write_output(exp: Experiment, out_path, columns, rows, meta, csv_body=None) -> None:
     """CSV body plus .meta.json sidecar, or a single JSON document.
 
-    ``csv_body``, when given, is the CSV body already rendered as text chunks
-    of the same ``rows``; only one of the two is consumed.
+    ``csv_body``, when given, is the CSV body already rendered as ASCII byte
+    chunks of the same ``rows``; only one of the two is consumed.
     """
     if out_path is None:
         raise ConfigError("no output path: set [output] path or pass --out")
@@ -258,7 +266,8 @@ def _write_output(exp: Experiment, out_path, columns, rows, meta, csv_body=None)
             if csv_body is None:
                 writer.writerows(rows)
             else:
-                fh.writelines(csv_body)
+                fh.flush()
+                fh.buffer.writelines(csv_body)
         with open(f"{out_path}.meta.json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -299,20 +308,112 @@ def _sample_slices(batch: SimulationBatch):
     for start in range(0, batch.matrix.shape[0], rows):
         block = batch.matrix[start:start + rows]
         r, w = np.nonzero(block)
-        yield (r + start).tolist(), (batch.lo + w).tolist(), block[r, w].tolist()
+        yield r + start, batch.lo + w, block[r, w]
 
 
-def _sample_text(ids, indices, values) -> str:
-    """One slice's CSV lines, the bytes csv.writer writes for the same rows
-    (``%r`` is the round-trip repr it writes for a float)."""
-    return ("%d,%d,%r\n" * len(ids)) % tuple(itertools.chain.from_iterable(zip(ids, indices, values)))
+def _split(a):
+    """Veltkamp's split: hi + lo == a, each with at most 26 significant bits."""
+    hi = a * 134217729.0  # 2^27 + 1
+    hi -= hi - a
+    return hi, a - hi
+
+
+def _scaled(values):
+    """(fast, point, whole, frac, half): ``|x| * 10^(17 - point) == whole + frac``
+    exactly (Dekker's product, no FMA), ``frac`` in [0, 1), ``half == ulp(x) / 2
+    * 10^(17 - point)``; ``fast`` excludes |x| outside [1e-4, 1e15) and powers of
+    two, whose rounding interval is asymmetric."""
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e15)
+    a[~fast] = 1.5
+    mant, exp = np.frexp(a)
+    fast &= mant != 0.5
+    point = np.floor(np.log10(a)).astype(np.int64) + 1
+    scale = _POW10[np.clip(17 - point, 0, 22)]
+    hi = a * scale
+    (a_hi, a_lo), (s_hi, s_lo) = _split(a), _split(scale)
+    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    floor = np.floor(lo)
+    whole = hi.astype(np.int64) + floor.astype(np.int64)
+    return fast, point, whole, lo - floor, np.ldexp(scale, exp - 54)
+
+
+def _shortest_digits(values):
+    """(digits, fraction, certified): ``|x| == digits / 10**fraction`` in repr's
+    shortest digits, where certified: the first of the 15-, 16- and 17-digit
+    integers nearest ``|x| * 10^k`` inside x's rounding interval and off a tie
+    by over ``_MARGIN``, each shorter one outside by as much, no trailing 0."""
+    undecided, point, whole, frac, half = _scaled(values)
+    digits, fraction = np.zeros_like(whole), np.zeros_like(point)
+    certified = np.zeros_like(undecided)
+    for count, div in ((15, 100), (16, 10), (17, 1)):
+        q = whole // div
+        y = (whole - q * div + frac) / div  # (whole + frac) / div - q, in [0, 1)
+        up = y > 0.5
+        dist = np.where(up, 1.0 - y, y)
+        nearest = q + up
+        take = undecided & (dist < half / div - _MARGIN) & (dist < 0.5 - _MARGIN)
+        take &= (nearest % 10 != 0) & (nearest >= 10 ** (count - 1)) & (nearest < 10**count)
+        digits[take], fraction[take] = nearest[take], count - point[take]
+        certified |= take
+        undecided &= dist > half / div + _MARGIN
+    return digits, fraction, certified
+
+
+def _digit_columns(v, shown=None) -> list:
+    """Text columns of the digits of each ``v >= 0``, right-aligned: all of
+    them, or the last ``shown``, and NUL to the left."""
+    fewest, most = (shown.min(), shown.max()) if shown is not None else (
+        len(str(v.min())), len(str(v.max())))
+    columns, q = [], v
+    for p in range(most):
+        q1 = q // 10
+        digit = q - q1 * 10 + 48
+        if p >= fewest:
+            digit = np.where(q > 0 if shown is None else p < shown, digit, 0)
+        columns.append(digit.astype(np.uint8))
+        q = q1
+    return columns[::-1]
+
+
+def _sign_column(v) -> list:
+    """The text column of ``v``'s minus signs, or none when no entry is negative."""
+    negative = v < 0
+    return [np.where(negative, np.uint8(ord("-")), np.uint8(0))] if negative.any() else []
+
+
+def _sample_text(ids, indices, values) -> bytes:
+    """One slice's CSV lines, the bytes of ``"%d,%d,%r\\n"`` per cell: a matrix
+    of uint8 text columns, each field as wide as the slice needs, with its
+    NUL padding dropped.  A value is written from its certified digits
+    (:func:`_shortest_digits`), else with repr."""
+    if not len(ids):
+        return b""
+    digits, fraction, certified = _shortest_digits(values)
+    scale = 10 ** np.minimum(fraction, 18)
+    whole = digits // scale
+    slow = np.flatnonzero(~certified)
+    reprs = np.array([repr(v) for v in values[slow].tolist()], dtype="S")  # at most S24
+    comma, dot, newline, nul = (np.full(len(ids), ord(c), np.uint8) for c in ",.\n\0")
+    columns = [*_digit_columns(ids), comma, *_sign_column(indices),
+               *_digit_columns(np.abs(indices)), comma]
+    start = len(columns)
+    # a whole number is written "<digits>.0"
+    columns += [*_sign_column(values), *_digit_columns(whole), dot,
+                *_digit_columns(digits - whole * scale, np.maximum(fraction, 1))]
+    columns += [nul] * (start + reprs.itemsize - len(columns)) + [newline]
+    text = np.stack(columns, axis=1)
+    text[slow, start:-1] = 0
+    text[slow, start:start + reprs.itemsize] = reprs.view(np.uint8).reshape(-1, reprs.itemsize)
+    text = text.ravel()
+    return text[text != 0].tobytes()
 
 
 def cmd_simulate(exp: Experiment, threads: int) -> int:
     window = _simulation_window(exp)
     batch = _simulate(exp, "simulate", window, threads)
     # Both generators are lazy and _write_output consumes one of them.
-    rows = itertools.chain.from_iterable(zip(*cut) for cut in _sample_slices(batch))
+    rows = (row for cut in _sample_slices(batch) for row in zip(*(a.tolist() for a in cut)))
     body = (_sample_text(*cut) for cut in _sample_slices(batch))
     meta = _meta(exp, "simulate", {
         "seed": exp.seed,
@@ -395,13 +496,20 @@ def _sample_rows(path: str, lines: list[str], line: int):
     return ids, idx, vals
 
 
+def _check_sample_size(path: str, n: int | None) -> None:
+    if n is not None and n > MAX_DRAWS:
+        raise ConfigError(f"{path}: {n} replicates exceed the {MAX_DRAWS} that simulate can write")
+
+
 def _values_from_sample_file(path: str, index: int) -> np.ndarray:
     """Reconstruct a coordinate's replicate values from a simulate CSV,
     parsed ``ROW_SLICE`` lines at a time.
 
     ``n`` is the sidecar's (a nonnegative integer, or null for none), else the
     largest id + 1; absent cells read 0.0, ids outside ``[0, n)`` are ignored
-    and a repeated ``(id, index)`` keeps its last row.
+    and a repeated ``(id, index)`` keeps its last row.  An ``n`` over
+    :data:`~matails.ma_process.MAX_DRAWS`, more replicates than simulate
+    writes, is refused before the vector is allocated.
     """
     sidecar = f"{path}.meta.json"
     try:
@@ -416,6 +524,7 @@ def _values_from_sample_file(path: str, index: int) -> np.ndarray:
     n = meta.get("n")
     if n is not None and (type(n) is not int or n < 0):
         raise ConfigError(f"{sidecar}: n must be a nonnegative integer, got {n!r}")
+    _check_sample_size(sidecar, n)
     values = None if n is None else np.zeros(n)
     # without n, the kept cells wait in file order for the largest id over all indices
     kept, top, line = [], -1.0, 2
@@ -435,6 +544,7 @@ def _values_from_sample_file(path: str, index: int) -> np.ndarray:
                 keep &= ids < n
                 values[ids[keep].astype(np.intp)] = vals[keep]
     if n is None:
+        _check_sample_size(path, int(top) + 1)
         values = np.zeros(int(top) + 1)
         for ids, vals in kept:
             values[ids.astype(np.intp)] = vals

@@ -10,8 +10,9 @@ block whole before summing its lags, the crude tuple-integral reference
 draws every tuple with a shared constraint, counts hits and walks all
 combinations, the conditional ones integrate one member out one sample at
 a time (on the shifted lattice, or on i.i.d. draws), the truncation
-reference scans depths one by one, and the per-level table runs one
-independent scan, with its own simulation, per tail level.
+reference scans depths one by one, the per-level table runs one
+independent scan, with its own simulation, per tail level, and the sample
+text reference formats each CSV line with Python's ``%r``.
 """
 
 import itertools
@@ -364,3 +365,10 @@ def per_level_table(coeffs, m, model, rows, n, t_grid, seed, **scan_options):
         out.extend((t, row) for row in hrv_scan(coeffs, m, model, rows, n, t, level_seed,
                                                  **scan_options))
     return out
+
+
+def sample_text_reference(ids, indices, values) -> str:
+    """Sample-file CSV lines from one ``"%d,%d,%r\\n"`` template per cell: the
+    round-trip repr that csv.writer writes for a float."""
+    cells = zip(np.asarray(ids).tolist(), np.asarray(indices).tolist(), np.asarray(values).tolist())
+    return ("%d,%d,%r\n" * len(values)) % tuple(itertools.chain.from_iterable(cells))

@@ -10,11 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import matails.cli
 from matails import ExplicitFinite, TailModel, estimation, hill, limit_measures, sample, simulate
 from matails.ma_process import MAX_DEPTH, MAX_DRAWS, SimulationBatch
-from matails.cli import _sample_slices, _sample_text, _values_from_sample_file, main
+from matails.cli import (_sample_slices, _sample_text, _shortest_digits, _values_from_sample_file,
+                         load_experiment, main)
+from oracles import sample_text_reference
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE_CONFIG = textwrap.dedent(
     """\
@@ -140,6 +145,32 @@ class TestSimulateCommand:
         assert len(whole.read_text().splitlines()) > 6000
 
 
+def pinned_sample_values():
+    """Edge cases of the sample renderer: powers of two (asymmetric rounding
+    intervals), decade edges and the neighbours of the fast path's bounds,
+    the extreme doubles, values whose shortest form has 14 digits or fewer,
+    and values within a hair of a 16- or 17-digit rounding tie."""
+    rng = np.random.default_rng(5)
+    values = [2.0**e for e in range(-30, 61)]
+    values += [10.0**k * (1 + j * 2.0**-52) for k in range(-6, 18) for j in (-4, -2, -1, 1, 2, 4)]
+    values += [np.nextafter(x, to) for x in (1e-4, 1e15, 1e16) for to in (0.0, np.inf)]
+    values += [1e-4, 1e15, 1e16, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    values += [1.5, 0.1, 0.3, 2.675, 123.456, 1e-3, 99999999999999.0, 123456789012345.0,
+               12345678901234.5, 0.00012345678901234, 9007199254740993.0]
+    for digits in (16, 17):
+        for d, e in zip(rng.integers(10 ** (digits - 1), 10**digits, 40).tolist(),
+                        rng.integers(-4, 16, 40).tolist()):
+            values.append(float(f"{d}5e{e - digits - 1}"))
+    values = np.array(values)
+    return np.concatenate((values, -values))
+
+
+finite_nonzero = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e-4, 1e15), st.floats(-1e15, -1e-4),
+).filter(bool)
+
+
 class TestSampleWriter:
     def test_template_matches_csv_writer_across_slices(self, monkeypatch):
         # Extreme doubles and negated shifted-Pareto draws, one zero cell
@@ -151,11 +182,49 @@ class TestSampleWriter:
         cuts = list(_sample_slices(batch))
         assert [len(ids) for ids, _, _ in cuts] == [4, 3, 4, 4]
         rows = [(r, w - 1, values[4 * r + w]) for r in range(4) for w in range(4) if values[4 * r + w]]
-        assert [row for cut in cuts for row in zip(*cut)] == rows
+        assert [row for cut in cuts for row in zip(*(a.tolist() for a in cut))] == rows
         expected = io.StringIO()
         csv.writer(expected, lineterminator="\n").writerows(rows)
-        assert "".join(_sample_text(*cut) for cut in cuts) == expected.getvalue()
+        assert b"".join(_sample_text(*cut) for cut in cuts).decode() == expected.getvalue()
         assert "5e-324" in expected.getvalue() and "1.7976931348623157e+308" in expected.getvalue()
+
+    @settings(max_examples=400)
+    @given(st.lists(st.tuples(st.integers(0, 2**53 - 1), st.integers(-(2**53), 2**53), finite_nonzero),
+                    min_size=1, max_size=30))
+    def test_renderer_writes_the_template_bytes(self, cells):
+        ids, indices, values = (np.array(column) for column in zip(*cells))
+        assert _sample_text(ids, indices, values) == sample_text_reference(ids, indices, values).encode()
+
+    def test_pinned_edge_cases_write_the_template_bytes(self):
+        values = pinned_sample_values()
+        ids = np.arange(len(values)) * 7919
+        indices = np.arange(len(values)) % 7 - 3
+        assert _sample_text(ids, indices, values) == sample_text_reference(ids, indices, values).encode()
+        # a slice with no nonzero cell writes nothing
+        assert _sample_text(ids[:0], indices[:0], values[:0]) == b""
+        # each on its own line too, so no field width is set by another value
+        for v in values:
+            one = np.array([v])
+            assert _sample_text(ids[:1], indices[:1], one) == sample_text_reference([0], [-3], one).encode()
+
+    def test_certified_digits_read_back_as_the_value(self):
+        rng = np.random.default_rng(9)
+        values = np.concatenate((10.0 ** rng.uniform(-4, 15, 20000), pinned_sample_values()))
+        digits, fraction, certified = _shortest_digits(values)
+        assert certified.mean() > 0.9
+        for v, d, f in zip(values[certified].tolist(), digits[certified].tolist(),
+                           fraction[certified].tolist()):
+            assert float(f"{d}e-{f}") == abs(v) and len(str(d)) in (15, 16, 17) and d % 10
+
+    def test_repr_fallback_is_rare_on_the_demo_config(self):
+        # A renderer that sends every value to repr writes the same bytes but
+        # runs at repr's speed; on demo samples fewer than 2% may fall back.
+        exp = load_experiment(str(ROOT / "demos" / "experiment.ini"), ["run.n=20000"])
+        batch = simulate(exp.coeffs, exp.m, exp.model, exp.window, exp.n, exp.seed, exp.trunc_eps)
+        ids, indices, values = next(_sample_slices(batch))
+        assert len(values) == matails.cli.ROW_SLICE
+        slow = int(np.count_nonzero(~_shortest_digits(values)[2]))
+        assert 0 < slow < 0.02 * len(values)
 
 
 class TestLimitsCommand:
@@ -341,6 +410,8 @@ MALFORMED_SAMPLES = {
     "sidecar-list": (WELL_FORMED_BODY, [1], True),
     "sidecar-string": (WELL_FORMED_BODY, "x", True),
     "sidecar-not-json": (WELL_FORMED_BODY, b"{", True),
+    "sidecar-n-over-limit": (WELL_FORMED_BODY, {"n": 10**12}, True),
+    "id-over-limit": ("0,0,2.0\n1000000000000,0,3.0\n", None, True),
 }
 
 
@@ -353,6 +424,19 @@ def test_malformed_sample_file_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert (path in err) == names_file
+
+
+@pytest.mark.parametrize("case, size", [("sidecar-n-over-limit", 10**12),
+                                        ("id-over-limit", 10**12 + 1)])
+def test_sample_over_the_replicate_limit_exits_2_within_a_second(tmp_path, capsys, case, size):
+    # n comes from the sidecar, or from the largest id: refused before allocating it.
+    body, meta, _ = MALFORMED_SAMPLES[case]
+    path = write_sample(tmp_path, body, meta)
+    start = time.perf_counter()
+    assert main(["hill", "--sample", path, "--k", "2"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert path in err and f" {size} replicates" in err and str(MAX_DRAWS) in err
 
 
 @pytest.mark.filterwarnings("error")

@@ -34,6 +34,28 @@ SIMULATE_CONFIG = textwrap.dedent(
     """
 )
 
+# Sample values on both sides of 1e-4 (shifted Pareto at a small scale) and
+# a window of negative indices: the CSV writer's fallback and its index signs.
+# Coefficients must be nonnegative, so simulate never writes a negative value.
+SIMULATE_SMALL_CONFIG = textwrap.dedent(
+    """\
+    [coefficients]
+    family = explicit
+    values = 1, 0.75
+    m = 1
+
+    [tail]
+    family = shifted_pareto
+    alpha = 0.8
+    scale = 0.0002
+
+    [run]
+    n = 80
+    seed = 13
+    window = -2:1
+    """
+)
+
 LIMITS_FINITE_CONFIG = textwrap.dedent(
     """\
     [coefficients]
@@ -125,6 +147,10 @@ GOLDEN = {
         "out": "733239bb58f3274f9e55630c0576e116c32e7a5ab7d3576acc5ba83207c29a7d",
         "out.meta.json": "a303638f141f14bfaddc64bea919a094249ca7ff806996558632866761381f75",
     },
+    "simulate-small": {
+        "out": "a39780366df0df47623ca9450e5353da87827614a60356d53eada455800ea8be",
+        "out.meta.json": "d220d5412374c8b9a39c0a756379ed3f37c97dff62defb9b600f444515babc93",
+    },
     "simulate-json": {
         "out": "bdcfb4556a6fb94dea857b7132705541b625d13cc5a558f4d09ca7159a2f1012",
     },
@@ -166,6 +192,7 @@ def run_and_hash(tmp_path, config, argv):
 CASES = {
     "simulate-csv": (SIMULATE_CONFIG, ["simulate"]),
     "simulate-json": (SIMULATE_CONFIG, ["simulate", "--format", "json"]),
+    "simulate-small": (SIMULATE_SMALL_CONFIG, ["simulate"]),
     "limits-finite": (LIMITS_FINITE_CONFIG, ["limits"]),
     "limits-geometric": (LIMITS_GEOMETRIC_CONFIG, ["limits"]),
     "limits-drawn": (LIMITS_DRAWN_CONFIG, ["limits"]),

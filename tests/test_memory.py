@@ -90,6 +90,25 @@ def test_simulate_command_builds_rows_a_slice_at_a_time(tmp_path, monkeypatch):
     assert peak < simulate_peak + 1024 * 1024
 
 
+def test_simulate_command_peak_at_the_default_row_slice(tmp_path):
+    # At the default block of 2^14 cells the renderer's temporaries (int64
+    # digit vectors, the uint8 text matrix, the compacted bytes) stay within
+    # 4 MiB of what simulate itself holds.
+    assert matails.cli.ROW_SLICE == 1 << 14
+    n = 1 << 17
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[coefficients]\nfamily = explicit\nvalues = 1, 0.5\nm = 1\n"
+                   "[tail]\nfamily = standard_pareto\nalpha = 1.0\n"
+                   f"[run]\nn = {n}\nseed = 4\nwindow = 0:2\n")
+    args = (ExplicitFinite([1.0, 0.5]), 1, PARETO1, (0, 2), n, 4)
+    traced_peak(simulate, *args)  # one-time allocations (caches, lazy imports)
+    _, simulate_peak = traced_peak(simulate, *args)
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
+    code, peak = traced_peak(matails.cli.main, argv)
+    assert code == 0
+    assert peak < simulate_peak + 4 * 1024 * 1024
+
+
 def test_sample_reader_peak_does_not_grow_with_the_width(tmp_path):
     # n replicates of index 0, alone or among four indices: either way the
     # reader holds the length-n vector plus one block of ROW_SLICE lines.
