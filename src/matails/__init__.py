@@ -17,7 +17,7 @@ from .estimation import (
     hrv_scan,
     theoretical_tail_measure,
 )
-from .innovations import ParetoFamily, TailModel, block_generator, quantile_b, sample
+from .innovations import ParetoFamily, TailModel, block_generator, draw
 from .limit_measures import (
     EvalMethod,
     MeasureValue,
@@ -64,9 +64,8 @@ __all__ = [
     "UnsupportedError",
     "TailModel",
     "ParetoFamily",
-    "sample",
-    "quantile_b",
     "block_generator",
+    "draw",
     "WindowSeq",
     "ZERO",
     "spike",

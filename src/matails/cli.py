@@ -14,7 +14,9 @@ output carries a JSON echo of the resolved config (sidecar ``.meta.json``
 for CSV, inline for JSON), which is sufficient to reproduce the run
 byte for byte: outputs contain no timestamps and floats are written with
 full round-trip precision (the shortest repr digits; ``simulate`` renders
-them in numpy where it can certify them).
+them in numpy where it can certify them, and ``hill --sample`` reads them
+back in numpy where it can prove the double, else with ``float`` or
+``np.loadtxt``).
 
 Exit status: 0 success, 2 configuration or validation error (including a
 lag depth beyond :data:`~matails.ma_process.MAX_DEPTH`), 3 runtime error.
@@ -25,7 +27,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import itertools
+import io
 import json
 import math
 import re
@@ -57,7 +59,8 @@ EXIT_RUNTIME = 3
 
 # The sample-file block: ``simulate`` renders ``ROW_SLICE // width`` replicate
 # rows at a time as numpy text columns, and ``hill --sample`` parses
-# ``ROW_SLICE`` lines at a time, so neither side holds whole-file arrays.
+# ``ROW_SLICE * 16`` bytes at a time (about half as many demo lines), so
+# neither side holds whole-file arrays.
 ROW_SLICE = 1 << 14
 
 # Exact powers of ten (5^22 < 2^53) for the sample renderer, and how far from
@@ -65,6 +68,17 @@ ROW_SLICE = 1 << 14
 # must lie for its digits to count as certified.
 _POW10 = 10.0 ** np.arange(23)
 _MARGIN = 1e-9
+
+# The sample reader's header, the separators of one line of its fast grammar
+# (signs aside), the digits that pad a block in front so every field ends at
+# least 16 bytes in, and the masks keeping the last w = 0..8 bytes of a
+# little-endian uint64 word.
+_HEADER = b"replicate_id,index,value"
+_LINE = np.frombuffer(b",,.\n", np.uint8)
+_PAD = b"0" * 16
+_KEEP = np.array([(1 << 64) - (1 << 8 * (8 - w)) for w in range(9)], dtype=np.uint64)
+# the widest id, index, integer part, fraction and value digit runs it reads
+_WIDEST = np.array([[8], [8], [8], [16], [18]])
 
 EXAMPLE_CONFIG = """\
 [coefficients]
@@ -318,6 +332,14 @@ def _split(a):
     return hi, a - hi
 
 
+def _product(a, scale):
+    """(hi, lo): ``a * scale == hi + lo`` exactly, ``hi`` the rounded product
+    (Dekker's two-product, no FMA)."""
+    hi = a * scale
+    (a_hi, a_lo), (s_hi, s_lo) = _split(a), _split(scale)
+    return hi, ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+
+
 def _scaled(values):
     """(fast, point, whole, frac, half): ``|x| * 10^(17 - point) == whole + frac``
     exactly (Dekker's product, no FMA), ``frac`` in [0, 1), ``half == ulp(x) / 2
@@ -330,9 +352,7 @@ def _scaled(values):
     fast &= mant != 0.5
     point = np.floor(np.log10(a)).astype(np.int64) + 1
     scale = _POW10[np.clip(17 - point, 0, 22)]
-    hi = a * scale
-    (a_hi, a_lo), (s_hi, s_lo) = _split(a), _split(scale)
-    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    hi, lo = _product(a, scale)
     floor = np.floor(lo)
     whole = hi.astype(np.int64) + floor.astype(np.int64)
     return fast, point, whole, lo - floor, np.ldexp(scale, exp - 54)
@@ -501,15 +521,120 @@ def _check_sample_size(path: str, n: int | None) -> None:
         raise ConfigError(f"{path}: {n} replicates exceed the {MAX_DRAWS} that simulate can write")
 
 
+def _sample_blocks(fh, rest: bytes = b""):
+    """The rest of a binary sample file in blocks of about ``ROW_SLICE * 16``
+    bytes (half as many demo lines), each ending where a line ends: after a
+    newline, a carriage return not followed by one, or at the end of the file."""
+    while chunk := fh.read(ROW_SLICE * 16):
+        rest += chunk
+        end = max(rest.rfind(b"\n"), rest.rfind(b"\r", 0, len(rest) - 1)) + 1
+        if end:
+            block, rest = rest[:end], rest[end:]
+            yield block
+    if rest:
+        yield rest
+
+
+def _swar(words, ends, widths):
+    """The integers whose decimal digits are the last ``widths`` (0 to 8) bytes
+    of the little-endian 8-byte words ``words[ends]``: the other bytes masked
+    off, the digits summed pairwise by three multiply-shift-mask steps
+    (Lemire 2021)."""
+    word = words[ends] & _KEEP[widths]
+    word = (word & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
+    word = (word & 0x00FF00FF00FF00FF) * 6553601 >> 16
+    return ((word & 0x0000FFFF0000FFFF) * 42949672960001 >> 32).astype(np.int64)
+
+
+def _quotients(mant, digits):
+    """(values, proven): the double nearest ``mant / 10^digits`` for int64
+    ``mant < 10^18`` and ``digits`` in [1, 16], and where it is proven so.
+    Below 2^53 the quotient of the exact doubles is correctly rounded
+    (Clinger 1990); above, a candidate is proven when the residual
+    ``mant - c * 10^digits``, exact but for two roundings far under
+    ``_MARGIN`` (Dekker's product), lies inside ``c``'s rounding interval by
+    more than ``_MARGIN`` and ``c`` is no power of two (asymmetric interval).
+    A rejected candidate gives way once to its neighbour toward the residual."""
+    scale = _POW10[digits]
+    values = mant / scale
+    proven, residual = _inside(values, mant, scale)
+    proven |= mant < 2**53
+    retry = np.flatnonzero(~proven)
+    if len(retry):
+        values[retry] = np.nextafter(values[retry], np.copysign(np.inf, residual[retry]))
+        proven[retry] = _inside(values[retry], mant[retry], scale[retry])[0]
+    return values, proven
+
+
+def _inside(values, mant, scale):
+    """(inside, residual) of candidates ``values`` for ``mant / scale``."""
+    mantissa, exp = np.frexp(values)
+    hi, lo = _product(values, scale)
+    whole = np.floor(hi)
+    residual = (mant - whole.astype(np.int64)).astype(float) - (hi - whole) - lo
+    inside = np.abs(residual) < np.ldexp(scale, exp - 54) - _MARGIN
+    return inside & (mantissa != 0.5), residual
+
+
+def _fast_rows(block: bytes, index: int, limit):
+    """(lines, ids, keep, values) of a block whose every line reads
+    ``\\d{1,8},-?\\d{1,8},-?\\d{1,8}\\.\\d{1,16}\\n`` with at most 18 digits
+    in the value (so its mantissa fits an int64), else None.  ``keep`` marks
+    the rows of ``index`` with an id below ``limit`` and ``values`` holds
+    theirs, each the double nearest its text: :func:`_quotients` where
+    proven, else ``float``."""
+    data = _PAD + block
+    buf = np.frombuffer(data, np.uint8)
+    if buf[-1] != 10 or buf.max() > 57:
+        return None
+    # Every byte is now a digit or, below '0', a separator: per line ", , . \n"
+    # and a '-' right after either comma.
+    seps = np.flatnonzero(buf < 48)
+    marks = buf[seps]
+    minus = marks == 45
+    if not (buf[seps[minus] - 1] == 44).all():
+        return None
+    seps, marks = seps[~minus], marks[~minus]
+    if len(seps) % 4 or not (marks.reshape(-1, 4) == _LINE).all():
+        return None
+    comma1, comma2, dot, newline = seps.reshape(-1, 4).T
+    index_sign, value_sign = buf[comma1 + 1] == 45, buf[comma2 + 1] == 45
+    id_width = comma1 - np.concatenate(([len(_PAD)], newline[:-1] + 1))
+    index_width = comma2 - comma1 - 1 - index_sign
+    whole_width = dot - comma2 - 1 - value_sign
+    digits = newline - dot - 1
+    widths = np.stack((id_width, index_width, whole_width, digits, whole_width + digits))
+    if not ((widths >= 1) & (widths <= _WIDEST)).all():
+        return None
+    # the word starting at every byte, unaligned
+    words = np.ndarray(len(data) - 7, "<u8", data, strides=(1,))
+    # one _swar call per pass: its cost is mostly per call on short blocks
+    ids, indices = _swar(words, np.concatenate((comma1, comma2)) - 8,
+                         np.concatenate((id_width, index_width))).reshape(2, -1)
+    keep = (np.where(index_sign, -indices, indices) == index) & (ids < limit)
+    lines, rows = len(newline), np.flatnonzero(keep)
+    dot, newline, whole_width, digits = dot[rows], newline[rows], whole_width[rows], digits[rows]
+    tail = np.minimum(digits, 8)
+    whole, high, low = _swar(words, np.concatenate((dot - 8, newline - 16, newline - 8)),
+                             np.concatenate((whole_width, digits - tail, tail))).reshape(3, -1)
+    values, proven = _quotients(whole * 10**digits + high * 10**8 + low, digits)
+    np.negative(values, out=values, where=value_sign[rows])
+    for r in np.flatnonzero(~proven).tolist():
+        values[r] = float(buf[comma2[rows[r]] + 1:newline[r]].tobytes())
+    return lines, ids, keep, values
+
+
 def _values_from_sample_file(path: str, index: int) -> np.ndarray:
     """Reconstruct a coordinate's replicate values from a simulate CSV,
-    parsed ``ROW_SLICE`` lines at a time.
+    parsed a block of ``ROW_SLICE * 16`` bytes at a time.
 
     ``n`` is the sidecar's (a nonnegative integer, or null for none), else the
     largest id + 1; absent cells read 0.0, ids outside ``[0, n)`` are ignored
     and a repeated ``(id, index)`` keeps its last row.  An ``n`` over
     :data:`~matails.ma_process.MAX_DRAWS`, more replicates than simulate
-    writes, is refused before the vector is allocated.
+    writes, is refused before the vector is allocated.  A block that
+    :func:`_fast_rows` does not read goes whole, split into lines as text
+    mode does, through :func:`_sample_rows`, which names a bad line.
     """
     sidecar = f"{path}.meta.json"
     try:
@@ -525,24 +650,30 @@ def _values_from_sample_file(path: str, index: int) -> np.ndarray:
     if n is not None and (type(n) is not int or n < 0):
         raise ConfigError(f"{sidecar}: n must be a nonnegative integer, got {n!r}")
     _check_sample_size(sidecar, n)
-    values = None if n is None else np.zeros(n)
+    values, limit = (None, math.inf) if n is None else (np.zeros(n), n)
     # without n, the kept cells wait in file order for the largest id over all indices
-    kept, top, line = [], -1.0, 2
-    with open(path, "r", encoding="utf-8", newline="") as fh, warnings.catch_warnings():
-        if fh.readline().rstrip("\r\n") != "replicate_id,index,value":
+    kept, top, line = [], -1, 2
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        head = fh.read(len(_HEADER) + 2)
+        end = head[len(_HEADER):]
+        if not head.startswith(_HEADER) or end[:1] not in (b"\n", b"\r", b""):
             raise ConfigError(f"{path} is not a simulate output file")
-        # a header-only file is a valid sample with no nonzero cells
+        # a block of blank lines is valid and holds no cells
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        while lines := list(itertools.islice(fh, ROW_SLICE)):
-            ids, idx, vals = _sample_rows(path, lines, line)
-            line += len(lines)
-            keep = (idx == index) & (ids >= 0)
+        for block in _sample_blocks(fh, end[2:] if end == b"\r\n" else end[1:]):
+            rows = _fast_rows(block, index, limit)
+            if rows is None:
+                lines = io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", newline="").readlines()
+                ids, idx, vals = _sample_rows(path, lines, line)
+                keep = (idx == index) & (ids >= 0) & (ids < limit)
+                rows = len(lines), ids, keep, vals[keep]
+            count, ids, keep, vals = rows
+            line += count
             if n is None:
-                top = max(top, ids.max(initial=-1.0))
-                kept.append((ids[keep], vals[keep]))
+                top = max(top, ids.max(initial=-1))
+                kept.append((ids[keep], vals))
             else:
-                keep &= ids < n
-                values[ids[keep].astype(np.intp)] = vals[keep]
+                values[ids[keep].astype(np.intp)] = vals
     if n is None:
         _check_sample_size(path, int(top) + 1)
         values = np.zeros(int(top) + 1)

@@ -14,8 +14,8 @@ law for calibration tests.
 Sampling is inverse-transform on a counter-based Philox generator, so
 identical ``(model, count, seed)`` reproduce the stream bit for bit.  The
 sub-stream rule is fixed: block ``b`` of a partitioned run draws from
-``Philox(SeedSequence(seed, spawn_key=(b,)))``; a plain ``sample`` call is
-block 0 of its own run (no spawn key).  Workers never share a generator;
+``Philox(SeedSequence(seed, spawn_key=(b,)))``; the undivided stream
+``block_generator(seed)`` has no spawn key.  Workers never share a generator;
 each seeks its own to the stream offset it needs (Salmon et al., SC'11).
 """
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["ParetoFamily", "TailModel", "sample", "quantile_b", "block_generator", "draw"]
+__all__ = ["ParetoFamily", "TailModel", "block_generator", "draw"]
 
 
 class ParetoFamily(str, enum.Enum):
@@ -122,15 +122,3 @@ def draw(model: TailModel, rng: np.random.Generator, shape, out=None) -> np.ndar
     u = rng.random(shape, out=out)
     np.subtract(1.0, u, out=u)
     return model.inverse_survival(u, out=u)
-
-
-def sample(model: TailModel, count: int, seed: int) -> np.ndarray:
-    """Draw ``count`` i.i.d. innovations from ``model``, deterministically in ``seed``."""
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    return draw(model, block_generator(seed), count)
-
-
-def quantile_b(model: TailModel, t: float) -> float:
-    """Scaling function b(t); see :meth:`TailModel.quantile_b`."""
-    return model.quantile_b(t)

@@ -470,29 +470,6 @@ def _conditional(alpha, thresholds, held, pulls, open_, budget, rng):
     return float(means.mean()), float(means.var(ddof=1)) / SHIFTS
 
 
-def _tuple_contribution(
-    coeffs: CoefficientSeq,
-    alpha: float,
-    rect: UpperRect,
-    positions: tuple[int, ...],
-    covers: tuple[int, ...],
-    budget: int,
-    seed: int,
-    rank: int,
-) -> tuple[float, float]:
-    """(value, variance) of one tuple's integral, the tuple given by its
-    positions and cover bitmasks (bit p: rect.indices[p]) and integrated on
-    sub-stream ``rank``: a one-tuple chunk of :func:`_contributions`."""
-    weights = np.array([[coeffs.psi(k - i) if cover >> p & 1 else 0.0
-                         for p, k in enumerate(rect.indices)]
-                        for i, cover in zip(positions, covers)])
-    thresholds = np.array(rect.thresholds)
-    values, variances = _contributions(
-        alpha, thresholds, _floors(alpha, thresholds, weights[None]), budget, seed, lambda t: rank
-    )
-    return float(values[0]), float(variances[0])
-
-
 def nu_m_j_rect(
     coeffs: CoefficientSeq,
     m: int,

@@ -11,16 +11,25 @@ draws every tuple with a shared constraint, counts hits and walks all
 combinations, the conditional ones integrate one member out one sample at
 a time (on the shifted lattice, or on i.i.d. draws), the truncation
 reference scans depths one by one, the per-level table runs one
-independent scan, with its own simulation, per tail level, and the sample
-text reference formats each CSV line with Python's ``%r``.
+independent scan, with its own simulation, per tail level, the sample
+text reference formats each CSV line with Python's ``%r`` and the sample
+values reference parses each block of lines with ``np.loadtxt``.  One
+helper is a seam, not an oracle: ``tuple_contribution`` reaches a single
+tuple through the library's own chunk functions.
 """
 
 import itertools
+import json
 import math
+import re
+import warnings
 
 import numpy as np
 
-from matails import WindowSeq, ZERO, hrv_scan
+import matails.cli
+from matails import WindowSeq, ZERO, hrv_scan, limit_measures
+from matails.cli import ConfigError
+from matails.ma_process import MAX_DRAWS
 from matails.innovations import ParetoFamily, TailModel, block_generator, draw
 
 
@@ -168,6 +177,21 @@ def simulate_oracle(coeffs, depth, model, window, replicates, seed, block_rows):
                 acc += psi[j] * z[depth - j: depth - j + width]
         out[start:start + rows] = acc.T
     return out
+
+
+def tuple_contribution(coeffs, alpha, rect, positions, covers, budget, seed, rank):
+    """(value, variance) of one tuple's integral through the library's own
+    path, not an oracle: the tuple given by its positions and cover bitmasks
+    (bit p: rect.indices[p]), a one-tuple chunk of
+    ``limit_measures._contributions`` integrated on sub-stream ``rank``."""
+    weights = np.array([[coeffs.psi(k - i) if cover >> p & 1 else 0.0
+                         for p, k in enumerate(rect.indices)]
+                        for i, cover in zip(positions, covers)])
+    thresholds = np.array(rect.thresholds)
+    floors = limit_measures._floors(alpha, thresholds, weights[None])
+    values, variances = limit_measures._contributions(
+        alpha, thresholds, floors, budget, seed, lambda t: rank)
+    return float(values[0]), float(variances[0])
 
 
 def tuple_contribution_reference(coeffs, alpha, rect, positions, covers, budget, seed, rank):
@@ -372,3 +396,65 @@ def sample_text_reference(ids, indices, values) -> str:
     round-trip repr that csv.writer writes for a float."""
     cells = zip(np.asarray(ids).tolist(), np.asarray(indices).tolist(), np.asarray(values).tolist())
     return ("%d,%d,%r\n" * len(values)) % tuple(itertools.chain.from_iterable(cells))
+
+
+def _reference_rows(path, lines, line):
+    try:
+        ids, idx, vals = np.loadtxt(lines, delimiter=",", ndmin=2, usecols=(0, 1, 2)).T
+        keys = np.concatenate((ids, idx))
+        if not np.all(np.isfinite(keys) & (keys == np.floor(keys))):
+            raise ValueError("replicate_id and index must be integers")
+    except ValueError as exc:
+        if len(lines) > 1:
+            for offset, text in enumerate(lines):
+                _reference_rows(path, [text], line + offset)
+        msg = re.sub(r" at row \d+", "", str(exc))
+        raise ConfigError(f"{path}, line {line}: {msg}") from None
+    return ids, idx, vals
+
+
+def _reference_size(path, n):
+    if n is not None and n > MAX_DRAWS:
+        raise ConfigError(f"{path}: {n} replicates exceed the {MAX_DRAWS} that simulate can write")
+
+
+def sample_values_reference(path, index):
+    """``hill --sample``'s vector of ``index`` as ``np.loadtxt`` reads it: the
+    file in text mode (universal newlines), ``matails.cli.ROW_SLICE`` lines
+    per block, a block that fails parsed again line by line to name the line."""
+    sidecar = f"{path}.meta.json"
+    try:
+        with open(sidecar, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except FileNotFoundError:
+        meta = {}
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{sidecar}: unreadable sidecar ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{sidecar}: not a JSON object ({type(meta).__name__})")
+    n = meta.get("n")
+    if n is not None and (type(n) is not int or n < 0):
+        raise ConfigError(f"{sidecar}: n must be a nonnegative integer, got {n!r}")
+    _reference_size(sidecar, n)
+    values = None if n is None else np.zeros(n)
+    kept, top, line = [], -1.0, 2
+    with open(path, "r", encoding="utf-8", newline="") as fh, warnings.catch_warnings():
+        if fh.readline().rstrip("\r\n") != "replicate_id,index,value":
+            raise ConfigError(f"{path} is not a simulate output file")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        while lines := list(itertools.islice(fh, matails.cli.ROW_SLICE)):
+            ids, idx, vals = _reference_rows(path, lines, line)
+            line += len(lines)
+            keep = (idx == index) & (ids >= 0)
+            if n is None:
+                top = max(top, ids.max(initial=-1.0))
+                kept.append((ids[keep], vals[keep]))
+            else:
+                keep &= ids < n
+                values[ids[keep].astype(np.intp)] = vals[keep]
+    if n is None:
+        _reference_size(path, int(top) + 1)
+        values = np.zeros(int(top) + 1)
+        for ids, vals in kept:
+            values[ids.astype(np.intp)] = vals
+    return values

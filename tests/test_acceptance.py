@@ -19,8 +19,10 @@ from matails import (
     TailModel,
     UpperRect,
     apply_Tm,
+    block_generator,
     continuity_modulus,
     dist,
+    draw,
     empirical_tail_measure,
     hill,
     marginal_tail_constant,
@@ -28,7 +30,6 @@ from matails import (
     nu_inf_0_rect,
     nu_m0_rect,
     nu_m_j_rect,
-    sample,
     scale,
     simulate,
     spike,
@@ -256,7 +257,7 @@ def test_c7_hill_sanity():
     model = TailModel.standard_pareto(1.5)
     hits = 0
     for s in range(100):
-        zs = sample(model, 100_000, seed=s)
+        zs = draw(model, block_generator(s), 100_000)
         hits += 1.35 <= hill(zs, 1000) <= 1.65
     ok = hits >= 95
     report("C7 hill sanity", ok, f"{hits}/100 runs inside [1.35, 1.65]")

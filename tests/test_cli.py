@@ -1,6 +1,8 @@
 import csv
+import decimal
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,14 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import matails.cli
-from matails import ExplicitFinite, TailModel, estimation, hill, limit_measures, sample, simulate
+from matails import (ExplicitFinite, TailModel, block_generator, draw, estimation, hill, limit_measures,
+                     simulate)
 from matails.ma_process import MAX_DEPTH, MAX_DRAWS, SimulationBatch
-from matails.cli import (_sample_slices, _sample_text, _shortest_digits, _values_from_sample_file,
-                         load_experiment, main)
-from oracles import sample_text_reference
+from matails.cli import (ConfigError, _sample_slices, _sample_text, _shortest_digits,
+                         _values_from_sample_file, load_experiment, main)
+from oracles import sample_text_reference, sample_values_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -175,7 +178,7 @@ class TestSampleWriter:
     def test_template_matches_csv_writer_across_slices(self, monkeypatch):
         # Extreme doubles and negated shifted-Pareto draws, one zero cell
         # skipped, 15 nonzero cells cut into blocks of 4 // 4 = 1 replicate row.
-        draws = sample(TailModel.shifted_pareto(0.7), 11, seed=3)
+        draws = draw(TailModel.shifted_pareto(0.7), block_generator(3), 11)
         values = [1e16, 1e-5, 5e-324, 1.7976931348623157e308, 0.0, *(-draws).tolist()]
         batch = SimulationBatch(-1, np.array(values).reshape(4, 4), 0)
         monkeypatch.setattr(matails.cli, "ROW_SLICE", 4)
@@ -450,6 +453,156 @@ def test_malformed_row_message_names_its_file_line(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}, line 6: ")
     assert " at row " not in err
+
+
+def near_tie(x, digits):
+    """``digits`` significant digits nearest the midpoint of ``x`` and the
+    next double up, in plain notation: a decimal a hair off a rounding tie."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        mid = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+        text = format(mid.quantize(decimal.Decimal(1).scaleb(mid.adjusted() - digits + 1)), "f")
+    return text if "." in text else text + ".0"
+
+
+DIGITS = "0123456789"
+
+
+def decimals(whole, fraction):
+    """Plain decimals of at most ``whole`` integer and ``fraction`` fraction digits, either sign."""
+    return st.builds("{}{}.{}".format, st.sampled_from(["", "-"]),
+                     st.text(DIGITS, min_size=1, max_size=whole),
+                     st.text(DIGITS, min_size=1, max_size=fraction))
+
+
+# Values in the fast grammar: the writer's repr, 16- and 17-digit near-ties,
+# free digit strings (some over its 18 digits), signed zeros, powers of two
+# and their neighbours.
+fast_values = st.one_of(
+    st.floats(1e-4, 1e8).map(repr),
+    st.builds(near_tie, st.floats(1e-3, 1e8), st.sampled_from([16, 17])),
+    decimals(8, 16),
+    st.sampled_from(["-0.0", "0.0", "2.0", "0.5", "1024.0", "1.9999999999999999",
+                     "0.9999999999999999", "-1.0000000000000002"]),
+)
+# Values outside it that loadtxt still reads: exponent forms, inf and nan,
+# long digit runs, signs, blanks and bare integers.
+other_values = st.one_of(
+    st.floats().map(repr),
+    decimals(9, 20),
+    st.sampled_from(["1e-05", "1e+16", "+1.5", " 1.5", "1.5 ", ".5", "5.", "-0", "7"]),
+)
+fast_indices = st.sampled_from(["0", "-1", "1", "-0", "00", "-01", "2"])
+
+
+def other_lines(ids):
+    return st.one_of(
+        st.tuples(ids.map(str), fast_indices | st.just("123456789"), other_values).map(",".join),
+        st.sampled_from(["", "-1,0,2.5", "1.0,0,3.5", "2,0,4.5,7", "# note"]),
+    )
+
+
+# Lines it refuses, with the line named in the message.
+broken_lines = st.sampled_from(["1,0", "1,0,abc", "1.5,0,3", "nan,0,3", "1,,2.0", ",0,1.5",
+                                "1,0,1_0.5", "1,--1,2.0"])
+
+
+@st.composite
+def sample_bodies(pick, ids):
+    """A sample-file body: the writer's lines and fast-grammar lines, all in
+    the fast grammar or mixed with a few other lines with ``ids`` at random
+    places, each ending in "\\n", "\\r\\n" or "\\r", perhaps one refused
+    line, and perhaps no final newline."""
+    mixed = pick(st.booleans())
+    cells = pick(st.lists(st.tuples(st.integers(0, 40), st.sampled_from([-1, 0, 1]),
+                                    finite_nonzero if mixed else st.floats(1e-4, 1e8)), max_size=12))
+    written = _sample_text(*(np.array(c) for c in zip(*cells))).decode() if cells else ""
+    lines = pick(st.lists(st.tuples(st.integers(0, 40).map(str), fast_indices, fast_values).map(",".join),
+                          max_size=16))
+    lines = [line + "\n" for line in lines]
+    lines.insert(pick(st.sampled_from([0, len(lines)])), written)
+    if not mixed:
+        return "".join(lines)
+    others = pick(st.lists(st.tuples(st.integers(0, 17), other_lines(ids),
+                                     st.sampled_from(["\n", "\r\n", "\r"])), max_size=3))
+    broken = pick(st.lists(st.tuples(st.integers(0, 17), broken_lines, st.just("\n")), max_size=1))
+    for at, text, end in others + broken:
+        lines.insert(at, text + end)
+    body = "".join(lines)
+    return body.rstrip("\r\n") if pick(st.booleans()) else body
+
+
+def read_outcome(reader, path, index):
+    """The reader's vector, or its ConfigError message."""
+    try:
+        return reader(path, index)
+    except ConfigError as exc:
+        return str(exc)
+
+
+class TestSampleReader:
+    @pytest.mark.parametrize("row_slice", SAMPLE_BLOCKS)
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.one_of(
+        st.tuples(st.none(), sample_bodies(st.integers(0, 40))),
+        st.tuples(st.sampled_from([0, 5, 50]), sample_bodies(st.integers(0, 40) | st.integers(10**8, 10**9))),
+    ), index=st.sampled_from([0, -1, 1]))
+    def test_reads_what_the_loadtxt_reference_reads(self, tmp_path, monkeypatch, row_slice, case, index):
+        # Bit for bit the same vector, or the same message, at every block
+        # size.  Ids of 9 digits come with a sidecar n: without one, n would
+        # be their size.
+        n, body = case
+        monkeypatch.setattr(matails.cli, "ROW_SLICE", row_slice)
+        (tmp_path / "sample.csv.meta.json").unlink(missing_ok=True)
+        path = write_sample(tmp_path, body, None if n is None else {"n": n})
+        got = read_outcome(_values_from_sample_file, path, index)
+        want = read_outcome(sample_values_reference, path, index)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("row_slice", SAMPLE_BLOCKS)
+    def test_pinned_lines_read_what_the_reference_reads(self, tmp_path, monkeypatch, row_slice):
+        monkeypatch.setattr(matails.cli, "ROW_SLICE", row_slice)
+        values = ["-0.0", "0.0", "2.0", "0.5", "1024.0", "1.9999999999999999", "1.0000000000000002",
+                  "0.9999999999999999", near_tie(1.1, 16), near_tie(12345.678, 17),
+                  near_tie(0.3, 17), repr(9e-05), repr(1e15), repr(2.5e16), "12345678.123456789",
+                  "0.0000000000000001", "99999999.99999999", "0.1234567890123456789"]
+        lines = [f"{i},{-1 if i % 3 else 0},{v}" for i, v in enumerate(values)]
+        lines += ["123456789,0,3.5", "4,-0,-7.25", "5,0,-1024.0", "", "6,0, 1.5"]
+        for end, tail in (("\n", "\n"), ("\r\n", ""), ("\r", "\r"), ("\n", "")):
+            path = write_sample(tmp_path, end.join(lines) + tail, {"n": 30})
+            for index in (0, -1):
+                got = _values_from_sample_file(path, index)
+                want = sample_values_reference(path, index)
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_fast_path_reads_the_demo_sample(self, tmp_path, monkeypatch):
+        # A reader that sends blocks to loadtxt or values to float() reads the
+        # same vector at their speed: on demo samples no block may go to
+        # loadtxt and at least 99% of kept values must be proven.
+        demo = str(ROOT / "demos" / "experiment.ini")
+        path = str(tmp_path / "s.csv")
+        assert main(["simulate", "--config", demo, "--set", "run.n=20000", "--out", path]) == 0
+        fallback, proven = [], []
+        rows, quotients = matails.cli._sample_rows, matails.cli._quotients
+
+        def loadtxt_rows(*args):
+            fallback.append(args[2])
+            return rows(*args)
+
+        def spy(mant, digits):
+            values, ok = quotients(mant, digits)
+            proven.append(ok)
+            return values, ok
+
+        monkeypatch.setattr(matails.cli, "_sample_rows", loadtxt_rows)
+        monkeypatch.setattr(matails.cli, "_quotients", spy)
+        values = _values_from_sample_file(path, 0)
+        assert not fallback and len(proven) > 1
+        assert np.count_nonzero(values) == sum(map(len, proven)) == 20000
+        assert np.concatenate(proven).mean() >= 0.99
+        assert values.view(np.uint64).tolist() == sample_values_reference(path, 0).view(np.uint64).tolist()
 
 
 GEOMETRIC_INFINITE = [

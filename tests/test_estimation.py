@@ -13,14 +13,15 @@ from matails import (
     SimulationBatch,
     TailModel,
     UpperRect,
+    block_generator,
     convergence_table,
+    draw,
     empirical_tail_measure,
     estimation,
     hill,
     hrv_scan,
     limit_measures,
     nu_m_j_rect,
-    sample,
     simulate,
     theoretical_tail_measure,
 )
@@ -131,11 +132,11 @@ class TestHill:
         assert hill(values, k) == pytest.approx(alpha_target, rel=1e-12)
 
     def test_pareto_sample_recovers_index(self):
-        zs = sample(TailModel.standard_pareto(1.5), 100_000, seed=2718)
+        zs = draw(TailModel.standard_pareto(1.5), block_generator(2718), 100_000)
         assert 1.35 <= hill(zs, 1000) <= 1.65
 
     def test_full_sample_hill_on_exact_pareto(self):
-        zs = sample(PARETO1, 100_000, seed=999)
+        zs = draw(PARETO1, block_generator(999), 100_000)
         assert 0.95 <= hill(zs, len(zs) - 1) <= 1.05
 
     def test_validation(self):

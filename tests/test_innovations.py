@@ -1,8 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from matails import ParameterError, TailModel, block_generator, quantile_b, sample
-from matails.innovations import draw
+from matails import ParameterError, TailModel, block_generator, draw
+
+
+def sample(model, count, seed):
+    """``count`` innovations of the undivided stream of ``seed``."""
+    return draw(model, block_generator(seed), count)
 
 
 class TestInverseTransform:
@@ -32,13 +38,13 @@ class TestInverseTransform:
 
 class TestQuantileB:
     def test_standard_alpha1(self):
-        assert quantile_b(TailModel.standard_pareto(1.0), 100.0) == 100.0
+        assert TailModel.standard_pareto(1.0).quantile_b(100.0) == 100.0
 
     def test_standard_alpha2(self):
-        assert quantile_b(TailModel.standard_pareto(2.0), 100.0) == 10.0
+        assert TailModel.standard_pareto(2.0).quantile_b(100.0) == 10.0
 
     def test_shifted_alpha1(self):
-        assert quantile_b(TailModel.shifted_pareto(1.0), 100.0) == 99.0
+        assert TailModel.shifted_pareto(1.0).quantile_b(100.0) == 99.0
 
     def test_solves_survival_equation(self):
         for model in (TailModel.standard_pareto(2.5, 1.5), TailModel.shifted_pareto(1.2)):
@@ -52,7 +58,7 @@ class TestQuantileB:
 
     def test_t_below_one_rejected(self):
         with pytest.raises(ParameterError):
-            quantile_b(TailModel.standard_pareto(1.0), 0.99)
+            TailModel.standard_pareto(1.0).quantile_b(0.99)
 
 
 class TestScalingIdentity:
@@ -87,8 +93,22 @@ class TestSampling:
         assert not np.array_equal(a, sample(model, 1000, 2025))
 
     def test_count_validation(self):
-        with pytest.raises(ParameterError):
-            sample(TailModel.standard_pareto(1.0), 0, 1)
+        # draw takes any numpy shape: no count draws nothing, a negative one is refused.
+        assert sample(TailModel.standard_pareto(1.0), 0, 1).shape == (0,)
+        with pytest.raises(ValueError):
+            sample(TailModel.standard_pareto(1.0), -1, 1)
+
+    @pytest.mark.parametrize("model, head, digest", [
+        (TailModel.standard_pareto(1.5), [1.2341310987404832, 1.9027022099175612, 1.0266719598866845],
+         "d2ca3eccadd5dc535c3996516addfd0ecfe82dbd32cd1bb627e210c0bcf16f2f"),
+        (TailModel.shifted_pareto(0.7, 2.0), [1.139093139659554, 5.937463813361488, 0.11605278775932826],
+         "b2e3a920db9466de97fbefe81c9981571f0f8420f5787064a6d80d188f563e8e"),
+    ], ids=["standard", "shifted"])
+    def test_undivided_stream_draws_the_pinned_values(self, model, head, digest):
+        # 1000 draws of seed 2024 as the removed sample(model, count, seed) returned them.
+        zs = draw(model, block_generator(2024), 1000)
+        assert zs[:3].tolist() == head
+        assert hashlib.sha256(zs.tobytes()).hexdigest() == digest
 
     def test_support(self):
         zs = sample(TailModel.standard_pareto(2.0, scale=3.0), 10_000, 5)

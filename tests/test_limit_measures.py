@@ -40,6 +40,7 @@ from oracles import (
     nu_m_j_rect_reference,
     order1_quadrature,
     pair_integral,
+    tuple_contribution,
     tuple_contribution_reference,
 )
 
@@ -379,7 +380,7 @@ class TestNuMJRect:
         total = var_total = 0.0
         for rank, positions, covers in covering_tuples(coeffs, m, j, rect):
             args = (coeffs, alpha, rect, positions, covers, 64, seed, rank)
-            value, variance = limit_measures._tuple_contribution(*args)
+            value, variance = tuple_contribution(*args)
             if rank in drawn:
                 want, want_var = conditional_tuple_reference(*args)
                 assert math.isclose(value, want, rel_tol=1e-12, abs_tol=0.0)
@@ -405,7 +406,7 @@ class TestNuMJRect:
         for rank, positions, covers in covering_tuples(coeffs, m, j, rect):
             if rank in drawn:
                 args = (coeffs, alpha, rect, positions, covers, 20_000, 13, rank)
-                value, variance = limit_measures._tuple_contribution(*args)
+                value, variance = tuple_contribution(*args)
                 crude, crude_var = tuple_contribution_reference(*args)
                 assert abs(value - crude) <= 4 * math.sqrt(variance + crude_var)
 
@@ -571,7 +572,7 @@ class TestConditionalEfficiency:
         (rank, positions, covers), = [t for t in covering_tuples(PSI_HALF, m, 1, rect)
                                       if t[0] in tuple_kinds(PSI_HALF, m, 1, rect)[2]]
         args = (PSI_HALF, 1.0, rect, positions, covers, 20_000, 42, rank)
-        _, variance = limit_measures._tuple_contribution(*args)
+        _, variance = tuple_contribution(*args)
         _, iid_variance = iid_conditional_reference(*args)
         assert 0.0 < 100 * variance <= iid_variance
 
@@ -607,12 +608,12 @@ class TestConditionalEfficiency:
                                 in covering_tuples(INDICATOR_PSI, 2, 2, INDICATOR_RECT) if rank == 55]
         for seed in (42, 7):
             args = (INDICATOR_PSI, 1.0, INDICATOR_RECT, positions, covers, 200_000, seed, 55)
-            value, variance = limit_measures._tuple_contribution(*args)
+            value, variance = tuple_contribution(*args)
             crude, crude_var = tuple_contribution_reference(*args)
             assert 0.0 < variance <= crude_var
             assert abs(value - crude) <= 4 * math.sqrt(variance + crude_var)
         args = (INDICATOR_PSI, 1.0, INDICATOR_RECT, positions, covers, 20_000, 42, 55)
-        got, want = limit_measures._tuple_contribution(*args), conditional_tuple_reference(*args)
+        got, want = tuple_contribution(*args), conditional_tuple_reference(*args)
         assert all(math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0) for g, w in zip(got, want))
 
 

@@ -1,7 +1,8 @@
 """Simulation memory is bounded by the window and the replicate tile, not by
 the lag depth, the block or the replicate count; ``verify`` counts
 exceedances without storing the replicate matrix, ``simulate`` writes its
-rows a block at a time and ``hill --sample`` parses them a block at a time.
+rows a block at a time and ``hill --sample`` parses them a block of bytes
+at a time.
 The order-j tuple sum walks and integrates its tuples a chunk at a time."""
 
 import os
@@ -123,6 +124,23 @@ def test_sample_reader_peak_does_not_grow_with_the_width(tmp_path):
         values, peaks[width] = traced_peak(matails.cli._values_from_sample_file, str(path), 0)
         assert values[-1] == 1.0 + (n - 1) / n
     assert peaks[4] <= 1.05 * peaks[1]
+
+
+def test_sample_parser_temporaries_do_not_grow_with_n(tmp_path):
+    # Beyond the length-n vector the reader holds one block of about
+    # ROW_SLICE * 16 bytes with its parse arrays, whatever n: demo files of
+    # 2^15 and 2^17 replicates (64k and 256k lines) read in full blocks.
+    extra = {}
+    for n in (1 << 15, 1 << 17):
+        path = str(tmp_path / f"n{n}.csv")
+        argv = ["simulate", "--config", str(ROOT / "demos" / "experiment.ini"),
+                "--set", f"run.n={n}", "--out", path]
+        assert matails.cli.main(argv) == 0
+        values, peak = traced_peak(matails.cli._values_from_sample_file, path, 0)
+        assert len(values) == n
+        extra[n] = peak - values.nbytes
+    assert extra[1 << 17] <= 1.05 * extra[1 << 15]
+    assert extra[1 << 17] < 4 * 2**20
 
 
 def test_tuple_sum_peak_does_not_grow_with_the_tuple_count():
