@@ -18,6 +18,10 @@ them in numpy where it can certify them, and ``hill --sample`` reads them
 back in numpy where it can prove the double, else with ``float`` or
 ``np.loadtxt``).
 
+``simulate`` renders each simulation tile while the workers sum the next
+ones, and ``hill --config`` keeps each tile's one column, so no command
+holds the replicate matrix; every check runs before a file is opened.
+
 Exit status: 0 success, 2 configuration or validation error (including a
 lag depth beyond :data:`~matails.ma_process.MAX_DEPTH`), 3 runtime error.
 """
@@ -25,6 +29,7 @@ lag depth beyond :data:`~matails.ma_process.MAX_DEPTH`), 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import collections
 import configparser
 import csv
 import io
@@ -33,6 +38,7 @@ import math
 import re
 import sys
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +55,7 @@ from .ma_process import (
     Geometric,
     MAX_DRAWS,
     Polynomial,
-    SimulationBatch,
-    simulate,
+    simulate_tiles,
 )
 
 EXIT_OK = 0
@@ -58,9 +63,9 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 # The sample-file block: ``simulate`` renders ``ROW_SLICE // width`` replicate
-# rows at a time as numpy text columns, and ``hill --sample`` parses
-# ``ROW_SLICE * 16`` bytes at a time (about half as many demo lines), so
-# neither side holds whole-file arrays.
+# rows of a simulation tile at a time as numpy text columns, and ``hill
+# --sample`` parses ``ROW_SLICE * 16`` bytes at a time (about half as many
+# demo lines), so neither side holds whole-file arrays.
 ROW_SLICE = 1 << 14
 
 # Exact powers of ten (5^22 < 2^53) for the sample renderer, and how far from
@@ -307,22 +312,25 @@ def _simulation_window(exp: Experiment) -> tuple[int, int]:
     raise ConfigError("no window: set [run] window or provide rows")
 
 
-def _simulate(exp: Experiment, command: str, window: tuple[int, int],
-              threads: int) -> SimulationBatch:
+def _simulate(exp: Experiment, command: str, window: tuple[int, int], threads: int,
+              reduce=None):
+    """:func:`~matails.ma_process.simulate_tiles` of the configured run."""
     if exp.n is None:
         raise ConfigError(f"{command} needs [run] n")
-    return simulate(
-        exp.coeffs, exp.m, exp.model, window, exp.n, exp.seed, exp.trunc_eps, threads=threads
-    )
+    return simulate_tiles(exp.coeffs, exp.m, exp.model, window, exp.n, exp.seed, exp.trunc_eps,
+                          threads, reduce)
 
 
-def _sample_slices(batch: SimulationBatch):
-    """(replicate ids, indices, values) of the nonzero cells, ``ROW_SLICE // width`` rows at a time."""
-    rows = max(1, ROW_SLICE // batch.matrix.shape[1])
-    for start in range(0, batch.matrix.shape[0], rows):
-        block = batch.matrix[start:start + rows]
-        r, w = np.nonzero(block)
-        yield r + start, batch.lo + w, block[r, w]
+def _sample_slices(lo: int, tiles):
+    """(replicate ids, indices, values) of the nonzero cells of each ``(start,
+    tile)`` of ``tiles``, a ``(width, rows)`` tile of the replicates from
+    ``start`` on a window from ``lo``, ``ROW_SLICE // width`` rows at a time."""
+    for start, tile in tiles:
+        rows = max(1, ROW_SLICE // tile.shape[0])
+        for first in range(0, tile.shape[1], rows):
+            block = tile[:, first:first + rows].T
+            r, w = np.nonzero(block)
+            yield r + (start + first), lo + w, block[r, w]
 
 
 def _split(a):
@@ -431,17 +439,20 @@ def _sample_text(ids, indices, values) -> bytes:
 
 def cmd_simulate(exp: Experiment, threads: int) -> int:
     window = _simulation_window(exp)
-    batch = _simulate(exp, "simulate", window, threads)
-    # Both generators are lazy and _write_output consumes one of them.
-    rows = (row for cut in _sample_slices(batch) for row in zip(*(a.tolist() for a in cut)))
-    body = (_sample_text(*cut) for cut in _sample_slices(batch))
+    depth, tiles = _simulate(exp, "simulate", window, threads)
+    # Both generators are lazy and share the one tile stream; _write_output
+    # consumes one of them while the workers sum the next tiles.
+    cuts = _sample_slices(window[0], tiles)
+    rows = (row for cut in cuts for row in zip(*(a.tolist() for a in cut)))
+    body = (_sample_text(*cut) for cut in cuts)
     meta = _meta(exp, "simulate", {
         "seed": exp.seed,
-        "truncation_order": batch.truncation_order,
+        "truncation_order": depth,
         "window": list(window),
         "n": exp.n,
     })
-    _write_output(exp, exp.out_path, ("replicate_id", "index", "value"), rows, meta, body)
+    with closing(tiles):  # a failed write stops the workers before the error leaves
+        _write_output(exp, exp.out_path, ("replicate_id", "index", "value"), rows, meta, body)
     return EXIT_OK
 
 
@@ -693,8 +704,13 @@ def cmd_hill(exp: Experiment | None, sample: str | None, k: int, index: int, thr
         window = exp.window if exp.window is not None else (index, index)
         if not window[0] <= index <= window[1]:
             raise ConfigError(f"index {index} lies outside the simulated window")
-        batch = _simulate(exp, "hill from config", window, threads)
-        vals = batch.matrix[:, index - batch.lo]
+
+        def keep(start, acc):  # on the worker: only the length-n vector grows with n
+            vals[start:start + acc.shape[1]] = acc[index - window[0]]
+
+        _, tiles = _simulate(exp, "hill from config", window, threads, keep)
+        vals = np.empty(exp.n)  # allocated only once the checks have passed
+        collections.deque(tiles, maxlen=0)
         source = "config"
     alpha_hat = hill(vals, k)
     report = {"alpha_hat": alpha_hat, "k": k, "n": len(vals), "index": index, "source": source}

@@ -24,20 +24,23 @@ sub-streams (see :mod:`matails.innovations`), so results are reproducible
 and independent of how many workers run.  A block's innovations form one
 (length, rows) draw, newest index first.  The one block kernel runs tiles
 of at most :data:`TILE_ROWS` replicates, each seeking its lag rows in the
-block's stream, so memory grows with neither the block nor the lag depth;
-a tile stores its sums or only counts exceedances of given constraint
-sets.  The audit view :func:`innovation_matrix` draws whole blocks and
-transposes them to one row per replicate.
+block's stream, so memory grows with neither the block nor the lag depth.
+:func:`simulate_tiles` streams the tiles in replicate order, at most one
+per worker ahead of its consumer: :func:`simulate` stores them or counts
+exceedances of given constraint sets, and a caller that writes or reduces
+each tile as it comes never holds the replicate matrix.  The audit view
+:func:`innovation_matrix` is the order-0 simulation, one row per replicate.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -62,6 +65,7 @@ __all__ = [
     "SimulationBatch",
     "innovation_matrix",
     "simulate",
+    "simulate_tiles",
     "truncation_diagnostic",
 ]
 
@@ -390,15 +394,12 @@ def innovation_matrix(model: TailModel, seed: int, replicates: int, length: int)
     Row r holds the ``length`` innovations of replicate r (drawn from the
     sub-stream of block ``r // BLOCK_ROWS``), oldest index in column 0.  A
     window simulation on [k_lo, k_hi] at lag depth N uses length
-    ``k_hi - k_lo + 1 + N`` with column c holding Z_{k_lo - N + c}.  This
-    is the transpose of the drawn blocks reversed in time, so any simulated
-    value can be recomputed from here, and matrices of different depths
-    agree on their shared (rightmost) columns.
+    ``k_hi - k_lo + 1 + N`` with column c holding Z_{k_lo - N + c}.  It is
+    the order-0 simulation of the window [0, length - 1], whose column c
+    is Z_c itself, so any simulated value can be recomputed from here, and
+    matrices of different depths agree on their shared (rightmost) columns.
     """
-    out = np.empty((replicates, length), dtype=float)
-    for block, start, rows in _blocks(replicates):
-        out[start:start + rows] = draw(model, block_generator(seed, block), (length, rows))[::-1].T
-    return out
+    return simulate(ExplicitFinite([1.0]), 0, model, (0, length - 1), replicates, seed).matrix
 
 
 class SimulationBatch:
@@ -450,7 +451,7 @@ def resolve_depth(coeffs: CoefficientSeq, m, trunc_eps: float | None) -> int:
     return _check_depth(depth)
 
 
-def simulate(
+def simulate_tiles(
     coeffs: CoefficientSeq,
     m,
     model: TailModel,
@@ -459,29 +460,27 @@ def simulate(
     seed: int,
     trunc_eps: float | None = None,
     threads: int = 1,
-    count: list | None = None,
-) -> SimulationBatch:
-    """Simulate ``replicates`` independent copies of the process on a window.
+    reduce: Callable[[int, np.ndarray], object] | None = None,
+) -> tuple[int, Iterator[tuple[int, object]]]:
+    """Check a simulation, then stream it tile by tile: ``(depth, tiles)``.
 
     ``window`` is the inclusive index interval [k_lo, k_hi]; ``m`` is the
     moving-average order or :data:`INFINITE`.  Each replicate draws the
-    innovations Z_{k_hi}, Z_{k_hi - 1}, .., Z_{k_lo - N} (N = resolved lag
-    depth) from its block's sub-stream: lag row i of block replicate r is
-    the stream's double ``i * rows + r``.  A task takes a tile of at most
-    :data:`TILE_ROWS` replicates of one block, draws its lag rows at those
-    offsets and adds each into the tile's ``(width, n)`` sums, lags in the
-    order j = 0, 1, ...  Besides the stored output, a worker holds about
-    ``(width + 2) * TILE_ROWS * 8`` bytes, whatever the depth or the
-    replicate count.  More than :data:`MAX_DRAWS` innovations raise
-    :class:`UnsupportedError` before anything is allocated.
+    innovations Z_{k_hi}, Z_{k_hi - 1}, .., Z_{k_lo - N} (N = ``depth``,
+    the resolved lag depth) from its block's sub-stream: lag row i of block
+    replicate r is the stream's double ``i * rows + r``.  A task takes a
+    tile of at most :data:`TILE_ROWS` replicates of one block, draws its lag
+    rows at those offsets and adds each into the tile's ``(width, n)`` sums,
+    lags in the order j = 0, 1, ...  A worker holds about ``(width + 2) *
+    TILE_ROWS * 8`` bytes, whatever the depth or the replicate count.
 
-    Without ``count`` the batch stores the ``(replicates, width)`` matrix.
-    With ``count``, a sequence of constraint sets (tuples of ``(column,
-    threshold)`` pairs), nothing is stored: each tile counts its replicates
-    strictly above every pair of each set, and the batch holds the totals,
-    added in tile order; an empty ``count`` returns after the draw limit
-    check, running no tile.  Tiles run on a pool of ``threads`` workers; the
-    output is deterministic in ``seed`` and identical for any ``threads``.
+    An empty window, fewer than one replicate or thread, a depth over
+    :data:`MAX_DEPTH` or more than :data:`MAX_DRAWS` innovations raise
+    here, before anything is allocated.  ``tiles`` yields ``(start, sums)``
+    in replicate order, or ``(start, reduce(start, sums))`` computed on the
+    worker; no worker starts before it is read, and the ``threads`` workers
+    run at most ``threads`` tiles ahead of it.  Closing it early waits for
+    the running tiles.  Tiles are identical for any ``threads``.
     """
     k_lo, k_hi = window
     if k_lo > k_hi:
@@ -497,13 +496,10 @@ def simulate(
         raise UnsupportedError(f"simulation needs {replicates * length} innovation draws "
                                f"({replicates} replicates x {length} lag rows), above the limit "
                                f"of {MAX_DRAWS} (use fewer replicates or a shallower depth)")
-    if count is not None and not count:
-        return SimulationBatch(k_lo, None, depth, {}, (replicates, width))
     psi = coeffs.psi_array(depth)
-    out = np.zeros((width, replicates), dtype=float) if count is None else None
 
-    def run_tile(block: int, start: int, rows: int, c0: int, n: int) -> list[int]:
-        acc = np.zeros((width, n), dtype=float) if out is None else out[:, start + c0:start + c0 + n]
+    def run_tile(block: int, start: int, rows: int, c0: int, n: int) -> tuple[int, object]:
+        acc = np.zeros((width, n), dtype=float)
         row, term = np.empty((2, n), dtype=float)
         for i in range(length):
             if i == 0 or n < rows:  # a whole-block tile reads on without seeking
@@ -516,16 +512,65 @@ def simulate(
                 if psi[j] != 0.0:
                     np.multiply(psi[j], row, out=term)
                     acc[w] += term
-        return [] if count is None else [_exceedances(acc, c) for c in count]
+        start += c0
+        return start, acc if reduce is None else reduce(start, acc)
 
     tiles = ((block, start, rows, c0, min(TILE_ROWS, rows - c0))
              for block, start, rows in _blocks(replicates) for c0 in range(0, rows, TILE_ROWS))
+    return depth, _ordered(run_tile, tiles, threads)
+
+
+def _ordered(run, tasks, threads: int):
+    """``run(*task)`` of each task in task order, run on ``threads`` workers:
+    while the consumer holds one result, the next ``threads`` tasks run."""
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        per_tile = list(pool.map(lambda t: run_tile(*t), tiles))
+        ahead = collections.deque()
+        for task in tasks:
+            ahead.append(pool.submit(run, *task))
+            if len(ahead) > threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+
+
+def simulate(
+    coeffs: CoefficientSeq,
+    m,
+    model: TailModel,
+    window: tuple[int, int],
+    replicates: int,
+    seed: int,
+    trunc_eps: float | None = None,
+    threads: int = 1,
+    count: list | None = None,
+) -> SimulationBatch:
+    """Simulate ``replicates`` independent copies of the process on a window.
+
+    The arguments, checks and draws are those of :func:`simulate_tiles`.
+    Without ``count`` each worker copies its tile into the stored
+    ``(replicates, width)`` matrix.  With ``count``, a sequence of
+    constraint sets (tuples of ``(column, threshold)`` pairs), nothing is
+    stored: each tile counts its replicates strictly above every pair of
+    each set, and the batch holds the totals; an empty ``count`` runs no
+    tile.  The output is identical for any ``threads``.
+    """
+    def store(start, acc):
+        out[:, start:start + acc.shape[1]] = acc
+
+    def counts(start, acc):
+        return [_exceedances(acc, c) for c in count]
+
+    depth, tiles = simulate_tiles(coeffs, m, model, window, replicates, seed, trunc_eps,
+                                  threads, store if count is None else counts)
+    k_lo, k_hi = window
+    shape = (replicates, k_hi - k_lo + 1)
     if count is None:
+        out = np.empty(shape[::-1], dtype=float)  # allocated only once the checks have passed
+        collections.deque(tiles, maxlen=0)
         return SimulationBatch(k_lo, out.T, depth)
+    per_tile = [tile_counts for _, tile_counts in tiles] if count else []
     totals = [sum(tile_counts) for tile_counts in zip(*per_tile)]
-    return SimulationBatch(k_lo, None, depth, dict(zip(count, totals)), (replicates, width))
+    return SimulationBatch(k_lo, None, depth, dict(zip(count, totals)), shape)
 
 
 def truncation_diagnostic(

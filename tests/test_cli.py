@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import matails.cli
+import matails.ma_process as ma
 from matails import (ExplicitFinite, TailModel, block_generator, draw, estimation, hill, limit_measures,
                      simulate)
 from matails.ma_process import MAX_DEPTH, MAX_DRAWS, SimulationBatch
@@ -147,6 +149,85 @@ class TestSimulateCommand:
         assert whole.read_bytes() == sliced.read_bytes()
         assert len(whole.read_text().splitlines()) > 6000
 
+    def test_streamed_tiles_write_the_stored_matrix_bytes(self, tmp_path, config_path, monkeypatch):
+        # 61 replicates of width 3 in blocks of 12, tiles of 5 (5, 5, 2 per
+        # block) and slices of 7 // 3 = 2 rows: blocks, tiles and slices cut
+        # one another, and every thread count writes the stored matrix's rows.
+        monkeypatch.setattr(ma, "BLOCK_ROWS", 12)
+        monkeypatch.setattr(ma, "TILE_ROWS", 5)
+        monkeypatch.setattr(matails.cli, "ROW_SLICE", 7)
+        batch = simulate(ExplicitFinite([1.0, 0.5]), 1, TailModel.standard_pareto(1.0), (0, 2), 61, 42)
+        rows = [[r, w, v] for r, row in enumerate(batch.matrix.tolist()) for w, v in enumerate(row) if v]
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows([["replicate_id", "index", "value"], *rows])
+        for threads in (1, 2, 3):
+            out = tmp_path / f"t{threads}.csv"
+            argv = ["simulate", "--config", config_path, "--set", "run.n=61", "--threads", str(threads)]
+            assert main([*argv, "--out", str(out)]) == 0
+            assert out.read_bytes() == expected.getvalue().encode()
+            assert main([*argv, "--out", str(out.with_suffix(".json")), "--format", "json"]) == 0
+            assert json.loads(out.with_suffix(".json").read_text())["rows"] == rows
+        assert out.with_suffix(".json").read_bytes() == (tmp_path / "t1.json").read_bytes()
+
+    @pytest.mark.parametrize("case", ["draws", "depth", "no-n"])
+    def test_refusal_leaves_an_existing_output_untouched(self, tmp_path, config_path, capsys, case):
+        # Every simulation check runs before the output file is opened.
+        settings, message = {
+            "draws": (["coefficients.m=1000000", "run.n=1000000"], f"above the limit of {MAX_DRAWS}"),
+            "depth": ([f"coefficients.m={MAX_DEPTH + 1}"], f"depth budget of {MAX_DEPTH} lags"),
+            "no-n": ([], "simulate needs [run] n"),
+        }[case]
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(BASE_CONFIG.replace("n = 2000\n", "" if case == "no-n" else "n = 2000\n"))
+        out, sidecar = tmp_path / "s.csv", tmp_path / "s.csv.meta.json"
+        out.write_bytes(b"replicate_id,index,value\n0,0,1.5\n")
+        sidecar.write_bytes(b'{"n": 1}\n')
+        before = threading.active_count()
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--set", "coefficients.family=geometric", "--set", "coefficients.rho=0.5",
+                     *(arg for item in settings for arg in ("--set", item))]) == 2
+        assert message in capsys.readouterr().err
+        assert out.read_bytes() == b"replicate_id,index,value\n0,0,1.5\n"
+        assert sidecar.read_bytes() == b'{"n": 1}\n'
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_failed_write_exits_3_and_stops_the_workers(self, tmp_path, config_path, monkeypatch,
+                                                        capsys, threads):
+        # 2000 replicates in tiles of 50, slices of 30 // 3 = 10 rows: the
+        # third slice fails while workers still have tiles to sum.
+        monkeypatch.setattr(ma, "TILE_ROWS", 50)
+        monkeypatch.setattr(matails.cli, "ROW_SLICE", 30)
+        render, cuts = matails.cli._sample_text, []
+
+        def failing(*cut):
+            cuts.append(cut)
+            if len(cuts) == 3:
+                raise OSError("no space left on the test device")
+            return render(*cut)
+
+        monkeypatch.setattr(matails.cli, "_sample_text", failing)
+        argv = ["simulate", "--config", config_path, "--out", str(tmp_path / "s.csv"),
+                "--threads", str(threads)]
+        codes = []
+        runner = threading.Thread(target=lambda: codes.append(main(argv)))
+        before = threading.active_count()
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive() and codes == [3]
+        assert "no space left on the test device" in capsys.readouterr().err
+        assert len(cuts) == 3
+        assert threading.active_count() == before
+        # The workers stop before the error leaves the command, not when its
+        # traceback is dropped.
+        cuts.clear()
+        exp = load_experiment(config_path, [])
+        exp.out_path = str(tmp_path / "s.csv")
+        with pytest.raises(OSError) as failure:  # holds the command's frames
+            matails.cli.cmd_simulate(exp, threads)
+        assert threading.active_count() == before
+        assert len(cuts) == 3 and failure.traceback
+
 
 def pinned_sample_values():
     """Edge cases of the sample renderer: powers of two (asymmetric rounding
@@ -182,7 +263,7 @@ class TestSampleWriter:
         values = [1e16, 1e-5, 5e-324, 1.7976931348623157e308, 0.0, *(-draws).tolist()]
         batch = SimulationBatch(-1, np.array(values).reshape(4, 4), 0)
         monkeypatch.setattr(matails.cli, "ROW_SLICE", 4)
-        cuts = list(_sample_slices(batch))
+        cuts = list(_sample_slices(batch.lo, [(0, batch.matrix.T)]))
         assert [len(ids) for ids, _, _ in cuts] == [4, 3, 4, 4]
         rows = [(r, w - 1, values[4 * r + w]) for r in range(4) for w in range(4) if values[4 * r + w]]
         assert [row for cut in cuts for row in zip(*(a.tolist() for a in cut))] == rows
@@ -224,7 +305,7 @@ class TestSampleWriter:
         # runs at repr's speed; on demo samples fewer than 2% may fall back.
         exp = load_experiment(str(ROOT / "demos" / "experiment.ini"), ["run.n=20000"])
         batch = simulate(exp.coeffs, exp.m, exp.model, exp.window, exp.n, exp.seed, exp.trunc_eps)
-        ids, indices, values = next(_sample_slices(batch))
+        ids, indices, values = next(_sample_slices(batch.lo, [(0, batch.matrix.T)]))
         assert len(values) == matails.cli.ROW_SLICE
         slow = int(np.count_nonzero(~_shortest_digits(values)[2]))
         assert 0 < slow < 0.02 * len(values)
@@ -348,12 +429,37 @@ class TestHillCommand:
     def test_needs_some_source(self):
         assert main(["hill", "--k", "10"]) == 2
 
+    @pytest.mark.parametrize("threads", [1, 8])
+    def test_from_config_reads_the_stored_column(self, config_path, monkeypatch, threads):
+        # Tiles of 5 in blocks of 12 over 61 replicates: each worker keeps its
+        # tile's one column, and the vector is the stored matrix's column.
+        monkeypatch.setattr(ma, "BLOCK_ROWS", 12)
+        monkeypatch.setattr(ma, "TILE_ROWS", 5)
+        seen = []
+
+        def recorded(values, k):
+            seen.append(values)
+            return hill(values, k)
+
+        monkeypatch.setattr(matails.cli, "hill", recorded)
+        batch = simulate(ExplicitFinite([1.0, 0.5]), 1, TailModel.standard_pareto(1.0), (-1, 1), 61, 42)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers write their slices of one vector in any order
+        try:
+            for c in range(3):
+                assert main(["hill", "--config", config_path, "--k", "10", "--index", str(c - 1),
+                             "--set", "run.n=61", "--set", "run.window=-1:1",
+                             "--threads", str(threads)]) == 0
+                assert np.array_equal(seen[-1], batch.matrix[:, c])
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("index", [-1, 3])
     def test_index_outside_window_exits_before_simulating(self, config_path, monkeypatch, capsys, index):
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulate must not run")
 
-        monkeypatch.setattr(matails.cli, "simulate", no_simulation)
+        monkeypatch.setattr(matails.cli, "simulate_tiles", no_simulation)
         assert main(["hill", "--config", config_path, "--k", "10", "--index", str(index)]) == 2
         assert f"index {index} lies outside the simulated window" in capsys.readouterr().err
 

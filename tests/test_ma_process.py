@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import time
 
 import numpy as np
@@ -17,11 +18,13 @@ from matails import (
     UnsupportedError,
     WindowSeq,
     apply_Tm,
+    block_generator,
     check_assumptions,
     choose_truncation,
     cone_label,
     continuity_modulus,
     dist,
+    draw,
     exceedance_count,
     innovation_matrix,
     scale,
@@ -30,6 +33,7 @@ from matails import (
     truncation_diagnostic,
 )
 from matails.cli import main
+from matails.ma_process import simulate_tiles
 from matails.sequence_space import ZERO
 from oracles import dyadic_window, simulate_oracle, tm_oracle, truncation_scan
 
@@ -512,6 +516,73 @@ class TestSimulate:
             simulate(Geometric(0.5), -2, PARETO1, (0, 1), 10, seed=1)
         with pytest.raises(ParameterError):
             simulate(Geometric(0.5), INFINITE, PARETO1, (0, 1), 10, seed=1, trunc_eps=-1.0)
+
+
+def whole_block_innovations(model, seed, replicates, length):
+    """Each block's ``(length, rows)`` draw in one call, reversed in time and
+    transposed to one row per replicate."""
+    out = np.empty((replicates, length))
+    for block, start in enumerate(range(0, replicates, ma.BLOCK_ROWS)):
+        rows = min(ma.BLOCK_ROWS, replicates - start)
+        out[start:start + rows] = draw(model, block_generator(seed, block), (length, rows))[::-1].T
+    return out
+
+
+class TestTileStream:
+    @pytest.mark.parametrize("law", [TailModel.standard_pareto, TailModel.shifted_pareto])
+    @pytest.mark.parametrize("replicates, blocks", [(1, None), (1000, None), (70000, None),
+                                                    (1000, (64, 16))])
+    def test_innovation_matrix_is_the_whole_block_draw(self, monkeypatch, law, replicates, blocks):
+        # 70000 replicates span two tiles of one block; blocks of 64 in tiles
+        # of 16 seek every tile row.
+        if blocks is not None:
+            monkeypatch.setattr(ma, "BLOCK_ROWS", blocks[0])
+            monkeypatch.setattr(ma, "TILE_ROWS", blocks[1])
+        model = law(1.5, 2.0)
+        innov = innovation_matrix(model, 11, replicates, 5)
+        assert np.array_equal(innov, whole_block_innovations(model, 11, replicates, 5))
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_workers_run_at_most_threads_tiles_ahead(self, monkeypatch, threads):
+        # 100 replicates in tiles of 4: 25 tiles in replicate order, each the
+        # stored batch's rows, no worker started before the first is read and
+        # none left after the last.
+        monkeypatch.setattr(ma, "BLOCK_ROWS", 16)
+        monkeypatch.setattr(ma, "TILE_ROWS", 4)
+        args = (Geometric(0.5), 2, PARETO1, (0, 1), 100, 3)
+        expected = simulate(*args).matrix
+        done = []
+        before = threading.active_count()
+        depth, tiles = simulate_tiles(*args, threads=threads,
+                                      reduce=lambda start, acc: done.append(start) or acc)
+        assert depth == 2 and threading.active_count() == before
+        starts = []
+        for k, (start, acc) in enumerate(tiles):
+            time.sleep(0.002)  # time for the workers to run as far ahead as they may
+            assert len(done) <= k + 1 + threads
+            assert np.array_equal(acc.T, expected[start:start + 4])
+            starts.append(start)
+        assert starts == sorted(done) == list(range(0, 100, 4))
+        assert threading.active_count() == before
+
+    def test_closing_the_stream_stops_its_workers(self, monkeypatch):
+        monkeypatch.setattr(ma, "TILE_ROWS", 4)
+        before = threading.active_count()
+        ran = []
+        _, tiles = simulate_tiles(Geometric(0.5), 2, PARETO1, (0, 1), 400, 3, threads=3,
+                                  reduce=lambda start, acc: ran.append(start))
+        assert next(tiles) == (0, None)
+        tiles.close()
+        assert threading.active_count() == before
+        assert len(ran) <= 4
+
+    def test_checks_run_before_the_stream_is_returned(self):
+        with pytest.raises(UnsupportedError, match="innovation draws"):
+            simulate_tiles(Geometric(0.5), 10**6, PARETO1, (0, 1), 10**6, 1)
+        with pytest.raises(UnsupportedError, match="depth budget"):
+            simulate_tiles(Geometric(0.5), ma.MAX_DEPTH + 1, PARETO1, (0, 1), 10, 1)
+        with pytest.raises(ParameterError, match="threads"):
+            simulate_tiles(Geometric(0.5), 1, PARETO1, (0, 1), 10, 1, threads=0)
 
 
 class TestTruncationDiagnostic:

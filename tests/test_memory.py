@@ -1,8 +1,8 @@
 """Simulation memory is bounded by the window and the replicate tile, not by
 the lag depth, the block or the replicate count; ``verify`` counts
-exceedances without storing the replicate matrix, ``simulate`` writes its
-rows a block at a time and ``hill --sample`` parses them a block of bytes
-at a time.
+exceedances without storing the replicate matrix, the ``simulate``
+command writes each tile a block of rows at a time as it is summed and
+``hill --sample`` parses them a block of bytes at a time.
 The order-j tuple sum walks and integrates its tuples a chunk at a time."""
 
 import os
@@ -72,10 +72,10 @@ def test_hrv_scan_stores_no_replicate_matrix(monkeypatch):
 
 
 def test_simulate_command_builds_rows_a_slice_at_a_time(tmp_path, monkeypatch):
-    # The command holds the 8 B/cell matrix that simulate returns plus one
-    # block of ROW_SLICE cells as index arrays, Python rows and text (well
-    # under 1 kB a cell).  Whole-matrix nonzero index arrays cost another
-    # 16 B/cell, 6 MB here.
+    # The command holds no more than the 8 B/cell matrix that simulate
+    # returns (it holds a few tiles) plus one block of ROW_SLICE cells as
+    # index arrays, Python rows and text (well under 1 kB a cell).
+    # Whole-matrix nonzero index arrays cost another 16 B/cell, 6 MB here.
     monkeypatch.setattr(matails.cli, "ROW_SLICE", 1024)
     n = 1 << 17
     cfg = tmp_path / "c.ini"
@@ -108,6 +108,40 @@ def test_simulate_command_peak_at_the_default_row_slice(tmp_path):
     code, peak = traced_peak(matails.cli.main, argv)
     assert code == 0
     assert peak < simulate_peak + 4 * 1024 * 1024
+
+
+def test_simulate_command_peak_does_not_grow_with_n(tmp_path):
+    # The command renders each tile as it comes: a worker's tile and lag
+    # rows, the tile it renders and one text block, whatever n.  Holding the
+    # 8 B/cell matrix took 3 and 12 MiB at these sizes.
+    peaks = {}
+    for n in (1 << 10, 1 << 17, 1 << 19):  # the first run takes the one-time allocations
+        cfg = tmp_path / f"n{n}.ini"
+        cfg.write_text("[coefficients]\nfamily = explicit\nvalues = 1, 0.5\nm = 1\n"
+                       "[tail]\nfamily = standard_pareto\nalpha = 1.0\n"
+                       f"[run]\nn = {n}\nseed = 4\nwindow = 0:2\n")
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]
+        code, peaks[n] = traced_peak(matails.cli.main, argv)
+        assert code == 0
+    assert peaks[1 << 19] <= 1.05 * peaks[1 << 17]
+    assert peaks[1 << 19] < 8 * 2**20
+
+
+def test_hill_from_config_keeps_one_column(tmp_path):
+    # Each worker writes its (4, TILE_ROWS) tile's requested column into the
+    # length-n vector, so beyond it the command holds one worker's sums and
+    # lag rows (3 MiB), then hill's sorted copy (2 MiB).  The (n, 4) matrix
+    # alone was 4 n * 8 bytes.
+    n = 1 << 18
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[coefficients]\nfamily = explicit\nvalues = 1, 0.5\nm = 1\n"
+                   "[tail]\nfamily = standard_pareto\nalpha = 1.0\n"
+                   f"[run]\nn = {n}\nseed = 4\nwindow = 0:3\n")
+    argv = ["hill", "--config", str(cfg), "--k", "1000", "--index", "2"]
+    assert matails.cli.main([*argv, "--set", "run.n=4096"]) == 0  # one-time allocations
+    code, peak = traced_peak(matails.cli.main, argv)
+    assert code == 0
+    assert peak < n * 8 + 4 * 2**20
 
 
 def test_sample_reader_peak_does_not_grow_with_the_width(tmp_path):
@@ -216,3 +250,11 @@ def test_sample_round_trip_peak_rss(tmp_path):
                                 "--out", str(tmp_path / "hill.json"))
     assert simulate_peak < 52 * 1024
     assert hill_peak < 44 * 1024
+
+
+def test_simulate_demo_peak_rss(tmp_path):
+    # The demo as shipped, 10^6 replicates: holding the matrix peaked at
+    # 57 MB; rendering each tile as it comes holds about 43.5 MB at any n.
+    peak = cli_peak_rss_kb("simulate", "--config", str(ROOT / "demos" / "experiment.ini"),
+                           "--out", str(tmp_path / "samples.csv"))
+    assert peak < 48 * 1024
