@@ -20,7 +20,8 @@ back in numpy where it can prove the double, else with ``float`` or
 
 ``simulate`` renders each simulation tile while the workers sum the next
 ones, and ``hill --config`` keeps each tile's one column, so no command
-holds the replicate matrix; every check runs before a file is opened.
+holds the replicate matrix, and CSV and JSON are both written a row block at
+a time; every check runs before a file is opened.
 
 Exit status: 0 success, 2 configuration or validation error (including a
 lag depth beyond :data:`~matails.ma_process.MAX_DEPTH`), 3 runtime error.
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import __version__
 from .errors import AssumptionError, ParameterError, UnsupportedError
-from .estimation import convergence_table, hill, theoretical_verdicts
+from .estimation import check_order_count, convergence_table, hill, theoretical_verdicts
 from .innovations import ParetoFamily, TailModel
 from .limit_measures import DEFAULT_INTEGRATION_BUDGET, UpperRect
 from .ma_process import (
@@ -273,7 +274,9 @@ def _write_output(exp: Experiment, out_path, columns, rows, meta, csv_body=None)
     """CSV body plus .meta.json sidecar, or a single JSON document.
 
     ``csv_body``, when given, is the CSV body already rendered as ASCII byte
-    chunks of the same ``rows``; only one of the two is consumed.
+    chunks of the same ``rows``; only one of the two is consumed.  The JSON
+    document, ``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline,
+    is written head, one row at a time, tail.
     """
     if out_path is None:
         raise ConfigError("no output path: set [output] path or pass --out")
@@ -291,14 +294,16 @@ def _write_output(exp: Experiment, out_path, columns, rows, meta, csv_body=None)
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
     else:
-        doc = {
-            "meta": meta,
-            "columns": list(columns),
-            "rows": list(rows),
-        }
+        head = json.dumps(dict(columns=list(columns), meta=meta, rows=[]), indent=2, sort_keys=True)
+        # Rows are flat: this item separator alone indents their values as json.dump does.
+        encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
         with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(head[:-len("[]\n}")])  # "rows" sorts last
+            sep = "["
+            for row in rows:
+                fh.write(f"{sep}\n    " + (f"[\n      {encode(row)[1:-1]}\n    ]" if row else "[]"))
+                sep = ","
+            fh.write("[]\n}\n" if sep == "[" else "\n  ]\n}\n")
 
 
 def _simulation_window(exp: Experiment) -> tuple[int, int]:
@@ -696,6 +701,7 @@ def _values_from_sample_file(path: str, index: int) -> np.ndarray:
 def cmd_hill(exp: Experiment | None, sample: str | None, k: int, index: int, threads: int,
              out_path: str | None) -> int:
     if sample is not None:
+        check_order_count(k, None)
         vals = _values_from_sample_file(sample, index)
         source = sample
     else:
@@ -704,6 +710,7 @@ def cmd_hill(exp: Experiment | None, sample: str | None, k: int, index: int, thr
         window = exp.window if exp.window is not None else (index, index)
         if not window[0] <= index <= window[1]:
             raise ConfigError(f"index {index} lies outside the simulated window")
+        check_order_count(k, exp.n)
 
         def keep(start, acc):  # on the worker: only the length-n vector grows with n
             vals[start:start + acc.shape[1]] = acc[index - window[0]]
@@ -730,20 +737,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
+    def common(p, needs_config=True, threads=True, formats=True):
         p.add_argument("--config", required=needs_config, help="INI experiment file")
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override a config entry (repeatable)")
-        p.add_argument("--threads", type=int, default=1, help="worker cap (output-invariant)")
+        if threads:  # absent unless given: hill --sample refuses it
+            p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
+                           help="simulation worker cap, default 1 (output-invariant)")
         p.add_argument("--out", help="output path (overrides [output] path)")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="output format (overrides [output] format)")
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"),
+                           help="output format (overrides [output] format)")
 
     common(sub.add_parser("simulate", help="write replicate windows to a sample file"))
-    common(sub.add_parser("limits", help="evaluate the theoretical measures only"))
+    common(sub.add_parser("limits", help="evaluate the theoretical measures only"), threads=False)
     common(sub.add_parser("verify", help="empirical vs theoretical comparison table"))
     p_hill = sub.add_parser("hill", help="tail-index estimate from a sample file or config")
-    common(p_hill, needs_config=False)
+    common(p_hill, needs_config=False, formats=False)
     p_hill.add_argument("--sample", help="CSV produced by the simulate command")
     p_hill.add_argument("--k", type=int, required=True, help="number of top order statistics")
     p_hill.add_argument("--index", type=int, default=0, help="sequence index to estimate on")
@@ -762,15 +772,18 @@ def main(argv=None) -> int:
             exp = load_experiment(args.config, args.set)
             if args.out:
                 exp.out_path = args.out
-            if args.format:
+            if getattr(args, "format", None):
                 exp.out_format = args.format
+        elif args.set or "threads" in args:  # only hill runs without a config
+            raise ConfigError(f"{'--set' if args.set else '--threads'} needs --config")
+        threads = getattr(args, "threads", 1)
         if args.command == "simulate":
-            return cmd_simulate(exp, args.threads)
+            return cmd_simulate(exp, threads)
         if args.command == "limits":
             return cmd_limits(exp)
         if args.command == "verify":
-            return cmd_verify(exp, args.threads)
-        return cmd_hill(exp, args.sample, args.k, args.index, args.threads, args.out)
+            return cmd_verify(exp, threads)
+        return cmd_hill(exp, args.sample, args.k, args.index, threads, args.out)
     except (ConfigError, ParameterError, AssumptionError, UnsupportedError,
             configparser.Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -108,6 +108,13 @@ def empirical_tail_measure(
     )
 
 
+def check_order_count(k: int, n: int | None) -> None:
+    """:func:`hill`'s bounds 2 <= k < n on the order count; only k >= 2 while n is None."""
+    if not 2 <= k < (math.inf if n is None else n):
+        known = "" if n is None else f", n={n}"
+        raise ParameterError(f"order count must satisfy 2 <= k < n, got k={k}{known}")
+
+
 def hill(values, k: int) -> float:
     """Hill tail-index estimate from the top-k order statistics.
 
@@ -117,8 +124,7 @@ def hill(values, k: int) -> float:
     n = xs.size
     if n < 3 or np.any(xs <= 0) or not np.all(np.isfinite(xs)):
         raise ParameterError("hill needs at least 3 finite positive values")
-    if not 2 <= k < n:
-        raise ParameterError(f"order count must satisfy 2 <= k < n, got k={k}, n={n}")
+    check_order_count(k, n)
     log_spacings = np.log(xs[n - k:]) - math.log(xs[n - k - 1])
     return k / float(np.sum(log_spacings))
 

@@ -143,10 +143,6 @@ class CoefficientSeq:
         """Upper bound on sum_{j>n} psi_j^p (exact where a closed form exists)."""
         raise NotImplementedError
 
-    def tail_bound_inverse(self, eps: float) -> float:
-        """The real n at which ``tail_sum_bound(n)`` equals eps (infinite families)."""
-        raise NotImplementedError
-
     @property
     def order(self) -> int | None:
         """Largest lag with a nonzero coefficient, or None for infinite support."""
@@ -218,10 +214,6 @@ class Geometric(CoefficientSeq):
         r = self.rho**p
         return r ** (n + 1) / (1.0 - r)
 
-    def tail_bound_inverse(self, eps: float) -> float:
-        # rho^(n+1) / (1 - rho) = eps, solved by a log.
-        return (math.log(eps) + math.log1p(-self.rho)) / math.log(self.rho) - 1.0
-
     def summability_exponent(self, alpha: float) -> float | None:
         return 0.5 * min(alpha, 1.0)
 
@@ -252,12 +244,6 @@ class Polynomial(CoefficientSeq):
         if bp <= 1.0:
             return math.inf
         return float(n + 1) ** (1.0 - bp) / (bp - 1.0)
-
-    def tail_bound_inverse(self, eps: float) -> float:
-        # (n+1)^(1-beta) / (beta-1) = eps, solved by a power taken in logs so
-        # that it cannot overflow.
-        b = self.beta - 1.0
-        return math.exp(min(-(math.log(b) + math.log(eps)) / b, 709.0)) - 1.0
 
     def summability_exponent(self, alpha: float) -> float | None:
         # sum (j+1)^(-beta*delta) converges iff beta*delta > 1.
@@ -326,12 +312,11 @@ def choose_truncation(coeffs: CoefficientSeq, eps: float | None = None) -> int:
     return their own order regardless of eps.  For the decaying families
     the N is the first depth whose analytic tail bound drops below eps, so
     the guarantee is sound even though the polynomial bound is not tight.
-    The family's closed-form inverse of that bound (a log for the geometric
-    family, a power for the polynomial one) gives a starting depth; steps
-    from there, doubling while the crossing is not yet bracketed and then
-    halving, land on the exact first crossing in a few bound evaluations.
-    The depth is not checked against :data:`MAX_DEPTH` here, only where it
-    is built; a depth beyond 2^53 raises :class:`UnsupportedError`.
+    The depth doubles from 0 until the bound drops below eps, then a
+    bisection between the last two depths finds the first crossing: at most
+    about 106 bound evaluations, however deep.  The depth is not checked
+    against :data:`MAX_DEPTH` here, only where it is built; a depth beyond
+    2^53 raises :class:`UnsupportedError`.
     """
     if eps is None:
         eps = DEFAULT_TRUNC_FACTOR * coeffs.sum_psi_power(1.0)
@@ -342,17 +327,11 @@ def choose_truncation(coeffs: CoefficientSeq, eps: float | None = None) -> int:
     if not math.isfinite(coeffs.sum_psi_power(1.0)):
         raise UnsupportedError("coefficient series diverges; no truncation depth exists")
     bound = coeffs.tail_sum_bound
-    guess = coeffs.tail_bound_inverse(eps)
-    hi = math.ceil(min(guess, _EXACT_DEPTH_LIMIT)) if guess > 0 else 0
-    step = 1
+    lo, hi = -1, 0
     while bound(hi) >= eps:
         if hi >= _EXACT_DEPTH_LIMIT:
             raise UnsupportedError(f"tolerance {eps!r} needs a truncation depth beyond 2^53 lags")
-        hi, step = min(hi + step, _EXACT_DEPTH_LIMIT), 2 * step
-    lo, step = hi - 1, 1
-    while lo >= 0 and bound(lo) < eps:
-        hi, lo, step = lo, lo - step, 2 * step
-    lo = max(lo, -1)
+        lo, hi = hi, min(2 * hi + 1, _EXACT_DEPTH_LIMIT)
     # Invariant: bound(hi) < eps, and lo = -1 or bound(lo) >= eps.
     while hi - lo > 1:
         mid = (lo + hi) // 2

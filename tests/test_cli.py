@@ -1,3 +1,4 @@
+import argparse
 import csv
 import decimal
 import io
@@ -10,6 +11,7 @@ import textwrap
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from matails import (ExplicitFinite, TailModel, block_generator, draw, estimatio
                      simulate)
 from matails.ma_process import MAX_DEPTH, MAX_DRAWS, SimulationBatch
 from matails.cli import (ConfigError, _sample_slices, _sample_text, _shortest_digits,
-                         _values_from_sample_file, load_experiment, main)
+                         _values_from_sample_file, _write_output, build_parser, load_experiment,
+                         main)
 from oracles import sample_text_reference, sample_values_reference
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -463,18 +466,45 @@ class TestHillCommand:
         assert main(["hill", "--config", config_path, "--k", "10", "--index", str(index)]) == 2
         assert f"index {index} lies outside the simulated window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [1, 2000])
+    def test_order_count_outside_range_exits_before_simulating(self, config_path, monkeypatch,
+                                                               capsys, k):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate must not run")
+
+        monkeypatch.setattr(matails.cli, "simulate_tiles", no_simulation)
+        assert main(["hill", "--config", config_path, "--k", str(k)]) == 2
+        assert f"order count must satisfy 2 <= k < n, got k={k}, n=2000" in capsys.readouterr().err
+
+    def test_sample_order_count_below_2_exits_before_reading(self, tmp_path, capsys):
+        # The file does not exist: opening it would exit 3.
+        assert main(["hill", "--sample", str(tmp_path / "missing.csv"), "--k", "1"]) == 2
+        assert "order count must satisfy 2 <= k < n, got k=1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [("--set", "run.n=10"), ("--threads", "1")])
+    def test_sample_refuses_simulation_flags(self, tmp_path, capsys, flag):
+        path = write_sample(tmp_path, "0,0,1.5\n1,0,2.5\n2,0,3.5\n", {"n": 3})
+        assert main(["hill", "--sample", path, "--k", "2"]) == 0
+        capsys.readouterr()
+        assert main(["hill", "--sample", path, "--k", "2", *flag]) == 2
+        assert f"{flag[0]} needs --config" in capsys.readouterr().err
+
     @pytest.mark.parametrize("row_slice", SAMPLE_BLOCKS)
     def test_sample_file_is_bitwise_round_trip(self, tmp_path, config_path, monkeypatch, row_slice):
+        # 4 lines per replicate: the tiny block sizes read 150 * row_slice
+        # replicates in 600 to 935 blocks each (3000 took 11 s at 1 line a
+        # block), the default 3000 in one block.
         monkeypatch.setattr(matails.cli, "ROW_SLICE", row_slice)
+        n = min(3000, 150 * row_slice)
         out = tmp_path / "s.csv"
         assert main([
             "simulate", "--config", config_path, "--out", str(out),
-            "--set", "run.n=3000", "--set", "tail.family=shifted_pareto",
+            "--set", f"run.n={n}", "--set", "tail.family=shifted_pareto",
             "--set", "coefficients.values=1, 0.3, 0.7", "--set", "coefficients.m=2",
             "--set", "run.window=-2:1",
         ]) == 0
         batch = simulate(
-            ExplicitFinite([1.0, 0.3, 0.7]), 2, TailModel.shifted_pareto(1.0), (-2, 1), 3000, 42
+            ExplicitFinite([1.0, 0.3, 0.7]), 2, TailModel.shifted_pareto(1.0), (-2, 1), n, 42
         )
         for c in range(batch.matrix.shape[1]):
             assert np.array_equal(_values_from_sample_file(str(out), batch.lo + c),
@@ -884,6 +914,67 @@ def test_verify_row_errors_are_the_limits_notes(tmp_path, config_path, case):
         for r in ver_rows[1:] if r[vh.index("error")]
     }
     assert notes and errors == notes
+
+
+# The flags each command reads, and no other: 21 settable values in all.
+RUN_FLAGS = ["--config", "--format", "--out", "--set", "--threads"]
+COMMAND_FLAGS = {
+    "simulate": RUN_FLAGS,
+    "limits": ["--config", "--format", "--out", "--set"],
+    "verify": RUN_FLAGS,
+    "hill": ["--config", "--index", "--k", "--out", "--sample", "--set", "--threads"],
+    "example-config": [],
+}
+
+
+class TestParser:
+    def test_each_command_offers_the_flags_it_reads(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {name: sorted(a.option_strings[-1] for a in p._actions if a.dest != "help")
+                 for name, p in sub.choices.items()}
+        assert flags == COMMAND_FLAGS
+        assert sum(map(len, flags.values())) == 21
+
+    @pytest.mark.parametrize("argv", [["limits", "--threads", "8"],
+                                      ["hill", "--format", "csv", "--k", "10"]])
+    def test_a_flag_the_command_does_not_read_exits_2(self, tmp_path, config_path, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--config", config_path, "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {argv[1]} {argv[2]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def json_reference(path) -> str:
+    """``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline, of the document at path."""
+    return json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("rows", [[], [()], [(1, None, True, False, -0.0, math.nan, "a\n\"b")],
+                                      [(1, 2.5), [3, math.inf]]])
+    def test_streamed_document_is_the_json_dump_bytes(self, tmp_path, rows):
+        exp = SimpleNamespace(out_format="json")
+        meta = {"config": {"run": {"n": "3"}}, "a": [None, {"z": 1, "b": 1.5}], "note": "\u00e9"}
+        out = tmp_path / "out.json"
+        _write_output(exp, str(out), ("x", "y"), iter(rows), meta)
+        expected = io.StringIO()
+        json.dump({"meta": meta, "columns": ["x", "y"], "rows": rows}, expected, indent=2, sort_keys=True)
+        assert out.read_text() == expected.getvalue() + "\n"
+
+    @pytest.mark.parametrize("command", ["limits", "verify", "simulate"])
+    def test_commands_write_the_json_dump_bytes(self, tmp_path, config_path, command):
+        # limits' error row holds None, verify's degenerate column booleans.
+        out = tmp_path / "out.json"
+        assert main([command, "--config", config_path, "--format", "json", "--out", str(out),
+                     "--set", "rows.row2=1; 0:1.0, 1:1.0", "--set", "run.n=300"]) == 0
+        assert out.read_text() == json_reference(out)
+        cells = [v for row in json.loads(out.read_text())["rows"] for v in row]
+        assert len(cells) > 3
+        if command != "simulate":
+            assert None in cells
+        if command == "verify":
+            assert True in cells or False in cells
 
 
 class TestErrorHandling:

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import matails.ma_process as ma
 from matails import (
@@ -354,6 +355,26 @@ class TestChooseTruncation:
         assert choose_truncation(Polynomial(1.5)) == 5_861_230_993_349_299
         assert choose_truncation(Polynomial(math.inf)) == 0
         assert time.perf_counter() - start < 0.1
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), coeffs=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(Geometric),
+        st.floats(1.0, 64.0, exclude_min=True).map(Polynomial),
+        st.just(Polynomial(math.inf)),
+    ))
+    def test_depth_is_the_first_crossing_of_the_bound(self, data, coeffs):
+        # Log-uniform tolerances from 1e-300 to 10 S, or the default.
+        mass = coeffs.sum_psi_power(1.0)
+        eps = data.draw(st.none() | st.floats(-300.0, math.log10(10 * mass)).map(lambda e: 10.0**e))
+        target = ma.DEFAULT_TRUNC_FACTOR * mass if eps is None else eps
+        bound = coeffs.tail_sum_bound
+        if bound(2**53) >= target:
+            with pytest.raises(UnsupportedError, match="2\\^53"):
+                choose_truncation(coeffs, eps)
+            return
+        depth = choose_truncation(coeffs, eps)
+        assert bound(depth) < target
+        assert depth == 0 or bound(depth - 1) >= target
 
     def test_depth_beyond_2_pow_53_unsupported(self):
         with pytest.raises(UnsupportedError, match="2\\^53"):

@@ -127,6 +127,25 @@ def test_simulate_command_peak_does_not_grow_with_n(tmp_path):
     assert peaks[1 << 19] < 8 * 2**20
 
 
+def test_simulate_json_peak_does_not_grow_with_n(tmp_path, monkeypatch):
+    # The JSON document is written a row at a time, so beyond the tiles and
+    # one block of rows the command holds nothing per replicate: about
+    # 0.25 MiB at both sizes.  Building its rows list first took 0.8 and
+    # 3.0 MiB, about 120 B per row.
+    monkeypatch.setattr(ma, "TILE_ROWS", 1 << 10)
+    monkeypatch.setattr(matails.cli, "ROW_SLICE", 1 << 10)
+    peaks = {}
+    for n in (1 << 8, 1 << 11, 1 << 13):  # the first run takes the one-time allocations
+        cfg = tmp_path / f"n{n}.ini"
+        cfg.write_text("[coefficients]\nfamily = explicit\nvalues = 1, 0.5\nm = 1\n"
+                       "[tail]\nfamily = standard_pareto\nalpha = 1.0\n"
+                       f"[run]\nn = {n}\nseed = 4\nwindow = 0:2\n")
+        argv = ["simulate", "--config", str(cfg), "--format", "json", "--out", str(tmp_path / "s.json")]
+        code, peaks[n] = traced_peak(matails.cli.main, argv)
+        assert code == 0
+    assert peaks[1 << 13] <= 1.05 * peaks[1 << 11]
+
+
 def test_hill_from_config_keeps_one_column(tmp_path):
     # Each worker writes its (4, TILE_ROWS) tile's requested column into the
     # length-n vector, so beyond it the command holds one worker's sums and
