@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import AssumptionError, ParameterError, UnsupportedError
 from .estimation import check_order_count, convergence_table, hill, theoretical_verdicts
 from .innovations import ParetoFamily, TailModel
 from .limit_measures import DEFAULT_INTEGRATION_BUDGET, UpperRect
@@ -264,10 +263,7 @@ def _rect_text(rect: UpperRect) -> str:
 
 
 def _meta(exp: Experiment, command: str, extra: dict | None = None) -> dict:
-    meta = {"command": command, "config": exp.raw, "version": __version__}
-    if extra:
-        meta.update(extra)
-    return meta
+    return {"command": command, "config": exp.raw, "version": __version__, **(extra or {})}
 
 
 def _write_output(exp: Experiment, out_path, columns, rows, meta, csv_body=None) -> None:
@@ -306,24 +302,18 @@ def _write_output(exp: Experiment, out_path, columns, rows, meta, csv_body=None)
             fh.write("[]\n}\n" if sep == "[" else "\n  ]\n}\n")
 
 
-def _simulation_window(exp: Experiment) -> tuple[int, int]:
+def _simulation_window(exp: Experiment, command: str, index: int | None = None) -> tuple[int, int]:
+    """The one rule for what ``simulate`` and ``hill --config`` simulate: ``[run] n``
+    replicates on ``[run] window``, else the rows' span, else ``(index, index)`` for ``hill``."""
+    if exp.n is None:
+        raise ConfigError(f"{command} needs [run] n")
     if exp.window is not None:
         return exp.window
     if exp.rows:
-        return (
-            min(rect.min_index for _, rect in exp.rows),
-            max(rect.max_index for _, rect in exp.rows),
-        )
+        return min(r.min_index for _, r in exp.rows), max(r.max_index for _, r in exp.rows)
+    if index is not None:
+        return index, index
     raise ConfigError("no window: set [run] window or provide rows")
-
-
-def _simulate(exp: Experiment, command: str, window: tuple[int, int], threads: int,
-              reduce=None):
-    """:func:`~matails.ma_process.simulate_tiles` of the configured run."""
-    if exp.n is None:
-        raise ConfigError(f"{command} needs [run] n")
-    return simulate_tiles(exp.coeffs, exp.m, exp.model, window, exp.n, exp.seed, exp.trunc_eps,
-                          threads, reduce)
 
 
 def _sample_slices(lo: int, tiles):
@@ -443,8 +433,9 @@ def _sample_text(ids, indices, values) -> bytes:
 
 
 def cmd_simulate(exp: Experiment, threads: int) -> int:
-    window = _simulation_window(exp)
-    depth, tiles = _simulate(exp, "simulate", window, threads)
+    window = _simulation_window(exp, "simulate")
+    depth, tiles = simulate_tiles(exp.coeffs, exp.m, exp.model, window, exp.n, exp.seed,
+                                  exp.trunc_eps, threads)
     # Both generators are lazy and share the one tile stream; _write_output
     # consumes one of them while the workers sum the next tiles.
     cuts = _sample_slices(window[0], tiles)
@@ -700,14 +691,13 @@ def _values_from_sample_file(path: str, index: int) -> np.ndarray:
 
 def cmd_hill(exp: Experiment | None, sample: str | None, k: int, index: int, threads: int,
              out_path: str | None) -> int:
+    """Hill estimate of alpha from ``X_index`` of a ``simulate`` sample file, or of ``exp``
+    simulated on the window ``simulate`` writes, each tile keeping its one column."""
     if sample is not None:
         check_order_count(k, None)
         vals = _values_from_sample_file(sample, index)
-        source = sample
     else:
-        if exp is None:
-            raise ConfigError("hill needs --sample or --config")
-        window = exp.window if exp.window is not None else (index, index)
+        window = _simulation_window(exp, "hill", index)
         if not window[0] <= index <= window[1]:
             raise ConfigError(f"index {index} lies outside the simulated window")
         check_order_count(k, exp.n)
@@ -715,12 +705,13 @@ def cmd_hill(exp: Experiment | None, sample: str | None, k: int, index: int, thr
         def keep(start, acc):  # on the worker: only the length-n vector grows with n
             vals[start:start + acc.shape[1]] = acc[index - window[0]]
 
-        _, tiles = _simulate(exp, "hill from config", window, threads, keep)
+        _, tiles = simulate_tiles(exp.coeffs, exp.m, exp.model, window, exp.n, exp.seed,
+                                  exp.trunc_eps, threads, keep)
         vals = np.empty(exp.n)  # allocated only once the checks have passed
         collections.deque(tiles, maxlen=0)
-        source = "config"
     alpha_hat = hill(vals, k)
-    report = {"alpha_hat": alpha_hat, "k": k, "n": len(vals), "index": index, "source": source}
+    report = {"alpha_hat": alpha_hat, "k": k, "n": len(vals), "index": index,
+              "source": sample or "config"}
     print(f"alpha_hat = {alpha_hat!r}  (k = {k}, n = {len(vals)}, index = {index})")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -737,8 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True, threads=True, formats=True):
-        p.add_argument("--config", required=needs_config, help="INI experiment file")
+    def common(p, threads=True, formats=True, source=None):
+        (source or p).add_argument("--config", required=source is None, help="INI experiment file")
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override a config entry (repeatable)")
         if threads:  # absent unless given: hill --sample refuses it
@@ -753,8 +744,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("limits", help="evaluate the theoretical measures only"), threads=False)
     common(sub.add_parser("verify", help="empirical vs theoretical comparison table"))
     p_hill = sub.add_parser("hill", help="tail-index estimate from a sample file or config")
-    common(p_hill, needs_config=False, formats=False)
-    p_hill.add_argument("--sample", help="CSV produced by the simulate command")
+    source = p_hill.add_mutually_exclusive_group(required=True)
+    common(p_hill, formats=False, source=source)
+    source.add_argument("--sample", help="CSV produced by the simulate command")
     p_hill.add_argument("--k", type=int, required=True, help="number of top order statistics")
     p_hill.add_argument("--index", type=int, default=0, help="sequence index to estimate on")
     sub.add_parser("example-config", help="print a template config file")
@@ -784,8 +776,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(exp, threads)
         return cmd_hill(exp, args.sample, args.k, args.index, threads, args.out)
-    except (ConfigError, ParameterError, AssumptionError, UnsupportedError,
-            configparser.Error, ValueError) as exc:
+    except (ValueError, configparser.Error) as exc:  # ConfigError and the package's errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

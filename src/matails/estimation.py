@@ -120,12 +120,13 @@ def hill(values, k: int) -> float:
 
     alpha_hat = k / sum_{i<=k} log(X_(n-i+1) / X_(n-k)).
     """
-    xs = np.sort(np.asarray(values, dtype=float))
+    xs = np.asarray(values, dtype=float)
     n = xs.size
-    if n < 3 or np.any(xs <= 0) or not np.all(np.isfinite(xs)):
+    if n < 3 or not (xs.min() > 0 and xs.max() < math.inf):  # NaN fails both
         raise ParameterError("hill needs at least 3 finite positive values")
     check_order_count(k, n)
-    log_spacings = np.log(xs[n - k:]) - math.log(xs[n - k - 1])
+    top = np.sort(np.partition(xs, n - k - 1)[n - k - 1:])  # X_(n-k), .., X_(n), sorted
+    log_spacings = np.log(top[1:]) - math.log(top[0])
     return k / float(np.sum(log_spacings))
 
 

@@ -481,9 +481,7 @@ def simulate_tiles(
         acc = np.zeros((width, n), dtype=float)
         row, term = np.empty((2, n), dtype=float)
         for i in range(length):
-            if i == 0 or n < rows:  # a whole-block tile reads on without seeking
-                rng = block_generator(seed, block, i * rows + c0)
-            draw(model, rng, n, out=row)
+            draw(model, block_generator(seed, block, i * rows + c0), n, out=row)
             # Row i holds Z_{k_hi - i}; it feeds column w at lag
             # j = i - (width - 1 - w), in the order j = 0, 1, ..
             for w in range(max(0, width - 1 - i), min(width, width + depth - i)):

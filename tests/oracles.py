@@ -12,8 +12,9 @@ combinations, the conditional ones integrate one member out one sample at
 a time (on the shifted lattice, or on i.i.d. draws), the truncation
 reference scans depths one by one, the per-level table runs one
 independent scan, with its own simulation, per tail level, the sample
-text reference formats each CSV line with Python's ``%r`` and the sample
-values reference parses each block of lines with ``np.loadtxt``.  One
+text reference formats each CSV line with Python's ``%r``, the sample
+values reference parses each block of lines with ``np.loadtxt`` and the
+Hill reference sorts the whole sample.  One
 helper is a seam, not an oracle: ``tuple_contribution`` reaches a single
 tuple through the library's own chunk functions.
 """
@@ -389,6 +390,14 @@ def per_level_table(coeffs, m, model, rows, n, t_grid, seed, **scan_options):
         out.extend((t, row) for row in hrv_scan(coeffs, m, model, rows, n, t, level_seed,
                                                  **scan_options))
     return out
+
+
+def hill_reference(values, k) -> float:
+    """Hill's estimate from a full sort: k / sum_{i<=k} log(X_(n-i+1) / X_(n-k))."""
+    xs = np.sort(np.asarray(values, dtype=float))
+    n = xs.size
+    log_spacings = np.log(xs[n - k:]) - math.log(xs[n - k - 1])
+    return k / float(np.sum(log_spacings))
 
 
 def sample_text_reference(ids, indices, values) -> str:

@@ -430,7 +430,28 @@ class TestHillCommand:
         assert 0.5 < report["alpha_hat"] < 2.0
 
     def test_needs_some_source(self):
-        assert main(["hill", "--k", "10"]) == 2
+        with pytest.raises(SystemExit) as exit_:
+            main(["hill", "--k", "10"])
+        assert exit_.value.code == 2
+
+    def test_takes_one_source_only(self, tmp_path, config_path, capsys):
+        path = write_sample(tmp_path, "0,0,1.5\n1,0,2.5\n2,0,3.5\n", {"n": 3})
+        with pytest.raises(SystemExit) as exit_:
+            main(["hill", "--sample", path, "--config", config_path, "--k", "2"])
+        assert exit_.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_from_config_simulates_the_window_simulate_writes(self, tmp_path, capsys):
+        # No [run] window: both commands simulate the rows' span 0:2, so the
+        # innovations, hence X_0, are the same doubles.
+        cfg = tmp_path / "rows.ini"
+        cfg.write_text(BASE_CONFIG.replace("window = 0:2\n", ""))
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["hill", "--sample", str(out), "--k", "100"]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["hill", "--config", str(cfg), "--k", "100"]) == 0
+        assert capsys.readouterr().out == from_file
 
     @pytest.mark.parametrize("threads", [1, 8])
     def test_from_config_reads_the_stored_column(self, config_path, monkeypatch, threads):
@@ -465,6 +486,18 @@ class TestHillCommand:
         monkeypatch.setattr(matails.cli, "simulate_tiles", no_simulation)
         assert main(["hill", "--config", config_path, "--k", "10", "--index", str(index)]) == 2
         assert f"index {index} lies outside the simulated window" in capsys.readouterr().err
+
+    def test_index_outside_the_rows_span_exits_before_simulating(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # No [run] window: the rows span 0:2, as in the simulate output.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate must not run")
+
+        monkeypatch.setattr(matails.cli, "simulate_tiles", no_simulation)
+        cfg = tmp_path / "rows.ini"
+        cfg.write_text(BASE_CONFIG.replace("window = 0:2\n", ""))
+        assert main(["hill", "--config", str(cfg), "--k", "10", "--index", "5"]) == 2
+        assert "index 5 lies outside the simulated window" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", [1, 2000])
     def test_order_count_outside_range_exits_before_simulating(self, config_path, monkeypatch,

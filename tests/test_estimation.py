@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import matails.ma_process as ma
 from matails import (
@@ -25,7 +26,7 @@ from matails import (
     simulate,
     theoretical_tail_measure,
 )
-from oracles import per_level_table
+from oracles import hill_reference, per_level_table
 
 PARETO1 = TailModel.standard_pareto(1.0)
 IDENTITY = ExplicitFinite([1.0])
@@ -139,9 +140,19 @@ class TestHill:
         zs = draw(PARETO1, block_generator(999), 100_000)
         assert 0.95 <= hill(zs, len(zs) - 1) <= 1.05
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), values=st.lists(
+        st.sampled_from([0.5, 1.0, 2.0, 3.0]) | st.floats(1e-300, 1e300), min_size=3, max_size=300))
+    def test_matches_the_full_sort_bit_for_bit(self, data, values):
+        # the sampled values make ties, also across the k-th order statistic
+        k = data.draw(st.integers(2, len(values) - 1))
+        assume(max(values) > sorted(values)[-k - 1])  # else both divide by a zero sum
+        assert hill(values, k) == hill_reference(values, k)
+
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            hill([1.0, 2.0, 0.0, 3.0], 2)
+        for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                hill([1.0, 2.0, bad, 3.0], 2)
         with pytest.raises(ParameterError):
             hill([1.0, 2.0, 3.0], 1)
         with pytest.raises(ParameterError):
