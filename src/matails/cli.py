@@ -5,8 +5,7 @@ Commands::
     matails simulate --config exp.ini          write replicate windows
     matails limits   --config exp.ini          theoretical measures only
     matails verify   --config exp.ini          empirical vs theoretical table
-    matails hill     --config exp.ini --k 500  tail-index report
-    matails hill     --sample out.csv --k 500  same, from a sample file
+    matails hill     --sample out.csv --k 500  tail-index report from a simulate file
 
 The config is an INI file with one section per concern; any key can be
 overridden on the command line with ``--set section.key=value``.  Every
@@ -19,9 +18,8 @@ back in numpy where it can prove the double, else with ``float`` or
 ``np.loadtxt``).
 
 ``simulate`` renders each simulation tile while the workers sum the next
-ones, and ``hill --config`` keeps each tile's one column, so no command
-holds the replicate matrix, and CSV and JSON are both written a row block at
-a time; every check runs before a file is opened.
+ones, so no command holds the replicate matrix, and CSV and JSON are both
+written a row block at a time; every check runs before a file is opened.
 
 Exit status: 0 success, 2 configuration or validation error (including a
 lag depth beyond :data:`~matails.ma_process.MAX_DEPTH`), 3 runtime error.
@@ -30,7 +28,6 @@ lag depth beyond :data:`~matails.ma_process.MAX_DEPTH`), 3 runtime error.
 from __future__ import annotations
 
 import argparse
-import collections
 import configparser
 import csv
 import io
@@ -266,14 +263,15 @@ def _meta(exp: Experiment, command: str, extra: dict | None = None) -> dict:
     return {"command": command, "config": exp.raw, "version": __version__, **(extra or {})}
 
 
-def _write_output(exp: Experiment, out_path, columns, rows, meta, csv_body=None) -> None:
-    """CSV body plus .meta.json sidecar, or a single JSON document.
+def _write_output(exp: Experiment, columns, rows, meta, csv_body=None) -> None:
+    """CSV body plus .meta.json sidecar, or a single JSON document, at ``exp.out_path``.
 
     ``csv_body``, when given, is the CSV body already rendered as ASCII byte
     chunks of the same ``rows``; only one of the two is consumed.  The JSON
     document, ``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline,
     is written head, one row at a time, tail.
     """
+    out_path = exp.out_path
     if out_path is None:
         raise ConfigError("no output path: set [output] path or pass --out")
     if exp.out_format == "csv":
@@ -300,20 +298,6 @@ def _write_output(exp: Experiment, out_path, columns, rows, meta, csv_body=None)
                 fh.write(f"{sep}\n    " + (f"[\n      {encode(row)[1:-1]}\n    ]" if row else "[]"))
                 sep = ","
             fh.write("[]\n}\n" if sep == "[" else "\n  ]\n}\n")
-
-
-def _simulation_window(exp: Experiment, command: str, index: int | None = None) -> tuple[int, int]:
-    """The one rule for what ``simulate`` and ``hill --config`` simulate: ``[run] n``
-    replicates on ``[run] window``, else the rows' span, else ``(index, index)`` for ``hill``."""
-    if exp.n is None:
-        raise ConfigError(f"{command} needs [run] n")
-    if exp.window is not None:
-        return exp.window
-    if exp.rows:
-        return min(r.min_index for _, r in exp.rows), max(r.max_index for _, r in exp.rows)
-    if index is not None:
-        return index, index
-    raise ConfigError("no window: set [run] window or provide rows")
 
 
 def _sample_slices(lo: int, tiles):
@@ -433,7 +417,14 @@ def _sample_text(ids, indices, values) -> bytes:
 
 
 def cmd_simulate(exp: Experiment, threads: int) -> int:
-    window = _simulation_window(exp, "simulate")
+    # [run] n replicates on [run] window, else the rows' span
+    if exp.n is None:
+        raise ConfigError("simulate needs [run] n")
+    window = exp.window
+    if window is None:
+        if not exp.rows:
+            raise ConfigError("no window: set [run] window or provide rows")
+        window = min(r.min_index for _, r in exp.rows), max(r.max_index for _, r in exp.rows)
     depth, tiles = simulate_tiles(exp.coeffs, exp.m, exp.model, window, exp.n, exp.seed,
                                   exp.trunc_eps, threads)
     # Both generators are lazy and share the one tile stream; _write_output
@@ -448,7 +439,7 @@ def cmd_simulate(exp: Experiment, threads: int) -> int:
         "n": exp.n,
     })
     with closing(tiles):  # a failed write stops the workers before the error leaves
-        _write_output(exp, exp.out_path, ("replicate_id", "index", "value"), rows, meta, body)
+        _write_output(exp, ("replicate_id", "index", "value"), rows, meta, body)
     return EXIT_OK
 
 
@@ -466,7 +457,7 @@ def cmd_limits(exp: Experiment) -> int:
             out_rows.append((j, _rect_text(rect), value, mv.method.value, mv.stderr,
                              mv.truncation_error_bound, mv.note))
     columns = ("j", "rect", "value", "method", "stderr", "truncation_error_bound", "note")
-    _write_output(exp, exp.out_path, columns, out_rows, _meta(exp, "limits"))
+    _write_output(exp, columns, out_rows, _meta(exp, "limits"))
     return EXIT_OK
 
 
@@ -502,7 +493,7 @@ def cmd_verify(exp: Experiment, threads: int) -> int:
         "theoretical", "theoretical_stderr", "abs_error", "z_score",
         "degenerate", "error",
     )
-    _write_output(exp, exp.out_path, columns, out_rows, _meta(exp, "verify"))
+    _write_output(exp, columns, out_rows, _meta(exp, "verify"))
     return EXIT_OK
 
 
@@ -689,29 +680,12 @@ def _values_from_sample_file(path: str, index: int) -> np.ndarray:
     return values
 
 
-def cmd_hill(exp: Experiment | None, sample: str | None, k: int, index: int, threads: int,
-             out_path: str | None) -> int:
-    """Hill estimate of alpha from ``X_index`` of a ``simulate`` sample file, or of ``exp``
-    simulated on the window ``simulate`` writes, each tile keeping its one column."""
-    if sample is not None:
-        check_order_count(k, None)
-        vals = _values_from_sample_file(sample, index)
-    else:
-        window = _simulation_window(exp, "hill", index)
-        if not window[0] <= index <= window[1]:
-            raise ConfigError(f"index {index} lies outside the simulated window")
-        check_order_count(k, exp.n)
-
-        def keep(start, acc):  # on the worker: only the length-n vector grows with n
-            vals[start:start + acc.shape[1]] = acc[index - window[0]]
-
-        _, tiles = simulate_tiles(exp.coeffs, exp.m, exp.model, window, exp.n, exp.seed,
-                                  exp.trunc_eps, threads, keep)
-        vals = np.empty(exp.n)  # allocated only once the checks have passed
-        collections.deque(tiles, maxlen=0)
+def cmd_hill(sample: str, k: int, index: int, out_path: str | None) -> int:
+    """Hill estimate of alpha from ``X_index`` of a ``simulate`` sample file."""
+    check_order_count(k, None)
+    vals = _values_from_sample_file(sample, index)
     alpha_hat = hill(vals, k)
-    report = {"alpha_hat": alpha_hat, "k": k, "n": len(vals), "index": index,
-              "source": sample or "config"}
+    report = {"alpha_hat": alpha_hat, "k": k, "n": len(vals), "index": index, "source": sample}
     print(f"alpha_hat = {alpha_hat!r}  (k = {k}, n = {len(vals)}, index = {index})")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -728,27 +702,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=True, formats=True, source=None):
-        (source or p).add_argument("--config", required=source is None, help="INI experiment file")
+    def common(p, threads=True):
+        p.add_argument("--config", required=True, help="INI experiment file")
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override a config entry (repeatable)")
-        if threads:  # absent unless given: hill --sample refuses it
-            p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                           help="simulation worker cap, default 1 (output-invariant)")
+        if threads:
+            p.add_argument("--threads", type=int, default=1,
+                           help="simulation worker cap (output-invariant)")
         p.add_argument("--out", help="output path (overrides [output] path)")
-        if formats:
-            p.add_argument("--format", choices=("csv", "json"),
-                           help="output format (overrides [output] format)")
+        p.add_argument("--format", choices=("csv", "json"),
+                       help="output format (overrides [output] format)")
 
     common(sub.add_parser("simulate", help="write replicate windows to a sample file"))
     common(sub.add_parser("limits", help="evaluate the theoretical measures only"), threads=False)
     common(sub.add_parser("verify", help="empirical vs theoretical comparison table"))
-    p_hill = sub.add_parser("hill", help="tail-index estimate from a sample file or config")
-    source = p_hill.add_mutually_exclusive_group(required=True)
-    common(p_hill, formats=False, source=source)
-    source.add_argument("--sample", help="CSV produced by the simulate command")
+    p_hill = sub.add_parser("hill", help="tail-index estimate from a simulate sample file")
+    p_hill.add_argument("--sample", required=True, help="CSV produced by the simulate command")
     p_hill.add_argument("--k", type=int, required=True, help="number of top order statistics")
     p_hill.add_argument("--index", type=int, default=0, help="sequence index to estimate on")
+    p_hill.add_argument("--out", help="JSON report path")
     sub.add_parser("example-config", help="print a template config file")
     return parser
 
@@ -759,23 +731,18 @@ def main(argv=None) -> int:
         print(EXAMPLE_CONFIG, end="")
         return EXIT_OK
     try:
-        exp = None
-        if args.config:
-            exp = load_experiment(args.config, args.set)
-            if args.out:
-                exp.out_path = args.out
-            if getattr(args, "format", None):
-                exp.out_format = args.format
-        elif args.set or "threads" in args:  # only hill runs without a config
-            raise ConfigError(f"{'--set' if args.set else '--threads'} needs --config")
-        threads = getattr(args, "threads", 1)
+        if args.command == "hill":
+            return cmd_hill(args.sample, args.k, args.index, args.out)
+        exp = load_experiment(args.config, args.set)
+        if args.out:
+            exp.out_path = args.out
+        if args.format:
+            exp.out_format = args.format
         if args.command == "simulate":
-            return cmd_simulate(exp, threads)
+            return cmd_simulate(exp, args.threads)
         if args.command == "limits":
             return cmd_limits(exp)
-        if args.command == "verify":
-            return cmd_verify(exp, threads)
-        return cmd_hill(exp, args.sample, args.k, args.index, threads, args.out)
+        return cmd_verify(exp, args.threads)
     except (ValueError, configparser.Error) as exc:  # ConfigError and the package's errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

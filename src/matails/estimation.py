@@ -118,7 +118,8 @@ def check_order_count(k: int, n: int | None) -> None:
 def hill(values, k: int) -> float:
     """Hill tail-index estimate from the top-k order statistics.
 
-    alpha_hat = k / sum_{i<=k} log(X_(n-i+1) / X_(n-k)).
+    alpha_hat = k / sum_{i<=k} log(X_(n-i+1) / X_(n-k)); a zero sum (the top
+    k + 1 values share one log, equal or not) raises ParameterError.
     """
     xs = np.asarray(values, dtype=float)
     n = xs.size
@@ -126,8 +127,10 @@ def hill(values, k: int) -> float:
         raise ParameterError("hill needs at least 3 finite positive values")
     check_order_count(k, n)
     top = np.sort(np.partition(xs, n - k - 1)[n - k - 1:])  # X_(n-k), .., X_(n), sorted
-    log_spacings = np.log(top[1:]) - math.log(top[0])
-    return k / float(np.sum(log_spacings))
+    total = float(np.sum(np.log(top[1:]) - math.log(top[0])))
+    if total == 0.0:
+        raise ParameterError(f"hill's log spacings sum to 0: the top {k + 1} values share one log")
+    return k / total
 
 
 @dataclass(frozen=True)

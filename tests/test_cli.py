@@ -418,15 +418,16 @@ class TestHillCommand:
         in_memory = hill(batch.matrix[:, 1], 200)
         assert from_file == in_memory
 
-    def test_from_config_with_report_file(self, tmp_path, config_path):
+    def test_sample_with_report_file(self, tmp_path, config_path):
+        samples = tmp_path / "s.csv"
+        assert main(["simulate", "--config", config_path, "--out", str(samples)]) == 0
         out = tmp_path / "hill.json"
-        code = main([
-            "hill", "--config", config_path, "--k", "100", "--index", "0",
-            "--out", str(out), "--set", "run.n=2000",
-        ])
-        assert code == 0
+        assert main(["hill", "--sample", str(samples), "--k", "100", "--index", "0",
+                     "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["k"] == 100 and report["n"] == 2000
+        assert out.read_text() == json_reference(out)
+        assert report == {"alpha_hat": report["alpha_hat"], "index": 0, "k": 100, "n": 2000,
+                          "source": str(samples)}
         assert 0.5 < report["alpha_hat"] < 2.0
 
     def test_needs_some_source(self):
@@ -434,93 +435,17 @@ class TestHillCommand:
             main(["hill", "--k", "10"])
         assert exit_.value.code == 2
 
-    def test_takes_one_source_only(self, tmp_path, config_path, capsys):
-        path = write_sample(tmp_path, "0,0,1.5\n1,0,2.5\n2,0,3.5\n", {"n": 3})
-        with pytest.raises(SystemExit) as exit_:
-            main(["hill", "--sample", path, "--config", config_path, "--k", "2"])
-        assert exit_.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
-
-    def test_from_config_simulates_the_window_simulate_writes(self, tmp_path, capsys):
-        # No [run] window: both commands simulate the rows' span 0:2, so the
-        # innovations, hence X_0, are the same doubles.
-        cfg = tmp_path / "rows.ini"
-        cfg.write_text(BASE_CONFIG.replace("window = 0:2\n", ""))
-        out = tmp_path / "s.csv"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert main(["hill", "--sample", str(out), "--k", "100"]) == 0
-        from_file = capsys.readouterr().out
-        assert main(["hill", "--config", str(cfg), "--k", "100"]) == 0
-        assert capsys.readouterr().out == from_file
-
-    @pytest.mark.parametrize("threads", [1, 8])
-    def test_from_config_reads_the_stored_column(self, config_path, monkeypatch, threads):
-        # Tiles of 5 in blocks of 12 over 61 replicates: each worker keeps its
-        # tile's one column, and the vector is the stored matrix's column.
-        monkeypatch.setattr(ma, "BLOCK_ROWS", 12)
-        monkeypatch.setattr(ma, "TILE_ROWS", 5)
-        seen = []
-
-        def recorded(values, k):
-            seen.append(values)
-            return hill(values, k)
-
-        monkeypatch.setattr(matails.cli, "hill", recorded)
-        batch = simulate(ExplicitFinite([1.0, 0.5]), 1, TailModel.standard_pareto(1.0), (-1, 1), 61, 42)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # workers write their slices of one vector in any order
-        try:
-            for c in range(3):
-                assert main(["hill", "--config", config_path, "--k", "10", "--index", str(c - 1),
-                             "--set", "run.n=61", "--set", "run.window=-1:1",
-                             "--threads", str(threads)]) == 0
-                assert np.array_equal(seen[-1], batch.matrix[:, c])
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("index", [-1, 3])
-    def test_index_outside_window_exits_before_simulating(self, config_path, monkeypatch, capsys, index):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulate must not run")
-
-        monkeypatch.setattr(matails.cli, "simulate_tiles", no_simulation)
-        assert main(["hill", "--config", config_path, "--k", "10", "--index", str(index)]) == 2
-        assert f"index {index} lies outside the simulated window" in capsys.readouterr().err
-
-    def test_index_outside_the_rows_span_exits_before_simulating(self, tmp_path, monkeypatch,
-                                                                 capsys):
-        # No [run] window: the rows span 0:2, as in the simulate output.
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulate must not run")
-
-        monkeypatch.setattr(matails.cli, "simulate_tiles", no_simulation)
-        cfg = tmp_path / "rows.ini"
-        cfg.write_text(BASE_CONFIG.replace("window = 0:2\n", ""))
-        assert main(["hill", "--config", str(cfg), "--k", "10", "--index", "5"]) == 2
-        assert "index 5 lies outside the simulated window" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("k", [1, 2000])
-    def test_order_count_outside_range_exits_before_simulating(self, config_path, monkeypatch,
-                                                               capsys, k):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulate must not run")
-
-        monkeypatch.setattr(matails.cli, "simulate_tiles", no_simulation)
-        assert main(["hill", "--config", config_path, "--k", str(k)]) == 2
-        assert f"order count must satisfy 2 <= k < n, got k={k}, n=2000" in capsys.readouterr().err
-
     def test_sample_order_count_below_2_exits_before_reading(self, tmp_path, capsys):
         # The file does not exist: opening it would exit 3.
         assert main(["hill", "--sample", str(tmp_path / "missing.csv"), "--k", "1"]) == 2
         assert "order count must satisfy 2 <= k < n, got k=1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [("--set", "run.n=10"), ("--threads", "1")])
-    def test_sample_refuses_simulation_flags(self, tmp_path, capsys, flag):
-        path = write_sample(tmp_path, "0,0,1.5\n1,0,2.5\n2,0,3.5\n", {"n": 3})
-        assert main(["hill", "--sample", path, "--k", "2"]) == 0
-        capsys.readouterr()
-        assert main(["hill", "--sample", path, "--k", "2", *flag]) == 2
-        assert f"{flag[0]} needs --config" in capsys.readouterr().err
+    def test_tied_top_values_exit_2(self, tmp_path, capsys):
+        # Three equal cells: the log spacings sum to 0, an error, not a traceback.
+        path = write_sample(tmp_path, "0,0,1.5\n1,0,1.5\n2,0,1.5\n", {"n": 3})
+        assert main(["hill", "--sample", path, "--k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: hill's log spacings sum to 0")
 
     @pytest.mark.parametrize("row_slice", SAMPLE_BLOCKS)
     def test_sample_file_is_bitwise_round_trip(self, tmp_path, config_path, monkeypatch, row_slice):
@@ -949,13 +874,13 @@ def test_verify_row_errors_are_the_limits_notes(tmp_path, config_path, case):
     assert notes and errors == notes
 
 
-# The flags each command reads, and no other: 21 settable values in all.
+# The flags each command reads, and no other: 18 settable values in all.
 RUN_FLAGS = ["--config", "--format", "--out", "--set", "--threads"]
 COMMAND_FLAGS = {
     "simulate": RUN_FLAGS,
     "limits": ["--config", "--format", "--out", "--set"],
     "verify": RUN_FLAGS,
-    "hill": ["--config", "--index", "--k", "--out", "--sample", "--set", "--threads"],
+    "hill": ["--index", "--k", "--out", "--sample"],
     "example-config": [],
 }
 
@@ -966,16 +891,28 @@ class TestParser:
         flags = {name: sorted(a.option_strings[-1] for a in p._actions if a.dest != "help")
                  for name, p in sub.choices.items()}
         assert flags == COMMAND_FLAGS
-        assert sum(map(len, flags.values())) == 21
+        assert sum(map(len, flags.values())) == 18
 
-    @pytest.mark.parametrize("argv", [["limits", "--threads", "8"],
-                                      ["hill", "--format", "csv", "--k", "10"]])
-    def test_a_flag_the_command_does_not_read_exits_2(self, tmp_path, config_path, capsys, argv):
+    @pytest.mark.parametrize("argv", [["limits", "--threads", "8", "--config", "c.ini"],
+                                      ["hill", "--format", "csv", "--sample", "s.csv", "--k", "10"]])
+    def test_a_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exit_:
-            main([*argv, "--config", config_path, "--out", str(tmp_path / "out")])
+            main([*argv, "--out", str(tmp_path / "out")])
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {argv[1]} {argv[2]}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [("--config", "c.ini"), ("--set", "run.n=10"),
+                                      ("--threads", "1")])
+    def test_hill_reads_no_config(self, tmp_path, capsys, flag):
+        # hill has one source, the sample file: the config's flags are not its own.
+        path = write_sample(tmp_path, "0,0,1.5\n1,0,2.5\n2,0,3.5\n", {"n": 3})
+        assert main(["hill", "--sample", path, "--k", "2"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            main(["hill", "--sample", path, "--k", "2", *flag])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def json_reference(path) -> str:
@@ -987,10 +924,10 @@ class TestJsonOutput:
     @pytest.mark.parametrize("rows", [[], [()], [(1, None, True, False, -0.0, math.nan, "a\n\"b")],
                                       [(1, 2.5), [3, math.inf]]])
     def test_streamed_document_is_the_json_dump_bytes(self, tmp_path, rows):
-        exp = SimpleNamespace(out_format="json")
-        meta = {"config": {"run": {"n": "3"}}, "a": [None, {"z": 1, "b": 1.5}], "note": "\u00e9"}
         out = tmp_path / "out.json"
-        _write_output(exp, str(out), ("x", "y"), iter(rows), meta)
+        exp = SimpleNamespace(out_format="json", out_path=str(out))
+        meta = {"config": {"run": {"n": "3"}}, "a": [None, {"z": 1, "b": 1.5}], "note": "\u00e9"}
+        _write_output(exp, ("x", "y"), iter(rows), meta)
         expected = io.StringIO()
         json.dump({"meta": meta, "columns": ["x", "y"], "rows": rows}, expected, indent=2, sort_keys=True)
         assert out.read_text() == expected.getvalue() + "\n"

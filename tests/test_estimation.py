@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import matails.ma_process as ma
 from matails import (
@@ -144,10 +144,15 @@ class TestHill:
     @given(data=st.data(), values=st.lists(
         st.sampled_from([0.5, 1.0, 2.0, 3.0]) | st.floats(1e-300, 1e300), min_size=3, max_size=300))
     def test_matches_the_full_sort_bit_for_bit(self, data, values):
-        # the sampled values make ties, also across the k-th order statistic
+        # the sampled values make ties, also across the k-th order statistic,
+        # and ties of the top k + 1, where the log spacings sum to 0
         k = data.draw(st.integers(2, len(values) - 1))
-        assume(max(values) > sorted(values)[-k - 1])  # else both divide by a zero sum
-        assert hill(values, k) == hill_reference(values, k)
+        top = np.sort(values)[-k - 1:]
+        if np.sum(np.log(top[1:]) - math.log(top[0])) == 0.0:
+            with pytest.raises(ParameterError, match="log spacings sum to 0"):
+                hill(values, k)
+        else:
+            assert hill(values, k) == hill_reference(values, k)
 
     def test_validation(self):
         for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
@@ -157,6 +162,11 @@ class TestHill:
             hill([1.0, 2.0, 3.0], 1)
         with pytest.raises(ParameterError):
             hill([1.0, 2.0, 3.0], 3)
+        # the top k + 1 equal, or distinct doubles with one log: a zero sum, not 1/0
+        big = np.nextafter(1e300, math.inf)
+        for tied in ([0.5, 0.5, 0.5], [1e300, big, np.nextafter(big, math.inf)]):
+            with pytest.raises(ParameterError, match="log spacings sum to 0"):
+                hill(tied, 2)
 
 
 class TestTheoreticalDispatch:
