@@ -628,7 +628,9 @@ def _values_from_sample_file(path: str, index: int) -> np.ndarray:
 
     ``n`` is the sidecar's (a nonnegative integer, or null for none), else the
     largest id + 1; absent cells read 0.0, ids outside ``[0, n)`` are ignored
-    and a repeated ``(id, index)`` keeps its last row.  An ``n`` over
+    and a repeated ``(id, index)`` keeps its last row.  An ``index`` outside
+    the sidecar's ``window`` (``[lo, hi]``, or absent for none) is refused
+    before the file is opened.  An ``n`` over
     :data:`~matails.ma_process.MAX_DRAWS`, more replicates than simulate
     writes, is refused before the vector is allocated.  A block that
     :func:`_fast_rows` does not read goes whole, split into lines as text
@@ -648,6 +650,15 @@ def _values_from_sample_file(path: str, index: int) -> np.ndarray:
     if n is not None and (type(n) is not int or n < 0):
         raise ConfigError(f"{sidecar}: n must be a nonnegative integer, got {n!r}")
     _check_sample_size(sidecar, n)
+    window = meta.get("window")
+    if window is not None:
+        if not (type(window) is list and len(window) == 2
+                and all(type(w) is int for w in window) and window[0] <= window[1]):
+            raise ConfigError(f"{sidecar}: window must be [lo, hi] integers with lo <= hi, "
+                              f"got {window!r}")
+        if not window[0] <= index <= window[1]:
+            raise ConfigError(f"{sidecar}: index {index} is outside the sample's window "
+                              f"{window[0]}:{window[1]}")
     values, limit = (None, math.inf) if n is None else (np.zeros(n), n)
     # without n, the kept cells wait in file order for the largest id over all indices
     kept, top, line = [], -1, 2

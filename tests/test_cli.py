@@ -447,6 +447,26 @@ class TestHillCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: hill's log spacings sum to 0")
 
+    def test_order_count_not_below_n_exits_2(self, tmp_path, capsys):
+        path = write_sample(tmp_path, WELL_FORMED_BODY, {"n": 3})
+        assert main(["hill", "--sample", path, "--k", "3"]) == 2
+        assert "2 <= k < n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_outside_the_sample_window_exits_2_before_reading(
+            self, tmp_path, config_path, capsys, monkeypatch, index):
+        samples = tmp_path / "s.csv"
+        assert main(["simulate", "--config", config_path, "--out", str(samples)]) == 0
+
+        def no_reading(*args):
+            raise AssertionError("read the sample body")
+
+        monkeypatch.setattr(matails.cli, "_sample_blocks", no_reading)
+        assert main(["hill", "--sample", str(samples), "--k", "10", "--index", str(index)]) == 2
+        err = capsys.readouterr().err
+        assert f"index {index} is outside the sample's window 0:2" in err
+        assert f"{samples}.meta.json" in err
+
     @pytest.mark.parametrize("row_slice", SAMPLE_BLOCKS)
     def test_sample_file_is_bitwise_round_trip(self, tmp_path, config_path, monkeypatch, row_slice):
         # 4 lines per replicate: the tiny block sizes read 150 * row_slice
@@ -509,6 +529,12 @@ MALFORMED_SAMPLES = {
     "sidecar-not-json": (WELL_FORMED_BODY, b"{", True),
     "sidecar-n-over-limit": (WELL_FORMED_BODY, {"n": 10**12}, True),
     "id-over-limit": ("0,0,2.0\n1000000000000,0,3.0\n", None, True),
+    "sidecar-window-string": (WELL_FORMED_BODY, {"n": 3, "window": "0:1"}, True),
+    "sidecar-window-short": (WELL_FORMED_BODY, {"n": 3, "window": [0]}, True),
+    "sidecar-window-float": (WELL_FORMED_BODY, {"n": 3, "window": [0, 1.5]}, True),
+    "sidecar-window-bool": (WELL_FORMED_BODY, {"n": 3, "window": [False, True]}, True),
+    "sidecar-window-empty": (WELL_FORMED_BODY, {"n": 3, "window": [1, 0]}, True),
+    "index-outside-sidecar-window": (WELL_FORMED_BODY, {"n": 3, "window": [1, 2]}, True),
 }
 
 
