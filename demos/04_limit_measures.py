@@ -38,11 +38,11 @@ print("  two coordinates {0:1,1:2}:", nu_m0_rect(coeffs, 1, 1.0, UpperRect({0: 1
 print("\nOrder-1 measure (two spikes):")
 rect = UpperRect({0: 1.0, 2: 1.0})
 value = nu_m_j_rect(coeffs, 1, 1.0, 1, rect, 200_000, seed=3)
-print(f"  {dict(rect.constraints)}: {value.value}  (four covering pairs; all factor, stderr"
-      f" {value.stderr})")
+print(f"  {dict(rect.constraints)}: {value.value}  (four covering pairs; all factor, so nothing"
+      f" is drawn: {value.method.value})")
 bind = UpperRect({0: 1.0, 1: 5.0, 2: 1.0})
 value = nu_m_j_rect(coeffs, 1, 1.0, 1, bind, 200_000, seed=3)
-print(f"  {dict(bind.constraints)}: {value.value:.5f} +- {value.stderr:.5f}"
+print(f"  {dict(bind.constraints)}: {value.value:.10f} +- {value.stderr:.1e}"
       "  (the middle constraint couples the spikes; Monte Carlo integration)")
 
 print("\nInfeasible request is flagged, not computed:")

@@ -68,7 +68,7 @@ class TailModel:
         return out if out.shape else float(out)
 
     def inverse_survival(self, u, out=None):
-        """Solve P[Z > z] = u for z, vectorized; u must lie in (0, 1].
+        """Solve P[Z > z] = u for z, vectorized; u in [0, 1]; u = 0 gives z = inf.
 
         With ``out`` (an array of u's shape, possibly ``u`` itself) the
         result is written there by in-place power, shift and scale, which

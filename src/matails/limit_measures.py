@@ -24,9 +24,10 @@ combinatorial question.  The measures supported:
   nothing, when no shared constraint survives its members' private floors.
   The others integrate one member's Pareto tail in closed form (conditional
   Monte Carlo) over the members that share an open constraint with it,
-  which run over :data:`SHIFTS` random shifts of one rank-1 lattice
-  (randomized quasi-Monte Carlo; at most :data:`MAX_LATTICE_POINTS` points
-  per row); the spread of the shift means is the standard error;
+  which run over :data:`SHIFTS` random shifts of one rank-1 lattice folded
+  by the baker's (tent) transform (randomized quasi-Monte Carlo, error
+  about budget^-2; at most :data:`MAX_LATTICE_POINTS` points per row); the
+  spread of the shift means is the standard error;
 * ``nu_inf_0_rect``     -- order-0 limit of the MA(infinity), enumerated at a
   truncation depth with a reported bound on the neglected spike mass;
 * ``marginal_tail_constant`` -- sum_l psi_l^alpha, the one-coordinate tail
@@ -413,8 +414,12 @@ def _conditional(alpha, thresholds, held, pulls, open_, budget, rng):
     n = ceil(budget / SHIFTS) points i z / n mod 1 (Korobov generator
     z = (1, a, a^2, ..) mod n, a = :func:`_korobov` (n); for r = 1 the
     points i / n) to u = frac(i z / n + Delta_s); coordinate u is the
-    Pareto value inverse_survival(1 - u) above the member's floor.  Given
-    the read members, each open constraint c holds asks
+    Pareto value inverse_survival(|2u - 1|) above the member's floor.  The
+    fold (the baker's or tent transform; Hickernell, MCQMC 2000) maps a
+    uniform u to a uniform survival and makes the score periodic in u, so
+    without indicators the error falls about as n^-2 rather than n^-1.  At
+    u = 1/2 the survival is 0 and the value inf: its need is -inf and its
+    indicators hold.  Given the read members, each open constraint c holds asks
     z_c > need_k = (a_k - sum_{h != c} w_h z_h) / w_c, which has conditional
     probability (max(L_c, need) / L_c)^-alpha; the open constraints c does
     not hold stay indicators.  The score g is that probability times the
@@ -439,20 +444,22 @@ def _conditional(alpha, thresholds, held, pulls, open_, budget, rng):
                        [(wl[h][p] / unit, read.index(h)) for h in read if held[h, p]]))
     n = -(-budget // SHIFTS)
     a = _korobov(n)
-    lattice = np.array([np.arange(n) * pow(a, p, n) % n for p in range(len(read))]) / n
+    # Twice the lattice: 2 u - 1 = 2 (i z / n) + (2 Delta - 1) before the wrap.
+    doubled = np.array([np.arange(n) * pow(a, p, n) % n for p in range(len(read))]) * (2.0 / n)
     model = TailModel.standard_pareto(alpha)
-    rest, term = np.empty(n), np.empty(n)
+    columns = np.empty((len(read), n))
+    ratio, ok, rest, term = np.empty(n), np.empty(n, dtype=bool), np.empty(n), np.empty(n)
     means = []
     for shift in rng.random((SHIFTS, len(read))).tolist():
-        columns = []
-        for points, delta in zip(lattice, shift):
-            u = points + delta
-            np.subtract(u, 1.0, out=u, where=u >= 1.0)
-            np.subtract(1.0, u, out=u)
-            columns.append(model.inverse_survival(u, out=u))
+        # Survival |2 u - 1|, 2 u - 1 wrapped into [-1, 1); 0 gives z = inf.
+        with np.errstate(divide="ignore"):
+            for column, points, delta in zip(columns, doubled, shift):
+                np.add(points, 2.0 * delta - 1.0, out=column)
+                np.subtract(column, 2.0, out=column, where=column >= 1.0)
+                model.inverse_survival(np.abs(column, out=column), out=column)
         # ratio = need / L_c, each constraint c holds read in units of w_c L_c.
-        ratio = np.ones(n)
-        ok = np.ones(n, dtype=bool)
+        ratio.fill(1.0)
+        ok.fill(True)
         for bound, integrated, ((coef, col), *more) in checks:
             np.multiply(coef, columns[col], out=rest)
             for coef, col in more:
@@ -492,7 +499,8 @@ def nu_m_j_rect(
     tuples' floors then run a chunk of tuples at a time in numpy and count
     the drawn tuples; more than :data:`MAX_LATTICE_POINTS` lattice points
     in all raise :class:`UnsupportedError` before any draw.  With none
-    drawn, the sum of the masses is the value.  Otherwise a second walk
+    drawn, the sum of the masses is the value, an enumeration with no
+    stderr.  Otherwise a second walk
     integrates each drawn tuple over SHIFTS * ceil(integration_budget /
     SHIFTS) lattice points; the tuple of rank r among the lexicographic
     (j+1)-combinations of the influencing positions draws its shifts from
@@ -538,7 +546,7 @@ def nu_m_j_rect(
             f"above the limit of {MAX_LATTICE_POINTS} (use a smaller integration_budget)"
         )
     if not drawn:
-        return MeasureValue(total, EvalMethod.MONTE_CARLO, stderr=0.0)
+        return MeasureValue(total, EvalMethod.ENUMERATION)
     total = var_total = 0.0
     for tuples, floors in floored():
         values, variances = _contributions(

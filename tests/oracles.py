@@ -5,10 +5,11 @@ the quadrature oracle integrates on a deterministic grid, the convolution
 oracle is a double loop, the cover oracle is exhaustive search, the
 order-0 oracle checks every spike position's coverage one by one, the
 pair-integral oracle takes one member's acceptance length in closed form
-under a 1-D midpoint rule, the simulation oracle draws each replicate
-block whole before summing its lags, the crude tuple-integral reference
-draws every tuple with a shared constraint, counts hits and walks all
-combinations, the conditional ones integrate one member out one sample at
+under a 1-D midpoint rule, the one-member oracle integrates the conditional
+score over the read member's survival under a midpoint rule, the
+simulation oracle draws each replicate block whole before summing its
+lags, the crude tuple-integral reference draws every tuple with a shared
+constraint, counts hits and walks all combinations, the conditional ones integrate one member out one sample at
 a time (on the shifted lattice, or on i.i.d. draws), the truncation
 reference scans depths one by one, the per-level table runs one
 independent scan, with its own simulation, per tail level, the sample
@@ -263,24 +264,24 @@ def conditional_plan(coeffs, rect, positions, covers):
 
 def conditional_score(coeffs, alpha, positions, plan, values):
     """One sample's conditional score: ``values`` are the read members'
-    Pareto values (above 1), in read order; the score is
-    (max(L_c, need) / L_c)^-alpha, need being the largest (a_k - rest_k) / psi_k
-    over the open constraints c holds, times the indicators of the open
-    constraints c does not hold."""
+    Pareto values (above 1, inf allowed), in read order, or arrays of them
+    scored elementwise; the score is (max(L_c, need) / L_c)^-alpha, need
+    being the largest (a_k - rest_k) / psi_k over the open constraints c
+    holds, times the indicators of the open constraints c does not hold."""
     lower, open_, c, read = plan
 
     def w(k, idx):
         return coeffs.psi(k - positions[idx])
 
     z = {h: lower[h] * x for h, x in zip(read, values)}
-    need = lower[c]
+    need, hit = lower[c], True
     for k, a, holders in open_:
         rest = sum(w(k, h) * z[h] for h in holders if h != c)
         if c in holders:
-            need = max(need, (a - rest) / w(k, c))
-        elif not rest > a:
-            return 0.0
-    return (need / lower[c]) ** -alpha
+            need = np.maximum(need, (a - rest) / w(k, c))
+        else:
+            hit = hit & (rest > a)
+    return (need / lower[c]) ** -alpha * hit
 
 
 def korobov_multiplier(n):
@@ -298,9 +299,11 @@ def conditional_tuple_reference(coeffs, alpha, rect, positions, covers, budget, 
     is the exact mass.  Otherwise sub-stream ``rank`` draws a (16, r) array
     of shifts; shift s visits the n = ceil(budget / 16) points
     u_i = frac(i z / n + shift_s), z = (1, a, a^2, ..) mod n with a the
-    :func:`korobov_multiplier`, each coordinate a Pareto value
-    (1 - u)^(-1/alpha).  The value is mass times the mean of the 16 shift
-    means, the variance mass^2 times their sample variance over 16.
+    :func:`korobov_multiplier`, each coordinate folded by the baker's
+    (tent) transform to the survival |2u - 1| and read as the Pareto value
+    |2u - 1|^(-1/alpha), inf at u = 1/2.  The value is mass times the mean
+    of the 16 shift means, the variance mass^2 times their sample variance
+    over 16.
     """
     plan = conditional_plan(coeffs, rect, positions, covers)
     lower, open_, _, read = plan
@@ -319,12 +322,33 @@ def conditional_tuple_reference(coeffs, alpha, rect, positions, covers, budget, 
                 u = i * zk % n / n + delta
                 if u >= 1.0:
                     u -= 1.0
-                row.append((1.0 - u) ** (-1.0 / alpha))
-            scores.append(conditional_score(coeffs, alpha, positions, plan, row))
+                survival = abs(2.0 * u - 1.0)
+                row.append(survival ** (-1.0 / alpha) if survival else math.inf)
+            scores.append(float(conditional_score(coeffs, alpha, positions, plan, row)))
         means.append(math.fsum(scores) / n)
     mean = math.fsum(means) / 16
     variance = math.fsum((x - mean) ** 2 for x in means) / 15 / 16
     return mass * mean, mass**2 * variance
+
+
+def one_member_integral(coeffs, m, alpha, j, rect, nodes=10**6):
+    """The order-j tuple integral when every drawn tuple reads one member:
+    per covering tuple, its mass times, if some shared constraint stays
+    open (see :func:`conditional_plan`), the midpoint rule over the read
+    member's survival u in (0, 1) of :func:`conditional_score` at the Pareto
+    value u^(-1/alpha).  Without indicators the score is continuous and
+    piecewise smooth in u, so the error falls as nodes^-2."""
+    x = ((np.arange(nodes) + 0.5) / nodes) ** (-1.0 / alpha)
+    total = 0.0
+    for _, positions, covers in covering_tuples(coeffs, m, j, rect):
+        plan = conditional_plan(coeffs, rect, positions, covers)
+        lower, open_, _, read = plan
+        mass = float(np.prod(np.array(lower) ** -alpha))
+        if open_:
+            assert len(read) == 1, "a drawn tuple reads more than one member"
+            mass *= float(np.mean(conditional_score(coeffs, alpha, positions, plan, [x])))
+        total += mass
+    return total
 
 
 def iid_conditional_reference(coeffs, alpha, rect, positions, covers, budget, seed, rank):

@@ -92,7 +92,7 @@ def test_c3_ma1_hidden_order_oracle_equivalence():
     quad_ok = abs(theo.value - quad) <= 0.01 * quad
     batch = simulate(coeffs, 1, PARETO1, (0, 2), 40_000_000, seed=1003)
     est = empirical_tail_measure(batch, PARETO1, 2e5, 0.5, rect)
-    combined = math.hypot(est.stderr, theo.stderr)
+    combined = math.hypot(est.stderr, theo.stderr or 0.0)  # no draws: an enumeration, no stderr
     end_ok = abs(est.value - theo.value) <= 3 * combined
 
     # supplementary: a rectangle whose coupled constraint genuinely binds

@@ -155,7 +155,7 @@ GOLDEN = {
         "out": "bdcfb4556a6fb94dea857b7132705541b625d13cc5a558f4d09ca7159a2f1012",
     },
     "limits-finite": {
-        "out": "9b3448fc2a7eae3a03683518d13d669d73e39fbc87a621bb89ec7b6851d005db",
+        "out": "e5a2f968369fc82fffc8d58f7d816a49f3ddd59067c64810f36a1b07f0bac300",
         "out.meta.json": "370863d17a9f0f860e650c2ba62764547101d3995ac49f80d69cb0def5ff39c0",
     },
     "limits-geometric": {
@@ -163,15 +163,15 @@ GOLDEN = {
         "out.meta.json": "42e099036c79eb7a2606a7bdf999fd22f7fb3b653759a3c478b15ba021740d8c",
     },
     "limits-drawn": {
-        "out": "1f6888fc08c706ee2633964038ac984c6f869607afa8e1adfed1a335e5048081",
+        "out": "6c9380c9fea8b79f09f7834faa27b2f9446504a24443f5b25e026667d3fb83dd",
         "out.meta.json": "4a281b58ed89b949be3ff23611eb77d88af13b70a78b6e268a75741c0ed4b5c3",
     },
     "verify": {
-        "out": "cf69c6b56b7b1c34e3acb85084353ab4d473bb6925735eb78653820e9637088e",
+        "out": "e9e48ea9d1a25f957708f5e56cde4f48c953dd22d0b0c4fffad4b3cd836c4b14",
         "out.meta.json": "414891d3d9523b452fdeb580f02ec13724e049f11bb19d2e67a988bb290544c1",
     },
     "verify-one-block": {
-        "out": "1121ce607e2fd4151a86df94c01ae47217a9a033b6d598fee0d8a4342838452e",
+        "out": "ecd81edfaae825649a43a00a3360c74c1454fadfa7553c524100d7e0c108f395",
         "out.meta.json": "414891d3d9523b452fdeb580f02ec13724e049f11bb19d2e67a988bb290544c1",
     },
 }
