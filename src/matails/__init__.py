@@ -5,104 +5,44 @@ nonnegative Pareto-tailed innovations, evaluates the theoretical
 regular-variation limit measures (including the hidden, finer-scaled
 orders) on upper-rectangle sets, and estimates the same quantities
 empirically so theory and simulation can be compared at matched scalings.
+
+``import matails`` loads no submodule: each public name, and each
+submodule such as ``matails.ma_process``, is imported on first use.
 """
 
-from .errors import AssumptionError, ParameterError, UnsupportedError
-from .estimation import (
-    HrvRow,
-    TailMeasureEstimate,
-    convergence_table,
-    empirical_tail_measure,
-    hill,
-    hrv_scan,
-    theoretical_tail_measure,
-)
-from .innovations import ParetoFamily, TailModel, block_generator, draw
-from .limit_measures import (
-    EvalMethod,
-    MeasureValue,
-    UpperRect,
-    marginal_tail_constant,
-    mu_j_rect,
-    nu_alpha_tail,
-    nu_inf_0_rect,
-    nu_m0_rect,
-    nu_m_j_rect,
-    spike_cover_number,
-)
-from .ma_process import (
-    INFINITE,
-    AssumptionReport,
-    CoefficientSeq,
-    ExplicitFinite,
-    Geometric,
-    Polynomial,
-    SimulationBatch,
-    apply_Tm,
-    check_assumptions,
-    choose_truncation,
-    continuity_modulus,
-    innovation_matrix,
-    simulate,
-    truncation_diagnostic,
-)
-from .sequence_space import (
-    ZERO,
-    WindowSeq,
-    cone_label,
-    dist,
-    exceedance_count,
-    scale,
-    spike,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionError",
-    "ParameterError",
-    "UnsupportedError",
-    "TailModel",
-    "ParetoFamily",
-    "block_generator",
-    "draw",
-    "WindowSeq",
-    "ZERO",
-    "spike",
-    "dist",
-    "exceedance_count",
-    "cone_label",
-    "scale",
-    "INFINITE",
-    "CoefficientSeq",
-    "ExplicitFinite",
-    "Geometric",
-    "Polynomial",
-    "AssumptionReport",
-    "check_assumptions",
-    "apply_Tm",
-    "choose_truncation",
-    "continuity_modulus",
-    "SimulationBatch",
-    "innovation_matrix",
-    "simulate",
-    "truncation_diagnostic",
-    "UpperRect",
-    "EvalMethod",
-    "MeasureValue",
-    "nu_alpha_tail",
-    "mu_j_rect",
-    "spike_cover_number",
-    "nu_m0_rect",
-    "nu_m_j_rect",
-    "marginal_tail_constant",
-    "nu_inf_0_rect",
-    "TailMeasureEstimate",
-    "HrvRow",
-    "empirical_tail_measure",
-    "hill",
-    "theoretical_tail_measure",
-    "hrv_scan",
-    "convergence_table",
-    "__version__",
-]
+# Each public name and the submodule that defines it.
+_HOMES = {
+    **dict.fromkeys(("AssumptionError", "ParameterError", "UnsupportedError"), "errors"),
+    **dict.fromkeys(("TailModel", "ParetoFamily", "block_generator", "draw"), "innovations"),
+    **dict.fromkeys(("WindowSeq", "ZERO", "spike", "dist", "exceedance_count", "cone_label",
+                     "scale"), "sequence_space"),
+    **dict.fromkeys(("INFINITE", "CoefficientSeq", "ExplicitFinite", "Geometric", "Polynomial",
+                     "AssumptionReport", "check_assumptions", "apply_Tm", "choose_truncation",
+                     "continuity_modulus", "SimulationBatch", "innovation_matrix", "simulate",
+                     "truncation_diagnostic"), "ma_process"),
+    **dict.fromkeys(("UpperRect", "EvalMethod", "MeasureValue", "nu_alpha_tail", "mu_j_rect",
+                     "spike_cover_number", "nu_m0_rect", "nu_m_j_rect", "marginal_tail_constant",
+                     "nu_inf_0_rect"), "limit_measures"),
+    **dict.fromkeys(("TailMeasureEstimate", "HrvRow", "empirical_tail_measure", "hill",
+                     "theoretical_tail_measure", "hrv_scan", "convergence_table"), "estimation"),
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    """A public name or a submodule, imported on first use (PEP 562)."""
+    if name in _HOMES.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,3 +11,7 @@ class AssumptionError(ValueError):
 
 class UnsupportedError(ValueError):
     """The requested quantity diverges or is outside the supported model class."""
+
+
+class ConfigError(ValueError):
+    """An experiment config or a sample file is malformed."""

@@ -82,7 +82,8 @@ class TailModel:
         out **= -1.0 / self.alpha
         if self.family is ParetoFamily.SHIFTED:
             out -= 1.0
-        out *= self.scale
+        if self.scale != 1.0:  # x * 1.0 is x, bit for bit: skip the pass
+            out *= self.scale
         return out if out.shape else float(out)
 
     def quantile_b(self, t: float) -> float:

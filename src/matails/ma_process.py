@@ -38,7 +38,6 @@ import collections
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -500,6 +499,8 @@ def simulate_tiles(
 def _ordered(run, tasks, threads: int):
     """``run(*task)`` of each task in task order, run on ``threads`` workers:
     while the consumer holds one result, the next ``threads`` tasks run."""
+    from concurrent.futures import ThreadPoolExecutor  # here: what never simulates never loads it
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         ahead = collections.deque()
         for task in tasks:

@@ -28,7 +28,7 @@ import warnings
 
 import numpy as np
 
-import matails.cli
+import matails.sample_file
 from matails import WindowSeq, ZERO, hrv_scan, limit_measures
 from matails.cli import ConfigError
 from matails.ma_process import MAX_DRAWS
@@ -453,7 +453,7 @@ def _reference_size(path, n):
 
 def sample_values_reference(path, index):
     """``hill --sample``'s vector of ``index`` as ``np.loadtxt`` reads it: the
-    file in text mode (universal newlines), ``matails.cli.ROW_SLICE`` lines
+    file in text mode (universal newlines), ``matails.sample_file.ROW_SLICE`` lines
     per block, a block that fails parsed again line by line to name the line."""
     sidecar = f"{path}.meta.json"
     try:
@@ -475,7 +475,7 @@ def sample_values_reference(path, index):
         if fh.readline().rstrip("\r\n") != "replicate_id,index,value":
             raise ConfigError(f"{path} is not a simulate output file")
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        while lines := list(itertools.islice(fh, matails.cli.ROW_SLICE)):
+        while lines := list(itertools.islice(fh, matails.sample_file.ROW_SLICE)):
             ids, idx, vals = _reference_rows(path, lines, line)
             line += len(lines)
             keep = (idx == index) & (ids >= 0)

@@ -11,7 +11,13 @@ import textwrap
 import types
 from pathlib import Path
 
+# The tracer wraps the layer modules loaded when it starts; the warm-up pass
+# of bench/run.py loads all five, and so do these imports.
 import matails.cli
+import matails.estimation
+import matails.innovations
+import matails.limit_measures
+import matails.ma_process
 from matails.cli import main
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"

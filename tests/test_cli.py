@@ -19,12 +19,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import matails.cli
 import matails.ma_process as ma
+import matails.sample_file
 from matails import (ExplicitFinite, TailModel, block_generator, draw, estimation, hill, limit_measures,
                      simulate)
 from matails.ma_process import MAX_DEPTH, MAX_DRAWS, SimulationBatch
-from matails.cli import (ConfigError, _sample_slices, _sample_text, _shortest_digits,
-                         _values_from_sample_file, _write_output, build_parser, load_experiment,
-                         main)
+from matails.cli import ConfigError, _write_output, build_parser, load_experiment, main
+from matails.sample_file import (_sample_slices, _sample_text, _shortest_digits,
+                                 _values_from_sample_file)
 from oracles import sample_text_reference, sample_values_reference
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,7 +71,7 @@ def read_csv(path):
 
 # ROW_SLICE values for the sample-file tests: 1, 2 and 7 lines per block
 # put block boundaries inside short files; the default holds them whole.
-SAMPLE_BLOCKS = [1, 2, 7, matails.cli.ROW_SLICE]
+SAMPLE_BLOCKS = [1, 2, 7, matails.sample_file.ROW_SLICE]
 
 
 def write_sample(tmp_path, body, meta=None):
@@ -147,7 +148,7 @@ class TestSimulateCommand:
         # 2000 replicates x 3 indices: one block by default, 1000 blocks of 2 rows.
         whole, sliced = tmp_path / f"whole.{fmt}", tmp_path / f"sliced.{fmt}"
         assert main(["simulate", "--config", config_path, "--out", str(whole), "--format", fmt]) == 0
-        monkeypatch.setattr(matails.cli, "ROW_SLICE", 7)
+        monkeypatch.setattr(matails.sample_file, "ROW_SLICE", 7)
         assert main(["simulate", "--config", config_path, "--out", str(sliced), "--format", fmt]) == 0
         assert whole.read_bytes() == sliced.read_bytes()
         assert len(whole.read_text().splitlines()) > 6000
@@ -158,7 +159,7 @@ class TestSimulateCommand:
         # one another, and every thread count writes the stored matrix's rows.
         monkeypatch.setattr(ma, "BLOCK_ROWS", 12)
         monkeypatch.setattr(ma, "TILE_ROWS", 5)
-        monkeypatch.setattr(matails.cli, "ROW_SLICE", 7)
+        monkeypatch.setattr(matails.sample_file, "ROW_SLICE", 7)
         batch = simulate(ExplicitFinite([1.0, 0.5]), 1, TailModel.standard_pareto(1.0), (0, 2), 61, 42)
         rows = [[r, w, v] for r, row in enumerate(batch.matrix.tolist()) for w, v in enumerate(row) if v]
         expected = io.StringIO()
@@ -172,13 +173,14 @@ class TestSimulateCommand:
             assert json.loads(out.with_suffix(".json").read_text())["rows"] == rows
         assert out.with_suffix(".json").read_bytes() == (tmp_path / "t1.json").read_bytes()
 
-    @pytest.mark.parametrize("case", ["draws", "depth", "no-n"])
+    @pytest.mark.parametrize("case", ["draws", "depth", "no-n", "seed"])
     def test_refusal_leaves_an_existing_output_untouched(self, tmp_path, config_path, capsys, case):
         # Every simulation check runs before the output file is opened.
         settings, message = {
             "draws": (["coefficients.m=1000000", "run.n=1000000"], f"above the limit of {MAX_DRAWS}"),
             "depth": ([f"coefficients.m={MAX_DEPTH + 1}"], f"depth budget of {MAX_DEPTH} lags"),
             "no-n": ([], "simulate needs [run] n"),
+            "seed": (["run.seed=-1"], "[run] seed must be nonnegative"),
         }[case]
         cfg = tmp_path / "c.ini"
         cfg.write_text(BASE_CONFIG.replace("n = 2000\n", "" if case == "no-n" else "n = 2000\n"))
@@ -200,8 +202,8 @@ class TestSimulateCommand:
         # 2000 replicates in tiles of 50, slices of 30 // 3 = 10 rows: the
         # third slice fails while workers still have tiles to sum.
         monkeypatch.setattr(ma, "TILE_ROWS", 50)
-        monkeypatch.setattr(matails.cli, "ROW_SLICE", 30)
-        render, cuts = matails.cli._sample_text, []
+        monkeypatch.setattr(matails.sample_file, "ROW_SLICE", 30)
+        render, cuts = matails.sample_file._sample_text, []
 
         def failing(*cut):
             cuts.append(cut)
@@ -209,7 +211,7 @@ class TestSimulateCommand:
                 raise OSError("no space left on the test device")
             return render(*cut)
 
-        monkeypatch.setattr(matails.cli, "_sample_text", failing)
+        monkeypatch.setattr(matails.sample_file, "_sample_text", failing)
         argv = ["simulate", "--config", config_path, "--out", str(tmp_path / "s.csv"),
                 "--threads", str(threads)]
         codes = []
@@ -265,7 +267,7 @@ class TestSampleWriter:
         draws = draw(TailModel.shifted_pareto(0.7), block_generator(3), 11)
         values = [1e16, 1e-5, 5e-324, 1.7976931348623157e308, 0.0, *(-draws).tolist()]
         batch = SimulationBatch(-1, np.array(values).reshape(4, 4), 0)
-        monkeypatch.setattr(matails.cli, "ROW_SLICE", 4)
+        monkeypatch.setattr(matails.sample_file, "ROW_SLICE", 4)
         cuts = list(_sample_slices(batch.lo, [(0, batch.matrix.T)]))
         assert [len(ids) for ids, _, _ in cuts] == [4, 3, 4, 4]
         rows = [(r, w - 1, values[4 * r + w]) for r in range(4) for w in range(4) if values[4 * r + w]]
@@ -309,7 +311,7 @@ class TestSampleWriter:
         exp = load_experiment(str(ROOT / "demos" / "experiment.ini"), ["run.n=20000"])
         batch = simulate(exp.coeffs, exp.m, exp.model, exp.window, exp.n, exp.seed, exp.trunc_eps)
         ids, indices, values = next(_sample_slices(batch.lo, [(0, batch.matrix.T)]))
-        assert len(values) == matails.cli.ROW_SLICE
+        assert len(values) == matails.sample_file.ROW_SLICE
         slow = int(np.count_nonzero(~_shortest_digits(values)[2]))
         assert 0 < slow < 0.02 * len(values)
 
@@ -461,7 +463,7 @@ class TestHillCommand:
         def no_reading(*args):
             raise AssertionError("read the sample body")
 
-        monkeypatch.setattr(matails.cli, "_sample_blocks", no_reading)
+        monkeypatch.setattr(matails.sample_file, "_sample_blocks", no_reading)
         assert main(["hill", "--sample", str(samples), "--k", "10", "--index", str(index)]) == 2
         err = capsys.readouterr().err
         assert f"index {index} is outside the sample's window 0:2" in err
@@ -472,7 +474,7 @@ class TestHillCommand:
         # 4 lines per replicate: the tiny block sizes read 150 * row_slice
         # replicates in 600 to 935 blocks each (3000 took 11 s at 1 line a
         # block), the default 3000 in one block.
-        monkeypatch.setattr(matails.cli, "ROW_SLICE", row_slice)
+        monkeypatch.setattr(matails.sample_file, "ROW_SLICE", row_slice)
         n = min(3000, 150 * row_slice)
         out = tmp_path / "s.csv"
         assert main([
@@ -493,7 +495,7 @@ class TestHillCommand:
         # Data lines 2-10.  The (1, 1) repeat on lines 7-9 crosses a block
         # boundary at every block size but the default, and the largest id
         # (line 4) sits in an earlier block than index 1's last rows.
-        monkeypatch.setattr(matails.cli, "ROW_SLICE", row_slice)
+        monkeypatch.setattr(matails.sample_file, "ROW_SLICE", row_slice)
         body = ("0,0,1.5\n-1,0,9.5\n3,0,7.0\n2,1,4.0\n2,0,2.0\n"
                 "1,1,0.25\n1,1,0.5\n1,1,0.75\n2,0,2.5\n")
         path = write_sample(tmp_path, body, {"n": 3})
@@ -567,7 +569,7 @@ def test_sample_over_the_replicate_limit_exits_2_within_a_second(tmp_path, capsy
 def test_malformed_row_message_names_its_file_line(tmp_path, capsys, monkeypatch, bad_row):
     # Blocks of two data lines: line 6 is the first line of the third block,
     # where numpy numbers it row 0 or 1.
-    monkeypatch.setattr(matails.cli, "ROW_SLICE", 2)
+    monkeypatch.setattr(matails.sample_file, "ROW_SLICE", 2)
     path = write_sample(tmp_path, WELL_FORMED_BODY + "3,0,5.0\n" + bad_row + "\n4,0,6.0\n")
     assert main(["hill", "--sample", path, "--k", "2"]) == 2
     err = capsys.readouterr().err
@@ -671,7 +673,7 @@ class TestSampleReader:
         # size.  Ids of 9 digits come with a sidecar n: without one, n would
         # be their size.
         n, body = case
-        monkeypatch.setattr(matails.cli, "ROW_SLICE", row_slice)
+        monkeypatch.setattr(matails.sample_file, "ROW_SLICE", row_slice)
         (tmp_path / "sample.csv.meta.json").unlink(missing_ok=True)
         path = write_sample(tmp_path, body, None if n is None else {"n": n})
         got = read_outcome(_values_from_sample_file, path, index)
@@ -683,7 +685,7 @@ class TestSampleReader:
 
     @pytest.mark.parametrize("row_slice", SAMPLE_BLOCKS)
     def test_pinned_lines_read_what_the_reference_reads(self, tmp_path, monkeypatch, row_slice):
-        monkeypatch.setattr(matails.cli, "ROW_SLICE", row_slice)
+        monkeypatch.setattr(matails.sample_file, "ROW_SLICE", row_slice)
         values = ["-0.0", "0.0", "2.0", "0.5", "1024.0", "1.9999999999999999", "1.0000000000000002",
                   "0.9999999999999999", near_tie(1.1, 16), near_tie(12345.678, 17),
                   near_tie(0.3, 17), repr(9e-05), repr(1e15), repr(2.5e16), "12345678.123456789",
@@ -705,7 +707,7 @@ class TestSampleReader:
         path = str(tmp_path / "s.csv")
         assert main(["simulate", "--config", demo, "--set", "run.n=20000", "--out", path]) == 0
         fallback, proven = [], []
-        rows, quotients = matails.cli._sample_rows, matails.cli._quotients
+        rows, quotients = matails.sample_file._sample_rows, matails.sample_file._quotients
 
         def loadtxt_rows(*args):
             fallback.append(args[2])
@@ -716,8 +718,8 @@ class TestSampleReader:
             proven.append(ok)
             return values, ok
 
-        monkeypatch.setattr(matails.cli, "_sample_rows", loadtxt_rows)
-        monkeypatch.setattr(matails.cli, "_quotients", spy)
+        monkeypatch.setattr(matails.sample_file, "_sample_rows", loadtxt_rows)
+        monkeypatch.setattr(matails.sample_file, "_quotients", spy)
         values = _values_from_sample_file(path, 0)
         assert not fallback and len(proven) > 1
         assert np.count_nonzero(values) == sum(map(len, proven)) == 20000
@@ -745,6 +747,8 @@ INVALID_INPUTS = {
                                           "--set", "coefficients.trunc_eps=-1"]),
     "negative-trunc-eps-verify": (False, ["verify", *GEOMETRIC_INFINITE,
                                           "--set", "coefficients.trunc_eps=-1"]),
+    "negative-seed-simulate": (False, ["simulate", "--set", "run.seed=-1"]),
+    "negative-seed-limits": (False, ["limits", "--set", "run.seed=-1"]),
     "zero-threads": (False, ["simulate", "--threads", "0"]),
     "negative-threads": (False, ["verify", "--threads", "-1"]),
     "nan-threshold-limits": (False, ["limits", "--set", "rows.row0=0; 0:nan"]),
@@ -1020,3 +1024,71 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def fresh_stdout(code: str, env=None) -> str:
+    """Stdout of ``code`` run by a fresh interpreter that imports matails from
+    this checkout, in ``env`` (default: this process's environment)."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def modules_after(statement: str, watch: list[str]) -> list[str]:
+    """The modules of ``watch`` that a fresh interpreter holds after running
+    ``statement``, its stdout and any ``SystemExit`` swallowed."""
+    code = ("import contextlib, io, sys\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            f"    {statement}\n"
+            f"print(*(m for m in {watch!r} if m in sys.modules))")
+    return fresh_stdout(code).split()
+
+
+@pytest.mark.parametrize("statement", [
+    "import matails",
+    "import matails.cli",
+    "from matails.cli import main; main(['example-config'])",
+    "from matails.cli import main; main(['--help'])",
+    "from matails.cli import main; main(['limits'])",  # usage error: no --config
+])
+def test_startup_loads_no_numpy(statement):
+    assert modules_after(statement, ["numpy"]) == []
+
+
+def test_limits_loads_no_sample_file_or_thread_pool(config_path, tmp_path):
+    argv = ["limits", "--config", config_path, "--out", str(tmp_path / "limits.csv")]
+    statement = f"from matails.cli import main; assert main({argv!r}) == 0"
+    watch = ["numpy", "matails.sample_file", "concurrent.futures"]
+    assert modules_after(statement, watch) == ["numpy"]
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_defaults_openblas_to_one_thread(preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, matails.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh_stdout(code, env).strip() == (preset or "1")
+
+
+def test_public_names_resolve_lazily_to_their_home_objects():
+    code = textwrap.dedent("""\
+        import importlib, sys, matails
+        assert [m for m in sys.modules if m.startswith("matails.")] == []
+        assert matails.ma_process is sys.modules["matails.ma_process"]
+        assert matails.__all__[-1] == "__version__" and set(matails.__all__) <= set(dir(matails))
+        for name in matails.__all__[:-1]:
+            home = f"matails.{matails._HOMES[name]}"
+            value = getattr(matails, name)
+            assert value is vars(importlib.import_module(home))[name], name
+            assert getattr(value, "__module__", home) == home, name
+        try:
+            matails.no_such_name
+        except AttributeError as exc:
+            print(exc)
+        from matails import *
+        """)
+    assert fresh_stdout(code).strip() == "module 'matails' has no attribute 'no_such_name'"

@@ -15,6 +15,7 @@ import pytest
 
 import matails.cli
 import matails.ma_process as ma
+import matails.sample_file
 from matails import (INFINITE, ExplicitFinite, Geometric, TailModel, UpperRect, hrv_scan,
                      nu_m_j_rect, simulate, truncation_diagnostic)
 
@@ -76,7 +77,7 @@ def test_simulate_command_builds_rows_a_slice_at_a_time(tmp_path, monkeypatch):
     # returns (it holds a few tiles) plus one block of ROW_SLICE cells as
     # index arrays, Python rows and text (well under 1 kB a cell).
     # Whole-matrix nonzero index arrays cost another 16 B/cell, 6 MB here.
-    monkeypatch.setattr(matails.cli, "ROW_SLICE", 1024)
+    monkeypatch.setattr(matails.sample_file, "ROW_SLICE", 1024)
     n = 1 << 17
     cfg = tmp_path / "c.ini"
     cfg.write_text("[coefficients]\nfamily = explicit\nvalues = 1, 0.5\nm = 1\n"
@@ -95,7 +96,7 @@ def test_simulate_command_peak_at_the_default_row_slice(tmp_path):
     # At the default block of 2^14 cells the renderer's temporaries (int64
     # digit vectors, the uint8 text matrix, the compacted bytes) stay within
     # 4 MiB of what simulate itself holds.
-    assert matails.cli.ROW_SLICE == 1 << 14
+    assert matails.sample_file.ROW_SLICE == 1 << 14
     n = 1 << 17
     cfg = tmp_path / "c.ini"
     cfg.write_text("[coefficients]\nfamily = explicit\nvalues = 1, 0.5\nm = 1\n"
@@ -123,8 +124,8 @@ def test_simulate_command_peak_does_not_grow_with_n(tmp_path):
     # took 6 and 24 MiB at these sizes.
     assert ma.TILE_ROWS == 1 << 16
     threads, tile, lag_rows = 1, 3 * ma.TILE_ROWS * 8, 2 * ma.TILE_ROWS * 8
-    rendering = (threads + 1) * tile + lag_rows + 240 * matails.cli.ROW_SLICE
-    handoff = (threads + 2) * tile + lag_rows + 64 * matails.cli.ROW_SLICE
+    rendering = (threads + 1) * tile + lag_rows + 240 * matails.sample_file.ROW_SLICE
+    handoff = (threads + 2) * tile + lag_rows + 64 * matails.sample_file.ROW_SLICE
     bound = max(rendering, handoff)
     peaks = {}
     for n in (1 << 10, 1 << 18, 1 << 20):  # the first run takes the one-time allocations
@@ -146,7 +147,7 @@ def test_simulate_json_peak_does_not_grow_with_n(tmp_path, monkeypatch):
     # before.  Both sizes run more than threads + 2 = 3 tiles.  Building its
     # rows list first took 0.8 and 3.0 MiB at 2^11 and 2^13, about 120 B per row.
     monkeypatch.setattr(ma, "TILE_ROWS", 1 << 10)
-    monkeypatch.setattr(matails.cli, "ROW_SLICE", 1 << 10)
+    monkeypatch.setattr(matails.sample_file, "ROW_SLICE", 1 << 10)
     peaks = {}
     for n in (1 << 8, 1 << 12, 1 << 14):  # the first run takes the one-time allocations
         cfg = tmp_path / f"n{n}.ini"
@@ -171,7 +172,7 @@ def test_sample_reader_peak_does_not_grow_with_the_width(tmp_path):
         path.write_text("replicate_id,index,value\n" + "".join(
             f"{i},{k},{1.0 + i / n!r}\n" for i in range(n) for k in range(width)))
         (tmp_path / f"w{width}.csv.meta.json").write_text(f'{{"n": {n}}}')
-        values, peaks[width] = traced_peak(matails.cli._values_from_sample_file, str(path), 0)
+        values, peaks[width] = traced_peak(matails.sample_file._values_from_sample_file, str(path), 0)
         assert values[-1] == 1.0 + (n - 1) / n
     assert peaks[4] <= 1.05 * peaks[1]
 
@@ -186,7 +187,7 @@ def test_sample_parser_temporaries_do_not_grow_with_n(tmp_path):
         argv = ["simulate", "--config", str(ROOT / "demos" / "experiment.ini"),
                 "--set", f"run.n={n}", "--out", path]
         assert matails.cli.main(argv) == 0
-        values, peak = traced_peak(matails.cli._values_from_sample_file, path, 0)
+        values, peak = traced_peak(matails.sample_file._values_from_sample_file, path, 0)
         assert len(values) == n
         extra[n] = peak - values.nbytes
     assert extra[1 << 17] <= 1.05 * extra[1 << 15]
