@@ -80,8 +80,7 @@ row1 = 1; 0:1.0, 1:1.0
 
 [run]
 n = 100000
-t = 1000                    ; omit to default to n/1000 (about 1000 exceedances)
-; t_grid = 10, 100, 1000   ; used by verify instead of t when present
+t_grid = 1000               ; verify's tail levels, e.g. 10, 100, 1000; omit for n/1000
 seed = 42
 ; window = -1:2             ; simulate window; defaults to the rows' span
 ; integration_budget = 200000 ; lattice points per drawn tuple, rounded up to a multiple of 16
@@ -209,14 +208,11 @@ def load_experiment(path: str, overrides: list[str]) -> Experiment:
     seed = int(run.get("seed", "0"))
     if seed < 0:
         raise ConfigError(f"[run] seed must be nonnegative, got {seed}")
-    if "t_grid" in run:
-        t_grid = _floats(run["t_grid"])
-        if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-            raise ConfigError("t_grid must be strictly increasing")
-    elif "t" in run:
-        t_grid = [float(run["t"])]
-    else:
-        t_grid = []
+    if "t" in run:
+        raise ConfigError("[run] t is not read: set t_grid instead (t_grid = 1000 for one tail level)")
+    t_grid = _floats(run.get("t_grid", ""))
+    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise ConfigError("t_grid must be strictly increasing")
     if any(not 1.0 <= t < math.inf for t in t_grid):
         raise ConfigError("tail levels must be finite and >= 1")
     window = _parse_window(run["window"]) if "window" in run else None

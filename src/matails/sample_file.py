@@ -5,19 +5,15 @@ bytes of ``"%d,%d,%r\\n"`` for each nonzero cell of the replicate windows,
 replicate by replicate; its ``.meta.json`` sidecar gives, among the run's
 settings, ``n`` and ``window``.  The writer renders about ``ROW_SLICE``
 cells at a time as numpy text columns, from the shortest round-trip
-digits where it can certify them, else with ``repr``.  The reader parses
-blocks of ``ROW_SLICE * 16`` bytes in numpy where it can prove each
-double, else with ``float``; a block outside that fast grammar goes
-through ``np.loadtxt``, which names a bad line.
+digits where it can certify them, else with ``repr``.  The reader holds
+each line to one grammar (see :func:`_rows`) and parses blocks of
+``ROW_SLICE * 16`` bytes in numpy, proving each double where it can, else
+reading it with ``float``; it names the first line outside the grammar.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import math
-import re
-import warnings
 
 import numpy as np
 
@@ -36,16 +32,16 @@ ROW_SLICE = 1 << 14
 _POW10 = 10.0 ** np.arange(23)
 _MARGIN = 1e-9
 
-# The sample reader's header, the separators of one line of its fast grammar
-# (signs aside), the digits that pad a block in front so every field ends at
-# least 16 bytes in, and the masks keeping the last w = 0..8 bytes of a
-# little-endian uint64 word.
-_HEADER = b"replicate_id,index,value"
+# The header line, the separators of a line once its signs go and its 'e'
+# stands for a missing '.', the digits that pad a block in front so every
+# field ends at least 16 bytes in, and the masks keeping the last w = 0..8
+# bytes of a little-endian uint64 word (all 8 for w up to 16).
+_HEADER = b"replicate_id,index,value\n"
 _LINE = np.frombuffer(b",,.\n", np.uint8)
 _PAD = b"0" * 16
-_KEEP = np.array([(1 << 64) - (1 << 8 * (8 - w)) for w in range(9)], dtype=np.uint64)
-# the widest id, index, integer part, fraction and value digit runs it reads
-_WIDEST = np.array([[8], [8], [8], [16], [18]])
+_KEEP = np.array([(1 << 64) - (1 << 8 * max(8 - w, 0)) for w in range(17)], dtype=np.uint64)
+# the widest id, index, whole part and fraction digit runs of a plain value
+_WIDEST = np.array([[16], [16], [16], [20]])
 
 
 def _sample_slices(lo: int, tiles):
@@ -164,51 +160,25 @@ def _sample_text(ids, indices, values) -> bytes:
     return text[text != 0].tobytes()
 
 
-def _sample_rows(path: str, lines: list[str], line: int):
-    """(ids, indices, values) of sample-file data lines, the first on file line ``line``."""
-    try:
-        ids, idx, vals = np.loadtxt(lines, delimiter=",", ndmin=2, usecols=(0, 1, 2)).T
-        keys = np.concatenate((ids, idx))
-        if not np.all(np.isfinite(keys) & (keys == np.floor(keys))):
-            raise ValueError("replicate_id and index must be integers")
-    except ValueError as exc:
-        if len(lines) > 1:
-            # numpy numbers rows within the block: parse it line by line to name the bad one
-            for offset, text in enumerate(lines):
-                _sample_rows(path, [text], line + offset)
-        msg = re.sub(r" at row \d+", "", str(exc))
-        raise ConfigError(f"{path}, line {line}: {msg}") from None
-    return ids, idx, vals
-
-
-def _check_sample_size(path: str, n: int | None) -> None:
-    if n is not None and n > MAX_DRAWS:
-        raise ConfigError(f"{path}: {n} replicates exceed the {MAX_DRAWS} that simulate can write")
-
-
-def _sample_blocks(fh, rest: bytes = b""):
-    """The rest of a binary sample file in blocks of about ``ROW_SLICE * 16``
-    bytes (half as many demo lines), each ending where a line ends: after a
-    newline, a carriage return not followed by one, or at the end of the file."""
-    while chunk := fh.read(ROW_SLICE * 16):
-        rest += chunk
-        end = max(rest.rfind(b"\n"), rest.rfind(b"\r", 0, len(rest) - 1)) + 1
-        if end:
-            block, rest = rest[:end], rest[end:]
-            yield block
-    if rest:
-        yield rest
-
-
 def _swar(words, ends, widths):
-    """The integers whose decimal digits are the last ``widths`` (0 to 8) bytes
-    of the little-endian 8-byte words ``words[ends]``: the other bytes masked
-    off, the digits summed pairwise by three multiply-shift-mask steps
-    (Lemire 2021)."""
+    """The integers whose decimal digits are the last ``widths`` (0 to 8; a
+    wider one keeps all 8) bytes of the little-endian 8-byte words
+    ``words[ends]``: the other bytes masked off, the digits summed pairwise
+    by three multiply-shift-mask steps (Lemire 2021)."""
     word = words[ends] & _KEEP[widths]
     word = (word & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
     word = (word & 0x00FF00FF00FF00FF) * 6553601 >> 16
     return ((word & 0x0000FFFF0000FFFF) * 42949672960001 >> 32).astype(np.int64)
+
+
+def _integers(words, ends, widths):
+    """The integers of the ``widths`` (1 to 16) decimal digits before ``ends``
+    in the bytes of ``words``: the last 8 digits, then the rest where any
+    field is wider."""
+    values = _swar(words, ends - 8, widths)
+    if widths.max(initial=0) > 8:
+        values += _swar(words, ends - 16, np.maximum(widths - 8, 0)) * 10**8
+    return values
 
 
 def _quotients(mant, digits):
@@ -241,84 +211,122 @@ def _inside(values, mant, scale):
     return inside & (mantissa != 0.5), residual
 
 
-def _fast_rows(block: bytes, index: int, limit):
-    """(lines, ids, keep, values) of a block whose every line reads
-    ``\\d{1,8},-?\\d{1,8},-?\\d{1,8}\\.\\d{1,16}\\n`` with at most 18 digits
-    in the value (so its mantissa fits an int64), else None.  ``keep`` marks
-    the rows of ``index`` with an id below ``limit`` and ``values`` holds
-    theirs, each the double nearest its text: :func:`_quotients` where
-    proven, else ``float``."""
+def _sample_blocks(fh):
+    """The rest of a binary sample file in blocks of about ``ROW_SLICE * 16``
+    bytes (half as many demo lines), each ending after a newline, then what
+    follows the last newline, if anything.  A run of over 128 bytes with no
+    newline, longer than any line of the grammar, comes as soon as it is
+    read, so a file without newlines is refused in one block."""
+    rest = b""
+    while chunk := fh.read(ROW_SLICE * 16):
+        rest += chunk
+        end = rest.rfind(b"\n") + 1 or (len(rest) if len(rest) > 128 else 0)
+        if end:
+            block, rest = rest[:end], rest[end:]
+            yield block
+    if rest:
+        yield rest
+
+
+def _rows(block: bytes, index: int, n: int):
+    """(lines, ids, values) of a block of sample-file lines: their count, and
+    the ids and values of the rows of ``index`` with an id below ``n``, each
+    value the double nearest its text (:func:`_quotients` where proven, else
+    ``float``); None when a line is outside the grammar, every ``repr`` of a
+    finite nonzero double after an id and an index of 1 to 16 digits:
+
+        \\d{1,16},-?\\d{1,16},-?(\\d{1,16}\\.\\d{1,20}|\\d(\\.\\d{1,16})?e[+-]\\d{2,3})\\n
+    """
     data = _PAD + block
     buf = np.frombuffer(data, np.uint8)
-    if buf[-1] != 10 or buf.max() > 57:
+    if buf[-1] != 10:
         return None
-    # Every byte is now a digit or, below '0', a separator: per line ", , . \n"
-    # and a '-' right after either comma.
-    seps = np.flatnonzero(buf < 48)
+    # every byte but a digit: the separators below '0', and any 'e' above '9'
+    split = buf < 48
+    if buf.max() > 57:
+        split |= buf > 57
+    seps = np.flatnonzero(split)
     marks = buf[seps]
-    minus = marks == 45
-    if not (buf[seps[minus] - 1] == 44).all():
+    # A sign is a '-' right after a comma, or either sign right after an 'e'.
+    signs = np.flatnonzero((marks == 43) | (marks == 45))
+    if len(signs):
+        before = marks[signs - 1]
+        if not ((seps[signs - 1] == seps[signs] - 1)
+                & ((before == 101) | (before == 44) & (marks[signs] == 45))).all():
+            return None
+        seps, marks = np.delete(seps, signs), np.delete(marks, signs)
+    # An 'e' after a '.' goes, any other stands for the '.': then every line
+    # reads ", , . \n", and an exponent line's digits stop at its 'e'.
+    exps = np.flatnonzero(marks == 101)
+    stops, dotted = seps[exps], marks[exps - 1] == 46
+    if len(exps):
+        marks[exps[~dotted]] = 46
+        seps, marks = np.delete(seps, exps[dotted]), np.delete(marks, exps[dotted])
+    if len(marks) % 4 or not (marks.reshape(-1, 4) == _LINE).all():
         return None
-    seps, marks = seps[~minus], marks[~minus]
-    if len(seps) % 4 or not (marks.reshape(-1, 4) == _LINE).all():
-        return None
-    comma1, comma2, dot, newline = seps.reshape(-1, 4).T
+    comma1, comma2, point, newline = seps.reshape(-1, 4).T
     index_sign, value_sign = buf[comma1 + 1] == 45, buf[comma2 + 1] == 45
-    id_width = comma1 - np.concatenate(([len(_PAD)], newline[:-1] + 1))
-    index_width = comma2 - comma1 - 1 - index_sign
-    whole_width = dot - comma2 - 1 - value_sign
-    digits = newline - dot - 1
-    widths = np.stack((id_width, index_width, whole_width, digits, whole_width + digits))
-    if not ((widths >= 1) & (widths <= _WIDEST)).all():
+    stop, lines = newline.copy(), np.searchsorted(newline, stops)
+    stop[lines] = stops
+    widths = np.stack((comma1 - np.concatenate(([len(_PAD)], newline[:-1] + 1)),
+                       comma2 - comma1 - 1 - index_sign, point - comma2 - 1 - value_sign,
+                       stop - point - 1))
+    ok = (widths >= 1) & (widths <= _WIDEST)
+    # an exponent line: one whole digit, no '.' or 1 to 16 fraction digits,
+    # then a signed exponent of 2 or 3 digits; float reads its value
+    fraction, sign, digits = widths[3, lines], buf[stops + 1], newline[lines] - stops - 2
+    ok[2, lines] = widths[2, lines] == 1
+    ok[3, lines] = (((fraction == -1) | (fraction >= 1) & (fraction <= 16))
+                    & ((sign == 43) | (sign == 45)) & (digits >= 2) & (digits <= 3))
+    widths[3, lines] = 0
+    if not ok.all():
         return None
     # the word starting at every byte, unaligned
     words = np.ndarray(len(data) - 7, "<u8", data, strides=(1,))
-    # one _swar call per pass: its cost is mostly per call on short blocks
-    ids, indices = _swar(words, np.concatenate((comma1, comma2)) - 8,
-                         np.concatenate((id_width, index_width))).reshape(2, -1)
-    keep = (np.where(index_sign, -indices, indices) == index) & (ids < limit)
-    lines, rows = len(newline), np.flatnonzero(keep)
-    dot, newline, whole_width, digits = dot[rows], newline[rows], whole_width[rows], digits[rows]
+    indices = _integers(words, comma2, widths[1])
+    rows = np.flatnonzero(np.where(index_sign, -indices, indices) == index)
+    comma1, comma2, point, stop, newline = (a[rows] for a in (comma1, comma2, point, stop, newline))
+    id_width, whole_width, digits = widths[0, rows], widths[2, rows], widths[3, rows]
+    # plain values of at most 8 whole and 16 fraction digits, 18 in all, fit _quotients
+    fast = (whole_width <= 8) & (digits >= 1) & (digits <= 16) & (whole_width + digits <= 18)
+    ids = _integers(words, comma1, id_width)
     tail = np.minimum(digits, 8)
-    whole, high, low = _swar(words, np.concatenate((dot - 8, newline - 16, newline - 8)),
+    # one _swar call for the value fields: its cost is mostly per call on short blocks
+    whole, high, low = _swar(words, np.concatenate((point - 8, stop - 16, stop - 8)),
                              np.concatenate((whole_width, digits - tail, tail))).reshape(3, -1)
-    values, proven = _quotients(whole * 10**digits + high * 10**8 + low, digits)
+    values, proven = _quotients(np.where(fast, whole * 10**digits + high * 10**8 + low, 0), digits)
     np.negative(values, out=values, where=value_sign[rows])
-    for r in np.flatnonzero(~proven).tolist():
-        values[r] = float(buf[comma2[rows[r]] + 1:newline[r]].tobytes())
-    return lines, ids, keep, values
+    for r in np.flatnonzero(~(fast & proven)).tolist():
+        values[r] = float(data[comma2[r] + 1:newline[r]])
+    keep = ids < n
+    return widths.shape[1], ids[keep], values[keep]
 
 
 def _values_from_sample_file(path: str, index: int) -> np.ndarray:
-    """Reconstruct a coordinate's replicate values from a simulate CSV,
-    parsed a block of ``ROW_SLICE * 16`` bytes at a time.
+    """Reconstruct a coordinate's replicate values from a simulate CSV and its
+    sidecar, parsed a block of ``ROW_SLICE * 16`` bytes at a time.
 
-    ``n`` is the sidecar's (a nonnegative integer, or null for none), else the
-    largest id + 1; absent cells read 0.0, ids outside ``[0, n)`` are ignored
-    and a repeated ``(id, index)`` keeps its last row.  An ``index`` outside
-    the sidecar's ``window`` (``[lo, hi]``, or absent for none) is refused
-    before the file is opened.  An ``n`` over
-    :data:`~matails.ma_process.MAX_DRAWS`, more replicates than simulate
-    writes, is refused before the vector is allocated.  A block that
-    :func:`_fast_rows` does not read goes whole, split into lines as text
-    mode does, through :func:`_sample_rows`, which names a bad line.
+    The sidecar's ``n`` (a nonnegative integer, at most
+    :data:`~matails.ma_process.MAX_DRAWS`) sizes the vector, and an ``index``
+    outside its ``window`` (``[lo, hi]``) is refused, both before the body is
+    read.  Absent cells read 0.0, ids from ``n`` on are ignored and a
+    repeated ``(id, index)`` keeps its last row.  The first line outside
+    the grammar of :func:`_rows` is refused by its file line number.
     """
     sidecar = f"{path}.meta.json"
-    try:
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        meta = {}
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{sidecar}: unreadable sidecar ({exc})") from None
-    if not isinstance(meta, dict):
-        raise ConfigError(f"{sidecar}: not a JSON object ({type(meta).__name__})")
-    n = meta.get("n")
-    if n is not None and (type(n) is not int or n < 0):
-        raise ConfigError(f"{sidecar}: n must be a nonnegative integer, got {n!r}")
-    _check_sample_size(sidecar, n)
-    window = meta.get("window")
-    if window is not None:
+    with open(path, "rb") as fh:
+        try:
+            with open(sidecar, "r", encoding="utf-8") as meta_fh:
+                meta = json.load(meta_fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{sidecar}: unreadable sidecar ({exc})") from None
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{sidecar}: not a JSON object ({type(meta).__name__})")
+        n, window = meta.get("n"), meta.get("window")
+        if type(n) is not int or n < 0:
+            raise ConfigError(f"{sidecar}: n must be a nonnegative integer, got {n!r}")
+        if n > MAX_DRAWS:
+            raise ConfigError(f"{sidecar}: {n} replicates exceed the {MAX_DRAWS} that simulate can write")
         if not (type(window) is list and len(window) == 2
                 and all(type(w) is int for w in window) and window[0] <= window[1]):
             raise ConfigError(f"{sidecar}: window must be [lo, hi] integers with lo <= hi, "
@@ -326,33 +334,25 @@ def _values_from_sample_file(path: str, index: int) -> np.ndarray:
         if not window[0] <= index <= window[1]:
             raise ConfigError(f"{sidecar}: index {index} is outside the sample's window "
                               f"{window[0]}:{window[1]}")
-    values, limit = (None, math.inf) if n is None else (np.zeros(n), n)
-    # without n, the kept cells wait in file order for the largest id over all indices
-    kept, top, line = [], -1, 2
-    with open(path, "rb") as fh, warnings.catch_warnings():
-        head = fh.read(len(_HEADER) + 2)
-        end = head[len(_HEADER):]
-        if not head.startswith(_HEADER) or end[:1] not in (b"\n", b"\r", b""):
+        if fh.read(len(_HEADER)) != _HEADER:
             raise ConfigError(f"{path} is not a simulate output file")
-        # a block of blank lines is valid and holds no cells
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        for block in _sample_blocks(fh, end[2:] if end == b"\r\n" else end[1:]):
-            rows = _fast_rows(block, index, limit)
+        values, line = np.zeros(n), 2
+        for block in _sample_blocks(fh):
+            rows = _rows(block, index, n)
             if rows is None:
-                lines = io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", newline="").readlines()
-                ids, idx, vals = _sample_rows(path, lines, line)
-                keep = (idx == index) & (ids >= 0) & (ids < limit)
-                rows = len(lines), ids, keep, vals[keep]
-            count, ids, keep, vals = rows
+                # bisect for the first line outside the grammar: lines[:good]
+                # parse, lines[good:bad] hold a line that does not
+                lines, good = block.splitlines(keepends=True), 0
+                bad = len(lines)
+                while bad - good > 1:
+                    mid = (good + bad) // 2
+                    if _rows(b"".join(lines[good:mid]), index, n) is None:
+                        bad = mid
+                    else:
+                        good = mid
+                raise ConfigError(f"{path}, line {line + good}: not a row as simulate writes it: "
+                                  f"{lines[good][:80]!r}")
+            count, ids, vals = rows
+            values[ids] = vals
             line += count
-            if n is None:
-                top = max(top, ids.max(initial=-1))
-                kept.append((ids[keep], vals))
-            else:
-                values[ids[keep].astype(np.intp)] = vals
-    if n is None:
-        _check_sample_size(path, int(top) + 1)
-        values = np.zeros(int(top) + 1)
-        for ids, vals in kept:
-            values[ids.astype(np.intp)] = vals
     return values

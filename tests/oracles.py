@@ -14,8 +14,9 @@ a time (on the shifted lattice, or on i.i.d. draws), the truncation
 reference scans depths one by one, the per-level table runs one
 independent scan, with its own simulation, per tail level, the sample
 text reference formats each CSV line with Python's ``%r``, the sample
-values reference parses each block of lines with ``np.loadtxt`` and the
-Hill reference sorts the whole sample.  One
+values reference matches each line with a regular expression and reads
+its fields with ``int`` and ``float``, and the Hill reference sorts the
+whole sample.  One
 helper is a seam, not an oracle: ``tuple_contribution`` reaches a single
 tuple through the library's own chunk functions.
 """
@@ -24,11 +25,9 @@ import itertools
 import json
 import math
 import re
-import warnings
 
 import numpy as np
 
-import matails.sample_file
 from matails import WindowSeq, ZERO, hrv_scan, limit_measures
 from matails.cli import ConfigError
 from matails.ma_process import MAX_DRAWS
@@ -431,63 +430,48 @@ def sample_text_reference(ids, indices, values) -> str:
     return ("%d,%d,%r\n" * len(values)) % tuple(itertools.chain.from_iterable(cells))
 
 
-def _reference_rows(path, lines, line):
-    try:
-        ids, idx, vals = np.loadtxt(lines, delimiter=",", ndmin=2, usecols=(0, 1, 2)).T
-        keys = np.concatenate((ids, idx))
-        if not np.all(np.isfinite(keys) & (keys == np.floor(keys))):
-            raise ValueError("replicate_id and index must be integers")
-    except ValueError as exc:
-        if len(lines) > 1:
-            for offset, text in enumerate(lines):
-                _reference_rows(path, [text], line + offset)
-        msg = re.sub(r" at row \d+", "", str(exc))
-        raise ConfigError(f"{path}, line {line}: {msg}") from None
-    return ids, idx, vals
-
-
-def _reference_size(path, n):
-    if n is not None and n > MAX_DRAWS:
-        raise ConfigError(f"{path}: {n} replicates exceed the {MAX_DRAWS} that simulate can write")
+# One sample-file line as the README states the grammar: "%d,%d,%r\n" for
+# ids and indices of at most 16 digits and any finite nonzero double.
+SAMPLE_ROW = re.compile(rb"""
+    (?P<id> [0-9]{1,16} ) , (?P<index> -?[0-9]{1,16} ) ,
+    (?P<value> -? (?: [0-9]{1,16} [.] [0-9]{1,20}                # below 1e16
+                    | [0-9] (?: [.] [0-9]{1,16} )? e [+-] [0-9]{2,3} ) )  # exponent form
+    \n""", re.X)
 
 
 def sample_values_reference(path, index):
-    """``hill --sample``'s vector of ``index`` as ``np.loadtxt`` reads it: the
-    file in text mode (universal newlines), ``matails.sample_file.ROW_SLICE`` lines
-    per block, a block that fails parsed again line by line to name the line."""
+    """``hill --sample``'s vector of ``index`` read line by line: the sidecar's
+    checks, the header, then each line matched whole by ``SAMPLE_ROW``, its
+    fields read with ``int`` and ``float``."""
     sidecar = f"{path}.meta.json"
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         with open(sidecar, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-    except FileNotFoundError:
-        meta = {}
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{sidecar}: unreadable sidecar ({exc})") from None
     if not isinstance(meta, dict):
         raise ConfigError(f"{sidecar}: not a JSON object ({type(meta).__name__})")
-    n = meta.get("n")
-    if n is not None and (type(n) is not int or n < 0):
+    n, window = meta.get("n"), meta.get("window")
+    if type(n) is not int or n < 0:
         raise ConfigError(f"{sidecar}: n must be a nonnegative integer, got {n!r}")
-    _reference_size(sidecar, n)
-    values = None if n is None else np.zeros(n)
-    kept, top, line = [], -1.0, 2
-    with open(path, "r", encoding="utf-8", newline="") as fh, warnings.catch_warnings():
-        if fh.readline().rstrip("\r\n") != "replicate_id,index,value":
-            raise ConfigError(f"{path} is not a simulate output file")
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        while lines := list(itertools.islice(fh, matails.sample_file.ROW_SLICE)):
-            ids, idx, vals = _reference_rows(path, lines, line)
-            line += len(lines)
-            keep = (idx == index) & (ids >= 0)
-            if n is None:
-                top = max(top, ids.max(initial=-1.0))
-                kept.append((ids[keep], vals[keep]))
-            else:
-                keep &= ids < n
-                values[ids[keep].astype(np.intp)] = vals[keep]
-    if n is None:
-        _reference_size(path, int(top) + 1)
-        values = np.zeros(int(top) + 1)
-        for ids, vals in kept:
-            values[ids.astype(np.intp)] = vals
+    if n > MAX_DRAWS:
+        raise ConfigError(f"{sidecar}: {n} replicates exceed the {MAX_DRAWS} that simulate can write")
+    if not (type(window) is list and len(window) == 2
+            and all(type(w) is int for w in window) and window[0] <= window[1]):
+        raise ConfigError(f"{sidecar}: window must be [lo, hi] integers with lo <= hi, got {window!r}")
+    if not window[0] <= index <= window[1]:
+        raise ConfigError(f"{sidecar}: index {index} is outside the sample's window "
+                          f"{window[0]}:{window[1]}")
+    header = b"replicate_id,index,value\n"
+    if not data.startswith(header):
+        raise ConfigError(f"{path} is not a simulate output file")
+    values = np.zeros(n)
+    for line, text in enumerate(data[len(header):].splitlines(keepends=True), 2):
+        row = SAMPLE_ROW.fullmatch(text)
+        if row is None:
+            raise ConfigError(f"{path}, line {line}: not a row as simulate writes it: {text[:80]!r}")
+        if int(row["index"]) == index and int(row["id"]) < n:
+            values[int(row["id"])] = float(row["value"])
     return values

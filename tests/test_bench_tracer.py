@@ -3,13 +3,18 @@
 ``bench/spans.py`` wraps named public functions of each layer; a renamed or
 deleted function would make ``bench/run.py --trace 1`` fail.  The tracer
 module is read from the benchmark directory and executed in memory, so the
-test writes nothing there.
+test writes nothing there; each workload's traced run runs ``bench/run.py``
+itself in a child process.
 """
 
+import json
+import subprocess
 import sys
 import textwrap
 import types
 from pathlib import Path
+
+import pytest
 
 # The tracer wraps the layer modules loaded when it starts; the warm-up pass
 # of bench/run.py loads all five, and so do these imports.
@@ -20,7 +25,8 @@ import matails.limit_measures
 import matails.ma_process
 from matails.cli import main
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 CONFIG = textwrap.dedent(
     """\
@@ -39,7 +45,7 @@ CONFIG = textwrap.dedent(
 
     [run]
     n = 1000
-    t = 10
+    t_grid = 10
     seed = 1
     """
 )
@@ -73,3 +79,23 @@ def test_traced_verify_records_layer_spans(tmp_path, monkeypatch):
     for name in ("ma_process.simulate", "estimation.empirical_tail_measure", "innovations.draw"):
         assert name in names
     assert tracer.counts["ma_process.simulate.replicates"] == 1000
+
+
+def bench_workloads() -> list[str]:
+    """The workloads the benchmark declares."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return [w["name"] for w in doc["workloads"]]
+
+
+@pytest.mark.parametrize("workload", bench_workloads())
+def test_traced_bench_run_is_correct(workload):
+    # The tracer looks up all five layers in sys.modules after the warm-up
+    # pass, so a workload whose commands stop loading one fails its traced
+    # run.  The imports above hide that here, and so does --workload all,
+    # whose earlier workloads load every layer: each workload gets a process.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload, "--trace", "1",
+         "--seconds", "0"], cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -47,7 +47,7 @@ BASE_CONFIG = textwrap.dedent(
 
     [run]
     n = 2000
-    t = 50
+    t_grid = 50
     seed = 42
     window = 0:2
 
@@ -72,6 +72,10 @@ def read_csv(path):
 # ROW_SLICE values for the sample-file tests: 1, 2 and 7 lines per block
 # put block boundaries inside short files; the default holds them whole.
 SAMPLE_BLOCKS = [1, 2, 7, matails.sample_file.ROW_SLICE]
+
+
+# The sidecar simulate writes for 3 replicates on the window 0:2, as far as the reader reads it.
+SIDECAR = {"n": 3, "window": [0, 2]}
 
 
 def write_sample(tmp_path, body, meta=None):
@@ -254,9 +258,12 @@ def pinned_sample_values():
     return np.concatenate((values, -values))
 
 
+# Every double, and, in either sign, the renderer's certified range [1e-4,
+# 1e15), 16-digit whole parts, exponent forms and subnormals.
 finite_nonzero = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(1e-4, 1e15), st.floats(-1e15, -1e-4),
+    st.builds(math.copysign, st.floats(1e-4, 1e15) | st.floats(1e15, 1e16) | st.floats(1e16, 1e300)
+              | st.floats(1e-300, 1e-4) | st.floats(0.0, 2.2250738585072014e-308), st.sampled_from([1.0, -1.0])),
 ).filter(bool)
 
 
@@ -352,7 +359,7 @@ class TestVerifyCommand:
         out = tmp_path / "v.csv"
         code = main([
             "verify", "--config", config_path, "--out", str(out),
-            "--set", "run.n=100000", "--set", "run.t=100",
+            "--set", "run.n=100000", "--set", "run.t_grid=100",
             "--set", "rows.row1=0; 0:2.0",
         ])
         assert code == 0
@@ -380,7 +387,7 @@ class TestVerifyCommand:
 
     def test_default_tail_level_targets_thousand_exceedances(self, tmp_path):
         cfg = tmp_path / "nt.ini"
-        cfg.write_text(BASE_CONFIG.replace("t = 50\n", ""))
+        cfg.write_text(BASE_CONFIG.replace("t_grid = 50\n", ""))
         out = tmp_path / "vd.csv"
         code = main([
             "verify", "--config", str(cfg), "--out", str(out),
@@ -444,13 +451,13 @@ class TestHillCommand:
 
     def test_tied_top_values_exit_2(self, tmp_path, capsys):
         # Three equal cells: the log spacings sum to 0, an error, not a traceback.
-        path = write_sample(tmp_path, "0,0,1.5\n1,0,1.5\n2,0,1.5\n", {"n": 3})
+        path = write_sample(tmp_path, "0,0,1.5\n1,0,1.5\n2,0,1.5\n", SIDECAR)
         assert main(["hill", "--sample", path, "--k", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: hill's log spacings sum to 0")
 
     def test_order_count_not_below_n_exits_2(self, tmp_path, capsys):
-        path = write_sample(tmp_path, WELL_FORMED_BODY, {"n": 3})
+        path = write_sample(tmp_path, WELL_FORMED_BODY, SIDECAR)
         assert main(["hill", "--sample", path, "--k", "3"]) == 2
         assert "2 <= k < n" in capsys.readouterr().err
 
@@ -492,89 +499,95 @@ class TestHillCommand:
 
     @pytest.mark.parametrize("row_slice", SAMPLE_BLOCKS)
     def test_sample_reader_semantics(self, tmp_path, monkeypatch, row_slice):
-        # Data lines 2-10.  The (1, 1) repeat on lines 7-9 crosses a block
-        # boundary at every block size but the default, and the largest id
-        # (line 4) sits in an earlier block than index 1's last rows.
+        # Data lines 2-9.  The (1, 1) repeat on lines 6-8 crosses a block
+        # boundary at the smallest block sizes.
         monkeypatch.setattr(matails.sample_file, "ROW_SLICE", row_slice)
-        body = ("0,0,1.5\n-1,0,9.5\n3,0,7.0\n2,1,4.0\n2,0,2.0\n"
+        body = ("0,0,1.5\n3,0,7.0\n2,1,4.0\n2,0,2.0\n"
                 "1,1,0.25\n1,1,0.5\n1,1,0.75\n2,0,2.5\n")
-        path = write_sample(tmp_path, body, {"n": 3})
-        # ids outside [0, n) are ignored, absent cells read 0.0, the last repeat wins
+        path = write_sample(tmp_path, body, SIDECAR)
+        # ids from n on are ignored, absent cells read 0.0, the last repeat wins
         assert _values_from_sample_file(path, 0).tolist() == [1.5, 0.0, 2.5]
         assert _values_from_sample_file(path, 1).tolist() == [0.0, 0.75, 4.0]
         assert _values_from_sample_file(path, 2).tolist() == [0.0, 0.0, 0.0]
-        (tmp_path / "sample.csv.meta.json").unlink()
-        # without a sidecar, n is the largest id over all indices, plus 1
-        assert _values_from_sample_file(path, 1).tolist() == [0.0, 0.75, 4.0, 0.0]
-        path = write_sample(tmp_path, "0,0,1.0\n5,1,2.0\n")
-        assert _values_from_sample_file(path, 0).tolist() == [1.0] + [0.0] * 5
 
 
 # Malformed sample files: (body, sidecar document or None for no sidecar,
-# whether the error message must name the file).  A header-only body is well
-# formed but holds no positive value to estimate on.
+# what the message names: the file line number of a bad row, "sidecar" for
+# the sidecar's path, None for neither).  A header-only body is well formed
+# but holds no positive value to estimate on.
 WELL_FORMED_BODY = "0,0,2.0\n1,0,3.0\n2,0,4.0\n"
 MALFORMED_SAMPLES = {
-    "short-row": ("1,0\n", None, True),
-    "short-later-row": ("0,0,2.0\n1,0\n", None, True),
-    "non-integer-id": ("1.5,0,3\n", None, True),
-    "non-integer-index": ("1,0.5,3\n", None, True),
-    "non-numeric-value": ("1,0,abc\n", None, True),
-    "nan-id": ("nan,0,3\n", None, True),
-    "header-only": ("", None, False),
-    "sidecar-n-string": (WELL_FORMED_BODY, {"n": "abc"}, True),
-    "sidecar-n-float": (WELL_FORMED_BODY, {"n": 2.5}, True),
-    "sidecar-n-bool": (WELL_FORMED_BODY, {"n": True}, True),
-    "sidecar-n-negative": (WELL_FORMED_BODY, {"n": -3}, True),
-    "sidecar-list": (WELL_FORMED_BODY, [1], True),
-    "sidecar-string": (WELL_FORMED_BODY, "x", True),
-    "sidecar-not-json": (WELL_FORMED_BODY, b"{", True),
-    "sidecar-n-over-limit": (WELL_FORMED_BODY, {"n": 10**12}, True),
-    "id-over-limit": ("0,0,2.0\n1000000000000,0,3.0\n", None, True),
-    "sidecar-window-string": (WELL_FORMED_BODY, {"n": 3, "window": "0:1"}, True),
-    "sidecar-window-short": (WELL_FORMED_BODY, {"n": 3, "window": [0]}, True),
-    "sidecar-window-float": (WELL_FORMED_BODY, {"n": 3, "window": [0, 1.5]}, True),
-    "sidecar-window-bool": (WELL_FORMED_BODY, {"n": 3, "window": [False, True]}, True),
-    "sidecar-window-empty": (WELL_FORMED_BODY, {"n": 3, "window": [1, 0]}, True),
-    "index-outside-sidecar-window": (WELL_FORMED_BODY, {"n": 3, "window": [1, 2]}, True),
+    "short-row": ("1,0\n", SIDECAR, 2),
+    "short-later-row": ("0,0,2.0\n1,0\n", SIDECAR, 3),
+    "non-integer-id": ("1.5,0,3.0\n", SIDECAR, 2),
+    "non-integer-index": ("1,0.5,3.0\n", SIDECAR, 2),
+    "integer-value": ("1,0,3\n", SIDECAR, 2),
+    "non-numeric-value": ("1,0,abc\n", SIDECAR, 2),
+    "nan-id": ("nan,0,3.0\n", SIDECAR, 2),
+    "nan-value": ("0,0,2.0\n1,0,nan\n", SIDECAR, 3),
+    "inf-value": ("1,0,inf\n", SIDECAR, 2),
+    "negative-id": ("0,0,2.0\n-1,0,3.0\n", SIDECAR, 3),
+    "space": ("0,0, 2.0\n", SIDECAR, 2),
+    "crlf": ("0,0,2.0\r\n1,0,3.0\r\n", SIDECAR, 2),
+    "blank-line": ("0,0,2.0\n\n1,0,3.0\n", SIDECAR, 3),
+    "no-final-newline": ("0,0,2.0\n1,0,3.0", SIDECAR, 3),
+    "header-only": ("", SIDECAR, None),
+    "missing-sidecar": (WELL_FORMED_BODY, None, "sidecar"),
+    "sidecar-n-null": (WELL_FORMED_BODY, {"n": None, "window": [0, 2]}, "sidecar"),
+    "sidecar-n-missing": (WELL_FORMED_BODY, {"window": [0, 2]}, "sidecar"),
+    "sidecar-n-string": (WELL_FORMED_BODY, {"n": "abc"}, "sidecar"),
+    "sidecar-n-float": (WELL_FORMED_BODY, {"n": 2.5}, "sidecar"),
+    "sidecar-n-bool": (WELL_FORMED_BODY, {"n": True}, "sidecar"),
+    "sidecar-n-negative": (WELL_FORMED_BODY, {"n": -3}, "sidecar"),
+    "sidecar-list": (WELL_FORMED_BODY, [1], "sidecar"),
+    "sidecar-string": (WELL_FORMED_BODY, "x", "sidecar"),
+    "sidecar-not-json": (WELL_FORMED_BODY, b"{", "sidecar"),
+    "sidecar-n-over-limit": (WELL_FORMED_BODY, {"n": 10**12}, "sidecar"),
+    "sidecar-window-missing": (WELL_FORMED_BODY, {"n": 3}, "sidecar"),
+    "sidecar-window-string": (WELL_FORMED_BODY, {"n": 3, "window": "0:1"}, "sidecar"),
+    "sidecar-window-short": (WELL_FORMED_BODY, {"n": 3, "window": [0]}, "sidecar"),
+    "sidecar-window-float": (WELL_FORMED_BODY, {"n": 3, "window": [0, 1.5]}, "sidecar"),
+    "sidecar-window-bool": (WELL_FORMED_BODY, {"n": 3, "window": [False, True]}, "sidecar"),
+    "sidecar-window-empty": (WELL_FORMED_BODY, {"n": 3, "window": [1, 0]}, "sidecar"),
+    "index-outside-sidecar-window": (WELL_FORMED_BODY, {"n": 3, "window": [1, 2]}, "sidecar"),
 }
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(MALFORMED_SAMPLES))
 def test_malformed_sample_file_exits_2(tmp_path, capsys, case):
-    body, meta, names_file = MALFORMED_SAMPLES[case]
+    body, meta, names = MALFORMED_SAMPLES[case]
     path = write_sample(tmp_path, body, meta)
     assert main(["hill", "--sample", path, "--k", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert (path in err) == names_file
+    assert (path in err) == (names is not None)
+    if names == "sidecar":
+        assert err.startswith(f"error: {path}.meta.json: ")
+    elif names is not None:
+        assert err.startswith(f"error: {path}, line {names}: not a row as simulate writes it: ")
 
 
-@pytest.mark.parametrize("case, size", [("sidecar-n-over-limit", 10**12),
-                                        ("id-over-limit", 10**12 + 1)])
-def test_sample_over_the_replicate_limit_exits_2_within_a_second(tmp_path, capsys, case, size):
-    # n comes from the sidecar, or from the largest id: refused before allocating it.
-    body, meta, _ = MALFORMED_SAMPLES[case]
-    path = write_sample(tmp_path, body, meta)
+def test_sample_over_the_replicate_limit_exits_2_within_a_second(tmp_path, capsys):
+    # The sidecar's n is refused before the vector is allocated.
+    path = write_sample(tmp_path, WELL_FORMED_BODY, {"n": 10**12, "window": [0, 2]})
     start = time.perf_counter()
     assert main(["hill", "--sample", path, "--k", "2"]) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert path in err and f" {size} replicates" in err and str(MAX_DRAWS) in err
+    assert path in err and f" {10**12} replicates" in err and str(MAX_DRAWS) in err
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad_row", ["1,0", "1,0,abc", "1.5,0,3"])
+@pytest.mark.parametrize("bad_row", ["1,0", "1,0,abc", "1.5,0,3", "1,0,3.0\r"])
 def test_malformed_row_message_names_its_file_line(tmp_path, capsys, monkeypatch, bad_row):
-    # Blocks of two data lines: line 6 is the first line of the third block,
-    # where numpy numbers it row 0 or 1.
+    # Blocks of about two data lines: line 6 is the first line of the third block.
     monkeypatch.setattr(matails.sample_file, "ROW_SLICE", 2)
-    path = write_sample(tmp_path, WELL_FORMED_BODY + "3,0,5.0\n" + bad_row + "\n4,0,6.0\n")
+    path = write_sample(tmp_path, WELL_FORMED_BODY + "3,0,5.0\n" + bad_row + "\n4,0,6.0\n",
+                        {"n": 5, "window": [0, 0]})
     assert main(["hill", "--sample", path, "--k", "2"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}, line 6: ")
-    assert " at row " not in err
+    assert err == f"error: {path}, line 6: not a row as simulate writes it: {(bad_row + chr(10)).encode()!r}\n"
 
 
 def near_tie(x, digits):
@@ -586,71 +599,64 @@ def near_tie(x, digits):
     return text if "." in text else text + ".0"
 
 
-DIGITS = "0123456789"
+def digit_runs(fewest, most):
+    return st.text("0123456789", min_size=fewest, max_size=most)
 
 
-def decimals(whole, fraction):
-    """Plain decimals of at most ``whole`` integer and ``fraction`` fraction digits, either sign."""
-    return st.builds("{}{}.{}".format, st.sampled_from(["", "-"]),
-                     st.text(DIGITS, min_size=1, max_size=whole),
-                     st.text(DIGITS, min_size=1, max_size=fraction))
-
-
-# Values in the fast grammar: the writer's repr, 16- and 17-digit near-ties,
-# free digit strings (some over its 18 digits), signed zeros, powers of two
-# and their neighbours.
-fast_values = st.one_of(
-    st.floats(1e-4, 1e8).map(repr),
+signs = st.sampled_from(["", "-"])
+# Values in the grammar: the writer's repr, 16- and 17-digit near-ties, free
+# digit runs up to the widest plain and exponent forms, signed zeros and
+# powers of two.
+grammar_values = st.one_of(
+    finite_nonzero.map(repr),
     st.builds(near_tie, st.floats(1e-3, 1e8), st.sampled_from([16, 17])),
-    decimals(8, 16),
+    st.builds("{}{}.{}".format, signs, digit_runs(1, 16), digit_runs(1, 20)),
+    st.builds("{}{}{}e{}{}".format, signs, digit_runs(1, 1), st.just("") | digit_runs(1, 16).map(".{}".format),
+              st.sampled_from("+-"), digit_runs(2, 3)),
     st.sampled_from(["-0.0", "0.0", "2.0", "0.5", "1024.0", "1.9999999999999999",
-                     "0.9999999999999999", "-1.0000000000000002"]),
+                     "0.9999999999999999", "-1.0000000000000002", "99999999.99999999"]),
 )
-# Values outside it that loadtxt still reads: exponent forms, inf and nan,
-# long digit runs, signs, blanks and bare integers.
-other_values = st.one_of(
-    st.floats().map(repr),
-    decimals(9, 20),
-    st.sampled_from(["1e-05", "1e+16", "+1.5", " 1.5", "1.5 ", ".5", "5.", "-0", "7"]),
+grammar_ids = st.integers(0, 40).map(str) | st.sampled_from(["00", "007"]) | digit_runs(9, 16)
+grammar_indices = st.sampled_from(["0", "-1", "1", "-0", "00", "-01"]) | st.builds("{}{}".format, signs, digit_runs(9, 16))
+# Values, ids and indices just outside it, and lines it refuses whole.
+off_values = st.one_of(
+    st.builds("{}.{}".format, digit_runs(17, 18), digit_runs(1, 3)),
+    st.builds("{}.{}".format, digit_runs(1, 3), digit_runs(21, 22)),
+    st.builds("{}.{}e{}{}".format, digit_runs(1, 1), digit_runs(17, 18), st.sampled_from("+-"), digit_runs(2, 3)),
+    st.sampled_from(["1e5", "1e+5", "1e+0005", "1.e+05", "12e+05", "1.5E+05", "1.5e05", "1e+-05", "+1.5",
+                     " 1.5", "1.5 ", ".5", "5.", "-0", "7", "inf", "-inf", "nan", "1_0.5", "--1.5", "1.5.5",
+                     "1e+05.5", "1e+05e+05", "0x1p3", "١.5", "1.5\r", "1.5\x00"]),
 )
-fast_indices = st.sampled_from(["0", "-1", "1", "-0", "00", "-01", "2"])
-
-
-def other_lines(ids):
-    return st.one_of(
-        st.tuples(ids.map(str), fast_indices | st.just("123456789"), other_values).map(",".join),
-        st.sampled_from(["", "-1,0,2.5", "1.0,0,3.5", "2,0,4.5,7", "# note"]),
-    )
-
-
-# Lines it refuses, with the line named in the message.
-broken_lines = st.sampled_from(["1,0", "1,0,abc", "1.5,0,3", "nan,0,3", "1,,2.0", ",0,1.5",
-                                "1,0,1_0.5", "1,--1,2.0"])
+off_lines = st.one_of(
+    st.tuples(grammar_ids, grammar_indices, off_values).map(",".join),
+    st.tuples(digit_runs(17, 18) | st.sampled_from(["-1", "+1", "1.0", "", "1e+05"]), grammar_indices,
+              grammar_values).map(",".join),
+    st.tuples(grammar_ids, digit_runs(17, 18) | st.sampled_from(["+1", "--1", "", "1.0", "-"]),
+              grammar_values).map(",".join),
+    st.sampled_from(["", "1,0", "1,,2.0", ",0,1.5", "2,0,4.5,7", "# note", "1,0,2.0,", "1,0,2.0,\r"]),
+)
 
 
 @st.composite
-def sample_bodies(pick, ids):
-    """A sample-file body: the writer's lines and fast-grammar lines, all in
-    the fast grammar or mixed with a few other lines with ``ids`` at random
-    places, each ending in "\\n", "\\r\\n" or "\\r", perhaps one refused
-    line, and perhaps no final newline."""
-    mixed = pick(st.booleans())
-    cells = pick(st.lists(st.tuples(st.integers(0, 40), st.sampled_from([-1, 0, 1]),
-                                    finite_nonzero if mixed else st.floats(1e-4, 1e8)), max_size=12))
+def sample_bodies(pick):
+    """A sample-file body: the writer's lines and other lines in the grammar,
+    then perhaps one line outside it at a random place, a line ending other
+    than "\\n", or no final newline."""
+    cells = pick(st.lists(st.tuples(st.integers(0, 40), st.sampled_from([-1, 0, 1]), finite_nonzero),
+                          max_size=12))
     written = _sample_text(*(np.array(c) for c in zip(*cells))).decode() if cells else ""
-    lines = pick(st.lists(st.tuples(st.integers(0, 40).map(str), fast_indices, fast_values).map(",".join),
+    lines = pick(st.lists(st.tuples(grammar_ids, grammar_indices, grammar_values).map(",".join),
                           max_size=16))
     lines = [line + "\n" for line in lines]
     lines.insert(pick(st.sampled_from([0, len(lines)])), written)
-    if not mixed:
-        return "".join(lines)
-    others = pick(st.lists(st.tuples(st.integers(0, 17), other_lines(ids),
-                                     st.sampled_from(["\n", "\r\n", "\r"])), max_size=3))
-    broken = pick(st.lists(st.tuples(st.integers(0, 17), broken_lines, st.just("\n")), max_size=1))
-    for at, text, end in others + broken:
-        lines.insert(at, text + end)
+    flaw = pick(st.sampled_from(["none", "line", "ending", "end"]))
+    if flaw == "line":
+        lines.insert(pick(st.integers(0, len(lines))), pick(off_lines) + "\n")
+    elif flaw == "ending" and len(lines) > 1:
+        at = pick(st.integers(1, len(lines) - 1))
+        lines[at] = lines[at][:-1] + pick(st.sampled_from(["\r\n", "\r", "\n\n"]))
     body = "".join(lines)
-    return body.rstrip("\r\n") if pick(st.booleans()) else body
+    return body.rstrip("\n") if flaw == "end" else body
 
 
 def read_outcome(reader, path, index):
@@ -664,18 +670,11 @@ def read_outcome(reader, path, index):
 class TestSampleReader:
     @pytest.mark.parametrize("row_slice", SAMPLE_BLOCKS)
     @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(case=st.one_of(
-        st.tuples(st.none(), sample_bodies(st.integers(0, 40))),
-        st.tuples(st.sampled_from([0, 5, 50]), sample_bodies(st.integers(0, 40) | st.integers(10**8, 10**9))),
-    ), index=st.sampled_from([0, -1, 1]))
-    def test_reads_what_the_loadtxt_reference_reads(self, tmp_path, monkeypatch, row_slice, case, index):
-        # Bit for bit the same vector, or the same message, at every block
-        # size.  Ids of 9 digits come with a sidecar n: without one, n would
-        # be their size.
-        n, body = case
+    @given(n=st.sampled_from([0, 5, 50]), body=sample_bodies(), index=st.sampled_from([0, -1, 1]))
+    def test_reads_what_the_grammar_reference_reads(self, tmp_path, monkeypatch, row_slice, n, body, index):
+        # Bit for bit the same vector, or the same message, at every block size.
         monkeypatch.setattr(matails.sample_file, "ROW_SLICE", row_slice)
-        (tmp_path / "sample.csv.meta.json").unlink(missing_ok=True)
-        path = write_sample(tmp_path, body, None if n is None else {"n": n})
+        path = write_sample(tmp_path, body, {"n": n, "window": [-1, 1]})
         got = read_outcome(_values_from_sample_file, path, index)
         want = read_outcome(sample_values_reference, path, index)
         if isinstance(want, str):
@@ -683,45 +682,59 @@ class TestSampleReader:
         else:
             assert got.dtype == want.dtype and got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
+    @pytest.mark.parametrize("row_slice", [1, 7, matails.sample_file.ROW_SLICE])
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(finite_nonzero, min_size=1, max_size=40), index=st.integers(-(10**15), 10**15))
+    def test_written_doubles_read_back_bit_for_bit(self, tmp_path, monkeypatch, row_slice, values, index):
+        # Any finite nonzero doubles, in the writer's bytes and with its sidecar.
+        monkeypatch.setattr(matails.sample_file, "ROW_SLICE", row_slice)
+        values = np.array(values)
+        text = _sample_text(np.arange(len(values)), np.full(len(values), index), values)
+        path = write_sample(tmp_path, text.decode(), {"n": len(values), "window": [index, index]})
+        assert _values_from_sample_file(path, index).view(np.uint64).tolist() == values.view(np.uint64).tolist()
+
     @pytest.mark.parametrize("row_slice", SAMPLE_BLOCKS)
     def test_pinned_lines_read_what_the_reference_reads(self, tmp_path, monkeypatch, row_slice):
         monkeypatch.setattr(matails.sample_file, "ROW_SLICE", row_slice)
         values = ["-0.0", "0.0", "2.0", "0.5", "1024.0", "1.9999999999999999", "1.0000000000000002",
                   "0.9999999999999999", near_tie(1.1, 16), near_tie(12345.678, 17),
                   near_tie(0.3, 17), repr(9e-05), repr(1e15), repr(2.5e16), "12345678.123456789",
-                  "0.0000000000000001", "99999999.99999999", "0.1234567890123456789"]
+                  "0.0000000000000001", "99999999.99999999", "0.1234567890123456789",
+                  "1234567890123456.0", "0.00012345678901234567", "5e-324", "-1.7976931348623157e+308",
+                  "2.2250738585072014e-308", "1e+16", "-1.5e-05", "123456789.5", "00000001.5"]
         lines = [f"{i},{-1 if i % 3 else 0},{v}" for i, v in enumerate(values)]
-        lines += ["123456789,0,3.5", "4,-0,-7.25", "5,0,-1024.0", "", "6,0, 1.5"]
-        for end, tail in (("\n", "\n"), ("\r\n", ""), ("\r", "\r"), ("\n", "")):
-            path = write_sample(tmp_path, end.join(lines) + tail, {"n": 30})
-            for index in (0, -1):
-                got = _values_from_sample_file(path, index)
-                want = sample_values_reference(path, index)
-                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        lines += ["123456789,0,3.5", "4,-0,-7.25", "5,0,-1024.0", "6,-00,1.5"]
+        path = write_sample(tmp_path, "\n".join(lines) + "\n", {"n": 30, "window": [-1, 0]})
+        for index in (0, -1):
+            got = _values_from_sample_file(path, index)
+            want = sample_values_reference(path, index)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            assert np.count_nonzero(got) > 5
+
+    def test_ids_and_indices_of_16_digits(self):
+        # Ids below MAX_DRAWS take up to 10 digits; the grammar reads 16.
+        block = b"9999999999,1234567890123456,2.5\n7,1234567890123456,-1.5\n12345678,-1,3.0\n"
+        lines, ids, values = matails.sample_file._rows(block, 1234567890123456, MAX_DRAWS)
+        assert lines == 3 and ids.tolist() == [9999999999, 7] and values.tolist() == [2.5, -1.5]
+        lines, ids, values = matails.sample_file._rows(block, -1, 10**8)
+        assert ids.tolist() == [12345678] and values.tolist() == [3.0]
 
     def test_fast_path_reads_the_demo_sample(self, tmp_path, monkeypatch):
-        # A reader that sends blocks to loadtxt or values to float() reads the
-        # same vector at their speed: on demo samples no block may go to
-        # loadtxt and at least 99% of kept values must be proven.
+        # A reader that sends values to float() reads the same vector at its
+        # speed: on demo samples at least 99% of kept values must be proven.
         demo = str(ROOT / "demos" / "experiment.ini")
         path = str(tmp_path / "s.csv")
         assert main(["simulate", "--config", demo, "--set", "run.n=20000", "--out", path]) == 0
-        fallback, proven = [], []
-        rows, quotients = matails.sample_file._sample_rows, matails.sample_file._quotients
-
-        def loadtxt_rows(*args):
-            fallback.append(args[2])
-            return rows(*args)
+        proven, quotients = [], matails.sample_file._quotients
 
         def spy(mant, digits):
             values, ok = quotients(mant, digits)
             proven.append(ok)
             return values, ok
 
-        monkeypatch.setattr(matails.sample_file, "_sample_rows", loadtxt_rows)
         monkeypatch.setattr(matails.sample_file, "_quotients", spy)
         values = _values_from_sample_file(path, 0)
-        assert not fallback and len(proven) > 1
+        assert len(proven) > 1
         assert np.count_nonzero(values) == sum(map(len, proven)) == 20000
         assert np.concatenate(proven).mean() >= 0.99
         assert values.view(np.uint64).tolist() == sample_values_reference(path, 0).view(np.uint64).tolist()
@@ -754,7 +767,7 @@ INVALID_INPUTS = {
     "nan-threshold-limits": (False, ["limits", "--set", "rows.row0=0; 0:nan"]),
     "nan-threshold-verify": (False, ["verify", "--set", "rows.row1=1; 0:nan, 2:1"]),
     "nan-t-grid": (False, ["verify", "--set", "run.t_grid=nan"]),
-    "inf-t": (False, ["verify", "--set", "run.t=inf"]),
+    "inf-t-grid": (False, ["verify", "--set", "run.t_grid=inf"]),
     "divergent-coefficients-limits": (False, [
         "limits", "--set", "coefficients.family=polynomial", "--set", "coefficients.beta=0.8",
         "--set", "coefficients.m=infinite"]),
@@ -936,7 +949,7 @@ class TestParser:
                                       ("--threads", "1")])
     def test_hill_reads_no_config(self, tmp_path, capsys, flag):
         # hill has one source, the sample file: the config's flags are not its own.
-        path = write_sample(tmp_path, "0,0,1.5\n1,0,2.5\n2,0,3.5\n", {"n": 3})
+        path = write_sample(tmp_path, "0,0,1.5\n1,0,2.5\n2,0,3.5\n", SIDECAR)
         assert main(["hill", "--sample", path, "--k", "2"]) == 0
         capsys.readouterr()
         with pytest.raises(SystemExit) as exit_:
@@ -1009,9 +1022,18 @@ class TestErrorHandling:
         assert main(["example-config"]) == 0
         cfg = tmp_path / "ex.ini"
         cfg.write_text(capsys.readouterr().out)
+        assert load_experiment(str(cfg), []).t_grid == [1000.0]
         out = tmp_path / "lim.csv"
         assert main(["limits", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("command", ["limits", "verify", "simulate"])
+    def test_run_t_exits_2_naming_t_grid(self, tmp_path, config_path, capsys, command):
+        # [run] t was a one-level t_grid; a config that still sets it is refused, not ignored.
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", config_path, "--set", "run.t=50", "--out", str(out)]) == 2
+        assert "t_grid" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -171,10 +171,23 @@ def test_sample_reader_peak_does_not_grow_with_the_width(tmp_path):
         path = tmp_path / f"w{width}.csv"
         path.write_text("replicate_id,index,value\n" + "".join(
             f"{i},{k},{1.0 + i / n!r}\n" for i in range(n) for k in range(width)))
-        (tmp_path / f"w{width}.csv.meta.json").write_text(f'{{"n": {n}}}')
+        (tmp_path / f"w{width}.csv.meta.json").write_text(f'{{"n": {n}, "window": [0, {width - 1}]}}')
         values, peaks[width] = traced_peak(matails.sample_file._values_from_sample_file, str(path), 0)
         assert values[-1] == 1.0 + (n - 1) / n
     assert peaks[4] <= 1.05 * peaks[1]
+
+
+def test_a_run_without_newline_is_refused_after_one_block(tmp_path, capsys):
+    # No line of the grammar is over 128 bytes: a 16 MiB run with no newline
+    # is refused by its line number without first being read whole (it took
+    # twice the file and quadratic copying when blocks waited for a newline).
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"replicate_id,index,value\n0,0,1.5\n" + b"1" * (16 << 20))
+    (tmp_path / "s.csv.meta.json").write_text('{"n": 3, "window": [0, 0]}')
+    code, peak = traced_peak(matails.cli.main, ["hill", "--sample", str(path), "--k", "2"])
+    assert code == 2
+    assert f"{path}, line 3: not a row as simulate writes it: b'111" in capsys.readouterr().err
+    assert peak < 2 * 2**20
 
 
 def test_sample_parser_temporaries_do_not_grow_with_n(tmp_path):
