@@ -280,6 +280,8 @@ def _write_output(exp: Experiment, columns, rows, meta, csv_body=None) -> None:
 
 
 def cmd_simulate(exp: Experiment, threads: int) -> int:
+    import numpy as np
+
     from .ma_process import simulate_tiles
     from .sample_file import _sample_slices, _sample_text
 
@@ -293,6 +295,12 @@ def cmd_simulate(exp: Experiment, threads: int) -> int:
         window = min(r.min_index for _, r in exp.rows), max(r.max_index for _, r in exp.rows)
     depth, tiles = simulate_tiles(exp.coeffs, exp.m, exp.model, window, exp.n, exp.seed,
                                   exp.trunc_eps, threads)
+    with np.errstate(over="ignore"):  # a draw is at most inverse_survival(2^-53)
+        bound = float(exp.coeffs.psi_array(depth).sum()) * exp.model.inverse_survival(2.0**-53)
+    if not bound < sys.float_info.max / 2:  # no sample file holds inf
+        raise ConfigError(f"alpha = {exp.model.alpha!r} and scale = {exp.model.scale!r} let sums "
+                          f"over lag depth {depth} reach {bound!r}, within a factor 2 of overflow: "
+                          f"use a larger alpha")
     # Both generators are lazy and share the one tile stream; _write_output
     # consumes one of them while the workers sum the next tiles.
     cuts = _sample_slices(window[0], tiles)

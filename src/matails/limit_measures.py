@@ -33,19 +33,20 @@ combinatorial question.  The measures supported:
 * ``marginal_tail_constant`` -- sum_l psi_l^alpha, the one-coordinate tail
   constant of the process.
 
-Feasibility is decided by :func:`spike_cover_number`: the minimum number of
-single-innovation spikes whose images can make every constrained coordinate
-positive.  A rectangle is bounded away from the image of the j-spike cone
-exactly when that number exceeds j.  A spike at i reaches only i .. i+m, so
-both searches run over positions left to right and prune by that reach.
+Feasibility is decided by :func:`spike_cover_number`, the fewest single-
+innovation spikes whose images make every constrained coordinate positive:
+a rectangle is bounded away from the image of the j-spike cone exactly when
+it exceeds j.  A spike at i reaches only i .. i+m, so one left-to-right sweep
+over one table of spike images finds it and counts the covers of that size:
+an order-j row's covering tuples when it is j + 1, none when it exceeds that.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -196,31 +197,54 @@ def mu_j_rect(j: int, alpha: float, rect: UpperRect) -> MeasureValue:
 
 
 def _candidate_positions(coeffs: CoefficientSeq, m: int, rect: UpperRect):
-    """(positions, weights): the spike positions that reach K, ascending, and
-    a (positions, |K|) array of each one's psi_{k-i} on every constraint, 0
-    where it does not reach k.
+    """The one table every rectangle evaluator reads, left to right in blocks
+    of at most CHUNK_CELLS cells: (positions, weights), the positions that
+    reach K and a (positions, |K|) array of each one's psi_{k-i}, 0 where i
+    does not reach k.  Constraint k's column is psi reversed on k - m .. k, m
+    capped at a finite family's order and psi's last nonzero lag."""
+    if m < 0:
+        raise ParameterError(f"order must be nonnegative, got {m}")
+    psi = coeffs.psi_array(coeffs.capped(m))
+    back = psi[len(psi) - 1 - int(np.argmax(psi[::-1] != 0.0))::-1]
+    m, ks, gaps = len(back) - 1, rect.indices, not back.all()
+    width = max(CHUNK_CELLS // len(ks), 1)
+    # The windows k - m .. k run together where they overlap: cut at each gap.
+    cuts = [r for r in range(1, len(ks)) if ks[r] - m > ks[r - 1] + 1]
+    for first, last in zip([0, *cuts], [r - 1 for r in cuts] + [len(ks) - 1]):
+        for a in range(ks[first] - m, ks[last] + 1, width):
+            b = min(a + width, ks[last] + 1)
+            rows = np.zeros((len(ks), b - a))
+            # The constraints whose window k - m .. k meets a .. b - 1.
+            for r in range(bisect.bisect_left(ks, a), bisect.bisect_left(ks, b + m)):
+                s, e = max(a, ks[r] - m), min(b, ks[r] + 1)
+                rows[r, s - a: e - a] = back[s - ks[r] + m: e - ks[r] + m]
+            keep = rows.any(axis=0) if gaps else slice(None)  # zero lags reach nothing
+            yield np.arange(a, b)[keep], rows[:, keep].T
 
-    A finite family's spikes reach no further than its order, so m is capped there.
+
+def _cover_counts(positions, held, ks) -> tuple[int, int]:
+    """(cover, count): the fewest candidates that reach every constraint in
+    ``ks`` (``held``: (positions, |K|) reach), and how many cover-sets do.
+    One sweep, left to right, keeps per covered set of constraints its
+    fewest members and how many sets have that many.  It drops a set once
+    it passes a constraint the set misses, and a set with more members than
+    the fewest of its covered set: each completion of it completes those
+    to a smaller cover.  Cost: the candidates, at most |K| (m + 1), times
+    at most 2^min(m, |K|) covered sets live within m.
     """
-    m = coeffs.capped(m)
-    psi = coeffs.psi_array(m)
-    ks = np.array(rect.indices)
-    # Each constraint's k - lag over the nonzero lags, sorted and deduplicated
-    # (np.unique would import numpy.ma on its first call).
-    reached = np.sort((ks[:, None] - np.flatnonzero(psi)).ravel())
-    positions = reached[np.diff(reached, prepend=reached[0] - 1) > 0]
-    lags = ks - positions[:, None]
-    return positions, np.where((lags >= 0) & (lags <= m), psi[np.clip(lags, 0, m)], 0.0)
-
-
-def _sweep(coeffs: CoefficientSeq, m: int, rect: UpperRect):
-    """(due, reach) per influencing spike position, left to right: bit p of
-    reach is set when the spike reaches rect.indices[p], of due when that
-    constraint lies left of it, where no later spike reaches it either."""
-    positions, weights = _candidate_positions(coeffs, m, rect)
-    passed = np.searchsorted(rect.indices, positions).tolist()
-    for left, held in zip(passed, weights > 0.0):
-        yield (1 << left) - 1, sum(1 << p for p in np.flatnonzero(held).tolist())
+    fewest, reach = {0: (0, 1)}, [0] * len(held)
+    for i, p in np.argwhere(held).tolist():
+        reach[i] |= 1 << p
+    for passed, bits in zip(np.searchsorted(ks, positions).tolist(), reach):
+        due, sweep = (1 << passed) - 1, {}
+        for covered, (size, count) in fewest.items():
+            if covered & due == due:
+                for state, spikes in ((covered, size), (covered | bits, size + 1)):
+                    least, total = sweep.get(state, (spikes, 0))
+                    if spikes <= least:
+                        sweep[state] = spikes, (total + count if spikes == least else count)
+        fewest = sweep
+    return fewest[(1 << len(ks)) - 1]
 
 
 def spike_cover_number(coeffs: CoefficientSeq, m: int, rect: UpperRect) -> int:
@@ -228,68 +252,30 @@ def spike_cover_number(coeffs: CoefficientSeq, m: int, rect: UpperRect) -> int:
 
     The rectangle is bounded away from the image of the j-spike cone iff
     this number is at least j + 1.  Always at most |K| (a spike placed on a
-    constrained coordinate covers it, since psi_0 > 0).
-
-    Exact sweep over the positions, left to right: the fewest spikes per
-    covered set, a set dropped once the sweep passes a constraint it misses.
-    Cost: the positions within m of a constraint, at most |K| (m + 1) with m
-    capped at a finite family's order, times at most 2^min(m, |K|) sets live
-    within m.
+    constrained coordinate covers it, since psi_0 > 0).  Found by one
+    :func:`_cover_counts` sweep over the :func:`_candidate_positions` table.
     """
-    if m < 0:
-        raise ParameterError(f"order must be nonnegative, got {m}")
-    best = {0: 0}
-    for due, reach in _sweep(coeffs, m, rect):
-        sweep = {}
-        for covered, count in best.items():
-            if covered & due == due:
-                for state, spikes in ((covered, count), (covered | reach, count + 1)):
-                    if spikes < sweep.get(state, spikes + 1):
-                        sweep[state] = spikes
-        best = sweep
-    return best[(1 << len(rect.indices)) - 1]
-
-
-def _covering_count(coeffs: CoefficientSeq, m: int, rect: UpperRect, size: int) -> int:
-    """Number of ``size``-sets of spike positions that cover every constraint,
-    by the sweep of :func:`spike_cover_number` counting per covered set and size."""
-    counts = Counter({(0, 0): 1})
-    for due, reach in _sweep(coeffs, m, rect):
-        sweep = Counter()
-        for (covered, used), count in counts.items():
-            if covered & due == due:
-                sweep[covered, used] += count
-                if used < size:
-                    sweep[covered | reach, used + 1] += count
-        counts = sweep
-    return counts[(1 << len(rect.indices)) - 1, size]
+    positions, weights = map(np.concatenate, zip(*_candidate_positions(coeffs, m, rect)))
+    return _cover_counts(positions, weights > 0.0, rect.indices)[0]
 
 
 def nu_m0_rect(coeffs: CoefficientSeq, m: int, alpha: float, rect: UpperRect) -> MeasureValue:
     """Order-0 MA(m) limit measure of an upper rectangle.
 
     Sums (max_k a_k / psi_{k-i})^-alpha, left to right, over the positions
-    max K - m <= i <= min K; positions with a zero coefficient at some
-    constrained offset drop out (their threshold is infinite).  m is capped
-    at a finite family's order, which drops only positions that reach nothing.
+    of the :func:`_candidate_positions` table that reach every constraint
+    (max K - m <= i <= min K, psi_{k-i} > 0 for every k), a block at a time.
     """
-    if m < 0:
-        raise ParameterError(f"order must be nonnegative, got {m}")
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    # Position w (i = max K - m + w) meets constraint k with back[max K - k + w].
-    m = coeffs.capped(m)
-    back = coeffs.psi_array(m)[::-1]
-    width = max(m + 1 - (rect.max_index - rect.min_index), 0)
-    reaches, z_min = np.ones(width, dtype=bool), np.zeros(width)
-    with np.errstate(divide="ignore", over="ignore"):
-        for k, a in rect.constraints:
-            lags = back[rect.max_index - k: rect.max_index - k + width]
-            reaches &= lags > 0.0
-            np.maximum(z_min, a / lags, out=z_min)
-    total = 0.0
-    for z in z_min[reaches].tolist():
-        total += z**-alpha
+    total, thresholds = 0.0, np.array(rect.thresholds)[:, None]
+    for positions, weights in _candidate_positions(coeffs, m, rect):
+        if positions.size and positions[0] > rect.min_index:
+            break  # right of min K no position reaches it
+        with np.errstate(divide="ignore", over="ignore"):  # .max(axis=0) is far slower here
+            z_min = functools.reduce(np.maximum, thresholds / weights.T)
+        for z in z_min[(weights.T > 0.0).all(axis=0)].tolist():
+            total += z**-alpha
     return MeasureValue(total, EvalMethod.ENUMERATION)
 
 
@@ -494,7 +480,8 @@ def nu_m_j_rect(
     influence K never cover it (no smaller set does either) and contribute
     zero, so walking the covering tuples of influencing positions is exhaustive.
 
-    The covering tuples are counted first; more than :data:`MAX_TUPLES`
+    One :func:`_cover_counts` sweep gives the spike cover number (below
+    j + 1: +inf) and the covering tuple count; more than :data:`MAX_TUPLES`
     raise :class:`UnsupportedError` before the walk.  The walk and the
     tuples' floors then run a chunk of tuples at a time in numpy and count
     the drawn tuples; more than :data:`MAX_LATTICE_POINTS` lattice points
@@ -513,7 +500,9 @@ def nu_m_j_rect(
         raise ParameterError(f"order must be nonnegative, got {j}")
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    cover = spike_cover_number(coeffs, m, rect)
+    positions, weights = map(np.concatenate, zip(*_candidate_positions(coeffs, m, rect)))
+    held = weights > 0.0
+    cover, count = _cover_counts(positions, held, rect.indices)
     if cover < j + 1:
         return MeasureValue(
             math.inf,
@@ -521,17 +510,16 @@ def nu_m_j_rect(
             note=f"{cover} spike(s) already cover the rectangle; "
             f"it is not bounded away from the {j}-spike cone image",
         )
-    count = _covering_count(coeffs, m, rect, j + 1)
+    count = count if cover == j + 1 else 0  # no (j+1)-set covers past the cover number
     if count > MAX_TUPLES:
         raise UnsupportedError(
             f"{count} covering spike tuples exceed the tuple budget of {MAX_TUPLES}"
         )
-    positions, weights = _candidate_positions(coeffs, m, rect)
     thresholds = np.array(rect.thresholds)
     chunk = max(CHUNK_CELLS // ((j + 1) * len(thresholds)), 1)
 
     def floored():
-        for tuples in _tuple_chunks(positions, weights > 0.0, rect.indices, j + 1, chunk):
+        for tuples in _tuple_chunks(positions, held, rect.indices, j + 1, chunk):
             yield tuples, _floors(alpha, thresholds, weights[tuples])
 
     drawn, total = 0, 0.0

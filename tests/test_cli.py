@@ -200,6 +200,24 @@ class TestSimulateCommand:
         assert sidecar.read_bytes() == b'{"n": 1}\n'
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_law_whose_sums_overflow_writes_nothing(self, tmp_path, config_path, capsys, fmt):
+        # A draw is at most inverse_survival(2^-53): (2^-53)^-100 = inf at
+        # alpha = 0.01, but 2^883 at alpha = 0.06, whose sums over psi =
+        # (1, 0.5) stay finite, so the file is written and hill reads it.
+        out = tmp_path / f"s.{fmt}"
+        argv = ["simulate", "--config", config_path, "--out", str(out), "--format", fmt,
+                "--set", "run.n=20000", "--set", "run.window=0:1", "--set", "run.seed=3"]
+        assert main([*argv, "--set", "tail.alpha=0.01"]) == 2
+        err = capsys.readouterr().err
+        assert all(part in err for part in ("alpha = 0.01", "scale = 1.0", "lag depth 1", "reach inf"))
+        assert not out.exists() and not (tmp_path / f"s.{fmt}.meta.json").exists()
+        assert main([*argv, "--set", "tail.alpha=0.06"]) == 0
+        if fmt == "csv":
+            assert main(["hill", "--sample", str(out), "--k", "100"]) == 0
+        else:
+            assert all(math.isfinite(row[2]) for row in json.loads(out.read_text())["rows"])
+
     @pytest.mark.parametrize("threads", [1, 3])
     def test_failed_write_exits_3_and_stops_the_workers(self, tmp_path, config_path, monkeypatch,
                                                         capsys, threads):

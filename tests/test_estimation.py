@@ -322,11 +322,12 @@ class TestConvergenceTable:
             assert abs(row.empirical.value - 1.0) <= 3 * max(row.empirical.stderr, 1e-12)
 
     def test_one_cover_search_per_hidden_row_and_level(self, monkeypatch):
-        # the evaluator is the only caller, so counting at its home counts all;
-        # the theory is settled once for the whole grid, which one simulation serves
+        # the hidden-order evaluator runs the one covering sweep once per row,
+        # so counting at its home counts all; the theory is settled once for
+        # the whole grid, which one simulation serves
         assert not hasattr(estimation, "spike_cover_number")
         calls, simulations = [], []
-        original = limit_measures.spike_cover_number
+        original = limit_measures._cover_counts
 
         def counting(*args):
             calls.append(args)
@@ -336,7 +337,7 @@ class TestConvergenceTable:
             simulations.append(args)
             return simulate(*args, **kwargs)
 
-        monkeypatch.setattr(limit_measures, "spike_cover_number", counting)
+        monkeypatch.setattr(limit_measures, "_cover_counts", counting)
         monkeypatch.setattr(estimation, "simulate", counting_simulate)
         rows = [
             (0, UpperRect({0: 1.0})),

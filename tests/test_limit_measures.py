@@ -194,6 +194,45 @@ class TestSpikeCover:
     def test_sweep_matches_exhaustive_oracle_on_gapped_coefficients(self, coeffs, m, rect):
         assert spike_cover_number(coeffs, m, rect) == cover_oracle(coeffs, m, rect)
 
+    @settings(max_examples=60, deadline=None)
+    @given(gapped(4), st.integers(0, 4), rects(5))
+    def test_cover_counts_match_the_exhaustive_tuples(self, coeffs, m, rect):
+        # One sweep gives the exhaustive cover number and the oracle's count
+        # of covering sets of that size; no smaller set covers.
+        positions, weights = table(coeffs, m, rect)
+        cover, count = limit_measures._cover_counts(positions, weights > 0.0, rect.indices)
+        assert cover == cover_oracle(coeffs, m, rect)
+        assert count == len(list(covering_tuples(coeffs, m, cover - 1, rect)))
+        assert all(not list(covering_tuples(coeffs, m, s - 1, rect)) for s in range(1, cover))
+
+    @settings(max_examples=100, deadline=None)
+    @given(gapped(6), st.integers(0, 8), rects(5), st.integers(1, 9))
+    def test_table_blocks_join_to_the_reaching_positions(self, coeffs, m, rect, cells):
+        # Blocks of any size join to the positions that reach K, each one's
+        # psi_{k-i} on every constraint, and the order-0 sum keeps its bytes.
+        whole = nu_m0_rect(coeffs, m, 1.5, rect)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(limit_measures, "CHUNK_CELLS", cells)
+            positions, weights = table(coeffs, m, rect)
+            assert nu_m0_rect(coeffs, m, 1.5, rect) == whole
+
+        def lag(k, i):
+            return coeffs.psi(k - i) if 0 <= k - i <= coeffs.capped(m) else 0.0
+
+        want = [i for i in range(rect.min_index - m, rect.max_index + 1)
+                if any(lag(k, i) for k in rect.indices)]
+        assert positions.tolist() == want
+        assert weights.tolist() == [[lag(k, i) for k in rect.indices] for i in want]
+
+    def test_infeasible_deep_row_in_milliseconds(self):
+        # Geometric(0.5) reaches about 1075 lags before psi underflows; the
+        # sweep keeps the fewest spikes per covered set, whatever j.
+        rect = UpperRect({0: 1.0, 3: 2.0})
+        start = time.perf_counter()
+        got = nu_m_j_rect(Geometric(0.5), 10**4, 1.0, 1000, rect)
+        assert time.perf_counter() - start < 0.1
+        assert got.is_infinite and got.note.startswith("1 spike(s) already cover")
+
     def test_long_rectangle_in_milliseconds(self):
         # psi = (1, 0, 1) covers k and k + 2: 40 contiguous constraints need
         # 20 spikes; exhaustive search would try every subset of 42 positions.
@@ -433,9 +472,14 @@ THEORY_B_PSI = ExplicitFinite([1.0, 0.8, 0.6, 0.4, 0.2])
 THEORY_B_J2_RECT = UpperRect({0: 1.0, 2: 5.0, 5: 1.0, 7: 5.0, 10: 1.0})
 
 
+def table(coeffs, m, rect):
+    """The whole spike-image table, (positions, weights), its blocks joined."""
+    return tuple(map(np.concatenate, zip(*limit_measures._candidate_positions(coeffs, m, rect))))
+
+
 def walked(coeffs, m, j, rect, chunk):
     """(rank, positions, covers) of every tuple the chunked walk yields, in order."""
-    positions, weights = limit_measures._candidate_positions(coeffs, m, rect)
+    positions, weights = table(coeffs, m, rect)
     out = []
     for tuples in limit_measures._tuple_chunks(positions, weights > 0.0, rect.indices, j + 1, chunk):
         assert 0 < len(tuples) <= max(chunk, len(positions))
@@ -456,12 +500,17 @@ class TestTupleWalk:
     @given(gapped(4), st.integers(0, 4), st.sampled_from([1, 2, 3]), MIXED_THRESHOLDS,
            st.sampled_from([1, 3, 4096]))
     def test_walk_yields_the_oracle_sequence(self, coeffs, m, j, rect, chunk):
-        # Lexicographic order, ranks among all combinations, and the counting
-        # sweep's total, whether or not the rectangle is bounded away.
+        # Lexicographic order and ranks among all combinations, whether or not
+        # the rectangle is bounded away; when it is (cover > j), the covering
+        # sweep's count is the walk's total: its covers at j + 1, none beyond.
         want = [(rank, tuple(combo), covers)
                 for rank, combo, covers in covering_tuples(coeffs, m, j, rect)]
         assert walked(coeffs, m, j, rect, chunk) == want
-        assert limit_measures._covering_count(coeffs, m, rect, j + 1) == len(want)
+        positions, weights = table(coeffs, m, rect)
+        cover, count = limit_measures._cover_counts(positions, weights > 0.0, rect.indices)
+        assert cover == cover_oracle(coeffs, m, rect)
+        if cover > j:
+            assert (count if cover == j + 1 else 0) == len(want)
 
     @pytest.mark.parametrize("coeffs, m, j, rect", [
         (THEORY_B_PSI, 4, 2, THEORY_B_J2_RECT),

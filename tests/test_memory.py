@@ -3,7 +3,8 @@ the lag depth, the block or the replicate count; ``verify`` counts
 exceedances without storing the replicate matrix, the ``simulate``
 command writes each tile a block of rows at a time as it is summed and
 ``hill --sample`` parses them a block of bytes at a time.
-The order-j tuple sum walks and integrates its tuples a chunk at a time."""
+The order-j tuple sum walks and integrates its tuples a chunk at a time;
+the order-0 sum reads the spike-image table a block at a time."""
 
 import os
 import subprocess
@@ -16,8 +17,9 @@ import pytest
 import matails.cli
 import matails.ma_process as ma
 import matails.sample_file
-from matails import (INFINITE, ExplicitFinite, Geometric, TailModel, UpperRect, hrv_scan,
-                     nu_m_j_rect, simulate, truncation_diagnostic)
+from matails import (INFINITE, ExplicitFinite, Geometric, Polynomial, TailModel, UpperRect,
+                     hrv_scan, nu_m0_rect, nu_m_j_rect, simulate, spike_cover_number,
+                     truncation_diagnostic)
 
 ROOT = Path(__file__).resolve().parent.parent
 PARETO1 = TailModel.standard_pareto(1.0)
@@ -246,6 +248,29 @@ def cli_peak_rss_kb(*argv: str) -> int:
     code, maxrss_kb = map(int, probe.stdout.split())
     assert code == 0, probe.stderr
     return maxrss_kb
+
+
+def test_order_zero_peak_does_not_grow_with_the_constraints():
+    # nu_m0_rect reads the spike-image table a block of CHUNK_CELLS cells at
+    # a time and stops right of min K, so it holds about one psi vector; the
+    # whole table would hold |K| floats a position: 800 MB for ten constraints
+    # further apart than the depth 10^6 (value 0), 48 MB for thirty adjacent
+    # ones at depth 2 * 10^5.
+    far = UpperRect({i * 3 * 10**6: 1.0 for i in range(10)})
+    value, peak = traced_peak(nu_m0_rect, Polynomial(2.0), 10**6, 1.0, far)
+    assert value.value == 0.0 and peak < 16 * 2**20
+    near = UpperRect({k: 1.0 for k in range(30)})
+    value, peak = traced_peak(nu_m0_rect, Polynomial(2.0), 2 * 10**5, 1.0, near)
+    assert value.value > 0.0 and peak < 8 * 2**20
+
+
+def test_spike_table_stops_at_the_last_nonzero_lag():
+    # Geometric(0.5) underflows to 0 after about 1075 lags, so at depth 10^6
+    # the table of ten far-apart constraints has about 10^4 positions, not
+    # 10^7 (800 MB).
+    rect = UpperRect({i * 3 * 10**6: 1.0 for i in range(10)})
+    cover, peak = traced_peak(spike_cover_number, Geometric(0.5), 10**6, rect)
+    assert cover == 10 and peak < 12 * 2**20
 
 
 def test_verify_demo_peak_rss(tmp_path):
