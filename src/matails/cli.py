@@ -283,7 +283,7 @@ def cmd_simulate(exp: Experiment, threads: int) -> int:
     import numpy as np
 
     from .ma_process import simulate_tiles
-    from .sample_file import _sample_slices, _sample_text
+    from .sample_file import MAX_INDEX, _sample_slices, _sample_text
 
     # [run] n replicates on [run] window, else the rows' span
     if exp.n is None:
@@ -293,6 +293,9 @@ def cmd_simulate(exp: Experiment, threads: int) -> int:
         if not exp.rows:
             raise ConfigError("no window: set [run] window or provide rows")
         window = min(r.min_index for _, r in exp.rows), max(r.max_index for _, r in exp.rows)
+    if max(-window[0], window[1]) > MAX_INDEX:
+        raise ConfigError(f"window {window[0]}:{window[1]} reaches past the 16-digit indices of a "
+                          f"sample file: |index| must be at most {MAX_INDEX}")
     depth, tiles = simulate_tiles(exp.coeffs, exp.m, exp.model, window, exp.n, exp.seed,
                                   exp.trunc_eps, threads)
     with np.errstate(over="ignore"):  # a draw is at most inverse_survival(2^-53)

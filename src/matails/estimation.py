@@ -9,9 +9,9 @@ Poisson approximation valid in the rare-event regime.
 :func:`convergence_table` is the one scan driver: it settles each
 (j, rectangle) row's theory once and reads every tail level t of a grid
 off one simulation, so the error decay along t shows; :func:`hrv_scan` is
-its one-level case.  The Monte Carlo integration inside the theoretical
-column runs on a seed derived from the scan seed (spawn tag 0xFFFFFFFF),
-never on the simulation stream itself.
+its one-level case.  A finite row's theory is ``nu_m_j_rect`` on the scan
+seed, as in ``limits``; its tuple integrals draw from a root derived from
+that seed, never from the simulation stream itself.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from .limit_measures import (
     DEFAULT_INTEGRATION_BUDGET,
     MeasureValue,
     UpperRect,
-    mu_j_rect,
     nu_inf_0_rect,
-    nu_m0_rect,
     nu_m_j_rect,
 )
 from .ma_process import INFINITE, CoefficientSeq, SimulationBatch, resolve_depth, simulate
@@ -45,14 +43,6 @@ __all__ = [
     "hrv_scan",
     "convergence_table",
 ]
-
-_ORACLE_TAG = 0xFFFFFFFF
-
-
-def _derive_seed(seed: int, tag: int) -> int:
-    """Deterministic fresh root seed for an auxiliary stream."""
-    return int(np.random.SeedSequence(seed, spawn_key=(tag,)).generate_state(2, np.uint64)[0])
-
 
 @dataclass(frozen=True)
 class TailMeasureEstimate:
@@ -163,10 +153,6 @@ class HrvRow:
         return (self.empirical.value - self.theoretical.value) / math.sqrt(spread)
 
 
-def _is_identity(coeffs: CoefficientSeq, m) -> bool:
-    return m == 0 and coeffs.order == 0 and coeffs.psi(0) == 1.0
-
-
 def theoretical_tail_measure(
     coeffs: CoefficientSeq,
     m,
@@ -177,11 +163,10 @@ def theoretical_tail_measure(
     integration_budget: int = DEFAULT_INTEGRATION_BUDGET,
     seed: int = 0,
 ) -> MeasureValue:
-    """Dispatch to the limit-measure evaluator matching (m, j).
+    """The order-j limit measure of ``rect``: the truncated single-spike
+    enumeration for the infinite-order process, else
+    :func:`~matails.limit_measures.nu_m_j_rect` on ``seed``.
 
-    Identity coefficients reduce to the closed-form i.i.d. measure (no
-    spike-cover search); order 0 is the single-spike enumeration (truncated
-    for the infinite process); higher orders use the tuple integration.
     The evaluators own every verdict: an infeasible rectangle comes back as
     the +inf flag with a ``note``; a negative order, or a hidden order of
     the infinite-order process, raises :class:`ParameterError`; a divergent
@@ -195,10 +180,6 @@ def theoretical_tail_measure(
                 "hidden orders beyond 0 are not available for the infinite-order process"
             )
         return nu_inf_0_rect(coeffs, alpha, rect, trunc_eps)
-    if _is_identity(coeffs, m):
-        return mu_j_rect(j, alpha, rect)
-    if j == 0:
-        return nu_m0_rect(coeffs, int(m), alpha, rect)
     return nu_m_j_rect(coeffs, int(m), alpha, j, rect, integration_budget, seed)
 
 
@@ -254,8 +235,7 @@ def convergence_table(
         raise ParameterError(f"tail levels must be finite, >= 1 and strictly increasing: {grid}")
     if not grid or not rows:
         return []
-    settled = theoretical_verdicts(coeffs, m, model.alpha, rows, trunc_eps, integration_budget,
-                                   _derive_seed(seed, _ORACLE_TAG))
+    settled = theoretical_verdicts(coeffs, m, model.alpha, rows, trunc_eps, integration_budget, seed)
     verdicts = [v.note if isinstance(v, MeasureValue) and v.is_infinite else v for v in settled]
     lo = min(rect.min_index for _, rect in rows)
     hi = max(rect.max_index for _, rect in rows)

@@ -17,8 +17,9 @@ combinatorial question.  The measures supported:
 * ``nu_m0_rect``        -- order-0 limit of the MA(m): single spikes spread
   by the coefficients, value  sum_i (max_k a_k / psi_{k-i})^-alpha  over the
   spike positions that reach every constrained coordinate;
-* ``nu_m_j_rect``       -- order-j limit of the MA(m): an integral over the
-  (j+1)-tuples of spike positions that jointly reach K.  The tuples are
+* ``nu_m_j_rect``       -- order-j limit of the MA(m), the evaluator of every
+  finite order (the two above at identity coefficients and at order 0): an
+  integral over the (j+1)-tuples of spike positions that jointly reach K,
   counted first (at most :data:`MAX_TUPLES`), then walked and their floors
   computed in numpy a chunk at a time.  A tuple is exact, and draws
   nothing, when no shared constraint survives its members' private floors.
@@ -26,8 +27,9 @@ combinatorial question.  The measures supported:
   Monte Carlo) over the members that share an open constraint with it,
   which run over :data:`SHIFTS` random shifts of one rank-1 lattice folded
   by the baker's (tent) transform (randomized quasi-Monte Carlo, error
-  about budget^-2; at most :data:`MAX_LATTICE_POINTS` points per row); the
-  spread of the shift means is the standard error;
+  about budget^-2; at most :data:`MAX_LATTICE_POINTS` points per row) drawn
+  from sub-streams of a root derived from the seed; the spread of the shift
+  means is the standard error;
 * ``nu_inf_0_rect``     -- order-0 limit of the MA(infinity), enumerated at a
   truncation depth with a reported bound on the neglected spike mass;
 * ``marginal_tail_constant`` -- sum_l psi_l^alpha, the one-coordinate tail
@@ -90,6 +92,14 @@ MAX_TUPLES = 250_000
 # Cells per (tuples, j+1, |K|) floor array of one numpy pass over a chunk of
 # tuples: the walk and the floors hold a few such arrays whatever the tuple count.
 CHUNK_CELLS = 1 << 17
+
+# Spawn key of the root of the tuple sub-streams, apart from any simulation's.
+_ORACLE_TAG = 0xFFFFFFFF
+
+
+def _derive_seed(seed: int, tag: int) -> int:
+    """Deterministic fresh root seed for an auxiliary stream."""
+    return int(np.random.SeedSequence(seed, spawn_key=(tag,)).generate_state(2, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -290,11 +300,13 @@ def _tuple_chunks(positions: np.ndarray, held: np.ndarray, ks: tuple[int, ...], 
     only while enough candidates remain and the members still to come, each
     reaching at most as many constraints as the widest candidate, can cover
     the rest.  Each level expands at most ``chunk`` extensions at a time,
-    depth first, so memory does not grow with the tuple count.
+    depth first, so memory does not grow with the tuple count.  The levels
+    are a list, not a recursion, so ``size`` may exceed the recursion limit.
     """
     n, ks, widest = len(positions), np.array(ks), int(held.sum(axis=1).max())
-
-    def extend(prefix, covered):
+    prefix, covered = np.empty((1, 0), dtype=np.intp), np.zeros((1, len(ks)), dtype=bool)
+    levels = []  # per open level: [prefixes, covered, lo, counts, ends, next prefix]
+    while True:
         level = prefix.shape[1]
         # Each member still to come covers at most ``widest`` constraints.
         alive = (~covered).sum(axis=1) <= (size - level) * widest
@@ -302,23 +314,28 @@ def _tuple_chunks(positions: np.ndarray, held: np.ndarray, ks: tuple[int, ...], 
         if level == size:
             if len(prefix):
                 yield prefix
-            return
-        first = np.where(covered.all(axis=1), ks[-1], ks[np.argmin(covered, axis=1)])
-        lo = prefix[:, -1] + 1 if level else np.zeros(len(prefix), dtype=np.intp)
-        hi = np.minimum(np.searchsorted(positions, first, side="right"), n - size + level + 1)
-        counts = np.maximum(hi - lo, 0)
-        ends = np.cumsum(counts)
-        start = 0
-        while start < len(prefix):
+        else:
+            first = np.where(covered.all(axis=1), ks[-1], ks[np.argmin(covered, axis=1)])
+            lo = prefix[:, -1] + 1 if level else np.zeros(len(prefix), dtype=np.intp)
+            hi = np.minimum(np.searchsorted(positions, first, side="right"), n - size + level + 1)
+            counts = np.maximum(hi - lo, 0)
+            levels.append([prefix, covered, lo, counts, np.cumsum(counts), 0])
+        # The next chunk of extensions of the deepest level with prefixes left.
+        while levels:
+            top = levels[-1]
+            prefix, covered, lo, counts, ends, start = top
+            if start == len(prefix):
+                levels.pop()
+                continue
             base = int(ends[start - 1]) if start else 0
-            stop = max(int(np.searchsorted(ends, base + chunk, side="right")), start + 1)
+            top[-1] = stop = max(int(np.searchsorted(ends, base + chunk, side="right")), start + 1)
             rows = np.repeat(np.arange(start, stop), counts[start:stop])
             if len(rows):
                 cols = lo[rows] + np.arange(len(rows)) - (ends[rows] - counts[rows] - base)
-                yield from extend(np.column_stack([prefix[rows], cols]), covered[rows] | held[cols])
-            start = stop
-
-    yield from extend(np.empty((1, 0), dtype=np.intp), np.zeros((1, len(ks)), dtype=bool))
+                prefix, covered = np.column_stack([prefix[rows], cols]), covered[rows] | held[cols]
+                break
+        else:
+            return
 
 
 def _rank(combo: list[int], n: int) -> int:
@@ -472,13 +489,16 @@ def nu_m_j_rect(
     integration_budget: int = DEFAULT_INTEGRATION_BUDGET,
     seed: int = 0,
 ) -> MeasureValue:
-    """Order-j MA(m) limit measure of an upper rectangle.
+    """Order-j MA(m) limit measure of an upper rectangle, the evaluator of
+    every finite order: :func:`mu_j_rect` for identity coefficients (m = 0,
+    psi = (1,)), :func:`nu_m0_rect` at order 0, errors included.
 
-    Sums, over increasing (j+1)-tuples of spike positions whose images
-    jointly reach every constrained coordinate, the product tail integral
-    of the rectangle indicator.  Tuples containing a position that cannot
-    influence K never cover it (no smaller set does either) and contribute
-    zero, so walking the covering tuples of influencing positions is exhaustive.
+    Above order 0 it sums, over increasing (j+1)-tuples of spike positions
+    whose images jointly reach every constrained coordinate, the product
+    tail integral of the rectangle indicator.  Tuples containing a position
+    that cannot influence K never cover it (no smaller set does either) and
+    contribute zero, so walking the covering tuples of influencing positions
+    is exhaustive.
 
     One :func:`_cover_counts` sweep gives the spike cover number (below
     j + 1: +inf) and the covering tuple count; more than :data:`MAX_TUPLES`
@@ -487,13 +507,17 @@ def nu_m_j_rect(
     the drawn tuples; more than :data:`MAX_LATTICE_POINTS` lattice points
     in all raise :class:`UnsupportedError` before any draw.  With none
     drawn, the sum of the masses is the value, an enumeration with no
-    stderr.  Otherwise a second walk
-    integrates each drawn tuple over SHIFTS * ceil(integration_budget /
-    SHIFTS) lattice points; the tuple of rank r among the lexicographic
-    (j+1)-combinations of the influencing positions draws its shifts from
-    sub-stream r, so the result is deterministic in ``seed``.  Values are
-    added in lexicographic order.
+    stderr.  Otherwise a second walk integrates each drawn tuple over
+    SHIFTS * ceil(integration_budget / SHIFTS) lattice points; the tuple of
+    rank r among the lexicographic (j+1)-combinations of the influencing
+    positions draws its shifts from sub-stream r of the root derived from
+    ``seed`` (spawn key :data:`_ORACLE_TAG`).  Values are added in
+    lexicographic order.
     """
+    if m == 0 and coeffs.order == 0 and coeffs.psi(0) == 1.0:  # no cover search
+        return mu_j_rect(j, alpha, rect)
+    if j == 0:
+        return nu_m0_rect(coeffs, m, alpha, rect)
     if not integration_budget > 0:
         raise ParameterError(f"integration budget must be positive, got {integration_budget}")
     if j < 0:
@@ -536,9 +560,10 @@ def nu_m_j_rect(
     if not drawn:
         return MeasureValue(total, EvalMethod.ENUMERATION)
     total = var_total = 0.0
+    root = _derive_seed(seed, _ORACLE_TAG)
     for tuples, floors in floored():
         values, variances = _contributions(
-            alpha, thresholds, floors, integration_budget, seed,
+            alpha, thresholds, floors, integration_budget, root,
             lambda t: _rank(tuples[t].tolist(), len(positions)),
         )
         for value, variance in zip(values.tolist(), variances.tolist()):

@@ -20,6 +20,10 @@ import numpy as np
 from .errors import ConfigError
 from .ma_process import MAX_DRAWS
 
+# The largest |index| a sample-file line carries, in its 16 digits: ``simulate``
+# refuses a window past it before it opens the output.
+MAX_INDEX = 10**16 - 1
+
 # The sample-file block: ``simulate`` renders ``ROW_SLICE // width`` replicate
 # rows of a simulation tile at a time as numpy text columns, and ``hill
 # --sample`` parses ``ROW_SLICE * 16`` bytes at a time (about half as many

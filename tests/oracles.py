@@ -3,6 +3,7 @@
 Everything here deliberately avoids the library's own computational paths:
 the quadrature oracle integrates on a deterministic grid, the convolution
 oracle is a double loop, the cover oracle is exhaustive search, the
+tuple-stream root restates the README's spawn rule, the
 order-0 oracle checks every spike position's coverage one by one, the
 pair-integral oracle takes one member's acceptance length in closed form
 under a 1-D midpoint rule, the one-member oracle integrates the conditional
@@ -69,16 +70,14 @@ def coverage(coeffs, m, rect, i):
 
 
 def cover_oracle(coeffs, m, rect):
-    """Exhaustive search for the smallest covering spike set."""
+    """Exhaustive search for the smallest covering spike set, each position's
+    coverage taken once before the search."""
     needed = set(rect.indices)
-    positions = [
-        i
-        for i in range(rect.min_index - m, rect.max_index + 1)
-        if coverage(coeffs, m, rect, i)
-    ]
+    reach = [cov for i in range(rect.min_index - m, rect.max_index + 1)
+             if (cov := coverage(coeffs, m, rect, i))]
     for r in range(1, len(needed) + 1):
-        for combo in itertools.combinations(positions, r):
-            if set().union(*(coverage(coeffs, m, rect, i) for i in combo)) == needed:
+        for combo in itertools.combinations(reach, r):
+            if set().union(*combo) == needed:
                 return r
     return float("inf")
 
@@ -379,6 +378,12 @@ def covering_tuples(coeffs, m, j, rect):
             continue
         covers = [sum(1 << p for p, k in enumerate(rect.indices) if k in cov) for cov in sets]
         yield rank, combo, covers
+
+
+def tuple_stream_root(seed):
+    """The root whose sub-stream r the tuple of rank r draws from, as the README
+    states it: the first 64-bit word of ``SeedSequence(seed, spawn_key=(2^32 - 1,))``."""
+    return int(np.random.SeedSequence(seed, spawn_key=(2**32 - 1,)).generate_state(1, np.uint64)[0])
 
 
 def nu_m_j_rect_reference(coeffs, m, alpha, j, rect, budget, seed):

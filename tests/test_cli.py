@@ -92,6 +92,35 @@ def write_sample(tmp_path, body, meta=None):
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("window", ["10000000000000000:10000000000000000",
+                                        "-10000000000000000:-9999999999999999",
+                                        "9223372036854775808:9223372036854775809"])
+    def test_window_past_the_sample_file_index_exits_2_before_writing(
+            self, tmp_path, config_path, capsys, window):
+        # 17 digits are outside the sample grammar; past 2^63 numpy overflows.
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", config_path, "--out", str(out),
+                     "--set", "run.n=3", "--set", f"run.window={window}"]) == 2
+        err = capsys.readouterr().err
+        assert f"window {window} reaches past the 16-digit indices" in err
+        assert f"at most {matails.sample_file.MAX_INDEX}" in err
+        assert not out.exists() and not (tmp_path / "s.csv.meta.json").exists()
+
+    def test_largest_index_round_trips(self, tmp_path, config_path):
+        index = matails.sample_file.MAX_INDEX
+        assert index == 10**16 - 1
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", config_path, "--out", str(out), "--set", "run.n=50",
+                     "--set", f"run.window={-index}:{-index + 1}"]) == 0
+        assert main(["simulate", "--config", config_path, "--out", str(tmp_path / "t.csv"),
+                     "--set", "run.n=50", "--set", f"run.window={index - 1}:{index}"]) == 0
+        for path, lo in ((out, -index), (tmp_path / "t.csv", index - 1)):
+            batch = simulate(ExplicitFinite([1.0, 0.5]), 1, TailModel.standard_pareto(1.0),
+                             (lo, lo + 1), 50, 42)
+            for c in range(2):
+                assert np.array_equal(_values_from_sample_file(str(path), lo + c), batch.matrix[:, c])
+                assert np.array_equal(sample_values_reference(str(path), lo + c), batch.matrix[:, c])
+
     def test_writes_one_row_per_nonzero_value(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text(BASE_CONFIG)
@@ -370,6 +399,37 @@ class TestLimitsCommand:
         values = {r[header.index("rect")]: r[header.index("value")] for r in rows[1:]}
         assert float(values["0:1.0,1:1.0,2:1.0"]) == 0.0
         assert float(values["0:1.0,1:1.0"]) == 1.0
+
+    def test_order_deeper_than_the_recursion_limit(self, tmp_path, config_path):
+        # 2400 adjacent constraints at 0.5 on psi = (1, 0.5): the one covering
+        # 1200-tuple spikes every other index, each member's floor is 0.5 and
+        # no shared constraint is left open, so the value is exactly 1.0.
+        out = tmp_path / "deep.csv"
+        rect = ", ".join(f"{k}:0.5" for k in range(2400))
+        assert main(["limits", "--config", config_path, "--out", str(out),
+                     "--set", f"rows.row0=1199; {rect}"]) == 0
+        header, row, _ = read_csv(out)
+        assert (row[header.index("value")], row[header.index("method")]) == ("1.0", "enumeration")
+
+    def test_theory_bits_are_verify_s(self, tmp_path, config_path):
+        # One config, rows of each kind: order 0, exact pairs, a drawn pair and
+        # drawn triples.  verify writes each row's theory once per tail level;
+        # limits writes the same value and stderr bits.
+        rows = ["0; 0:1.0", "1; 0:1.0, 2:1.0", "1; 0:1.0, 1:5.0, 2:1.0",
+                "2; 0:1.0, 1:5.0, 2:1.0, 3:5.0, 4:1.0"]
+        argv = ["--config", config_path, "--set", "run.integration_budget=4096",
+                "--set", "run.t_grid=10, 100", "--set", "run.n=200"]
+        argv += [arg for r, row in enumerate(rows) for arg in ("--set", f"rows.row{r}={row}")]
+        lim, ver = tmp_path / "lim.csv", tmp_path / "ver.csv"
+        assert main(["limits", *argv, "--out", str(lim)]) == 0
+        assert main(["verify", *argv, "--out", str(ver)]) == 0
+        (lh, *lim_rows), (vh, *ver_rows) = read_csv(lim), read_csv(ver)
+        theory = {r[lh.index("rect")]: (r[lh.index("value")], r[lh.index("stderr")]) for r in lim_rows}
+        assert len(theory) == len(rows) and theory["0:1.0,1:5.0,2:1.0"][1]
+        assert len(ver_rows) == 2 * len(rows)
+        for r in ver_rows:
+            want = theory[r[vh.index("rect")]]
+            assert (r[vh.index("theoretical")], r[vh.index("theoretical_stderr")]) == want
 
 
 class TestVerifyCommand:

@@ -170,10 +170,6 @@ class TestHill:
 
 
 class TestTheoreticalDispatch:
-    def test_identity_uses_closed_form(self):
-        got = theoretical_tail_measure(IDENTITY, 0, 1.0, 1, UpperRect({0: 1.0, 1: 1.0}))
-        assert got.method is EvalMethod.CLOSED_FORM and got.value == 1.0
-
     def test_finite_order_zero_uses_enumeration(self):
         got = theoretical_tail_measure(PSI_HALF, 1, 1.0, 0, UpperRect({0: 1.0}))
         assert got.method is EvalMethod.ENUMERATION and got.value == 1.5
@@ -237,14 +233,6 @@ class TestHrvScan:
 
     def test_empty_rows(self):
         assert hrv_scan(IDENTITY, 0, PARETO1, [], 100, 10.0, seed=1) == []
-
-    def test_identity_row_uses_closed_form_without_cover_search(self):
-        # 30 constraints: a spike-cover search would enumerate 2^30 subsets
-        rect = UpperRect({k: 1.0 for k in range(30)})
-        scan = hrv_scan(IDENTITY, 0, PARETO1, [(1, rect)], 100, 10.0, seed=17)
-        assert scan[0].error is None
-        assert scan[0].theoretical.method is EvalMethod.CLOSED_FORM
-        assert scan[0].theoretical.value == 0.0
 
     def test_error_rows_carry_the_evaluator_text(self):
         rect = UpperRect({0: 1.0, 1: 1.0})

@@ -45,6 +45,7 @@ from oracles import (
     order1_quadrature,
     pair_integral,
     tuple_contribution,
+    tuple_stream_root,
     tuple_contribution_reference,
 )
 
@@ -304,8 +305,19 @@ class TestNuM0Rect:
 
 
 class TestNuMJRect:
+    def test_identity_uses_closed_form(self):
+        got = nu_m_j_rect(IDENTITY, 0, 1.0, 1, UpperRect({0: 1.0, 1: 1.0}))
+        assert (got.value, got.method, got.stderr) == (1.0, EvalMethod.CLOSED_FORM, None)
+
+    def test_identity_row_uses_closed_form_without_cover_search(self, monkeypatch):
+        # 30 constraints: a spike-cover search would enumerate 2^30 subsets
+        monkeypatch.setattr(limit_measures, "_cover_counts", lambda *a: pytest.fail("searched"))
+        got = nu_m_j_rect(IDENTITY, 0, 1.0, 1, UpperRect({k: 1.0 for k in range(30)}))
+        assert (got.value, got.method) == (0.0, EvalMethod.CLOSED_FORM)
+
     def test_iid_pair_reduction(self):
-        got = nu_m_j_rect(IDENTITY, 0, 1.0, 1, UpperRect({0: 1.0, 1: 1.0}), 100, seed=1)
+        # m = 1 is past the identity's order: the tuple walk, not the closed form.
+        got = nu_m_j_rect(IDENTITY, 1, 1.0, 1, UpperRect({0: 1.0, 1: 1.0}), 100, seed=1)
         assert got.value == 1.0
         assert (got.method, got.stderr) == (EvalMethod.ENUMERATION, None)
 
@@ -335,11 +347,25 @@ class TestNuMJRect:
         assert oracle == pytest.approx(pencil, rel=2e-3)
         assert got.value == pytest.approx(oracle, rel=0.01)
 
-    def test_order_zero_equals_enumeration(self):
-        for rect in (UpperRect({0: 1.0}), UpperRect({0: 2.0, 1: 1.0})):
-            via_tuples = nu_m_j_rect(PSI_HALF, 1, 1.0, 0, rect, 100, seed=4)
-            via_enum = nu_m0_rect(PSI_HALF, 1, 1.0, rect)
-            assert via_tuples.value == pytest.approx(via_enum.value, rel=1e-12)
+    @settings(max_examples=60, deadline=None)
+    @example(Polynomial(2), 300_000, 1.0, UpperRect({0: 1.0}))  # 300,001 one-spike tuples
+    @example(PSI_HALF, -1, 1.0, UpperRect({0: 1.0}))
+    @example(PSI_HALF, 1, math.nan, UpperRect({0: 1.0}))
+    @given(st.one_of(gapped(8), st.builds(Geometric, st.floats(0.05, 0.95)),
+                     st.builds(Polynomial, st.floats(0.3, 3.0))),
+           st.integers(0, 8), st.floats(0.2, 3.0), rects(5))
+    def test_order_zero_equals_enumeration(self, coeffs, m, alpha, rect):
+        # Bit for bit, errors included, whatever the integration budget.
+        def outcome(evaluate, *args):
+            try:
+                return evaluate(*args)
+            except ParameterError as exc:
+                return str(exc)
+
+        want = outcome(nu_m0_rect, coeffs, m, alpha, rect)
+        if m == 0 and coeffs.order == 0 and coeffs.psi(0) == 1.0:
+            want = mu_j_rect(0, alpha, rect)  # identity coefficients: the closed form
+        assert outcome(nu_m_j_rect, coeffs, m, alpha, 0, rect, 0, 4) == want
 
     def test_uncoverable_rectangle_is_flagged_infinite(self):
         got = nu_m_j_rect(PSI_HALF, 1, 1.0, 1, UpperRect({0: 1.0, 1: 1.0}), 100, seed=5)
@@ -365,7 +391,7 @@ class TestNuMJRect:
             (2, UpperRect({-1: 1.0, 1: 2.0, 4: 1.0})),
         ]
         for j, rect in rects:
-            got = nu_m_j_rect(IDENTITY, 0, 1.0, j, rect, 100, seed=6)
+            got = nu_m_j_rect(IDENTITY, 1, 1.0, j, rect, 100, seed=6)  # the walk, not the closed form
             want = mu_j_rect(j, 1.0, rect)
             if want.is_infinite:
                 assert got.is_infinite
@@ -414,7 +440,8 @@ class TestNuMJRect:
         # Exact and pruned tuples keep the crude reference's bits; drawn tuples
         # integrate one member out on the shifted lattice, restated point by
         # point in the conditional reference (same shifts, other rounding in
-        # the power and the sums).
+        # the power and the sums).  Tuple ``rank`` draws from sub-stream
+        # ``rank`` of the root derived from ``seed``.
         got = nu_m_j_rect(coeffs, m, alpha, j, rect, 64, seed=seed)
         if got.is_infinite:
             assert cover_oracle(coeffs, m, rect) <= j
@@ -422,7 +449,7 @@ class TestNuMJRect:
         drawn = set(tuple_kinds(coeffs, m, j, rect)[2])
         total = var_total = 0.0
         for rank, positions, covers in covering_tuples(coeffs, m, j, rect):
-            args = (coeffs, alpha, rect, positions, covers, 64, seed, rank)
+            args = (coeffs, alpha, rect, positions, covers, 64, tuple_stream_root(seed), rank)
             value, variance = tuple_contribution(*args)
             if rank in drawn:
                 want, want_var = conditional_tuple_reference(*args)
