@@ -174,7 +174,7 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 def load_experiment(path: str, overrides: list[str]) -> Experiment:
-    from .limit_measures import DEFAULT_INTEGRATION_BUDGET
+    from .budgets import DEFAULT_INTEGRATION_BUDGET
 
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -283,7 +283,7 @@ def cmd_simulate(exp: Experiment, threads: int) -> int:
     import numpy as np
 
     from .ma_process import simulate_tiles
-    from .sample_file import MAX_INDEX, _sample_slices, _sample_text
+    from .sample_file import MAX_INDEX, _sample_slices, _sample_text, _Scratch
 
     # [run] n replicates on [run] window, else the rows' span
     if exp.n is None:
@@ -305,10 +305,12 @@ def cmd_simulate(exp: Experiment, threads: int) -> int:
                           f"over lag depth {depth} reach {bound!r}, within a factor 2 of overflow: "
                           f"use a larger alpha")
     # Both generators are lazy and share the one tile stream; _write_output
-    # consumes one of them while the workers sum the next tiles.
-    cuts = _sample_slices(window[0], tiles)
+    # consumes one of them while the workers sum the next tiles; each slice
+    # reuses the vectors of the one before.
+    scratch = _Scratch()
+    cuts = _sample_slices(window[0], tiles, scratch)
     rows = (row for cut in cuts for row in zip(*(a.tolist() for a in cut)))
-    body = (_sample_text(*cut) for cut in cuts)
+    body = (_sample_text(*cut, scratch) for cut in cuts)
     meta = _meta(exp, "simulate", {
         "seed": exp.seed,
         "truncation_order": depth,

@@ -12,26 +12,26 @@ off one simulation, so the error decay along t shows; :func:`hrv_scan` is
 its one-level case.  A finite row's theory is ``nu_m_j_rect`` on the scan
 seed, as in ``limits``; its tuple integrals draw from a root derived from
 that seed, never from the simulation stream itself.
+
+The simulator and the evaluators are imported where they run, so
+:func:`hill` loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .budgets import DEFAULT_INTEGRATION_BUDGET
 from .errors import ParameterError, UnsupportedError
-from .innovations import TailModel
-from .limit_measures import (
-    DEFAULT_INTEGRATION_BUDGET,
-    MeasureValue,
-    UpperRect,
-    nu_inf_0_rect,
-    nu_m_j_rect,
-)
-from .ma_process import INFINITE, CoefficientSeq, SimulationBatch, resolve_depth, simulate
+
+if TYPE_CHECKING:
+    from .innovations import TailModel
+    from .limit_measures import MeasureValue, UpperRect
+    from .ma_process import CoefficientSeq, SimulationBatch
 
 __all__ = [
     "TailMeasureEstimate",
@@ -172,6 +172,9 @@ def theoretical_tail_measure(
     the infinite-order process, raises :class:`ParameterError`; a divergent
     series raises :class:`UnsupportedError`.
     """
+    from .limit_measures import nu_inf_0_rect, nu_m_j_rect
+    from .ma_process import INFINITE
+
     if j < 0:
         raise ParameterError(f"order must be nonnegative, got {j}")
     if m == INFINITE:
@@ -196,6 +199,8 @@ def theoretical_verdicts(
     of the :class:`ParameterError` or :class:`UnsupportedError` it raised;
     the shared lag depth is resolved first, so a depth over
     :data:`~matails.ma_process.MAX_DEPTH` raises before any evaluator runs."""
+    from .ma_process import resolve_depth
+
     resolve_depth(coeffs, m, trunc_eps)
     verdicts = []
     for j, rect in rows:
@@ -229,6 +234,9 @@ def convergence_table(
     constraint set, row (j, rect) scaled at exponent 1/(j+1), and stores
     no ``n x width`` matrix.  Returns (t, row) pairs in grid-major order.
     """
+    from .limit_measures import MeasureValue
+    from .ma_process import simulate
+
     grid = [float(t) for t in t_grid]
     # each level is >= 1 and below the next one, the last one below +inf
     if not all(1.0 <= a < b for a, b in zip(grid, grid[1:] + [math.inf])):

@@ -22,6 +22,7 @@ each seeks its own to the stream offset it needs (Salmon et al., SC'11).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,13 +102,22 @@ def block_generator(seed: int, block: int | None = None, offset: int = 0) -> np.
     ``block=None`` is the undivided stream; block ``b`` spawns the child
     ``SeedSequence(seed, spawn_key=(b,))``.  This rule is part of the
     reproducibility contract and must not change.  The one seek rule: four
-    doubles per counter step, so advance ``offset // 4`` steps (which empties
-    the buffer) and discard ``offset % 4`` doubles.
+    doubles per counter step, so start the counter at ``offset // 4`` and
+    discard ``offset % 4`` doubles.  The key Philox takes from the child is
+    derived once per ``(seed, block)`` (:func:`_philox_key`).
     """
-    ss = np.random.SeedSequence(seed, spawn_key=() if block is None else (block,))
-    bits = np.random.Philox(ss).advance(offset // 4)
+    bits = np.random.Philox(key=_philox_key(seed, block), counter=offset // 4)
     bits.random_raw(offset % 4)
     return np.random.Generator(bits)
+
+
+@functools.lru_cache(maxsize=256)
+def _philox_key(seed: int, block: int | None) -> int:
+    """The 128-bit key of ``Philox(SeedSequence(seed, spawn_key=(block,)))``,
+    no spawn key for ``block=None``: its first two 64-bit state words."""
+    sequence = np.random.SeedSequence(seed, spawn_key=() if block is None else (block,))
+    low, high = sequence.generate_state(2, np.uint64).tolist()
+    return low | high << 64
 
 
 def draw(model: TailModel, rng: np.random.Generator, shape, out=None) -> np.ndarray:

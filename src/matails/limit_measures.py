@@ -54,6 +54,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .budgets import DEFAULT_INTEGRATION_BUDGET
 from .errors import ParameterError, UnsupportedError
 from .innovations import TailModel, block_generator
 from .ma_process import CoefficientSeq, choose_truncation
@@ -71,10 +72,6 @@ __all__ = [
     "marginal_tail_constant",
     "nu_inf_0_rect",
 ]
-
-# Lattice points per drawn tuple unless a caller sets one; a budget is
-# rounded up to a multiple of SHIFTS.
-DEFAULT_INTEGRATION_BUDGET = 200_000
 
 # Independent uniform shifts of each drawn tuple's lattice: the tuple's value
 # is the mean of the shift means, its variance their spread over SHIFTS.

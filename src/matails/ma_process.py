@@ -43,6 +43,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .budgets import MAX_DRAWS, MAX_LAG_TERMS
 from .errors import AssumptionError, ParameterError, UnsupportedError
 from .innovations import TailModel, block_generator, draw
 from .sequence_space import ZERO, WindowSeq
@@ -58,6 +59,7 @@ __all__ = [
     "apply_Tm",
     "MAX_DEPTH",
     "MAX_DRAWS",
+    "MAX_LAG_TERMS",
     "choose_truncation",
     "resolve_depth",
     "continuity_modulus",
@@ -75,9 +77,6 @@ BLOCK_ROWS = 1 << 20
 
 # Replicates per tile task, the unit of work and of worker memory.
 TILE_ROWS = 1 << 16
-
-# Most innovations one simulation draws (replicates times lag rows): hours of work.
-MAX_DRAWS = 10**10
 
 # Relative coefficient-mass tolerances: the default truncation of the
 # infinite-order process, and the "effectively exact" depth used as the
@@ -453,8 +452,9 @@ def simulate_tiles(
     TILE_ROWS * 8`` bytes, whatever the depth or the replicate count.
 
     An empty window, fewer than one replicate or thread, a depth over
-    :data:`MAX_DEPTH` or more than :data:`MAX_DRAWS` innovations raise
-    here, before anything is allocated.  ``tiles`` yields ``(start, sums)``
+    :data:`MAX_DEPTH`, more than :data:`MAX_DRAWS` innovations or more
+    than :data:`MAX_LAG_TERMS` nonzero lag terms raise here, before
+    anything is allocated.  ``tiles`` yields ``(start, sums)``
     in replicate order, or ``(start, reduce(start, sums))`` computed on the
     worker; no worker starts before it is read, and the ``threads`` workers
     run at most ``threads`` tiles ahead of it.  Closing it early waits for
@@ -475,6 +475,12 @@ def simulate_tiles(
                                f"({replicates} replicates x {length} lag rows), above the limit "
                                f"of {MAX_DRAWS} (use fewer replicates or a shallower depth)")
     psi = coeffs.psi_array(depth)
+    lags = int(np.count_nonzero(psi))
+    if replicates * width * lags > MAX_LAG_TERMS:
+        raise UnsupportedError(f"simulation needs {replicates * width * lags} lag terms "
+                               f"({replicates} replicates x {width} columns x {lags} nonzero "
+                               f"lags), above the budget of {MAX_LAG_TERMS} (use fewer "
+                               f"replicates, a narrower window or a shallower depth)")
 
     def run_tile(block: int, start: int, rows: int, c0: int, n: int) -> tuple[int, object]:
         acc = np.zeros((width, n), dtype=float)

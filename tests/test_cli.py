@@ -22,7 +22,7 @@ import matails.ma_process as ma
 import matails.sample_file
 from matails import (ExplicitFinite, TailModel, block_generator, draw, estimation, hill, limit_measures,
                      simulate)
-from matails.ma_process import MAX_DEPTH, MAX_DRAWS, SimulationBatch
+from matails.ma_process import MAX_DEPTH, MAX_DRAWS, MAX_LAG_TERMS, SimulationBatch
 from matails.cli import ConfigError, _write_output, build_parser, load_experiment, main
 from matails.sample_file import (_sample_slices, _sample_text, _shortest_digits,
                                  _values_from_sample_file)
@@ -907,6 +907,24 @@ def test_simulation_over_the_draw_limit_exits_2_within_a_second(tmp_path, config
     assert not out.exists()
 
 
+def test_simulation_over_the_lag_budget_exits_2_within_a_second(tmp_path, config_path, capsys):
+    # 5000 unit coefficients over a 5000-column window at 10^6 replicates:
+    # 9.999e9 draws pass the draw limit, then 2.5e13 lag terms ran for hours.
+    out = tmp_path / "out.csv"
+    start = time.perf_counter()
+    code = main([
+        "simulate", "--config", config_path, "--out", str(out),
+        "--set", "coefficients.values=" + ", ".join(["1.0"] * 5000), "--set", "coefficients.m=4999",
+        "--set", "run.window=0:4999", "--set", "run.n=1000000",
+    ])
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"needs {10**6 * 5000 * 5000} lag terms" in err
+    assert f"above the budget of {MAX_LAG_TERMS}" in err
+    assert not out.exists()
+
+
 def test_all_error_rows_over_the_draw_limit_exit_2(tmp_path, config_path, capsys):
     # No row is counted, but the simulation still checks its draw limit.
     out = tmp_path / "out.csv"
@@ -1163,6 +1181,19 @@ def test_limits_loads_no_sample_file_or_thread_pool(config_path, tmp_path):
     statement = f"from matails.cli import main; assert main({argv!r}) == 0"
     watch = ["numpy", "matails.sample_file", "concurrent.futures"]
     assert modules_after(statement, watch) == ["numpy"]
+
+
+def test_hill_loads_only_the_sample_codec(tmp_path):
+    # hill reads a sample file and estimates: the simulator, the evaluators,
+    # numpy's random module and the thread pool stay unloaded.
+    samples = tmp_path / "s.csv"
+    assert main(["simulate", "--config", str(ROOT / "demos" / "experiment.ini"), "--set", "run.n=2000",
+                 "--out", str(samples)]) == 0
+    argv = ["hill", "--sample", str(samples), "--k", "100"]
+    statement = f"from matails.cli import main; assert main({argv!r}) == 0"
+    watch = ["matails.estimation", "matails.sample_file", "matails.ma_process", "matails.limit_measures",
+             "matails.innovations", "matails.sequence_space", "numpy.random", "concurrent.futures"]
+    assert modules_after(statement, watch) == ["matails.estimation", "matails.sample_file"]
 
 
 @pytest.mark.parametrize("preset", [None, "3"])

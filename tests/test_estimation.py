@@ -326,7 +326,7 @@ class TestConvergenceTable:
             return simulate(*args, **kwargs)
 
         monkeypatch.setattr(limit_measures, "_cover_counts", counting)
-        monkeypatch.setattr(estimation, "simulate", counting_simulate)
+        monkeypatch.setattr(ma, "simulate", counting_simulate)  # estimation imports it where it runs
         rows = [
             (0, UpperRect({0: 1.0})),
             (1, UpperRect({0: 1.0, 2: 1.0})),
@@ -394,7 +394,7 @@ class TestConvergenceTable:
             raise AssertionError("called before the grid was checked")
 
         monkeypatch.setattr(estimation, "theoretical_tail_measure", forbidden)
-        monkeypatch.setattr(estimation, "simulate", forbidden)
+        monkeypatch.setattr(ma, "simulate", forbidden)
         rows = [(0, UpperRect({0: 1.0})), (1, UpperRect({0: 1.0, 2: 1.0}))]
         with pytest.raises(ParameterError, match="tail levels must be"):
             convergence_table(PSI_HALF, 1, PARETO1, rows, 100, grid, 1)

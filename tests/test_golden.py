@@ -56,6 +56,30 @@ SIMULATE_SMALL_CONFIG = textwrap.dedent(
     """
 )
 
+# Heavy tails over six sample-file slices (16383 cells each at ROW_SLICE = 2^14,
+# a short last one): ids of 1 to 5 digits, whole parts of 9 to 16 digits,
+# 13 exponent forms and 38 values from 1e15 on, which go to repr.  Every
+# other simulate case fits in one slice, so none of them could show bytes
+# that one slice leaves behind for the next.
+SIMULATE_HEAVY_CONFIG = textwrap.dedent(
+    """\
+    [coefficients]
+    family = explicit
+    values = 1, 0.5
+    m = 1
+
+    [tail]
+    family = standard_pareto
+    alpha = 0.5
+    scale = 1e8
+
+    [run]
+    n = 30000
+    seed = 3
+    window = -2:0
+    """
+)
+
 LIMITS_FINITE_CONFIG = textwrap.dedent(
     """\
     [coefficients]
@@ -151,6 +175,10 @@ GOLDEN = {
         "out": "a39780366df0df47623ca9450e5353da87827614a60356d53eada455800ea8be",
         "out.meta.json": "d220d5412374c8b9a39c0a756379ed3f37c97dff62defb9b600f444515babc93",
     },
+    "simulate-heavy": {
+        "out": "21f72c3b4dc599f15c64b5dc8c87bb361b155196bd1c515b4738e17e8beeb70d",
+        "out.meta.json": "03f3be85063941e33471908fdb1c02c410065ead5a4c7aa84cbfe9e2639ffbf4",
+    },
     "simulate-json": {
         "out": "bdcfb4556a6fb94dea857b7132705541b625d13cc5a558f4d09ca7159a2f1012",
     },
@@ -195,6 +223,7 @@ CASES = {
     "simulate-csv": (SIMULATE_CONFIG, ["simulate"]),
     "simulate-json": (SIMULATE_CONFIG, ["simulate", "--format", "json"]),
     "simulate-small": (SIMULATE_SMALL_CONFIG, ["simulate"]),
+    "simulate-heavy": (SIMULATE_HEAVY_CONFIG, ["simulate"]),
     "limits-finite": (LIMITS_FINITE_CONFIG, ["limits"]),
     "limits-geometric": (LIMITS_GEOMETRIC_CONFIG, ["limits"]),
     "limits-drawn": (LIMITS_DRAWN_CONFIG, ["limits"]),

@@ -156,6 +156,20 @@ class TestSampling:
 
 
 class TestSeekRule:
+    @pytest.mark.parametrize("block", [None, 0, 7])
+    def test_cached_key_reads_the_seed_sequence_stream(self, block):
+        # The key cache and the counter start must give the doubles of
+        # Philox(SeedSequence(seed, spawn_key=(b,))) advanced offset // 4
+        # steps, offset % 4 discarded: at every offset % 4, past 2^32 counter
+        # steps and at the row starts i * 2^20 + c0 of tiles in a block.
+        spawn_key = () if block is None else (block,)
+        offsets = [*range(10), 2**32 + 3, *(i * 2**20 + c0 for i in (1, 27) for c0 in (0, 2**16 + 1))]
+        for offset in offsets:
+            bits = np.random.Philox(np.random.SeedSequence(11, spawn_key=spawn_key)).advance(offset // 4)
+            bits.random_raw(offset % 4)
+            expected = np.random.Generator(bits).random(9)
+            assert np.array_equal(block_generator(11, block, offset).random(9), expected), offset
+
     @pytest.mark.parametrize("block", [0, 3])
     def test_offset_draws_are_slices_of_the_whole_block_draw(self, block):
         # rows = 7 is not a multiple of 4, so the row starts i * 7 + c0 take

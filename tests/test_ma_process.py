@@ -605,6 +605,66 @@ class TestTileStream:
         with pytest.raises(ParameterError, match="threads"):
             simulate_tiles(Geometric(0.5), 1, PARETO1, (0, 1), 10, 1, threads=0)
 
+    def test_lag_terms_over_the_budget_are_refused_before_the_stream(self, monkeypatch):
+        # Only nonzero coefficients count: psi = (1, 0, 0.5) sums 2 lags into
+        # each of 3 columns.
+        monkeypatch.setattr(ma, "block_generator", lambda *a: pytest.fail("block drawn"))
+        monkeypatch.setattr(ma, "MAX_LAG_TERMS", 6 * 100)
+        depth, tiles = simulate_tiles(ExplicitFinite([1.0, 0.0, 0.5]), 2, PARETO1, (0, 2), 100, 1)
+        assert depth == 2
+        tiles.close()
+        with pytest.raises(UnsupportedError, match=r"needs 606 lag terms \(101 replicates x 3 "
+                                                   r"columns x 2 nonzero lags\), above the budget of 600 "):
+            simulate_tiles(ExplicitFinite([1.0, 0.0, 0.5]), 2, PARETO1, (0, 2), 101, 1)
+
+
+def bench_lag_terms() -> dict[str, int]:
+    """The nonzero lag terms of each simulation the benchmark's workloads run
+    at their default seed, by config file: replicates x window columns x
+    nonzero lags, the window as the command takes it."""
+    import importlib.util
+    import tempfile
+    from pathlib import Path
+
+    from matails.cli import load_experiment
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    terms = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in workloads.WORKLOADS.values():
+            configs = workload.configs(root, 42)
+            for command in workload.commands:
+                argv = command.argv
+                if argv[0] not in ("simulate", "verify"):
+                    continue
+                name = argv[argv.index("--config") + 1]
+                path = Path(tmp) / name
+                path.write_text(configs[name])
+                exp = load_experiment(str(path), [])
+                lo = min(rect.min_index for _, rect in exp.rows) if exp.rows else None
+                hi = max(rect.max_index for _, rect in exp.rows) if exp.rows else None
+                if argv[0] == "simulate" and exp.window is not None:
+                    lo, hi = exp.window
+                psi = exp.coeffs.psi_array(ma.resolve_depth(exp.coeffs, exp.m, exp.trunc_eps))
+                terms[f"{workload.name}/{name}"] = exp.n * (hi - lo + 1) * int(np.count_nonzero(psi))
+    return terms
+
+
+def test_bench_simulations_stay_far_under_the_lag_budget():
+    # At least three orders of magnitude, so the budget refuses only runs
+    # far larger than any the benchmark times.
+    terms = bench_lag_terms()
+    assert set(terms) == {"verify-geo-inf/geo.ini", "simulate-roundtrip/roundtrip.ini",
+                          "verify-hidden/hidden.ini"}
+    assert all(1000 * count <= ma.MAX_LAG_TERMS for count in terms.values()), terms
+
 
 class TestTruncationDiagnostic:
     def test_empty_tail_is_exactly_zero(self):
