@@ -12,13 +12,15 @@ overridden on the command line with ``--set section.key=value``.  Every
 output carries a JSON echo of the resolved config (sidecar ``.meta.json``
 for CSV, inline for JSON), which is sufficient to reproduce the run
 byte for byte: outputs contain no timestamps and floats are written with
-full round-trip precision (the shortest repr digits).  The sample file
-that ``simulate`` writes and ``hill --sample`` reads, with its writer and
-reader, is :mod:`matails.sample_file`.
+full round-trip precision (the shortest repr digits).  A CSV sample from
+``simulate`` also gets an exact binary companion, ``<out>.npy``, which is
+what ``hill --sample`` reads: the CSV is an export that no command reads
+back.  The sample file's writer and reader are :mod:`matails.sample_file`.
 
-``simulate`` renders each simulation tile while the workers sum the next
-ones, so no command holds the replicate matrix, and CSV and JSON are both
-written a row block at a time; every check runs before a file is opened.
+``simulate`` renders and stores each simulation tile while the workers sum
+the next ones, so no command holds the replicate matrix, and CSV and JSON
+are both written a row block at a time; every check runs before a file is
+opened.
 
 This module imports only the standard library; each command imports the
 layers it runs.  ``example-config``, ``--help`` and usage errors load no
@@ -37,7 +39,7 @@ import json
 import math
 import os
 import sys
-from contextlib import closing
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -283,7 +285,7 @@ def cmd_simulate(exp: Experiment, threads: int) -> int:
     import numpy as np
 
     from .ma_process import simulate_tiles
-    from .sample_file import MAX_INDEX, _sample_slices, _sample_text, _Scratch
+    from .sample_file import MAX_INDEX, _companion, _sample_slices, _sample_text, _Scratch
 
     # [run] n replicates on [run] window, else the rows' span
     if exp.n is None:
@@ -304,20 +306,26 @@ def cmd_simulate(exp: Experiment, threads: int) -> int:
         raise ConfigError(f"alpha = {exp.model.alpha!r} and scale = {exp.model.scale!r} let sums "
                           f"over lag depth {depth} reach {bound!r}, within a factor 2 of overflow: "
                           f"use a larger alpha")
-    # Both generators are lazy and share the one tile stream; _write_output
-    # consumes one of them while the workers sum the next tiles; each slice
-    # reuses the vectors of the one before.
-    scratch = _Scratch()
-    cuts = _sample_slices(window[0], tiles, scratch)
-    rows = (row for cut in cuts for row in zip(*(a.tolist() for a in cut)))
-    body = (_sample_text(*cut, scratch) for cut in cuts)
     meta = _meta(exp, "simulate", {
         "seed": exp.seed,
         "truncation_order": depth,
         "window": list(window),
         "n": exp.n,
     })
-    with closing(tiles):  # a failed write stops the workers before the error leaves
+    with ExitStack() as stack:
+        stack.enter_context(closing(tiles))  # a failed write stops the workers before the error leaves
+        store = None
+        if exp.out_format == "csv" and exp.out_path is not None:
+            companion = stack.enter_context(open(f"{exp.out_path}.npy", "wb"))
+            store = _companion(companion, exp.n, window[1] - window[0] + 1)
+        # Both generators are lazy and share the one tile stream, which
+        # stores each tile in the companion; _write_output consumes one of
+        # them while the workers sum the next tiles; each slice reuses the
+        # vectors of the one before.
+        scratch = _Scratch()
+        cuts = _sample_slices(window[0], tiles, scratch, store)
+        rows = (row for cut in cuts for row in zip(*(a.tolist() for a in cut)))
+        body = (_sample_text(*cut, scratch) for cut in cuts)
         _write_output(exp, ("replicate_id", "index", "value"), rows, meta, body)
     return EXIT_OK
 
@@ -420,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("limits", help="evaluate the theoretical measures only"), threads=False)
     common(sub.add_parser("verify", help="empirical vs theoretical comparison table"))
     p_hill = sub.add_parser("hill", help="tail-index estimate from a simulate sample file")
-    p_hill.add_argument("--sample", required=True, help="CSV produced by the simulate command")
+    p_hill.add_argument("--sample", required=True,
+                        help="CSV path given to simulate --out; its .meta.json and .npy files are read")
     p_hill.add_argument("--k", type=int, required=True, help="number of top order statistics")
     p_hill.add_argument("--index", type=int, default=0, help="sequence index to estimate on")
     p_hill.add_argument("--out", help="JSON report path")

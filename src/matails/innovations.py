@@ -106,18 +106,33 @@ def block_generator(seed: int, block: int | None = None, offset: int = 0) -> np.
     discard ``offset % 4`` doubles.  The key Philox takes from the child is
     derived once per ``(seed, block)`` (:func:`_philox_key`).
     """
-    bits = np.random.Philox(key=_philox_key(seed, block), counter=offset // 4)
+    bits = np.random.Philox(_philox_key(seed, block), counter=offset // 4)
     bits.random_raw(offset % 4)
     return np.random.Generator(bits)
 
 
+class _KeyWords:
+    """A seed sequence that hands Philox words already derived.  Philox
+    given ``key=`` instead still builds a ``SeedSequence()`` from OS
+    entropy, which it then discards.  :func:`_philox_key` registers it as
+    an ``ISeedSequence`` when it first runs, so importing this module
+    leaves ``numpy.random`` unloaded."""
+
+    def __init__(self, words: np.ndarray):
+        words.setflags(write=False)  # one cached array serves every generator of its block
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return self.words  # Philox asks for its two 64-bit key words
+
+
 @functools.lru_cache(maxsize=256)
-def _philox_key(seed: int, block: int | None) -> int:
+def _philox_key(seed: int, block: int | None) -> _KeyWords:
     """The 128-bit key of ``Philox(SeedSequence(seed, spawn_key=(block,)))``,
     no spawn key for ``block=None``: its first two 64-bit state words."""
+    np.random.bit_generator.ISeedSequence.register(_KeyWords)
     sequence = np.random.SeedSequence(seed, spawn_key=() if block is None else (block,))
-    low, high = sequence.generate_state(2, np.uint64).tolist()
-    return low | high << 64
+    return _KeyWords(sequence.generate_state(2, np.uint64))
 
 
 def draw(model: TailModel, rng: np.random.Generator, shape, out=None) -> np.ndarray:

@@ -14,24 +14,18 @@ constraint, counts hits and walks all combinations, the conditional ones integra
 a time (on the shifted lattice, or on i.i.d. draws), the truncation
 reference scans depths one by one, the per-level table runs one
 independent scan, with its own simulation, per tail level, the sample
-text reference formats each CSV line with Python's ``%r``, the sample
-values reference matches each line with a regular expression and reads
-its fields with ``int`` and ``float``, and the Hill reference sorts the
-whole sample.  One
+text reference formats each CSV line with Python's ``%r``, and the Hill
+reference sorts the whole sample.  One
 helper is a seam, not an oracle: ``tuple_contribution`` reaches a single
 tuple through the library's own chunk functions.
 """
 
 import itertools
-import json
 import math
-import re
 
 import numpy as np
 
 from matails import WindowSeq, ZERO, hrv_scan, limit_measures
-from matails.cli import ConfigError
-from matails.ma_process import MAX_DRAWS
 from matails.innovations import ParetoFamily, TailModel, block_generator, draw
 
 
@@ -433,50 +427,3 @@ def sample_text_reference(ids, indices, values) -> str:
     round-trip repr that csv.writer writes for a float."""
     cells = zip(np.asarray(ids).tolist(), np.asarray(indices).tolist(), np.asarray(values).tolist())
     return ("%d,%d,%r\n" * len(values)) % tuple(itertools.chain.from_iterable(cells))
-
-
-# One sample-file line as the README states the grammar: "%d,%d,%r\n" for
-# ids and indices of at most 16 digits and any finite nonzero double.
-SAMPLE_ROW = re.compile(rb"""
-    (?P<id> [0-9]{1,16} ) , (?P<index> -?[0-9]{1,16} ) ,
-    (?P<value> -? (?: [0-9]{1,16} [.] [0-9]{1,20}                # below 1e16
-                    | [0-9] (?: [.] [0-9]{1,16} )? e [+-] [0-9]{2,3} ) )  # exponent form
-    \n""", re.X)
-
-
-def sample_values_reference(path, index):
-    """``hill --sample``'s vector of ``index`` read line by line: the sidecar's
-    checks, the header, then each line matched whole by ``SAMPLE_ROW``, its
-    fields read with ``int`` and ``float``."""
-    sidecar = f"{path}.meta.json"
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{sidecar}: unreadable sidecar ({exc})") from None
-    if not isinstance(meta, dict):
-        raise ConfigError(f"{sidecar}: not a JSON object ({type(meta).__name__})")
-    n, window = meta.get("n"), meta.get("window")
-    if type(n) is not int or n < 0:
-        raise ConfigError(f"{sidecar}: n must be a nonnegative integer, got {n!r}")
-    if n > MAX_DRAWS:
-        raise ConfigError(f"{sidecar}: {n} replicates exceed the {MAX_DRAWS} that simulate can write")
-    if not (type(window) is list and len(window) == 2
-            and all(type(w) is int for w in window) and window[0] <= window[1]):
-        raise ConfigError(f"{sidecar}: window must be [lo, hi] integers with lo <= hi, got {window!r}")
-    if not window[0] <= index <= window[1]:
-        raise ConfigError(f"{sidecar}: index {index} is outside the sample's window "
-                          f"{window[0]}:{window[1]}")
-    header = b"replicate_id,index,value\n"
-    if not data.startswith(header):
-        raise ConfigError(f"{path} is not a simulate output file")
-    values = np.zeros(n)
-    for line, text in enumerate(data[len(header):].splitlines(keepends=True), 2):
-        row = SAMPLE_ROW.fullmatch(text)
-        if row is None:
-            raise ConfigError(f"{path}, line {line}: not a row as simulate writes it: {text[:80]!r}")
-        if int(row["index"]) == index and int(row["id"]) < n:
-            values[int(row["id"])] = float(row["value"])
-    return values

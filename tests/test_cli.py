@@ -1,6 +1,5 @@
 import argparse
 import csv
-import decimal
 import io
 import json
 import math
@@ -15,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import matails.cli
 import matails.ma_process as ma
@@ -23,10 +22,10 @@ import matails.sample_file
 from matails import (ExplicitFinite, TailModel, block_generator, draw, estimation, hill, limit_measures,
                      simulate)
 from matails.ma_process import MAX_DEPTH, MAX_DRAWS, MAX_LAG_TERMS, SimulationBatch
-from matails.cli import ConfigError, _write_output, build_parser, load_experiment, main
+from matails.cli import _write_output, build_parser, load_experiment, main
 from matails.sample_file import (_sample_slices, _sample_text, _shortest_digits,
                                  _values_from_sample_file)
-from oracles import sample_text_reference, sample_values_reference
+from oracles import sample_text_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,20 +68,29 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-# ROW_SLICE values for the sample-file tests: 1, 2 and 7 lines per block
-# put block boundaries inside short files; the default holds them whole.
+# ROW_SLICE values for the sample-file tests: 1, 2 and 7 cells per slice
+# cut tiles into single rows or a few; the default holds them whole.
 SAMPLE_BLOCKS = [1, 2, 7, matails.sample_file.ROW_SLICE]
 
 
-# The sidecar simulate writes for 3 replicates on the window 0:2, as far as the reader reads it.
+# The sidecar simulate writes for 3 replicates on the window 0:2, as far as hill reads it.
 SIDECAR = {"n": 3, "window": [0, 2]}
 
 
-def write_sample(tmp_path, body, meta=None):
-    """A simulate-style sample file, with the JSON sidecar ``meta`` when given
-    (bytes are written as they are)."""
+def one_column(*values):
+    """The 3 x 3 sample matrix whose index 0 holds ``values``, the rest 0."""
+    return np.array([[v, 0.0, 0.0] for v in values])
+
+
+WELL_FORMED = one_column(2.0, 3.0, 4.0)
+
+
+def write_sample(tmp_path, matrix, meta=SIDECAR):
+    """A simulate-style sample at ``sample.csv``: the companion of ``matrix``
+    and, unless ``meta`` is None, the JSON sidecar ``meta`` (bytes are
+    written as they are).  No CSV is written, as hill does not read it."""
     path = tmp_path / "sample.csv"
-    path.write_text("replicate_id,index,value\n" + body)
+    np.save(f"{path}.npy", np.asfortranarray(matrix))
     sidecar = tmp_path / "sample.csv.meta.json"
     if isinstance(meta, bytes):
         sidecar.write_bytes(meta)
@@ -119,7 +127,8 @@ class TestSimulateCommand:
                              (lo, lo + 1), 50, 42)
             for c in range(2):
                 assert np.array_equal(_values_from_sample_file(str(path), lo + c), batch.matrix[:, c])
-                assert np.array_equal(sample_values_reference(str(path), lo + c), batch.matrix[:, c])
+            cells = [(r, lo + c, v) for r, row in enumerate(batch.matrix.tolist()) for c, v in enumerate(row) if v]
+            assert path.read_text() == "replicate_id,index,value\n" + sample_text_reference(*zip(*cells))
 
     def test_writes_one_row_per_nonzero_value(self, tmp_path):
         cfg = tmp_path / "c.ini"
@@ -169,6 +178,15 @@ class TestSimulateCommand:
         assert doc["columns"] == ["replicate_id", "index", "value"]
         assert doc["meta"]["command"] == "simulate"
         assert all(len(r) == 3 for r in doc["rows"])
+
+    def test_json_output_has_no_companion_and_hill_refuses_it(self, tmp_path, config_path, capsys):
+        # Only a CSV sample has the sidecar and the companion that hill reads.
+        out = tmp_path / "s.json"
+        assert main(["simulate", "--config", config_path, "--out", str(out), "--format", "json"]) == 0
+        assert [p.name for p in tmp_path.glob("s.json*")] == ["s.json"]
+        capsys.readouterr()
+        assert main(["hill", "--sample", str(out), "--k", "10"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out}.meta.json: unreadable sidecar (")
 
     def test_thread_flag_does_not_change_bytes(self, tmp_path, config_path):
         out_a, out_b = tmp_path / "t1.csv", tmp_path / "t4.csv"
@@ -240,7 +258,7 @@ class TestSimulateCommand:
         assert main([*argv, "--set", "tail.alpha=0.01"]) == 2
         err = capsys.readouterr().err
         assert all(part in err for part in ("alpha = 0.01", "scale = 1.0", "lag depth 1", "reach inf"))
-        assert not out.exists() and not (tmp_path / f"s.{fmt}.meta.json").exists()
+        assert not any(tmp_path.glob(f"s.{fmt}*"))
         assert main([*argv, "--set", "tail.alpha=0.06"]) == 0
         if fmt == "csv":
             assert main(["hill", "--sample", str(out), "--k", "100"]) == 0
@@ -529,26 +547,22 @@ class TestHillCommand:
 
     def test_tied_top_values_exit_2(self, tmp_path, capsys):
         # Three equal cells: the log spacings sum to 0, an error, not a traceback.
-        path = write_sample(tmp_path, "0,0,1.5\n1,0,1.5\n2,0,1.5\n", SIDECAR)
+        path = write_sample(tmp_path, one_column(1.5, 1.5, 1.5))
         assert main(["hill", "--sample", path, "--k", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: hill's log spacings sum to 0")
 
     def test_order_count_not_below_n_exits_2(self, tmp_path, capsys):
-        path = write_sample(tmp_path, WELL_FORMED_BODY, SIDECAR)
+        path = write_sample(tmp_path, WELL_FORMED)
         assert main(["hill", "--sample", path, "--k", "3"]) == 2
         assert "2 <= k < n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("index", [-1, 3])
     def test_index_outside_the_sample_window_exits_2_before_reading(
-            self, tmp_path, config_path, capsys, monkeypatch, index):
+            self, tmp_path, config_path, capsys, index):
         samples = tmp_path / "s.csv"
         assert main(["simulate", "--config", config_path, "--out", str(samples)]) == 0
-
-        def no_reading(*args):
-            raise AssertionError("read the sample body")
-
-        monkeypatch.setattr(matails.sample_file, "_sample_blocks", no_reading)
+        Path(f"{samples}.npy").unlink()  # opening the companion would name it
         assert main(["hill", "--sample", str(samples), "--k", "10", "--index", str(index)]) == 2
         err = capsys.readouterr().err
         assert f"index {index} is outside the sample's window 0:2" in err
@@ -556,266 +570,185 @@ class TestHillCommand:
 
     @pytest.mark.parametrize("row_slice", SAMPLE_BLOCKS)
     def test_sample_file_is_bitwise_round_trip(self, tmp_path, config_path, monkeypatch, row_slice):
-        # 4 lines per replicate: the tiny block sizes read 150 * row_slice
-        # replicates in 600 to 935 blocks each (3000 took 11 s at 1 line a
-        # block), the default 3000 in one block.
+        # 150 replicates in tiles of 64 (64, 64, 22): the companion's bytes are
+        # np.save's of the Fortran-ordered matrix at every row slice and
+        # thread count, and hill reads each column of it bit for bit.
         monkeypatch.setattr(matails.sample_file, "ROW_SLICE", row_slice)
-        n = min(3000, 150 * row_slice)
-        out = tmp_path / "s.csv"
-        assert main([
-            "simulate", "--config", config_path, "--out", str(out),
-            "--set", f"run.n={n}", "--set", "tail.family=shifted_pareto",
-            "--set", "coefficients.values=1, 0.3, 0.7", "--set", "coefficients.m=2",
-            "--set", "run.window=-2:1",
-        ]) == 0
+        monkeypatch.setattr(ma, "TILE_ROWS", 64)
+        argv = ["simulate", "--config", config_path, "--set", "run.n=150", "--set", "tail.family=shifted_pareto",
+                "--set", "coefficients.values=1, 0.3, 0.7", "--set", "coefficients.m=2",
+                "--set", "run.window=-2:1"]
         batch = simulate(
-            ExplicitFinite([1.0, 0.3, 0.7]), 2, TailModel.shifted_pareto(1.0), (-2, 1), n, 42
+            ExplicitFinite([1.0, 0.3, 0.7]), 2, TailModel.shifted_pareto(1.0), (-2, 1), 150, 42
         )
+        expected = io.BytesIO()
+        np.save(expected, np.asfortranarray(batch.matrix))
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}.csv"
+            assert main([*argv, "--out", str(out), "--threads", str(threads)]) == 0
+            assert Path(f"{out}.npy").read_bytes() == expected.getvalue()
         for c in range(batch.matrix.shape[1]):
-            assert np.array_equal(_values_from_sample_file(str(out), batch.lo + c),
-                                  batch.matrix[:, c])
+            got = _values_from_sample_file(str(out), batch.lo + c)
+            assert got.view(np.uint64).tolist() == batch.matrix[:, c].view(np.uint64).tolist()
+
+    def test_report_reads_only_the_sidecar_and_the_companion(self, tmp_path, config_path):
+        # The CSV is an export: with it deleted hill writes the same report.
+        samples = tmp_path / "s.csv"
+        assert main(["simulate", "--config", config_path, "--out", str(samples)]) == 0
+        argv = ["hill", "--sample", str(samples), "--k", "100", "--index", "1"]
+        assert main([*argv, "--out", str(tmp_path / "with.json")]) == 0
+        samples.unlink()
+        assert main([*argv, "--out", str(tmp_path / "without.json")]) == 0
+        assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
 
     @pytest.mark.parametrize("row_slice", SAMPLE_BLOCKS)
-    def test_sample_reader_semantics(self, tmp_path, monkeypatch, row_slice):
-        # Data lines 2-9.  The (1, 1) repeat on lines 6-8 crosses a block
-        # boundary at the smallest block sizes.
+    def test_csv_export_holds_the_companions_doubles(self, tmp_path, config_path, monkeypatch, row_slice):
+        # The export and the companion agree: every CSV line is a nonzero cell
+        # of the companion, bit for bit, and every nonzero cell has its line.
         monkeypatch.setattr(matails.sample_file, "ROW_SLICE", row_slice)
-        body = ("0,0,1.5\n3,0,7.0\n2,1,4.0\n2,0,2.0\n"
-                "1,1,0.25\n1,1,0.5\n1,1,0.75\n2,0,2.5\n")
-        path = write_sample(tmp_path, body, SIDECAR)
-        # ids from n on are ignored, absent cells read 0.0, the last repeat wins
-        assert _values_from_sample_file(path, 0).tolist() == [1.5, 0.0, 2.5]
-        assert _values_from_sample_file(path, 1).tolist() == [0.0, 0.75, 4.0]
-        assert _values_from_sample_file(path, 2).tolist() == [0.0, 0.0, 0.0]
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--config", config_path, "--out", str(out), "--set", "run.n=200",
+                     "--set", "run.window=-1:2"]) == 0
+        matrix = np.load(f"{out}.npy")
+        assert matrix.shape == (200, 4) and matrix.flags.f_contiguous
+        header, *lines = read_csv(out)
+        assert header == ["replicate_id", "index", "value"]
+        exported = np.zeros_like(matrix)
+        for rid, index, value in lines:
+            exported[int(rid), int(index) + 1] = float(value)
+        assert len(lines) == np.count_nonzero(matrix)
+        assert exported.view(np.uint64).tolist() == matrix.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("window", [(0, 0), (-3, -1), (5, 8), (-1, 1)])
+    def test_each_index_reads_its_column_of_the_companion(self, tmp_path, window):
+        # Column index - lo, bit for bit: signed zeros, subnormals and the
+        # extremes included, whatever the window's offset.
+        lo, hi = window
+        specials = [-0.0, 5e-324, -1.7976931348623157e308, 2.5, 0.0, 1e-300, -7.25]
+        matrix = np.array([np.roll(specials, c) for c in range(hi - lo + 1)]).T  # each column its own
+        path = tmp_path / "sample.csv"
+        np.save(f"{path}.npy", np.asfortranarray(matrix))
+        (tmp_path / "sample.csv.meta.json").write_text(json.dumps({"n": len(specials), "window": [lo, hi]}))
+        for c in range(hi - lo + 1):
+            got = _values_from_sample_file(str(path), lo + c)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.view(np.uint64).tolist() == matrix[:, c].view(np.uint64).tolist()
 
 
-# Malformed sample files: (body, sidecar document or None for no sidecar,
-# what the message names: the file line number of a bad row, "sidecar" for
-# the sidecar's path, None for neither).  A header-only body is well formed
-# but holds no positive value to estimate on.
-WELL_FORMED_BODY = "0,0,2.0\n1,0,3.0\n2,0,4.0\n"
+@pytest.mark.parametrize("shape", [(0, 1), (0, 3), (1, 1), (1, 4), (5, 1), (3, 3), (2, 5), (7, 2)])
+def test_stored_tiles_write_np_saves_bytes(tmp_path, shape):
+    # One row or one column is C-contiguous too, and np.save marks it C
+    # order: the companion's header follows at every edge shape, with tiles
+    # of 2 rows stored out of order.
+    n, width = shape
+    matrix = np.arange(1.0, 1.0 + n * width).reshape(n, width)
+    path = tmp_path / "c.npy"
+    with open(path, "wb") as fh:
+        store = matails.sample_file._companion(fh, n, width)
+        for start in reversed(range(0, n, 2)):
+            store(start, matrix[start:start + 2].T.copy())
+    expected = io.BytesIO()
+    np.save(expected, np.asfortranarray(matrix))
+    assert path.read_bytes() == expected.getvalue()
+
+
+# Malformed sidecars: (companion matrix, sidecar document or None for no
+# sidecar, what the message names: "sidecar" for the sidecar's path, None
+# for no path).  An all-zero sample is well formed but holds no positive
+# value to estimate on.
 MALFORMED_SAMPLES = {
-    "short-row": ("1,0\n", SIDECAR, 2),
-    "short-later-row": ("0,0,2.0\n1,0\n", SIDECAR, 3),
-    "non-integer-id": ("1.5,0,3.0\n", SIDECAR, 2),
-    "non-integer-index": ("1,0.5,3.0\n", SIDECAR, 2),
-    "integer-value": ("1,0,3\n", SIDECAR, 2),
-    "non-numeric-value": ("1,0,abc\n", SIDECAR, 2),
-    "nan-id": ("nan,0,3.0\n", SIDECAR, 2),
-    "nan-value": ("0,0,2.0\n1,0,nan\n", SIDECAR, 3),
-    "inf-value": ("1,0,inf\n", SIDECAR, 2),
-    "negative-id": ("0,0,2.0\n-1,0,3.0\n", SIDECAR, 3),
-    "space": ("0,0, 2.0\n", SIDECAR, 2),
-    "crlf": ("0,0,2.0\r\n1,0,3.0\r\n", SIDECAR, 2),
-    "blank-line": ("0,0,2.0\n\n1,0,3.0\n", SIDECAR, 3),
-    "no-final-newline": ("0,0,2.0\n1,0,3.0", SIDECAR, 3),
-    "header-only": ("", SIDECAR, None),
-    "missing-sidecar": (WELL_FORMED_BODY, None, "sidecar"),
-    "sidecar-n-null": (WELL_FORMED_BODY, {"n": None, "window": [0, 2]}, "sidecar"),
-    "sidecar-n-missing": (WELL_FORMED_BODY, {"window": [0, 2]}, "sidecar"),
-    "sidecar-n-string": (WELL_FORMED_BODY, {"n": "abc"}, "sidecar"),
-    "sidecar-n-float": (WELL_FORMED_BODY, {"n": 2.5}, "sidecar"),
-    "sidecar-n-bool": (WELL_FORMED_BODY, {"n": True}, "sidecar"),
-    "sidecar-n-negative": (WELL_FORMED_BODY, {"n": -3}, "sidecar"),
-    "sidecar-list": (WELL_FORMED_BODY, [1], "sidecar"),
-    "sidecar-string": (WELL_FORMED_BODY, "x", "sidecar"),
-    "sidecar-not-json": (WELL_FORMED_BODY, b"{", "sidecar"),
-    "sidecar-n-over-limit": (WELL_FORMED_BODY, {"n": 10**12}, "sidecar"),
-    "sidecar-window-missing": (WELL_FORMED_BODY, {"n": 3}, "sidecar"),
-    "sidecar-window-string": (WELL_FORMED_BODY, {"n": 3, "window": "0:1"}, "sidecar"),
-    "sidecar-window-short": (WELL_FORMED_BODY, {"n": 3, "window": [0]}, "sidecar"),
-    "sidecar-window-float": (WELL_FORMED_BODY, {"n": 3, "window": [0, 1.5]}, "sidecar"),
-    "sidecar-window-bool": (WELL_FORMED_BODY, {"n": 3, "window": [False, True]}, "sidecar"),
-    "sidecar-window-empty": (WELL_FORMED_BODY, {"n": 3, "window": [1, 0]}, "sidecar"),
-    "index-outside-sidecar-window": (WELL_FORMED_BODY, {"n": 3, "window": [1, 2]}, "sidecar"),
+    "all-zero": (np.zeros((3, 3)), SIDECAR, None),
+    "missing-sidecar": (WELL_FORMED, None, "sidecar"),
+    "sidecar-n-null": (WELL_FORMED, {"n": None, "window": [0, 2]}, "sidecar"),
+    "sidecar-n-missing": (WELL_FORMED, {"window": [0, 2]}, "sidecar"),
+    "sidecar-n-string": (WELL_FORMED, {"n": "abc"}, "sidecar"),
+    "sidecar-n-float": (WELL_FORMED, {"n": 2.5}, "sidecar"),
+    "sidecar-n-bool": (WELL_FORMED, {"n": True}, "sidecar"),
+    "sidecar-n-negative": (WELL_FORMED, {"n": -3}, "sidecar"),
+    "sidecar-list": (WELL_FORMED, [1], "sidecar"),
+    "sidecar-string": (WELL_FORMED, "x", "sidecar"),
+    "sidecar-not-json": (WELL_FORMED, b"{", "sidecar"),
+    "sidecar-n-over-limit": (WELL_FORMED, {"n": 10**12}, "sidecar"),
+    "sidecar-window-missing": (WELL_FORMED, {"n": 3}, "sidecar"),
+    "sidecar-window-string": (WELL_FORMED, {"n": 3, "window": "0:1"}, "sidecar"),
+    "sidecar-window-short": (WELL_FORMED, {"n": 3, "window": [0]}, "sidecar"),
+    "sidecar-window-float": (WELL_FORMED, {"n": 3, "window": [0, 1.5]}, "sidecar"),
+    "sidecar-window-bool": (WELL_FORMED, {"n": 3, "window": [False, True]}, "sidecar"),
+    "sidecar-window-empty": (WELL_FORMED, {"n": 3, "window": [1, 0]}, "sidecar"),
+    "index-outside-sidecar-window": (WELL_FORMED, {"n": 3, "window": [1, 2]}, "sidecar"),
 }
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(MALFORMED_SAMPLES))
 def test_malformed_sample_file_exits_2(tmp_path, capsys, case):
-    body, meta, names = MALFORMED_SAMPLES[case]
-    path = write_sample(tmp_path, body, meta)
+    matrix, meta, names = MALFORMED_SAMPLES[case]
+    path = write_sample(tmp_path, matrix, meta)
     assert main(["hill", "--sample", path, "--k", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert (path in err) == (names is not None)
     if names == "sidecar":
         assert err.startswith(f"error: {path}.meta.json: ")
-    elif names is not None:
-        assert err.startswith(f"error: {path}, line {names}: not a row as simulate writes it: ")
+
+
+def saved(matrix, **kwargs) -> bytes:
+    """``np.save``'s bytes of ``matrix`` (``format.write_array`` with ``kwargs``)."""
+    fh = io.BytesIO()
+    np.lib.format.write_array(fh, np.asanyarray(matrix), **kwargs)
+    return fh.getvalue()
+
+
+# Companions that do not hold the 3 x 3 matrix of SIDECAR as simulate writes
+# it (None: no companion), each refused before its body is read.
+GOOD_COMPANION = saved(np.asfortranarray(WELL_FORMED))
+BODY = GOOD_COMPANION.index(b"\n") + 1  # where the header ends
+MALFORMED_COMPANIONS = {
+    "missing": None,
+    "empty": b"",
+    "truncated": GOOD_COMPANION[:-8],
+    "trailing-bytes": GOOD_COMPANION + bytes(8),
+    "wrong-shape": saved(np.asfortranarray(np.ones((4, 3)))),
+    "window-width-mismatch": saved(np.asfortranarray(np.ones((3, 2)))),
+    "wrong-dtype": saved(np.asfortranarray(WELL_FORMED, dtype=np.float32)),
+    "big-endian": saved(np.asfortranarray(WELL_FORMED, dtype=">f8")),
+    "c-order": saved(np.ascontiguousarray(WELL_FORMED)),
+    "format-2.0": saved(np.asfortranarray(WELL_FORMED), version=(2, 0)),
+    "garbage-header": GOOD_COMPANION[:10] + b"{'descr': <f8".ljust(BODY - 11) + b"\n" + GOOD_COMPANION[BODY:],
+    "not-npy": b"replicate_id,index,value\n0,0,2.0\n1,0,3.0\n2,0,4.0\n",
+    "header-only": GOOD_COMPANION[:BODY],
+    "short-header": GOOD_COMPANION[:5],
+    "wrong-magic": b"\x93NUMPZ" + GOOD_COMPANION[6:],
+    "format-3.0": saved(np.asfortranarray(WELL_FORMED), version=(3, 0)),
+    "int64-dtype": saved(np.asfortranarray(WELL_FORMED, dtype="<i8")),
+    "complex-dtype": saved(np.asfortranarray(WELL_FORMED, dtype="<c16")),
+    "one-dimensional": saved(WELL_FORMED.T.ravel()),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(MALFORMED_COMPANIONS))
+def test_malformed_companion_exits_2(tmp_path, capsys, case):
+    path = write_sample(tmp_path, WELL_FORMED)
+    companion = Path(f"{path}.npy")
+    if MALFORMED_COMPANIONS[case] is None:
+        companion.unlink()
+    else:
+        companion.write_bytes(MALFORMED_COMPANIONS[case])
+    assert main(["hill", "--sample", path, "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {companion}: unreadable companion (")
+    assert err.endswith("; re-run simulate to write the sample with it\n")
 
 
 def test_sample_over_the_replicate_limit_exits_2_within_a_second(tmp_path, capsys):
     # The sidecar's n is refused before the vector is allocated.
-    path = write_sample(tmp_path, WELL_FORMED_BODY, {"n": 10**12, "window": [0, 2]})
+    path = write_sample(tmp_path, WELL_FORMED, {"n": 10**12, "window": [0, 2]})
     start = time.perf_counter()
     assert main(["hill", "--sample", path, "--k", "2"]) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert path in err and f" {10**12} replicates" in err and str(MAX_DRAWS) in err
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad_row", ["1,0", "1,0,abc", "1.5,0,3", "1,0,3.0\r"])
-def test_malformed_row_message_names_its_file_line(tmp_path, capsys, monkeypatch, bad_row):
-    # Blocks of about two data lines: line 6 is the first line of the third block.
-    monkeypatch.setattr(matails.sample_file, "ROW_SLICE", 2)
-    path = write_sample(tmp_path, WELL_FORMED_BODY + "3,0,5.0\n" + bad_row + "\n4,0,6.0\n",
-                        {"n": 5, "window": [0, 0]})
-    assert main(["hill", "--sample", path, "--k", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {path}, line 6: not a row as simulate writes it: {(bad_row + chr(10)).encode()!r}\n"
-
-
-def near_tie(x, digits):
-    """``digits`` significant digits nearest the midpoint of ``x`` and the
-    next double up, in plain notation: a decimal a hair off a rounding tie."""
-    with decimal.localcontext(decimal.Context(prec=60)):
-        mid = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
-        text = format(mid.quantize(decimal.Decimal(1).scaleb(mid.adjusted() - digits + 1)), "f")
-    return text if "." in text else text + ".0"
-
-
-def digit_runs(fewest, most):
-    return st.text("0123456789", min_size=fewest, max_size=most)
-
-
-signs = st.sampled_from(["", "-"])
-# Values in the grammar: the writer's repr, 16- and 17-digit near-ties, free
-# digit runs up to the widest plain and exponent forms, signed zeros and
-# powers of two.
-grammar_values = st.one_of(
-    finite_nonzero.map(repr),
-    st.builds(near_tie, st.floats(1e-3, 1e8), st.sampled_from([16, 17])),
-    st.builds("{}{}.{}".format, signs, digit_runs(1, 16), digit_runs(1, 20)),
-    st.builds("{}{}{}e{}{}".format, signs, digit_runs(1, 1), st.just("") | digit_runs(1, 16).map(".{}".format),
-              st.sampled_from("+-"), digit_runs(2, 3)),
-    st.sampled_from(["-0.0", "0.0", "2.0", "0.5", "1024.0", "1.9999999999999999",
-                     "0.9999999999999999", "-1.0000000000000002", "99999999.99999999"]),
-)
-grammar_ids = st.integers(0, 40).map(str) | st.sampled_from(["00", "007"]) | digit_runs(9, 16)
-grammar_indices = st.sampled_from(["0", "-1", "1", "-0", "00", "-01"]) | st.builds("{}{}".format, signs, digit_runs(9, 16))
-# Values, ids and indices just outside it, and lines it refuses whole.
-off_values = st.one_of(
-    st.builds("{}.{}".format, digit_runs(17, 18), digit_runs(1, 3)),
-    st.builds("{}.{}".format, digit_runs(1, 3), digit_runs(21, 22)),
-    st.builds("{}.{}e{}{}".format, digit_runs(1, 1), digit_runs(17, 18), st.sampled_from("+-"), digit_runs(2, 3)),
-    st.sampled_from(["1e5", "1e+5", "1e+0005", "1.e+05", "12e+05", "1.5E+05", "1.5e05", "1e+-05", "+1.5",
-                     " 1.5", "1.5 ", ".5", "5.", "-0", "7", "inf", "-inf", "nan", "1_0.5", "--1.5", "1.5.5",
-                     "1e+05.5", "1e+05e+05", "0x1p3", "١.5", "1.5\r", "1.5\x00"]),
-)
-off_lines = st.one_of(
-    st.tuples(grammar_ids, grammar_indices, off_values).map(",".join),
-    st.tuples(digit_runs(17, 18) | st.sampled_from(["-1", "+1", "1.0", "", "1e+05"]), grammar_indices,
-              grammar_values).map(",".join),
-    st.tuples(grammar_ids, digit_runs(17, 18) | st.sampled_from(["+1", "--1", "", "1.0", "-"]),
-              grammar_values).map(",".join),
-    st.sampled_from(["", "1,0", "1,,2.0", ",0,1.5", "2,0,4.5,7", "# note", "1,0,2.0,", "1,0,2.0,\r"]),
-)
-
-
-@st.composite
-def sample_bodies(pick):
-    """A sample-file body: the writer's lines and other lines in the grammar,
-    then perhaps one line outside it at a random place, a line ending other
-    than "\\n", or no final newline."""
-    cells = pick(st.lists(st.tuples(st.integers(0, 40), st.sampled_from([-1, 0, 1]), finite_nonzero),
-                          max_size=12))
-    written = _sample_text(*(np.array(c) for c in zip(*cells))).decode() if cells else ""
-    lines = pick(st.lists(st.tuples(grammar_ids, grammar_indices, grammar_values).map(",".join),
-                          max_size=16))
-    lines = [line + "\n" for line in lines]
-    lines.insert(pick(st.sampled_from([0, len(lines)])), written)
-    flaw = pick(st.sampled_from(["none", "line", "ending", "end"]))
-    if flaw == "line":
-        lines.insert(pick(st.integers(0, len(lines))), pick(off_lines) + "\n")
-    elif flaw == "ending" and len(lines) > 1:
-        at = pick(st.integers(1, len(lines) - 1))
-        lines[at] = lines[at][:-1] + pick(st.sampled_from(["\r\n", "\r", "\n\n"]))
-    body = "".join(lines)
-    return body.rstrip("\n") if flaw == "end" else body
-
-
-def read_outcome(reader, path, index):
-    """The reader's vector, or its ConfigError message."""
-    try:
-        return reader(path, index)
-    except ConfigError as exc:
-        return str(exc)
-
-
-class TestSampleReader:
-    @pytest.mark.parametrize("row_slice", SAMPLE_BLOCKS)
-    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(n=st.sampled_from([0, 5, 50]), body=sample_bodies(), index=st.sampled_from([0, -1, 1]))
-    def test_reads_what_the_grammar_reference_reads(self, tmp_path, monkeypatch, row_slice, n, body, index):
-        # Bit for bit the same vector, or the same message, at every block size.
-        monkeypatch.setattr(matails.sample_file, "ROW_SLICE", row_slice)
-        path = write_sample(tmp_path, body, {"n": n, "window": [-1, 1]})
-        got = read_outcome(_values_from_sample_file, path, index)
-        want = read_outcome(sample_values_reference, path, index)
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert got.dtype == want.dtype and got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-
-    @pytest.mark.parametrize("row_slice", [1, 7, matails.sample_file.ROW_SLICE])
-    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(values=st.lists(finite_nonzero, min_size=1, max_size=40), index=st.integers(-(10**15), 10**15))
-    def test_written_doubles_read_back_bit_for_bit(self, tmp_path, monkeypatch, row_slice, values, index):
-        # Any finite nonzero doubles, in the writer's bytes and with its sidecar.
-        monkeypatch.setattr(matails.sample_file, "ROW_SLICE", row_slice)
-        values = np.array(values)
-        text = _sample_text(np.arange(len(values)), np.full(len(values), index), values)
-        path = write_sample(tmp_path, text.decode(), {"n": len(values), "window": [index, index]})
-        assert _values_from_sample_file(path, index).view(np.uint64).tolist() == values.view(np.uint64).tolist()
-
-    @pytest.mark.parametrize("row_slice", SAMPLE_BLOCKS)
-    def test_pinned_lines_read_what_the_reference_reads(self, tmp_path, monkeypatch, row_slice):
-        monkeypatch.setattr(matails.sample_file, "ROW_SLICE", row_slice)
-        values = ["-0.0", "0.0", "2.0", "0.5", "1024.0", "1.9999999999999999", "1.0000000000000002",
-                  "0.9999999999999999", near_tie(1.1, 16), near_tie(12345.678, 17),
-                  near_tie(0.3, 17), repr(9e-05), repr(1e15), repr(2.5e16), "12345678.123456789",
-                  "0.0000000000000001", "99999999.99999999", "0.1234567890123456789",
-                  "1234567890123456.0", "0.00012345678901234567", "5e-324", "-1.7976931348623157e+308",
-                  "2.2250738585072014e-308", "1e+16", "-1.5e-05", "123456789.5", "00000001.5"]
-        lines = [f"{i},{-1 if i % 3 else 0},{v}" for i, v in enumerate(values)]
-        lines += ["123456789,0,3.5", "4,-0,-7.25", "5,0,-1024.0", "6,-00,1.5"]
-        path = write_sample(tmp_path, "\n".join(lines) + "\n", {"n": 30, "window": [-1, 0]})
-        for index in (0, -1):
-            got = _values_from_sample_file(path, index)
-            want = sample_values_reference(path, index)
-            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-            assert np.count_nonzero(got) > 5
-
-    def test_ids_and_indices_of_16_digits(self):
-        # Ids below MAX_DRAWS take up to 10 digits; the grammar reads 16.
-        block = b"9999999999,1234567890123456,2.5\n7,1234567890123456,-1.5\n12345678,-1,3.0\n"
-        lines, ids, values = matails.sample_file._rows(block, 1234567890123456, MAX_DRAWS)
-        assert lines == 3 and ids.tolist() == [9999999999, 7] and values.tolist() == [2.5, -1.5]
-        lines, ids, values = matails.sample_file._rows(block, -1, 10**8)
-        assert ids.tolist() == [12345678] and values.tolist() == [3.0]
-
-    def test_fast_path_reads_the_demo_sample(self, tmp_path, monkeypatch):
-        # A reader that sends values to float() reads the same vector at its
-        # speed: on demo samples at least 99% of kept values must be proven.
-        demo = str(ROOT / "demos" / "experiment.ini")
-        path = str(tmp_path / "s.csv")
-        assert main(["simulate", "--config", demo, "--set", "run.n=20000", "--out", path]) == 0
-        proven, quotients = [], matails.sample_file._quotients
-
-        def spy(mant, digits):
-            values, ok = quotients(mant, digits)
-            proven.append(ok)
-            return values, ok
-
-        monkeypatch.setattr(matails.sample_file, "_quotients", spy)
-        values = _values_from_sample_file(path, 0)
-        assert len(proven) > 1
-        assert np.count_nonzero(values) == sum(map(len, proven)) == 20000
-        assert np.concatenate(proven).mean() >= 0.99
-        assert values.view(np.uint64).tolist() == sample_values_reference(path, 0).view(np.uint64).tolist()
 
 
 GEOMETRIC_INFINITE = [
@@ -1045,7 +978,7 @@ class TestParser:
                                       ("--threads", "1")])
     def test_hill_reads_no_config(self, tmp_path, capsys, flag):
         # hill has one source, the sample file: the config's flags are not its own.
-        path = write_sample(tmp_path, "0,0,1.5\n1,0,2.5\n2,0,3.5\n", SIDECAR)
+        path = write_sample(tmp_path, one_column(1.5, 2.5, 3.5))
         assert main(["hill", "--sample", path, "--k", "2"]) == 0
         capsys.readouterr()
         with pytest.raises(SystemExit) as exit_:
@@ -1181,6 +1114,15 @@ def test_limits_loads_no_sample_file_or_thread_pool(config_path, tmp_path):
     statement = f"from matails.cli import main; assert main({argv!r}) == 0"
     watch = ["numpy", "matails.sample_file", "concurrent.futures"]
     assert modules_after(statement, watch) == ["numpy"]
+
+
+def test_layers_load_numpy_random_at_the_first_draw():
+    # Importing a layer leaves numpy.random unloaded (about 6 MB): the
+    # seed-sequence type of block_generator is registered when it first runs.
+    statement = "import matails.innovations, matails.ma_process, matails.limit_measures, matails.estimation"
+    assert modules_after(statement, ["numpy", "numpy.random"]) == ["numpy"]
+    draw = "from matails import block_generator; block_generator(1, 2, 3)"
+    assert modules_after(draw, ["numpy.random"]) == ["numpy.random"]
 
 
 def test_hill_loads_only_the_sample_codec(tmp_path):

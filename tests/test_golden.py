@@ -8,12 +8,15 @@ up here as a changed hash.
 """
 
 import hashlib
+import io
 import textwrap
 
+import numpy as np
 import pytest
 
 import matails.ma_process as ma
-from matails.cli import main
+from matails import simulate
+from matails.cli import load_experiment, main
 
 SIMULATE_CONFIG = textwrap.dedent(
     """\
@@ -230,10 +233,27 @@ CASES = {
 }
 
 
+def companion_hash(tmp_path, config) -> str:
+    """sha256 of ``np.save`` of the library's Fortran-ordered replicate matrix
+    for ``config``: the bytes ``simulate`` writes as a CSV's companion."""
+    cfg = tmp_path / "library.ini"
+    cfg.write_text(config)
+    exp = load_experiment(str(cfg), [])
+    batch = simulate(exp.coeffs, exp.m, exp.model, exp.window, exp.n, exp.seed, exp.trunc_eps)
+    saved = io.BytesIO()
+    np.save(saved, np.asfortranarray(batch.matrix))
+    return hashlib.sha256(saved.getvalue()).hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_hash(tmp_path, case):
+    # A CSV sample's companion "out.npy" is pinned to the library, not to a
+    # recorded hash.
     config, argv = CASES[case]
-    assert run_and_hash(tmp_path, config, argv) == GOLDEN[case]
+    got = run_and_hash(tmp_path, config, argv)
+    if argv == ["simulate"]:
+        assert got.pop("out.npy") == companion_hash(tmp_path, config)
+    assert got == GOLDEN[case]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -162,8 +162,10 @@ class TestSeekRule:
         # Philox(SeedSequence(seed, spawn_key=(b,))) advanced offset // 4
         # steps, offset % 4 discarded: at every offset % 4, past 2^32 counter
         # steps and at the row starts i * 2^20 + c0 of tiles in a block.
+        # The key reaches Philox through a seed sequence of its own, not key=.
         spawn_key = () if block is None else (block,)
-        offsets = [*range(10), 2**32 + 3, *(i * 2**20 + c0 for i in (1, 27) for c0 in (0, 2**16 + 1))]
+        offsets = [*range(10), 2**32 + 3, 3 * 2**20 + 2**16,
+                   *(i * 2**20 + c0 for i in (1, 27) for c0 in (0, 2**16 + 1))]
         for offset in offsets:
             bits = np.random.Philox(np.random.SeedSequence(11, spawn_key=spawn_key)).advance(offset // 4)
             bits.random_raw(offset % 4)

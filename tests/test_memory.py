@@ -2,7 +2,7 @@
 the lag depth, the block or the replicate count; ``verify`` counts
 exceedances without storing the replicate matrix, the ``simulate``
 command writes each tile a block of rows at a time as it is summed and
-``hill --sample`` parses them a block of bytes at a time.
+``hill --sample`` reads one column of the sample's binary companion.
 The order-j tuple sum walks and integrates its tuples a chunk at a time;
 the order-0 sum reads the spike-image table a block at a time."""
 
@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import matails.cli
@@ -189,48 +190,31 @@ def test_simulate_json_peak_does_not_grow_with_n(tmp_path, monkeypatch):
 
 def test_sample_reader_peak_does_not_grow_with_the_width(tmp_path):
     # n replicates of index 0, alone or among four indices: either way the
-    # reader holds the length-n vector plus one block of ROW_SLICE lines.
-    # Whole-file parsing held 24 B per line plus a copy of the key columns.
+    # reader holds the length-n vector and a header, about 8 kB beyond it.
+    # The CSV parser held a block of 2^14 * 16 bytes and its parse arrays,
+    # about 2.8 MB.
     n = 1 << 15
-    peaks = {}
     for width in (1, 4):
         path = tmp_path / f"w{width}.csv"
-        path.write_text("replicate_id,index,value\n" + "".join(
-            f"{i},{k},{1.0 + i / n!r}\n" for i in range(n) for k in range(width)))
+        np.save(f"{path}.npy", np.asfortranarray(np.arange(1.0, 1.0 + n * width).reshape(width, n).T))
         (tmp_path / f"w{width}.csv.meta.json").write_text(f'{{"n": {n}, "window": [0, {width - 1}]}}')
-        values, peaks[width] = traced_peak(matails.sample_file._values_from_sample_file, str(path), 0)
-        assert values[-1] == 1.0 + (n - 1) / n
-    assert peaks[4] <= 1.05 * peaks[1]
+        values, peak = traced_peak(matails.sample_file._values_from_sample_file, str(path), 0)
+        assert values[-1] == n
+        assert peak < values.nbytes + 64 * 1024
 
 
-def test_a_run_without_newline_is_refused_after_one_block(tmp_path, capsys):
-    # No line of the grammar is over 128 bytes: a 16 MiB run with no newline
-    # is refused by its line number without first being read whole (it took
-    # twice the file and quadratic copying when blocks waited for a newline).
-    path = tmp_path / "s.csv"
-    path.write_bytes(b"replicate_id,index,value\n0,0,1.5\n" + b"1" * (16 << 20))
-    (tmp_path / "s.csv.meta.json").write_text('{"n": 3, "window": [0, 0]}')
-    code, peak = traced_peak(matails.cli.main, ["hill", "--sample", str(path), "--k", "2"])
-    assert code == 2
-    assert f"{path}, line 3: not a row as simulate writes it: b'111" in capsys.readouterr().err
-    assert peak < 2 * 2**20
-
-
-def test_sample_parser_temporaries_do_not_grow_with_n(tmp_path):
-    # Beyond the length-n vector the reader holds one block of about
-    # ROW_SLICE * 16 bytes with its parse arrays, whatever n: demo files of
-    # 2^15 and 2^17 replicates (64k and 256k lines) read in full blocks.
-    extra = {}
+def test_hill_peak_is_its_column_and_one_copy(tmp_path):
+    # hill holds the column it reads and the copy np.partition makes of it
+    # for the top k + 1 values: two vectors of n doubles, whatever n and
+    # the window's width, where the CSV parser added about 2.8 MB.
     for n in (1 << 15, 1 << 17):
         path = str(tmp_path / f"n{n}.csv")
         argv = ["simulate", "--config", str(ROOT / "demos" / "experiment.ini"),
-                "--set", f"run.n={n}", "--out", path]
+                "--set", f"run.n={n}", "--set", "run.window=-2:1", "--out", path]
         assert matails.cli.main(argv) == 0
-        values, peak = traced_peak(matails.sample_file._values_from_sample_file, path, 0)
-        assert len(values) == n
-        extra[n] = peak - values.nbytes
-    assert extra[1 << 17] <= 1.05 * extra[1 << 15]
-    assert extra[1 << 17] < 4 * 2**20
+        code, peak = traced_peak(matails.cli.main, ["hill", "--sample", path, "--k", "100"])
+        assert code == 0
+        assert peak < 2 * 8 * n + 256 * 1024
 
 
 def test_tuple_sum_peak_does_not_grow_with_the_tuple_count():
