@@ -285,7 +285,7 @@ def cmd_simulate(exp: Experiment, threads: int) -> int:
     import numpy as np
 
     from .ma_process import simulate_tiles
-    from .sample_file import MAX_INDEX, _companion, _sample_slices, _sample_text, _Scratch
+    from .sample_file import MAX_INDEX, _companion, _sample_slices, _sample_text
 
     # [run] n replicates on [run] window, else the rows' span
     if exp.n is None:
@@ -320,12 +320,10 @@ def cmd_simulate(exp: Experiment, threads: int) -> int:
             store = _companion(companion, exp.n, window[1] - window[0] + 1)
         # Both generators are lazy and share the one tile stream, which
         # stores each tile in the companion; _write_output consumes one of
-        # them while the workers sum the next tiles; each slice reuses the
-        # vectors of the one before.
-        scratch = _Scratch()
-        cuts = _sample_slices(window[0], tiles, scratch, store)
+        # them while the workers sum the next tiles.
+        cuts = _sample_slices(window[0], tiles, store)
         rows = (row for cut in cuts for row in zip(*(a.tolist() for a in cut)))
-        body = (_sample_text(*cut, scratch) for cut in cuts)
+        body = (_sample_text(*cut) for cut in cuts)
         _write_output(exp, ("replicate_id", "index", "value"), rows, meta, body)
     return EXIT_OK
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from .budgets import DEFAULT_INTEGRATION_BUDGET
 from .errors import ParameterError, UnsupportedError
-from .innovations import TailModel, block_generator
+from .innovations import TailModel, _power, block_generator
 from .ma_process import CoefficientSeq, choose_truncation
 from .sequence_space import WindowSeq
 
@@ -229,28 +229,31 @@ def _candidate_positions(coeffs: CoefficientSeq, m: int, rect: UpperRect):
             yield np.arange(a, b)[keep], rows[:, keep].T
 
 
-def _cover_counts(positions, held, ks) -> tuple[int, int]:
+def _cover_counts(blocks, ks) -> tuple[int, int]:
     """(cover, count): the fewest candidates that reach every constraint in
-    ``ks`` (``held``: (positions, |K|) reach), and how many cover-sets do.
-    One sweep, left to right, keeps per covered set of constraints its
-    fewest members and how many sets have that many.  It drops a set once
-    it passes a constraint the set misses, and a set with more members than
-    the fewest of its covered set: each completion of it completes those
-    to a smaller cover.  Cost: the candidates, at most |K| (m + 1), times
-    at most 2^min(m, |K|) covered sets live within m.
+    ``ks``, and how many cover-sets do, over the (positions, weights)
+    ``blocks`` of the :func:`_candidate_positions` table, one block held at
+    a time.  One sweep, left to right, keeps per covered set of constraints
+    its fewest members and how many sets have that many.  It drops a set
+    once it passes a constraint the set misses, and a set with more members
+    than the fewest of its covered set: each completion of it completes
+    those to a smaller cover.  Cost: the candidates, at most |K| (m + 1),
+    times at most 2^min(m, |K|) covered sets live within m.
     """
-    fewest, reach = {0: (0, 1)}, [0] * len(held)
-    for i, p in np.argwhere(held).tolist():
-        reach[i] |= 1 << p
-    for passed, bits in zip(np.searchsorted(ks, positions).tolist(), reach):
-        due, sweep = (1 << passed) - 1, {}
-        for covered, (size, count) in fewest.items():
-            if covered & due == due:
-                for state, spikes in ((covered, size), (covered | bits, size + 1)):
-                    least, total = sweep.get(state, (spikes, 0))
-                    if spikes <= least:
-                        sweep[state] = spikes, (total + count if spikes == least else count)
-        fewest = sweep
+    fewest = {0: (0, 1)}
+    for positions, weights in blocks:
+        reach = [0] * len(positions)
+        for i, p in np.argwhere(weights > 0.0).tolist():
+            reach[i] |= 1 << p
+        for passed, bits in zip(np.searchsorted(ks, positions).tolist(), reach):
+            due, sweep = (1 << passed) - 1, {}
+            for covered, (size, count) in fewest.items():
+                if covered & due == due:
+                    for state, spikes in ((covered, size), (covered | bits, size + 1)):
+                        least, total = sweep.get(state, (spikes, 0))
+                        if spikes <= least:
+                            sweep[state] = spikes, (total + count if spikes == least else count)
+            fewest = sweep
     return fewest[(1 << len(ks)) - 1]
 
 
@@ -262,8 +265,7 @@ def spike_cover_number(coeffs: CoefficientSeq, m: int, rect: UpperRect) -> int:
     constrained coordinate covers it, since psi_0 > 0).  Found by one
     :func:`_cover_counts` sweep over the :func:`_candidate_positions` table.
     """
-    positions, weights = map(np.concatenate, zip(*_candidate_positions(coeffs, m, rect)))
-    return _cover_counts(positions, weights > 0.0, rect.indices)[0]
+    return _cover_counts(_candidate_positions(coeffs, m, rect), rect.indices)[0]
 
 
 def nu_m0_rect(coeffs: CoefficientSeq, m: int, alpha: float, rect: UpperRect) -> MeasureValue:
@@ -365,7 +367,7 @@ def _floors(alpha, thresholds, weights):
     assert lower.all(), "tuple member without a private constraint"
     # Multiplied member by member, left to right, so a tuple's mass has the
     # same bits in any chunk.
-    powers = lower**-alpha
+    powers = _power(lower, -alpha)
     mass = powers[:, 0].copy()
     pulls = weights * lower[:, :, None]
     floor = pulls[:, 0].copy()
@@ -469,8 +471,7 @@ def _conditional(alpha, thresholds, held, pulls, open_, budget, rng):
                 np.maximum(ratio, rest, out=ratio)
             else:
                 ok &= rest > bound
-        g = ratio
-        g **= -alpha
+        g = _power(ratio, -alpha, out=ratio)
         g *= ok
         means.append(g.mean())
     means = np.array(means)
@@ -497,9 +498,10 @@ def nu_m_j_rect(
     contribute zero, so walking the covering tuples of influencing positions
     is exhaustive.
 
-    One :func:`_cover_counts` sweep gives the spike cover number (below
-    j + 1: +inf) and the covering tuple count; more than :data:`MAX_TUPLES`
-    raise :class:`UnsupportedError` before the walk.  The walk and the
+    One :func:`_cover_counts` sweep, a table block at a time, gives the
+    spike cover number (below j + 1: +inf) and the covering tuple count;
+    more than :data:`MAX_TUPLES` raise :class:`UnsupportedError`, and none
+    gives 0, before the table is joined for the walk.  The walk and the
     tuples' floors then run a chunk of tuples at a time in numpy and count
     the drawn tuples; more than :data:`MAX_LATTICE_POINTS` lattice points
     in all raise :class:`UnsupportedError` before any draw.  With none
@@ -521,9 +523,7 @@ def nu_m_j_rect(
         raise ParameterError(f"order must be nonnegative, got {j}")
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    positions, weights = map(np.concatenate, zip(*_candidate_positions(coeffs, m, rect)))
-    held = weights > 0.0
-    cover, count = _cover_counts(positions, held, rect.indices)
+    cover, count = _cover_counts(_candidate_positions(coeffs, m, rect), rect.indices)
     if cover < j + 1:
         return MeasureValue(
             math.inf,
@@ -536,6 +536,10 @@ def nu_m_j_rect(
         raise UnsupportedError(
             f"{count} covering spike tuples exceed the tuple budget of {MAX_TUPLES}"
         )
+    if not count:
+        return MeasureValue(0.0, EvalMethod.ENUMERATION)
+    positions, weights = map(np.concatenate, zip(*_candidate_positions(coeffs, m, rect)))
+    held = weights > 0.0
     thresholds = np.array(rect.thresholds)
     chunk = max(CHUNK_CELLS // ((j + 1) * len(thresholds)), 1)
 

@@ -11,10 +11,10 @@ the sidecar and the companion's header, then reads the one column it
 needs.
 
 The CSV writer renders about ``ROW_SLICE`` cells at a time in numpy, in
-vectors it reuses from slice to slice, from the shortest round-trip
-digits where it can certify them, else with ``repr``.  The companion is
-written from the same tiles, each tile's columns in place, so no command
-holds the matrix.
+vectors of its own for at most ``_PART`` cells at once, from the shortest
+round-trip digits where it can certify them, else with ``repr``.  The
+companion is written from the same tiles, each tile's columns in place,
+so no command holds the matrix.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ MAX_INDEX = 10**16 - 1
 # rows of a simulation tile at a time in numpy, so it holds no whole-file text.
 ROW_SLICE = 1 << 14
 
-# The renderer's workspace holds half a slice, which it renders in two parts:
-# a workspace of ROW_SLICE cells peaked about 1.2 MB higher in a simulate child.
+# The renderer takes half a slice at a time: whole slices of 2^14 cells
+# raised a simulate command's traced peak from 6.3 to 6.9-7.7 MB.
 _PART = ROW_SLICE // 2
 
 # Exact powers of ten (5^22 < 2^53) for the sample renderer, and how far from
@@ -59,30 +59,6 @@ _QUADS = sum((np.arange(10**4, dtype=np.uint64) // 10**p % 10 + 48) << 8 * (3 - 
 _QUADS_HIGH = _QUADS << 32
 _SHOWN = np.array([[_KEEP[min(max(max(f, 1) - 8 * k, 0), 8)] for f in range(23)] for k in range(3)])
 _TENS = 10 ** np.minimum(np.arange(23, dtype=np.uint64), 18)  # 10^f, capped at 10^18
-
-
-class _Scratch:
-    """Buffers a command reuses from slice to slice, each allocated again
-    only when a slice needs more: ``scratch(name, n, dtype)`` is a vector of
-    ``n`` entries, and ``scratch.vectors(n, count)`` the first ``count`` of
-    one shared set of float vectors."""
-
-    def __init__(self):
-        self._buffers, self._views = {}, {}
-
-    def __call__(self, name, n: int, dtype=np.float64) -> np.ndarray:
-        view = self._views.get((name, n, dtype))
-        if view is None:
-            size = n * np.dtype(dtype).itemsize
-            buffer = self._buffers.get(name)
-            if buffer is None or len(buffer) < size:
-                buffer = self._buffers[name] = np.empty(size, np.uint8)
-                self._views.clear()
-            view = self._views[name, n, dtype] = buffer[:size].view(dtype)
-        return view
-
-    def vectors(self, n: int, count: int) -> list[np.ndarray]:
-        return [self(i, n) for i in range(count)]
 
 
 def _companion_header(n: int, width: int) -> bytes:
@@ -111,23 +87,21 @@ def _companion(fh, n: int, width: int):
     return store
 
 
-def _sample_slices(lo: int, tiles, scratch: _Scratch | None = None, store=None):
+def _sample_slices(lo: int, tiles, store=None):
     """(replicate ids, indices, values) of the nonzero cells of each ``(start,
     tile)`` of ``tiles``, a ``(width, rows)`` tile of the replicates from
     ``start`` on a window from ``lo``, ``ROW_SLICE // width`` rows at a time.
-    With ``scratch`` the three are its vectors, valid until the next slice;
-    with ``store`` (:func:`_companion`) each tile is stored before it is cut."""
+    With ``store`` (:func:`_companion`) each tile is stored before it is cut."""
     for start, tile in tiles:
         if store is not None:
             store(start, tile)
         width = tile.shape[0]
         rows = max(1, ROW_SLICE // width)
         for first in range(0, tile.shape[1], rows):
-            s = _Scratch() if scratch is None else scratch
             block = tile[:, first:first + rows].T  # replicate by replicate
             n = block.size
-            values, ids, indices = (s(name, n, dtype).reshape(block.shape) for name, dtype in (
-                ("cut_values", np.float64), ("cut_ids", np.int64), ("cut_indices", np.int64)))
+            values, ids, indices = (np.empty(block.shape, dtype)
+                                    for dtype in (np.float64, np.int64, np.int64))
             row_ids = np.arange(start + first, start + first + len(block))
             if width <= len(block):  # numpy copies a short last axis slowly: column by column
                 for w in range(width):
@@ -164,7 +138,7 @@ def _product(a, scale, hi, lo, a_hi, s_hi):
     return hi, lo
 
 
-def _shortest_digits(values, scratch: _Scratch | None = None):
+def _shortest_digits(values):
     """(digits, fraction, certified): ``|x| == digits / 10**fraction`` in
     repr's shortest digits where certified; elsewhere the two mean nothing.
 
@@ -177,13 +151,11 @@ def _shortest_digits(values, scratch: _Scratch | None = None):
     over ``_MARGIN`` in its own units; a 15-digit one must not end in 0 (a
     shorter one might read back as x), and a 16- or 17-digit one cannot,
     as the shorter one would lie inside.  The distances are taken in units
-    of ``whole``, from its last three digits and ``frac``.  ``digits`` is
-    the first of ``scratch.vectors``.
+    of ``whole``, from its last three digits and ``frac``.
     """
-    s = _Scratch() if scratch is None else scratch
     n = len(values)
-    a, scale, hi, a_hi, s_hi, lo, half, t15, spare = s.vectors(n, 9)
-    fast, flag, k = s("fast", n, bool), s("flag", n, bool), s("k", n, np.int8)
+    a, scale, hi, a_hi, s_hi, lo, half, t15, spare = (np.empty(n) for _ in range(9))
+    fast, flag, k = np.empty(n, bool), np.empty(n, bool), np.empty(n, np.int8)
     np.abs(values, out=a)
     np.less(a, 1e15, out=fast)
     fast &= np.greater_equal(a, 1e-4, out=flag)
@@ -217,7 +189,7 @@ def _shortest_digits(values, scratch: _Scratch | None = None):
     np.add(rest, t16, out=t15)  # whole % 100 + frac
     d2 = np.floor_divide(q15, 10, out=rest)
     np.subtract(q15, np.multiply(d2, 10, out=d2), out=d2)  # the third digit from the right
-    up15, up16, up17 = s("up15", n, bool), s("up16", n, bool), s("up17", n, bool)
+    up15, up16, up17 = (np.empty(n, bool) for _ in range(3))
     np.greater(t15, 50.0, out=up15)
     np.greater(t16, 5.0, out=up16)
     np.greater(frac, 0.5, out=up17)
@@ -226,8 +198,7 @@ def _shortest_digits(values, scratch: _Scratch | None = None):
     gap15 = np.subtract(np.minimum(t15, np.subtract(100.0, t15, out=dist), out=t15), half, out=t15)
     np.minimum(t16, np.subtract(10.0, t16, out=dist), out=dist)
     gap16 = np.subtract(dist, half, out=t16)
-    take15, take16 = s("take15", n, bool), s("take16", n, bool)
-    certified = s("certified", n, bool)
+    take15, take16, certified = (np.empty(n, bool) for _ in range(3))
     # 15 digits: inside (50 units from a tie, beyond any half), no last 0
     np.less(gap15, -100 * _MARGIN, out=take15)
     take15 &= fast
@@ -294,7 +265,7 @@ def _put_number(text, end, x, width, work, shown=None):
         np.copyto(np.ndarray(len(x), "<u8", text, end - 8 * (w + 1), (text.shape[1],)), word)
 
 
-def _sample_text(ids, indices, values, scratch: _Scratch | None = None) -> bytes:
+def _sample_text(ids, indices, values) -> bytes:
     """One slice's CSV lines, the bytes of ``"%d,%d,%r\\n"`` per cell.
 
     Each line is a row of a uint8 matrix whose fields are as wide as the
@@ -303,18 +274,17 @@ def _sample_text(ids, indices, values, scratch: _Scratch | None = None) -> bytes
     front the fields before overwrite, or, before the first field, stay;
     the NULs left are dropped.  A value is written from its certified
     digits (:func:`_shortest_digits`) as ``<whole>.<fraction>``, else with
-    repr.  Every vector is one of ``scratch``, which holds ``_PART`` cells:
-    a longer slice is rendered a part at a time.
+    repr.  A slice of more than ``_PART`` cells is rendered a part at a
+    time.
     """
     n = len(ids)
     if n > _PART:
-        return b"".join(_sample_text(ids[i:i + _PART], indices[i:i + _PART], values[i:i + _PART], scratch)
+        return b"".join(_sample_text(ids[i:i + _PART], indices[i:i + _PART], values[i:i + _PART])
                         for i in range(0, n, _PART))
     if not n:
         return b""
-    s = _Scratch() if scratch is None else scratch
-    digits, fraction, certified = _shortest_digits(values, s)
-    whole, part, magnitudes, *work = (v.view(np.uint64) for v in s.vectors(n, 9)[1:])
+    digits, fraction, certified = _shortest_digits(values)
+    whole, part, magnitudes, *work = (np.empty(n, np.uint64) for _ in range(8))
     # the whole part is floor(|x|): no integer lies between x and its digits
     absolute = np.abs(values, out=part.view(np.float64))
     np.floor(np.minimum(absolute, 1e15, out=absolute), out=absolute)
@@ -324,7 +294,7 @@ def _sample_text(ids, indices, values, scratch: _Scratch | None = None) -> bytes
     np.subtract(digits, part, out=part)  # the fraction's digits
     for v in (whole, part, fraction):  # repr writes the rest: 0 keeps them in every table
         v *= certified
-    slow = np.flatnonzero(np.logical_not(certified, out=s("flag", n, bool)))
+    slow = np.flatnonzero(np.logical_not(certified))
     reprs = np.array([repr(v) for v in values[slow].tolist()], dtype="S")  # at most S24
     np.abs(indices, out=magnitudes.view(np.int64))
     id_width = len(str(int(ids.max())))
@@ -342,21 +312,20 @@ def _sample_text(ids, indices, values, scratch: _Scratch | None = None) -> bytes
     widths = id_width, index_width, whole_width, fraction_width
     front = max(0, *(-(-w // 8) * 8 - e for w, e in zip(widths, ends)))
     id_end, index_end, whole_end, fraction_end, newline = (ends + front).tolist()
-    text = s("text", n * (newline + 1), np.uint8).reshape(n, newline + 1)
+    text = np.empty((n, newline + 1), np.uint8)
     text[:, newline] = 10
     if pad:
         text[:, fraction_end:newline] = 0
     _put_number(text, fraction_end, part, fraction_width, work, fraction)
     text[:, whole_end] = 46
     _put_number(text, whole_end, whole, whole_width, work)
-    flag = s("flag", n, bool)
     if value_sign:
-        np.multiply(np.less(values, 0.0, out=flag).view(np.uint8), 45,
+        np.multiply(np.less(values, 0.0).view(np.uint8), 45,
                     out=text[:, whole_end - whole_width - 1])
     text[:, index_end] = 44
     _put_number(text, index_end, magnitudes, index_width, work)
     if index_sign:
-        np.multiply(np.less(indices, 0, out=flag).view(np.uint8), 45,
+        np.multiply(np.less(indices, 0).view(np.uint8), 45,
                     out=text[:, index_end - index_width - 1])
     text[:, id_end] = 44
     _put_number(text, id_end, ids.view(np.uint64), id_width, work)

@@ -149,6 +149,12 @@ def pair_integral(coeffs, m, alpha, rect, nodes=10**6):
     return total
 
 
+def libm_power(x, p):
+    """``x ** p`` as the library takes an array's power: libm's ``pow``, or
+    numpy's at p = -1; neither depends on numpy's CPU dispatch."""
+    return x ** -1.0 if p == -1.0 else np.float_power(x, p)
+
+
 def simulate_oracle(coeffs, depth, model, window, replicates, seed, block_rows):
     """Whole-block simulation: each block's ``(depth + width, rows)`` innovations
     are drawn in one array (``1 - random()``, then the closed-form inverse
@@ -160,10 +166,11 @@ def simulate_oracle(coeffs, depth, model, window, replicates, seed, block_rows):
     for block, start in enumerate(range(0, replicates, block_rows)):
         rows = min(block_rows, replicates - start)
         u = 1.0 - block_generator(seed, block).random((depth + width, rows))
+        power = libm_power(u, -1.0 / model.alpha)
         if model.family is ParetoFamily.STANDARD:
-            z = model.scale * u ** (-1.0 / model.alpha)
+            z = model.scale * power
         else:
-            z = model.scale * (u ** (-1.0 / model.alpha) - 1.0)
+            z = model.scale * (power - 1.0)
         z = z[::-1]
         acc = np.zeros((width, rows))
         for j in range(depth + 1):
@@ -203,7 +210,7 @@ def tuple_contribution_reference(coeffs, alpha, rect, positions, covers, budget,
         else:
             shared.append((k, a, holders))
     assert np.all(lower > 0), "tuple member without a private constraint"
-    mass = float(np.prod(lower**-alpha))
+    mass = float(np.prod(libm_power(lower, -alpha)))
     if not shared:
         return mass, 0.0
     z = lower * draw(TailModel.standard_pareto(alpha), block_generator(seed, rank), (budget, d))

@@ -100,12 +100,13 @@ class TestSampling:
 
     @pytest.mark.parametrize("model, head, digest", [
         (TailModel.standard_pareto(1.5), [1.2341310987404832, 1.9027022099175612, 1.0266719598866845],
-         "d2ca3eccadd5dc535c3996516addfd0ecfe82dbd32cd1bb627e210c0bcf16f2f"),
+         "ae06ff6d86fb39c339e5a3aad95f151c9c0454b339e93af79322e8df24726777"),
         (TailModel.shifted_pareto(0.7, 2.0), [1.139093139659554, 5.937463813361488, 0.11605278775932826],
-         "b2e3a920db9466de97fbefe81c9981571f0f8420f5787064a6d80d188f563e8e"),
+         "ded95bcb499670574ad2d19e55f2846c8d5c37d5875ac7e7c098c47ae42edecf"),
     ], ids=["standard", "shifted"])
     def test_undivided_stream_draws_the_pinned_values(self, model, head, digest):
-        # 1000 draws of seed 2024 as the removed sample(model, count, seed) returned them.
+        # 1000 draws of seed 2024 as the removed sample(model, count, seed) returned
+        # them where numpy's vector power is libm's (no AVX-512 dispatch).
         zs = draw(model, block_generator(2024), 1000)
         assert zs[:3].tolist() == head
         assert hashlib.sha256(zs.tobytes()).hexdigest() == digest

@@ -200,8 +200,8 @@ class TestSpikeCover:
     def test_cover_counts_match_the_exhaustive_tuples(self, coeffs, m, rect):
         # One sweep gives the exhaustive cover number and the oracle's count
         # of covering sets of that size; no smaller set covers.
-        positions, weights = table(coeffs, m, rect)
-        cover, count = limit_measures._cover_counts(positions, weights > 0.0, rect.indices)
+        blocks = limit_measures._candidate_positions(coeffs, m, rect)
+        cover, count = limit_measures._cover_counts(blocks, rect.indices)
         assert cover == cover_oracle(coeffs, m, rect)
         assert count == len(list(covering_tuples(coeffs, m, cover - 1, rect)))
         assert all(not list(covering_tuples(coeffs, m, s - 1, rect)) for s in range(1, cover))
@@ -210,12 +210,17 @@ class TestSpikeCover:
     @given(gapped(6), st.integers(0, 8), rects(5), st.integers(1, 9))
     def test_table_blocks_join_to_the_reaching_positions(self, coeffs, m, rect, cells):
         # Blocks of any size join to the positions that reach K, each one's
-        # psi_{k-i} on every constraint, and the order-0 sum keeps its bytes.
+        # psi_{k-i} on every constraint; the order-0 sum keeps its bytes and
+        # the covering sweep its counts.
         whole = nu_m0_rect(coeffs, m, 1.5, rect)
+        counts = limit_measures._cover_counts(limit_measures._candidate_positions(coeffs, m, rect),
+                                              rect.indices)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(limit_measures, "CHUNK_CELLS", cells)
             positions, weights = table(coeffs, m, rect)
             assert nu_m0_rect(coeffs, m, 1.5, rect) == whole
+            assert limit_measures._cover_counts(limit_measures._candidate_positions(coeffs, m, rect),
+                                                rect.indices) == counts
 
         def lag(k, i):
             return coeffs.psi(k - i) if 0 <= k - i <= coeffs.capped(m) else 0.0
@@ -533,8 +538,8 @@ class TestTupleWalk:
         want = [(rank, tuple(combo), covers)
                 for rank, combo, covers in covering_tuples(coeffs, m, j, rect)]
         assert walked(coeffs, m, j, rect, chunk) == want
-        positions, weights = table(coeffs, m, rect)
-        cover, count = limit_measures._cover_counts(positions, weights > 0.0, rect.indices)
+        blocks = limit_measures._candidate_positions(coeffs, m, rect)
+        cover, count = limit_measures._cover_counts(blocks, rect.indices)
         assert cover == cover_oracle(coeffs, m, rect)
         if cover > j:
             assert (count if cover == j + 1 else 0) == len(want)

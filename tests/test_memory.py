@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 import matails.cli
+import matails.limit_measures
 import matails.ma_process as ma
 import matails.sample_file
-from matails.cli import load_experiment
-from matails import (INFINITE, ExplicitFinite, Geometric, Polynomial, TailModel, UpperRect,
-                     hrv_scan, nu_m0_rect, nu_m_j_rect, simulate, spike_cover_number,
+from matails import (INFINITE, ExplicitFinite, Geometric, Polynomial, TailModel, UnsupportedError,
+                     UpperRect, hrv_scan, nu_m0_rect, nu_m_j_rect, simulate, spike_cover_number,
                      truncation_diagnostic)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -115,40 +115,19 @@ def test_simulate_command_peak_at_the_default_row_slice(tmp_path):
     assert peak < simulate_peak + 4 * 1024 * 1024
 
 
-def test_renderer_reuses_its_workspace_from_slice_to_slice():
-    # The first slice allocates the command's workspace: the digit search's
-    # vectors and the text matrix, for half a slice.  A later slice, cut and
-    # rendered, allocates only its text: the matrix's bytes, the bytes left
-    # once the NULs go and the two halves joined, 66-68 B a cell measured.
-    # Fresh temporaries for every slice took 190-223 B a cell.
-    exp = load_experiment(str(ROOT / "demos" / "experiment.ini"), ["run.n=30000"])
-    batch = simulate(exp.coeffs, exp.m, exp.model, exp.window, exp.n, exp.seed, exp.trunc_eps)
-    scratch = matails.sample_file._Scratch()
-    cuts = matails.sample_file._sample_slices(batch.lo, [(0, batch.matrix.T)], scratch)
-
-    def render():
-        cut = next(cuts)
-        return len(cut[0]), matails.sample_file._sample_text(*cut, scratch)
-
-    render()
-    for _ in range(2):
-        (cells, text), peak = traced_peak(render)
-        assert cells == matails.sample_file.ROW_SLICE and text.count(b"\n") == cells
-        assert peak < 85 * cells
-
-
 def test_simulate_command_peak_does_not_grow_with_n(tmp_path):
     # The command renders each tile as it comes, so at any n it holds at most:
     # - while a tile renders: that tile, the `threads` tiles in flight, their
     #   lag rows and what the renderer holds for one block of ROW_SLICE cells
-    #   (240 B a cell allowed: its workspace for half a block and the block's
-    #   text now, where fresh temporaries took 3.5 MiB, 223 B a cell);
+    #   (240 B a cell allowed: the block's cut, its temporaries for half a
+    #   block at a time and the block's text, about 130 B a cell measured);
     # - at a hand-off: threads + 2 tiles (the one just rendered, the next and
     #   the one the freed worker starts), its lag rows and the last block's
     #   text and index arrays (about 1 MiB, 64 B a cell).
     # That is 7.75 MiB at 2^16-row tiles of width 3; 2^18 and 2^20 read 6.0
-    # MiB (6.4 to 7.3 MiB with fresh temporaries), by which tiles are alive
-    # at once.  Holding the 8 B/cell matrix took 6 and 24 MiB at these sizes.
+    # MiB, by which tiles are alive at once (6.6 to 7.4 MiB when the renderer
+    # took a whole block at once).  Holding the 8 B/cell matrix took 6 and 24
+    # MiB at these sizes.
     assert ma.TILE_ROWS == 1 << 16
     threads, tile, lag_rows = 1, 3 * ma.TILE_ROWS * 8, 2 * ma.TILE_ROWS * 8
     rendering = (threads + 1) * tile + lag_rows + 240 * matails.sample_file.ROW_SLICE
@@ -230,6 +209,26 @@ def test_tuple_sum_peak_does_not_grow_with_the_tuple_count():
     assert max(peaks.values()) < 8 * 2**20
     # Five times the tuples, one more member and constraint per tuple.
     assert peaks[7] < 1.5 * peaks[6]
+
+
+def test_refused_and_zero_hidden_rows_hold_one_table_block(monkeypatch):
+    # Ten constraints m + 10 apart have cover number 10: the j = 9 row has
+    # (m + 1)^10 covering tuples, over the budget, and the j = 1 row none.
+    # The covering sweep reads the spike-image table a block at a time, and
+    # neither row joins it: joined, it held 10 (m + 1) positions of 11
+    # floats, 9.4 MB at m = 4000 (725 MB at m = 3 * 10^5, full-size blocks).
+    monkeypatch.setattr(matails.limit_measures, "CHUNK_CELLS", 1 << 12)
+    for m in (1000, 4000):
+        rect = UpperRect({i * (m + 10): 1.0 for i in range(10)})
+
+        def refused():
+            with pytest.raises(UnsupportedError, match="tuple budget"):
+                nu_m_j_rect(Polynomial(2.0), m, 1.0, 9, rect)
+
+        _, refused_peak = traced_peak(refused)
+        zero, zero_peak = traced_peak(nu_m_j_rect, Polynomial(2.0), m, 1.0, 1, rect)
+        assert zero.value == 0.0
+        assert max(refused_peak, zero_peak) < 256 * 1024
 
 
 # Runs its arguments as a child and prints the child's exit code and peak RSS
