@@ -14,6 +14,7 @@ MAX_DRAWS = 10**10
 # times nonzero lag coefficients): minutes of work.
 MAX_LAG_TERMS = 10**11
 
-# Lattice points per drawn tuple unless a caller sets one; a budget is
-# rounded up to a multiple of ``limit_measures.SHIFTS``.
+# Lattice points per drawn tuple that reads two or more members, unless a
+# caller sets one; a budget is rounded up to a multiple of
+# ``limit_measures.SHIFTS``.
 DEFAULT_INTEGRATION_BUDGET = 200_000

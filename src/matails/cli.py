@@ -85,7 +85,7 @@ n = 100000
 t_grid = 1000               ; verify's tail levels, e.g. 10, 100, 1000; omit for n/1000
 seed = 42
 ; window = -1:2             ; simulate window; defaults to the rows' span
-; integration_budget = 200000 ; lattice points per drawn tuple, rounded up to a multiple of 16
+; integration_budget = 200000 ; lattice points per tuple reading 2+ members, a multiple of 16
 
 [output]
 path = out.csv

@@ -100,10 +100,10 @@ def _power(x, p: float, out=None) -> np.ndarray:
     """``x ** p`` elementwise, by the C library's ``pow`` as Python's ``**``
     takes it on a float, so the bits do not depend on numpy's CPU dispatch:
     numpy's own vector power differs from ``pow`` in about one value in
-    twenty where it dispatches to AVX-512.  ``p = -1`` keeps numpy's power,
-    which has the same bits with or without that dispatch."""
+    twenty where it dispatches to AVX-512.  ``p = -1`` is ``1 / x``, one
+    correctly rounded division, as ``pow`` gives it, in half the time."""
     if p == -1.0:
-        return np.power(x, p, out=out)
+        return np.reciprocal(x, out=out)
     return np.float_power(x, p, out=out)
 
 

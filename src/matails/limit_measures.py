@@ -24,12 +24,15 @@ combinatorial question.  The measures supported:
   computed in numpy a chunk at a time.  A tuple is exact, and draws
   nothing, when no shared constraint survives its members' private floors.
   The others integrate one member's Pareto tail in closed form (conditional
-  Monte Carlo) over the members that share an open constraint with it,
-  which run over :data:`SHIFTS` random shifts of one rank-1 lattice folded
-  by the baker's (tent) transform (randomized quasi-Monte Carlo, error
-  about budget^-2; at most :data:`MAX_LATTICE_POINTS` points per row) drawn
-  from sub-streams of a root derived from the seed; the spread of the shift
-  means is the standard error;
+  Monte Carlo) over the members that share an open constraint with it.
+  When that is one member, the integral is one-dimensional and taken by
+  Gauss-Legendre quadrature on closed-form pieces, its error the gap to a
+  rule of half the nodes; otherwise the members run over :data:`SHIFTS`
+  random shifts of one rank-1 lattice folded by the baker's (tent)
+  transform (randomized quasi-Monte Carlo, error about budget^-2; at most
+  :data:`MAX_LATTICE_POINTS` points per row) drawn from sub-streams of a
+  root derived from the seed; the spread of the shift means is the
+  standard error;
 * ``nu_inf_0_rect``     -- order-0 limit of the MA(infinity), enumerated at a
   truncation depth with a reported bound on the neglected spike mass;
 * ``marginal_tail_constant`` -- sum_l psi_l^alpha, the one-coordinate tail
@@ -48,6 +51,7 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -72,6 +76,21 @@ __all__ = [
     "marginal_tail_constant",
     "nu_inf_0_rect",
 ]
+
+# Gauss-Legendre rules of a one-read tuple (see _quadrature): n and 2n nodes
+# a piece, n from QUAD_NODES doubling while the two values differ by more
+# than QUAD_TOLERANCE of the finer, up to 2n = QUAD_MAX_NODES; a tuple still
+# apart there goes to the lattice.  The reported error adds QUAD_ROUNDING of
+# the value, the rounding of the score's powers and differences.
+QUAD_NODES = 48
+QUAD_MAX_NODES = 768
+QUAD_TOLERANCE = 1e-13
+QUAD_ROUNDING = 8 * 2.0**-52
+
+# A piece's cuts lie at most GRADING times their distance from the score's
+# singularity, at most _MAX_GRADES of them a piece.
+GRADING = 16.0
+_MAX_GRADES = 64
 
 # Independent uniform shifts of each drawn tuple's lattice: the tuple's value
 # is the mean of the shift means, its variance their spread over SHIFTS.
@@ -143,8 +162,12 @@ class UpperRect:
 
 
 class EvalMethod(str, enum.Enum):
+    """How a value was computed: exactly (closed form, enumeration), by
+    quadrature of every drawn tuple, or with some tuple on the lattice."""
+
     CLOSED_FORM = "closed_form"
     ENUMERATION = "enumeration"
+    QUADRATURE = "quadrature"
     MONTE_CARLO = "monte_carlo_integration"
 
 
@@ -152,7 +175,9 @@ class EvalMethod(str, enum.Enum):
 class MeasureValue:
     """A tail-measure value; +inf marks a set not bounded away from the cone.
 
-    ``stderr`` is present exactly for Monte Carlo evaluations;
+    ``stderr`` is present exactly for quadrature and Monte Carlo
+    evaluations: the quadrature error estimate, or the standard error with
+    the quadrature errors of the other tuples added in squares;
     ``truncation_error_bound`` bounds one-sided mass missed by a truncated
     enumeration (the true value lies in [value, value + bound]).
     """
@@ -377,20 +402,70 @@ def _floors(alpha, thresholds, weights):
     return mass, held, pulls, (holders > 1) & ~(floor > thresholds)
 
 
-def _contributions(alpha, thresholds, floors, budget, seed, rank_of):
-    """(values, variances) of a chunk of tuples with the given :func:`_floors`:
-    an exact tuple's value is its mass, a drawn one (some shared constraint
-    open) integrates on sub-stream ``rank_of(t)`` (see :func:`_conditional`)."""
+def _contributions(alpha, thresholds, floors, budget, stream):
+    """(values, variances, drawn, lattice) of a chunk of tuples with the
+    given :func:`_floors`: an exact tuple's value is its mass; a drawn one
+    (some shared constraint open) that reads one member is integrated by
+    :func:`_quadrature`, its error squared as its variance; the rest, and a
+    quadrature that does not settle, are ``lattice`` tuples, integrated on
+    the generator ``stream(t)`` (see :func:`_lattice`), or left at their
+    mass when ``stream`` is None."""
     mass, held, pulls, open_ = floors
     values, variances = mass.copy(), np.zeros(len(mass))
-    for t in np.flatnonzero(open_.any(axis=1)).tolist():
-        mean, var = _conditional(
-            alpha, thresholds.tolist(), held[t], pulls[t], open_[t], budget,
-            block_generator(seed, rank_of(t)),
-        )
+    drawn, lattice = np.flatnonzero(open_.any(axis=1)).tolist(), 0
+    # c and the read members are the members that hold an open constraint.
+    involved = (held & open_[:, None, :]).any(axis=2).sum(axis=1).tolist()
+    for t in drawn:
         m = float(mass[t])
-        values[t], variances[t] = m * mean, m**2 * var
-    return values, variances
+        if involved[t] == 2:
+            # One read member: every open constraint is held by it and by c,
+            # so each check is one need line and none is an indicator.
+            _, checks = _plan(thresholds.tolist(), held[t], pulls[t], open_[t])
+            settled = _quadrature(alpha, [(bound, coef) for bound, _, ((coef, _),) in checks])
+            if settled is not None:
+                mean, error = settled
+                values[t], variances[t] = m * mean, m**2 * error**2
+                continue
+        lattice += 1
+        if stream is not None:
+            read, checks = _plan(thresholds.tolist(), held[t], pulls[t], open_[t])
+            mean, var = _lattice(alpha, len(read), checks, budget, stream(t))
+            values[t], variances[t] = m * mean, m**2 * var
+    return values, variances, len(drawn), lattice
+
+
+def _plan(thresholds, held, pulls, open_):
+    """(read, checks) of one drawn tuple: which members its integral reads
+    and, per open constraint, what the score asks of them.
+
+    ``held`` and ``pulls`` are (d, |K|): whether member h reaches
+    constraint k, and its w_h L_h there.  One member c is integrated out:
+    the one with the largest sum of w_c L_c over the open constraints it
+    holds, the lowest index on ties.  The other members that hold an open
+    constraint, in member order, are read; the rest are never read (their
+    factor integrates to 1).  Given the read members' Pareto values x_h
+    (z_h = L_h x_h), each open constraint c holds asks
+    z_c > need_k = (a_k - sum_{h != c} w_h z_h) / w_c, which has conditional
+    probability (max(L_c, need) / L_c)^-alpha; the open constraints c does
+    not hold stay indicators.  The score g is that probability times the
+    indicators.  Per open constraint, a check (bound, c holds it, [(coef,
+    read column)]) states it in units of w_c L_c where c holds it: need /
+    L_c = bound - sum coef x, or the indicator sum coef x > bound.
+    """
+    d = len(held)
+    opened = np.flatnonzero(open_).tolist()
+    pull = np.zeros(d)
+    for p in opened:
+        pull += pulls[:, p]
+    c = int(np.argmax(pull))
+    read = [h for h in range(d) if h != c and held[h, open_].any()]
+    wl = pulls.tolist()
+    checks = []
+    for p in opened:
+        unit = wl[c][p] if held[c, p] else 1.0
+        checks.append((thresholds[p] / unit, bool(held[c, p]),
+                       [(wl[h][p] / unit, read.index(h)) for h in read if held[h, p]]))
+    return read, checks
 
 
 @functools.lru_cache(maxsize=16)
@@ -403,56 +478,33 @@ def _korobov(n: int) -> int:
     return int(k[np.argmin(distance)]) if n > 1 else 1
 
 
-def _conditional(alpha, thresholds, held, pulls, open_, budget, rng):
-    """Mean of one drawn tuple's conditional score and the variance of that mean.
+def _lattice(alpha, r, checks, budget, rng):
+    """Mean of one drawn tuple's score (see :func:`_plan`) over its ``r``
+    read members, and the variance of that mean.
 
-    ``held`` and ``pulls`` are (d, |K|): whether member h reaches
-    constraint k, and its w_h L_h there.  One member c is integrated out: the one with the largest sum of
-    w_c L_c over the open constraints it holds, the lowest index on ties.
-    The r other members that hold an open constraint, in member order, are
-    read; the rest are never read (their factor integrates to 1).  They run
-    over a randomly shifted rank-1 lattice (Cranley & Patterson): ``rng``
-    draws one (SHIFTS, r) array of shifts Delta_s, and each shift moves the
-    n = ceil(budget / SHIFTS) points i z / n mod 1 (Korobov generator
-    z = (1, a, a^2, ..) mod n, a = :func:`_korobov` (n); for r = 1 the
-    points i / n) to u = frac(i z / n + Delta_s); coordinate u is the
-    Pareto value inverse_survival(|2u - 1|) above the member's floor.  The
-    fold (the baker's or tent transform; Hickernell, MCQMC 2000) maps a
-    uniform u to a uniform survival and makes the score periodic in u, so
-    without indicators the error falls about as n^-2 rather than n^-1.  At
-    u = 1/2 the survival is 0 and the value inf: its need is -inf and its
-    indicators hold.  Given the read members, each open constraint c holds asks
-    z_c > need_k = (a_k - sum_{h != c} w_h z_h) / w_c, which has conditional
-    probability (max(L_c, need) / L_c)^-alpha; the open constraints c does
-    not hold stay indicators.  The score g is that probability times the
-    indicators.  Each shifted lattice is uniform on [0, 1)^r, so each shift
-    mean is an unbiased estimate; the mean is their average and its
-    variance their sample variance over SHIFTS (SHIFTS - 1 degrees of freedom).
+    The read members run over a randomly shifted rank-1 lattice (Cranley &
+    Patterson): ``rng`` draws one (SHIFTS, r) array of shifts Delta_s, and
+    each shift moves the n = ceil(budget / SHIFTS) points i z / n mod 1
+    (Korobov generator z = (1, a, a^2, ..) mod n, a = :func:`_korobov` (n);
+    for r = 1 the points i / n) to u = frac(i z / n + Delta_s); coordinate u
+    is the Pareto value inverse_survival(|2u - 1|).  The fold (the baker's
+    or tent transform; Hickernell, MCQMC 2000) maps a uniform u to a uniform
+    survival and makes the score periodic in u, so without indicators the
+    error falls about as n^-2 rather than n^-1.  At u = 1/2 the survival is
+    0 and the value inf: its need is -inf and its indicators hold.  Each
+    shifted lattice is uniform on [0, 1)^r, so each shift mean is an
+    unbiased estimate; the mean is their average and its variance their
+    sample variance over SHIFTS (SHIFTS - 1 degrees of freedom).
     """
-    d = len(held)
-    opened = np.flatnonzero(open_).tolist()
-    pull = np.zeros(d)
-    for p in opened:
-        pull += pulls[:, p]
-    c = int(np.argmax(pull))
-    read = [h for h in range(d) if h != c and held[h, open_].any()]
-    # Per open constraint: its threshold (over w_c L_c where c holds it), and
-    # the read members' coefficients in the same unit.
-    wl = pulls.tolist()
-    checks = []
-    for p in opened:
-        unit = wl[c][p] if held[c, p] else 1.0
-        checks.append((thresholds[p] / unit, bool(held[c, p]),
-                       [(wl[h][p] / unit, read.index(h)) for h in read if held[h, p]]))
     n = -(-budget // SHIFTS)
     a = _korobov(n)
     # Twice the lattice: 2 u - 1 = 2 (i z / n) + (2 Delta - 1) before the wrap.
-    doubled = np.array([np.arange(n) * pow(a, p, n) % n for p in range(len(read))]) * (2.0 / n)
+    doubled = np.array([np.arange(n) * pow(a, p, n) % n for p in range(r)]) * (2.0 / n)
     model = TailModel.standard_pareto(alpha)
-    columns = np.empty((len(read), n))
+    columns = np.empty((r, n))
     ratio, ok, rest, term = np.empty(n), np.empty(n, dtype=bool), np.empty(n), np.empty(n)
     means = []
-    for shift in rng.random((SHIFTS, len(read))).tolist():
+    for shift in rng.random((SHIFTS, r)).tolist():
         # Survival |2 u - 1|, 2 u - 1 wrapped into [-1, 1); 0 gives z = inf.
         with np.errstate(divide="ignore"):
             for column, points, delta in zip(columns, doubled, shift):
@@ -476,6 +528,88 @@ def _conditional(alpha, thresholds, held, pulls, open_, budget, rng):
         means.append(g.mean())
     means = np.array(means)
     return float(means.mean()), float(means.var(ddof=1)) / SHIFTS
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on (-1, 1), n
+    even.  Each positive root of P_n is found by Newton's method on the
+    three-term recurrence from the guess cos(pi (i + 3/4) / (n + 1/2)), in
+    elementwise float64 arithmetic, so the rule has the same bits on every
+    IEEE machine (no BLAS, LAPACK or vector transcendental); its weight is
+    2 / ((1 - x^2) P_n'(x)^2).  Cached: every tuple uses the same few n."""
+    x = np.array([math.cos(math.pi * (i + 0.75) / (n + 0.5)) for i in range(n // 2)])
+    for _ in range(100):
+        low, value = np.ones_like(x), x
+        for k in range(2, n + 1):
+            low, value = value, ((2 * k - 1) * x * value - (k - 1) * low) / k
+        slope = n * (x * value - low) / (x * x - 1.0)
+        step = value / slope
+        x = x - step
+        if np.abs(step).max() <= 1e-15:
+            break
+    weights = 2.0 / ((1.0 - x * x) * slope * slope)
+    return np.concatenate([-x, x[::-1]]), np.concatenate([weights, weights[::-1]])
+
+
+def _quadrature(alpha, lines):
+    """(mean, error) of a one-read tuple's score over the read member's
+    survival u in (0, 1], or None when the rules do not settle.
+
+    ``lines`` holds (b, c) per open constraint: at the read member's Pareto
+    value x = u^(-1/alpha) the score is g = max(1, max_k (b_k - c_k x))^-alpha,
+    each need line falling in x.  Past x* = max_k (b_k - 1) / c_k every line
+    is below the floor and g = 1, so u < u* = x*^-alpha adds exactly u*.
+    The rest, (u*, 1], is cut where a line meets the floor or another line
+    (g is smooth between), and each piece again at the points
+    (q + GRADING s) / (1 + GRADING) from its top q toward the zero
+    s = (c / b)^alpha of its leading line, where g is singular: every cut
+    is at most GRADING times its distance to s, so Gauss-Legendre converges
+    geometrically on each.  The rules take n and 2n nodes a piece, n from
+    QUAD_NODES doubling until they differ by at most QUAD_TOLERANCE of the
+    2n value Q, at most QUAD_MAX_NODES; the mean is Q, the error the
+    difference plus QUAD_ROUNDING Q.  Terms are added by ``math.fsum``.
+    """
+    cuts = [(b - 1.0) / c for b, c in lines]
+    top = max(cuts)
+    if not top > 1.0:
+        return 1.0, QUAD_ROUNDING
+    cuts += [(b1 - b2) / (c1 - c2) for (b1, c1), (b2, c2) in itertools.combinations(lines, 2)
+             if c1 != c2]
+    xs = sorted({1.0, top, *(x for x in cuts if 1.0 < x < top)})
+    lo, hi = [], []
+    for x0, x1 in zip(xs, xs[1:]):
+        middle = 0.5 * (x0 + x1)
+        b, c = max(lines, key=lambda line: line[0] - line[1] * middle)
+        s, q, bottom = (c / b) ** alpha, x0**-alpha, x1**-alpha
+        for _ in range(_MAX_GRADES):
+            p = (q + GRADING * s) / (1.0 + GRADING)
+            if p <= bottom:
+                break
+            lo.append(p)
+            hi.append(q)
+            q = p
+        lo.append(bottom)
+        hi.append(q)
+    lo, hi = np.array(lo), np.array(hi)
+    middle, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    head = top**-alpha
+    n = QUAD_NODES
+    while 2 * n <= QUAD_MAX_NODES:
+        nodes, weights = map(np.concatenate, zip(_gauss_legendre(n), _gauss_legendre(2 * n)))
+        u = middle[:, None] + half[:, None] * nodes
+        with np.errstate(divide="ignore", over="ignore"):
+            x = _power(u, -1.0 / alpha)
+        ratio = np.ones_like(x)
+        for b, c in lines:
+            np.maximum(ratio, b - c * x, out=ratio)
+        terms = (half[:, None] * weights) * _power(ratio, -alpha, out=ratio)
+        coarse = math.fsum([head, *terms[:, :n].ravel().tolist()])
+        fine = math.fsum([head, *terms[:, n:].ravel().tolist()])
+        if abs(fine - coarse) <= QUAD_TOLERANCE * fine:
+            return fine, abs(fine - coarse) + QUAD_ROUNDING * fine
+        n *= 2
+    return None
 
 
 def nu_m_j_rect(
@@ -502,16 +636,18 @@ def nu_m_j_rect(
     spike cover number (below j + 1: +inf) and the covering tuple count;
     more than :data:`MAX_TUPLES` raise :class:`UnsupportedError`, and none
     gives 0, before the table is joined for the walk.  The walk and the
-    tuples' floors then run a chunk of tuples at a time in numpy and count
-    the drawn tuples; more than :data:`MAX_LATTICE_POINTS` lattice points
-    in all raise :class:`UnsupportedError` before any draw.  With none
-    drawn, the sum of the masses is the value, an enumeration with no
-    stderr.  Otherwise a second walk integrates each drawn tuple over
-    SHIFTS * ceil(integration_budget / SHIFTS) lattice points; the tuple of
-    rank r among the lexicographic (j+1)-combinations of the influencing
-    positions draws its shifts from sub-stream r of the root derived from
-    ``seed`` (spawn key :data:`_ORACLE_TAG`).  Values are added in
-    lexicographic order.
+    tuples' floors then run a chunk of tuples at a time in numpy; each drawn
+    tuple that reads one member is integrated by :func:`_quadrature`, and
+    the rest are counted.  With none drawn, the sum of the masses is the
+    value, an enumeration with no stderr; with none left to the lattice,
+    the sum is a quadrature whose stderr is the root sum of squared errors.
+    Otherwise more than :data:`MAX_LATTICE_POINTS` lattice points in all
+    raise :class:`UnsupportedError` before any draw, and a second walk
+    integrates each lattice tuple over SHIFTS * ceil(integration_budget /
+    SHIFTS) points; the tuple of rank r among the lexicographic
+    (j+1)-combinations of the influencing positions draws its shifts from
+    sub-stream r of the root derived from ``seed`` (spawn key
+    :data:`_ORACLE_TAG`).  Values are added in lexicographic order.
     """
     if m == 0 and coeffs.order == 0 and coeffs.psi(0) == 1.0:  # no cover search
         return mu_j_rect(j, alpha, rect)
@@ -547,29 +683,33 @@ def nu_m_j_rect(
         for tuples in _tuple_chunks(positions, held, rect.indices, j + 1, chunk):
             yield tuples, _floors(alpha, thresholds, weights[tuples])
 
-    drawn, total = 0, 0.0
-    for _, (mass, _, _, open_) in floored():
-        drawn += int(open_.any(axis=1).sum())
-        for value in mass.tolist():
-            total += value
-    points = drawn * SHIFTS * -(-integration_budget // SHIFTS)
-    if points > MAX_LATTICE_POINTS:
-        raise UnsupportedError(
-            f"{drawn} drawn spike tuples need {points} lattice points, "
-            f"above the limit of {MAX_LATTICE_POINTS} (use a smaller integration_budget)"
-        )
+    def integrate(stream):
+        total = var_total = 0.0
+        drawn = lattice = 0
+        for tuples, floors in floored():
+            values, variances, d, left = _contributions(
+                alpha, thresholds, floors, integration_budget,
+                stream and (lambda t: stream(tuples[t].tolist())))
+            drawn, lattice = drawn + d, lattice + left
+            for value, variance in zip(values.tolist(), variances.tolist()):
+                total += value
+                var_total += variance
+        return total, var_total, drawn, lattice
+
+    total, var_total, drawn, lattice = integrate(None)
     if not drawn:
         return MeasureValue(total, EvalMethod.ENUMERATION)
-    total = var_total = 0.0
-    root = _derive_seed(seed, _ORACLE_TAG)
-    for tuples, floors in floored():
-        values, variances = _contributions(
-            alpha, thresholds, floors, integration_budget, root,
-            lambda t: _rank(tuples[t].tolist(), len(positions)),
+    if not lattice:
+        return MeasureValue(total, EvalMethod.QUADRATURE, stderr=math.sqrt(var_total))
+    points = lattice * SHIFTS * -(-integration_budget // SHIFTS)
+    if points > MAX_LATTICE_POINTS:
+        raise UnsupportedError(
+            f"{lattice} drawn spike tuples need {points} lattice points, "
+            f"above the limit of {MAX_LATTICE_POINTS} (use a smaller integration_budget)"
         )
-        for value, variance in zip(values.tolist(), variances.tolist()):
-            total += value
-            var_total += variance
+    root = _derive_seed(seed, _ORACLE_TAG)
+    total, var_total, _, _ = integrate(
+        lambda combo: block_generator(root, _rank(combo, len(positions))))
     return MeasureValue(total, EvalMethod.MONTE_CARLO, stderr=math.sqrt(var_total))
 
 

@@ -6,8 +6,9 @@ oracle is a double loop, the cover oracle is exhaustive search, the
 tuple-stream root restates the README's spawn rule, the
 order-0 oracle checks every spike position's coverage one by one, the
 pair-integral oracle takes one member's acceptance length in closed form
-under a 1-D midpoint rule, the one-member oracle integrates the conditional
-score over the read member's survival under a midpoint rule, the
+under a 1-D midpoint rule, the one-member oracles integrate the conditional
+score over the read member's survival under a midpoint rule, or over its
+value by QUADPACK, the
 simulation oracle draws each replicate block whole before summing its
 lags, the crude tuple-integral reference draws every tuple with a shared
 constraint, counts hits and walks all combinations, the conditional ones integrate one member out one sample at
@@ -184,14 +185,15 @@ def tuple_contribution(coeffs, alpha, rect, positions, covers, budget, seed, ran
     """(value, variance) of one tuple's integral through the library's own
     path, not an oracle: the tuple given by its positions and cover bitmasks
     (bit p: rect.indices[p]), a one-tuple chunk of
-    ``limit_measures._contributions`` integrated on sub-stream ``rank``."""
+    ``limit_measures._contributions``, a lattice tuple integrated on
+    sub-stream ``rank`` of ``seed``."""
     weights = np.array([[coeffs.psi(k - i) if cover >> p & 1 else 0.0
                          for p, k in enumerate(rect.indices)]
                         for i, cover in zip(positions, covers)])
     thresholds = np.array(rect.thresholds)
     floors = limit_measures._floors(alpha, thresholds, weights[None])
-    values, variances = limit_measures._contributions(
-        alpha, thresholds, floors, budget, seed, lambda t: rank)
+    values, variances, _, _ = limit_measures._contributions(
+        alpha, thresholds, floors, budget, lambda t: limit_measures.block_generator(seed, rank))
     return float(values[0]), float(variances[0])
 
 
@@ -348,6 +350,45 @@ def one_member_integral(coeffs, m, alpha, j, rect, nodes=10**6):
             mass *= float(np.mean(conditional_score(coeffs, alpha, positions, plan, [x])))
         total += mass
     return total
+
+
+def one_member_tuple(coeffs, alpha, rect, positions, covers):
+    """One drawn tuple's integral when it reads one member r, by QUADPACK
+    (``scipy.integrate.quad``) over r's own value z above its floor L_r.
+
+    Every open constraint k is then held by c and r; given z, c must exceed
+    need_k = (a_k - w_r z) / w_c, with conditional probability
+    (max(L_c, need) / L_c)^-alpha, which is 1 from z* = max_k (a_k - w_c L_c)
+    / w_r on.  So the tuple's value is its mass times (z* / L_r)^-alpha plus
+    the integral over (L_r, z*) of that probability against the Pareto
+    density alpha L_r^alpha z^(-alpha-1), cut where two needs cross or one
+    meets L_c."""
+    from scipy import integrate
+
+    plan = conditional_plan(coeffs, rect, positions, covers)
+    lower, open_, c, read = plan
+    (r,) = read
+    mass = math.prod(low**-alpha for low in lower)
+
+    def w(k, idx):
+        return coeffs.psi(k - positions[idx])
+
+    lines = [(a / w(k, c), w(k, r) / w(k, c)) for k, a, _ in open_]  # need = b - s z
+    low_c, low_r = lower[c], lower[r]
+    top = max((b - low_c) / s for b, s in lines)
+    cuts = [(b - low_c) / s for b, s in lines]
+    cuts += [(b1 - b2) / (s1 - s2) for (b1, s1), (b2, s2) in itertools.combinations(lines, 2)
+             if s1 != s2]
+    edges = sorted({low_r, top, *(z for z in cuts if low_r < z < top)})
+
+    def density(z):
+        need = max(low_c, *(b - s * z for b, s in lines))
+        return alpha * low_r**alpha * z ** (-alpha - 1.0) * (need / low_c) ** -alpha
+
+    head = (top / low_r) ** -alpha if top > low_r else 1.0
+    body = math.fsum(integrate.quad(density, z0, z1, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                     for z0, z1 in zip(edges, edges[1:]) if top > low_r)
+    return mass * (head + body)
 
 
 def iid_conditional_reference(coeffs, alpha, rect, positions, covers, budget, seed, rank):

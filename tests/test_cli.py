@@ -895,21 +895,24 @@ def test_forty_constraint_row_is_an_error_row_within_a_second(tmp_path, config_p
 @pytest.mark.parametrize("command", ["limits", "verify"])
 def test_row_over_the_lattice_point_limit_is_an_error_row_within_a_second(
         tmp_path, config_path, command):
-    # psi = (1, 1, 1, 1, 1) with 21 constraints 3 apart: 20,480 drawn tuples
-    # integrated for about a minute.
-    rect = ", ".join(f"{3 * i}:{5.0 if i % 2 else 1.0}" for i in range(21))
+    # psi = (1, 0, 1, 1) on two copies, 14 apart, of a row whose three drawn
+    # tuples each read two members: 225 lattice tuples, about half a minute
+    # at 10^7 points each.
+    group = {0: 1.0, 4: 0.5, 5: 3.0, 7: 3.0, 8: 0.5, 9: 1.0}
+    rect = ", ".join(f"{14 * g + k}:{a}" for g in range(2) for k, a in group.items())
     out = tmp_path / "out.csv"
     start = time.perf_counter()
     code = main([command, "--config", config_path, "--out", str(out),
-                 "--set", "coefficients.values=1, 1, 1, 1, 1", "--set", "coefficients.m=4",
-                 "--set", f"rows.row1=10; {rect}", "--set", "run.n=200"])
+                 "--set", "coefficients.values=1, 0, 1, 1", "--set", "coefficients.m=3",
+                 "--set", f"rows.row1=7; {rect}", "--set", "run.n=200",
+                 "--set", "run.integration_budget=10000000"])
     assert time.perf_counter() - start < 1.0
     assert code == 0
     rows = read_csv(out)
     header = rows[0]
     errors = [r[header.index("error" if command == "verify" else "note")] for r in rows[1:]]
     assert not errors[0]
-    assert errors[1] == (f"20480 drawn spike tuples need 4096000000 lattice points, above the "
+    assert errors[1] == (f"225 drawn spike tuples need 2250000000 lattice points, above the "
                          f"limit of {limit_measures.MAX_LATTICE_POINTS} (use a smaller integration_budget)")
 
 
@@ -1116,13 +1119,24 @@ def test_limits_loads_no_sample_file_or_thread_pool(config_path, tmp_path):
     assert modules_after(statement, watch) == ["numpy"]
 
 
-def test_layers_load_numpy_random_at_the_first_draw():
+def test_layers_load_numpy_random_at_the_first_draw(tmp_path):
     # Importing a layer leaves numpy.random unloaded (about 6 MB): the
     # seed-sequence type of block_generator is registered when it first runs.
     statement = "import matails.innovations, matails.ma_process, matails.limit_measures, matails.estimation"
     assert modules_after(statement, ["numpy", "numpy.random"]) == ["numpy"]
     draw = "from matails import block_generator; block_generator(1, 2, 3)"
     assert modules_after(draw, ["numpy.random"]) == ["numpy.random"]
+    # limits on rows whose drawn tuples all read one member integrates them by
+    # quadrature: no generator, no derived root, so no numpy.random.
+    config = tmp_path / "one-read.ini"
+    config.write_text("[coefficients]\nfamily = explicit\nvalues = 1, 0.8, 0.6, 0.4, 0.2\nm = 4\n"
+                      "[tail]\nfamily = standard_pareto\nalpha = 1.0\n"
+                      "[rows]\nrow0 = 1; 0:1, 2:6, 5:1\nrow1 = 2; 0:1, 2:5, 5:1, 7:5, 10:1\n")
+    argv = ["limits", "--config", str(config), "--out", str(tmp_path / "one-read.csv")]
+    statement = f"from matails.cli import main; assert main({argv!r}) == 0"
+    assert modules_after(statement, ["numpy", "numpy.random"]) == ["numpy"]
+    with open(tmp_path / "one-read.csv", newline="") as f:
+        assert [r["method"] for r in csv.DictReader(f)] == ["quadrature", "quadrature"]
 
 
 def test_hill_loads_only_the_sample_codec(tmp_path):

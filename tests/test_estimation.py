@@ -175,10 +175,11 @@ class TestTheoreticalDispatch:
         assert got.method is EvalMethod.ENUMERATION and got.value == 1.5
 
     def test_finite_higher_order_uses_integration(self):
-        # The middle constraint couples the spikes of the pair (0, 1), which draws.
+        # The middle constraint couples the spikes of the pair (0, 1), which
+        # reads one member: Gauss-Legendre, to rounding.
         got = theoretical_tail_measure(PSI_HALF, 1, 1.0, 1, UpperRect({0: 1.0, 1: 5.0, 2: 1.0}))
-        assert got.method is EvalMethod.MONTE_CARLO and got.stderr > 0.0
-        assert got.value == pytest.approx(0.2 + math.log(13.5) / 50.0 + 0.25, abs=4 * got.stderr)
+        assert got.method is EvalMethod.QUADRATURE and got.stderr > 0.0
+        assert got.value == pytest.approx(0.2 + math.log(13.5) / 50.0 + 0.25, rel=1e-14, abs=0.0)
 
     def test_finite_higher_order_without_draws_is_an_enumeration(self):
         # All four covering pairs factor, so no tuple draws and there is no stderr.

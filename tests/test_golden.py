@@ -128,7 +128,8 @@ LIMITS_GEOMETRIC_CONFIG = textwrap.dedent(
 )
 
 # Hidden-order rows with drawn tuples: row0's drawn pair reads one member
-# (a one-dimensional lattice), row1's drawn triples read one or two.
+# (quadrature), row1's drawn triples read one or two (quadrature and the
+# lattice).
 LIMITS_DRAWN_CONFIG = textwrap.dedent(
     """\
     [coefficients]
@@ -143,6 +144,29 @@ LIMITS_DRAWN_CONFIG = textwrap.dedent(
     [rows]
     row0 = 1; 0:1.0, 2:6.0, 4:1.0
     row1 = 2; 0:2.0, 1:4.0, 2:8.0, 3:1.0, 4:20.0, 6:8.0
+
+    [run]
+    seed = 5
+    integration_budget = 1000
+    """
+)
+
+# Rows whose drawn tuples all read two members: the lattice alone, so the
+# bytes are those of the evaluator before one-read tuples took quadrature.
+LIMITS_LATTICE_CONFIG = textwrap.dedent(
+    """\
+    [coefficients]
+    family = explicit
+    values = 1, 0, 1, 1
+    m = 3
+
+    [tail]
+    family = standard_pareto
+    alpha = 1.0
+
+    [rows]
+    row0 = 2; 1:0.5, 2:0.5, 4:5.0, 5:5.0, 8:1.0
+    row1 = 3; 0:1.0, 4:0.5, 5:3.0, 7:3.0, 8:0.5, 9:1.0
 
     [run]
     seed = 5
@@ -200,8 +224,12 @@ GOLDEN = {
     # Its drawn tuples read sub-streams of the root derived from the seed, as
     # verify's theory column does.
     "limits-drawn": {
-        "out": "7211285259de342ece3fa30ab0753ff4862486ce10bf4bb0300fab09147f4e7f",
+        "out": "5a4d79cbef6e8fef5fe8277988b7c07435a4c2b6f39a8feb8ef01bb5e1ee0531",
         "out.meta.json": "4a281b58ed89b949be3ff23611eb77d88af13b70a78b6e268a75741c0ed4b5c3",
+    },
+    "limits-lattice": {
+        "out": "1bca7720951f5732d69522025f110841b75ac2b24868ab8176a6204873624e4d",
+        "out.meta.json": "4d4ca395ac091373c0bb0f9c5f55b12d1eaed5992e06c8aa5a54871f94c3d011",
     },
     "verify": {
         "out": "e9e48ea9d1a25f957708f5e56cde4f48c953dd22d0b0c4fffad4b3cd836c4b14",
@@ -245,6 +273,7 @@ CASES = {
     "limits-finite": (LIMITS_FINITE_CONFIG, ["limits"]),
     "limits-geometric": (LIMITS_GEOMETRIC_CONFIG, ["limits"]),
     "limits-drawn": (LIMITS_DRAWN_CONFIG, ["limits"]),
+    "limits-lattice": (LIMITS_LATTICE_CONFIG, ["limits"]),
 }
 
 

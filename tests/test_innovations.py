@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from matails import ParameterError, TailModel, block_generator, draw
+from matails import ParameterError, TailModel, block_generator, draw, innovations
 
 
 def sample(model, count, seed):
@@ -28,6 +28,23 @@ class TestInverseTransform:
         for model in (TailModel.standard_pareto(1.7, 2.0), TailModel.shifted_pareto(0.8, 3.0)):
             for u in (0.9, 0.5, 0.01, 1e-6):
                 assert model.survival(model.inverse_survival(u)) == pytest.approx(u, rel=1e-12)
+
+    def test_reciprocal_is_the_power_minus_one(self):
+        # The alpha = 1 transform is np.reciprocal: the bits of numpy's power
+        # and of libm's pow at -1, on 2^22 Philox uniforms (1 - random()) and
+        # on the edges 1, 2^-53, 1/2 and the double above it.
+        edges = np.array([1.0, 2.0**-53, 0.5, np.nextafter(0.5, 1.0)])
+        got = innovations._power(edges, -1.0)
+        assert got.tobytes() == np.power(edges, -1.0).tobytes()
+        assert got.tolist() == [x ** -1.0 for x in edges.tolist()]
+        rng = block_generator(20)
+        for _ in range(4):  # 2^20 at a time
+            u = 1.0 - rng.random(2**20)
+            got = innovations._power(u, -1.0)
+            assert got.tobytes() == np.power(u, -1.0).tobytes()
+            out = u.copy()
+            assert TailModel.standard_pareto(1.0).inverse_survival(out, out=out) is out
+            assert out.tobytes() == got.tobytes()
 
     def test_invalid_model_parameters(self):
         with pytest.raises(ParameterError):

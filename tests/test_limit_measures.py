@@ -42,6 +42,7 @@ from oracles import (
     m0_oracle,
     nu_m_j_rect_reference,
     one_member_integral,
+    one_member_tuple,
     order1_quadrature,
     pair_integral,
     tuple_contribution,
@@ -109,6 +110,30 @@ MIXED_RECT = UpperRect({0: 1.0, 1: 3.0, 2: 1.0})
 # (and fails on about half the samples).
 INDICATOR_PSI = ExplicitFinite([1.0, 1.0, 0.5])
 INDICATOR_RECT = UpperRect({0: 2.0, 1: 4.0, 2: 8.0, 3: 1.0, 4: 20.0, 6: 8.0})
+# Rows whose drawn tuples all read two members, so all take the lattice: at
+# j = 2 one tuple; at j = 3 three, each with a member that holds no open
+# constraint.
+TWO_READ_PSI = ExplicitFinite([1.0, 0.0, 1.0, 1.0])
+TWO_READ_RECT = UpperRect({1: 0.5, 2: 0.5, 4: 5.0, 5: 5.0, 8: 1.0})
+TWO_READ_J3_RECT = UpperRect({0: 1.0, 4: 0.5, 5: 3.0, 7: 3.0, 8: 0.5, 9: 1.0})
+# Six drawn tuples read one member and one reads two.
+MIXED_READS_PSI = ExplicitFinite([1.0, 0.52, 0.52, 0.3])
+MIXED_READS_RECT = UpperRect({1: 0.7, 4: 3.3, 6: 1.0, 7: 6.5, 10: 1.1})
+
+
+def reads_of_drawn(coeffs, m, j, rect):
+    """{rank: read member count} of the drawn covering tuples."""
+    out = {}
+    for rank, positions, covers in covering_tuples(coeffs, m, j, rect):
+        _, open_, _, read = conditional_plan(coeffs, rect, positions, covers)
+        if open_:
+            out[rank] = len(read)
+    return out
+
+
+def lattice_ranks(coeffs, m, j, rect):
+    """Ranks of the drawn tuples that read two or more members."""
+    return [rank for rank, r in reads_of_drawn(coeffs, m, j, rect).items() if r >= 2]
 
 
 class TestUpperRect:
@@ -344,10 +369,12 @@ class TestNuMJRect:
         # constraint 0.5 z1 + z2 > 5 on the middle coordinate; partial
         # fractions give 0.1 + (ln(13.5)/50 + 1/4) + 0.1.
         rect = UpperRect({0: 1.0, 1: 5.0, 2: 1.0})
+        # The drawn pair reads one member: Gauss-Legendre, exact to rounding.
         pencil = 0.2 + math.log(13.5) / 50.0 + 0.25
         got = nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect, 400_000, seed=3)
-        assert got.stderr > 0.0
-        assert got.value == pytest.approx(pencil, abs=4 * got.stderr)
+        assert got.method is EvalMethod.QUADRATURE
+        assert 0.0 < got.stderr <= 1e-14 * got.value
+        assert abs(got.value - pencil) <= got.stderr
         oracle = order1_quadrature(PSI_HALF, 1, 1.0, rect)
         assert oracle == pytest.approx(pencil, rel=2e-3)
         assert got.value == pytest.approx(oracle, rel=0.01)
@@ -408,13 +435,21 @@ class TestNuMJRect:
         (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 1, UpperRect({0: 1.0, 2: 2.0, 5: 1.0})),
         (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 2, UpperRect({0: 1.0, 3: 2.0, 4: 1.0, 8: 1.0})),
         (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 1, MIXED_RECT),
+        (TWO_READ_PSI, 3, 2, TWO_READ_RECT),
+        (TWO_READ_PSI, 3, 3, TWO_READ_J3_RECT),
+        (MIXED_READS_PSI, 3, 2, MIXED_READS_RECT),
+        (INDICATOR_PSI, 2, 2, INDICATOR_RECT),
     ])
     def test_streams_are_ranks_of_shared_tuples(self, monkeypatch, coeffs, m, j, rect):
-        # Only tuples with a shared constraint their floors leave open draw.
+        # Only tuples with a shared constraint their floors leave open draw,
+        # and of those only the ones that read two or more members: a pair
+        # reads one, so the j = 1 rows build no generator.
         exact, pruned, drawn = tuple_kinds(coeffs, m, j, rect)
         assert exact and (pruned or drawn)
         if rect == MIXED_RECT:
             assert pruned and drawn
+        lattice = lattice_ranks(coeffs, m, j, rect)
+        assert bool(lattice) == any(coeffs is c for c in (TWO_READ_PSI, MIXED_READS_PSI, INDICATOR_PSI))
         made = []
         original = limit_measures.block_generator
 
@@ -424,7 +459,7 @@ class TestNuMJRect:
 
         monkeypatch.setattr(limit_measures, "block_generator", recording)
         assert not nu_m_j_rect(coeffs, m, 1.0, j, rect, 64, seed=7).is_infinite
-        assert made == drawn
+        assert made == lattice
 
     # Thresholds either low or high, so that shared constraints are sometimes
     # implied by the members' floors and sometimes left open.
@@ -439,24 +474,33 @@ class TestNuMJRect:
     @example(ExplicitFinite([1.0, 0.8, 0.6, 0.4, 0.2]), 4, 2, 2.0,
              UpperRect({0: 1.0, 2: 5.0, 5: 1.0, 7: 5.0, 10: 1.0}), 11)
     @example(INDICATOR_PSI, 2, 2, 1.0, INDICATOR_RECT, 5)
+    @example(TWO_READ_PSI, 3, 3, 1.3, TWO_READ_J3_RECT, 9)
+    @example(MIXED_READS_PSI, 3, 2, 2.0, MIXED_READS_RECT, 4)
     @given(gapped(4), st.integers(0, 4), st.sampled_from([1, 2, 3]),
            st.sampled_from([0.5, 1.0, 1.3, 2.0, 3.0]), MIXED_THRESHOLDS, st.integers(0, 2**32 - 1))
     def test_bitwise_equal_to_unpruned_reference(self, coeffs, m, j, alpha, rect, seed):
-        # Exact and pruned tuples keep the crude reference's bits; drawn tuples
-        # integrate one member out on the shifted lattice, restated point by
-        # point in the conditional reference (same shifts, other rounding in
-        # the power and the sums).  Tuple ``rank`` draws from sub-stream
-        # ``rank`` of the root derived from ``seed``.
+        pytest.importorskip("scipy.integrate")
+        # Exact and pruned tuples keep the crude reference's bits.  A drawn
+        # tuple that reads one member is integrated by quadrature, within
+        # 1e-12 of its one-member integral; one that reads more integrates
+        # on the shifted lattice, restated point by point in the conditional
+        # reference (same shifts, other rounding in the power and the sums).
+        # Tuple ``rank`` draws from sub-stream ``rank`` of the root derived
+        # from ``seed``.
         got = nu_m_j_rect(coeffs, m, alpha, j, rect, 64, seed=seed)
         if got.is_infinite:
             assert cover_oracle(coeffs, m, rect) <= j
             return
-        drawn = set(tuple_kinds(coeffs, m, j, rect)[2])
+        reads = reads_of_drawn(coeffs, m, j, rect)
         total = var_total = 0.0
         for rank, positions, covers in covering_tuples(coeffs, m, j, rect):
             args = (coeffs, alpha, rect, positions, covers, 64, tuple_stream_root(seed), rank)
             value, variance = tuple_contribution(*args)
-            if rank in drawn:
+            if reads.get(rank) == 1:
+                want = one_member_tuple(coeffs, alpha, rect, positions, covers)
+                assert math.isclose(value, want, rel_tol=1e-10, abs_tol=0.0)
+                assert 0.0 <= math.sqrt(variance) <= 2e-13 * value
+            elif rank in reads:
                 want, want_var = conditional_tuple_reference(*args)
                 assert math.isclose(value, want, rel_tol=1e-12, abs_tol=0.0)
                 assert math.isclose(variance, want_var, rel_tol=1e-12, abs_tol=0.0)
@@ -465,10 +509,12 @@ class TestNuMJRect:
                 assert variance == 0.0
             total += value
             var_total += variance
-        if drawn:
-            assert (got.value, got.stderr) == (total, math.sqrt(var_total))
-        else:
+        if not reads:
             assert (got.value, got.method, got.stderr) == (total, EvalMethod.ENUMERATION, None)
+            return
+        assert (got.value, got.stderr) == (total, math.sqrt(var_total))
+        lattice = any(r > 1 for r in reads.values())
+        assert got.method is (EvalMethod.MONTE_CARLO if lattice else EvalMethod.QUADRATURE)
 
     @pytest.mark.parametrize("coeffs, m, j, alpha, rect", [
         (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 1, 1.3, MIXED_RECT),
@@ -476,9 +522,11 @@ class TestNuMJRect:
         (ExplicitFinite([1.0, 0.8, 0.6, 0.4, 0.2]), 4, 2, 2.0,
          UpperRect({0: 1.0, 2: 5.0, 5: 1.0, 7: 5.0, 10: 1.0})),
         (INDICATOR_PSI, 2, 2, 1.0, INDICATOR_RECT),
+        (TWO_READ_PSI, 3, 3, 1.5, TWO_READ_J3_RECT),
     ])
     def test_drawn_tuples_agree_with_crude_counting(self, coeffs, m, j, alpha, rect):
-        # Both estimate the same tuple integral from sub-stream ``rank``.
+        # Both estimate the same tuple integral, the lattice and crude
+        # counting from sub-stream ``rank``.
         drawn = set(tuple_kinds(coeffs, m, j, rect)[2])
         assert drawn
         for rank, positions, covers in covering_tuples(coeffs, m, j, rect):
@@ -545,11 +593,11 @@ class TestTupleWalk:
             assert (count if cover == j + 1 else 0) == len(want)
 
     @pytest.mark.parametrize("coeffs, m, j, rect", [
-        (THEORY_B_PSI, 4, 2, THEORY_B_J2_RECT),
+        (TWO_READ_PSI, 3, 3, TWO_READ_J3_RECT),
         (INDICATOR_PSI, 2, 2, INDICATOR_RECT),
     ])
     def test_members_without_an_open_constraint_draw_no_column(self, monkeypatch, coeffs, m, j, rect):
-        # Each drawn tuple reads one (SHIFTS, r) array of lattice shifts.
+        # Each lattice tuple reads one (SHIFTS, r) array of lattice shifts.
         shapes = []
         original = limit_measures.block_generator
 
@@ -567,11 +615,11 @@ class TestTupleWalk:
         want = []
         for _, positions, covers in covering_tuples(coeffs, m, j, rect):
             _, open_, _, read = conditional_plan(coeffs, rect, positions, covers)
-            if open_:
+            if open_ and len(read) > 1:
                 want.append((limit_measures.SHIFTS, len(read)))
         assert shapes == want
-        # Some drawn tuple has a member that holds no open constraint.
-        assert any(cols < j for _, cols in shapes)
+        # Some lattice tuple has a member that holds no open constraint.
+        assert any(cols < j for _, cols in shapes) == (rect == TWO_READ_J3_RECT)
 
     def test_over_the_tuple_budget_raises_before_the_walk(self, monkeypatch):
         # psi = (1, .5), constraints 3 apart: each one is reached by two
@@ -585,33 +633,43 @@ class TestTupleWalk:
             nu_m_j_rect(PSI_HALF, 1, 1.0, 11, rect, 16, seed=1)
 
     def test_over_the_lattice_point_limit_raises_before_any_draw(self, monkeypatch):
-        # Every drawn tuple evaluates SHIFTS * ceil(budget / SHIFTS) points:
+        # Every lattice tuple evaluates SHIFTS * ceil(budget / SHIFTS) points:
         # 16 * 7 = 112 at budget 100.
-        drawn = len(tuple_kinds(THEORY_B_PSI, 4, 2, THEORY_B_J2_RECT)[2])
-        points = drawn * 112
+        lattice = len(lattice_ranks(MIXED_READS_PSI, 3, 2, MIXED_READS_RECT))
+        points = lattice * 112
         monkeypatch.setattr(limit_measures, "MAX_LATTICE_POINTS", points)
-        assert nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT, 100, seed=1).stderr > 0.0
+        assert nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT, 100, seed=1).stderr > 0.0
         monkeypatch.setattr(limit_measures, "MAX_LATTICE_POINTS", points - 1)
         monkeypatch.setattr(limit_measures, "block_generator", lambda *a: pytest.fail("drew"))
-        with pytest.raises(UnsupportedError, match=f"{drawn} drawn spike tuples need {points} "
+        with pytest.raises(UnsupportedError, match=f"{lattice} drawn spike tuples need {points} "
                            f"lattice points, above the limit of {points - 1} "):
-            nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT, 100, seed=1)
+            nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT, 100, seed=1)
+        # Tuples that read one member take no lattice point.
+        monkeypatch.setattr(limit_measures, "MAX_LATTICE_POINTS", 0)
+        got = nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT, 100, seed=1)
+        assert got.method is EvalMethod.QUADRATURE
 
     def test_many_drawn_tuples_are_refused_in_milliseconds(self):
-        # psi = (1, 1, 1, 1, 1), 21 constraints 3 apart, thresholds alternating
-        # 1 and 5, at the cover number: 20,480 of 35,840 tuples draw, about a
-        # minute of integration at the default budget.
-        rect = UpperRect({3 * i: 5.0 if i % 2 else 1.0 for i in range(21)})
+        # Two copies of the three-lattice-tuple row, further apart than m:
+        # 225 of 1521 tuples read two or more members, about half a minute
+        # of integration at 10^7 points a tuple.
+        rect = UpperRect({14 * g + k: a for g in range(2) for k, a in TWO_READ_J3_RECT.constraints})
         start = time.perf_counter()
-        with pytest.raises(UnsupportedError, match="20480 drawn spike tuples need 4096000000 lattice points"):
-            nu_m_j_rect(ExplicitFinite([1.0] * 5), 4, 1.0, 10, rect, seed=1)
+        with pytest.raises(UnsupportedError, match="225 drawn spike tuples need 2250000000 lattice points"):
+            nu_m_j_rect(TWO_READ_PSI, 3, 1.0, 7, rect, 10**7, seed=1)
         assert time.perf_counter() - start < 1.0
 
 
 
 class TestConditionalEfficiency:
     """Integrating one member out on a shifted lattice must cut the variance,
-    report it honestly, and not move the value."""
+    report it honestly, and not move the value.  These rows' drawn tuples
+    read one member; with the quadrature turned off they take the lattice,
+    as such a tuple does when its rules do not settle."""
+
+    @pytest.fixture(autouse=True)
+    def lattice_only(self, monkeypatch):
+        monkeypatch.setattr(limit_measures, "_quadrature", lambda alpha, lines: None)
 
     ROWS = [
         (THEORY_B_PSI, 4, UpperRect({0: 1.0, 2: 6.0, 5: 1.0})),
@@ -760,6 +818,119 @@ class TestConditionalEfficiency:
         assert all(math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0) for g, w in zip(got, want))
 
 
+def one_read_lines(coeffs, m, alpha, j, rect):
+    """The (b, c) need lines of each drawn tuple of a row that reads one
+    member, through the library's walk, floors and plan."""
+    positions, weights = table(coeffs, m, rect)
+    thresholds = np.array(rect.thresholds)
+    out = []
+    for tuples in limit_measures._tuple_chunks(positions, weights > 0.0, rect.indices, j + 1, 4096):
+        _, held, pulls, open_ = limit_measures._floors(alpha, thresholds, weights[tuples])
+        for t in np.flatnonzero(open_.any(axis=1)).tolist():
+            read, checks = limit_measures._plan(thresholds.tolist(), held[t], pulls[t], open_[t])
+            if len(read) == 1:
+                out.append([(bound, coef) for bound, _, ((coef, _),) in checks])
+    return out
+
+
+class TestQuadrature:
+    """A drawn tuple that reads one member is integrated by Gauss-Legendre on
+    closed-form pieces: within rounding of the oracles, with an error that
+    covers a finer rule, and with no generator."""
+
+    THEORY_B_ROWS = [(1, UpperRect({0: 1.0, 2: 6.0, 5: 1.0})), (1, UpperRect({0: 1.0, 3: 4.0, 6: 1.0})),
+                     (2, THEORY_B_J2_RECT)]
+    BINDING_RECT = UpperRect({0: 1.0, 1: 5.0, 2: 1.0})
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_theory_b_rows_against_the_oracles(self, alpha):
+        # The midpoint oracles are off by about 1e-13 at alpha = 1 on 10^6
+        # nodes and by up to 1e-12 at alpha = 1.5, where 2 * 10^6 nodes give
+        # about 2.5e-13.
+        nodes = 10**6 if alpha == 1.0 else 2 * 10**6
+        for j, rect in self.THEORY_B_ROWS:
+            if j == 1:
+                oracle = pair_integral(THEORY_B_PSI, 4, alpha, rect, nodes=nodes)
+            else:
+                oracle = one_member_integral(THEORY_B_PSI, 4, alpha, j, rect, nodes=nodes)
+            got = nu_m_j_rect(THEORY_B_PSI, 4, alpha, j, rect)
+            assert got.method is EvalMethod.QUADRATURE
+            assert 0.0 < got.stderr < 1e-14 * got.value
+            assert math.isclose(got.value, oracle, rel_tol=1e-12, abs_tol=0.0)
+
+    def test_binding_pair_at_alpha_60(self):
+        # The drawn pair against QUADPACK, and the row against the midpoint
+        # value of TestConditionalEfficiency (itself good to about 1e-8).
+        pytest.importorskip("scipy.integrate")
+        (positions, covers), = [(pos, cov) for rank, pos, cov in covering_tuples(PSI_HALF, 1, 1, self.BINDING_RECT)
+                                if rank in tuple_kinds(PSI_HALF, 1, 1, self.BINDING_RECT)[2]]
+        value, variance = tuple_contribution(PSI_HALF, 60.0, self.BINDING_RECT, positions, covers, 64, 1, 0)
+        want = one_member_tuple(PSI_HALF, 60.0, self.BINDING_RECT, positions, covers)
+        assert math.isclose(value, want, rel_tol=1e-12, abs_tol=0.0)
+        assert 0.0 < math.sqrt(variance) < 1e-14 * value
+        n = 1_000_000
+        z = 1.0 + (np.arange(n) + 0.5) * (5.0 / n)
+        truth = float(np.sum(60.0 * z**-61 * (5.0 - z / 2) ** -60)) * (5.0 / n) + 12.0**-60 + 2e-60
+        got = nu_m_j_rect(PSI_HALF, 1, 60.0, 1, self.BINDING_RECT)
+        assert got.method is EvalMethod.QUADRATURE
+        assert math.isclose(got.value, truth, rel_tol=1e-8, abs_tol=0.0)
+        # need / L_c is about 5e5 everywhere on the drawn pair and 5e5^-60
+        # underflows: the row reads zero, with a zero error.
+        got = nu_m_j_rect(PSI_HALF, 1, 60.0, 1, UpperRect({0: 1.0, 1: 1e6, 2: 1.0}))
+        assert (got.value, got.method, got.stderr) == (0.0, EvalMethod.QUADRATURE, 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 3.0, 60.0])
+    def test_reported_error_covers_a_rule_with_four_times_the_nodes(self, monkeypatch, alpha):
+        cases = [(THEORY_B_PSI, 4, j, rect) for j, rect in self.THEORY_B_ROWS]
+        cases += [(PSI_HALF, 1, 1, self.BINDING_RECT), (MIXED_READS_PSI, 3, 2, MIXED_READS_RECT),
+                  (INDICATOR_PSI, 2, 2, INDICATOR_RECT)]
+        quadrature = limit_measures._quadrature
+        first = limit_measures.QUAD_NODES
+        for coeffs, m, j, rect in cases:
+            for lines in one_read_lines(coeffs, m, alpha, j, rect):
+                mean, error = quadrature(alpha, lines)
+                # Settled at the first pair: the value is the 2n-node rule.
+                monkeypatch.setattr(limit_measures, "QUAD_MAX_NODES", 2 * first)
+                assert quadrature(alpha, lines) == (mean, error)
+                monkeypatch.setattr(limit_measures, "QUAD_NODES", 4 * first)
+                monkeypatch.setattr(limit_measures, "QUAD_MAX_NODES", 8 * first)
+                monkeypatch.setattr(limit_measures, "QUAD_TOLERANCE", math.inf)
+                finer, _ = quadrature(alpha, lines)
+                monkeypatch.undo()
+                assert 0.0 < error <= 2e-13 * mean
+                assert abs(finer - mean) <= error
+
+    def test_one_read_rows_build_no_generator(self, monkeypatch):
+        monkeypatch.setattr(limit_measures, "block_generator", lambda *a: pytest.fail("drew"))
+        monkeypatch.setattr(limit_measures, "_derive_seed", lambda *a: pytest.fail("derived a root"))
+        for j, rect in self.THEORY_B_ROWS:
+            assert nu_m_j_rect(THEORY_B_PSI, 4, 1.5, j, rect).method is EvalMethod.QUADRATURE
+
+    def test_unsettled_tuples_fall_back_to_the_lattice(self, monkeypatch):
+        # A tuple whose rules never agree is integrated on the lattice, on its
+        # rank's sub-stream, as if the quadrature were not there.
+        with monkeypatch.context() as patch:
+            patch.setattr(limit_measures, "_quadrature", lambda alpha, lines: None)
+            want = nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT, 2000, seed=3)
+        monkeypatch.setattr(limit_measures, "QUAD_TOLERANCE", -1.0)
+        got = nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT, 2000, seed=3)
+        assert got == want and got.method is EvalMethod.MONTE_CARLO
+
+    @pytest.mark.parametrize("n", [48, 96, 768])
+    def test_gauss_legendre_rule(self, n):
+        # Against numpy's eigenvalue rule, whose end weights are off by up to
+        # 9e-10 at n = 768 (these by 4e-12, against 40-digit Newton), and
+        # exact on monomials of degree below 2n.
+        nodes, weights = limit_measures._gauss_legendre(n)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+        assert np.all(np.diff(nodes) > 0.0) and np.array_equal(nodes, -nodes[::-1])
+        assert np.max(np.abs(nodes - want_nodes)) <= 1e-15
+        assert np.max(np.abs(weights / want_weights - 1.0)) <= 1e-9
+        for k in range(0, min(2 * n, 40), 2):
+            assert math.isclose(math.fsum((weights * nodes**k).tolist()), 2.0 / (k + 1),
+                                rel_tol=1e-13)
+
+
 class TestHomogeneity:
     LAMBDAS = (0.5, 2.0, 10.0)
 
@@ -777,12 +948,16 @@ class TestHomogeneity:
                 n0_l = nu_m0_rect(PSI_HALF, 1, alpha, rect.scaled(lam))
                 assert n0_l.value == pytest.approx(lam**-alpha * n0.value, rel=1e-12)
 
-    def test_monte_carlo_same_stream_scales_exactly(self):
-        rect = UpperRect({0: 1.0, 1: 5.0, 2: 1.0})
-        base = nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect, 50_000, seed=7)
+    @pytest.mark.parametrize("coeffs, m, j, rect, method", [
+        (PSI_HALF, 1, 1, UpperRect({0: 1.0, 1: 5.0, 2: 1.0}), EvalMethod.QUADRATURE),
+        (TWO_READ_PSI, 3, 2, TWO_READ_RECT, EvalMethod.MONTE_CARLO),
+    ])
+    def test_monte_carlo_same_stream_scales_exactly(self, coeffs, m, j, rect, method):
+        base = nu_m_j_rect(coeffs, m, 1.0, j, rect, 50_000, seed=7)
+        assert base.method is method
         for lam in self.LAMBDAS:
-            scaled = nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect.scaled(lam), 50_000, seed=7)
-            assert scaled.value == pytest.approx(lam**-2 * base.value, rel=1e-9)
+            scaled = nu_m_j_rect(coeffs, m, 1.0, j, rect.scaled(lam), 50_000, seed=7)
+            assert scaled.value == pytest.approx(lam ** -(j + 1) * base.value, rel=1e-9)
 
     def test_infinite_order_marginal(self):
         rect = UpperRect({0: 1.0})
