@@ -26,8 +26,9 @@ combinatorial question.  The measures supported:
   The others integrate one member's Pareto tail in closed form (conditional
   Monte Carlo) over the members that share an open constraint with it.
   When that is one member, the integral is one-dimensional and taken by
-  Gauss-Legendre quadrature on closed-form pieces, its error the gap to a
-  rule of half the nodes; otherwise the members run over :data:`SHIFTS`
+  Gauss-Legendre quadrature on closed-form pieces (at most
+  :data:`MAX_QUADRATURE_TUPLES` per row), its error the gap to a rule of
+  half the nodes; otherwise the members run over :data:`SHIFTS`
   random shifts of one rank-1 lattice folded by the baker's (tent)
   transform (randomized quasi-Monte Carlo, error about budget^-2; at most
   :data:`MAX_LATTICE_POINTS` points per row) drawn from sub-streams of a
@@ -79,18 +80,21 @@ __all__ = [
 
 # Gauss-Legendre rules of a one-read tuple (see _quadrature): n and 2n nodes
 # a piece, n from QUAD_NODES doubling while the two values differ by more
-# than QUAD_TOLERANCE of the finer, up to 2n = QUAD_MAX_NODES; a tuple still
-# apart there goes to the lattice.  The reported error adds QUAD_ROUNDING of
-# the value, the rounding of the score's powers and differences.
+# than QUAD_TOLERANCE of the finer, up to 2n = QUAD_MAX_NODES.  The reported
+# error is their difference plus QUAD_ROUNDING of the value, the rounding of
+# the score's powers and differences, plus the subnormal spacing 2^-1074 per
+# term, the most underflow can take from each.
 QUAD_NODES = 48
 QUAD_MAX_NODES = 768
 QUAD_TOLERANCE = 1e-13
 QUAD_ROUNDING = 8 * 2.0**-52
 
 # A piece's cuts lie at most GRADING times their distance from the score's
-# singularity, at most _MAX_GRADES of them a piece.
+# singularity s.  Each cut is 1 + GRADING times nearer s than the last, so
+# from u <= 1 to a bottom at least 2^-1074 above s takes at most
+# log_17 2^1074 < 263 cuts; _MAX_GRADES only guards against a rounding stall.
 GRADING = 16.0
-_MAX_GRADES = 64
+_MAX_GRADES = 300
 
 # Independent uniform shifts of each drawn tuple's lattice: the tuple's value
 # is the mean of the shift means, its variance their spread over SHIFTS.
@@ -104,6 +108,12 @@ MAX_LATTICE_POINTS = 10**9
 # Most covering spike tuples one order-j rectangle may sum over; a larger
 # count raises UnsupportedError before the walk.
 MAX_TUPLES = 250_000
+
+# Most drawn tuples that read one member one order-j rectangle may integrate
+# by quadrature (about 10 s at the 97 us a tuple measured on a row of 25
+# constraints and 13 members, one core of a 2-core machine); a larger count
+# raises UnsupportedError before any quadrature.
+MAX_QUADRATURE_TUPLES = 100_000
 
 # Cells per (tuples, j+1, |K|) floor array of one numpy pass over a chunk of
 # tuples: the walk and the floors hold a few such arrays whatever the tuple count.
@@ -402,36 +412,35 @@ def _floors(alpha, thresholds, weights):
     return mass, held, pulls, (holders > 1) & ~(floor > thresholds)
 
 
+def _involved(floors):
+    """Per tuple of a chunk with the given :func:`_floors`, how many members
+    hold an open constraint: 0 for an exact tuple, else c and its read
+    members, so 2 when its integral reads one member."""
+    _, held, _, open_ = floors
+    return (held & open_[:, None, :]).any(axis=2).sum(axis=1)
+
+
 def _contributions(alpha, thresholds, floors, budget, stream):
-    """(values, variances, drawn, lattice) of a chunk of tuples with the
-    given :func:`_floors`: an exact tuple's value is its mass; a drawn one
-    (some shared constraint open) that reads one member is integrated by
-    :func:`_quadrature`, its error squared as its variance; the rest, and a
-    quadrature that does not settle, are ``lattice`` tuples, integrated on
-    the generator ``stream(t)`` (see :func:`_lattice`), or left at their
-    mass when ``stream`` is None."""
+    """(values, variances) of a chunk of tuples with the given
+    :func:`_floors`: an exact tuple's value is its mass; a drawn one (some
+    shared constraint open) that reads one member is integrated by
+    :func:`_quadrature`, its error squared as its variance; one that reads
+    more on the generator ``stream(t)`` (see :func:`_lattice`)."""
     mass, held, pulls, open_ = floors
     values, variances = mass.copy(), np.zeros(len(mass))
-    drawn, lattice = np.flatnonzero(open_.any(axis=1)).tolist(), 0
-    # c and the read members are the members that hold an open constraint.
-    involved = (held & open_[:, None, :]).any(axis=2).sum(axis=1).tolist()
-    for t in drawn:
-        m = float(mass[t])
+    involved = _involved(floors).tolist()
+    for t in np.flatnonzero(open_.any(axis=1)).tolist():
+        read, checks = _plan(thresholds.tolist(), held[t], pulls[t], open_[t])
         if involved[t] == 2:
             # One read member: every open constraint is held by it and by c,
             # so each check is one need line and none is an indicator.
-            _, checks = _plan(thresholds.tolist(), held[t], pulls[t], open_[t])
-            settled = _quadrature(alpha, [(bound, coef) for bound, _, ((coef, _),) in checks])
-            if settled is not None:
-                mean, error = settled
-                values[t], variances[t] = m * mean, m**2 * error**2
-                continue
-        lattice += 1
-        if stream is not None:
-            read, checks = _plan(thresholds.tolist(), held[t], pulls[t], open_[t])
+            mean, error = _quadrature(alpha, [(bound, coef) for bound, _, ((coef, _),) in checks])
+            var = error**2
+        else:
             mean, var = _lattice(alpha, len(read), checks, budget, stream(t))
-            values[t], variances[t] = m * mean, m**2 * var
-    return values, variances, len(drawn), lattice
+        m = float(mass[t])
+        values[t], variances[t] = m * mean, m**2 * var
+    return values, variances
 
 
 def _plan(thresholds, held, pulls, open_):
@@ -554,7 +563,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _quadrature(alpha, lines):
     """(mean, error) of a one-read tuple's score over the read member's
-    survival u in (0, 1], or None when the rules do not settle.
+    survival u in (0, 1].
 
     ``lines`` holds (b, c) per open constraint: at the read member's Pareto
     value x = u^(-1/alpha) the score is g = max(1, max_k (b_k - c_k x))^-alpha,
@@ -567,8 +576,9 @@ def _quadrature(alpha, lines):
     is at most GRADING times its distance to s, so Gauss-Legendre converges
     geometrically on each.  The rules take n and 2n nodes a piece, n from
     QUAD_NODES doubling until they differ by at most QUAD_TOLERANCE of the
-    2n value Q, at most QUAD_MAX_NODES; the mean is Q, the error the
-    difference plus QUAD_ROUNDING Q.  Terms are added by ``math.fsum``.
+    2n value Q or 2n reaches QUAD_MAX_NODES; the mean is Q, the error the
+    difference plus QUAD_ROUNDING Q plus 2^-1074 a term.  Terms are added
+    by ``math.fsum``.
     """
     cuts = [(b - 1.0) / c for b, c in lines]
     top = max(cuts)
@@ -595,7 +605,7 @@ def _quadrature(alpha, lines):
     middle, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     head = top**-alpha
     n = QUAD_NODES
-    while 2 * n <= QUAD_MAX_NODES:
+    while True:
         nodes, weights = map(np.concatenate, zip(_gauss_legendre(n), _gauss_legendre(2 * n)))
         u = middle[:, None] + half[:, None] * nodes
         with np.errstate(divide="ignore", over="ignore"):
@@ -606,10 +616,9 @@ def _quadrature(alpha, lines):
         terms = (half[:, None] * weights) * _power(ratio, -alpha, out=ratio)
         coarse = math.fsum([head, *terms[:, :n].ravel().tolist()])
         fine = math.fsum([head, *terms[:, n:].ravel().tolist()])
-        if abs(fine - coarse) <= QUAD_TOLERANCE * fine:
-            return fine, abs(fine - coarse) + QUAD_ROUNDING * fine
+        if abs(fine - coarse) <= QUAD_TOLERANCE * fine or 4 * n > QUAD_MAX_NODES:
+            return fine, abs(fine - coarse) + QUAD_ROUNDING * fine + terms[:, n:].size * 2.0**-1074
         n *= 2
-    return None
 
 
 def nu_m_j_rect(
@@ -636,18 +645,20 @@ def nu_m_j_rect(
     spike cover number (below j + 1: +inf) and the covering tuple count;
     more than :data:`MAX_TUPLES` raise :class:`UnsupportedError`, and none
     gives 0, before the table is joined for the walk.  The walk and the
-    tuples' floors then run a chunk of tuples at a time in numpy; each drawn
-    tuple that reads one member is integrated by :func:`_quadrature`, and
-    the rest are counted.  With none drawn, the sum of the masses is the
-    value, an enumeration with no stderr; with none left to the lattice,
-    the sum is a quadrature whose stderr is the root sum of squared errors.
-    Otherwise more than :data:`MAX_LATTICE_POINTS` lattice points in all
-    raise :class:`UnsupportedError` before any draw, and a second walk
-    integrates each lattice tuple over SHIFTS * ceil(integration_budget /
-    SHIFTS) points; the tuple of rank r among the lexicographic
-    (j+1)-combinations of the influencing positions draws its shifts from
-    sub-stream r of the root derived from ``seed`` (spawn key
-    :data:`_ORACLE_TAG`).  Values are added in lexicographic order.
+    tuples' floors then run a chunk of tuples at a time in numpy and count
+    the drawn tuples, and of those the lattice ones, which read two or more
+    members.  With none drawn, the sum of the masses is the value, an
+    enumeration with no stderr.  Otherwise more than
+    :data:`MAX_QUADRATURE_TUPLES` one-read tuples, or more than
+    :data:`MAX_LATTICE_POINTS` lattice points in all, raise
+    :class:`UnsupportedError` before any integration, and a second walk
+    integrates each one-read tuple by :func:`_quadrature` and each lattice
+    tuple over SHIFTS * ceil(integration_budget / SHIFTS) points; the tuple
+    of rank r among the lexicographic (j+1)-combinations of the influencing
+    positions draws its shifts from sub-stream r of the root derived from
+    ``seed`` (spawn key :data:`_ORACLE_TAG`).  With no lattice tuple the
+    value is a quadrature whose stderr is the root sum of squared errors.
+    Values are added in lexicographic order.
     """
     if m == 0 and coeffs.order == 0 and coeffs.psi(0) == 1.0:  # no cover search
         return mu_j_rect(j, alpha, rect)
@@ -683,34 +694,37 @@ def nu_m_j_rect(
         for tuples in _tuple_chunks(positions, held, rect.indices, j + 1, chunk):
             yield tuples, _floors(alpha, thresholds, weights[tuples])
 
-    def integrate(stream):
-        total = var_total = 0.0
-        drawn = lattice = 0
-        for tuples, floors in floored():
-            values, variances, d, left = _contributions(
-                alpha, thresholds, floors, integration_budget,
-                stream and (lambda t: stream(tuples[t].tolist())))
-            drawn, lattice = drawn + d, lattice + left
-            for value, variance in zip(values.tolist(), variances.tolist()):
-                total += value
-                var_total += variance
-        return total, var_total, drawn, lattice
-
-    total, var_total, drawn, lattice = integrate(None)
+    total, drawn, lattice = 0.0, 0, 0
+    for _, floors in floored():
+        involved = _involved(floors)
+        drawn += int(np.count_nonzero(involved))
+        lattice += int(np.count_nonzero(involved > 2))
+        for value in floors[0].tolist():
+            total += value
     if not drawn:
         return MeasureValue(total, EvalMethod.ENUMERATION)
-    if not lattice:
-        return MeasureValue(total, EvalMethod.QUADRATURE, stderr=math.sqrt(var_total))
+    if drawn - lattice > MAX_QUADRATURE_TUPLES:
+        raise UnsupportedError(
+            f"{drawn - lattice} drawn spike tuples need quadrature, "
+            f"above the limit of {MAX_QUADRATURE_TUPLES}"
+        )
     points = lattice * SHIFTS * -(-integration_budget // SHIFTS)
     if points > MAX_LATTICE_POINTS:
         raise UnsupportedError(
             f"{lattice} drawn spike tuples need {points} lattice points, "
             f"above the limit of {MAX_LATTICE_POINTS} (use a smaller integration_budget)"
         )
-    root = _derive_seed(seed, _ORACLE_TAG)
-    total, var_total, _, _ = integrate(
-        lambda combo: block_generator(root, _rank(combo, len(positions))))
-    return MeasureValue(total, EvalMethod.MONTE_CARLO, stderr=math.sqrt(var_total))
+    root = _derive_seed(seed, _ORACLE_TAG) if lattice else None
+    total = var_total = 0.0
+    for tuples, floors in floored():
+        values, variances = _contributions(
+            alpha, thresholds, floors, integration_budget,
+            lambda t: block_generator(root, _rank(tuples[t].tolist(), len(positions))))
+        for value, variance in zip(values.tolist(), variances.tolist()):
+            total += value
+            var_total += variance
+    method = EvalMethod.MONTE_CARLO if lattice else EvalMethod.QUADRATURE
+    return MeasureValue(total, method, stderr=math.sqrt(var_total))
 
 
 def marginal_tail_constant(coeffs: CoefficientSeq, alpha: float, up_to: int | None = None) -> float:

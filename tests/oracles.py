@@ -8,7 +8,7 @@ order-0 oracle checks every spike position's coverage one by one, the
 pair-integral oracle takes one member's acceptance length in closed form
 under a 1-D midpoint rule, the one-member oracles integrate the conditional
 score over the read member's survival under a midpoint rule, or over its
-value by QUADPACK, the
+value by mpmath's tanh-sinh rule at 30 digits, the
 simulation oracle draws each replicate block whole before summing its
 lags, the crude tuple-integral reference draws every tuple with a shared
 constraint, counts hits and walks all combinations, the conditional ones integrate one member out one sample at
@@ -16,9 +16,10 @@ a time (on the shifted lattice, or on i.i.d. draws), the truncation
 reference scans depths one by one, the per-level table runs one
 independent scan, with its own simulation, per tail level, the sample
 text reference formats each CSV line with Python's ``%r``, and the Hill
-reference sorts the whole sample.  One
-helper is a seam, not an oracle: ``tuple_contribution`` reaches a single
-tuple through the library's own chunk functions.
+reference sorts the whole sample.  Two
+helpers are seams, not oracles: ``tuple_contribution`` reaches a single
+tuple through the library's own chunk functions, and ``lattice_row`` sums a
+row's tuples through them with every drawn tuple on the lattice.
 """
 
 import itertools
@@ -181,20 +182,41 @@ def simulate_oracle(coeffs, depth, model, window, replicates, seed, block_rows):
     return out
 
 
-def tuple_contribution(coeffs, alpha, rect, positions, covers, budget, seed, rank):
+def tuple_contribution(coeffs, alpha, rect, positions, covers, budget, seed, rank, lattice=False):
     """(value, variance) of one tuple's integral through the library's own
     path, not an oracle: the tuple given by its positions and cover bitmasks
     (bit p: rect.indices[p]), a one-tuple chunk of
     ``limit_measures._contributions``, a lattice tuple integrated on
-    sub-stream ``rank`` of ``seed``."""
+    sub-stream ``rank`` of ``seed``.  With ``lattice`` a drawn tuple goes
+    through ``limit_measures._plan`` and ``_lattice`` whatever it reads."""
     weights = np.array([[coeffs.psi(k - i) if cover >> p & 1 else 0.0
                          for p, k in enumerate(rect.indices)]
                         for i, cover in zip(positions, covers)])
     thresholds = np.array(rect.thresholds)
     floors = limit_measures._floors(alpha, thresholds, weights[None])
-    values, variances, _, _ = limit_measures._contributions(
+    mass, held, pulls, open_ = floors
+    if lattice and open_[0].any():
+        read, checks = limit_measures._plan(thresholds.tolist(), held[0], pulls[0], open_[0])
+        mean, var = limit_measures._lattice(alpha, len(read), checks, budget,
+                                            limit_measures.block_generator(seed, rank))
+        return float(mass[0]) * mean, float(mass[0]) ** 2 * var
+    values, variances = limit_measures._contributions(
         alpha, thresholds, floors, budget, lambda t: limit_measures.block_generator(seed, rank))
     return float(values[0]), float(variances[0])
+
+
+def lattice_row(coeffs, m, alpha, j, rect, budget, seed):
+    """(value, stderr) of an order-j row with every drawn tuple integrated
+    on the lattice, one :func:`tuple_contribution` per covering tuple in
+    rank order, on sub-stream ``rank`` of the tuple-stream root of ``seed``."""
+    root = tuple_stream_root(seed)
+    total = var_total = 0.0
+    for rank, positions, covers in covering_tuples(coeffs, m, j, rect):
+        value, variance = tuple_contribution(coeffs, alpha, rect, positions, covers, budget, root,
+                                             rank, lattice=True)
+        total += value
+        var_total += variance
+    return total, math.sqrt(var_total)
 
 
 def tuple_contribution_reference(coeffs, alpha, rect, positions, covers, budget, seed, rank):
@@ -353,8 +375,8 @@ def one_member_integral(coeffs, m, alpha, j, rect, nodes=10**6):
 
 
 def one_member_tuple(coeffs, alpha, rect, positions, covers):
-    """One drawn tuple's integral when it reads one member r, by QUADPACK
-    (``scipy.integrate.quad``) over r's own value z above its floor L_r.
+    """One drawn tuple's integral when it reads one member r, by mpmath's
+    tanh-sinh rule at 30 digits over r's own value z above its floor L_r.
 
     Every open constraint k is then held by c and r; given z, c must exceed
     need_k = (a_k - w_r z) / w_c, with conditional probability
@@ -363,7 +385,7 @@ def one_member_tuple(coeffs, alpha, rect, positions, covers):
     the integral over (L_r, z*) of that probability against the Pareto
     density alpha L_r^alpha z^(-alpha-1), cut where two needs cross or one
     meets L_c."""
-    from scipy import integrate
+    import mpmath
 
     plan = conditional_plan(coeffs, rect, positions, covers)
     lower, open_, c, read = plan
@@ -385,10 +407,11 @@ def one_member_tuple(coeffs, alpha, rect, positions, covers):
         need = max(low_c, *(b - s * z for b, s in lines))
         return alpha * low_r**alpha * z ** (-alpha - 1.0) * (need / low_c) ** -alpha
 
-    head = (top / low_r) ** -alpha if top > low_r else 1.0
-    body = math.fsum(integrate.quad(density, z0, z1, epsabs=0.0, epsrel=1e-13, limit=500)[0]
-                     for z0, z1 in zip(edges, edges[1:]) if top > low_r)
-    return mass * (head + body)
+    if not top > low_r:
+        return mass
+    with mpmath.workdps(30):
+        body = mpmath.quad(density, [mpmath.mpf(z) for z in edges])
+        return mass * float((mpmath.mpf(top) / low_r) ** -alpha + body)
 
 
 def iid_conditional_reference(coeffs, alpha, rect, positions, covers, budget, seed, rank):

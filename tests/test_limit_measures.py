@@ -39,6 +39,7 @@ from oracles import (
     coverage,
     covering_tuples,
     iid_conditional_reference,
+    lattice_row,
     m0_oracle,
     nu_m_j_rect_reference,
     one_member_integral,
@@ -479,7 +480,6 @@ class TestNuMJRect:
     @given(gapped(4), st.integers(0, 4), st.sampled_from([1, 2, 3]),
            st.sampled_from([0.5, 1.0, 1.3, 2.0, 3.0]), MIXED_THRESHOLDS, st.integers(0, 2**32 - 1))
     def test_bitwise_equal_to_unpruned_reference(self, coeffs, m, j, alpha, rect, seed):
-        pytest.importorskip("scipy.integrate")
         # Exact and pruned tuples keep the crude reference's bits.  A drawn
         # tuple that reads one member is integrated by quadrature, within
         # 1e-12 of its one-member integral; one that reads more integrates
@@ -498,7 +498,7 @@ class TestNuMJRect:
             value, variance = tuple_contribution(*args)
             if reads.get(rank) == 1:
                 want = one_member_tuple(coeffs, alpha, rect, positions, covers)
-                assert math.isclose(value, want, rel_tol=1e-10, abs_tol=0.0)
+                assert math.isclose(value, want, rel_tol=1e-12, abs_tol=0.0)
                 assert 0.0 <= math.sqrt(variance) <= 2e-13 * value
             elif rank in reads:
                 want, want_var = conditional_tuple_reference(*args)
@@ -659,17 +659,36 @@ class TestTupleWalk:
             nu_m_j_rect(TWO_READ_PSI, 3, 1.0, 7, rect, 10**7, seed=1)
         assert time.perf_counter() - start < 1.0
 
+    def test_many_one_read_tuples_are_refused_before_any_quadrature(self, monkeypatch):
+        # psi = (1, .., 1) of length 6, 17 constraints 3 apart, thresholds
+        # alternating 1 and 5, at the cover number: 157,464 of 196,830 tuples
+        # read one member, about 15 s of quadrature.  The count alone took
+        # 0.7 s on one core of a 2-core machine.
+        rect = UpperRect({3 * i: 5.0 if i % 2 else 1.0 for i in range(17)})
+        monkeypatch.setattr(limit_measures, "_quadrature", lambda *a: pytest.fail("integrated"))
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedError, match="157464 drawn spike tuples need quadrature, "
+                           "above the limit of 100000"):
+            nu_m_j_rect(ExplicitFinite([1.0] * 6), 5, 1.0, 8, rect, seed=1)
+        assert time.perf_counter() - start < 2.0
+
+    def test_over_the_quadrature_limit_raises_before_any_quadrature(self, monkeypatch):
+        # MIXED_READS_RECT's six one-read tuples.
+        monkeypatch.setattr(limit_measures, "MAX_QUADRATURE_TUPLES", 6)
+        assert nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT, 100, seed=1).stderr > 0.0
+        monkeypatch.setattr(limit_measures, "MAX_QUADRATURE_TUPLES", 5)
+        monkeypatch.setattr(limit_measures, "_quadrature", lambda *a: pytest.fail("integrated"))
+        with pytest.raises(UnsupportedError, match="6 drawn spike tuples need quadrature"):
+            nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT, 100, seed=1)
+
 
 
 class TestConditionalEfficiency:
     """Integrating one member out on a shifted lattice must cut the variance,
     report it honestly, and not move the value.  These rows' drawn tuples
-    read one member; with the quadrature turned off they take the lattice,
-    as such a tuple does when its rules do not settle."""
-
-    @pytest.fixture(autouse=True)
-    def lattice_only(self, monkeypatch):
-        monkeypatch.setattr(limit_measures, "_quadrature", lambda alpha, lines: None)
+    read one member, so the library takes them by quadrature; here they go
+    through the lattice integrator itself (``lattice_row``, and
+    ``tuple_contribution`` with ``lattice=True``)."""
 
     ROWS = [
         (THEORY_B_PSI, 4, UpperRect({0: 1.0, 2: 6.0, 5: 1.0})),
@@ -690,18 +709,18 @@ class TestConditionalEfficiency:
     @pytest.mark.parametrize("seed", [42, 7])
     @pytest.mark.parametrize("coeffs, m, rect", ROWS)
     def test_quarter_of_crude_variance_on_the_pair_integral(self, coeffs, m, rect, seed):
-        got = nu_m_j_rect(coeffs, m, 1.0, 1, rect, 200_000, seed=seed)
+        value, stderr = lattice_row(coeffs, m, 1.0, 1, rect, 200_000, seed)
         _, crude_stderr = nu_m_j_rect_reference(coeffs, m, 1.0, 1, rect, 200_000, seed)
-        assert got.stderr**2 <= crude_stderr**2 / 4
-        assert 0.0 < got.stderr <= 1e-8
-        assert abs(got.value - self.pair_value(coeffs, m, rect)) <= 3 * got.stderr
+        assert stderr**2 <= crude_stderr**2 / 4
+        assert 0.0 < stderr <= 1e-8
+        assert abs(value - self.pair_value(coeffs, m, rect)) <= 3 * stderr
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_j2_row_against_the_one_member_integral(self, seed):
         # Each of the row's 30 drawn triples reads one member.
-        got = nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT, 200_000, seed=seed)
-        assert 0.0 < got.stderr <= 1e-8
-        assert abs(got.value - self.j2_value()) <= 4 * got.stderr
+        value, stderr = lattice_row(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT, 200_000, seed)
+        assert 0.0 < stderr <= 1e-8
+        assert abs(value - self.j2_value()) <= 4 * stderr
 
     def test_one_member_oracle(self):
         # On the j = 1 rows it is the pair integral; on the j = 2 row node
@@ -718,7 +737,7 @@ class TestConditionalEfficiency:
         # on these rows, where unfolded (1 - u) it fell 15.5 to 17.3 times.
         rows = [(coeffs, m, 1, rect) for coeffs, m, rect in self.ROWS]
         for coeffs, m, j, rect in rows + [(THEORY_B_PSI, 4, 2, THEORY_B_J2_RECT)]:
-            rms = [math.sqrt(np.mean([nu_m_j_rect(coeffs, m, 1.0, j, rect, budget, seed=seed).stderr**2
+            rms = [math.sqrt(np.mean([lattice_row(coeffs, m, 1.0, j, rect, budget, seed)[1] ** 2
                                       for seed in (42, 7, 3)]))
                    for budget in (2**12, 2**16)]
             assert rms[0] >= 64 * rms[1]
@@ -740,7 +759,7 @@ class TestConditionalEfficiency:
         args = (PSI_HALF, 1.0, rect, positions, covers, 64, 42, rank)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, variance = tuple_contribution(*args)
+            value, variance = tuple_contribution(*args, lattice=True)
         assert math.isfinite(value) and variance == 0.0
         want, _ = conditional_tuple_reference(*args)
         assert math.isclose(value, want, rel_tol=1e-12, abs_tol=0.0)
@@ -761,9 +780,9 @@ class TestConditionalEfficiency:
         # stderr it reports (16 shifts: 15 degrees of freedom per seed).
         rows = [(1, rect) for _, _, rect in self.ROWS[:2]] + [(2, THEORY_B_J2_RECT)]
         for j, rect in rows:
-            got = [nu_m_j_rect(THEORY_B_PSI, 4, 1.0, j, rect, 2**14, seed=seed) for seed in range(40)]
-            spread = np.std([g.value for g in got], ddof=1)
-            reported = math.sqrt(np.mean([g.stderr**2 for g in got]))
+            got = [lattice_row(THEORY_B_PSI, 4, 1.0, j, rect, 2**14, seed) for seed in range(40)]
+            spread = np.std([value for value, _ in got], ddof=1)
+            reported = math.sqrt(np.mean([stderr**2 for _, stderr in got]))
             assert 0.6 * reported <= spread <= 1.6 * reported
 
     def test_lattice_beats_iid_conditional_draws(self):
@@ -773,7 +792,7 @@ class TestConditionalEfficiency:
         (rank, positions, covers), = [t for t in covering_tuples(PSI_HALF, m, 1, rect)
                                       if t[0] in tuple_kinds(PSI_HALF, m, 1, rect)[2]]
         args = (PSI_HALF, 1.0, rect, positions, covers, 20_000, 42, rank)
-        _, variance = tuple_contribution(*args)
+        _, variance = tuple_contribution(*args, lattice=True)
         _, iid_variance = iid_conditional_reference(*args)
         assert 0.0 < 100 * variance <= iid_variance
 
@@ -790,17 +809,16 @@ class TestConditionalEfficiency:
         truth = pair + 2 * 10.0**-60
         rect = UpperRect({0: 1.0, 1: 5.0, 2: 1.0})
         for seed in (42, 7):
-            got = nu_m_j_rect(PSI_HALF, 1, 60.0, 1, rect, 200_000, seed=seed)
-            assert 0.0 < got.stderr < 1e-3 * got.value
-            assert abs(got.value - truth) <= 3 * got.stderr
+            value, stderr = lattice_row(PSI_HALF, 1, 60.0, 1, rect, 200_000, seed)
+            assert 0.0 < stderr < 1e-3 * value
+            assert abs(value - truth) <= 3 * stderr
             assert nu_m_j_rect_reference(PSI_HALF, 1, 60.0, 1, rect, 200_000, seed) == (2e-60, 0.0)
 
     def test_alpha_60_power_underflows_to_zero(self):
         # need / L_c is about 5e5 on every sample and 5e5^-60 is below the
         # smallest double: the drawn pair and both exact pairs read zero.
         rect = UpperRect({0: 1.0, 1: 1e6, 2: 1.0})
-        got = nu_m_j_rect(PSI_HALF, 1, 60.0, 1, rect, 1000, seed=42)
-        assert (got.value, got.stderr) == (0.0, 0.0)
+        assert lattice_row(PSI_HALF, 1, 60.0, 1, rect, 1000, 42) == (0.0, 0.0)
         assert nu_m_j_rect_reference(PSI_HALF, 1, 60.0, 1, rect, 1000, 42) == (0.0, 0.0)
 
     def test_indicator_tuple_is_not_noisier(self):
@@ -861,7 +879,6 @@ class TestQuadrature:
     def test_binding_pair_at_alpha_60(self):
         # The drawn pair against QUADPACK, and the row against the midpoint
         # value of TestConditionalEfficiency (itself good to about 1e-8).
-        pytest.importorskip("scipy.integrate")
         (positions, covers), = [(pos, cov) for rank, pos, cov in covering_tuples(PSI_HALF, 1, 1, self.BINDING_RECT)
                                 if rank in tuple_kinds(PSI_HALF, 1, 1, self.BINDING_RECT)[2]]
         value, variance = tuple_contribution(PSI_HALF, 60.0, self.BINDING_RECT, positions, covers, 64, 1, 0)
@@ -900,21 +917,48 @@ class TestQuadrature:
                 assert 0.0 < error <= 2e-13 * mean
                 assert abs(finer - mean) <= error
 
+    @pytest.mark.parametrize("line, truth", [
+        # From u = 1 to the bottom of its piece, 5.8e-84, the cuts toward
+        # s = 3.9e-85 number 67; capped at 64, the rules once agreed on a
+        # value 7.9e-5 low.  The truth is 50-digit mpmath Gauss-Legendre
+        # over the Pareto value on 1,000 pieces, unchanged at 4,000.
+        ((22.825816048677876, 0.8947288065215351), 3.5938218119719257910807e-81),
+        # A value in the subnormal range, where the rules never agree: the
+        # error must cover what underflow took from the terms.
+        ((201008.47645582553, 0.4988196292006163), None),
+    ])
+    def test_steep_lines_at_alpha_60(self, monkeypatch, line, truth):
+        mean, error = limit_measures._quadrature(60.0, [line])
+        if truth is not None:
+            assert abs(mean - truth) <= error <= 1e-14 * mean
+        monkeypatch.setattr(limit_measures, "QUAD_NODES", 2 * limit_measures.QUAD_MAX_NODES)
+        monkeypatch.setattr(limit_measures, "QUAD_MAX_NODES", 4 * limit_measures.QUAD_MAX_NODES)
+        monkeypatch.setattr(limit_measures, "QUAD_TOLERANCE", math.inf)
+        finer, _ = limit_measures._quadrature(60.0, [line])
+        assert abs(finer - mean) <= error
+
     def test_one_read_rows_build_no_generator(self, monkeypatch):
         monkeypatch.setattr(limit_measures, "block_generator", lambda *a: pytest.fail("drew"))
         monkeypatch.setattr(limit_measures, "_derive_seed", lambda *a: pytest.fail("derived a root"))
         for j, rect in self.THEORY_B_ROWS:
             assert nu_m_j_rect(THEORY_B_PSI, 4, 1.5, j, rect).method is EvalMethod.QUADRATURE
 
-    def test_unsettled_tuples_fall_back_to_the_lattice(self, monkeypatch):
-        # A tuple whose rules never agree is integrated on the lattice, on its
-        # rank's sub-stream, as if the quadrature were not there.
-        with monkeypatch.context() as patch:
-            patch.setattr(limit_measures, "_quadrature", lambda alpha, lines: None)
-            want = nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT, 2000, seed=3)
+    def test_unsettled_tuples_report_the_finest_rules(self, monkeypatch):
+        # A tuple whose rules never agree reports the QUAD_MAX_NODES rule and
+        # its gap to the rule of half the nodes, still by quadrature.
+        quadrature = limit_measures._quadrature
+        for lines in one_read_lines(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT):
+            with monkeypatch.context() as patch:
+                patch.setattr(limit_measures, "QUAD_NODES", limit_measures.QUAD_MAX_NODES // 2)
+                patch.setattr(limit_measures, "QUAD_TOLERANCE", math.inf)
+                want = quadrature(1.0, lines)
+            with monkeypatch.context() as patch:
+                patch.setattr(limit_measures, "QUAD_TOLERANCE", -1.0)
+                assert quadrature(1.0, lines) == want
         monkeypatch.setattr(limit_measures, "QUAD_TOLERANCE", -1.0)
-        got = nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT, 2000, seed=3)
-        assert got == want and got.method is EvalMethod.MONTE_CARLO
+        monkeypatch.setattr(limit_measures, "block_generator", lambda *a: pytest.fail("drew"))
+        got = nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT)
+        assert got.method is EvalMethod.QUADRATURE and 0.0 < got.stderr < 1e-14 * got.value
 
     @pytest.mark.parametrize("n", [48, 96, 768])
     def test_gauss_legendre_rule(self, n):
