@@ -7,6 +7,8 @@ charges only sequences built from j+1 innovations spread by the
 coefficients.  On an upper rectangle {x : x_k > a_k, k in K} everything is
 computable: feasibility is a covering question, the order-0 value is a
 finite enumeration, and higher orders are low-dimensional tail integrals.
+Each value is a function of (psi, alpha, j, A) alone: no evaluator takes a
+seed or a work budget.
 """
 
 import math
@@ -39,17 +41,17 @@ print("  two coordinates {0:1,1:2}:", nu_m0_rect(coeffs, 1, 1.0, UpperRect({0: 1
 
 print("\nOrder-1 measure (two spikes):")
 rect = UpperRect({0: 1.0, 2: 1.0})
-value = nu_m_j_rect(coeffs, 1, 1.0, 1, rect, 200_000, seed=3)
+value = nu_m_j_rect(coeffs, 1, 1.0, 1, rect)
 print(f"  {dict(rect.constraints)}: {value.value}  (four covering pairs; all factor, so nothing"
       f" is drawn: {value.method.value})")
 bind = UpperRect({0: 1.0, 1: 5.0, 2: 1.0})
-value = nu_m_j_rect(coeffs, 1, 1.0, 1, bind, 200_000, seed=3)
+value = nu_m_j_rect(coeffs, 1, 1.0, 1, bind)
 print(f"  {dict(bind.constraints)}: {value.value:.16f} +- {value.stderr:.1e}"
       f"  (the middle constraint couples the spikes: {value.method.value},"
       f" against 0.45 + ln(13.5)/50 = {0.45 + math.log(13.5) / 50})")
 
 print("\nInfeasible request is flagged, not computed:")
-flagged = nu_m_j_rect(coeffs, 1, 1.0, 1, UpperRect({0: 1.0, 1: 1.0}), 100, seed=1)
+flagged = nu_m_j_rect(coeffs, 1, 1.0, 1, UpperRect({0: 1.0, 1: 1.0}))
 print(f"  value = {flagged.value}  ({flagged.note})")
 
 print("\nThe i.i.d. special case has a pure product form:")

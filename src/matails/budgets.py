@@ -1,9 +1,8 @@
-"""The work budgets of a simulation and the default integration budget.
+"""The work budgets of a simulation.
 
 This module imports nothing, so a layer that checks against a budget
 loads no other layer for it: ``hill --sample`` reads the replicate bound
-without the simulator, and the scan layer takes its default without the
-evaluators.  A request over a budget raises
+without the simulator.  A request over a budget raises
 :class:`~matails.errors.UnsupportedError` before anything is allocated.
 """
 
@@ -13,8 +12,3 @@ MAX_DRAWS = 10**10
 # Most nonzero lag terms one simulation sums (replicates times window columns
 # times nonzero lag coefficients): minutes of work.
 MAX_LAG_TERMS = 10**11
-
-# Lattice points per drawn tuple that reads two or more members, unless a
-# caller sets one; a budget is rounded up to a multiple of
-# ``limit_measures.SHIFTS``.
-DEFAULT_INTEGRATION_BUDGET = 200_000

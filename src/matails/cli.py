@@ -16,6 +16,8 @@ full round-trip precision (the shortest repr digits).  A CSV sample from
 ``simulate`` also gets an exact binary companion, ``<out>.npy``, which is
 what ``hill --sample`` reads: the CSV is an export that no command reads
 back.  The sample file's writer and reader are :mod:`matails.sample_file`.
+``[run] seed`` reaches only the simulation, so ``limits`` writes the same
+rows at every seed.
 
 ``simulate`` renders and stores each simulation tile while the workers sum
 the next ones, so no command holds the replicate matrix, and CSV and JSON
@@ -85,7 +87,6 @@ n = 100000
 t_grid = 1000               ; verify's tail levels, e.g. 10, 100, 1000; omit for n/1000
 seed = 42
 ; window = -1:2             ; simulate window; defaults to the rows' span
-; integration_budget = 200000 ; lattice points per tuple reading 2+ members, a multiple of 16
 
 [output]
 path = out.csv
@@ -106,7 +107,6 @@ class Experiment:
     t_grid: list[float]
     seed: int
     window: tuple[int, int] | None
-    integration_budget: int
     out_path: str | None
     out_format: str
     raw: dict
@@ -176,8 +176,6 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 def load_experiment(path: str, overrides: list[str]) -> Experiment:
-    from .budgets import DEFAULT_INTEGRATION_BUDGET
-
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -220,9 +218,6 @@ def load_experiment(path: str, overrides: list[str]) -> Experiment:
     window = _parse_window(run["window"]) if "window" in run else None
     if window and window[0] > window[1]:
         raise ConfigError(f"window is empty: {window}")
-    budget = int(run.get("integration_budget", DEFAULT_INTEGRATION_BUDGET))
-    if budget <= 0:
-        raise ConfigError(f"integration_budget must be positive, got {budget}")
 
     out = parser["output"] if parser.has_section("output") else {}
     out_format = out.get("format", "csv").strip().lower()
@@ -232,7 +227,7 @@ def load_experiment(path: str, overrides: list[str]) -> Experiment:
     raw = {s: dict(parser[s]) for s in parser.sections()}
     return Experiment(
         coeffs, m, trunc_eps, model, rows, n, t_grid, seed, window,
-        budget, out.get("path"), out_format, raw,
+        out.get("path"), out_format, raw,
     )
 
 
@@ -333,8 +328,7 @@ def cmd_limits(exp: Experiment) -> int:
 
     if not exp.rows:
         raise ConfigError("limits needs a [rows] section")
-    verdicts = theoretical_verdicts(exp.coeffs, exp.m, exp.model.alpha, exp.rows,
-                                    exp.trunc_eps, exp.integration_budget, exp.seed)
+    verdicts = theoretical_verdicts(exp.coeffs, exp.m, exp.model.alpha, exp.rows, exp.trunc_eps)
     out_rows = []
     for (j, rect), mv in zip(exp.rows, verdicts):
         if isinstance(mv, str):
@@ -359,7 +353,7 @@ def cmd_verify(exp: Experiment, threads: int) -> int:
     t_grid = exp.t_grid or [max(1.0, exp.n / 1000.0)]
     cells = convergence_table(
         exp.coeffs, exp.m, exp.model, exp.rows, exp.n, t_grid, exp.seed,
-        exp.trunc_eps, exp.integration_budget, threads,
+        exp.trunc_eps, threads,
     )
     csv_out = exp.out_format == "csv"
     out_rows = []

@@ -9,9 +9,8 @@ Poisson approximation valid in the rare-event regime.
 :func:`convergence_table` is the one scan driver: it settles each
 (j, rectangle) row's theory once and reads every tail level t of a grid
 off one simulation, so the error decay along t shows; :func:`hrv_scan` is
-its one-level case.  A finite row's theory is ``nu_m_j_rect`` on the scan
-seed, as in ``limits``; its tuple integrals draw from a root derived from
-that seed, never from the simulation stream itself.
+its one-level case.  A row's theory is a function of the row alone, as in
+``limits``: the scan seed reaches only the simulation.
 
 The simulator and the evaluators are imported where they run, so
 :func:`hill` loads neither.
@@ -25,7 +24,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .budgets import DEFAULT_INTEGRATION_BUDGET
 from .errors import ParameterError, UnsupportedError
 
 if TYPE_CHECKING:
@@ -160,12 +158,10 @@ def theoretical_tail_measure(
     j: int,
     rect: UpperRect,
     trunc_eps: float | None = None,
-    integration_budget: int = DEFAULT_INTEGRATION_BUDGET,
-    seed: int = 0,
 ) -> MeasureValue:
     """The order-j limit measure of ``rect``: the truncated single-spike
     enumeration for the infinite-order process, else
-    :func:`~matails.limit_measures.nu_m_j_rect` on ``seed``.
+    :func:`~matails.limit_measures.nu_m_j_rect`.
 
     The evaluators own every verdict: an infeasible rectangle comes back as
     the +inf flag with a ``note``; a negative order, or a hidden order of
@@ -183,7 +179,7 @@ def theoretical_tail_measure(
                 "hidden orders beyond 0 are not available for the infinite-order process"
             )
         return nu_inf_0_rect(coeffs, alpha, rect, trunc_eps)
-    return nu_m_j_rect(coeffs, int(m), alpha, j, rect, integration_budget, seed)
+    return nu_m_j_rect(coeffs, int(m), alpha, j, rect)
 
 
 def theoretical_verdicts(
@@ -192,8 +188,6 @@ def theoretical_verdicts(
     alpha: float,
     rows: Sequence[tuple[int, UpperRect]],
     trunc_eps: float | None = None,
-    integration_budget: int = DEFAULT_INTEGRATION_BUDGET,
-    seed: int = 0,
 ) -> list[MeasureValue | str]:
     """Each (j, rect) row's :func:`theoretical_tail_measure`, or the message
     of the :class:`ParameterError` or :class:`UnsupportedError` it raised;
@@ -205,8 +199,7 @@ def theoretical_verdicts(
     verdicts = []
     for j, rect in rows:
         try:
-            verdicts.append(theoretical_tail_measure(
-                coeffs, m, alpha, j, rect, trunc_eps, integration_budget, seed))
+            verdicts.append(theoretical_tail_measure(coeffs, m, alpha, j, rect, trunc_eps))
         except (ParameterError, UnsupportedError) as exc:
             verdicts.append(str(exc))
     return verdicts
@@ -221,7 +214,6 @@ def convergence_table(
     t_grid: Iterable[float],
     seed: int,
     trunc_eps: float | None = None,
-    integration_budget: int = DEFAULT_INTEGRATION_BUDGET,
     threads: int = 1,
 ) -> list[tuple[float, HrvRow]]:
     """Compare each row against its theoretical limit at every tail level t.
@@ -243,7 +235,7 @@ def convergence_table(
         raise ParameterError(f"tail levels must be finite, >= 1 and strictly increasing: {grid}")
     if not grid or not rows:
         return []
-    settled = theoretical_verdicts(coeffs, m, model.alpha, rows, trunc_eps, integration_budget, seed)
+    settled = theoretical_verdicts(coeffs, m, model.alpha, rows, trunc_eps)
     verdicts = [v.note if isinstance(v, MeasureValue) and v.is_infinite else v for v in settled]
     lo = min(rect.min_index for _, rect in rows)
     hi = max(rect.max_index for _, rect in rows)
@@ -275,9 +267,8 @@ def hrv_scan(
     t: float,
     seed: int,
     trunc_eps: float | None = None,
-    integration_budget: int = DEFAULT_INTEGRATION_BUDGET,
     threads: int = 1,
 ) -> list[HrvRow]:
     """The rows of :func:`convergence_table` on the one-level grid [t]."""
     return [row for _, row in convergence_table(
-        coeffs, m, model, rows, n, [t], seed, trunc_eps, integration_budget, threads)]
+        coeffs, m, model, rows, n, [t], seed, trunc_eps, threads)]

@@ -29,11 +29,12 @@ combinatorial question.  The measures supported:
   Gauss-Legendre quadrature on closed-form pieces (at most
   :data:`MAX_QUADRATURE_TUPLES` per row), its error the gap to a rule of
   half the nodes; otherwise the members run over :data:`SHIFTS`
-  random shifts of one rank-1 lattice folded by the baker's (tent)
-  transform (randomized quasi-Monte Carlo, error about budget^-2; at most
-  :data:`MAX_LATTICE_POINTS` points per row) drawn from sub-streams of a
-  root derived from the seed; the spread of the shift means is the
-  standard error;
+  random shifts of one rank-1 lattice of :data:`LATTICE_POINTS` points in
+  all, folded by the baker's (tent) transform (randomized quasi-Monte
+  Carlo, error about points^-2; at most :data:`MAX_LATTICE_TUPLES` per
+  row) drawn from sub-streams of the fixed root :data:`_LATTICE_ROOT`;
+  the spread of the shift means is the standard error.  So a value
+  depends on the row alone;
 * ``nu_inf_0_rect``     -- order-0 limit of the MA(infinity), enumerated at a
   truncation depth with a reported bound on the neglected spike mass;
 * ``marginal_tail_constant`` -- sum_l psi_l^alpha, the one-coordinate tail
@@ -59,7 +60,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .budgets import DEFAULT_INTEGRATION_BUDGET
 from .errors import ParameterError, UnsupportedError
 from .innovations import TailModel, _power, block_generator
 from .ma_process import CoefficientSeq, choose_truncation
@@ -100,10 +100,13 @@ _MAX_GRADES = 300
 # is the mean of the shift means, its variance their spread over SHIFTS.
 SHIFTS = 16
 
-# Most lattice points the drawn tuples of one order-j rectangle may
-# evaluate (about 12 s at the 8.6e7 points/s measured on one core of a
-# 2-core machine); a larger count raises UnsupportedError before any draw.
-MAX_LATTICE_POINTS = 10**9
+# Lattice points per drawn tuple that reads two or more members.
+LATTICE_POINTS = SHIFTS * 12_500
+
+# Most such tuples one order-j rectangle may integrate (10^9 points, about
+# 12 s at the 8.6e7 points/s measured on one core of a 2-core machine); a
+# larger count raises UnsupportedError before any draw.
+MAX_LATTICE_TUPLES = 5_000
 
 # Most covering spike tuples one order-j rectangle may sum over; a larger
 # count raises UnsupportedError before the walk.
@@ -119,13 +122,13 @@ MAX_QUADRATURE_TUPLES = 100_000
 # tuples: the walk and the floors hold a few such arrays whatever the tuple count.
 CHUNK_CELLS = 1 << 17
 
-# Spawn key of the root of the tuple sub-streams, apart from any simulation's.
-_ORACLE_TAG = 0xFFFFFFFF
-
-
-def _derive_seed(seed: int, tag: int) -> int:
-    """Deterministic fresh root seed for an auxiliary stream."""
-    return int(np.random.SeedSequence(seed, spawn_key=(tag,)).generate_state(2, np.uint64)[0])
+# Root of the lattice's sub-streams: the tuple of rank r draws its shifts
+# from block_generator(_LATTICE_ROOT, r).  It is the first word of
+# SeedSequence(0, spawn_key=(2^32 - 1,)), the root that run seed 0 once
+# derived, so lattice values keep their seed-0 bytes.  Simulation seed
+# 1115911174736451823 is the one seed whose block streams match the
+# lattice's rank streams.
+_LATTICE_ROOT = 1115911174736451823
 
 
 @dataclass(frozen=True)
@@ -203,6 +206,26 @@ class MeasureValue:
         return math.isinf(self.value)
 
 
+def _float64_range(evaluate):
+    """``evaluate``, raising :class:`UnsupportedError` where a value or a
+    term of it passes the largest double: there Python's ``**`` raises
+    OverflowError, and numpy and float sums give inf (inf times 0, nan),
+    which would read as the +inf of an unbounded set, the one with a note."""
+    @functools.wraps(evaluate)
+    def checked(*args, **kwargs) -> MeasureValue:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = evaluate(*args, **kwargs)
+            parts = (got.value, got.stderr or 0.0, got.truncation_error_bound or 0.0)
+            if got.note is not None or all(map(math.isfinite, parts)):
+                return got
+        except OverflowError:
+            pass
+        raise UnsupportedError("the value or one of its terms passes the float64 range (above 1.798e+308)")
+
+    return checked
+
+
 def nu_alpha_tail(a: float, alpha: float) -> float:
     """One-dimensional tail measure of (a, inf): a^-alpha."""
     if not alpha > 0:
@@ -214,6 +237,7 @@ def nu_alpha_tail(a: float, alpha: float) -> float:
     return a**-alpha
 
 
+@_float64_range
 def mu_j_rect(j: int, alpha: float, rect: UpperRect) -> MeasureValue:
     """Order-j i.i.d. limit measure of an upper rectangle.
 
@@ -303,6 +327,7 @@ def spike_cover_number(coeffs: CoefficientSeq, m: int, rect: UpperRect) -> int:
     return _cover_counts(_candidate_positions(coeffs, m, rect), rect.indices)[0]
 
 
+@_float64_range
 def nu_m0_rect(coeffs: CoefficientSeq, m: int, alpha: float, rect: UpperRect) -> MeasureValue:
     """Order-0 MA(m) limit measure of an upper rectangle.
 
@@ -420,7 +445,7 @@ def _involved(floors):
     return (held & open_[:, None, :]).any(axis=2).sum(axis=1)
 
 
-def _contributions(alpha, thresholds, floors, budget, stream):
+def _contributions(alpha, thresholds, floors, stream):
     """(values, variances) of a chunk of tuples with the given
     :func:`_floors`: an exact tuple's value is its mass; a drawn one (some
     shared constraint open) that reads one member is integrated by
@@ -437,7 +462,7 @@ def _contributions(alpha, thresholds, floors, budget, stream):
             mean, error = _quadrature(alpha, [(bound, coef) for bound, _, ((coef, _),) in checks])
             var = error**2
         else:
-            mean, var = _lattice(alpha, len(read), checks, budget, stream(t))
+            mean, var = _lattice(alpha, len(read), checks, stream(t))
         m = float(mass[t])
         values[t], variances[t] = m * mean, m**2 * var
     return values, variances
@@ -487,13 +512,13 @@ def _korobov(n: int) -> int:
     return int(k[np.argmin(distance)]) if n > 1 else 1
 
 
-def _lattice(alpha, r, checks, budget, rng):
+def _lattice(alpha, r, checks, rng):
     """Mean of one drawn tuple's score (see :func:`_plan`) over its ``r``
     read members, and the variance of that mean.
 
     The read members run over a randomly shifted rank-1 lattice (Cranley &
     Patterson): ``rng`` draws one (SHIFTS, r) array of shifts Delta_s, and
-    each shift moves the n = ceil(budget / SHIFTS) points i z / n mod 1
+    each shift moves the n = LATTICE_POINTS / SHIFTS points i z / n mod 1
     (Korobov generator z = (1, a, a^2, ..) mod n, a = :func:`_korobov` (n);
     for r = 1 the points i / n) to u = frac(i z / n + Delta_s); coordinate u
     is the Pareto value inverse_survival(|2u - 1|).  The fold (the baker's
@@ -505,7 +530,7 @@ def _lattice(alpha, r, checks, budget, rng):
     unbiased estimate; the mean is their average and its variance their
     sample variance over SHIFTS (SHIFTS - 1 degrees of freedom).
     """
-    n = -(-budget // SHIFTS)
+    n = LATTICE_POINTS // SHIFTS
     a = _korobov(n)
     # Twice the lattice: 2 u - 1 = 2 (i z / n) + (2 Delta - 1) before the wrap.
     doubled = np.array([np.arange(n) * pow(a, p, n) % n for p in range(r)]) * (2.0 / n)
@@ -621,14 +646,13 @@ def _quadrature(alpha, lines):
         n *= 2
 
 
+@_float64_range
 def nu_m_j_rect(
     coeffs: CoefficientSeq,
     m: int,
     alpha: float,
     j: int,
     rect: UpperRect,
-    integration_budget: int = DEFAULT_INTEGRATION_BUDGET,
-    seed: int = 0,
 ) -> MeasureValue:
     """Order-j MA(m) limit measure of an upper rectangle, the evaluator of
     every finite order: :func:`mu_j_rect` for identity coefficients (m = 0,
@@ -650,13 +674,12 @@ def nu_m_j_rect(
     members.  With none drawn, the sum of the masses is the value, an
     enumeration with no stderr.  Otherwise more than
     :data:`MAX_QUADRATURE_TUPLES` one-read tuples, or more than
-    :data:`MAX_LATTICE_POINTS` lattice points in all, raise
+    :data:`MAX_LATTICE_TUPLES` lattice tuples, raise
     :class:`UnsupportedError` before any integration, and a second walk
     integrates each one-read tuple by :func:`_quadrature` and each lattice
-    tuple over SHIFTS * ceil(integration_budget / SHIFTS) points; the tuple
-    of rank r among the lexicographic (j+1)-combinations of the influencing
-    positions draws its shifts from sub-stream r of the root derived from
-    ``seed`` (spawn key :data:`_ORACLE_TAG`).  With no lattice tuple the
+    tuple over :data:`LATTICE_POINTS` points; the tuple of rank r among the
+    lexicographic (j+1)-combinations of the influencing positions draws its
+    shifts from sub-stream r of :data:`_LATTICE_ROOT`.  With no lattice tuple the
     value is a quadrature whose stderr is the root sum of squared errors.
     Values are added in lexicographic order.
     """
@@ -664,8 +687,6 @@ def nu_m_j_rect(
         return mu_j_rect(j, alpha, rect)
     if j == 0:
         return nu_m0_rect(coeffs, m, alpha, rect)
-    if not integration_budget > 0:
-        raise ParameterError(f"integration budget must be positive, got {integration_budget}")
     if j < 0:
         raise ParameterError(f"order must be nonnegative, got {j}")
     if not alpha > 0:
@@ -708,18 +729,15 @@ def nu_m_j_rect(
             f"{drawn - lattice} drawn spike tuples need quadrature, "
             f"above the limit of {MAX_QUADRATURE_TUPLES}"
         )
-    points = lattice * SHIFTS * -(-integration_budget // SHIFTS)
-    if points > MAX_LATTICE_POINTS:
+    if lattice > MAX_LATTICE_TUPLES:
         raise UnsupportedError(
-            f"{lattice} drawn spike tuples need {points} lattice points, "
-            f"above the limit of {MAX_LATTICE_POINTS} (use a smaller integration_budget)"
+            f"{lattice} drawn spike tuples need the lattice, above the limit of {MAX_LATTICE_TUPLES}"
         )
-    root = _derive_seed(seed, _ORACLE_TAG) if lattice else None
     total = var_total = 0.0
     for tuples, floors in floored():
         values, variances = _contributions(
-            alpha, thresholds, floors, integration_budget,
-            lambda t: block_generator(root, _rank(tuples[t].tolist(), len(positions))))
+            alpha, thresholds, floors,
+            lambda t: block_generator(_LATTICE_ROOT, _rank(tuples[t].tolist(), len(positions))))
         for value, variance in zip(values.tolist(), variances.tolist()):
             total += value
             var_total += variance
@@ -745,6 +763,7 @@ def marginal_tail_constant(coeffs: CoefficientSeq, alpha: float, up_to: int | No
     return value
 
 
+@_float64_range
 def nu_inf_0_rect(
     coeffs: CoefficientSeq, alpha: float, rect: UpperRect, trunc_eps: float | None = None
 ) -> MeasureValue:

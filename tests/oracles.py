@@ -187,21 +187,29 @@ def tuple_contribution(coeffs, alpha, rect, positions, covers, budget, seed, ran
     path, not an oracle: the tuple given by its positions and cover bitmasks
     (bit p: rect.indices[p]), a one-tuple chunk of
     ``limit_measures._contributions``, a lattice tuple integrated on
-    sub-stream ``rank`` of ``seed``.  With ``lattice`` a drawn tuple goes
-    through ``limit_measures._plan`` and ``_lattice`` whatever it reads."""
+    ``budget`` points (``limit_measures.LATTICE_POINTS`` while it runs, a
+    multiple of 16) from sub-stream ``rank`` of ``seed``.  With ``lattice``
+    a drawn tuple goes through ``limit_measures._plan`` and ``_lattice``
+    whatever it reads."""
     weights = np.array([[coeffs.psi(k - i) if cover >> p & 1 else 0.0
                          for p, k in enumerate(rect.indices)]
                         for i, cover in zip(positions, covers)])
     thresholds = np.array(rect.thresholds)
     floors = limit_measures._floors(alpha, thresholds, weights[None])
     mass, held, pulls, open_ = floors
-    if lattice and open_[0].any():
-        read, checks = limit_measures._plan(thresholds.tolist(), held[0], pulls[0], open_[0])
-        mean, var = limit_measures._lattice(alpha, len(read), checks, budget,
-                                            limit_measures.block_generator(seed, rank))
-        return float(mass[0]) * mean, float(mass[0]) ** 2 * var
-    values, variances = limit_measures._contributions(
-        alpha, thresholds, floors, budget, lambda t: limit_measures.block_generator(seed, rank))
+    # Set by hand, not by pytest's monkeypatch: the benchmark loads this
+    # module too, and pytest would add to its peak RSS.
+    points, limit_measures.LATTICE_POINTS = limit_measures.LATTICE_POINTS, budget
+    try:
+        if lattice and open_[0].any():
+            read, checks = limit_measures._plan(thresholds.tolist(), held[0], pulls[0], open_[0])
+            mean, var = limit_measures._lattice(alpha, len(read), checks,
+                                                limit_measures.block_generator(seed, rank))
+            return float(mass[0]) * mean, float(mass[0]) ** 2 * var
+        values, variances = limit_measures._contributions(
+            alpha, thresholds, floors, lambda t: limit_measures.block_generator(seed, rank))
+    finally:
+        limit_measures.LATTICE_POINTS = points
     return float(values[0]), float(variances[0])
 
 
@@ -446,8 +454,9 @@ def covering_tuples(coeffs, m, j, rect):
 
 
 def tuple_stream_root(seed):
-    """The root whose sub-stream r the tuple of rank r draws from, as the README
-    states it: the first 64-bit word of ``SeedSequence(seed, spawn_key=(2^32 - 1,))``."""
+    """A lattice root restated from the README's rule: the first 64-bit word
+    of ``SeedSequence(seed, spawn_key=(2^32 - 1,))``, whose seed 0 gives the
+    library's fixed root."""
     return int(np.random.SeedSequence(seed, spawn_key=(2**32 - 1,)).generate_state(1, np.uint64)[0])
 
 

@@ -6,21 +6,23 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import matails.cli
 import matails.ma_process as ma
 import matails.sample_file
-from matails import (ExplicitFinite, TailModel, block_generator, draw, estimation, hill, limit_measures,
-                     simulate)
+from matails import (ExplicitFinite, TailModel, UpperRect, block_generator, draw, estimation, hill,
+                     limit_measures, simulate, spike_cover_number)
 from matails.ma_process import MAX_DEPTH, MAX_DRAWS, MAX_LAG_TERMS, SimulationBatch
 from matails.cli import _write_output, build_parser, load_experiment, main
 from matails.sample_file import (_sample_slices, _sample_text, _shortest_digits,
@@ -435,8 +437,7 @@ class TestLimitsCommand:
         # limits writes the same value and stderr bits.
         rows = ["0; 0:1.0", "1; 0:1.0, 2:1.0", "1; 0:1.0, 1:5.0, 2:1.0",
                 "2; 0:1.0, 1:5.0, 2:1.0, 3:5.0, 4:1.0"]
-        argv = ["--config", config_path, "--set", "run.integration_budget=4096",
-                "--set", "run.t_grid=10, 100", "--set", "run.n=200"]
+        argv = ["--config", config_path, "--set", "run.t_grid=10, 100", "--set", "run.n=200"]
         argv += [arg for r, row in enumerate(rows) for arg in ("--set", f"rows.row{r}={row}")]
         lim, ver = tmp_path / "lim.csv", tmp_path / "ver.csv"
         assert main(["limits", *argv, "--out", str(lim)]) == 0
@@ -894,26 +895,98 @@ def test_forty_constraint_row_is_an_error_row_within_a_second(tmp_path, config_p
 
 @pytest.mark.parametrize("command", ["limits", "verify"])
 def test_row_over_the_lattice_point_limit_is_an_error_row_within_a_second(
-        tmp_path, config_path, command):
+        tmp_path, config_path, monkeypatch, command):
     # psi = (1, 0, 1, 1) on two copies, 14 apart, of a row whose three drawn
-    # tuples each read two members: 225 lattice tuples, about half a minute
-    # at 10^7 points each.
+    # tuples each read two members: 225 lattice tuples, one over the limit.
     group = {0: 1.0, 4: 0.5, 5: 3.0, 7: 3.0, 8: 0.5, 9: 1.0}
     rect = ", ".join(f"{14 * g + k}:{a}" for g in range(2) for k, a in group.items())
     out = tmp_path / "out.csv"
+    monkeypatch.setattr(limit_measures, "MAX_LATTICE_TUPLES", 224)
     start = time.perf_counter()
     code = main([command, "--config", config_path, "--out", str(out),
                  "--set", "coefficients.values=1, 0, 1, 1", "--set", "coefficients.m=3",
-                 "--set", f"rows.row1=7; {rect}", "--set", "run.n=200",
-                 "--set", "run.integration_budget=10000000"])
+                 "--set", f"rows.row1=7; {rect}", "--set", "run.n=200"])
     assert time.perf_counter() - start < 1.0
     assert code == 0
     rows = read_csv(out)
     header = rows[0]
     errors = [r[header.index("error" if command == "verify" else "note")] for r in rows[1:]]
     assert not errors[0]
-    assert errors[1] == (f"225 drawn spike tuples need 2250000000 lattice points, above the "
-                         f"limit of {limit_measures.MAX_LATTICE_POINTS} (use a smaller integration_budget)")
+    assert errors[1] == "225 drawn spike tuples need the lattice, above the limit of 224"
+
+
+# Rows at alpha = 60 whose value or a term of it passes the float64 range.
+OVERFLOW_ROWS = {
+    # A drawn tuple's squared mass, its variance's factor, passes 1.8e308.
+    "tuple-variance": (["--set", "coefficients.values=1, 0.6647714671309451, 0, 0.9075276689042917, 0",
+                        "--set", "coefficients.m=4"],
+                       "2; -1:0.0012029284307159137, 2:1.586394782995687, 4:0.0040429183894489015, "
+                       "6:0.002801652707763948, 7:8.988319819670036"),
+    # One order-0 term is 1e600, by nu_m0_rect and by the i.i.d. closed form.
+    "order-0-term": ([], "0; 0:1e-10"),
+    "iid-term": (["--set", "coefficients.values=1", "--set", "coefficients.m=0"], "0; 0:1e-10"),
+    "ma-infinity-term": (GEOMETRIC_INFINITE, "0; 0:1e-10"),
+    # Cover number 2 at j = 1, so bounded away, and the value is 1e480.
+    "pair-sum": ([], "1; 0:1e-4, 2:1e-4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_ROWS))
+def test_row_past_the_float64_range_is_a_note_row(tmp_path, config_path, case):
+    overrides, row = OVERFLOW_ROWS[case]
+    out = tmp_path / "lim.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["limits", "--config", config_path, "--out", str(out), "--set", "tail.alpha=60",
+                     *overrides, "--set", f"rows.row1={row}"])
+    assert code == 0
+    header, first, second = read_csv(out)
+    assert first[header.index("value")] and not first[header.index("note")]
+    assert second[header.index("value")] == ""
+    assert second[header.index("note")] == ("the value or one of its terms passes the float64 "
+                                            "range (above 1.798e+308)")
+
+
+def finite_rows():
+    """Rows of at most 6 constraints, thresholds log-uniform on [1e-3, 1e5]."""
+    threshold = st.floats(-3.0, 5.0).map(lambda e: 10.0**e)
+    rect = st.dictionaries(st.integers(-3, 8), threshold, min_size=1, max_size=6)
+    return st.tuples(st.integers(0, 3), rect)
+
+
+@settings(max_examples=100, deadline=None)
+@example(1.0, [0.6647714671309451, 0.0, 0.9075276689042917, 0.0], 4, 60.0,
+         [(2, dict(zip([-1, 2, 4, 6, 7], [0.0012029284307159137, 1.586394782995687, 0.0040429183894489015,
+                                          0.002801652707763948, 8.988319819670036])))])
+@example(1.0, [0.5], 1, 60.0, [(1, {0: 1e-4, 2: 1e-4}), (0, {0: 1e-3})])
+@given(st.floats(0.1, 2.0), st.lists(st.one_of(st.just(0.0), st.floats(0.05, 2.0)), max_size=4),
+       st.integers(0, 4), st.floats(0.3, 60.0), st.lists(finite_rows(), min_size=1, max_size=3))
+def test_limits_rows_are_values_flags_or_notes(head, tail, m, alpha, rows):
+    # Every config exits 0 with no warning, and each row is a finite value
+    # >= 0, the +inf flag exactly when the spike cover number is at most j,
+    # or a note.  Fewer lattice points keep each run short.
+    coeffs = ExplicitFinite([head, *tail])
+    argv = ["--set", f"coefficients.values={', '.join(map(repr, [head, *tail]))}",
+            "--set", f"coefficients.m={m}", "--set", f"tail.alpha={alpha!r}"]
+    argv += [arg for r, (j, rect) in enumerate(rows) for arg in (
+        "--set", f"rows.row{r}={j}; " + ", ".join(f"{k}:{a!r}" for k, a in rect.items()))]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(limit_measures, "LATTICE_POINTS", 1024)
+        config, out = Path(tmp) / "exp.ini", Path(tmp) / "lim.csv"
+        config.write_text(BASE_CONFIG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["limits", "--config", str(config), "--out", str(out), *argv]) == 0
+        header, *written = read_csv(out)
+    want = [(j, UpperRect(rect)) for j, rect in rows] + [(1, UpperRect({0: 1.0, 2: 1.0}))] * (len(rows) < 2)
+    assert len(written) == len(want)
+    for (j, rect), row in zip(want, written):
+        value, note = row[header.index("value")], row[header.index("note")]
+        assert (value == "+inf (not bounded away)") == (spike_cover_number(coeffs, m, rect) <= j)
+        if value == "":
+            assert note
+        elif not value.startswith("+inf"):
+            assert 0.0 <= float(value) < math.inf
 
 
 # Rows whose theory evaluation is infeasible or raises, on configs that verify

@@ -238,7 +238,7 @@ class TestHrvScan:
     def test_error_rows_carry_the_evaluator_text(self):
         rect = UpperRect({0: 1.0, 1: 1.0})
         scan = hrv_scan(PSI_HALF, 1, PARETO1, [(1, rect), (-1, rect)], 1000, 50.0, seed=18)
-        assert scan[0].error == nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect, 100).note
+        assert scan[0].error == nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect).note
         assert scan[1].error == "order must be nonnegative, got -1"
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -333,14 +333,13 @@ class TestConvergenceTable:
             (1, UpperRect({0: 1.0, 2: 1.0})),
             (1, UpperRect({0: 1.0, 1: 1.0})),  # infeasible
         ]
-        cells = convergence_table(PSI_HALF, 1, PARETO1, rows, 1000, [10.0, 100.0], 23,
-                                  integration_budget=100)
+        cells = convergence_table(PSI_HALF, 1, PARETO1, rows, 1000, [10.0, 100.0], 23)
         assert len(cells) == 6
         assert len(calls) == 2
         assert len(simulations) == 1
         for grid in ([10.0], [2.0, 10.0, 100.0]):
             simulations.clear()
-            convergence_table(PSI_HALF, 1, PARETO1, rows, 1000, grid, 23, integration_budget=100)
+            convergence_table(PSI_HALF, 1, PARETO1, rows, 1000, grid, 23)
             assert len(simulations) == 1
 
     def test_each_level_is_the_one_level_scan_on_the_same_seed(self):
@@ -350,14 +349,12 @@ class TestConvergenceTable:
             (1, UpperRect({0: 1.0, 1: 1.0})),  # infeasible
         ]
         grid = [4.0, 16.0, 64.0]
-        cells = convergence_table(PSI_HALF, 1, PARETO1, rows, 5000, grid, 29,
-                                  integration_budget=500)
+        cells = convergence_table(PSI_HALF, 1, PARETO1, rows, 5000, grid, 29)
         assert [t for t, _ in cells] == [t for t in grid for _ in rows]
         for t in grid:
             level = [row for s, row in cells if s == t]
             # same count, value, stderr, theoretical value and error text
-            assert level == hrv_scan(PSI_HALF, 1, PARETO1, rows, 5000, t, 29,
-                                     integration_budget=500)
+            assert level == hrv_scan(PSI_HALF, 1, PARETO1, rows, 5000, t, 29)
             assert level[0].empirical.count > 0 and level[1].empirical.count > 0
             assert level[2].error is not None
         hidden = [row.theoretical for _, row in cells if row.j == 1 and row.error is None]
@@ -373,10 +370,8 @@ class TestConvergenceTable:
         shared_counts = np.zeros(len(grid) * len(rows))
         per_level_counts = np.zeros_like(shared_counts)
         for seed in seeds:
-            shared = convergence_table(PSI_HALF, 1, PARETO1, rows, n, grid, seed,
-                                       integration_budget=100)
-            per_level = per_level_table(PSI_HALF, 1, PARETO1, rows, n, grid, seed,
-                                        integration_budget=100)
+            shared = convergence_table(PSI_HALF, 1, PARETO1, rows, n, grid, seed)
+            per_level = per_level_table(PSI_HALF, 1, PARETO1, rows, n, grid, seed)
             assert [(t, row.j, row.rect) for t, row in shared] == [
                 (t, row.j, row.rect) for t, row in per_level]
             shared_counts += [row.empirical.count for _, row in shared]

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import matails.ma_process as ma
-from matails import simulate
+from matails import limit_measures, simulate
 from matails.cli import load_experiment, main
 
 SIMULATE_CONFIG = textwrap.dedent(
@@ -221,14 +221,14 @@ GOLDEN = {
         "out": "11eedfd6f3aec88b737c1ec7afa7bfb97ef21f72370730fc76b9f72162b739fa",
         "out.meta.json": "42e099036c79eb7a2606a7bdf999fd22f7fb3b653759a3c478b15ba021740d8c",
     },
-    # Its drawn tuples read sub-streams of the root derived from the seed, as
-    # verify's theory column does.
+    # Its drawn tuples read sub-streams of the fixed lattice root, whatever
+    # the seed, as verify's theory column does.
     "limits-drawn": {
-        "out": "5a4d79cbef6e8fef5fe8277988b7c07435a4c2b6f39a8feb8ef01bb5e1ee0531",
+        "out": "a1bc6bd188b3c3d0da40b2752873dd81b649605cd8040a7cea0abd4513e3ea3e",
         "out.meta.json": "4a281b58ed89b949be3ff23611eb77d88af13b70a78b6e268a75741c0ed4b5c3",
     },
     "limits-lattice": {
-        "out": "1bca7720951f5732d69522025f110841b75ac2b24868ab8176a6204873624e4d",
+        "out": "c6a13a78eddc5e27ff0b90166c766a40a08bcd88574a7edb4a4249904205e9aa",
         "out.meta.json": "4d4ca395ac091373c0bb0f9c5f55b12d1eaed5992e06c8aa5a54871f94c3d011",
     },
     "verify": {
@@ -332,3 +332,32 @@ def test_bytes_do_not_depend_on_numpy_cpu_dispatch(tmp_path, case):
         (tmp_path / side).mkdir()
         hashes[side] = run_and_hash(tmp_path / side, config, argv, env)
     assert hashes["child"] == hashes["here"]
+
+
+# limits on LIMITS_LATTICE_CONFIG at seed 0 with integration_budget = 200000,
+# as written when the seed and the budget still set lattice values.
+SEED_0_LATTICE_OUT = "c6a13a78eddc5e27ff0b90166c766a40a08bcd88574a7edb4a4249904205e9aa"
+
+
+def test_lattice_rows_do_not_depend_on_the_seed(tmp_path):
+    hashes = set()
+    for seed in (0, 5, 42):
+        config = LIMITS_LATTICE_CONFIG.replace("seed = 5", f"seed = {seed}")
+        (tmp_path / str(seed)).mkdir()
+        hashes.add(run_and_hash(tmp_path / str(seed), config, ["limits"])["out"])
+    assert len(hashes) == 1
+
+
+def test_lattice_rows_keep_their_seed_0_bytes(tmp_path):
+    # The budget key is read by no one: the config with it and a seed-0 copy
+    # without it both write the seed-0 bytes.
+    bare = LIMITS_LATTICE_CONFIG.replace("seed = 5", "seed = 0").replace("integration_budget = 1000\n", "")
+    assert "integration_budget" not in bare and "seed = 0" in bare
+    for name, config in (("pinned", LIMITS_LATTICE_CONFIG), ("bare", bare)):
+        (tmp_path / name).mkdir()
+        assert run_and_hash(tmp_path / name, config, ["limits"])["out"] == SEED_0_LATTICE_OUT
+
+
+def test_lattice_root_is_the_one_seed_0_derived():
+    state = np.random.SeedSequence(0, spawn_key=(2**32 - 1,)).generate_state(2, np.uint64)
+    assert limit_measures._LATTICE_ROOT == int(state[0])

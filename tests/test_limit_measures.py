@@ -52,6 +52,7 @@ from oracles import (
 )
 
 PSI_HALF = ExplicitFinite([1.0, 0.5])
+POINTS = limit_measures.LATTICE_POINTS
 IDENTITY = ExplicitFinite([1.0])
 
 
@@ -279,7 +280,7 @@ class TestSpikeCover:
         rect = UpperRect({0: 1.0, 10**9: 1.0})
         start = time.perf_counter()
         assert spike_cover_number(PSI_HALF, 1, rect) == 2
-        got = nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect, 16, seed=1)
+        got = nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect)
         assert time.perf_counter() - start < 0.5
         assert (got.value, got.method, got.stderr) == (2.25, EvalMethod.ENUMERATION, None)
 
@@ -348,20 +349,20 @@ class TestNuMJRect:
 
     def test_iid_pair_reduction(self):
         # m = 1 is past the identity's order: the tuple walk, not the closed form.
-        got = nu_m_j_rect(IDENTITY, 1, 1.0, 1, UpperRect({0: 1.0, 1: 1.0}), 100, seed=1)
+        got = nu_m_j_rect(IDENTITY, 1, 1.0, 1, UpperRect({0: 1.0, 1: 1.0}))
         assert got.value == 1.0
         assert (got.method, got.stderr) == (EvalMethod.ENUMERATION, None)
 
     def test_factoring_rectangle_frozen_value(self):
         # Four covering pairs, each factoring into marginal tails:
         # 1/4 + 1/2 + 1/2 + 1 = 2.25.
-        got = nu_m_j_rect(PSI_HALF, 1, 1.0, 1, UpperRect({0: 1.0, 2: 1.0}), 1000, seed=1)
+        got = nu_m_j_rect(PSI_HALF, 1, 1.0, 1, UpperRect({0: 1.0, 2: 1.0}))
         assert got.value == pytest.approx(2.25, rel=1e-12)
         assert (got.method, got.stderr) == (EvalMethod.ENUMERATION, None)
 
     def test_factoring_rectangle_matches_quadrature(self):
         rect = UpperRect({0: 1.0, 2: 1.0})
-        got = nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect, 200_000, seed=2)
+        got = nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect)
         oracle = order1_quadrature(PSI_HALF, 1, 1.0, rect)
         assert got.value == pytest.approx(oracle, rel=0.01)
 
@@ -372,7 +373,7 @@ class TestNuMJRect:
         rect = UpperRect({0: 1.0, 1: 5.0, 2: 1.0})
         # The drawn pair reads one member: Gauss-Legendre, exact to rounding.
         pencil = 0.2 + math.log(13.5) / 50.0 + 0.25
-        got = nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect, 400_000, seed=3)
+        got = nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect)
         assert got.method is EvalMethod.QUADRATURE
         assert 0.0 < got.stderr <= 1e-14 * got.value
         assert abs(got.value - pencil) <= got.stderr
@@ -388,7 +389,7 @@ class TestNuMJRect:
                      st.builds(Polynomial, st.floats(0.3, 3.0))),
            st.integers(0, 8), st.floats(0.2, 3.0), rects(5))
     def test_order_zero_equals_enumeration(self, coeffs, m, alpha, rect):
-        # Bit for bit, errors included, whatever the integration budget.
+        # Bit for bit, errors included.
         def outcome(evaluate, *args):
             try:
                 return evaluate(*args)
@@ -398,22 +399,18 @@ class TestNuMJRect:
         want = outcome(nu_m0_rect, coeffs, m, alpha, rect)
         if m == 0 and coeffs.order == 0 and coeffs.psi(0) == 1.0:
             want = mu_j_rect(0, alpha, rect)  # identity coefficients: the closed form
-        assert outcome(nu_m_j_rect, coeffs, m, alpha, 0, rect, 0, 4) == want
+        assert outcome(nu_m_j_rect, coeffs, m, alpha, 0, rect) == want
 
     def test_uncoverable_rectangle_is_flagged_infinite(self):
-        got = nu_m_j_rect(PSI_HALF, 1, 1.0, 1, UpperRect({0: 1.0, 1: 1.0}), 100, seed=5)
+        got = nu_m_j_rect(PSI_HALF, 1, 1.0, 1, UpperRect({0: 1.0, 1: 1.0}))
         assert got.is_infinite and got.note
-
-    def test_budget_validation(self):
-        with pytest.raises(ParameterError):
-            nu_m_j_rect(PSI_HALF, 1, 1.0, 1, UpperRect({0: 1.0, 2: 1.0}), 0, seed=1)
 
     def test_order_past_a_finite_family_keeps_the_bytes(self):
         rect = UpperRect({0: 1.0, 1: 5.0, 2: 1.0})
         start = time.perf_counter()
-        far = nu_m_j_rect(PSI_HALF, 10**6, 1.0, 1, rect, 1000, seed=9)
+        far = nu_m_j_rect(PSI_HALF, 10**6, 1.0, 1, rect)
         assert time.perf_counter() - start < 0.5
-        assert far == nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect, 1000, seed=9)
+        assert far == nu_m_j_rect(PSI_HALF, 1, 1.0, 1, rect)
 
     def test_degenerate_coefficients_reduce_to_iid_measure(self):
         rects = [
@@ -424,7 +421,7 @@ class TestNuMJRect:
             (2, UpperRect({-1: 1.0, 1: 2.0, 4: 1.0})),
         ]
         for j, rect in rects:
-            got = nu_m_j_rect(IDENTITY, 1, 1.0, j, rect, 100, seed=6)  # the walk, not the closed form
+            got = nu_m_j_rect(IDENTITY, 1, 1.0, j, rect)  # the walk, not the closed form
             want = mu_j_rect(j, 1.0, rect)
             if want.is_infinite:
                 assert got.is_infinite
@@ -459,7 +456,8 @@ class TestNuMJRect:
             return original(seed, rank)
 
         monkeypatch.setattr(limit_measures, "block_generator", recording)
-        assert not nu_m_j_rect(coeffs, m, 1.0, j, rect, 64, seed=7).is_infinite
+        monkeypatch.setattr(limit_measures, "LATTICE_POINTS", 64)
+        assert not nu_m_j_rect(coeffs, m, 1.0, j, rect).is_infinite
         assert made == lattice
 
     # Thresholds either low or high, so that shared constraints are sometimes
@@ -485,16 +483,20 @@ class TestNuMJRect:
         # 1e-12 of its one-member integral; one that reads more integrates
         # on the shifted lattice, restated point by point in the conditional
         # reference (same shifts, other rounding in the power and the sums).
-        # Tuple ``rank`` draws from sub-stream ``rank`` of the root derived
-        # from ``seed``.
-        got = nu_m_j_rect(coeffs, m, alpha, j, rect, 64, seed=seed)
+        # Tuple ``rank`` draws from sub-stream ``rank`` of the lattice root,
+        # here the one ``seed`` derives, for independent randomizations.
+        root = tuple_stream_root(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(limit_measures, "LATTICE_POINTS", 64)
+            patch.setattr(limit_measures, "_LATTICE_ROOT", root)
+            got = nu_m_j_rect(coeffs, m, alpha, j, rect)
         if got.is_infinite:
             assert cover_oracle(coeffs, m, rect) <= j
             return
         reads = reads_of_drawn(coeffs, m, j, rect)
         total = var_total = 0.0
         for rank, positions, covers in covering_tuples(coeffs, m, j, rect):
-            args = (coeffs, alpha, rect, positions, covers, 64, tuple_stream_root(seed), rank)
+            args = (coeffs, alpha, rect, positions, covers, 64, root, rank)
             value, variance = tuple_contribution(*args)
             if reads.get(rank) == 1:
                 want = one_member_tuple(coeffs, alpha, rect, positions, covers)
@@ -611,7 +613,8 @@ class TestTupleWalk:
 
         monkeypatch.setattr(limit_measures, "block_generator",
                             lambda seed, rank: Recording(original(seed, rank)))
-        nu_m_j_rect(coeffs, m, 1.0, j, rect, 64, seed=3)
+        monkeypatch.setattr(limit_measures, "LATTICE_POINTS", 64)
+        nu_m_j_rect(coeffs, m, 1.0, j, rect)
         want = []
         for _, positions, covers in covering_tuples(coeffs, m, j, rect):
             _, open_, _, read = conditional_plan(coeffs, rect, positions, covers)
@@ -626,38 +629,39 @@ class TestTupleWalk:
         # positions and by no other constraint's, so 2^K covering K-tuples.
         rect = UpperRect({3 * i: 1.0 for i in range(12)})
         monkeypatch.setattr(limit_measures, "MAX_TUPLES", 4096)
-        assert not nu_m_j_rect(PSI_HALF, 1, 1.0, 11, rect, 16, seed=1).is_infinite
+        assert not nu_m_j_rect(PSI_HALF, 1, 1.0, 11, rect).is_infinite
         monkeypatch.setattr(limit_measures, "MAX_TUPLES", 4095)
         monkeypatch.setattr(limit_measures, "_tuple_chunks", lambda *a: pytest.fail("walked"))
         with pytest.raises(UnsupportedError, match="4096 covering spike tuples exceed the tuple budget of 4095"):
-            nu_m_j_rect(PSI_HALF, 1, 1.0, 11, rect, 16, seed=1)
+            nu_m_j_rect(PSI_HALF, 1, 1.0, 11, rect)
 
     def test_over_the_lattice_point_limit_raises_before_any_draw(self, monkeypatch):
-        # Every lattice tuple evaluates SHIFTS * ceil(budget / SHIFTS) points:
-        # 16 * 7 = 112 at budget 100.
+        # At most MAX_LATTICE_TUPLES tuples of LATTICE_POINTS points each.
         lattice = len(lattice_ranks(MIXED_READS_PSI, 3, 2, MIXED_READS_RECT))
-        points = lattice * 112
-        monkeypatch.setattr(limit_measures, "MAX_LATTICE_POINTS", points)
-        assert nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT, 100, seed=1).stderr > 0.0
-        monkeypatch.setattr(limit_measures, "MAX_LATTICE_POINTS", points - 1)
+        monkeypatch.setattr(limit_measures, "LATTICE_POINTS", 112)
+        monkeypatch.setattr(limit_measures, "MAX_LATTICE_TUPLES", lattice)
+        assert nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT).stderr > 0.0
+        monkeypatch.setattr(limit_measures, "MAX_LATTICE_TUPLES", lattice - 1)
         monkeypatch.setattr(limit_measures, "block_generator", lambda *a: pytest.fail("drew"))
-        with pytest.raises(UnsupportedError, match=f"{lattice} drawn spike tuples need {points} "
-                           f"lattice points, above the limit of {points - 1} "):
-            nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT, 100, seed=1)
+        with pytest.raises(UnsupportedError, match=f"^{lattice} drawn spike tuples need the lattice, "
+                           f"above the limit of {lattice - 1}$"):
+            nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT)
         # Tuples that read one member take no lattice point.
-        monkeypatch.setattr(limit_measures, "MAX_LATTICE_POINTS", 0)
-        got = nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT, 100, seed=1)
+        monkeypatch.setattr(limit_measures, "MAX_LATTICE_TUPLES", 0)
+        got = nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT)
         assert got.method is EvalMethod.QUADRATURE
 
     def test_many_drawn_tuples_are_refused_in_milliseconds(self):
-        # Two copies of the three-lattice-tuple row, further apart than m:
-        # 225 of 1521 tuples read two or more members, about half a minute
-        # of integration at 10^7 points a tuple.
-        rect = UpperRect({14 * g + k: a for g in range(2) for k, a in TWO_READ_J3_RECT.constraints})
+        # Three copies of the three-lattice-tuple row, further apart than m:
+        # 12,663 of 59,319 tuples read two or more members, about two
+        # minutes of integration at 200,000 points a tuple.  The count alone
+        # took 0.53 s on one core of a 2-core machine.
+        rect = UpperRect({14 * g + k: a for g in range(3) for k, a in TWO_READ_J3_RECT.constraints})
         start = time.perf_counter()
-        with pytest.raises(UnsupportedError, match="225 drawn spike tuples need 2250000000 lattice points"):
-            nu_m_j_rect(TWO_READ_PSI, 3, 1.0, 7, rect, 10**7, seed=1)
-        assert time.perf_counter() - start < 1.0
+        with pytest.raises(UnsupportedError, match="^12663 drawn spike tuples need the lattice, "
+                           "above the limit of 5000$"):
+            nu_m_j_rect(TWO_READ_PSI, 3, 1.0, 11, rect)
+        assert time.perf_counter() - start < 2.0
 
     def test_many_one_read_tuples_are_refused_before_any_quadrature(self, monkeypatch):
         # psi = (1, .., 1) of length 6, 17 constraints 3 apart, thresholds
@@ -669,17 +673,17 @@ class TestTupleWalk:
         start = time.perf_counter()
         with pytest.raises(UnsupportedError, match="157464 drawn spike tuples need quadrature, "
                            "above the limit of 100000"):
-            nu_m_j_rect(ExplicitFinite([1.0] * 6), 5, 1.0, 8, rect, seed=1)
+            nu_m_j_rect(ExplicitFinite([1.0] * 6), 5, 1.0, 8, rect)
         assert time.perf_counter() - start < 2.0
 
     def test_over_the_quadrature_limit_raises_before_any_quadrature(self, monkeypatch):
         # MIXED_READS_RECT's six one-read tuples.
         monkeypatch.setattr(limit_measures, "MAX_QUADRATURE_TUPLES", 6)
-        assert nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT, 100, seed=1).stderr > 0.0
+        assert nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT).stderr > 0.0
         monkeypatch.setattr(limit_measures, "MAX_QUADRATURE_TUPLES", 5)
         monkeypatch.setattr(limit_measures, "_quadrature", lambda *a: pytest.fail("integrated"))
         with pytest.raises(UnsupportedError, match="6 drawn spike tuples need quadrature"):
-            nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT, 100, seed=1)
+            nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT)
 
 
 
@@ -709,8 +713,8 @@ class TestConditionalEfficiency:
     @pytest.mark.parametrize("seed", [42, 7])
     @pytest.mark.parametrize("coeffs, m, rect", ROWS)
     def test_quarter_of_crude_variance_on_the_pair_integral(self, coeffs, m, rect, seed):
-        value, stderr = lattice_row(coeffs, m, 1.0, 1, rect, 200_000, seed)
-        _, crude_stderr = nu_m_j_rect_reference(coeffs, m, 1.0, 1, rect, 200_000, seed)
+        value, stderr = lattice_row(coeffs, m, 1.0, 1, rect, POINTS, seed)
+        _, crude_stderr = nu_m_j_rect_reference(coeffs, m, 1.0, 1, rect, POINTS, seed)
         assert stderr**2 <= crude_stderr**2 / 4
         assert 0.0 < stderr <= 1e-8
         assert abs(value - self.pair_value(coeffs, m, rect)) <= 3 * stderr
@@ -718,7 +722,7 @@ class TestConditionalEfficiency:
     @pytest.mark.parametrize("seed", [42, 7])
     def test_j2_row_against_the_one_member_integral(self, seed):
         # Each of the row's 30 drawn triples reads one member.
-        value, stderr = lattice_row(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT, 200_000, seed)
+        value, stderr = lattice_row(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT, POINTS, seed)
         assert 0.0 < stderr <= 1e-8
         assert abs(value - self.j2_value()) <= 4 * stderr
 
@@ -809,24 +813,24 @@ class TestConditionalEfficiency:
         truth = pair + 2 * 10.0**-60
         rect = UpperRect({0: 1.0, 1: 5.0, 2: 1.0})
         for seed in (42, 7):
-            value, stderr = lattice_row(PSI_HALF, 1, 60.0, 1, rect, 200_000, seed)
+            value, stderr = lattice_row(PSI_HALF, 1, 60.0, 1, rect, POINTS, seed)
             assert 0.0 < stderr < 1e-3 * value
             assert abs(value - truth) <= 3 * stderr
-            assert nu_m_j_rect_reference(PSI_HALF, 1, 60.0, 1, rect, 200_000, seed) == (2e-60, 0.0)
+            assert nu_m_j_rect_reference(PSI_HALF, 1, 60.0, 1, rect, POINTS, seed) == (2e-60, 0.0)
 
     def test_alpha_60_power_underflows_to_zero(self):
         # need / L_c is about 5e5 on every sample and 5e5^-60 is below the
         # smallest double: the drawn pair and both exact pairs read zero.
         rect = UpperRect({0: 1.0, 1: 1e6, 2: 1.0})
-        assert lattice_row(PSI_HALF, 1, 60.0, 1, rect, 1000, 42) == (0.0, 0.0)
-        assert nu_m_j_rect_reference(PSI_HALF, 1, 60.0, 1, rect, 1000, 42) == (0.0, 0.0)
+        assert lattice_row(PSI_HALF, 1, 60.0, 1, rect, 1024, 42) == (0.0, 0.0)
+        assert nu_m_j_rect_reference(PSI_HALF, 1, 60.0, 1, rect, 1024, 42) == (0.0, 0.0)
 
     def test_indicator_tuple_is_not_noisier(self):
         # Constraint 2 of tuple 55 stays an indicator; constraint 4 is integrated.
         (positions, covers), = [(pos, cov) for rank, pos, cov
                                 in covering_tuples(INDICATOR_PSI, 2, 2, INDICATOR_RECT) if rank == 55]
         for seed in (42, 7):
-            args = (INDICATOR_PSI, 1.0, INDICATOR_RECT, positions, covers, 200_000, seed, 55)
+            args = (INDICATOR_PSI, 1.0, INDICATOR_RECT, positions, covers, POINTS, seed, 55)
             value, variance = tuple_contribution(*args)
             crude, crude_var = tuple_contribution_reference(*args)
             assert 0.0 < variance <= crude_var
@@ -939,7 +943,6 @@ class TestQuadrature:
 
     def test_one_read_rows_build_no_generator(self, monkeypatch):
         monkeypatch.setattr(limit_measures, "block_generator", lambda *a: pytest.fail("drew"))
-        monkeypatch.setattr(limit_measures, "_derive_seed", lambda *a: pytest.fail("derived a root"))
         for j, rect in self.THEORY_B_ROWS:
             assert nu_m_j_rect(THEORY_B_PSI, 4, 1.5, j, rect).method is EvalMethod.QUADRATURE
 
@@ -997,10 +1000,10 @@ class TestHomogeneity:
         (TWO_READ_PSI, 3, 2, TWO_READ_RECT, EvalMethod.MONTE_CARLO),
     ])
     def test_monte_carlo_same_stream_scales_exactly(self, coeffs, m, j, rect, method):
-        base = nu_m_j_rect(coeffs, m, 1.0, j, rect, 50_000, seed=7)
+        base = nu_m_j_rect(coeffs, m, 1.0, j, rect)
         assert base.method is method
         for lam in self.LAMBDAS:
-            scaled = nu_m_j_rect(coeffs, m, 1.0, j, rect.scaled(lam), 50_000, seed=7)
+            scaled = nu_m_j_rect(coeffs, m, 1.0, j, rect.scaled(lam))
             assert scaled.value == pytest.approx(lam ** -(j + 1) * base.value, rel=1e-9)
 
     def test_infinite_order_marginal(self):
@@ -1017,7 +1020,7 @@ class TestHomogeneity:
              UpperRect({0: 1.0, 2: 1.0}), UpperRect({0: 1.5, 2: 1.0})),
             (lambda r: nu_m0_rect(PSI_HALF, 1, 1.0, r).value,
              UpperRect({0: 1.0, 1: 2.0}), UpperRect({0: 1.0, 1: 3.0})),
-            (lambda r: nu_m_j_rect(PSI_HALF, 1, 1.0, 1, r, 100_000, seed=8).value,
+            (lambda r: nu_m_j_rect(PSI_HALF, 1, 1.0, 1, r).value,
              UpperRect({0: 1.0, 2: 1.0}), UpperRect({0: 1.5, 2: 1.0})),
         ]
         for evaluate, rect, tighter in cases:
@@ -1082,7 +1085,7 @@ NAN_ARGUMENTS = {
     "nu_alpha_tail-threshold": lambda: nu_alpha_tail(math.nan, 1.0),
     "mu_j_rect": lambda: mu_j_rect(0, math.nan, UpperRect({0: 1.0})),
     "nu_m0_rect": lambda: nu_m0_rect(PSI_HALF, 1, math.nan, UpperRect({0: 1.0})),
-    "nu_m_j_rect": lambda: nu_m_j_rect(PSI_HALF, 1, math.nan, 1, UpperRect({0: 1.0, 2: 1.0}), 10),
+    "nu_m_j_rect": lambda: nu_m_j_rect(PSI_HALF, 1, math.nan, 1, UpperRect({0: 1.0, 2: 1.0})),
     "marginal_tail_constant": lambda: marginal_tail_constant(PSI_HALF, math.nan),
     "nu_inf_0_rect": lambda: nu_inf_0_rect(Geometric(0.5), math.nan, UpperRect({0: 1.0})),
     "truncation_diagnostic": lambda: truncation_diagnostic(

@@ -203,7 +203,7 @@ def test_tuple_sum_peak_does_not_grow_with_the_tuple_count():
     peaks = {}
     for size in (6, 7):
         rect = UpperRect({5 * i: 1.0 for i in range(size)})
-        value, peaks[size] = traced_peak(nu_m_j_rect, psi, 4, 1.0, size - 1, rect, 64, seed=1)
+        value, peaks[size] = traced_peak(nu_m_j_rect, psi, 4, 1.0, size - 1, rect)
         assert value.value == pytest.approx(3.0**size, rel=1e-12)
         assert value.stderr is None
     assert max(peaks.values()) < 8 * 2**20
