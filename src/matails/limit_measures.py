@@ -20,21 +20,12 @@ combinatorial question.  The measures supported:
 * ``nu_m_j_rect``       -- order-j limit of the MA(m), the evaluator of every
   finite order (the two above at identity coefficients and at order 0): an
   integral over the (j+1)-tuples of spike positions that jointly reach K,
-  counted first (at most :data:`MAX_TUPLES`), then walked and their floors
-  computed in numpy a chunk at a time.  A tuple is exact, and draws
-  nothing, when no shared constraint survives its members' private floors.
-  The others integrate one member's Pareto tail in closed form (conditional
-  Monte Carlo) over the members that share an open constraint with it.
-  When that is one member, the integral is one-dimensional and taken by
-  Gauss-Legendre quadrature on closed-form pieces (at most
-  :data:`MAX_QUADRATURE_TUPLES` per row), its error the gap to a rule of
-  half the nodes; otherwise the members run over :data:`SHIFTS`
-  random shifts of one rank-1 lattice of :data:`LATTICE_POINTS` points in
-  all, folded by the baker's (tent) transform (randomized quasi-Monte
-  Carlo, error about points^-2; at most :data:`MAX_LATTICE_TUPLES` per
-  row) drawn from sub-streams of the fixed root :data:`_LATTICE_ROOT`;
-  the spread of the shift means is the standard error.  So a value
-  depends on the row alone;
+  counted, walked and floored in numpy a chunk at a time.  A tuple is exact
+  when no shared constraint survives its members' private floors; the
+  others integrate one member's Pareto tail in closed form and the members
+  sharing an open constraint with it by Gauss-Legendre quadrature on
+  closed-form pieces, nested in the log of each when there are several.  So
+  a value is a deterministic function of the row;
 * ``nu_inf_0_rect``     -- order-0 limit of the MA(infinity), enumerated at a
   truncation depth with a reported bound on the neglected spike mass;
 * ``marginal_tail_constant`` -- sum_l psi_l^alpha, the one-coordinate tail
@@ -61,7 +52,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ParameterError, UnsupportedError
-from .innovations import TailModel, _power, block_generator
+from .innovations import _power
 from .ma_process import CoefficientSeq, choose_truncation
 from .sequence_space import WindowSeq
 
@@ -78,16 +69,17 @@ __all__ = [
     "nu_inf_0_rect",
 ]
 
-# Gauss-Legendre rules of a one-read tuple (see _quadrature): n and 2n nodes
-# a piece, n from QUAD_NODES doubling while the two values differ by more
-# than QUAD_TOLERANCE of the finer, up to 2n = QUAD_MAX_NODES.  The reported
-# error is their difference plus QUAD_ROUNDING of the value, the rounding of
-# the score's powers and differences, plus the subnormal spacing 2^-1074 per
-# term, the most underflow can take from each.
+# Gauss-Legendre rules of a drawn tuple (see _rules): n and 2n nodes a piece,
+# n from QUAD_NODES doubling while the two values differ by more than
+# QUAD_TOLERANCE of the finer, up to 2n = QUAD_MAX_NODES; from and to NESTED
+# in a tuple that reads several members, whose levels multiply their nodes.
+# The reported error is their difference plus QUAD_ROUNDING of the value (the
+# rounding of powers and differences) plus 2^-1074 a term, what underflow takes.
 QUAD_NODES = 48
 QUAD_MAX_NODES = 768
 QUAD_TOLERANCE = 1e-13
 QUAD_ROUNDING = 8 * 2.0**-52
+NESTED = (QUAD_NODES // 4, 1e-10)
 
 # A piece's cuts lie at most GRADING times their distance from the score's
 # singularity s.  Each cut is 1 + GRADING times nearer s than the last, so
@@ -96,39 +88,24 @@ QUAD_ROUNDING = 8 * 2.0**-52
 GRADING = 16.0
 _MAX_GRADES = 300
 
-# Independent uniform shifts of each drawn tuple's lattice: the tuple's value
-# is the mean of the shift means, its variance their spread over SHIFTS.
-SHIFTS = 16
-
-# Lattice points per drawn tuple that reads two or more members.
-LATTICE_POINTS = SHIFTS * 12_500
-
-# Most such tuples one order-j rectangle may integrate (10^9 points, about
-# 12 s at the 8.6e7 points/s measured on one core of a 2-core machine); a
-# larger count raises UnsupportedError before any draw.
-MAX_LATTICE_TUPLES = 5_000
-
 # Most covering spike tuples one order-j rectangle may sum over; a larger
 # count raises UnsupportedError before the walk.
 MAX_TUPLES = 250_000
 
+# Most drawn tuples that read two or more members one order-j rectangle may
+# integrate (about 9 s at the mean 3 ms a tuple of 4,179 in 1,500 random
+# rows, one core of a 2-core machine); more raise UnsupportedError in the count.
+MAX_NESTED_TUPLES = 3_000
+
 # Most drawn tuples that read one member one order-j rectangle may integrate
-# by quadrature (about 10 s at the 97 us a tuple measured on a row of 25
-# constraints and 13 members, one core of a 2-core machine); a larger count
-# raises UnsupportedError before any quadrature.
+# (about 10 s at 97 us a tuple, on 25 constraints and 13 members, one core of
+# a 2-core machine, before a chunk's tuples shared one quadrature, which takes
+# about 55 us a tuple); more raise UnsupportedError in the count.
 MAX_QUADRATURE_TUPLES = 100_000
 
 # Cells per (tuples, j+1, |K|) floor array of one numpy pass over a chunk of
 # tuples: the walk and the floors hold a few such arrays whatever the tuple count.
 CHUNK_CELLS = 1 << 17
-
-# Root of the lattice's sub-streams: the tuple of rank r draws its shifts
-# from block_generator(_LATTICE_ROOT, r).  It is the first word of
-# SeedSequence(0, spawn_key=(2^32 - 1,)), the root that run seed 0 once
-# derived, so lattice values keep their seed-0 bytes.  Simulation seed
-# 1115911174736451823 is the one seed whose block streams match the
-# lattice's rank streams.
-_LATTICE_ROOT = 1115911174736451823
 
 
 @dataclass(frozen=True)
@@ -175,22 +152,20 @@ class UpperRect:
 
 
 class EvalMethod(str, enum.Enum):
-    """How a value was computed: exactly (closed form, enumeration), by
-    quadrature of every drawn tuple, or with some tuple on the lattice."""
+    """How a value was computed: exactly (closed form, enumeration), or by
+    quadrature of its drawn tuples."""
 
     CLOSED_FORM = "closed_form"
     ENUMERATION = "enumeration"
     QUADRATURE = "quadrature"
-    MONTE_CARLO = "monte_carlo_integration"
 
 
 @dataclass(frozen=True)
 class MeasureValue:
     """A tail-measure value; +inf marks a set not bounded away from the cone.
 
-    ``stderr`` is present exactly for quadrature and Monte Carlo
-    evaluations: the quadrature error estimate, or the standard error with
-    the quadrature errors of the other tuples added in squares;
+    ``stderr`` is present exactly for quadrature: the drawn tuples'
+    quadrature error estimates added in squares;
     ``truncation_error_bound`` bounds one-sided mass missed by a truncated
     enumeration (the true value lies in [value, value + bound]).
     """
@@ -397,12 +372,6 @@ def _tuple_chunks(positions: np.ndarray, held: np.ndarray, ks: tuple[int, ...], 
             return
 
 
-def _rank(combo: list[int], n: int) -> int:
-    """Lexicographic rank of an increasing combination among all C(n, len) of range(n)."""
-    d = len(combo)
-    return math.comb(n, d) - 1 - sum(math.comb(n - 1 - c, d - l) for l, c in enumerate(combo))
-
-
 def _floors(alpha, thresholds, weights):
     """(mass, held, pulls, open) of a chunk of spike-position tuples.
 
@@ -437,131 +406,46 @@ def _floors(alpha, thresholds, weights):
     return mass, held, pulls, (holders > 1) & ~(floor > thresholds)
 
 
-def _involved(floors):
-    """Per tuple of a chunk with the given :func:`_floors`, how many members
-    hold an open constraint: 0 for an exact tuple, else c and its read
-    members, so 2 when its integral reads one member."""
-    _, held, _, open_ = floors
-    return (held & open_[:, None, :]).any(axis=2).sum(axis=1)
-
-
-def _contributions(alpha, thresholds, floors, stream):
-    """(values, variances) of a chunk of tuples with the given
-    :func:`_floors`: an exact tuple's value is its mass; a drawn one (some
-    shared constraint open) that reads one member is integrated by
-    :func:`_quadrature`, its error squared as its variance; one that reads
-    more on the generator ``stream(t)`` (see :func:`_lattice`)."""
+def _contributions(alpha, thresholds, floors):
+    """(values, variances) of a chunk of tuples with the given :func:`_floors`:
+    the mass, times for a drawn tuple :func:`_nested` of its :func:`_plan` (those
+    that read one member share one :func:`_quadrature`, padded with (-inf, 1))."""
     mass, held, pulls, open_ = floors
     values, variances = mass.copy(), np.zeros(len(mass))
-    involved = _involved(floors).tolist()
-    for t in np.flatnonzero(open_.any(axis=1)).tolist():
-        read, checks = _plan(thresholds.tolist(), held[t], pulls[t], open_[t])
-        if involved[t] == 2:
-            # One read member: every open constraint is held by it and by c,
-            # so each check is one need line and none is an indicator.
-            mean, error = _quadrature(alpha, [(bound, coef) for bound, _, ((coef, _),) in checks])
-            var = error**2
-        else:
-            mean, var = _lattice(alpha, len(read), checks, stream(t))
-        m = float(mass[t])
-        values[t], variances[t] = m * mean, m**2 * var
+    drawn = np.flatnonzero(open_.any(axis=1))
+    plans = [_plan(thresholds, held[t], pulls[t], open_[t]) for t in drawn.tolist()]
+    one = np.array([coefs.shape[1] == 1 for _, coefs, _ in plans], dtype=bool)
+    width = max([bounds.shape[1] for bounds, _, _ in plans], default=1)
+    b, c = np.full((int(one.sum()), width), -np.inf), np.ones((int(one.sum()), width))
+    for r, (bounds, coefs, _) in enumerate(plan for plan, read in zip(plans, one) if read):
+        b[r, :len(coefs)], c[r, :len(coefs)] = bounds[0], coefs[:, 0]
+    got = [_nested(alpha, *plan, np.ones(1)) for plan, read in zip(plans, one) if not read]
+    for t, mean, error in zip([*drawn[one], *drawn[~one]], *np.hstack([_quadrature(alpha, b, c), *got])):
+        values[t], variances[t] = float(mass[t]) * float(mean), float(mass[t]) ** 2 * float(error) ** 2
     return values, variances
 
 
 def _plan(thresholds, held, pulls, open_):
-    """(read, checks) of one drawn tuple: which members its integral reads
-    and, per open constraint, what the score asks of them.
-
-    ``held`` and ``pulls`` are (d, |K|): whether member h reaches
-    constraint k, and its w_h L_h there.  One member c is integrated out:
-    the one with the largest sum of w_c L_c over the open constraints it
-    holds, the lowest index on ties.  The other members that hold an open
-    constraint, in member order, are read; the rest are never read (their
-    factor integrates to 1).  Given the read members' Pareto values x_h
-    (z_h = L_h x_h), each open constraint c holds asks
-    z_c > need_k = (a_k - sum_{h != c} w_h z_h) / w_c, which has conditional
-    probability (max(L_c, need) / L_c)^-alpha; the open constraints c does
-    not hold stay indicators.  The score g is that probability times the
-    indicators.  Per open constraint, a check (bound, c holds it, [(coef,
-    read column)]) states it in units of w_c L_c where c holds it: need /
-    L_c = bound - sum coef x, or the indicator sum coef x > bound.
-    """
-    d = len(held)
-    opened = np.flatnonzero(open_).tolist()
-    pull = np.zeros(d)
-    for p in opened:
+    """(bounds, coefs, integrated) of one drawn tuple, one check per open
+    constraint; ``held`` and ``pulls`` (d, |K|) say whether member h reaches
+    constraint k, and its w_h L_h there.  Member c, with the largest sum of
+    w_c L_c over the open constraints it holds (the lowest index on ties),
+    is integrated out; the others that hold one are read (the columns of
+    ``coefs``), the rest integrate to 1.  Given their Pareto values x_h (z_h
+    = L_h x_h), an open constraint c holds asks z_c > need = (a_k - sum_{h !=
+    c} w_h z_h) / w_c, of probability (max(L_c, need) / L_c)^-alpha; the
+    others stay indicators.  Check k, in units of w_c L_c where c holds it
+    (``integrated``), states need / L_c = bound - coefs . x, else coefs . x
+    > bound; ``bounds`` is one state, (1, checks)."""
+    pull = np.zeros(len(held))
+    for p in np.flatnonzero(open_).tolist():
         pull += pulls[:, p]
     c = int(np.argmax(pull))
-    read = [h for h in range(d) if h != c and held[h, open_].any()]
-    wl = pulls.tolist()
-    checks = []
-    for p in opened:
-        unit = wl[c][p] if held[c, p] else 1.0
-        checks.append((thresholds[p] / unit, bool(held[c, p]),
-                       [(wl[h][p] / unit, read.index(h)) for h in read if held[h, p]]))
-    return read, checks
-
-
-@functools.lru_cache(maxsize=16)
-def _korobov(n: int) -> int:
-    """The integer in [1, n) nearest n / phi that is coprime to n, phi the
-    golden ratio (1 for n = 1): in two dimensions its lattice spreads like
-    the Fibonacci lattice.  Cached: one row's drawn tuples share n."""
-    k = np.arange(1, n)
-    distance = np.where(np.gcd(k, n) == 1, np.abs(k - n / ((1.0 + math.sqrt(5.0)) / 2.0)), np.inf)
-    return int(k[np.argmin(distance)]) if n > 1 else 1
-
-
-def _lattice(alpha, r, checks, rng):
-    """Mean of one drawn tuple's score (see :func:`_plan`) over its ``r``
-    read members, and the variance of that mean.
-
-    The read members run over a randomly shifted rank-1 lattice (Cranley &
-    Patterson): ``rng`` draws one (SHIFTS, r) array of shifts Delta_s, and
-    each shift moves the n = LATTICE_POINTS / SHIFTS points i z / n mod 1
-    (Korobov generator z = (1, a, a^2, ..) mod n, a = :func:`_korobov` (n);
-    for r = 1 the points i / n) to u = frac(i z / n + Delta_s); coordinate u
-    is the Pareto value inverse_survival(|2u - 1|).  The fold (the baker's
-    or tent transform; Hickernell, MCQMC 2000) maps a uniform u to a uniform
-    survival and makes the score periodic in u, so without indicators the
-    error falls about as n^-2 rather than n^-1.  At u = 1/2 the survival is
-    0 and the value inf: its need is -inf and its indicators hold.  Each
-    shifted lattice is uniform on [0, 1)^r, so each shift mean is an
-    unbiased estimate; the mean is their average and its variance their
-    sample variance over SHIFTS (SHIFTS - 1 degrees of freedom).
-    """
-    n = LATTICE_POINTS // SHIFTS
-    a = _korobov(n)
-    # Twice the lattice: 2 u - 1 = 2 (i z / n) + (2 Delta - 1) before the wrap.
-    doubled = np.array([np.arange(n) * pow(a, p, n) % n for p in range(r)]) * (2.0 / n)
-    model = TailModel.standard_pareto(alpha)
-    columns = np.empty((r, n))
-    ratio, ok, rest, term = np.empty(n), np.empty(n, dtype=bool), np.empty(n), np.empty(n)
-    means = []
-    for shift in rng.random((SHIFTS, r)).tolist():
-        # Survival |2 u - 1|, 2 u - 1 wrapped into [-1, 1); 0 gives z = inf.
-        with np.errstate(divide="ignore"):
-            for column, points, delta in zip(columns, doubled, shift):
-                np.add(points, 2.0 * delta - 1.0, out=column)
-                np.subtract(column, 2.0, out=column, where=column >= 1.0)
-                model.inverse_survival(np.abs(column, out=column), out=column)
-        # ratio = need / L_c, each constraint c holds read in units of w_c L_c.
-        ratio.fill(1.0)
-        ok.fill(True)
-        for bound, integrated, ((coef, col), *more) in checks:
-            np.multiply(coef, columns[col], out=rest)
-            for coef, col in more:
-                rest += np.multiply(coef, columns[col], out=term)
-            if integrated:
-                np.subtract(bound, rest, out=rest)
-                np.maximum(ratio, rest, out=ratio)
-            else:
-                ok &= rest > bound
-        g = _power(ratio, -alpha, out=ratio)
-        g *= ok
-        means.append(g.mean())
-    means = np.array(means)
-    return float(means.mean()), float(means.var(ddof=1)) / SHIFTS
+    read = np.flatnonzero(held[:, open_].any(axis=1) & (np.arange(len(held)) != c))
+    integrated = held[c, open_]
+    unit = np.where(integrated, pulls[c, open_], 1.0)
+    coefs = np.where(held[read][:, open_], pulls[read][:, open_] / unit, 0.0).T
+    return (thresholds[open_] / unit)[None], coefs, integrated
 
 
 @functools.lru_cache(maxsize=8)
@@ -586,64 +470,194 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x, x[::-1]]), np.concatenate([weights, weights[::-1]])
 
 
-def _quadrature(alpha, lines):
-    """(mean, error) of a one-read tuple's score over the read member's
-    survival u in (0, 1].
+def _graded(q, bottom, s):
+    """(lo, hi, piece): pieces [bottom, q] cut toward s < bottom at (q + GRADING
+    s) / (1 + GRADING) from q down, each at most GRADING times its distance to
+    s, so Gauss-Legendre converges geometrically on each; ``piece``: its input."""
+    lo, hi, piece, index = [], [], [], np.arange(len(q))
+    for _ in range(_MAX_GRADES):
+        p = (q + GRADING * s) / (1.0 + GRADING)
+        more = p > bottom
+        if not more.any():
+            break
+        lo, hi, piece, q = [*lo, p[more]], [*hi, q[more]], [*piece, index[more]], np.where(more, p, q)
+    return [np.concatenate(x) for x in ([*lo, bottom], [*hi, q], [*piece, index])]
 
-    ``lines`` holds (b, c) per open constraint: at the read member's Pareto
-    value x = u^(-1/alpha) the score is g = max(1, max_k (b_k - c_k x))^-alpha,
-    each need line falling in x.  Past x* = max_k (b_k - 1) / c_k every line
-    is below the floor and g = 1, so u < u* = x*^-alpha adds exactly u*.
-    The rest, (u*, 1], is cut where a line meets the floor or another line
-    (g is smooth between), and each piece again at the points
-    (q + GRADING s) / (1 + GRADING) from its top q toward the zero
-    s = (c / b)^alpha of its leading line, where g is singular: every cut
-    is at most GRADING times its distance to s, so Gauss-Legendre converges
-    geometrically on each.  The rules take n and 2n nodes a piece, n from
-    QUAD_NODES doubling until they differ by at most QUAD_TOLERANCE of the
-    2n value Q or 2n reaches QUAD_MAX_NODES; the mean is Q, the error the
-    difference plus QUAD_ROUNDING Q plus 2^-1074 a term.  Terms are added
-    by ``math.fsum``.
-    """
-    cuts = [(b - 1.0) / c for b, c in lines]
-    top = max(cuts)
-    if not top > 1.0:
-        return 1.0, QUAD_ROUNDING
-    cuts += [(b1 - b2) / (c1 - c2) for (b1, c1), (b2, c2) in itertools.combinations(lines, 2)
-             if c1 != c2]
-    xs = sorted({1.0, top, *(x for x in cuts if 1.0 < x < top)})
-    lo, hi = [], []
-    for x0, x1 in zip(xs, xs[1:]):
-        middle = 0.5 * (x0 + x1)
-        b, c = max(lines, key=lambda line: line[0] - line[1] * middle)
-        s, q, bottom = (c / b) ** alpha, x0**-alpha, x1**-alpha
-        for _ in range(_MAX_GRADES):
-            p = (q + GRADING * s) / (1.0 + GRADING)
-            if p <= bottom:
-                break
-            lo.append(p)
-            hi.append(q)
-            q = p
-        lo.append(bottom)
-        hi.append(q)
-    lo, hi = np.array(lo), np.array(hi)
-    middle, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    head = top**-alpha
-    n = QUAD_NODES
-    while True:
-        nodes, weights = map(np.concatenate, zip(_gauss_legendre(n), _gauss_legendre(2 * n)))
-        u = middle[:, None] + half[:, None] * nodes
+
+def _pieces(cuts, top, active):
+    """(row, x0, x1) of each ``active`` row's pieces from 1 to top at ``cuts``."""
+    inside = np.where((cuts > 1.0) & (cuts < top[:, None]), cuts, top[:, None])
+    xs = np.sort(np.column_stack([np.ones(len(top)), top, inside]), axis=1)
+    row, col = np.nonzero((xs[:, :-1] < xs[:, 1:]) & active[:, None])
+    return row, xs[row, col], xs[row, col + 1]
+
+
+def _rules(n, tolerance, row, lo, hi, head, integrand, means, errors):
+    """Into ``means`` and ``errors`` of each row with pieces [lo, hi]: its
+    ``head`` (values, errors) plus Gauss-Legendre rules over them of
+    ``integrand`` (nodes, rows) -> (values, errors), n nodes a piece against
+    2n, n doubling, until they differ by at most ``tolerance`` of the 2n
+    value Q or 2n reaches QUAD_MAX_NODES: Q, and the gap plus the integrand's
+    errors, QUAD_ROUNDING Q and 2^-1074 a term, summed by ``math.fsum``."""
+    order = np.argsort(row, kind="stable")
+    row, middle, half = row[order], (0.5 * (lo + hi))[order], (0.5 * (hi - lo))[order]
+    coarse, head, rules = {}, np.asarray(head).tolist(), (n, 2 * n)
+    while len(row):
+        nodes, weights = map(np.concatenate, zip(*map(_gauss_legendre, rules)))
+        values, spread = integrand(middle[:, None] + half[:, None] * nodes, row)
+        terms, slips = ((half[:, None] * weights) * values).tolist(), (half[:, None] * weights) * spread
+        n, f = rules[-1], len(nodes) - rules[-1]
+        starts = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()]
+        for i, start, end in zip(row[starts].tolist(), starts, starts[1:] + [len(row)]):
+            coarse.setdefault(i, math.fsum(itertools.chain([head[0][i]], *(t[:f] for t in terms[start:end]))))
+            fine = math.fsum(itertools.chain([head[0][i]], *(t[f:] for t in terms[start:end])))
+            if abs(fine - coarse[i]) <= tolerance * fine or 2 * n > QUAD_MAX_NODES:
+                means[i] = fine
+                errors[i] = (abs(fine - coarse[i]) + math.fsum([head[1][i], *slips[start:end, f:].flat])
+                             + QUAD_ROUNDING * fine + (end - start) * n * 2.0**-1074)
+                row[start:end] = -1
+            coarse[i] = fine
+        row, middle, half, rules = row[row >= 0], middle[row >= 0], half[row >= 0], (2 * n,)
+
+
+def _quadrature(alpha, b, c, n=QUAD_NODES, tolerance=QUAD_TOLERANCE):
+    """(means, errors) of a batch of one-member scores over the member's
+    survival u in (0, 1]: row i's score at the Pareto value x = u^(-1/alpha)
+    is g = max(1, max_k (b_ik - c_ik x))^-alpha.  Past x* = max_k (b_k - 1)
+    / c_k, g = 1, so u < u* = x*^-alpha adds exactly u*; the rest is cut
+    where a line meets the floor or another line (g is smooth between), each
+    piece graded toward the zero s = (c / b)^alpha of its leading line,
+    where g is singular, and taken by :func:`_rules` from n nodes."""
+    k, l = np.array(list(itertools.combinations(range(b.shape[1]), 2)), dtype=np.intp).reshape(-1, 2).T
+    top = ((b - 1.0) / c).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = np.where(c[:, k] != c[:, l], (b[:, k] - b[:, l]) / (c[:, k] - c[:, l]), np.nan)
+    row, x0, x1 = _pieces(np.concatenate([(b - 1.0) / c, cross], axis=1), top, top > 1.0)
+    lead = np.argmax(b[row] - c[row] * (0.5 * (x0 + x1))[:, None], axis=1)
+    lo, hi, piece = _graded(_power(x0, -alpha), _power(x1, -alpha),
+                            _power(c[row, lead] / b[row, lead], alpha))
+
+    def score(u, row):
         with np.errstate(divide="ignore", over="ignore"):
             x = _power(u, -1.0 / alpha)
         ratio = np.ones_like(x)
-        for b, c in lines:
-            np.maximum(ratio, b - c * x, out=ratio)
-        terms = (half[:, None] * weights) * _power(ratio, -alpha, out=ratio)
-        coarse = math.fsum([head, *terms[:, :n].ravel().tolist()])
-        fine = math.fsum([head, *terms[:, n:].ravel().tolist()])
-        if abs(fine - coarse) <= QUAD_TOLERANCE * fine or 4 * n > QUAD_MAX_NODES:
-            return fine, abs(fine - coarse) + QUAD_ROUNDING * fine + terms[:, n:].size * 2.0**-1074
-        n *= 2
+        for k in range(b.shape[1]):
+            np.maximum(ratio, b[row, k, None] - c[row, k, None] * x, out=ratio)
+        return _power(ratio, -alpha, out=ratio), 0.0
+
+    means, errors = np.ones(len(b)), np.full(len(b), QUAD_ROUNDING)
+    head = _power(np.maximum(top, 1.0), -alpha)
+    _rules(n, tolerance, row[piece], lo, hi, (head, 0.0 * head), score, means, errors)
+    return means, errors
+
+
+def _groups(live, integrated):
+    """The read members (columns of ``live``) of each independent group of
+    checks, joined when a check reads both, as are all that integrated
+    checks read (their needs meet in one maximum), whose group is first."""
+    links = np.vstack([live[~integrated], live[integrated].any(axis=0)]).astype(int)
+    joined = links.T @ links > 0
+    for _ in range(live.shape[1]):
+        joined = joined.astype(int) @ joined > 0
+    groups = {tuple(np.flatnonzero(members).tolist()) for members in joined[joined.diagonal()]}
+    return sorted(map(list, groups), key=lambda g: (not live[integrated][:, g].any(), g))
+
+
+def _inverses(normals):
+    """(combos, inverses): every m of the hyperplane normals in R^m and their
+    matrix's inverse (nan or inf if singular), by elementwise Gauss-Jordan."""
+    m = normals.shape[1]
+    combos = np.array(list(itertools.combinations(range(len(normals)), m)), dtype=np.intp).reshape(-1, m)
+    system = np.concatenate([normals[combos], np.broadcast_to(np.eye(m), (len(combos), m, m))], axis=2)
+    every = np.arange(len(combos))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for col in range(m):
+            pivot = col + np.argmax(np.abs(system[:, col:, col]), axis=1)
+            system[every, pivot], system[:, col] = system[:, col], system[every, pivot].copy()
+            system[:, col] /= system[:, col, col, None]
+            factor = np.where(np.arange(m) == col, 0.0, system[:, :, col])
+            system -= factor[:, :, None] * system[:, col, None, :]
+    return combos, system[:, :, m:]
+
+
+def _nested(alpha, bounds, coefs, integrated, floor):
+    """(means, errors) of a drawn tuple's score (see :func:`_plan`) over its
+    read members (columns of ``coefs``) for (states, checks) ``bounds`` with
+    ``floor`` under need / L_c.  Checks that read none raise the floor or
+    fail; independent groups (:func:`_groups`) multiply.  Over one member,
+    F = floor and the largest indicator cut x_low scale out: (F x_low)^-alpha
+    :func:`_quadrature` (alpha, [(b / F, c x_low / F)]).  Otherwise the member
+    whose removal splits the checks most, and then leaves the fewest members
+    under the integrated checks, is integrated in t = log x, the rest nested
+    inside: past the top, where every check that reads it holds, exactly;
+    below, cut at its coordinate of each vertex of the checks' planes in the
+    domain (kinks), graded toward the nearest vertex that need = 0 or x = 0
+    moves (poles), by :func:`_rules` at NESTED."""
+    const = ~(coefs != 0.0).any(axis=1)
+    fails = (bounds[:, const & ~integrated] >= 0.0).any(axis=1)
+    floor = np.maximum(floor, bounds[:, const & integrated].max(axis=1, initial=1.0))
+    bounds, coefs, integrated = bounds[:, ~const], coefs[~const], integrated[~const]
+    live = coefs != 0.0
+    groups = _groups(live, integrated)
+    if len(groups) != 1:
+        mean = np.where(fails, 0.0, 1.0 if integrated.any() else _power(floor, -alpha))
+        upper = mean
+        for g, cols in enumerate(groups):
+            rows = live[:, cols].any(axis=1)
+            part, error = _nested(alpha, bounds[:, rows], coefs[rows][:, cols], integrated[rows],
+                                  floor if g == 0 and integrated.any() else np.ones(len(floor)))
+            mean, upper = mean * part, upper * (part + error)
+        return mean, upper - mean
+    coefs, live = coefs[:, groups[0]], live[:, groups[0]]
+    m = coefs.shape[1]
+    if m == 1:
+        low = (bounds[:, ~integrated] / coefs[~integrated, 0]).max(axis=1, initial=1.0)
+        scale = np.where(fails, 0.0, _power(floor * low, -alpha))
+        means, errors = (_quadrature(alpha, bounds[:, integrated] / floor[:, None],
+                                     coefs[integrated, 0] * low[:, None] / floor[:, None], *NESTED)
+                         if integrated.any() else (1.0, QUAD_ROUNDING))
+        return scale * means, scale * errors
+    j = max(range(m), key=lambda h: (len(_groups(np.delete(live, h, axis=1), integrated)),
+                                     -np.delete(live, h, axis=1)[integrated].any(axis=0).sum(), -h))
+    rest, reads = np.delete(coefs, j, axis=1), live[:, j]
+    far = _nested(alpha, bounds[:, ~reads], rest[~reads], integrated[~reads], floor)
+    planes = bounds - np.where(integrated, floor[:, None], 0.0)
+    top = np.maximum(1.0, ((planes[:, reads] - rest[reads].sum(axis=1)) / coefs[reads, j]).max(axis=1))
+    # Kinks: need = floor, two needs equal, indicators, x_h = 1; poles: need = 0, x_h = 0.
+    k, l = np.triu_indices(int(integrated.sum()), 1)
+    inner, edges, ones = coefs[integrated], np.delete(np.eye(m), j, axis=0), np.ones((m - 1, len(top)))
+    normals = np.concatenate([inner, inner[k] - inner[l], coefs[~integrated], edges, inner, edges])
+    offsets = np.concatenate([planes.T[integrated], planes.T[integrated][k] - planes.T[integrated][l],
+                              planes.T[~integrated], ones, bounds.T[integrated], 0.0 * ones])
+    combos, inverses = _inverses(normals)
+    with np.errstate(invalid="ignore", over="ignore"):
+        points = sum(inverses[:, :, i, None] * offsets[combos[:, i]][:, None, :] for i in range(m))
+    x = points[:, j]
+    # A pole plane moves x if its offset enters x past rounding (pivoting leaves 1e-16 for 0).
+    moves = np.abs(inverses[:, j]) > 1e-9 * np.abs(inverses[:, j]).max(axis=1, keepdims=True)
+    poled = ((combos >= len(normals) - len(inner) - m + 1) & moves).any(axis=1)[:, None]
+    inside = (np.delete(points, j, axis=1) >= 1.0 - 1e-9).all(axis=1) & ~poled
+    state, x0, x1 = _pieces(np.where(inside, x, np.nan).T, top, ~fails)
+    t0, t1 = np.log(x0), np.log(x1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        poles = np.log(np.where(poled & (x > 0.0), x, np.nan)).T[state]
+    below = np.where(poles <= t0[:, None], poles, -np.inf).max(axis=1, initial=-np.inf)
+    above = np.where(poles >= t1[:, None], poles, np.inf).min(axis=1, initial=np.inf)
+    up = above - t1 < t0 - below
+    lo, hi, piece = _graded(np.where(up, -t0, t1), np.where(up, -t1, t0), np.where(up, -above, below))
+
+    def density(t, owner):
+        # x = e^t by libm's pow, as _power takes it; 64 nodes at a time keep the arrays small.
+        x, owner = np.float_power(math.e, t).ravel(), np.repeat(owner, t.shape[1])
+        states = bounds[owner] - x[:, None] * coefs[:, j]
+        got = np.hstack([np.array(_nested(alpha, states[a:a + 64], rest, integrated,
+                                          floor[owner[a:a + 64]])) for a in range(0, len(x), 64)])
+        return (alpha * _power(x, -alpha) * got).reshape(2, *t.shape)
+
+    means, errors = np.where(fails, 0.0, np.array(far))
+    _rules(*NESTED, state[piece], np.where(up[piece], -hi, lo), np.where(up[piece], -lo, hi),
+           _power(top, -alpha) * np.array(far), density, means, errors)
+    return means, errors
 
 
 @_float64_range
@@ -665,23 +679,15 @@ def nu_m_j_rect(
     contribute zero, so walking the covering tuples of influencing positions
     is exhaustive.
 
-    One :func:`_cover_counts` sweep, a table block at a time, gives the
-    spike cover number (below j + 1: +inf) and the covering tuple count;
-    more than :data:`MAX_TUPLES` raise :class:`UnsupportedError`, and none
-    gives 0, before the table is joined for the walk.  The walk and the
-    tuples' floors then run a chunk of tuples at a time in numpy and count
-    the drawn tuples, and of those the lattice ones, which read two or more
-    members.  With none drawn, the sum of the masses is the value, an
-    enumeration with no stderr.  Otherwise more than
-    :data:`MAX_QUADRATURE_TUPLES` one-read tuples, or more than
-    :data:`MAX_LATTICE_TUPLES` lattice tuples, raise
-    :class:`UnsupportedError` before any integration, and a second walk
-    integrates each one-read tuple by :func:`_quadrature` and each lattice
-    tuple over :data:`LATTICE_POINTS` points; the tuple of rank r among the
-    lexicographic (j+1)-combinations of the influencing positions draws its
-    shifts from sub-stream r of :data:`_LATTICE_ROOT`.  With no lattice tuple the
-    value is a quadrature whose stderr is the root sum of squared errors.
-    Values are added in lexicographic order.
+    One :func:`_cover_counts` sweep gives the spike cover number (below
+    j + 1: +inf) and the covering tuple count (more than :data:`MAX_TUPLES`
+    raise :class:`UnsupportedError`, none gives 0).  A first walk, a chunk
+    of tuples at a time, sums the masses and counts the drawn tuples that
+    read one member and those that read more, and raises once a count
+    passes :data:`MAX_QUADRATURE_TUPLES` or :data:`MAX_NESTED_TUPLES`.  With
+    none drawn the sum is the value, an enumeration; otherwise a second walk
+    integrates each drawn tuple by :func:`_nested`, a quadrature whose
+    stderr is the root sum of squared errors, in lexicographic order.
     """
     if m == 0 and coeffs.order == 0 and coeffs.psi(0) == 1.0:  # no cover search
         return mu_j_rect(j, alpha, rect)
@@ -713,36 +719,29 @@ def nu_m_j_rect(
 
     def floored():
         for tuples in _tuple_chunks(positions, held, rect.indices, j + 1, chunk):
-            yield tuples, _floors(alpha, thresholds, weights[tuples])
+            yield _floors(alpha, thresholds, weights[tuples])
 
-    total, drawn, lattice = 0.0, 0, 0
-    for _, floors in floored():
-        involved = _involved(floors)
-        drawn += int(np.count_nonzero(involved))
-        lattice += int(np.count_nonzero(involved > 2))
+    total, drawn = 0.0, [0, 0]
+    for floors in floored():
+        # Members that hold an open constraint: c and the read ones.
+        involved = (floors[1] & floors[3][:, None, :]).any(axis=2).sum(axis=1)
+        drawn[0] += int(np.count_nonzero(involved == 2))
+        drawn[1] += int(np.count_nonzero(involved > 2))
+        for count, limit, what in zip(drawn, (MAX_QUADRATURE_TUPLES, MAX_NESTED_TUPLES),
+                                      ("one member", "two or more members")):
+            if count > limit:
+                raise UnsupportedError(f"more than {limit} drawn spike tuples read {what}")
         for value in floors[0].tolist():
             total += value
-    if not drawn:
+    if not any(drawn):
         return MeasureValue(total, EvalMethod.ENUMERATION)
-    if drawn - lattice > MAX_QUADRATURE_TUPLES:
-        raise UnsupportedError(
-            f"{drawn - lattice} drawn spike tuples need quadrature, "
-            f"above the limit of {MAX_QUADRATURE_TUPLES}"
-        )
-    if lattice > MAX_LATTICE_TUPLES:
-        raise UnsupportedError(
-            f"{lattice} drawn spike tuples need the lattice, above the limit of {MAX_LATTICE_TUPLES}"
-        )
     total = var_total = 0.0
-    for tuples, floors in floored():
-        values, variances = _contributions(
-            alpha, thresholds, floors,
-            lambda t: block_generator(_LATTICE_ROOT, _rank(tuples[t].tolist(), len(positions))))
+    for floors in floored():
+        values, variances = _contributions(alpha, thresholds, floors)
         for value, variance in zip(values.tolist(), variances.tolist()):
             total += value
             var_total += variance
-    method = EvalMethod.MONTE_CARLO if lattice else EvalMethod.QUADRATURE
-    return MeasureValue(total, method, stderr=math.sqrt(var_total))
+    return MeasureValue(total, EvalMethod.QUADRATURE, stderr=math.sqrt(var_total))
 
 
 def marginal_tail_constant(coeffs: CoefficientSeq, alpha: float, up_to: int | None = None) -> float:

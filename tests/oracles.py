@@ -3,23 +3,20 @@
 Everything here deliberately avoids the library's own computational paths:
 the quadrature oracle integrates on a deterministic grid, the convolution
 oracle is a double loop, the cover oracle is exhaustive search, the
-tuple-stream root restates the README's spawn rule, the
 order-0 oracle checks every spike position's coverage one by one, the
 pair-integral oracle takes one member's acceptance length in closed form
 under a 1-D midpoint rule, the one-member oracles integrate the conditional
 score over the read member's survival under a midpoint rule, or over its
-value by mpmath's tanh-sinh rule at 30 digits, the
-simulation oracle draws each replicate block whole before summing its
-lags, the crude tuple-integral reference draws every tuple with a shared
-constraint, counts hits and walks all combinations, the conditional ones integrate one member out one sample at
-a time (on the shifted lattice, or on i.i.d. draws), the truncation
-reference scans depths one by one, the per-level table runs one
-independent scan, with its own simulation, per tail level, the sample
-text reference formats each CSV line with Python's ``%r``, and the Hill
-reference sorts the whole sample.  Two
-helpers are seams, not oracles: ``tuple_contribution`` reaches a single
-tuple through the library's own chunk functions, and ``lattice_row`` sums a
-row's tuples through them with every drawn tuple on the lattice.
+value by mpmath's tanh-sinh rule at 30 digits, the importance references
+integrate it over the read members' log-values on scipy's scrambled Sobol
+points, the simulation oracle draws each replicate block whole before
+summing its lags, the crude tuple-integral reference draws every tuple with
+a shared constraint and counts hits, the truncation reference scans depths
+one by one, the per-level table runs one independent scan, with its own
+simulation, per tail level, the sample text reference formats each CSV line
+with Python's ``%r``, and the Hill reference sorts the whole sample.  One
+helper is a seam, not an oracle: ``tuple_contribution`` reaches a single
+tuple through the library's own chunk functions.
 """
 
 import itertools
@@ -182,49 +179,18 @@ def simulate_oracle(coeffs, depth, model, window, replicates, seed, block_rows):
     return out
 
 
-def tuple_contribution(coeffs, alpha, rect, positions, covers, budget, seed, rank, lattice=False):
+def tuple_contribution(coeffs, alpha, rect, positions, covers):
     """(value, variance) of one tuple's integral through the library's own
     path, not an oracle: the tuple given by its positions and cover bitmasks
     (bit p: rect.indices[p]), a one-tuple chunk of
-    ``limit_measures._contributions``, a lattice tuple integrated on
-    ``budget`` points (``limit_measures.LATTICE_POINTS`` while it runs, a
-    multiple of 16) from sub-stream ``rank`` of ``seed``.  With ``lattice``
-    a drawn tuple goes through ``limit_measures._plan`` and ``_lattice``
-    whatever it reads."""
+    ``limit_measures._contributions``."""
     weights = np.array([[coeffs.psi(k - i) if cover >> p & 1 else 0.0
                          for p, k in enumerate(rect.indices)]
                         for i, cover in zip(positions, covers)])
     thresholds = np.array(rect.thresholds)
-    floors = limit_measures._floors(alpha, thresholds, weights[None])
-    mass, held, pulls, open_ = floors
-    # Set by hand, not by pytest's monkeypatch: the benchmark loads this
-    # module too, and pytest would add to its peak RSS.
-    points, limit_measures.LATTICE_POINTS = limit_measures.LATTICE_POINTS, budget
-    try:
-        if lattice and open_[0].any():
-            read, checks = limit_measures._plan(thresholds.tolist(), held[0], pulls[0], open_[0])
-            mean, var = limit_measures._lattice(alpha, len(read), checks,
-                                                limit_measures.block_generator(seed, rank))
-            return float(mass[0]) * mean, float(mass[0]) ** 2 * var
-        values, variances = limit_measures._contributions(
-            alpha, thresholds, floors, lambda t: limit_measures.block_generator(seed, rank))
-    finally:
-        limit_measures.LATTICE_POINTS = points
+    values, variances = limit_measures._contributions(
+        alpha, thresholds, limit_measures._floors(alpha, thresholds, weights[None]))
     return float(values[0]), float(variances[0])
-
-
-def lattice_row(coeffs, m, alpha, j, rect, budget, seed):
-    """(value, stderr) of an order-j row with every drawn tuple integrated
-    on the lattice, one :func:`tuple_contribution` per covering tuple in
-    rank order, on sub-stream ``rank`` of the tuple-stream root of ``seed``."""
-    root = tuple_stream_root(seed)
-    total = var_total = 0.0
-    for rank, positions, covers in covering_tuples(coeffs, m, j, rect):
-        value, variance = tuple_contribution(coeffs, alpha, rect, positions, covers, budget, root,
-                                             rank, lattice=True)
-        total += value
-        var_total += variance
-    return total, math.sqrt(var_total)
 
 
 def tuple_contribution_reference(coeffs, alpha, rect, positions, covers, budget, seed, rank):
@@ -315,53 +281,6 @@ def conditional_score(coeffs, alpha, positions, plan, values):
     return (need / lower[c]) ** -alpha * hit
 
 
-def korobov_multiplier(n):
-    """The integer in [1, n) nearest n / phi that is coprime to n (1 when n = 1)."""
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    return min((k for k in range(1, n) if math.gcd(k, n) == 1),
-               key=lambda k: abs(k - n / phi), default=1)
-
-
-def conditional_tuple_reference(coeffs, alpha, rect, positions, covers, budget, seed, rank):
-    """(value, variance) of one tuple's integral with one member integrated out
-    on 16 random shifts of a rank-1 lattice, restated one point at a time.
-
-    With no shared constraint open (see :func:`conditional_plan`) the value
-    is the exact mass.  Otherwise sub-stream ``rank`` draws a (16, r) array
-    of shifts; shift s visits the n = ceil(budget / 16) points
-    u_i = frac(i z / n + shift_s), z = (1, a, a^2, ..) mod n with a the
-    :func:`korobov_multiplier`, each coordinate folded by the baker's
-    (tent) transform to the survival |2u - 1| and read as the Pareto value
-    |2u - 1|^(-1/alpha), inf at u = 1/2.  The value is mass times the mean
-    of the 16 shift means, the variance mass^2 times their sample variance
-    over 16.
-    """
-    plan = conditional_plan(coeffs, rect, positions, covers)
-    lower, open_, _, read = plan
-    mass = float(np.prod(np.array(lower) ** -alpha))
-    if not open_:
-        return mass, 0.0
-    n = -(-budget // 16)
-    a = korobov_multiplier(n)
-    z = [pow(a, p, n) for p in range(len(read))]
-    means = []
-    for shift in block_generator(seed, rank).random((16, len(read))).tolist():
-        scores = []
-        for i in range(n):
-            row = []
-            for zk, delta in zip(z, shift):
-                u = i * zk % n / n + delta
-                if u >= 1.0:
-                    u -= 1.0
-                survival = abs(2.0 * u - 1.0)
-                row.append(survival ** (-1.0 / alpha) if survival else math.inf)
-            scores.append(float(conditional_score(coeffs, alpha, positions, plan, row)))
-        means.append(math.fsum(scores) / n)
-    mean = math.fsum(means) / 16
-    variance = math.fsum((x - mean) ** 2 for x in means) / 15 / 16
-    return mass * mean, mass**2 * variance
-
-
 def one_member_integral(coeffs, m, alpha, j, rect, nodes=10**6):
     """The order-j tuple integral when every drawn tuple reads one member:
     per covering tuple, its mass times, if some shared constraint stays
@@ -422,20 +341,42 @@ def one_member_tuple(coeffs, alpha, rect, positions, covers):
         return mass * float((mpmath.mpf(top) / low_r) ** -alpha + body)
 
 
-def iid_conditional_reference(coeffs, alpha, rect, positions, covers, budget, seed, rank):
+def importance_tuple_reference(coeffs, alpha, rect, positions, covers, points, seed):
     """(value, variance) of one tuple's integral with one member integrated
-    out on i.i.d. draws: the read members as one ``(budget, r)`` Pareto draw
-    from sub-stream ``rank``, each row scored by :func:`conditional_score`;
-    the variance is mass^2 times the scores' population variance over budget."""
+    out (see :func:`conditional_plan`) and the read members drawn by
+    importance: each read member's log-value t from the exponential of
+    rate alpha / 2 by scipy's scrambled Sobol points, its score weighted by
+    the density ratio 2 e^(-alpha t / 2) (at most 2, so the variance is
+    finite), which reaches far into the tail where thin regions lie.  32
+    independent scrambles of ``points`` points (a power of 2) from
+    ``seed``; the variance is that of their mean (31 degrees of freedom,
+    so a gap of 4 stderr is rare noise)."""
+    from scipy.stats import qmc
+
     plan = conditional_plan(coeffs, rect, positions, covers)
     lower, open_, _, read = plan
     mass = float(np.prod(np.array(lower) ** -alpha))
     if not open_:
         return mass, 0.0
-    sample = draw(TailModel.standard_pareto(alpha), block_generator(seed, rank), (budget, len(read)))
-    scores = np.array([conditional_score(coeffs, alpha, positions, plan, row)
-                       for row in sample.tolist()])
-    return mass * float(scores.mean()), mass**2 * float(scores.var()) / budget
+    means = []
+    for scramble in range(32):
+        u = qmc.Sobol(len(read), rng=np.random.default_rng([seed, scramble])).random(points)
+        t = -np.log1p(-u) * (2.0 / alpha)
+        weight = np.prod(2.0 * np.exp(-0.5 * alpha * t), axis=1)
+        means.append(float(np.mean(weight * conditional_score(coeffs, alpha, positions, plan, list(np.exp(t).T)))))
+    return mass * float(np.mean(means)), mass**2 * float(np.var(means, ddof=1)) / len(means)
+
+
+def importance_row_reference(coeffs, m, alpha, j, rect, points=2**12, seed=0):
+    """(value, stderr) of an order-j row: every covering tuple's
+    :func:`importance_tuple_reference`, summed in rank order."""
+    total = var_total = 0.0
+    for rank, positions, covers in covering_tuples(coeffs, m, j, rect):
+        value, variance = importance_tuple_reference(coeffs, alpha, rect, positions, covers, points,
+                                                     [seed, rank])
+        total += value
+        var_total += variance
+    return total, math.sqrt(var_total)
 
 
 def covering_tuples(coeffs, m, j, rect):
@@ -451,26 +392,6 @@ def covering_tuples(coeffs, m, j, rect):
             continue
         covers = [sum(1 << p for p, k in enumerate(rect.indices) if k in cov) for cov in sets]
         yield rank, combo, covers
-
-
-def tuple_stream_root(seed):
-    """A lattice root restated from the README's rule: the first 64-bit word
-    of ``SeedSequence(seed, spawn_key=(2^32 - 1,))``, whose seed 0 gives the
-    library's fixed root."""
-    return int(np.random.SeedSequence(seed, spawn_key=(2**32 - 1,)).generate_state(1, np.uint64)[0])
-
-
-def nu_m_j_rect_reference(coeffs, m, alpha, j, rect, budget, seed):
-    """(value, stderr) of the order-j tuple integral by crude hit counting:
-    every covering tuple, summed in rank order."""
-    total = var_total = 0.0
-    for rank, combo, covers in covering_tuples(coeffs, m, j, rect):
-        value, variance = tuple_contribution_reference(
-            coeffs, alpha, rect, combo, covers, budget, seed, rank
-        )
-        total += value
-        var_total += variance
-    return total, math.sqrt(var_total)
 
 
 def truncation_scan(coeffs, eps):

@@ -894,14 +894,14 @@ def test_forty_constraint_row_is_an_error_row_within_a_second(tmp_path, config_p
 
 
 @pytest.mark.parametrize("command", ["limits", "verify"])
-def test_row_over_the_lattice_point_limit_is_an_error_row_within_a_second(
+def test_row_over_the_nested_limit_is_an_error_row_within_a_second(
         tmp_path, config_path, monkeypatch, command):
     # psi = (1, 0, 1, 1) on two copies, 14 apart, of a row whose three drawn
-    # tuples each read two members: 225 lattice tuples, one over the limit.
+    # tuples each read two members: 225 such tuples, one over the limit.
     group = {0: 1.0, 4: 0.5, 5: 3.0, 7: 3.0, 8: 0.5, 9: 1.0}
     rect = ", ".join(f"{14 * g + k}:{a}" for g in range(2) for k, a in group.items())
     out = tmp_path / "out.csv"
-    monkeypatch.setattr(limit_measures, "MAX_LATTICE_TUPLES", 224)
+    monkeypatch.setattr(limit_measures, "MAX_NESTED_TUPLES", 224)
     start = time.perf_counter()
     code = main([command, "--config", config_path, "--out", str(out),
                  "--set", "coefficients.values=1, 0, 1, 1", "--set", "coefficients.m=3",
@@ -912,7 +912,7 @@ def test_row_over_the_lattice_point_limit_is_an_error_row_within_a_second(
     header = rows[0]
     errors = [r[header.index("error" if command == "verify" else "note")] for r in rows[1:]]
     assert not errors[0]
-    assert errors[1] == "225 drawn spike tuples need the lattice, above the limit of 224"
+    assert errors[1] == "more than 224 drawn spike tuples read two or more members"
 
 
 # Rows at alpha = 60 whose value or a term of it passes the float64 range.
@@ -964,14 +964,13 @@ def finite_rows():
 def test_limits_rows_are_values_flags_or_notes(head, tail, m, alpha, rows):
     # Every config exits 0 with no warning, and each row is a finite value
     # >= 0, the +inf flag exactly when the spike cover number is at most j,
-    # or a note.  Fewer lattice points keep each run short.
+    # or a note.
     coeffs = ExplicitFinite([head, *tail])
     argv = ["--set", f"coefficients.values={', '.join(map(repr, [head, *tail]))}",
             "--set", f"coefficients.m={m}", "--set", f"tail.alpha={alpha!r}"]
     argv += [arg for r, (j, rect) in enumerate(rows) for arg in (
         "--set", f"rows.row{r}={j}; " + ", ".join(f"{k}:{a!r}" for k, a in rect.items()))]
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(limit_measures, "LATTICE_POINTS", 1024)
+    with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "exp.ini", Path(tmp) / "lim.csv"
         config.write_text(BASE_CONFIG)
         with warnings.catch_warnings():

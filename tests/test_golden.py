@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import matails.ma_process as ma
-from matails import limit_measures, simulate
+from matails import simulate
 from matails.cli import load_experiment, main
 
 SIMULATE_CONFIG = textwrap.dedent(
@@ -127,9 +127,8 @@ LIMITS_GEOMETRIC_CONFIG = textwrap.dedent(
     """
 )
 
-# Hidden-order rows with drawn tuples: row0's drawn pair reads one member
-# (quadrature), row1's drawn triples read one or two (quadrature and the
-# lattice).
+# Hidden-order rows with drawn tuples: row0's drawn pair reads one member,
+# row1's drawn triples read one or two (the nested rule).
 LIMITS_DRAWN_CONFIG = textwrap.dedent(
     """\
     [coefficients]
@@ -151,8 +150,8 @@ LIMITS_DRAWN_CONFIG = textwrap.dedent(
     """
 )
 
-# Rows whose drawn tuples all read two members: the lattice alone, so the
-# bytes are those of the evaluator before one-read tuples took quadrature.
+# Rows whose drawn tuples all read two members, so each takes the nested
+# rule (they took the randomized lattice when the case was named).
 LIMITS_LATTICE_CONFIG = textwrap.dedent(
     """\
     [coefficients]
@@ -221,14 +220,13 @@ GOLDEN = {
         "out": "11eedfd6f3aec88b737c1ec7afa7bfb97ef21f72370730fc76b9f72162b739fa",
         "out.meta.json": "42e099036c79eb7a2606a7bdf999fd22f7fb3b653759a3c478b15ba021740d8c",
     },
-    # Its drawn tuples read sub-streams of the fixed lattice root, whatever
-    # the seed, as verify's theory column does.
+    # Its values do not depend on the seed, as verify's theory column does not.
     "limits-drawn": {
-        "out": "a1bc6bd188b3c3d0da40b2752873dd81b649605cd8040a7cea0abd4513e3ea3e",
+        "out": "2a4bf92a913eabc67ef980c99aff8d87a886f333fef1c80ddc39ecc15b710afe",
         "out.meta.json": "4a281b58ed89b949be3ff23611eb77d88af13b70a78b6e268a75741c0ed4b5c3",
     },
     "limits-lattice": {
-        "out": "c6a13a78eddc5e27ff0b90166c766a40a08bcd88574a7edb4a4249904205e9aa",
+        "out": "2f75e4148c02233cc67a1d539f0babb77c12425b8d7ff722b64a6d7a6ffffcd9",
         "out.meta.json": "4d4ca395ac091373c0bb0f9c5f55b12d1eaed5992e06c8aa5a54871f94c3d011",
     },
     "verify": {
@@ -334,11 +332,6 @@ def test_bytes_do_not_depend_on_numpy_cpu_dispatch(tmp_path, case):
     assert hashes["child"] == hashes["here"]
 
 
-# limits on LIMITS_LATTICE_CONFIG at seed 0 with integration_budget = 200000,
-# as written when the seed and the budget still set lattice values.
-SEED_0_LATTICE_OUT = "c6a13a78eddc5e27ff0b90166c766a40a08bcd88574a7edb4a4249904205e9aa"
-
-
 def test_lattice_rows_do_not_depend_on_the_seed(tmp_path):
     hashes = set()
     for seed in (0, 5, 42):
@@ -346,18 +339,3 @@ def test_lattice_rows_do_not_depend_on_the_seed(tmp_path):
         (tmp_path / str(seed)).mkdir()
         hashes.add(run_and_hash(tmp_path / str(seed), config, ["limits"])["out"])
     assert len(hashes) == 1
-
-
-def test_lattice_rows_keep_their_seed_0_bytes(tmp_path):
-    # The budget key is read by no one: the config with it and a seed-0 copy
-    # without it both write the seed-0 bytes.
-    bare = LIMITS_LATTICE_CONFIG.replace("seed = 5", "seed = 0").replace("integration_budget = 1000\n", "")
-    assert "integration_budget" not in bare and "seed = 0" in bare
-    for name, config in (("pinned", LIMITS_LATTICE_CONFIG), ("bare", bare)):
-        (tmp_path / name).mkdir()
-        assert run_and_hash(tmp_path / name, config, ["limits"])["out"] == SEED_0_LATTICE_OUT
-
-
-def test_lattice_root_is_the_one_seed_0_derived():
-    state = np.random.SeedSequence(0, spawn_key=(2**32 - 1,)).generate_state(2, np.uint64)
-    assert limit_measures._LATTICE_ROOT == int(state[0])
