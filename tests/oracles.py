@@ -9,7 +9,8 @@ under a 1-D midpoint rule, the one-member oracles integrate the conditional
 score over the read member's survival under a midpoint rule, or over its
 value by mpmath's tanh-sinh rule at 30 digits, the importance references
 integrate it over the read members' log-values on scipy's scrambled Sobol
-points, the simulation oracle draws each replicate block whole before
+points, the log-grid oracle takes a two-read tuple's score on a midpoint
+grid of both log-values, the simulation oracle draws each replicate block whole before
 summing its lags, the crude tuple-integral reference draws every tuple with
 a shared constraint and counts hits, the truncation reference scans depths
 one by one, the per-level table runs one independent scan, with its own
@@ -377,6 +378,25 @@ def importance_row_reference(coeffs, m, alpha, j, rect, points=2**12, seed=0):
         total += value
         var_total += variance
     return total, math.sqrt(var_total)
+
+
+def log_grid_tuple(coeffs, alpha, rect, positions, covers, top=3.0, nodes=4000):
+    """One drawn tuple's integral when it reads two members, by the midpoint
+    rule on a ``nodes`` x ``nodes`` grid of their log-values t in (0, top),
+    against the density alpha^2 e^(-alpha (t_1 + t_2)), a block of rows at
+    a time.  Blind to nothing the density reaches, however thin, but the
+    indicators' edges cut cells, so the error falls only as 1 / nodes."""
+    plan = conditional_plan(coeffs, rect, positions, covers)
+    lower, _, _, read = plan
+    assert len(read) == 2, "the tuple does not read two members"
+    mass = math.prod(low**-alpha for low in lower)
+    t = (np.arange(nodes) + 0.5) * (top / nodes)
+    total = 0.0
+    for start in range(0, nodes, 256):
+        outer = t[start:start + 256, None]
+        score = conditional_score(coeffs, alpha, positions, plan, [np.exp(outer), np.exp(t)[None]])
+        total += float(np.sum(alpha**2 * np.exp(-alpha * (outer + t[None])) * score))
+    return mass * total * (top / nodes) ** 2
 
 
 def covering_tuples(coeffs, m, j, rect):

@@ -339,3 +339,13 @@ def test_lattice_rows_do_not_depend_on_the_seed(tmp_path):
         (tmp_path / str(seed)).mkdir()
         hashes.add(run_and_hash(tmp_path / str(seed), config, ["limits"])["out"])
     assert len(hashes) == 1
+
+
+def test_lattice_rows_ignore_the_budget_key(tmp_path):
+    # The budget key is read by no one: the config with it and a seed-0 copy
+    # without it both write the pinned bytes.
+    bare = LIMITS_LATTICE_CONFIG.replace("seed = 5", "seed = 0").replace("integration_budget = 1000\n", "")
+    assert "integration_budget" not in bare and "seed = 0" in bare
+    for name, config in (("pinned", LIMITS_LATTICE_CONFIG), ("bare", bare)):
+        (tmp_path / name).mkdir()
+        assert run_and_hash(tmp_path / name, config, ["limits"])["out"] == GOLDEN["limits-lattice"]["out"]

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from matails import (
     UnsupportedError,
     UpperRect,
     continuity_modulus,
+    innovations,
     limit_measures,
     marginal_tail_constant,
     mu_j_rect,
@@ -37,6 +39,7 @@ from oracles import (
     covering_tuples,
     importance_row_reference,
     importance_tuple_reference,
+    log_grid_tuple,
     m0_oracle,
     one_member_integral,
     one_member_tuple,
@@ -529,6 +532,51 @@ class TestNuMJRect:
         if rect == THIN_RECT:
             assert abs(got.value - 4.86810) < 1e-5
 
+    @pytest.mark.parametrize("coeffs, m, j, rect", [
+        (PSI_HALF, 1, 1, UpperRect({0: 1.0, 1: 5.0, 2: 1.0})),
+        (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 1, UpperRect({0: 1.0, 2: 2.0, 5: 1.0})),
+        (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 2, UpperRect({0: 1.0, 3: 2.0, 4: 1.0, 8: 1.0})),
+        (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 1, MIXED_RECT),
+        (TWO_READ_PSI, 3, 2, TWO_READ_RECT),
+        (TWO_READ_PSI, 3, 3, TWO_READ_J3_RECT),
+        (MIXED_READS_PSI, 3, 2, MIXED_READS_RECT),
+        (INDICATOR_PSI, 2, 2, INDICATOR_RECT),
+    ])
+    def test_drawn_tuples_reach_the_integrators_by_their_reads(self, monkeypatch, coeffs, m, j, rect):
+        # Only tuples with a shared constraint their floors leave open are
+        # integrated, if any: those that read one member in one _quadrature
+        # batch (these rows are one chunk), the others one _nested call each,
+        # in rank order, with one column per read member.  A pair reads one,
+        # so the j = 1 rows nest nothing.
+        exact, pruned, drawn = tuple_kinds(coeffs, m, j, rect)
+        assert exact and (pruned or drawn)
+        if rect == MIXED_RECT:
+            assert pruned and drawn
+        reads = reads_of_drawn(coeffs, m, j, rect)
+        assert sorted(reads) == drawn
+        nested = nested_ranks(coeffs, m, j, rect)
+        assert bool(nested) == any(coeffs is c for c in (TWO_READ_PSI, MIXED_READS_PSI, INDICATOR_PSI))
+        batches, columns, depth = [], [], [0]
+
+        def outermost(original, record):
+            def recording(*args):
+                if not depth[0]:
+                    record(args)
+                depth[0] += 1
+                try:
+                    return original(*args)
+                finally:
+                    depth[0] -= 1
+            return recording
+
+        monkeypatch.setattr(limit_measures, "_quadrature", outermost(
+            limit_measures._quadrature, lambda args: batches.append(len(args[1]))))
+        monkeypatch.setattr(limit_measures, "_nested", outermost(
+            limit_measures._nested, lambda args: columns.append(args[2].shape[1])))
+        assert not nu_m_j_rect(coeffs, m, 1.0, j, rect).is_infinite
+        assert batches == ([sum(r == 1 for r in reads.values())] if drawn else [])
+        assert columns == [reads[rank] for rank in nested]
+
     @pytest.mark.parametrize("coeffs, m, j, alpha, rect", [
         (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 1, 1.3, MIXED_RECT),
         (PSI_HALF, 1, 1, 0.5, UpperRect({0: 1.0, 1: 5.0, 2: 1.0})),
@@ -737,19 +785,21 @@ class TestIntegralOracles:
             assert abs(self.pair_value(coeffs, m, rect) - fine) <= 1e-11
 
 
-def one_read_lines(coeffs, m, alpha, j, rect):
-    """The (b, c) need lines of each drawn tuple of a row that reads one
-    member, through the library's walk, floors and plan."""
+def drawn_plans(coeffs, m, alpha, j, rect):
+    """The (bounds, coefs, integrated) plan of each drawn tuple of a row,
+    through the library's walk, floors and plan."""
     positions, weights = table(coeffs, m, rect)
     thresholds = np.array(rect.thresholds)
-    out = []
     for tuples in limit_measures._tuple_chunks(positions, weights > 0.0, rect.indices, j + 1, 4096):
         _, held, pulls, open_ = limit_measures._floors(alpha, thresholds, weights[tuples])
         for t in np.flatnonzero(open_.any(axis=1)).tolist():
-            bounds, coefs, _ = limit_measures._plan(thresholds, held[t], pulls[t], open_[t])
-            if coefs.shape[1] == 1:
-                out.append(list(zip(bounds[0].tolist(), coefs[:, 0].tolist())))
-    return out
+            yield limit_measures._plan(thresholds, held[t], pulls[t], open_[t])
+
+
+def one_read_lines(coeffs, m, alpha, j, rect):
+    """The (b, c) need lines of each drawn tuple of a row that reads one member."""
+    return [list(zip(bounds[0].tolist(), coefs[:, 0].tolist()))
+            for bounds, coefs, _ in drawn_plans(coeffs, m, alpha, j, rect) if coefs.shape[1] == 1]
 
 
 def quadrature(alpha, lines):
@@ -874,6 +924,81 @@ class TestQuadrature:
                                 rel_tol=1e-13)
 
 
+class TestNestedRule:
+    """A drawn tuple that reads two or more members is integrated by nested
+    Gauss-Legendre rules: with an error that covers a finer rule, into
+    regions too thin for sampling, to zero on underflow, and with no random
+    numbers."""
+
+    ROWS = [
+        (TWO_READ_PSI, 3, 2, TWO_READ_RECT),
+        (TWO_READ_PSI, 3, 3, TWO_READ_J3_RECT),
+        (MIXED_READS_PSI, 3, 2, MIXED_READS_RECT),
+        (INDICATOR_PSI, 2, 2, INDICATOR_RECT),
+    ]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+    def test_reported_error_covers_a_finer_rule(self, monkeypatch, alpha):
+        # The finer rule takes 4 times NESTED's first nodes at every level,
+        # against twice that, with no doubling.
+        rows = self.ROWS + [(THIN_PSI, 5, 3, THIN_RECT)]
+        plans = [plan for row in rows for plan in drawn_plans(*row[:2], alpha, *row[2:])
+                 if plan[1].shape[1] > 1]
+        assert len(plans) >= 8
+        for plan in plans:
+            mean, error = (float(v[0]) for v in limit_measures._nested(alpha, *plan, np.ones(1)))
+            with monkeypatch.context() as patch:
+                patch.setattr(limit_measures, "NESTED", (4 * limit_measures.NESTED[0], math.inf))
+                finer = float(limit_measures._nested(alpha, *plan, np.ones(1))[0][0])
+            assert 0.0 < error <= 1e-9 * mean
+            assert abs(finer - mean) <= error
+
+    @pytest.mark.parametrize("coeffs, m, j, rect, rank", [
+        (MIXED_READS_PSI, 3, 2, MIXED_READS_RECT, 183),
+        (INDICATOR_PSI, 2, 2, INDICATOR_RECT, 55),
+    ])
+    def test_alpha_60_tuples_against_a_log_grid(self, coeffs, m, j, rect, rank):
+        # At alpha = 60 the integrand peaks where one read member's log-value
+        # is near 0.47 (tuple 183) or 1.25 (tuple 55), where its density is
+        # e^-28 or e^-75 of its value at 0: importance sampling at rate
+        # alpha / 2 puts no point there and reads 0.  The 4000^2 grid was
+        # within 2e-4 of the nested value on both.
+        (positions, covers), = [(pos, cov) for r, pos, cov in covering_tuples(coeffs, m, j, rect)
+                                if r == rank]
+        assert len(conditional_plan(coeffs, rect, positions, covers)[3]) == 2
+        value, variance = tuple_contribution(coeffs, 60.0, rect, positions, covers)
+        want = log_grid_tuple(coeffs, 60.0, rect, positions, covers)
+        assert 0.0 < math.sqrt(variance) <= 1e-12 * value
+        assert math.isclose(value, want, rel_tol=3e-3, abs_tol=0.0)
+
+    @pytest.mark.parametrize("coeffs, m, j, rect", ROWS)
+    def test_underflowing_rows_read_zero_without_warnings(self, coeffs, m, j, rect):
+        # Thresholds 10^6 times larger at alpha = 60 scale the value by
+        # 10^(-360 (j + 1)): every term underflows, with no inf or nan on the way.
+        assert nu_m_j_rect(coeffs, m, 60.0, j, rect).value > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nu_m_j_rect(coeffs, m, 60.0, j, rect.scaled(1e6))
+        assert (got.value, got.method, got.stderr) == (0.0, EvalMethod.QUADRATURE, 0.0)
+
+    @pytest.mark.parametrize("coeffs, m, j, rect", [(THEORY_B_PSI, 4, 2, THEORY_B_J2_RECT), *ROWS,
+                                                    (THIN_PSI, 5, 3, THIN_RECT)])
+    def test_rows_draw_no_random_numbers(self, monkeypatch, coeffs, m, j, rect):
+        # A row's value is a function of the row: with numpy's generators
+        # and the library's block generator gone, it has the same bits twice.
+        want = nu_m_j_rect(coeffs, m, 1.0, j, rect)
+        assert want.method is EvalMethod.QUADRATURE
+
+        def fail(*args, **kwargs):
+            pytest.fail("drew a random number")
+
+        for name in ("default_rng", "Generator", "SeedSequence", "Philox", "random"):
+            monkeypatch.setattr(np.random, name, fail)
+        monkeypatch.setattr(innovations, "block_generator", fail)
+        for _ in range(2):
+            assert nu_m_j_rect(coeffs, m, 1.0, j, rect) == want
+
+
 class TestHomogeneity:
     LAMBDAS = (0.5, 2.0, 10.0)
 
@@ -894,6 +1019,9 @@ class TestHomogeneity:
     @pytest.mark.parametrize("coeffs, m, j, rect", [
         (PSI_HALF, 1, 1, UpperRect({0: 1.0, 1: 5.0, 2: 1.0})),
         (TWO_READ_PSI, 3, 2, TWO_READ_RECT),
+        (TWO_READ_PSI, 3, 3, TWO_READ_J3_RECT),
+        (MIXED_READS_PSI, 3, 2, MIXED_READS_RECT),
+        (INDICATOR_PSI, 2, 2, INDICATOR_RECT),
     ])
     def test_quadrature_scales_exactly(self, coeffs, m, j, rect):
         base = nu_m_j_rect(coeffs, m, 1.0, j, rect)
@@ -901,6 +1029,22 @@ class TestHomogeneity:
         for lam in self.LAMBDAS:
             scaled = nu_m_j_rect(coeffs, m, 1.0, j, rect.scaled(lam))
             assert scaled.value == pytest.approx(lam ** -(j + 1) * base.value, rel=1e-9)
+
+    @pytest.mark.parametrize("coeffs, m, j, alpha, rect", [
+        (THEORY_B_PSI, 4, 2, 1.5, THEORY_B_J2_RECT),
+        (TWO_READ_PSI, 3, 3, 1.0, TWO_READ_J3_RECT),
+        (MIXED_READS_PSI, 3, 2, 2.0, MIXED_READS_RECT),
+        (INDICATOR_PSI, 2, 2, 0.5, INDICATOR_RECT),
+        (THIN_PSI, 5, 3, 3.0, THIN_RECT),
+    ])
+    def test_shifted_rows_keep_their_bits(self, coeffs, m, j, alpha, rect):
+        # The process is stationary: moving every constraint by the same
+        # lag moves every tuple with it, and the value keeps its bits.
+        base = nu_m_j_rect(coeffs, m, alpha, j, rect)
+        assert base.method is EvalMethod.QUADRATURE
+        for lag in (-9, 1, 40):
+            shifted = UpperRect({k + lag: a for k, a in rect.constraints})
+            assert nu_m_j_rect(coeffs, m, alpha, j, shifted) == base
 
     def test_infinite_order_marginal(self):
         rect = UpperRect({0: 1.0})
