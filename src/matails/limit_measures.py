@@ -24,8 +24,9 @@ combinatorial question.  The measures supported:
   when no shared constraint survives its members' private floors; the
   others integrate one member's Pareto tail in closed form and the members
   sharing an open constraint with it by Gauss-Legendre quadrature on
-  closed-form pieces, nested in the log of each when there are several.  So
-  a value is a deterministic function of the row;
+  closed-form pieces, nested in the log of each when there are several,
+  within per-row limits on tuple counts, vertex systems and nodes.  So a
+  value is a deterministic function of the row;
 * ``nu_inf_0_rect``     -- order-0 limit of the MA(infinity), enumerated at a
   truncation depth with a reported bound on the neglected spike mass;
 * ``marginal_tail_constant`` -- sum_l psi_l^alpha, the one-coordinate tail
@@ -96,6 +97,21 @@ MAX_TUPLES = 250_000
 # integrate (about 9 s at the mean 3 ms a tuple of 4,179 in 1,500 random
 # rows, one core of a 2-core machine); more raise UnsupportedError in the count.
 MAX_NESTED_TUPLES = 3_000
+
+# Work of a row's tuples that read two or more members, in nodes of their
+# rules; a row of a rule's round counts ROW_NODES more (its exact sums), a
+# state a nested level takes STATE_NODES and one per vertex system its level
+# solves.  Past it they raise UnsupportedError: about 8 s at the median 81 ns
+# a node, 10 s at the slowest 104 ns, of 31 random rows taking over 1 s (one
+# core of a 2-core machine).
+MAX_NESTED_NODES = 100_000_000
+ROW_NODES = 96
+STATE_NODES = 16
+
+# Most systems of m planes in R^m whose vertices one level of a tuple's nested
+# quadrature solves, into (systems, m, 64) arrays; a level that needs more
+# raises UnsupportedError before it solves any.
+MAX_VERTEX_SYSTEMS = 4_096
 
 # Most drawn tuples that read one member one order-j rectangle may integrate
 # (about 10 s at 97 us a tuple, on 25 constraints and 13 members, one core of
@@ -406,21 +422,43 @@ def _floors(alpha, thresholds, weights):
     return mass, held, pulls, (holders > 1) & ~(floor > thresholds)
 
 
-def _contributions(alpha, thresholds, floors):
+class _Budget:
+    """The quadrature nodes a row's tuples that read several members may
+    take; past MAX_NESTED_NODES, :meth:`spend` raises UnsupportedError."""
+
+    def __init__(self):
+        self.left = MAX_NESTED_NODES
+
+    def spend(self, nodes):
+        self.left -= nodes
+        if self.left < 0:
+            raise UnsupportedError(f"the drawn spike tuples that read two or more members take more than "
+                                   f"{MAX_NESTED_NODES} quadrature nodes")
+
+
+def _contributions(alpha, thresholds, floors, budget):
     """(values, variances) of a chunk of tuples with the given :func:`_floors`:
-    the mass, times for a drawn tuple :func:`_nested` of its :func:`_plan` (those
-    that read one member share one :func:`_quadrature`, padded with (-inf, 1))."""
+    the mass, times for a drawn tuple the integral of its :func:`_plan`, by
+    :func:`_nested` if it reads several members.  The chunk's tuples that
+    read one share one :func:`_quadrature`, their need lines padded with
+    lines (-inf, 1) that never bind: one call a tuple takes 2.5 times as long."""
     mass, held, pulls, open_ = floors
     values, variances = mass.copy(), np.zeros(len(mass))
-    drawn = np.flatnonzero(open_.any(axis=1))
-    plans = [_plan(thresholds, held[t], pulls[t], open_[t]) for t in drawn.tolist()]
-    one = np.array([coefs.shape[1] == 1 for _, coefs, _ in plans], dtype=bool)
-    width = max([bounds.shape[1] for bounds, _, _ in plans], default=1)
-    b, c = np.full((int(one.sum()), width), -np.inf), np.ones((int(one.sum()), width))
-    for r, (bounds, coefs, _) in enumerate(plan for plan, read in zip(plans, one) if read):
-        b[r, :len(coefs)], c[r, :len(coefs)] = bounds[0], coefs[:, 0]
-    got = [_nested(alpha, *plan, np.ones(1)) for plan, read in zip(plans, one) if not read]
-    for t, mean, error in zip([*drawn[one], *drawn[~one]], *np.hstack([_quadrature(alpha, b, c), *got])):
+    got, lines = {}, {}
+    for t in np.flatnonzero(open_.any(axis=1)).tolist():
+        bounds, coefs, integrated = _plan(thresholds, held[t], pulls[t], open_[t])
+        if coefs.shape[1] == 1:
+            lines[t] = bounds[0], coefs[:, 0]
+        else:
+            means, errors = _nested(alpha, coefs, integrated, budget)(bounds, np.ones(1))
+            got[t] = means[0], errors[0]
+    if lines:
+        b = np.full((len(lines), max(len(c) for _, c in lines.values())), -np.inf)
+        c = np.ones_like(b)
+        for r, (bound, coef) in enumerate(lines.values()):
+            b[r, :len(coef)], c[r, :len(coef)] = bound, coef
+        got.update(zip(lines, zip(*_quadrature(alpha, b, c))))
+    for t, (mean, error) in got.items():
         values[t], variances[t] = float(mass[t]) * float(mean), float(mass[t]) ** 2 * float(error) ** 2
     return values, variances
 
@@ -492,22 +530,25 @@ def _pieces(cuts, top, active):
     return row, xs[row, col], xs[row, col + 1]
 
 
-def _rules(n, tolerance, row, lo, hi, head, integrand, means, errors):
+def _rules(n, tolerance, row, lo, hi, head, integrand, means, errors, budget=None):
     """Into ``means`` and ``errors`` of each row with pieces [lo, hi]: its
     ``head`` (values, errors) plus Gauss-Legendre rules over them of
     ``integrand`` (nodes, rows) -> (values, errors), n nodes a piece against
     2n, n doubling, until they differ by at most ``tolerance`` of the 2n
     value Q or 2n reaches QUAD_MAX_NODES: Q, and the gap plus the integrand's
-    errors, QUAD_ROUNDING Q and 2^-1074 a term, summed by ``math.fsum``."""
+    errors, QUAD_ROUNDING Q and 2^-1074 a term, summed by ``math.fsum``.
+    Each round spends its nodes and ROW_NODES a row from ``budget``, if given."""
     order = np.argsort(row, kind="stable")
     row, middle, half = row[order], (0.5 * (lo + hi))[order], (0.5 * (hi - lo))[order]
     coarse, head, rules = {}, np.asarray(head).tolist(), (n, 2 * n)
     while len(row):
         nodes, weights = map(np.concatenate, zip(*map(_gauss_legendre, rules)))
+        starts = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()]
+        if budget is not None:
+            budget.spend(len(row) * len(nodes) + ROW_NODES * len(starts))
         values, spread = integrand(middle[:, None] + half[:, None] * nodes, row)
         terms, slips = ((half[:, None] * weights) * values).tolist(), (half[:, None] * weights) * spread
         n, f = rules[-1], len(nodes) - rules[-1]
-        starts = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()]
         for i, start, end in zip(row[starts].tolist(), starts, starts[1:] + [len(row)]):
             coarse.setdefault(i, math.fsum(itertools.chain([head[0][i]], *(t[:f] for t in terms[start:end]))))
             fine = math.fsum(itertools.chain([head[0][i]], *(t[f:] for t in terms[start:end])))
@@ -520,14 +561,15 @@ def _rules(n, tolerance, row, lo, hi, head, integrand, means, errors):
         row, middle, half, rules = row[row >= 0], middle[row >= 0], half[row >= 0], (2 * n,)
 
 
-def _quadrature(alpha, b, c, n=QUAD_NODES, tolerance=QUAD_TOLERANCE):
+def _quadrature(alpha, b, c, n=QUAD_NODES, tolerance=QUAD_TOLERANCE, budget=None):
     """(means, errors) of a batch of one-member scores over the member's
     survival u in (0, 1]: row i's score at the Pareto value x = u^(-1/alpha)
     is g = max(1, max_k (b_ik - c_ik x))^-alpha.  Past x* = max_k (b_k - 1)
     / c_k, g = 1, so u < u* = x*^-alpha adds exactly u*; the rest is cut
     where a line meets the floor or another line (g is smooth between), each
     piece graded toward the zero s = (c / b)^alpha of its leading line,
-    where g is singular, and taken by :func:`_rules` from n nodes."""
+    where g is singular, and taken by :func:`_rules` from n nodes, spent
+    from ``budget`` if given (see :class:`_Budget`)."""
     k, l = np.array(list(itertools.combinations(range(b.shape[1]), 2)), dtype=np.intp).reshape(-1, 2).T
     top = ((b - 1.0) / c).max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -547,7 +589,7 @@ def _quadrature(alpha, b, c, n=QUAD_NODES, tolerance=QUAD_TOLERANCE):
 
     means, errors = np.ones(len(b)), np.full(len(b), QUAD_ROUNDING)
     head = _power(np.maximum(top, 1.0), -alpha)
-    _rules(n, tolerance, row[piece], lo, hi, (head, 0.0 * head), score, means, errors)
+    _rules(n, tolerance, row[piece], lo, hi, (head, 0.0 * head), score, means, errors, budget)
     return means, errors
 
 
@@ -580,84 +622,117 @@ def _inverses(normals):
     return combos, system[:, :, m:]
 
 
-def _nested(alpha, bounds, coefs, integrated, floor):
-    """(means, errors) of a drawn tuple's score (see :func:`_plan`) over its
-    read members (columns of ``coefs``) for (states, checks) ``bounds`` with
-    ``floor`` under need / L_c.  Checks that read none raise the floor or
-    fail; independent groups (:func:`_groups`) multiply.  Over one member,
-    F = floor and the largest indicator cut x_low scale out: (F x_low)^-alpha
-    :func:`_quadrature` (alpha, [(b / F, c x_low / F)]).  Otherwise the member
-    whose removal splits the checks most, and then leaves the fewest members
-    under the integrated checks, is integrated in t = log x, the rest nested
-    inside: past the top, where every check that reads it holds, exactly;
-    below, cut at its coordinate of each vertex of the checks' planes in the
-    domain (kinks), graded toward the nearest vertex that need = 0 or x = 0
-    moves (poles), by :func:`_rules` at NESTED."""
+def _nested(alpha, coefs, integrated, budget):
+    """The integral of a drawn tuple's score (see :func:`_plan`) over its read
+    members (columns of ``coefs``), as a rule (bounds, floor) -> (means,
+    errors) of (states, checks) ``bounds`` and a ``floor`` under need / L_c.
+    What the coefficients fix is built here, once a tuple, and a level with
+    more than MAX_VERTEX_SYSTEMS vertex systems raises UnsupportedError; each
+    state a rule takes spends STATE_NODES from ``budget``, and one more per
+    vertex system its level solves.  Checks that read none raise the floor
+    or fail; independent groups (:func:`_groups`) multiply.  Over one
+    member, F = floor and the largest indicator cut x_low scale out:
+    (F x_low)^-alpha :func:`_quadrature` (alpha, [(b / F, c x_low / F)]).
+    Otherwise the member whose removal splits the checks most, and then
+    leaves the fewest members under the integrated checks, is integrated in
+    t = log x, the rest nested inside: past the top, where every check that
+    reads it holds, exactly; below, cut at its coordinate of each vertex of
+    the checks' planes in the domain (kinks), graded toward the nearest
+    vertex that need = 0 or x = 0 moves (poles), by :func:`_rules` at NESTED."""
     const = ~(coefs != 0.0).any(axis=1)
-    fails = (bounds[:, const & ~integrated] >= 0.0).any(axis=1)
-    floor = np.maximum(floor, bounds[:, const & integrated].max(axis=1, initial=1.0))
-    bounds, coefs, integrated = bounds[:, ~const], coefs[~const], integrated[~const]
+    failing, raising = const & ~integrated, const & integrated
+    coefs, integrated = coefs[~const], integrated[~const]
     live = coefs != 0.0
     groups = _groups(live, integrated)
+
+    def settle(bounds, floor, cost=STATE_NODES):
+        # (fails, floor, the checks that read a member) of a rule's states.
+        budget.spend(cost * len(bounds))
+        floor = np.maximum(floor, bounds[:, raising].max(axis=1, initial=1.0))
+        return (bounds[:, failing] >= 0.0).any(axis=1), floor, bounds[:, ~const]
+
     if len(groups) != 1:
-        mean = np.where(fails, 0.0, 1.0 if integrated.any() else _power(floor, -alpha))
-        upper = mean
-        for g, cols in enumerate(groups):
+        parts = []
+        for cols in groups:
             rows = live[:, cols].any(axis=1)
-            part, error = _nested(alpha, bounds[:, rows], coefs[rows][:, cols], integrated[rows],
-                                  floor if g == 0 and integrated.any() else np.ones(len(floor)))
-            mean, upper = mean * part, upper * (part + error)
-        return mean, upper - mean
+            parts.append((rows, _nested(alpha, coefs[rows][:, cols], integrated[rows], budget)))
+
+        def split(bounds, floor):
+            fails, floor, bounds = settle(bounds, floor)
+            mean = np.where(fails, 0.0, 1.0 if integrated.any() else _power(floor, -alpha))
+            upper = mean
+            for g, (rows, part) in enumerate(parts):
+                got, error = part(bounds[:, rows], floor if g == 0 and integrated.any() else np.ones(len(floor)))
+                mean, upper = mean * got, upper * (got + error)
+            return mean, upper - mean
+
+        return split
     coefs, live = coefs[:, groups[0]], live[:, groups[0]]
     m = coefs.shape[1]
     if m == 1:
-        low = (bounds[:, ~integrated] / coefs[~integrated, 0]).max(axis=1, initial=1.0)
-        scale = np.where(fails, 0.0, _power(floor * low, -alpha))
-        means, errors = (_quadrature(alpha, bounds[:, integrated] / floor[:, None],
-                                     coefs[integrated, 0] * low[:, None] / floor[:, None], *NESTED)
-                         if integrated.any() else (1.0, QUAD_ROUNDING))
-        return scale * means, scale * errors
+        def one(bounds, floor):
+            fails, floor, bounds = settle(bounds, floor)
+            low = (bounds[:, ~integrated] / coefs[~integrated, 0]).max(axis=1, initial=1.0)
+            scale = np.where(fails, 0.0, _power(floor * low, -alpha))
+            means, errors = (_quadrature(alpha, bounds[:, integrated] / floor[:, None],
+                                         coefs[integrated, 0] * low[:, None] / floor[:, None], *NESTED, budget)
+                             if integrated.any() else (1.0, QUAD_ROUNDING))
+            return scale * means, scale * errors
+
+        return one
     j = max(range(m), key=lambda h: (len(_groups(np.delete(live, h, axis=1), integrated)),
                                      -np.delete(live, h, axis=1)[integrated].any(axis=0).sum(), -h))
     rest, reads = np.delete(coefs, j, axis=1), live[:, j]
-    far = _nested(alpha, bounds[:, ~reads], rest[~reads], integrated[~reads], floor)
-    planes = bounds - np.where(integrated, floor[:, None], 0.0)
-    top = np.maximum(1.0, ((planes[:, reads] - rest[reads].sum(axis=1)) / coefs[reads, j]).max(axis=1))
+    far = _nested(alpha, rest[~reads], integrated[~reads], budget)
+    inner = _nested(alpha, rest, integrated, budget)
     # Kinks: need = floor, two needs equal, indicators, x_h = 1; poles: need = 0, x_h = 0.
     k, l = np.triu_indices(int(integrated.sum()), 1)
-    inner, edges, ones = coefs[integrated], np.delete(np.eye(m), j, axis=0), np.ones((m - 1, len(top)))
-    normals = np.concatenate([inner, inner[k] - inner[l], coefs[~integrated], edges, inner, edges])
-    offsets = np.concatenate([planes.T[integrated], planes.T[integrated][k] - planes.T[integrated][l],
-                              planes.T[~integrated], ones, bounds.T[integrated], 0.0 * ones])
+    lines, edges = coefs[integrated], np.delete(np.eye(m), j, axis=0)
+    normals = np.concatenate([lines, lines[k] - lines[l], coefs[~integrated], edges, lines, edges])
+    systems = math.comb(len(normals), m)
+    if systems > MAX_VERTEX_SYSTEMS:
+        raise UnsupportedError(f"a drawn spike tuple's nested quadrature would solve {systems} vertex systems, "
+                               f"more than {MAX_VERTEX_SYSTEMS}")
     combos, inverses = _inverses(normals)
-    with np.errstate(invalid="ignore", over="ignore"):
-        points = sum(inverses[:, :, i, None] * offsets[combos[:, i]][:, None, :] for i in range(m))
-    x = points[:, j]
     # A pole plane moves x if its offset enters x past rounding (pivoting leaves 1e-16 for 0).
     moves = np.abs(inverses[:, j]) > 1e-9 * np.abs(inverses[:, j]).max(axis=1, keepdims=True)
-    poled = ((combos >= len(normals) - len(inner) - m + 1) & moves).any(axis=1)[:, None]
-    inside = (np.delete(points, j, axis=1) >= 1.0 - 1e-9).all(axis=1) & ~poled
-    state, x0, x1 = _pieces(np.where(inside, x, np.nan).T, top, ~fails)
-    t0, t1 = np.log(x0), np.log(x1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        poles = np.log(np.where(poled & (x > 0.0), x, np.nan)).T[state]
-    below = np.where(poles <= t0[:, None], poles, -np.inf).max(axis=1, initial=-np.inf)
-    above = np.where(poles >= t1[:, None], poles, np.inf).min(axis=1, initial=np.inf)
-    up = above - t1 < t0 - below
-    lo, hi, piece = _graded(np.where(up, -t0, t1), np.where(up, -t1, t0), np.where(up, -above, below))
+    poled = ((combos >= len(normals) - len(lines) - m + 1) & moves).any(axis=1)[:, None]
 
-    def density(t, owner):
-        # x = e^t by libm's pow, as _power takes it; 64 nodes at a time keep the arrays small.
-        x, owner = np.float_power(math.e, t).ravel(), np.repeat(owner, t.shape[1])
-        states = bounds[owner] - x[:, None] * coefs[:, j]
-        got = np.hstack([np.array(_nested(alpha, states[a:a + 64], rest, integrated,
-                                          floor[owner[a:a + 64]])) for a in range(0, len(x), 64)])
-        return (alpha * _power(x, -alpha) * got).reshape(2, *t.shape)
+    def outer(bounds, floor):
+        fails, floor, bounds = settle(bounds, floor, STATE_NODES + systems)
+        head = np.array(far(bounds[:, ~reads], floor))
+        planes = bounds - np.where(integrated, floor[:, None], 0.0)
+        top = np.maximum(1.0, ((planes[:, reads] - rest[reads].sum(axis=1)) / coefs[reads, j]).max(axis=1))
+        ones = np.ones((m - 1, len(top)))
+        offsets = np.concatenate([planes.T[integrated], planes.T[integrated][k] - planes.T[integrated][l],
+                                  planes.T[~integrated], ones, bounds.T[integrated], 0.0 * ones])
+        with np.errstate(invalid="ignore", over="ignore"):
+            points = sum(inverses[:, :, i, None] * offsets[combos[:, i]][:, None, :] for i in range(m))
+        x = points[:, j]
+        inside = (np.delete(points, j, axis=1) >= 1.0 - 1e-9).all(axis=1) & ~poled
+        state, x0, x1 = _pieces(np.where(inside, x, np.nan).T, top, ~fails)
+        t0, t1 = np.log(x0), np.log(x1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            poles = np.log(np.where(poled & (x > 0.0), x, np.nan)).T[state]
+        below = np.where(poles <= t0[:, None], poles, -np.inf).max(axis=1, initial=-np.inf)
+        above = np.where(poles >= t1[:, None], poles, np.inf).min(axis=1, initial=np.inf)
+        up = above - t1 < t0 - below
+        lo, hi, piece = _graded(np.where(up, -t0, t1), np.where(up, -t1, t0), np.where(up, -above, below))
 
-    means, errors = np.where(fails, 0.0, np.array(far))
-    _rules(*NESTED, state[piece], np.where(up[piece], -hi, lo), np.where(up[piece], -lo, hi),
-           _power(top, -alpha) * np.array(far), density, means, errors)
-    return means, errors
+        def density(t, owner):
+            # x = e^t by libm's pow, as _power takes it; 64 nodes at a time keep the arrays small.
+            x, owner = np.float_power(math.e, t).ravel(), np.repeat(owner, t.shape[1])
+            states = bounds[owner] - x[:, None] * coefs[:, j]
+            got = np.hstack([np.array(inner(states[a:a + 64], floor[owner[a:a + 64]]))
+                             for a in range(0, len(x), 64)])
+            return (alpha * _power(x, -alpha) * got).reshape(2, *t.shape)
+
+        means, errors = np.where(fails, 0.0, head)
+        _rules(*NESTED, state[piece], np.where(up[piece], -hi, lo), np.where(up[piece], -lo, hi),
+               _power(top, -alpha) * head, density, means, errors, budget)
+        return means, errors
+
+    return outer
 
 
 @_float64_range
@@ -686,8 +761,10 @@ def nu_m_j_rect(
     read one member and those that read more, and raises once a count
     passes :data:`MAX_QUADRATURE_TUPLES` or :data:`MAX_NESTED_TUPLES`.  With
     none drawn the sum is the value, an enumeration; otherwise a second walk
-    integrates each drawn tuple by :func:`_nested`, a quadrature whose
-    stderr is the root sum of squared errors, in lexicographic order.
+    integrates each drawn tuple, in lexicographic order, by :func:`_quadrature`
+    or :func:`_nested`, a quadrature whose stderr is the root sum of squared
+    errors; the nested rules raise once they pass :data:`MAX_NESTED_NODES` in
+    all, or a level's vertex systems :data:`MAX_VERTEX_SYSTEMS`.
     """
     if m == 0 and coeffs.order == 0 and coeffs.psi(0) == 1.0:  # no cover search
         return mu_j_rect(j, alpha, rect)
@@ -736,8 +813,9 @@ def nu_m_j_rect(
     if not any(drawn):
         return MeasureValue(total, EvalMethod.ENUMERATION)
     total = var_total = 0.0
+    budget = _Budget()
     for floors in floored():
-        values, variances = _contributions(alpha, thresholds, floors)
+        values, variances = _contributions(alpha, thresholds, floors, budget)
         for value, variance in zip(values.tolist(), variances.tolist()):
             total += value
             var_total += variance

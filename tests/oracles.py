@@ -190,7 +190,8 @@ def tuple_contribution(coeffs, alpha, rect, positions, covers):
                         for i, cover in zip(positions, covers)])
     thresholds = np.array(rect.thresholds)
     values, variances = limit_measures._contributions(
-        alpha, thresholds, limit_measures._floors(alpha, thresholds, weights[None]))
+        alpha, thresholds, limit_measures._floors(alpha, thresholds, weights[None]),
+        limit_measures._Budget())
     return float(values[0]), float(variances[0])
 
 

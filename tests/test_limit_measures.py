@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from matails import (
     EvalMethod,
@@ -145,6 +145,13 @@ SPLIT_RECT = UpperRect({1: 0.5346856716721242, 3: 0.1933955157009784, 4: 1.42502
                         5: 0.3654820433042203, 7: 0.8044617546765658, 8: 0.13976953982445092,
                         10: 15.340070540599513, 11: 10.922283040348534, 13: 1.9919149778510912,
                         14: 0.39739823706697686})
+
+# A row whose tuples read three members that no check splits, so each level
+# of the nested rule multiplies the nodes of the one inside.
+DEEP_PSI = ExplicitFinite([1.0, 0.0, 0.11290790407676086, 0.6556365745698197, 1.277439713363003])
+DEEP_RECT = UpperRect({0: 0.38068801661322976, 5: 0.10486513685450112, 6: 0.17283740987257032,
+                       8: 0.14628358051156673, 9: 11.544185929847535, 12: 0.31015013211065035,
+                       13: 4.481715755037925, 15: 0.10828855392255897})
 
 
 def nested_ranks(coeffs, m, j, rect):
@@ -463,8 +470,8 @@ class TestNuMJRect:
         # Exact and pruned tuples keep the crude reference's bits.  A drawn
         # tuple that reads one member is integrated by quadrature, within
         # 1e-12 of its one-member integral; one that reads more by the nested
-        # rule, to about 1e-10 (its value is checked against an oracle in
-        # test_multi_read_tuples_against_the_importance_oracle).
+        # rule, to about 1e-10, and within its error plus 4 stderr of
+        # importance sampling on scrambled Sobol points.
         got = nu_m_j_rect(coeffs, m, alpha, j, rect)
         if m == 0 and coeffs.order == 0 and coeffs.psi(0) == 1.0:
             assert got == mu_j_rect(j, alpha, rect)  # identity coefficients: the closed form
@@ -482,6 +489,9 @@ class TestNuMJRect:
                 assert 0.0 <= math.sqrt(variance) <= 2e-13 * value
             elif rank in reads:
                 assert 0.0 <= math.sqrt(variance) <= 1e-9 * value
+                want, want_var = importance_tuple_reference(coeffs, alpha, rect, positions, covers,
+                                                            2**10, rank)
+                assert abs(value - want) <= math.sqrt(variance) + 4 * math.sqrt(want_var)
             else:
                 args = (coeffs, alpha, rect, positions, covers, 64, 0, rank)
                 assert (value, variance) == tuple_contribution_reference(*args)
@@ -493,26 +503,35 @@ class TestNuMJRect:
             return
         assert (got.value, got.method, got.stderr) == (total, EvalMethod.QUADRATURE, math.sqrt(var_total))
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.sampled_from([(TWO_READ_PSI, TWO_READ_RECT), (MIXED_READS_PSI, MIXED_READS_RECT)]),
-           st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
-           st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5), st.sampled_from([0.5, 1.0, 2.0, 3.0]))
-    def test_multi_read_tuples_against_the_importance_oracle(self, base, lags, shifts, alpha):
+    def test_multi_read_tuples_against_the_importance_oracle(self):
         # Rows near the pinned m = 3, j = 2 rows, each lag scaled by up to 2
         # and each threshold by up to 10^0.5 (random rows this small rarely
         # hold a tuple that reads two members): every such tuple agrees with
         # importance sampling on scrambled Sobol points within its error
-        # plus 4 of the oracle's stderr.
-        coeffs = ExplicitFinite([1.0, *(base[0].psi(l) * f for l, f in enumerate(lags, 1))])
-        rect = UpperRect({k: a * 10.0**e for (k, a), e in zip(base[1].constraints, shifts)})
-        if spike_cover_number(coeffs, 3, rect) != 3:
-            return
-        for rank, positions, covers in covering_tuples(coeffs, 3, 2, rect):
-            if len(conditional_plan(coeffs, rect, positions, covers)[3]) > 1:
+        # plus 4 of the oracle's stderr.  Rows without one are discarded;
+        # most examples check one or more.
+        checked = []
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(st.sampled_from([(TWO_READ_PSI, TWO_READ_RECT), (MIXED_READS_PSI, MIXED_READS_RECT)]),
+               st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+               st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5), st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+        def check(base, lags, shifts, alpha):
+            coeffs = ExplicitFinite([1.0, *(base[0].psi(l) * f for l, f in enumerate(lags, 1))])
+            rect = UpperRect({k: a * 10.0**e for (k, a), e in zip(base[1].constraints, shifts)})
+            assume(spike_cover_number(coeffs, 3, rect) == 3)
+            tuples = [(rank, positions, covers) for rank, positions, covers in covering_tuples(coeffs, 3, 2, rect)
+                      if len(conditional_plan(coeffs, rect, positions, covers)[3]) > 1]
+            assume(tuples)
+            for rank, positions, covers in tuples:
                 value, variance = tuple_contribution(coeffs, alpha, rect, positions, covers)
                 want, want_var = importance_tuple_reference(coeffs, alpha, rect, positions, covers,
                                                             2**10, rank)
                 assert abs(value - want) <= math.sqrt(variance) + 4 * math.sqrt(want_var)
+                checked.append(rank)
+
+        check()
+        assert len(checked) >= 50
 
     @pytest.mark.parametrize("coeffs, m, j, alpha, rect", [
         (TWO_READ_PSI, 3, 2, 1.0, TWO_READ_RECT),
@@ -544,21 +563,24 @@ class TestNuMJRect:
     ])
     def test_drawn_tuples_reach_the_integrators_by_their_reads(self, monkeypatch, coeffs, m, j, rect):
         # Only tuples with a shared constraint their floors leave open are
-        # integrated, if any: those that read one member in one _quadrature
-        # batch (these rows are one chunk), the others one _nested call each,
-        # in rank order, with one column per read member.  A pair reads one,
-        # so the j = 1 rows nest nothing.
+        # integrated, if any: those that read more than one member each by
+        # one _nested rule, in rank order, with one column per read member,
+        # taking one state; then those that read one in one _quadrature
+        # batch (these rows are one chunk).  A pair reads one, so the j = 1
+        # rows nest nothing.
         exact, pruned, drawn = tuple_kinds(coeffs, m, j, rect)
         assert exact and (pruned or drawn)
         if rect == MIXED_RECT:
             assert pruned and drawn
         reads = reads_of_drawn(coeffs, m, j, rect)
         assert sorted(reads) == drawn
-        nested = nested_ranks(coeffs, m, j, rect)
-        assert bool(nested) == any(coeffs is c for c in (TWO_READ_PSI, MIXED_READS_PSI, INDICATOR_PSI))
-        batches, columns, depth = [], [], [0]
+        assert bool(nested_ranks(coeffs, m, j, rect)) == any(
+            coeffs is c for c in (TWO_READ_PSI, MIXED_READS_PSI, INDICATOR_PSI))
+        calls, depth = [], [0]
 
         def outermost(original, record):
+            # Inner levels are built inside a rule's build, and their
+            # quadratures run inside its evaluation.
             def recording(*args):
                 if not depth[0]:
                     record(args)
@@ -569,13 +591,19 @@ class TestNuMJRect:
                     depth[0] -= 1
             return recording
 
+        def nested(alpha, coefs, integrated, budget):
+            rule = outermost(original_nested, lambda args: calls.append(args[1].shape[1]))(
+                alpha, coefs, integrated, budget)
+            return outermost(rule, lambda args: calls.append(len(args[0])))
+
+        original_nested = limit_measures._nested
         monkeypatch.setattr(limit_measures, "_quadrature", outermost(
-            limit_measures._quadrature, lambda args: batches.append(len(args[1]))))
-        monkeypatch.setattr(limit_measures, "_nested", outermost(
-            limit_measures._nested, lambda args: columns.append(args[2].shape[1])))
+            limit_measures._quadrature, lambda args: calls.append(("quadrature", len(args[1])))))
+        monkeypatch.setattr(limit_measures, "_nested", nested)
         assert not nu_m_j_rect(coeffs, m, 1.0, j, rect).is_infinite
-        assert batches == ([sum(r == 1 for r in reads.values())] if drawn else [])
-        assert columns == [reads[rank] for rank in nested]
+        ones = sum(reads[rank] == 1 for rank in drawn)
+        assert calls == [call for rank in drawn if reads[rank] > 1 for call in (reads[rank], 1)] + (
+            [("quadrature", ones)] if ones else [])
 
     @pytest.mark.parametrize("coeffs, m, j, alpha, rect", [
         (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 1, 1.3, MIXED_RECT),
@@ -708,18 +736,74 @@ class TestTupleWalk:
         got = nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 2, THEORY_B_J2_RECT)
         assert got.method is EvalMethod.QUADRATURE
 
-    def test_many_drawn_tuples_are_refused_in_milliseconds(self):
+    def test_many_drawn_tuples_are_refused_in_milliseconds(self, monkeypatch):
         # Three copies of the three-nested-tuple row, further apart than m:
         # 12,663 of 59,319 tuples read two or more members, about half a
         # minute of integration.  The walk that counts them stops at the
-        # limit, in about 0.15 s; counting all took 0.53 s on one core of a
-        # 2-core machine.
+        # limit, after 131 of its 675 chunks (about 0.1 s; counting all took
+        # 0.34 to 0.53 s on one core of a 2-core machine).
         rect = UpperRect({14 * g + k: a for g in range(3) for k, a in TWO_READ_J3_RECT.constraints})
+        chunks, floors = [], limit_measures._floors
+        monkeypatch.setattr(limit_measures, "_floors", lambda *args: chunks.append(1) or floors(*args))
         start = time.perf_counter()
         with pytest.raises(UnsupportedError, match="^more than 3000 drawn spike tuples read two or more "
                            "members$"):
             nu_m_j_rect(TWO_READ_PSI, 3, 1.0, 11, rect)
-        assert time.perf_counter() - start < 0.4
+        assert time.perf_counter() - start < 2.0
+        assert len(chunks) < 675 // 4
+
+    def test_over_the_vertex_system_limit_raises_before_solving(self, monkeypatch):
+        # At most MAX_VERTEX_SYSTEMS systems of planes a level of a tuple.
+        solved, inverses = [], limit_measures._inverses
+
+        def recording(normals):
+            # C(N, m): every m of the N planes.
+            assert math.comb(*normals.shape) <= limit_measures.MAX_VERTEX_SYSTEMS
+            solved.append(math.comb(*normals.shape))
+            return inverses(normals)
+
+        monkeypatch.setattr(limit_measures, "_inverses", recording)
+        want = nu_m_j_rect(SPLIT_PSI, 4, 2.0, 4, SPLIT_RECT)
+        most = max(solved)
+        assert want.method is EvalMethod.QUADRATURE and most > 100
+        monkeypatch.setattr(limit_measures, "MAX_VERTEX_SYSTEMS", most)
+        assert nu_m_j_rect(SPLIT_PSI, 4, 2.0, 4, SPLIT_RECT) == want
+        monkeypatch.setattr(limit_measures, "MAX_VERTEX_SYSTEMS", most - 1)
+        with pytest.raises(UnsupportedError, match=f"^a drawn spike tuple's nested quadrature would solve "
+                           f"{most} vertex systems, more than {most - 1}$"):
+            nu_m_j_rect(SPLIT_PSI, 4, 2.0, 4, SPLIT_RECT)
+
+    def test_the_node_budget_is_spent_to_the_last_node(self, monkeypatch):
+        # A row's nested tuples take a count of nodes fixed by the row: at
+        # that budget it is evaluated, one fewer refuses it.
+        budgets = []
+
+        class Recorded(limit_measures._Budget):
+            def __init__(self):
+                super().__init__()
+                budgets.append(self)
+
+        monkeypatch.setattr(limit_measures, "_Budget", Recorded)
+        want = nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT)
+        (budget,) = budgets
+        nodes = limit_measures.MAX_NESTED_NODES - budget.left
+        assert 0 < nodes < limit_measures.MAX_NESTED_NODES // 1000
+        monkeypatch.setattr(limit_measures, "MAX_NESTED_NODES", nodes)
+        assert nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT) == want
+        monkeypatch.setattr(limit_measures, "MAX_NESTED_NODES", nodes - 1)
+        with pytest.raises(UnsupportedError, match=f"^the drawn spike tuples that read two or more members "
+                           f"take more than {nodes - 1} quadrature nodes$"):
+            nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT)
+
+    def test_rows_past_the_node_budget_are_refused(self):
+        # DEEP_*'s tuples read three members that no check splits: 135.5
+        # million nodes, about 16.5 s of integration.  The budget refuses it
+        # after about 9 s on one core of a 2-core machine.
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedError, match="^the drawn spike tuples that read two or more members "
+                           "take more than 100000000 quadrature nodes$"):
+            nu_m_j_rect(DEEP_PSI, 4, 3.0, 4, DEEP_RECT)
+        assert time.perf_counter() - start < 30.0
 
     def test_many_one_read_tuples_are_refused_before_any_quadrature(self, monkeypatch):
         # psi = (1, .., 1) of length 6, 17 constraints 3 apart, thresholds
@@ -806,6 +890,14 @@ def quadrature(alpha, lines):
     """(mean, error) of one row of ``limit_measures._quadrature``: the score
     of the (b, c) need ``lines``."""
     means, errors = limit_measures._quadrature(alpha, *(np.array([column]) for column in zip(*lines)))
+    return float(means[0]), float(errors[0])
+
+
+def nested(alpha, plan):
+    """(mean, error) of ``limit_measures._nested``'s rule for a (bounds,
+    coefs, integrated) plan of one drawn tuple, with the unit floor."""
+    bounds, coefs, integrated = plan
+    means, errors = limit_measures._nested(alpha, coefs, integrated, limit_measures._Budget())(bounds, np.ones(1))
     return float(means[0]), float(errors[0])
 
 
@@ -946,10 +1038,10 @@ class TestNestedRule:
                  if plan[1].shape[1] > 1]
         assert len(plans) >= 8
         for plan in plans:
-            mean, error = (float(v[0]) for v in limit_measures._nested(alpha, *plan, np.ones(1)))
+            mean, error = nested(alpha, plan)
             with monkeypatch.context() as patch:
                 patch.setattr(limit_measures, "NESTED", (4 * limit_measures.NESTED[0], math.inf))
-                finer = float(limit_measures._nested(alpha, *plan, np.ones(1))[0][0])
+                finer, _ = nested(alpha, plan)
             assert 0.0 < error <= 1e-9 * mean
             assert abs(finer - mean) <= error
 
