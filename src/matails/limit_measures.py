@@ -25,8 +25,8 @@ combinatorial question.  The measures supported:
   others integrate one member's Pareto tail in closed form and the members
   sharing an open constraint with it by Gauss-Legendre quadrature on
   closed-form pieces, nested in the log of each when there are several,
-  within per-row limits on tuple counts, vertex systems and nodes.  So a
-  value is a deterministic function of the row;
+  within per-row limits on tuple counts, vertex systems and one node
+  budget.  So a value is a deterministic function of the row;
 * ``nu_inf_0_rect``     -- order-0 limit of the MA(infinity), enumerated at a
   truncation depth with a reported bound on the neglected spike mass;
 * ``marginal_tail_constant`` -- sum_l psi_l^alpha, the one-coordinate tail
@@ -94,17 +94,16 @@ _MAX_GRADES = 300
 MAX_TUPLES = 250_000
 
 # Most drawn tuples that read two or more members one order-j rectangle may
-# integrate (about 9 s at the mean 3 ms a tuple of 4,179 in 1,500 random
-# rows, one core of a 2-core machine); more raise UnsupportedError in the count.
+# integrate (about 9 s at the mean 3 ms a tuple of 4,179 in 1,500 random rows,
+# one core of a 2-core machine); the count walk refuses more, and counts no other.
 MAX_NESTED_TUPLES = 3_000
 
-# Work of a row's tuples that read two or more members, in nodes of their
-# rules; a row of a rule's round counts ROW_NODES more (its exact sums), a
-# state a nested level takes STATE_NODES and one per vertex system its level
-# solves.  Past it they raise UnsupportedError: about 8 s at the median 81 ns
-# a node, 10 s at the slowest 104 ns, of 31 random rows taking over 1 s (one
-# core of a 2-core machine).
-MAX_NESTED_NODES = 100_000_000
+# Work of a row's drawn tuples, in nodes of their rules; a row of a rule's
+# round counts ROW_NODES more (its exact sums), a state a nested level takes
+# STATE_NODES and one per vertex system its level solves.  Past it they raise
+# UnsupportedError: about 8 s at the median 81 ns a node, 10 s at the slowest
+# 104 ns, of 31 random rows taking over 1 s (one core of a 2-core machine).
+MAX_QUADRATURE_NODES = 100_000_000
 ROW_NODES = 96
 STATE_NODES = 16
 
@@ -112,12 +111,6 @@ STATE_NODES = 16
 # quadrature solves, into (systems, m, 64) arrays; a level that needs more
 # raises UnsupportedError before it solves any.
 MAX_VERTEX_SYSTEMS = 4_096
-
-# Most drawn tuples that read one member one order-j rectangle may integrate
-# (about 10 s at 97 us a tuple, on 25 constraints and 13 members, one core of
-# a 2-core machine, before a chunk's tuples shared one quadrature, which takes
-# about 55 us a tuple); more raise UnsupportedError in the count.
-MAX_QUADRATURE_TUPLES = 100_000
 
 # Cells per (tuples, j+1, |K|) floor array of one numpy pass over a chunk of
 # tuples: the walk and the floors hold a few such arrays whatever the tuple count.
@@ -423,67 +416,72 @@ def _floors(alpha, thresholds, weights):
 
 
 class _Budget:
-    """The quadrature nodes a row's tuples that read several members may
-    take; past MAX_NESTED_NODES, :meth:`spend` raises UnsupportedError."""
+    """The quadrature nodes a row's drawn tuples may take; past
+    MAX_QUADRATURE_NODES, :meth:`spend` raises UnsupportedError."""
 
     def __init__(self):
-        self.left = MAX_NESTED_NODES
+        self.left = MAX_QUADRATURE_NODES
 
     def spend(self, nodes):
         self.left -= nodes
         if self.left < 0:
-            raise UnsupportedError(f"the drawn spike tuples that read two or more members take more than "
-                                   f"{MAX_NESTED_NODES} quadrature nodes")
+            raise UnsupportedError(f"the drawn spike tuples take more than {MAX_QUADRATURE_NODES} quadrature nodes")
+
+
+def _plans(thresholds, held, pulls, open_):
+    """(reads, bounds, coefs, integrated) of a chunk of tuples with the given
+    :func:`_floors`: (tuples, d) read members and, at a tuple's open
+    constraints, (tuples, |K|) bounds and flags and (tuples, d, |K|) coefs.
+    Member c, with the largest sum of w_c L_c over the open constraints it
+    holds, added in constraint order (the lowest index on ties), is
+    integrated out; the others that hold one are read, the rest integrate to
+    1.  Given their Pareto values x_h (z_h = L_h x_h), an open constraint c
+    holds asks z_c > need = (a_k - sum_{h != c} w_h z_h) / w_c, of
+    probability (max(L_c, need) / L_c)^-alpha; the others stay indicators.
+    Check k, in units of w_c L_c where c holds it (``integrated``), states
+    need / L_c = bound - coefs . x, else coefs . x > bound."""
+    # cumsum adds strictly left to right.
+    pull = np.cumsum(np.where(open_[:, None, :], pulls, 0.0), axis=2)[:, :, -1]
+    every, c = np.arange(len(held)), np.argmax(pull, axis=1)
+    integrated = held[every, c] & open_
+    unit = np.where(integrated, pulls[every, c], 1.0)
+    holds = held & open_[:, None, :]
+    reads = holds.any(axis=2)
+    reads[every, c] = False
+    coefs = np.where(holds & reads[:, :, None], pulls / unit[:, None, :], 0.0)
+    return reads, thresholds / unit, coefs, integrated
 
 
 def _contributions(alpha, thresholds, floors, budget):
-    """(values, variances) of a chunk of tuples with the given :func:`_floors`:
-    the mass, times for a drawn tuple the integral of its :func:`_plan`, by
-    :func:`_nested` if it reads several members.  The chunk's tuples that
-    read one share one :func:`_quadrature`, their need lines padded with
-    lines (-inf, 1) that never bind: one call a tuple takes 2.5 times as long."""
+    """(values, squares, scales) of a chunk of tuples with the given
+    :func:`_floors`: the mass, times for a drawn tuple the integral of its
+    :func:`_plans` plan; (mass error)^2 = squares 2^scales.  Tuples that
+    read several members take one :func:`_nested` rule each, in order; those
+    that read one share one :func:`_quadrature`, their need lines packed
+    left and padded with lines (-inf, 1), which never bind."""
     mass, held, pulls, open_ = floors
-    values, variances = mass.copy(), np.zeros(len(mass))
-    got, lines = {}, {}
-    for t in np.flatnonzero(open_.any(axis=1)).tolist():
-        bounds, coefs, integrated = _plan(thresholds, held[t], pulls[t], open_[t])
-        if coefs.shape[1] == 1:
-            lines[t] = bounds[0], coefs[:, 0]
-        else:
-            means, errors = _nested(alpha, coefs, integrated, budget)(bounds, np.ones(1))
-            got[t] = means[0], errors[0]
-    if lines:
-        b = np.full((len(lines), max(len(c) for _, c in lines.values())), -np.inf)
-        c = np.ones_like(b)
-        for r, (bound, coef) in enumerate(lines.values()):
-            b[r, :len(coef)], c[r, :len(coef)] = bound, coef
-        got.update(zip(lines, zip(*_quadrature(alpha, b, c))))
-    for t, (mean, error) in got.items():
-        values[t], variances[t] = float(mass[t]) * float(mean), float(mass[t]) ** 2 * float(error) ** 2
-    return values, variances
-
-
-def _plan(thresholds, held, pulls, open_):
-    """(bounds, coefs, integrated) of one drawn tuple, one check per open
-    constraint; ``held`` and ``pulls`` (d, |K|) say whether member h reaches
-    constraint k, and its w_h L_h there.  Member c, with the largest sum of
-    w_c L_c over the open constraints it holds (the lowest index on ties),
-    is integrated out; the others that hold one are read (the columns of
-    ``coefs``), the rest integrate to 1.  Given their Pareto values x_h (z_h
-    = L_h x_h), an open constraint c holds asks z_c > need = (a_k - sum_{h !=
-    c} w_h z_h) / w_c, of probability (max(L_c, need) / L_c)^-alpha; the
-    others stay indicators.  Check k, in units of w_c L_c where c holds it
-    (``integrated``), states need / L_c = bound - coefs . x, else coefs . x
-    > bound; ``bounds`` is one state, (1, checks)."""
-    pull = np.zeros(len(held))
-    for p in np.flatnonzero(open_).tolist():
-        pull += pulls[:, p]
-    c = int(np.argmax(pull))
-    read = np.flatnonzero(held[:, open_].any(axis=1) & (np.arange(len(held)) != c))
-    integrated = held[c, open_]
-    unit = np.where(integrated, pulls[c, open_], 1.0)
-    coefs = np.where(held[read][:, open_], pulls[read][:, open_] / unit, 0.0).T
-    return (thresholds[open_] / unit)[None], coefs, integrated
+    means, errors = np.ones(len(mass)), np.zeros(len(mass))
+    reads, bounds, coefs, integrated = _plans(thresholds, held, pulls, open_)
+    for t in np.flatnonzero(reads.sum(axis=1) > 1).tolist():
+        checks = open_[t]
+        rule = _nested(alpha, coefs[t][reads[t]][:, checks].T, integrated[t, checks], budget)
+        means[[t]], errors[[t]] = rule(bounds[t, checks][None], np.ones(1))
+    (one,) = np.nonzero(reads.sum(axis=1) == 1)
+    if len(one):
+        cols = np.argsort(~open_[one], axis=1, kind="stable")[:, :open_[one].sum(axis=1).max()]
+        rows = one[:, None]
+        b = np.where(open_[rows, cols], bounds[rows, cols], -np.inf)
+        c = np.where(open_[rows, cols], coefs.max(axis=1)[rows, cols], 1.0)
+        means[one], errors[one] = _quadrature(alpha, b, c, budget, QUAD_NODES, QUAD_TOLERANCE)
+    squares, scales = 1.0, 0
+    for x in (mass, errors):
+        # x**2 by pow, on x scaled by a power of two only where the square
+        # leaves the normal range: pow's last bit may differ by scale.
+        shift = np.frexp(x)[1]
+        shift = np.where((shift >= -510) & (shift <= 512), 0, shift)
+        p, e = np.frexp(_power(np.ldexp(x, -shift), 2.0))
+        squares, scales = squares * p, scales + e + 2 * shift
+    return mass * means, squares, scales
 
 
 @functools.lru_cache(maxsize=8)
@@ -530,22 +528,21 @@ def _pieces(cuts, top, active):
     return row, xs[row, col], xs[row, col + 1]
 
 
-def _rules(n, tolerance, row, lo, hi, head, integrand, means, errors, budget=None):
+def _rules(n, tolerance, row, lo, hi, head, integrand, means, errors, budget):
     """Into ``means`` and ``errors`` of each row with pieces [lo, hi]: its
     ``head`` (values, errors) plus Gauss-Legendre rules over them of
     ``integrand`` (nodes, rows) -> (values, errors), n nodes a piece against
     2n, n doubling, until they differ by at most ``tolerance`` of the 2n
     value Q or 2n reaches QUAD_MAX_NODES: Q, and the gap plus the integrand's
     errors, QUAD_ROUNDING Q and 2^-1074 a term, summed by ``math.fsum``.
-    Each round spends its nodes and ROW_NODES a row from ``budget``, if given."""
+    Each round spends its nodes and ROW_NODES a row from ``budget``."""
     order = np.argsort(row, kind="stable")
     row, middle, half = row[order], (0.5 * (lo + hi))[order], (0.5 * (hi - lo))[order]
     coarse, head, rules = {}, np.asarray(head).tolist(), (n, 2 * n)
     while len(row):
         nodes, weights = map(np.concatenate, zip(*map(_gauss_legendre, rules)))
         starts = [0, *(np.flatnonzero(row[1:] != row[:-1]) + 1).tolist()]
-        if budget is not None:
-            budget.spend(len(row) * len(nodes) + ROW_NODES * len(starts))
+        budget.spend(len(row) * len(nodes) + ROW_NODES * len(starts))
         values, spread = integrand(middle[:, None] + half[:, None] * nodes, row)
         terms, slips = ((half[:, None] * weights) * values).tolist(), (half[:, None] * weights) * spread
         n, f = rules[-1], len(nodes) - rules[-1]
@@ -561,7 +558,7 @@ def _rules(n, tolerance, row, lo, hi, head, integrand, means, errors, budget=Non
         row, middle, half, rules = row[row >= 0], middle[row >= 0], half[row >= 0], (2 * n,)
 
 
-def _quadrature(alpha, b, c, n=QUAD_NODES, tolerance=QUAD_TOLERANCE, budget=None):
+def _quadrature(alpha, b, c, budget, n, tolerance):
     """(means, errors) of a batch of one-member scores over the member's
     survival u in (0, 1]: row i's score at the Pareto value x = u^(-1/alpha)
     is g = max(1, max_k (b_ik - c_ik x))^-alpha.  Past x* = max_k (b_k - 1)
@@ -569,8 +566,8 @@ def _quadrature(alpha, b, c, n=QUAD_NODES, tolerance=QUAD_TOLERANCE, budget=None
     where a line meets the floor or another line (g is smooth between), each
     piece graded toward the zero s = (c / b)^alpha of its leading line,
     where g is singular, and taken by :func:`_rules` from n nodes, spent
-    from ``budget`` if given (see :class:`_Budget`)."""
-    k, l = np.array(list(itertools.combinations(range(b.shape[1]), 2)), dtype=np.intp).reshape(-1, 2).T
+    from ``budget`` (see :class:`_Budget`)."""
+    k, l = np.triu_indices(b.shape[1], 1)
     top = ((b - 1.0) / c).max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = np.where(c[:, k] != c[:, l], (b[:, k] - b[:, l]) / (c[:, k] - c[:, l]), np.nan)
@@ -623,7 +620,7 @@ def _inverses(normals):
 
 
 def _nested(alpha, coefs, integrated, budget):
-    """The integral of a drawn tuple's score (see :func:`_plan`) over its read
+    """The integral of a drawn tuple's score (see :func:`_plans`) over its read
     members (columns of ``coefs``), as a rule (bounds, floor) -> (means,
     errors) of (states, checks) ``bounds`` and a ``floor`` under need / L_c.
     What the coefficients fix is built here, once a tuple, and a level with
@@ -675,7 +672,7 @@ def _nested(alpha, coefs, integrated, budget):
             low = (bounds[:, ~integrated] / coefs[~integrated, 0]).max(axis=1, initial=1.0)
             scale = np.where(fails, 0.0, _power(floor * low, -alpha))
             means, errors = (_quadrature(alpha, bounds[:, integrated] / floor[:, None],
-                                         coefs[integrated, 0] * low[:, None] / floor[:, None], *NESTED, budget)
+                                         coefs[integrated, 0] * low[:, None] / floor[:, None], budget, *NESTED)
                              if integrated.any() else (1.0, QUAD_ROUNDING))
             return scale * means, scale * errors
 
@@ -758,13 +755,13 @@ def nu_m_j_rect(
     j + 1: +inf) and the covering tuple count (more than :data:`MAX_TUPLES`
     raise :class:`UnsupportedError`, none gives 0).  A first walk, a chunk
     of tuples at a time, sums the masses and counts the drawn tuples that
-    read one member and those that read more, and raises once a count
-    passes :data:`MAX_QUADRATURE_TUPLES` or :data:`MAX_NESTED_TUPLES`.  With
+    read two or more members, raising past :data:`MAX_NESTED_TUPLES`.  With
     none drawn the sum is the value, an enumeration; otherwise a second walk
-    integrates each drawn tuple, in lexicographic order, by :func:`_quadrature`
-    or :func:`_nested`, a quadrature whose stderr is the root sum of squared
-    errors; the nested rules raise once they pass :data:`MAX_NESTED_NODES` in
-    all, or a level's vertex systems :data:`MAX_VERTEX_SYSTEMS`.
+    integrates each chunk's drawn tuples (:func:`_contributions`), a
+    quadrature whose stderr is the root sum of squared errors, scaled by
+    powers of two so that none leaves the float64 range; the rules raise
+    past :data:`MAX_QUADRATURE_NODES` nodes in all, or a level's vertex
+    systems past :data:`MAX_VERTEX_SYSTEMS`.
     """
     if m == 0 and coeffs.order == 0 and coeffs.psi(0) == 1.0:  # no cover search
         return mu_j_rect(j, alpha, rect)
@@ -798,28 +795,30 @@ def nu_m_j_rect(
         for tuples in _tuple_chunks(positions, held, rect.indices, j + 1, chunk):
             yield _floors(alpha, thresholds, weights[tuples])
 
-    total, drawn = 0.0, [0, 0]
-    for floors in floored():
+    total, drawn, nested = 0.0, False, 0
+    for mass, holds, _, open_ in floored():
         # Members that hold an open constraint: c and the read ones.
-        involved = (floors[1] & floors[3][:, None, :]).any(axis=2).sum(axis=1)
-        drawn[0] += int(np.count_nonzero(involved == 2))
-        drawn[1] += int(np.count_nonzero(involved > 2))
-        for count, limit, what in zip(drawn, (MAX_QUADRATURE_TUPLES, MAX_NESTED_TUPLES),
-                                      ("one member", "two or more members")):
-            if count > limit:
-                raise UnsupportedError(f"more than {limit} drawn spike tuples read {what}")
-        for value in floors[0].tolist():
+        involved = (holds & open_[:, None, :]).any(axis=2).sum(axis=1)
+        drawn = drawn or bool(open_.any())
+        nested += int(np.count_nonzero(involved > 2))
+        if nested > MAX_NESTED_TUPLES:
+            raise UnsupportedError(f"more than {MAX_NESTED_TUPLES} drawn spike tuples read two or more members")
+        for value in mass.tolist():
             total += value
-    if not any(drawn):
+    if not drawn:
         return MeasureValue(total, EvalMethod.ENUMERATION)
-    total = var_total = 0.0
+    # Squared errors sum as var 2^top, top the largest scale yet.
+    total, var, top = 0.0, 0.0, 0
     budget = _Budget()
     for floors in floored():
-        values, variances = _contributions(alpha, thresholds, floors, budget)
-        for value, variance in zip(values.tolist(), variances.tolist()):
+        values, squares, scales = _contributions(alpha, thresholds, floors, budget)
+        for value, square, scale in zip(values.tolist(), squares.tolist(), scales.tolist()):
             total += value
-            var_total += variance
-    return MeasureValue(total, EvalMethod.QUADRATURE, stderr=math.sqrt(var_total))
+            if square and (scale > top or not var):
+                var, top = math.ldexp(var, top - scale), scale
+            var += math.ldexp(square, scale - top)
+    stderr = math.ldexp(math.sqrt(math.ldexp(var, top % 2)), top // 2)
+    return MeasureValue(total, EvalMethod.QUADRATURE, stderr=stderr)
 
 
 def marginal_tail_constant(coeffs: CoefficientSeq, alpha: float, up_to: int | None = None) -> float:

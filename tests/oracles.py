@@ -189,10 +189,10 @@ def tuple_contribution(coeffs, alpha, rect, positions, covers):
                          for p, k in enumerate(rect.indices)]
                         for i, cover in zip(positions, covers)])
     thresholds = np.array(rect.thresholds)
-    values, variances = limit_measures._contributions(
+    values, squares, scales = limit_measures._contributions(
         alpha, thresholds, limit_measures._floors(alpha, thresholds, weights[None]),
         limit_measures._Budget())
-    return float(values[0]), float(variances[0])
+    return float(values[0]), math.ldexp(float(squares[0]), int(scales[0]))
 
 
 def tuple_contribution_reference(coeffs, alpha, rect, positions, covers, budget, seed, rank):

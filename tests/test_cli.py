@@ -917,7 +917,7 @@ def test_row_over_the_nested_limit_is_an_error_row_within_a_second(
 
 # Rows at alpha = 60 whose value or a term of it passes the float64 range.
 OVERFLOW_ROWS = {
-    # A drawn tuple's squared mass, its variance's factor, passes 1.8e308.
+    # One drawn tuple's mass passes 1.8e308 (another's is 1.6e282).
     "tuple-variance": (["--set", "coefficients.values=1, 0.6647714671309451, 0, 0.9075276689042917, 0",
                         "--set", "coefficients.m=4"],
                        "2; -1:0.0012029284307159137, 2:1.586394782995687, 4:0.0040429183894489015, "

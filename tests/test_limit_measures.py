@@ -467,7 +467,8 @@ class TestNuMJRect:
     @given(gapped(4), st.integers(0, 4), st.sampled_from([1, 2, 3]),
            st.sampled_from([0.5, 1.0, 1.3, 2.0, 3.0]), MIXED_THRESHOLDS)
     def test_bitwise_equal_to_unpruned_reference(self, coeffs, m, j, alpha, rect):
-        # Exact and pruned tuples keep the crude reference's bits.  A drawn
+        # Exact and pruned tuples keep the crude reference's bits, and every
+        # drawn tuple's plan is the conditional oracle's.  A drawn
         # tuple that reads one member is integrated by quadrature, within
         # 1e-12 of its one-member integral; one that reads more by the nested
         # rule, to about 1e-10, and within its error plus 4 stderr of
@@ -480,6 +481,7 @@ class TestNuMJRect:
             assert cover_oracle(coeffs, m, rect) <= j
             return
         reads = reads_of_drawn(coeffs, m, j, rect)
+        assert_plans_match_the_oracle(coeffs, m, alpha, j, rect)
         total = var_total = 0.0
         for rank, positions, covers in covering_tuples(coeffs, m, j, rect):
             value, variance = tuple_contribution(coeffs, alpha, rect, positions, covers)
@@ -688,26 +690,24 @@ class TestTupleWalk:
             assert (count if cover == j + 1 else 0) == len(want)
 
     @pytest.mark.parametrize("coeffs, m, j, rect", [
+        (ExplicitFinite([1.0, 0.5, 0.0, 0.75]), 3, 1, MIXED_RECT),
+        (PSI_HALF, 1, 1, UpperRect({0: 1.0, 1: 5.0, 2: 1.0})),
+        (THEORY_B_PSI, 4, 2, THEORY_B_J2_RECT),
+        (TWO_READ_PSI, 3, 2, TWO_READ_RECT),
         (TWO_READ_PSI, 3, 3, TWO_READ_J3_RECT),
+        (MIXED_READS_PSI, 3, 2, MIXED_READS_RECT),
         (INDICATOR_PSI, 2, 2, INDICATOR_RECT),
+        (THIN_PSI, 5, 3, THIN_RECT),
+        (SPLIT_PSI, 4, 4, SPLIT_RECT),
+        (DEEP_PSI, 4, 4, DEEP_RECT),
     ])
-    def test_members_without_an_open_constraint_are_not_read(self, coeffs, m, j, rect):
-        # Each drawn tuple's plan has one column per read member.
-        positions, weights = table(coeffs, m, rect)
-        thresholds = np.array(rect.thresholds)
-        got = []
-        for tuples in limit_measures._tuple_chunks(positions, weights > 0.0, rect.indices, j + 1, 4096):
-            _, held, pulls, open_ = limit_measures._floors(1.0, thresholds, weights[tuples])
-            for t in np.flatnonzero(open_.any(axis=1)).tolist():
-                got.append(limit_measures._plan(thresholds, held[t], pulls[t], open_[t])[1].shape[1])
-        want = []
-        for _, positions, covers in covering_tuples(coeffs, m, j, rect):
-            _, open_, _, read = conditional_plan(coeffs, rect, positions, covers)
-            if open_:
-                want.append(len(read))
-        assert got == want
-        # Some tuple that reads two members has a member that holds no open constraint.
-        assert any(1 < r < j for r in got) == (rect == TWO_READ_J3_RECT)
+    def test_chunk_plans_match_the_conditional_oracle(self, coeffs, m, j, rect):
+        # Each drawn tuple's c, read members (one column each) and checks.
+        reads = [len(plan[1]) for plan in assert_plans_match_the_oracle(coeffs, m, 1.0, j, rect)]
+        assert reads
+        if rect in (TWO_READ_J3_RECT, INDICATOR_RECT):
+            # Some tuple that reads two members has a member that holds no open constraint.
+            assert any(1 < r < j for r in reads) == (rect == TWO_READ_J3_RECT)
 
     def test_over_the_tuple_budget_raises_before_the_walk(self, monkeypatch):
         # psi = (1, .5), constraints 3 apart: each one is reached by two
@@ -773,8 +773,12 @@ class TestTupleWalk:
                            f"{most} vertex systems, more than {most - 1}$"):
             nu_m_j_rect(SPLIT_PSI, 4, 2.0, 4, SPLIT_RECT)
 
-    def test_the_node_budget_is_spent_to_the_last_node(self, monkeypatch):
-        # A row's nested tuples take a count of nodes fixed by the row: at
+    @pytest.mark.parametrize("coeffs, m, j, rect", [
+        (MIXED_READS_PSI, 3, 2, MIXED_READS_RECT),
+        (THEORY_B_PSI, 4, 2, THEORY_B_J2_RECT),  # every drawn tuple reads one member
+    ])
+    def test_the_node_budget_is_spent_to_the_last_node(self, monkeypatch, coeffs, m, j, rect):
+        # A row's drawn tuples take a count of nodes fixed by the row: at
         # that budget it is evaluated, one fewer refuses it.
         budgets = []
 
@@ -784,48 +788,41 @@ class TestTupleWalk:
                 budgets.append(self)
 
         monkeypatch.setattr(limit_measures, "_Budget", Recorded)
-        want = nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT)
+        if not nested_ranks(coeffs, m, j, rect):
+            monkeypatch.setattr(limit_measures, "_nested", lambda *a: pytest.fail("nested"))
+        want = nu_m_j_rect(coeffs, m, 1.0, j, rect)
         (budget,) = budgets
-        nodes = limit_measures.MAX_NESTED_NODES - budget.left
-        assert 0 < nodes < limit_measures.MAX_NESTED_NODES // 1000
-        monkeypatch.setattr(limit_measures, "MAX_NESTED_NODES", nodes)
-        assert nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT) == want
-        monkeypatch.setattr(limit_measures, "MAX_NESTED_NODES", nodes - 1)
-        with pytest.raises(UnsupportedError, match=f"^the drawn spike tuples that read two or more members "
-                           f"take more than {nodes - 1} quadrature nodes$"):
-            nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT)
+        nodes = limit_measures.MAX_QUADRATURE_NODES - budget.left
+        assert 0 < nodes < limit_measures.MAX_QUADRATURE_NODES // 1000
+        monkeypatch.setattr(limit_measures, "MAX_QUADRATURE_NODES", nodes)
+        assert nu_m_j_rect(coeffs, m, 1.0, j, rect) == want
+        monkeypatch.setattr(limit_measures, "MAX_QUADRATURE_NODES", nodes - 1)
+        with pytest.raises(UnsupportedError, match=f"^the drawn spike tuples take more than {nodes - 1} "
+                           "quadrature nodes$"):
+            nu_m_j_rect(coeffs, m, 1.0, j, rect)
 
     def test_rows_past_the_node_budget_are_refused(self):
         # DEEP_*'s tuples read three members that no check splits: 135.5
         # million nodes, about 16.5 s of integration.  The budget refuses it
         # after about 9 s on one core of a 2-core machine.
         start = time.perf_counter()
-        with pytest.raises(UnsupportedError, match="^the drawn spike tuples that read two or more members "
-                           "take more than 100000000 quadrature nodes$"):
+        with pytest.raises(UnsupportedError, match="^the drawn spike tuples take more than 100000000 "
+                           "quadrature nodes$"):
             nu_m_j_rect(DEEP_PSI, 4, 3.0, 4, DEEP_RECT)
         assert time.perf_counter() - start < 30.0
 
-    def test_many_one_read_tuples_are_refused_before_any_quadrature(self, monkeypatch):
+    def test_many_one_read_tuples_are_answered_within_the_node_budget(self, monkeypatch):
         # psi = (1, .., 1) of length 6, 17 constraints 3 apart, thresholds
         # alternating 1 and 5, at the cover number: 157,464 of 196,830 tuples
-        # read one member, about 9 s of quadrature.  The count stops at the
-        # limit, in about 0.4 s; counting all took 0.7 s on one core of a
-        # 2-core machine.
+        # read one member and take about 3.8e7 of the 1e8 budget nodes, in
+        # about 5.5 s on one core of a 2-core machine.
         rect = UpperRect({3 * i: 5.0 if i % 2 else 1.0 for i in range(17)})
-        monkeypatch.setattr(limit_measures, "_quadrature", lambda *a: pytest.fail("integrated"))
+        monkeypatch.setattr(limit_measures, "_nested", lambda *a: pytest.fail("nested"))
         start = time.perf_counter()
-        with pytest.raises(UnsupportedError, match="^more than 100000 drawn spike tuples read one member$"):
-            nu_m_j_rect(ExplicitFinite([1.0] * 6), 5, 1.0, 8, rect)
-        assert time.perf_counter() - start < 2.0
-
-    def test_over_the_quadrature_limit_raises_before_any_quadrature(self, monkeypatch):
-        # MIXED_READS_RECT's six one-read tuples.
-        monkeypatch.setattr(limit_measures, "MAX_QUADRATURE_TUPLES", 6)
-        assert nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT).stderr > 0.0
-        monkeypatch.setattr(limit_measures, "MAX_QUADRATURE_TUPLES", 5)
-        monkeypatch.setattr(limit_measures, "_quadrature", lambda *a: pytest.fail("integrated"))
-        with pytest.raises(UnsupportedError, match="^more than 5 drawn spike tuples read one member$"):
-            nu_m_j_rect(MIXED_READS_PSI, 3, 1.0, 2, MIXED_READS_RECT)
+        got = nu_m_j_rect(ExplicitFinite([1.0] * 6), 5, 1.0, 8, rect)
+        assert time.perf_counter() - start < 30.0
+        assert (got.value, got.method, got.stderr) == (1.130523090203265, EvalMethod.QUADRATURE,
+                                                       5.173580349483072e-18)
 
 
 class TestIntegralOracles:
@@ -870,33 +867,70 @@ class TestIntegralOracles:
 
 
 def drawn_plans(coeffs, m, alpha, j, rect):
-    """The (bounds, coefs, integrated) plan of each drawn tuple of a row,
-    through the library's walk, floors and plan."""
+    """(c, read, bounds, coefs, integrated) of each drawn tuple of a row, in
+    rank order, through the library's walk, floors and chunk plans: the
+    integrated member c, the read members, and (1, checks) bounds, (checks,
+    reads) coefs and (checks,) integrated flags at its open constraints."""
     positions, weights = table(coeffs, m, rect)
     thresholds = np.array(rect.thresholds)
     for tuples in limit_measures._tuple_chunks(positions, weights > 0.0, rect.indices, j + 1, 4096):
-        _, held, pulls, open_ = limit_measures._floors(alpha, thresholds, weights[tuples])
+        _, held, _, open_ = floors = limit_measures._floors(alpha, thresholds, weights[tuples])
+        reads, bounds, coefs, integrated = limit_measures._plans(thresholds, *floors[1:])
         for t in np.flatnonzero(open_.any(axis=1)).tolist():
-            yield limit_measures._plan(thresholds, held[t], pulls[t], open_[t])
+            checks = open_[t]
+            # c is the member holding an open constraint that is not read.
+            (c,) = np.flatnonzero((held[t] & checks).any(axis=1) & ~reads[t]).tolist()
+            yield (c, np.flatnonzero(reads[t]).tolist(), bounds[t, checks][None],
+                   coefs[t][reads[t]][:, checks].T, integrated[t, checks])
+
+
+def oracle_plans(coeffs, m, j, rect):
+    """What :func:`drawn_plans` yields, from :func:`oracles.conditional_plan`:
+    check k is in units of psi_{k-c} L_c where c holds it, else 1."""
+    for _, positions, covers in covering_tuples(coeffs, m, j, rect):
+        lower, open_, c, read = conditional_plan(coeffs, rect, positions, covers)
+        if not open_:
+            continue
+        units = [coeffs.psi(k - positions[c]) * lower[c] if c in holders else 1.0 for k, _, holders in open_]
+        coefs = [[coeffs.psi(k - positions[h]) * lower[h] / unit if h in holders else 0.0 for h in read]
+                 for (k, _, holders), unit in zip(open_, units)]
+        yield (c, read, np.array([[a / unit for (_, a, _), unit in zip(open_, units)]]), np.array(coefs),
+               np.array([c in holders for _, _, holders in open_]))
+
+
+def assert_plans_match_the_oracle(coeffs, m, alpha, j, rect):
+    """Each drawn tuple's c, read members and integrated flags equal the
+    oracle's, its bounds and coefficients within 1e-15 relative."""
+    got, want = list(drawn_plans(coeffs, m, alpha, j, rect)), list(oracle_plans(coeffs, m, j, rect))
+    assert len(got) == len(want)
+    for (c, read, bounds, coefs, integrated), (c_, read_, bounds_, coefs_, integrated_) in zip(got, want):
+        assert (c, read) == (c_, read_) and np.array_equal(integrated, integrated_)
+        assert bounds.shape == bounds_.shape and coefs.shape == coefs_.shape
+        assert np.allclose(bounds, bounds_, rtol=1e-15, atol=0.0)
+        assert np.allclose(coefs, coefs_, rtol=1e-15, atol=0.0)
+    return got
 
 
 def one_read_lines(coeffs, m, alpha, j, rect):
     """The (b, c) need lines of each drawn tuple of a row that reads one member."""
     return [list(zip(bounds[0].tolist(), coefs[:, 0].tolist()))
-            for bounds, coefs, _ in drawn_plans(coeffs, m, alpha, j, rect) if coefs.shape[1] == 1]
+            for _, read, bounds, coefs, _ in drawn_plans(coeffs, m, alpha, j, rect) if len(read) == 1]
 
 
 def quadrature(alpha, lines):
-    """(mean, error) of one row of ``limit_measures._quadrature``: the score
-    of the (b, c) need ``lines``."""
-    means, errors = limit_measures._quadrature(alpha, *(np.array([column]) for column in zip(*lines)))
+    """(mean, error) of one row of ``limit_measures._quadrature`` at the
+    module's QUAD_NODES and QUAD_TOLERANCE: the score of the (b, c) need
+    ``lines``."""
+    means, errors = limit_measures._quadrature(alpha, *(np.array([column]) for column in zip(*lines)),
+                                               limit_measures._Budget(), limit_measures.QUAD_NODES,
+                                               limit_measures.QUAD_TOLERANCE)
     return float(means[0]), float(errors[0])
 
 
 def nested(alpha, plan):
-    """(mean, error) of ``limit_measures._nested``'s rule for a (bounds,
-    coefs, integrated) plan of one drawn tuple, with the unit floor."""
-    bounds, coefs, integrated = plan
+    """(mean, error) of ``limit_measures._nested``'s rule for a
+    :func:`drawn_plans` plan of one drawn tuple, with the unit floor."""
+    _, _, bounds, coefs, integrated = plan
     means, errors = limit_measures._nested(alpha, coefs, integrated, limit_measures._Budget())(bounds, np.ones(1))
     return float(means[0]), float(errors[0])
 
@@ -1035,7 +1069,7 @@ class TestNestedRule:
         # against twice that, with no doubling.
         rows = self.ROWS + [(THIN_PSI, 5, 3, THIN_RECT)]
         plans = [plan for row in rows for plan in drawn_plans(*row[:2], alpha, *row[2:])
-                 if plan[1].shape[1] > 1]
+                 if len(plan[1]) > 1]
         assert len(plans) >= 8
         for plan in plans:
             mean, error = nested(alpha, plan)
@@ -1121,6 +1155,17 @@ class TestHomogeneity:
         for lam in self.LAMBDAS:
             scaled = nu_m_j_rect(coeffs, m, 1.0, j, rect.scaled(lam))
             assert scaled.value == pytest.approx(lam ** -(j + 1) * base.value, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [250, -282])
+    def test_power_of_two_scaling_is_exact_across_the_float64_range(self, k):
+        # 2^k A has exactly 2^(-k alpha (j + 1)) times A's value and stderr:
+        # at k = 250 the squared errors once underflowed to a stderr of 0, at
+        # k = -282 the squared masses overflowed and the row was refused.
+        rect = UpperRect({0: 1.0, 2: 6.0, 5: 1.0})
+        base = nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 1, rect)
+        got = nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 1, rect.scaled(2.0**k))
+        assert got.method is EvalMethod.QUADRATURE and base.stderr > 0.0
+        assert (got.value, got.stderr) == (base.value * 2.0 ** (-2 * k), base.stderr * 2.0 ** (-2 * k))
 
     @pytest.mark.parametrize("coeffs, m, j, alpha, rect", [
         (THEORY_B_PSI, 4, 2, 1.5, THEORY_B_J2_RECT),
