@@ -62,12 +62,20 @@ def _membership(lo: int, width: int, model: TailModel, t: float, scaling_exponen
                 rect: UpperRect) -> tuple[tuple[int, float], ...] | None:
     """The ``(column, b(t^e) * a)`` pairs a replicate of window [lo, lo + width)
     must strictly exceed to lie in ``rect``; None when a constraint falls
-    outside the window, so no replicate can."""
+    outside the window, so no replicate can.  A threshold past the float64
+    range raises :class:`ParameterError`."""
     if not 1.0 <= t < math.inf:
         raise ParameterError(f"tail level must be finite and >= 1, got {t}")
     if not 0.0 < scaling_exponent <= 1.0:
         raise ParameterError(f"scaling exponent must lie in (0, 1], got {scaling_exponent}")
-    b = model.quantile_b(t**scaling_exponent)
+    try:
+        b = model.quantile_b(t**scaling_exponent)
+    except OverflowError:
+        b = math.inf
+    if not math.isfinite(b * max(rect.thresholds)):
+        raise ParameterError(f"at tail level t = {t!r} and alpha = {model.alpha!r} the scaled thresholds "
+                             f"b(t^{scaling_exponent!r}) a_k pass the float64 range: "
+                             f"use a smaller t or a larger alpha")
     pairs = tuple((k - lo, b * a) for k, a in rect.constraints)
     return pairs if all(0 <= col < width for col, _ in pairs) else None
 

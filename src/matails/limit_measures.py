@@ -315,20 +315,20 @@ def spike_cover_number(coeffs: CoefficientSeq, m: int, rect: UpperRect) -> int:
 def nu_m0_rect(coeffs: CoefficientSeq, m: int, alpha: float, rect: UpperRect) -> MeasureValue:
     """Order-0 MA(m) limit measure of an upper rectangle.
 
-    Sums (max_k a_k / psi_{k-i})^-alpha, left to right, over the positions
+    Sums (max_k a_k / psi_{k-i})^-alpha by ``math.fsum`` over the positions
     of the :func:`_candidate_positions` table that reach every constraint
     (max K - m <= i <= min K, psi_{k-i} > 0 for every k), a block at a time.
     """
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    total, thresholds = 0.0, np.array(rect.thresholds)[:, None]
-    for positions, weights in _candidate_positions(coeffs, m, rect):
-        if positions.size and positions[0] > rect.min_index:
-            break  # right of min K no position reaches it
-        with np.errstate(divide="ignore", over="ignore"):  # .max(axis=0) is far slower here
-            z_min = functools.reduce(np.maximum, thresholds / weights.T)
-        for z in z_min[(weights.T > 0.0).all(axis=0)].tolist():
-            total += z**-alpha
+    thresholds = np.array(rect.thresholds)[:, None]
+    # Right of min K no position reaches it.
+    blocks = itertools.takewhile(lambda block: not block[0].size or block[0][0] <= rect.min_index,
+                                 _candidate_positions(coeffs, m, rect))
+    with np.errstate(divide="ignore", over="ignore"):  # .max(axis=0) is far slower here
+        z_min = (functools.reduce(np.maximum, thresholds / weights.T)[(weights.T > 0.0).all(axis=0)].tolist()
+                 for _, weights in blocks)
+        total = math.fsum(z**-alpha for z in itertools.chain.from_iterable(z_min))
     return MeasureValue(total, EvalMethod.ENUMERATION)
 
 
@@ -396,22 +396,17 @@ def _floors(alpha, thresholds, weights):
     monotone, so it would hold at every point.  ``open`` (tuples, |K|)
     marks the shared constraints left; a tuple with none is exactly its mass.
     """
-    d = weights.shape[1]
     held = weights > 0.0
     holders = held.sum(axis=1)
     private = held & (holders == 1)[:, None, :]
     with np.errstate(divide="ignore"):
         lower = np.where(private, thresholds / weights, 0.0).max(axis=2)
     assert lower.all(), "tuple member without a private constraint"
-    # Multiplied member by member, left to right, so a tuple's mass has the
+    # Accumulated member by member, left to right, so a tuple's mass has the
     # same bits in any chunk.
-    powers = _power(lower, -alpha)
-    mass = powers[:, 0].copy()
     pulls = weights * lower[:, :, None]
-    floor = pulls[:, 0].copy()
-    for h in range(1, d):
-        mass *= powers[:, h]
-        floor += pulls[:, h]
+    mass = np.cumprod(_power(lower, -alpha), axis=1)[:, -1]
+    floor = np.cumsum(pulls, axis=1)[:, -1]
     return mass, held, pulls, (holders > 1) & ~(floor > thresholds)
 
 
@@ -453,12 +448,13 @@ def _plans(thresholds, held, pulls, open_):
 
 
 def _contributions(alpha, thresholds, floors, budget):
-    """(values, squares, scales) of a chunk of tuples with the given
-    :func:`_floors`: the mass, times for a drawn tuple the integral of its
-    :func:`_plans` plan; (mass error)^2 = squares 2^scales.  Tuples that
-    read several members take one :func:`_nested` rule each, in order; those
-    that read one share one :func:`_quadrature`, their need lines packed
-    left and padded with lines (-inf, 1), which never bind."""
+    """(values, p, e) of a chunk of tuples with the given :func:`_floors`:
+    the mass, times for a drawn tuple the integral of its :func:`_plans`
+    plan; each nonzero mass error as p 2^e, p the product of the two
+    ``np.frexp`` mantissas.  Tuples that read several members take one
+    :func:`_nested` rule each, in order; those that read one share one
+    :func:`_quadrature`, their need lines packed left and padded with lines
+    (-inf, 1), which never bind."""
     mass, held, pulls, open_ = floors
     means, errors = np.ones(len(mass)), np.zeros(len(mass))
     reads, bounds, coefs, integrated = _plans(thresholds, held, pulls, open_)
@@ -473,15 +469,9 @@ def _contributions(alpha, thresholds, floors, budget):
         b = np.where(open_[rows, cols], bounds[rows, cols], -np.inf)
         c = np.where(open_[rows, cols], coefs.max(axis=1)[rows, cols], 1.0)
         means[one], errors[one] = _quadrature(alpha, b, c, budget, QUAD_NODES, QUAD_TOLERANCE)
-    squares, scales = 1.0, 0
-    for x in (mass, errors):
-        # x**2 by pow, on x scaled by a power of two only where the square
-        # leaves the normal range: pow's last bit may differ by scale.
-        shift = np.frexp(x)[1]
-        shift = np.where((shift >= -510) & (shift <= 512), 0, shift)
-        p, e = np.frexp(_power(np.ldexp(x, -shift), 2.0))
-        squares, scales = squares * p, scales + e + 2 * shift
-    return mass * means, squares, scales
+    (p, e), (q, f) = np.frexp(mass), np.frexp(errors)
+    keep = p * q != 0.0
+    return mass * means, (p * q)[keep], (e + f)[keep]
 
 
 @functools.lru_cache(maxsize=8)
@@ -758,8 +748,9 @@ def nu_m_j_rect(
     read two or more members, raising past :data:`MAX_NESTED_TUPLES`.  With
     none drawn the sum is the value, an enumeration; otherwise a second walk
     integrates each chunk's drawn tuples (:func:`_contributions`), a
-    quadrature whose stderr is the root sum of squared errors, scaled by
-    powers of two so that none leaves the float64 range; the rules raise
+    quadrature whose stderr is the root of the sum of squared errors.  Both
+    walks sum by ``math.fsum``, the squares scaled by 2^-2 max e so that
+    none leaves the float64 range; the rules raise
     past :data:`MAX_QUADRATURE_NODES` nodes in all, or a level's vertex
     systems past :data:`MAX_VERTEX_SYSTEMS`.
     """
@@ -795,30 +786,33 @@ def nu_m_j_rect(
         for tuples in _tuple_chunks(positions, held, rect.indices, j + 1, chunk):
             yield _floors(alpha, thresholds, weights[tuples])
 
-    total, drawn, nested = 0.0, False, 0
-    for mass, holds, _, open_ in floored():
-        # Members that hold an open constraint: c and the read ones.
-        involved = (holds & open_[:, None, :]).any(axis=2).sum(axis=1)
-        drawn = drawn or bool(open_.any())
-        nested += int(np.count_nonzero(involved > 2))
-        if nested > MAX_NESTED_TUPLES:
-            raise UnsupportedError(f"more than {MAX_NESTED_TUPLES} drawn spike tuples read two or more members")
-        for value in mass.tolist():
-            total += value
+    drawn, nested, errors = False, 0, []
+
+    def masses():
+        nonlocal drawn, nested
+        for mass, holds, _, open_ in floored():
+            # Members that hold an open constraint: c and the read ones.
+            involved = (holds & open_[:, None, :]).any(axis=2).sum(axis=1)
+            drawn = drawn or bool(open_.any())
+            nested += int(np.count_nonzero(involved > 2))
+            if nested > MAX_NESTED_TUPLES:
+                raise UnsupportedError(f"more than {MAX_NESTED_TUPLES} drawn spike tuples read two or more members")
+            yield from mass.tolist()
+
+    def values(budget):
+        for floors in floored():
+            values, p, e = _contributions(alpha, thresholds, floors, budget)
+            errors.append((p, e))
+            yield from values.tolist()
+
+    total = math.fsum(masses())
     if not drawn:
         return MeasureValue(total, EvalMethod.ENUMERATION)
-    # Squared errors sum as var 2^top, top the largest scale yet.
-    total, var, top = 0.0, 0.0, 0
-    budget = _Budget()
-    for floors in floored():
-        values, squares, scales = _contributions(alpha, thresholds, floors, budget)
-        for value, square, scale in zip(values.tolist(), squares.tolist(), scales.tolist()):
-            total += value
-            if square and (scale > top or not var):
-                var, top = math.ldexp(var, top - scale), scale
-            var += math.ldexp(square, scale - top)
-    stderr = math.ldexp(math.sqrt(math.ldexp(var, top % 2)), top // 2)
-    return MeasureValue(total, EvalMethod.QUADRATURE, stderr=stderr)
+    total = math.fsum(values(_Budget()))
+    p, e = map(np.concatenate, zip(*errors))
+    top = int(e.max()) if len(e) else 0
+    squares = np.square(np.ldexp(p, e - top)).tolist()
+    return MeasureValue(total, EvalMethod.QUADRATURE, stderr=math.ldexp(math.sqrt(math.fsum(squares)), top))
 
 
 def marginal_tail_constant(coeffs: CoefficientSeq, alpha: float, up_to: int | None = None) -> float:
@@ -832,7 +826,7 @@ def marginal_tail_constant(coeffs: CoefficientSeq, alpha: float, up_to: int | No
     if up_to is not None:
         if up_to < 0:
             raise ParameterError(f"lag cutoff must be nonnegative, got {up_to}")
-        return float(sum(coeffs.psi(l) ** alpha for l in range(up_to + 1) if coeffs.psi(l) > 0))
+        return math.fsum(coeffs.psi(l) ** alpha for l in range(up_to + 1) if coeffs.psi(l) > 0)
     value = coeffs.sum_psi_power(alpha)
     if not math.isfinite(value):
         raise UnsupportedError("sum of psi^alpha diverges for this coefficient sequence")

@@ -204,13 +204,19 @@ class Geometric(CoefficientSeq):
     def _psi_values(self, m: int) -> Iterable[float]:
         return map(pow, itertools.repeat(self.rho), range(m + 1))
 
+    def _gap(self, p: float) -> tuple[float, float]:
+        """(rho^p, 1 - rho^p).  Where rho^p rounds to 1 (p below about
+        1e-16) the gap is -expm1(p ln rho), at least 2^-1074, not 0."""
+        r = self.rho**p
+        return r, (1.0 - r if r < 1.0 else max(-math.expm1(p * math.log(self.rho)), 5e-324))
+
     def sum_psi_power(self, p: float) -> float:
-        return 1.0 / (1.0 - self.rho**p)
+        return 1.0 / self._gap(p)[1]
 
     def tail_sum_bound(self, n: int, p: float = 1.0) -> float:
         # Exact: sum_{j>n} rho^(jp) = rho^((n+1)p) / (1 - rho^p).
-        r = self.rho**p
-        return r ** (n + 1) / (1.0 - r)
+        r, gap = self._gap(p)
+        return r ** (n + 1) / gap
 
     def summability_exponent(self, alpha: float) -> float | None:
         return 0.5 * min(alpha, 1.0)

@@ -77,13 +77,12 @@ def cover_oracle(coeffs, m, rect):
 
 
 def m0_oracle(coeffs, m, alpha, rect):
-    """Order-0 MA(m) value: a per-position coverage loop summed left to right."""
+    """Order-0 MA(m) value: a per-position coverage loop, its terms summed
+    by ``math.fsum``."""
     needed = set(rect.indices)
-    total = 0.0
-    for i in range(rect.min_index - m, rect.max_index + 1):
-        if coverage(coeffs, m, rect, i) == needed:
-            total += max(a / coeffs.psi(k - i) for k, a in rect.constraints) ** -alpha
-    return total
+    return math.fsum(max(a / coeffs.psi(k - i) for k, a in rect.constraints) ** -alpha
+                     for i in range(rect.min_index - m, rect.max_index + 1)
+                     if coverage(coeffs, m, rect, i) == needed)
 
 
 def order1_quadrature(coeffs, m, alpha, rect, grid=1500):
@@ -184,15 +183,17 @@ def tuple_contribution(coeffs, alpha, rect, positions, covers):
     """(value, variance) of one tuple's integral through the library's own
     path, not an oracle: the tuple given by its positions and cover bitmasks
     (bit p: rect.indices[p]), a one-tuple chunk of
-    ``limit_measures._contributions``."""
+    ``limit_measures._contributions``; the variance is its error times
+    itself, 0.0 for an exact tuple."""
     weights = np.array([[coeffs.psi(k - i) if cover >> p & 1 else 0.0
                          for p, k in enumerate(rect.indices)]
                         for i, cover in zip(positions, covers)])
     thresholds = np.array(rect.thresholds)
-    values, squares, scales = limit_measures._contributions(
+    values, p, e = limit_measures._contributions(
         alpha, thresholds, limit_measures._floors(alpha, thresholds, weights[None]),
         limit_measures._Budget())
-    return float(values[0]), math.ldexp(float(squares[0]), int(scales[0]))
+    error = math.ldexp(float(p[0]), int(e[0])) if len(p) else 0.0
+    return float(values[0]), error * error
 
 
 def tuple_contribution_reference(coeffs, alpha, rect, positions, covers, budget, seed, rank):

@@ -988,6 +988,69 @@ def test_limits_rows_are_values_flags_or_notes(head, tail, m, alpha, rows):
             assert 0.0 <= float(value) < math.inf
 
 
+# verify-hidden's MA(1) rows at its tail levels, next to the shipped MA(inf).
+HIDDEN_CONFIG = textwrap.dedent(
+    """\
+    [coefficients]
+    family = explicit
+    values = 1.0, 0.5
+    m = 1
+
+    [tail]
+    family = standard_pareto
+    alpha = 1.0
+
+    [rows]
+    row0 = 0; 0:1
+    row1 = 1; 0:1, 2:1
+    row2 = 1; 0:1, 1:5, 2:1
+
+    [run]
+    n = 1000
+    t_grid = 1000, 10000
+    seed = 42
+    """
+)
+
+
+@pytest.mark.parametrize("command", ["limits", "verify", "simulate"])
+@pytest.mark.parametrize("alpha", ["1e-300", "1e-17", "1e-5", "0.01"])
+@pytest.mark.parametrize("config", ["demo", "hidden"])
+def test_tiny_alphas_finish_or_exit_2(tmp_path, capsys, config, alpha, command):
+    # Below about 1e-16 rho^alpha rounds to 1, and b(t) = t^(1/alpha) passes
+    # the float64 range; each run finishes or exits 2, naming alpha and
+    # writing nothing.  Warnings are not errors here, as on the command line.
+    path = ROOT / "demos" / "experiment.ini" if config == "demo" else tmp_path / "hidden.ini"
+    if config == "hidden":
+        path.write_text(HIDDEN_CONFIG)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main([command, "--config", str(path), "--set", f"tail.alpha={alpha}", "--set", "run.n=1000",
+                     "--out", str(out)])
+    if code == 2:
+        assert f"alpha = {float(alpha)!r}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+        return
+    assert code == 0
+    if command == "limits":
+        values = [row[2] for row in read_csv(out)[1:]]
+        assert values and all(math.isfinite(float(v)) for v in values)
+
+
+def test_b_past_float64_exits_2_before_the_simulation(tmp_path, capsys, monkeypatch):
+    # 10000^(1/0.01) = 1e400: refused with the tail level and alpha named,
+    # before any draw.
+    monkeypatch.setattr(ma, "simulate", lambda *a, **k: pytest.fail("simulated"))
+    config = tmp_path / "hidden.ini"
+    config.write_text(HIDDEN_CONFIG)
+    assert main(["verify", "--config", str(config), "--set", "tail.alpha=0.01", "--out",
+                 str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "t = 10000.0" in err and "alpha = 0.01" in err
+    assert not list(tmp_path.glob("out*"))
+
+
 # Rows whose theory evaluation is infeasible or raises, on configs that verify
 # completes: the MA(inf) psi^alpha series diverges (beta * alpha <= 1), a
 # negative order of the MA(inf), a finite row one spike already covers.

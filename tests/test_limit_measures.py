@@ -482,7 +482,7 @@ class TestNuMJRect:
             return
         reads = reads_of_drawn(coeffs, m, j, rect)
         assert_plans_match_the_oracle(coeffs, m, alpha, j, rect)
-        total = var_total = 0.0
+        values, squares = [], []
         for rank, positions, covers in covering_tuples(coeffs, m, j, rect):
             value, variance = tuple_contribution(coeffs, alpha, rect, positions, covers)
             if reads.get(rank) == 1:
@@ -498,12 +498,15 @@ class TestNuMJRect:
                 args = (coeffs, alpha, rect, positions, covers, 64, 0, rank)
                 assert (value, variance) == tuple_contribution_reference(*args)
                 assert variance == 0.0
-            total += value
-            var_total += variance
+            values.append(value)
+            squares.append(variance)
+        # The value is the exactly rounded sum of the tuple values, and the
+        # stderr the root of the exactly rounded sum of squared errors.
         if not reads:
-            assert (got.value, got.method, got.stderr) == (total, EvalMethod.ENUMERATION, None)
+            assert (got.value, got.method, got.stderr) == (math.fsum(values), EvalMethod.ENUMERATION, None)
             return
-        assert (got.value, got.method, got.stderr) == (total, EvalMethod.QUADRATURE, math.sqrt(var_total))
+        assert (got.value, got.method, got.stderr) == (
+            math.fsum(values), EvalMethod.QUADRATURE, math.sqrt(math.fsum(squares)))
 
     def test_multi_read_tuples_against_the_importance_oracle(self):
         # Rows near the pinned m = 3, j = 2 rows, each lag scaled by up to 2
@@ -821,8 +824,8 @@ class TestTupleWalk:
         start = time.perf_counter()
         got = nu_m_j_rect(ExplicitFinite([1.0] * 6), 5, 1.0, 8, rect)
         assert time.perf_counter() - start < 30.0
-        assert (got.value, got.method, got.stderr) == (1.130523090203265, EvalMethod.QUADRATURE,
-                                                       5.173580349483072e-18)
+        assert (got.value, got.method, got.stderr) == (1.1305230902060879, EvalMethod.QUADRATURE,
+                                                       5.173580349488596e-18)
 
 
 class TestIntegralOracles:
@@ -1202,6 +1205,36 @@ class TestHomogeneity:
         ]
         for evaluate, rect, tighter in cases:
             assert evaluate(tighter) < evaluate(rect)
+
+
+class TestSumRule:
+    @pytest.mark.parametrize("coeffs, m, j, alpha, rect", [
+        (THEORY_B_PSI, 4, 1, 1.0, UpperRect({0: 1.0, 2: 6.0, 5: 1.0})),
+        (THEORY_B_PSI, 4, 2, 1.5, THEORY_B_J2_RECT),
+        (MIXED_READS_PSI, 3, 2, 2.0, MIXED_READS_RECT),
+        (THEORY_B_PSI, 4, 5, 1.0, UpperRect({k: 1.0 for k in range(0, 26, 5)})),
+        (Polynomial(2.0), 3000, 0, 1.0, UpperRect({0: 2.0, 3: 1.0})),
+    ])
+    def test_sums_do_not_depend_on_the_chunk_size(self, monkeypatch, coeffs, m, j, alpha, rect):
+        # Values and stderrs are exactly rounded sums, so table blocks of
+        # one position and walks of one tuple a chunk give the same bits.
+        want = nu_m_j_rect(coeffs, m, alpha, j, rect)
+        monkeypatch.setattr(limit_measures, "CHUNK_CELLS", 4)
+        assert nu_m_j_rect(coeffs, m, alpha, j, rect) == want
+
+    def test_an_exact_row_is_its_exactly_rounded_sum(self):
+        # (1 + 0.8 + 0.6 + 0.4 + 0.2)^6 = 729 over 5^6 tuples of products;
+        # added left to right the terms read 729.0000000000057.
+        got = nu_m_j_rect(THEORY_B_PSI, 4, 1.0, 5, UpperRect({k: 1.0 for k in range(0, 26, 5)}))
+        assert (got.value, got.method) == (729.0000000000001, EvalMethod.ENUMERATION)
+
+    def test_order_zero_sums_the_terms_exactly(self):
+        # Left to right the term 1 (lag 4) comes first, and each 2^-53 after
+        # it would round away.
+        coeffs = ExplicitFinite([2.0**-53] * 4 + [1.0])
+        got = nu_m0_rect(coeffs, 4, 1.0, UpperRect({4: 1.0}))
+        assert got.value == 1.0 + 4 * 2.0**-53
+        assert marginal_tail_constant(coeffs, 1.0, up_to=4) == got.value
 
 
 class TestMarginalTailConstant:

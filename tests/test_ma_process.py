@@ -135,6 +135,14 @@ class TestCheckAssumptions:
         assert rep.sum_psi_alpha == 2.0
         assert rep.a2_delta is not None and 0 < rep.a2_delta < 1.0
 
+    def test_geometric_sums_at_a_tiny_exponent_are_finite(self):
+        # 0.5^1e-17 rounds to 1: the sums are 1 / (1e-17 ln 2), not a division
+        # by 0; at 2^-1074 they pass the float64 range.
+        want = 1.0 / (1e-17 * math.log(2.0))
+        assert Geometric(0.5).sum_psi_power(1e-17) == pytest.approx(want, rel=1e-15)
+        assert Geometric(0.5).tail_sum_bound(27, 1e-17) == pytest.approx(want, rel=1e-15)
+        assert Geometric(0.9).sum_psi_power(5e-324) == math.inf
+
     def test_slow_polynomial_has_no_certificate(self):
         rep = check_assumptions(Polynomial(0.8), 1.0)
         assert rep.a2_delta is None
